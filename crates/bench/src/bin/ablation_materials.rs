@@ -73,7 +73,8 @@ fn main() {
     for materials in [MaterialTable::homogeneous(), MaterialTable::heterogeneous()] {
         let name = materials.name;
         let sol = solve_deformation(&mesh, &materials, &bcs, &FemSolveConfig::default()).expect("FEM solve rejected its inputs");
-        let field = displacement_field_from_mesh(&mesh, &sol.displacements, cfg.dims, cfg.spacing);
+        let field = displacement_field_from_mesh(&mesh, &sol.displacements, cfg.dims, cfg.spacing)
+            .expect("one displacement per node");
         let fe = field_error(&field, &case.gt_forward, 2.0);
         println!("{:<15} {:>9.2} mm {:>12.2}", name, fe.mean_error_mm, fe.relative_error);
     }

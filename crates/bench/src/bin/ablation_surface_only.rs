@@ -42,7 +42,8 @@ fn main() {
     let t0 = Stopwatch::wall();
     let sol = solve_deformation(&mesh, &MaterialTable::homogeneous(), &bcs, &FemSolveConfig::default()).expect("FEM solve rejected its inputs");
     let fem_time = t0.elapsed_s();
-    let fem_field = displacement_field_from_mesh(&mesh, &sol.displacements, cfg.dims, cfg.spacing);
+    let fem_field = displacement_field_from_mesh(&mesh, &sol.displacements, cfg.dims, cfg.spacing)
+        .expect("one displacement per node");
 
     // --- Surface-only: inverse-distance extrapolation from the boundary
     //     (the accuracy level of graphics-oriented surface models). ---
@@ -73,7 +74,8 @@ fn main() {
         interp_disp.push(acc / wsum);
     }
     let surf_time = t0.elapsed_s();
-    let surf_field = displacement_field_from_mesh(&mesh, &interp_disp, cfg.dims, cfg.spacing);
+    let surf_field = displacement_field_from_mesh(&mesh, &interp_disp, cfg.dims, cfg.spacing)
+        .expect("one displacement per node");
 
     for (name, field, t) in [("volumetric FEM", &fem_field, fem_time), ("surface-only", &surf_field, surf_time)] {
         let fe = field_error(field, &case.gt_forward, 2.0);

@@ -62,7 +62,8 @@ fn main() {
         16,
         &SimOptions::default(),
         None,
-    );
+    )
+    .expect("simulated problem is consistent");
     println!("  {} equations on 16 CPUs ({}):", t.total_equations, t.machine);
     println!("    init      {:>7.2} s  (overlappable with earlier image processing)", t.init_s);
     println!("    assemble  {:>7.2} s", t.assemble_s);

@@ -25,7 +25,8 @@ fn main() {
             cpus,
             &SimOptions::default(),
             Some(&k),
-        );
+        )
+        .expect("simulated problem is consistent");
         print_timing_row(&t);
         asm_series.push((cpus, t.assemble_s));
         solve_series.push((cpus, t.solve_s));

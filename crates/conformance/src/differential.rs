@@ -11,17 +11,14 @@
 //! registration pipeline actually consumes.
 
 use brainshift_cluster::{distributed_gmres_ghosted, run_ranks, GhostedSystem, LocalSystem};
-use brainshift_fem::{
-    DirichletBcs, ElementOperator, FemSolveConfig, MaterialTable, SimProblem, SolverContext,
-};
+use brainshift_fem::{DirichletBcs, FemSolveConfig, MaterialTable, SimProblem, SolverContext};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKind};
 pub use brainshift_scenario::RecoveryPoint;
 use brainshift_sparse::{
-    bicgstab, gmres, partition::even_offsets, permute_symmetric, permute_vec, refine,
-    reverse_cuthill_mckee_blocks, solve_escalated, unpermute_vec, BlockCsr, BlockJacobiPrecond,
-    BlockSolve, EscalationPolicy, KrylovWorkspace, Preconditioner, RefineOptions, SolverOptions,
+    bicgstab, gmres, partition::even_offsets, solve_escalated, BlockJacobiPrecond, BlockSolve,
+    EscalationPolicy, KrylovWorkspace, SolverOptions,
 };
 
 /// Knobs for the harness.
@@ -178,78 +175,7 @@ pub fn run_differential(
         });
     }
 
-    // 4. RCM-reordered GMRES: permute the system with node-level reverse
-    //    Cuthill–McKee, solve in the permuted order with a freshly
-    //    factored preconditioner, and unpermute the solution.
-    {
-        let perm = reverse_cuthill_mckee_blocks(a, 3).expect("reduced matrix is square");
-        let ap = permute_symmetric(a, &perm).expect("RCM permutation is valid");
-        let pcp = BlockJacobiPrecond::new(&ap, opts.blocks.min(nfree).max(1), BlockSolve::Ilu0)
-            .expect("permuted blocks stay non-singular");
-        let rhs_p = permute_vec(&rhs, &perm);
-        let mut y = vec![0.0; nfree];
-        let stats = gmres(&ap, &pcp, &rhs_p, &mut y, &sopts).expect("permuted dims agree");
-        let x = unpermute_vec(&y, &perm);
-        paths.push(PathField {
-            name: "rcm".into(),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
-            converged: stats.converged(),
-            iterations: stats.iterations,
-            relative_residual: stats.relative_residual,
-        });
-    }
-
-    // 5. Mixed-precision iterative refinement: f32 inner GMRES with an
-    //    f32 copy of the shared preconditioner, f64 outer corrections.
-    {
-        let mirror = pc
-            .mixed_mirror(a)
-            .expect("block-jacobi always has an f32 companion");
-        let mut x = vec![0.0; nfree];
-        let stats = refine(a, &mirror, &rhs, &mut x, &sopts, &RefineOptions::default())
-            .expect("mirror dims agree");
-        paths.push(PathField {
-            name: "mixed".into(),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
-            converged: stats.converged(),
-            iterations: stats.iterations,
-            relative_residual: stats.relative_residual,
-        });
-    }
-
-    // 6. Register-blocked 3×3 SpMV: same GMRES, same preconditioner,
-    //    different matrix kernel.
-    {
-        let block = BlockCsr::from_csr(a).expect("elasticity DOFs come in node triples");
-        let mut x = vec![0.0; nfree];
-        let stats = gmres(&block, &pc, &rhs, &mut x, &sopts).expect("blocked dims agree");
-        paths.push(PathField {
-            name: "block-spmv".into(),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
-            converged: stats.converged(),
-            iterations: stats.iterations,
-            relative_residual: stats.relative_residual,
-        });
-    }
-
-    // 7. Matrix-free element operator: no assembled reduced matrix in
-    //    the Krylov loop at all (the preconditioner is shared, which is
-    //    legal — it only needs to approximate the operator).
-    {
-        let op = ElementOperator::new(mesh, materials, &structure.reduced_of_dof)
-            .expect("mesh and structure agree");
-        let mut x = vec![0.0; nfree];
-        let stats = gmres(&op, &pc, &rhs, &mut x, &sopts).expect("element operator dims agree");
-        paths.push(PathField {
-            name: "matfree".into(),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
-            converged: stats.converged(),
-            iterations: stats.iterations,
-            relative_residual: stats.relative_residual,
-        });
-    }
-
-    // 8. Warm SolverContext: solve twice, keep the warm-started second
+    // 4. Warm SolverContext: solve twice, keep the warm-started second
     //    solve — the intraoperative steady state.
     {
         let cfg = FemSolveConfig { options: sopts.clone(), ..Default::default() };
@@ -266,7 +192,7 @@ pub fn run_differential(
         });
     }
 
-    // 9. Distributed ghosted GMRES over the reduced system at each rank
+    // 5. Distributed ghosted GMRES over the reduced system at each rank
     //    count (rank-0's stats are representative — all ranks return the
     //    same stats by construction).
     for &p in &opts.ranks {
@@ -371,7 +297,20 @@ mod tests {
             bcs.set(n, manufactured_field(mesh.nodes[n]));
         }
         let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs, &Default::default());
-        assert_eq!(r.paths.len(), 8 + 4, "8 shared-memory paths + 4 rank counts");
+        let names: Vec<&str> = r.paths.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "gmres",
+                "bicgstab",
+                "escalated",
+                "context-warm",
+                "distributed-p1",
+                "distributed-p2",
+                "distributed-p4",
+                "distributed-p8",
+            ]
+        );
         for p in &r.paths {
             assert!(p.converged, "{} did not converge: {:?}", p.name, p.relative_residual);
         }

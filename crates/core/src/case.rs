@@ -154,7 +154,8 @@ pub fn generate_elastic_case(
         }
     };
     let gt_forward =
-        displacement_field_from_mesh(&gt_mesh, &displacements, cfg.dims, cfg.spacing);
+        displacement_field_from_mesh(&gt_mesh, &displacements, cfg.dims, cfg.spacing)
+            .expect("ground truth has one displacement per node");
     let gt_backward = invert_field(&gt_forward, 12);
 
     // Synthesize the intraoperative scan.

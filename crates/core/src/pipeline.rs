@@ -300,17 +300,21 @@ pub fn run_pipeline_with_solver(
     )?;
 
     // ── Dense deformation + resample (the ~0.5 s visualization step). ──
-    let (forward_field, backward_field, warped_reference) = timeline.stage("visualization resample", true, || {
-        let fwd = displacement_field_from_mesh(
-            &mesh,
-            &fem.displacements,
-            intraop_intensity.dims(),
-            intraop_intensity.spacing(),
-        );
-        let bwd = invert_field(&fwd, 10);
-        let warped = warp_volume_backward(&ref_intensity_aligned, &bwd, 0.0);
-        (fwd, bwd, warped)
-    });
+    let (forward_field, backward_field, warped_reference) = timeline.stage(
+        "visualization resample",
+        true,
+        || -> Result<_, Error> {
+            let fwd = displacement_field_from_mesh(
+                &mesh,
+                &fem.displacements,
+                intraop_intensity.dims(),
+                intraop_intensity.spacing(),
+            )?;
+            let bwd = invert_field(&fwd, 10);
+            let warped = warp_volume_backward(&ref_intensity_aligned, &bwd, 0.0);
+            Ok((fwd, bwd, warped))
+        },
+    )?;
 
     // What this scan paid inside the FEM context: setup phases only when
     // the context was (re)built, plus the delta of cumulative solve time.

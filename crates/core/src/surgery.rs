@@ -249,7 +249,7 @@ impl PreparedSurgery {
                 &sol.displacements,
                 intensity.dims(),
                 intensity.spacing(),
-            );
+            )?;
             (status, field)
         } else {
             // Graceful degradation: the navigation display keeps showing

@@ -209,8 +209,8 @@ impl DirichletStructure {
     /// Scatter a reduced solution plus the prescribed values into a full
     /// DOF vector.
     pub fn expand_solution_into(&self, x_reduced: &[f64], u_c: &[f64], full: &mut [f64]) {
-        assert_eq!(x_reduced.len(), self.free_dofs.len());
-        assert_eq!(full.len(), self.reduced_of_dof.len());
+        debug_assert_eq!(x_reduced.len(), self.free_dofs.len());
+        debug_assert_eq!(full.len(), self.reduced_of_dof.len());
         for (i, &dof) in self.free_dofs.iter().enumerate() {
             full[dof] = x_reduced[i];
         }
@@ -259,7 +259,7 @@ impl ReducedSystem {
     /// Scatter a reduced solution back to full DOF vector (prescribed
     /// values filled in).
     pub fn expand_solution(&self, x_reduced: &[f64]) -> Vec<f64> {
-        assert_eq!(x_reduced.len(), self.free_dofs.len());
+        debug_assert_eq!(x_reduced.len(), self.free_dofs.len());
         let mut full = self.prescribed_values.clone();
         for (i, &dof) in self.free_dofs.iter().enumerate() {
             full[dof] = x_reduced[i];

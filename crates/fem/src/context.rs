@@ -24,22 +24,23 @@
 //! scan's displacement (brain shift is progressive, so consecutive
 //! solutions are close). [`ContextStats`] counts assemblies and
 //! factorizations so callers can *assert* the assemble-once contract.
+//!
+//! This is the only implementation of "solve `K u = f` with Dirichlet
+//! data" in the crate: the cold entry points
+//! ([`crate::solver::solve_deformation`], [`crate::solver::solve_with_loads`])
+//! build a context, solve once, and drop it.
 
 use crate::assembly::assemble_stiffness;
 use crate::bc::{DirichletBcs, DirichletStructure};
 use crate::error::FemError;
 use crate::material::MaterialTable;
-use crate::solver::{
-    build_preconditioner, FemSolution, FemSolveConfig, KrylovKind, Reordering, SpmvKind,
-};
+use crate::solver::{build_preconditioner, FemSolution, FemSolveConfig, KrylovKind};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_obs::Stopwatch;
 use brainshift_sparse::{
-    conjugate_gradient, permute_symmetric, permute_vec_into, reverse_cuthill_mckee_blocks,
-    solve_escalated_mixed, unpermute_vec_into, BlockCsr, CsrMatrix, EscalationPolicy,
-    KrylovWorkspace, LinearOperator, MixedPrecision, Precision, Preconditioner, RungTrace,
-    SolverOptions,
+    conjugate_gradient, solve_escalated, CsrMatrix, EscalationPolicy, KrylovWorkspace,
+    Preconditioner, RungTrace, SolverOptions,
 };
 
 /// Counters proving the assemble-once / re-solve-many contract and
@@ -89,54 +90,16 @@ pub struct SolverContext {
     mesh_fingerprint: u64,
     k: CsrMatrix,
     structure: DirichletStructure,
-    /// Node-level RCM permutation of the reduced system (`perm[new] =
-    /// old`) when `cfg.reorder` asks for one. Everything the solve
-    /// touches — matrix, preconditioner factors, warm-start vector —
-    /// lives in this order; solutions are unpermuted on extraction.
-    perm: Option<Vec<usize>>,
-    /// The RCM-permuted reduced matrix (rebuilt on decode).
-    a_p: Option<CsrMatrix>,
-    /// 3×3-blocked form of the solve matrix when `cfg.spmv` asks for one
-    /// (rebuilt on decode).
-    block: Option<BlockCsr>,
-    /// f32 companion of the solve matrix + preconditioner for the
-    /// mixed-precision rung (rebuilt on decode).
-    mixed: Option<MixedPrecision>,
     precond: Box<dyn Preconditioner>,
     workspace: KrylovWorkspace,
-    /// Previous reduced solution *in solve order*; seeds the next solve.
+    /// Previous reduced solution; seeds the next solve.
     prev_x: Vec<f64>,
     has_prev: bool,
     u_c: Vec<f64>,
     rhs: Vec<f64>,
-    /// Solve-order right-hand side (empty when solving in native order).
-    rhs_p: Vec<f64>,
-    /// Native-order solution scratch (empty when solving in native order).
-    x_nat: Vec<f64>,
     full: Vec<f64>,
     stats: ContextStats,
     timings: ContextTimings,
-}
-
-/// Build the derived kernels for the solve matrix (the permuted reduced
-/// matrix when RCM is on): the 3×3-blocked SpMV form and the f32 mirror
-/// for the mixed-precision rung. Shared by the construction and decode
-/// paths; the factored `precond` must act on `solve_mat`.
-fn derive_kernels(
-    cfg: &FemSolveConfig,
-    solve_mat: &CsrMatrix,
-    precond: &dyn Preconditioner,
-) -> Result<(Option<BlockCsr>, Option<MixedPrecision>), FemError> {
-    let block = match cfg.spmv {
-        SpmvKind::Scalar => None,
-        SpmvKind::Block3 => Some(BlockCsr::from_csr(solve_mat)?),
-    };
-    let mixed = if cfg.options.precision == Precision::Mixed {
-        precond.mixed_mirror(solve_mat)
-    } else {
-        None
-    };
-    Ok((block, mixed))
 }
 
 impl SolverContext {
@@ -180,25 +143,12 @@ impl SolverContext {
         }
         let mut sw = Stopwatch::wall();
         let structure = DirichletStructure::new(&k, constrained_nodes)?;
-        // RCM ordering, when requested, is part of building the reduced
-        // system: the permuted matrix is what gets factored and solved.
-        let perm = match cfg.reorder {
-            Reordering::Native => None,
-            Reordering::Rcm => Some(reverse_cuthill_mckee_blocks(&structure.matrix, 3)?),
-        };
-        let a_p = match &perm {
-            Some(p) => Some(permute_symmetric(&structure.matrix, p)?),
-            None => None,
-        };
         let reduction_s = sw.lap_s();
-        let solve_mat = a_p.as_ref().unwrap_or(&structure.matrix);
-        let precond = build_preconditioner(cfg.precond, solve_mat)?;
-        let (block, mixed) = derive_kernels(&cfg, solve_mat, precond.as_ref())?;
+        let precond = build_preconditioner(cfg.precond, &structure.matrix)?;
         let factorization_s = sw.lap_s();
         let nfree = structure.num_free();
         let nc = structure.num_constrained();
         let workspace = KrylovWorkspace::new(nfree, cfg.options.restart);
-        let scratch = if perm.is_some() { nfree } else { 0 };
         Ok(SolverContext {
             cfg,
             num_nodes: mesh.num_nodes(),
@@ -206,18 +156,12 @@ impl SolverContext {
             full: vec![0.0; k.nrows()],
             k,
             structure,
-            perm,
-            a_p,
-            block,
-            mixed,
             precond,
             workspace,
             prev_x: vec![0.0; nfree],
             has_prev: false,
             u_c: vec![0.0; nc],
             rhs: vec![0.0; nfree],
-            rhs_p: vec![0.0; scratch],
-            x_nat: vec![0.0; scratch],
             stats: ContextStats { factorizations: 1, ..Default::default() },
             timings: ContextTimings { reduction_s, factorization_s, ..Default::default() },
         })
@@ -246,6 +190,19 @@ impl SolverContext {
         opts_override: Option<&SolverOptions>,
         escalation_override: Option<&EscalationPolicy>,
     ) -> Result<FemSolution, FemError> {
+        self.solve_loaded(bcs, None, opts_override, escalation_override)
+    }
+
+    /// The one solve routine. `loads` is the nodal load vector in
+    /// original DOF numbering (length checked by the caller); `None` is
+    /// the per-scan case of no body force.
+    pub(crate) fn solve_loaded(
+        &mut self,
+        bcs: &DirichletBcs,
+        loads: Option<&[f64]>,
+        opts_override: Option<&SolverOptions>,
+        escalation_override: Option<&EscalationPolicy>,
+    ) -> Result<FemSolution, FemError> {
         if 3 * bcs.len() != self.structure.num_constrained() {
             return Err(FemError::BcSetMismatch {
                 expected: self.structure.num_constrained(),
@@ -253,24 +210,10 @@ impl SolverContext {
             });
         }
         self.structure.gather_constrained(bcs, &mut self.u_c)?;
-        self.structure.reduced_rhs_zero_f(&self.u_c, &mut self.rhs);
-        // The solve runs in solve order (RCM when on): permute the RHS
-        // in, solve, and unpermute the solution out. `prev_x` stays in
-        // solve order across scans so warm starts need no translation.
-        let rhs: &[f64] = match &self.perm {
-            Some(p) => {
-                permute_vec_into(&self.rhs, p, &mut self.rhs_p);
-                &self.rhs_p
-            }
-            None => &self.rhs,
-        };
-        let op: &dyn LinearOperator = match (&self.block, &self.a_p) {
-            (Some(b), _) => b,
-            (None, Some(ap)) => ap,
-            (None, None) => &self.structure.matrix,
-        };
-        let solve_csr: &CsrMatrix = self.a_p.as_ref().unwrap_or(&self.structure.matrix);
-        let mixed = self.mixed.as_ref().map(|m| (solve_csr, m));
+        match loads {
+            Some(f) => self.structure.reduced_rhs(f, &self.u_c, &mut self.rhs),
+            None => self.structure.reduced_rhs_zero_f(&self.u_c, &mut self.rhs),
+        }
 
         // Warm start: seed from the previous scan's reduced solution.
         let warm = self.has_prev;
@@ -278,30 +221,29 @@ impl SolverContext {
             self.prev_x.iter_mut().for_each(|v| *v = 0.0);
         }
         let seed_snapshot = self.prev_x.clone();
-        let opts = opts_override.unwrap_or(&self.cfg.options).clone();
-        let escalation = escalation_override.unwrap_or(&self.cfg.escalation).clone();
+        let opts = opts_override.unwrap_or(&self.cfg.options);
+        let escalation = escalation_override.unwrap_or(&self.cfg.escalation);
         let sw = Stopwatch::wall();
         let (stats, attempts, escalated, rung_reasons, rungs) = match self.cfg.krylov {
             KrylovKind::Gmres => {
-                let out = solve_escalated_mixed(
-                    op,
+                let out = solve_escalated(
+                    &self.structure.matrix,
                     self.precond.as_ref(),
-                    mixed,
-                    rhs,
+                    &self.rhs,
                     &mut self.prev_x,
-                    &opts,
-                    &escalation,
+                    opts,
+                    escalation,
                     &mut self.workspace,
                 )?;
                 (out.stats, out.attempts, out.escalated, out.rung_reasons, out.rungs)
             }
             KrylovKind::ConjugateGradient => {
                 let s = conjugate_gradient(
-                    op,
+                    &self.structure.matrix,
                     self.precond.as_ref(),
-                    rhs,
+                    &self.rhs,
                     &mut self.prev_x,
-                    &opts,
+                    opts,
                 )?;
                 let reasons = vec![s.reason];
                 let rungs = vec![RungTrace {
@@ -326,14 +268,7 @@ impl SolverContext {
             self.stats.escalations += 1;
         }
 
-        let x_nat: &[f64] = match &self.perm {
-            Some(p) => {
-                unpermute_vec_into(&self.prev_x, p, &mut self.x_nat);
-                &self.x_nat
-            }
-            None => &self.prev_x,
-        };
-        self.structure.expand_solution_into(x_nat, &self.u_c, &mut self.full);
+        self.structure.expand_solution_into(&self.prev_x, &self.u_c, &mut self.full);
         let displacements = (0..self.num_nodes)
             .map(|n| Vec3::new(self.full[3 * n], self.full[3 * n + 1], self.full[3 * n + 2]))
             .collect();
@@ -383,27 +318,19 @@ impl SolverContext {
             + self.structure.memory_bytes()
             + self.precond.memory_bytes()
             + std::mem::size_of_val(self.cfg.escalation.larger_restarts.as_slice())
-            + self.perm.as_ref().map_or(0, |p| std::mem::size_of_val(p.as_slice()))
             + self.scratch_bytes()
             + std::mem::size_of_val(self.prev_x.as_slice())
     }
 
     /// Heap bytes of the state that is *not* serialized by `Persist`
-    /// because it is rebuilt on decode: the Krylov workspace, the
-    /// per-solve scratch vectors, and the derived solve-order state (the
-    /// permuted matrix, the blocked kernel, the f32 mirror).
-    /// `memory_bytes() − scratch_bytes()` is therefore the accountant's
-    /// estimate of the serialized payload.
+    /// because it is rebuilt on decode: the Krylov workspace and the
+    /// per-solve scratch vectors. `memory_bytes() − scratch_bytes()` is
+    /// therefore the accountant's estimate of the serialized payload.
     pub fn scratch_bytes(&self) -> usize {
         self.workspace.bytes()
             + std::mem::size_of_val(self.u_c.as_slice())
             + std::mem::size_of_val(self.rhs.as_slice())
-            + std::mem::size_of_val(self.rhs_p.as_slice())
-            + std::mem::size_of_val(self.x_nat.as_slice())
             + std::mem::size_of_val(self.full.as_slice())
-            + self.a_p.as_ref().map_or(0, |m| m.memory_bytes())
-            + self.block.as_ref().map_or(0, |b| b.memory_bytes())
-            + self.mixed.as_ref().map_or(0, |m| m.memory_bytes())
     }
 
     /// The content fingerprint ([`TetMesh::fingerprint`]) of the mesh
@@ -541,10 +468,7 @@ impl brainshift_persist::Persist for SolverContext {
         self.prev_x.encode(enc)?;
         enc.put_bool(self.has_prev);
         self.stats.encode(enc)?;
-        self.timings.encode(enc)?;
-        // v2 tail: the RCM permutation (the permuted matrix, blocked
-        // kernel, and f32 mirror are derived from it on decode).
-        self.perm.encode(enc)
+        self.timings.encode(enc)
     }
 
     fn decode(
@@ -580,68 +504,17 @@ impl brainshift_persist::Persist for SolverContext {
         let has_prev = dec.get_bool()?;
         let stats = ContextStats::decode(dec)?;
         let timings = ContextTimings::decode(dec)?;
-        let perm = if dec.version() >= 2 { Option::<Vec<usize>>::decode(dec)? } else { None };
-        // The permutation must agree with the configuration (a v1
-        // container can only carry the native ordering, whose config
-        // decodes to `Native`) and must be a true node-triple
-        // permutation — the factored preconditioner is only valid in
-        // that exact order.
-        match (&perm, cfg.reorder) {
-            (None, Reordering::Native) | (Some(_), Reordering::Rcm) => {}
-            (None, Reordering::Rcm) => {
-                return invalid("RCM config without a stored permutation".to_string());
-            }
-            (Some(_), Reordering::Native) => {
-                return invalid("stored permutation without RCM config".to_string());
-            }
-        }
-        if let Some(p) = &perm {
-            if p.len() != nfree || nfree % 3 != 0 {
-                return invalid(format!("permutation has {} entries for {nfree} unknowns", p.len()));
-            }
-            let mut seen = vec![false; nfree];
-            for (new, &old) in p.iter().enumerate() {
-                if old >= nfree || seen[old] {
-                    return invalid(format!("permutation entry {new} → {old} is invalid"));
-                }
-                seen[old] = true;
-            }
-            for t in p.chunks_exact(3) {
-                if t[0] % 3 != 0 || t[1] != t[0] + 1 || t[2] != t[0] + 2 {
-                    return invalid(format!("permutation splits node triple {t:?}"));
-                }
-            }
-        }
-        let derive_err = |e: FemError| PersistError::InvalidData {
-            reason: format!("rebuilding solve-order state: {e}"),
-        };
-        let a_p = match &perm {
-            Some(p) => {
-                Some(permute_symmetric(&structure.matrix, p).map_err(|e| derive_err(e.into()))?)
-            }
-            None => None,
-        };
-        let solve_mat = a_p.as_ref().unwrap_or(&structure.matrix);
-        let (block, mixed) =
-            derive_kernels(&cfg, solve_mat, precond.as_ref()).map_err(derive_err)?;
         let nc = structure.num_constrained();
-        let scratch = if perm.is_some() { nfree } else { 0 };
         Ok(SolverContext {
             workspace: KrylovWorkspace::new(nfree, cfg.options.restart),
             full: vec![0.0; k.nrows()],
             u_c: vec![0.0; nc],
             rhs: vec![0.0; nfree],
-            rhs_p: vec![0.0; scratch],
-            x_nat: vec![0.0; scratch],
             cfg,
             num_nodes,
             mesh_fingerprint,
             k,
             structure,
-            perm,
-            a_p,
-            block,
-            mixed,
             precond,
             prev_x,
             has_prev,
@@ -797,108 +670,6 @@ mod tests {
         let t2 = ctx.timings();
         assert!(t2.solve_s > t1.solve_s, "solve time accumulates");
         assert!(t2.last_solve_s <= t2.solve_s);
-    }
-
-    #[test]
-    fn rcm_context_matches_native_ordering_across_scans() {
-        let mesh = block_mesh(4);
-        let materials = MaterialTable::homogeneous();
-        let surface = boundary_nodes(&mesh);
-        let mut native =
-            SolverContext::new(&mesh, &materials, &surface, tight()).expect("native build");
-        let mut rcm_cfg = tight();
-        rcm_cfg.reorder = Reordering::Rcm;
-        let mut rcm =
-            SolverContext::new(&mesh, &materials, &surface, rcm_cfg).expect("rcm build");
-        for stage in 1..=3 {
-            let bcs = scan_bcs(&mesh, &surface, stage as f64);
-            let a = native.solve(&bcs).expect("native solve");
-            let b = rcm.solve(&bcs).expect("rcm solve");
-            assert!(a.stats.converged() && b.stats.converged());
-            for (u, v) in a.displacements.iter().zip(&b.displacements) {
-                assert!((*u - *v).norm() < 1e-7, "stage {stage}: {u:?} vs {v:?}");
-            }
-        }
-        // The warm-start contract survives reordering: repeating the last
-        // scan solves in zero iterations.
-        let bcs = scan_bcs(&mesh, &surface, 3.0);
-        let again = rcm.solve(&bcs).expect("warm rcm solve");
-        assert_eq!(again.stats.iterations, 0, "RCM warm start should satisfy the system");
-    }
-
-    #[test]
-    fn block_spmv_and_mixed_precision_match_the_scalar_f64_path() {
-        let mesh = block_mesh(4);
-        let materials = MaterialTable::homogeneous();
-        let surface = boundary_nodes(&mesh);
-        let bcs = scan_bcs(&mesh, &surface, 1.0);
-        let baseline = {
-            let mut ctx =
-                SolverContext::new(&mesh, &materials, &surface, tight()).expect("baseline");
-            ctx.solve(&bcs).expect("baseline solve")
-        };
-        // Every ladder variant — blocked SpMV, mixed precision, and both
-        // together with RCM — must land on the same field.
-        let variants: Vec<FemSolveConfig> = vec![
-            FemSolveConfig { spmv: SpmvKind::Block3, ..tight() },
-            FemSolveConfig {
-                options: brainshift_sparse::SolverOptions {
-                    precision: Precision::Mixed,
-                    ..tight().options
-                },
-                ..tight()
-            },
-            FemSolveConfig {
-                reorder: Reordering::Rcm,
-                spmv: SpmvKind::Block3,
-                options: brainshift_sparse::SolverOptions {
-                    precision: Precision::Mixed,
-                    ..tight().options
-                },
-                ..tight()
-            },
-        ];
-        for (vi, cfg) in variants.into_iter().enumerate() {
-            let mut ctx =
-                SolverContext::new(&mesh, &materials, &surface, cfg).expect("variant build");
-            let sol = ctx.solve(&bcs).expect("variant solve");
-            assert!(sol.stats.converged(), "variant {vi}: {:?}", sol.stats);
-            for (u, v) in baseline.displacements.iter().zip(&sol.displacements) {
-                assert!((*u - *v).norm() < 1e-6, "variant {vi}: {u:?} vs {v:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn rcm_context_round_trips_through_persist() {
-        let mesh = block_mesh(4);
-        let materials = MaterialTable::homogeneous();
-        let surface = boundary_nodes(&mesh);
-        let mut cfg = tight();
-        cfg.reorder = Reordering::Rcm;
-        cfg.spmv = SpmvKind::Block3;
-        let mut ctx = SolverContext::new(&mesh, &materials, &surface, cfg).expect("build");
-        let bcs1 = scan_bcs(&mesh, &surface, 1.0);
-        ctx.solve(&bcs1).expect("first solve");
-        let bytes = brainshift_persist::to_bytes(&ctx).expect("encode");
-        let mut restored: SolverContext = brainshift_persist::from_bytes(&bytes).expect("decode");
-        // The restored context resumes warm, in the same RCM order, and
-        // produces the same field on the next scan.
-        let bcs2 = scan_bcs(&mesh, &surface, 1.2);
-        let live = ctx.solve(&bcs2).expect("live solve");
-        let back = restored.solve(&bcs2).expect("restored solve");
-        assert_eq!(restored.stats().factorizations, 1, "restore must not re-factor");
-        for (u, v) in live.displacements.iter().zip(&back.displacements) {
-            assert!((*u - *v).norm() < 1e-9, "{u:?} vs {v:?}");
-        }
-        // A tampered permutation is refused.
-        let mut corrupt: Vec<u8> = bytes.clone();
-        // The permutation is the trailing field: swap its last two node
-        // triples' worth of bytes cheaply by flipping a byte near the
-        // end (still a valid container framing, invalid permutation).
-        let n = corrupt.len();
-        corrupt[n - 9] ^= 0xff;
-        assert!(brainshift_persist::from_bytes::<SolverContext>(&corrupt).is_err());
     }
 
     #[test]

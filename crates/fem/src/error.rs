@@ -64,6 +64,13 @@ pub enum FemError {
         /// Equations (3 × nodes) of the mesh.
         equations: usize,
     },
+    /// A nodal displacement vector does not have one entry per mesh node.
+    NodalFieldMismatch {
+        /// Length of the supplied displacement vector.
+        len: usize,
+        /// Nodes of the mesh.
+        nodes: usize,
+    },
 }
 
 impl fmt::Display for FemError {
@@ -91,6 +98,9 @@ impl fmt::Display for FemError {
             }
             FemError::LoadVectorMismatch { len, equations } => {
                 write!(f, "load vector has {len} entries, mesh has {equations} equations")
+            }
+            FemError::NodalFieldMismatch { len, nodes } => {
+                write!(f, "displacement vector has {len} entries, mesh has {nodes} nodes")
             }
         }
     }

@@ -6,6 +6,7 @@
 //! voxel, obtained here by barycentric interpolation within each
 //! tetrahedron (the linear shape functions of the paper's Eq. 2).
 
+use crate::error::FemError;
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::{DisplacementField, Vec3};
 use brainshift_mesh::TetMesh;
@@ -14,13 +15,20 @@ use rayon::prelude::*;
 /// Interpolate nodal displacements onto a voxel grid. Voxels outside the
 /// mesh get zero displacement. `tol` admits voxels slightly outside a tet
 /// (barycentric coordinates ≥ −tol) so grid-aligned boundaries are covered.
+/// Returns [`FemError::NodalFieldMismatch`] unless there is exactly one
+/// displacement per mesh node.
 pub fn displacement_field_from_mesh(
     mesh: &TetMesh,
     displacements: &[Vec3],
     dims: Dims,
     spacing: Spacing,
-) -> DisplacementField {
-    assert_eq!(displacements.len(), mesh.num_nodes());
+) -> Result<DisplacementField, FemError> {
+    if displacements.len() != mesh.num_nodes() {
+        return Err(FemError::NodalFieldMismatch {
+            len: displacements.len(),
+            nodes: mesh.num_nodes(),
+        });
+    }
     let tol = 1e-9;
     // Scatter per-tet into slabs of z to parallelize without locking:
     // each z-slab is processed independently, scanning the tets whose
@@ -103,13 +111,14 @@ pub fn displacement_field_from_mesh(
     });
     let mut field = DisplacementField::zeros(dims, spacing);
     field.data_mut().copy_from_slice(&data);
-    field
+    Ok(field)
 }
 
 /// Fraction of voxels in `mask_dims` covered by the mesh (diagnostic).
 pub fn coverage_fraction(mesh: &TetMesh, dims: Dims, spacing: Spacing) -> f64 {
     let marker: Vec<Vec3> = vec![Vec3::new(1.0, 0.0, 0.0); mesh.num_nodes()];
-    let f = displacement_field_from_mesh(mesh, &marker, dims, spacing);
+    let f = displacement_field_from_mesh(mesh, &marker, dims, spacing)
+        .expect("marker has one entry per node");
     let covered = f.data().iter().filter(|v| v.x > 0.5).count();
     covered as f64 / dims.len().max(1) as f64
 }
@@ -136,7 +145,8 @@ mod tests {
             .map(|p| Vec3::new(0.1 * p.x + 0.2 * p.y, -0.3 * p.z, 0.05 * p.x))
             .collect();
         let dims = Dims::new(n + 1, n + 1, n + 1);
-        let f = displacement_field_from_mesh(&mesh, &disp, dims, Spacing::iso(1.0));
+        let f = displacement_field_from_mesh(&mesh, &disp, dims, Spacing::iso(1.0))
+            .expect("one displacement per node");
         // Every voxel centre inside the meshed cube must see the linear
         // field exactly.
         for z in 0..n {
@@ -155,9 +165,18 @@ mod tests {
         let mesh = full_mesh(2);
         let disp = vec![Vec3::new(1.0, 1.0, 1.0); mesh.num_nodes()];
         let dims = Dims::new(10, 10, 10);
-        let f = displacement_field_from_mesh(&mesh, &disp, dims, Spacing::iso(1.0));
+        let f = displacement_field_from_mesh(&mesh, &disp, dims, Spacing::iso(1.0))
+            .expect("one displacement per node");
         assert_eq!(f.get(9, 9, 9), Vec3::ZERO);
         assert!((f.get(1, 1, 1) - Vec3::new(1.0, 1.0, 1.0)).norm() < 1e-9);
+    }
+
+    #[test]
+    fn wrong_node_count_is_a_typed_error() {
+        let mesh = full_mesh(2);
+        let disp = vec![Vec3::ZERO; mesh.num_nodes() - 1];
+        let r = displacement_field_from_mesh(&mesh, &disp, Dims::new(3, 3, 3), Spacing::iso(1.0));
+        assert!(matches!(r, Err(FemError::NodalFieldMismatch { .. })));
     }
 
     #[test]
@@ -174,7 +193,8 @@ mod tests {
         let mesh = full_mesh(3); // nodes span 0..3 mm in each axis
         let disp: Vec<Vec3> = mesh.nodes.iter().map(|p| Vec3::new(p.z, 0.0, 0.0)).collect();
         // Grid with dz = 1.5 mm: voxel (0,0,2) is at z = 3.0 mm.
-        let f = displacement_field_from_mesh(&mesh, &disp, Dims::new(4, 4, 3), Spacing::new(1.0, 1.0, 1.5));
+        let f = displacement_field_from_mesh(&mesh, &disp, Dims::new(4, 4, 3), Spacing::new(1.0, 1.0, 1.5))
+            .expect("one displacement per node");
         assert!((f.get(0, 0, 2).x - 3.0).abs() < 1e-9);
         assert!((f.get(1, 1, 1).x - 1.5).abs() < 1e-9);
     }

@@ -22,7 +22,6 @@ pub mod error;
 pub mod interpolate;
 pub mod loads;
 pub mod material;
-pub mod matfree;
 pub mod simulate;
 pub mod solver;
 pub mod stress;
@@ -37,10 +36,8 @@ pub use loads::{
     assemble_body_force, assemble_directed_gravity, assemble_gravity, gravity_load_density,
 };
 pub use material::{Material, MaterialTable};
-pub use matfree::ElementOperator;
 pub use simulate::{simulate_assemble_solve, SimOptions, SimProblem, SimTimings};
 pub use stress::{evaluate_stress, summarize, ElementState, StressSummary};
 pub use solver::{
-    solve_deformation, solve_with_loads, solve_with_matrix, solve_with_matrix_and_loads,
-    FemSolveConfig, FemSolution, KrylovKind, PrecondKind, Reordering, SpmvKind,
+    solve_deformation, solve_with_loads, FemSolveConfig, FemSolution, KrylovKind, PrecondKind,
 };

@@ -13,6 +13,7 @@
 
 use crate::assembly::{assembly_flops_per_rank, assemble_stiffness};
 use crate::bc::{DirichletBcs, DirichletStructure};
+use crate::error::FemError;
 use crate::material::MaterialTable;
 use brainshift_cluster::{MachineModel, SimCluster};
 use brainshift_imaging::Vec3;
@@ -119,8 +120,9 @@ impl SimProblem {
 /// problem may be passed via `prebuilt` to keep sweeps over CPU counts
 /// fast (the numerics don't depend on the partition; only the pricing
 /// does). A prebuilt problem must have been built for the same mesh and
-/// the same constrained node set; the prescribed values are re-read from
-/// `bcs` on every call.
+/// the same constrained node set ([`FemError::BcSetMismatch`] /
+/// [`FemError::MissingBcValue`] otherwise); the prescribed values are
+/// re-read from `bcs` on every call.
 pub fn simulate_assemble_solve(
     mesh: &TetMesh,
     materials: &MaterialTable,
@@ -129,7 +131,7 @@ pub fn simulate_assemble_solve(
     cpus: usize,
     opts: &SimOptions,
     prebuilt: Option<&SimProblem>,
-) -> (SimTimings, Vec<Vec3>) {
+) -> Result<(SimTimings, Vec<Vec3>), FemError> {
     let machine_name = machine.name;
     let sim = SimCluster::new(machine, cpus);
     let ndof = mesh.num_equations();
@@ -189,16 +191,15 @@ pub fn simulate_assemble_solve(
         }
     };
     let structure = &problem.structure;
-    assert_eq!(
-        3 * bcs.len(),
-        structure.num_constrained(),
-        "prebuilt problem was reduced for a different constrained node set"
-    );
+    if 3 * bcs.len() != structure.num_constrained() {
+        return Err(FemError::BcSetMismatch {
+            expected: structure.num_constrained(),
+            got: 3 * bcs.len(),
+        });
+    }
     let nfree = structure.num_free();
     let mut u_c = vec![0.0; structure.num_constrained()];
-    structure
-        .gather_constrained(bcs, &mut u_c)
-        .expect("prescribed values cover the constrained set");
+    structure.gather_constrained(bcs, &mut u_c)?;
     let mut rhs = vec![0.0; nfree];
     structure.reduced_rhs_zero_f(&u_c, &mut rhs);
 
@@ -221,11 +222,10 @@ pub fn simulate_assemble_solve(
     red_offsets.dedup();
     let eff_blocks = red_offsets.len() - 1;
 
-    let precond = BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets, opts.block_solve)
-        .expect("singular diagonal block in simulated preconditioner");
+    let precond =
+        BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets, opts.block_solve)?;
     let mut x = vec![0.0; nfree];
-    let stats = gmres(&structure.matrix, &precond, &rhs, &mut x, &opts.solver)
-        .expect("reduced system dimensions agree by construction");
+    let stats = gmres(&structure.matrix, &precond, &rhs, &mut x, &opts.solver)?;
     let mut full = vec![0.0; ndof];
     structure.expand_solution_into(&x, &u_c, &mut full);
     let displacements: Vec<Vec3> = (0..mesh.num_nodes())
@@ -282,7 +282,7 @@ pub fn simulate_assemble_solve(
     let resample_flops = opts.resample_voxels as f64 * 40.0 / cpus as f64;
     let resample_s = sim.record_phase("resample", &vec![resample_flops; cpus], 0.0);
 
-    (
+    Ok((
         SimTimings {
             machine: machine_name,
             cpus,
@@ -298,7 +298,7 @@ pub fn simulate_assemble_solve(
             reduced_equations: nfree,
         },
         displacements,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -307,6 +307,21 @@ mod tests {
     use brainshift_imaging::labels;
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
+
+    // Shadow the Result-returning entry point: these problems are built
+    // consistently, so a refusal is a test bug.
+    fn simulate_assemble_solve(
+        mesh: &TetMesh,
+        materials: &MaterialTable,
+        bcs: &DirichletBcs,
+        machine: MachineModel,
+        cpus: usize,
+        opts: &SimOptions,
+        prebuilt: Option<&SimProblem>,
+    ) -> (SimTimings, Vec<Vec3>) {
+        super::simulate_assemble_solve(mesh, materials, bcs, machine, cpus, opts, prebuilt)
+            .expect("consistent problem")
+    }
 
     fn test_problem() -> (TetMesh, DirichletBcs) {
         let seg = Volume::from_fn(Dims::new(8, 8, 8), Spacing::iso(2.0), |_, _, _| labels::BRAIN);
@@ -464,6 +479,24 @@ mod tests {
         for (a, b) in d1.iter().zip(&d2) {
             assert!((*a - *b).norm() < 1e-12);
         }
+    }
+
+    #[test]
+    fn prebuilt_problem_for_another_node_set_is_a_typed_error() {
+        let (mesh, bcs) = test_problem();
+        let k = SimProblem::new(&mesh, &MaterialTable::homogeneous(), &bcs);
+        let mut fewer = DirichletBcs::new();
+        fewer.set(bcs.nodes_sorted()[0], Vec3::ZERO);
+        let r = super::simulate_assemble_solve(
+            &mesh,
+            &MaterialTable::homogeneous(),
+            &fewer,
+            MachineModel::deep_flow(),
+            2,
+            &SimOptions::default(),
+            Some(&k),
+        );
+        assert!(matches!(r, Err(FemError::BcSetMismatch { .. })));
     }
 
     #[test]

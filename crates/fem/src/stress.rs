@@ -8,6 +8,7 @@
 //! recovered exactly).
 
 use crate::element::TetShape;
+use crate::error::FemError;
 use crate::material::MaterialTable;
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
@@ -70,13 +71,20 @@ pub struct ElementState {
 }
 
 /// Evaluate strain/stress in every element from nodal displacements.
+/// Returns [`FemError::NodalFieldMismatch`] unless there is exactly one
+/// displacement per mesh node.
 pub fn evaluate_stress(
     mesh: &TetMesh,
     materials: &MaterialTable,
     displacements: &[Vec3],
-) -> Vec<ElementState> {
-    assert_eq!(displacements.len(), mesh.num_nodes());
-    (0..mesh.num_tets())
+) -> Result<Vec<ElementState>, FemError> {
+    if displacements.len() != mesh.num_nodes() {
+        return Err(FemError::NodalFieldMismatch {
+            len: displacements.len(),
+            nodes: mesh.num_nodes(),
+        });
+    }
+    Ok((0..mesh.num_tets())
         .into_par_iter()
         .map(|t| {
             let tet = mesh.tets[t];
@@ -103,7 +111,7 @@ pub fn evaluate_stress(
                 dilatation: strain[0] + strain[1] + strain[2],
             }
         })
-        .collect()
+        .collect())
 }
 
 /// Summary statistics for reporting (e.g. peak tissue load).
@@ -153,6 +161,14 @@ mod tests {
     }
 
     #[test]
+    fn wrong_node_count_is_a_typed_error() {
+        let mesh = block_mesh(2);
+        let disp = vec![Vec3::ZERO; mesh.num_nodes() + 1];
+        let r = evaluate_stress(&mesh, &MaterialTable::homogeneous(), &disp);
+        assert!(matches!(r, Err(FemError::NodalFieldMismatch { .. })));
+    }
+
+    #[test]
     fn rigid_motion_is_strain_free() {
         let mesh = block_mesh(3);
         let mats = MaterialTable::homogeneous();
@@ -163,7 +179,7 @@ mod tests {
             .iter()
             .map(|&p| Vec3::new(1.0, 2.0, 3.0) + omega.cross(p))
             .collect();
-        let states = evaluate_stress(&mesh, &mats, &disp);
+        let states = evaluate_stress(&mesh, &mats, &disp).expect("one displacement per node");
         for s in states {
             for e in s.strain {
                 assert!(e.abs() < 1e-12, "{e}");
@@ -180,7 +196,7 @@ mod tests {
         let mat = Material::brain();
         let alpha = 0.01;
         let disp: Vec<Vec3> = mesh.nodes.iter().map(|&p| Vec3::new(alpha * p.x, 0.0, 0.0)).collect();
-        let states = evaluate_stress(&mesh, &mats, &disp);
+        let states = evaluate_stress(&mesh, &mats, &disp).expect("one displacement per node");
         let l = mat.lame_lambda();
         let m = mat.lame_mu();
         for s in &states {
@@ -199,7 +215,7 @@ mod tests {
         let mat = Material::brain();
         let gamma = 0.02;
         let disp: Vec<Vec3> = mesh.nodes.iter().map(|&p| Vec3::new(gamma * p.z, 0.0, 0.0)).collect();
-        let states = evaluate_stress(&mesh, &mats, &disp);
+        let states = evaluate_stress(&mesh, &mats, &disp).expect("one displacement per node");
         let expect = 3.0f64.sqrt() * mat.lame_mu() * gamma;
         for s in &states {
             assert!((s.von_mises - expect).abs() < 1e-6 * expect, "{} vs {expect}", s.von_mises);
@@ -212,7 +228,7 @@ mod tests {
         let mesh = block_mesh(3);
         let mats = MaterialTable::homogeneous();
         let disp: Vec<Vec3> = mesh.nodes.iter().map(|&p| Vec3::new(0.01 * p.x, 0.0, 0.0)).collect();
-        let states = evaluate_stress(&mesh, &mats, &disp);
+        let states = evaluate_stress(&mesh, &mats, &disp).expect("one displacement per node");
         let sum = summarize(&states);
         assert!(sum.max_von_mises_pa > 0.0);
         assert!((sum.mean_von_mises_pa - sum.max_von_mises_pa).abs() < 1e-6 * sum.max_von_mises_pa);
@@ -226,8 +242,8 @@ mod tests {
         let mut stiff = MaterialTable::homogeneous();
         stiff.set(labels::BRAIN, Material::new(30_000.0, 0.45)); // 10× E
         let disp: Vec<Vec3> = mesh.nodes.iter().map(|&p| Vec3::new(0.01 * p.x, 0.0, 0.0)).collect();
-        let s1 = summarize(&evaluate_stress(&mesh, &homo, &disp));
-        let s2 = summarize(&evaluate_stress(&mesh, &stiff, &disp));
+        let s1 = summarize(&evaluate_stress(&mesh, &homo, &disp).expect("one displacement per node"));
+        let s2 = summarize(&evaluate_stress(&mesh, &stiff, &disp).expect("one displacement per node"));
         assert!((s2.max_von_mises_pa / s1.max_von_mises_pa - 10.0).abs() < 1e-9);
     }
 }

@@ -106,7 +106,7 @@ impl Encoder {
 ///
 /// The decoder also carries the *container format version* the bytes
 /// were written under, so `Persist::decode` impls can skip fields that
-/// did not exist yet (`if dec.version() >= 2 { … }`). Freshly-encoded
+/// did not exist yet (`if dec.version() >= N { … }`). Freshly-encoded
 /// buffers (`from_bytes` round trips) decode at the current
 /// [`crate::FORMAT_VERSION`]; snapshot sections decode at the version
 /// stamped in the container header.

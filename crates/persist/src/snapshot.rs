@@ -30,15 +30,19 @@ pub const MAGIC: [u8; 8] = *b"BRSHSNAP";
 /// Current snapshot format version. Bumped only when an existing
 /// section's encoding changes; new sections do not bump it.
 ///
-/// v2 (the solver speed ladder) appended trailing fields to the solver
-/// configuration and context sections: `SolverOptions::precision`,
-/// `EscalationPolicy::f64_fallback`, `FemSolveConfig::{reorder, spmv}`,
-/// and the context's optional RCM permutation. v1 containers decode with
-/// those fields at their defaults.
-pub const FORMAT_VERSION: u32 = 2;
+/// v3 has the v1 section layouts. v2 appended trailing fields to the
+/// solver configuration and context sections for solver rungs that have
+/// since been removed (DESIGN.md §16); see [`RETIRED_VERSION`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Oldest container version this reader still decodes.
 pub const MIN_SUPPORTED_VERSION: u32 = 1;
+
+/// The one version inside the supported range that is refused: a v2
+/// solver section carries a tail no decoder reads any more, so parsing
+/// it with the v1/v3 layout would mis-read it. No v2 snapshot was ever
+/// written to disk.
+const RETIRED_VERSION: u32 = 2;
 
 /// Builds a snapshot from named payload sections.
 #[derive(Debug, Default)]
@@ -122,7 +126,9 @@ impl<'a> SnapshotReader<'a> {
         }
         let mut dec = Decoder::new(&buf[MAGIC.len()..]);
         let version = dec.get_u32()?;
-        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
+        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version)
+            || version == RETIRED_VERSION
+        {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -157,7 +163,7 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// The container's stamped format version (within
-    /// [`MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]).
+    /// [`MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`], never 2).
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -249,22 +255,24 @@ mod tests {
 
     #[test]
     fn v1_container_is_still_accepted() {
-        // Primitive-section layouts are identical in v1 and v2, so a
-        // container re-stamped to version 1 must parse and decode, with
-        // the reader reporting the old version to section decoders.
+        // Section layouts are identical in v1 and v3, so a container
+        // re-stamped to version 1 must parse and decode, with the reader
+        // reporting the old version to section decoders.
         let mut bytes = sample();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         let r = SnapshotReader::parse(&bytes).expect("v1 parses");
         assert_eq!(r.version(), 1);
         assert_eq!(r.section("meta").expect("meta").version(), 1);
         assert_eq!(r.section_value::<u64>("meta").expect("meta"), 42);
-        // Below the supported floor is refused.
-        let mut old = sample();
-        old[8..12].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            SnapshotReader::parse(&old),
-            Err(PersistError::UnsupportedVersion { found: 0, .. })
-        ));
+        // Below the supported floor, and the retired v2, are refused.
+        for refused in [0u32, 2] {
+            let mut old = sample();
+            old[8..12].copy_from_slice(&refused.to_le_bytes());
+            match SnapshotReader::parse(&old) {
+                Err(PersistError::UnsupportedVersion { found, .. }) => assert_eq!(found, refused),
+                other => panic!("version {refused}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
     }
 
     #[test]

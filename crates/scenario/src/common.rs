@@ -71,7 +71,7 @@ pub(crate) fn finish_case(
     mut stats: ScenarioStats,
 ) -> Result<ScenarioCase, ScenarioError> {
     let gt_forward =
-        displacement_field_from_mesh(&mesh, &gt_displacements, pcfg.dims, pcfg.spacing);
+        displacement_field_from_mesh(&mesh, &gt_displacements, pcfg.dims, pcfg.spacing)?;
     let warped = forward_warp_labels(&preop.labels, &gt_forward, labels::CSF);
     let intra_cfg = PhantomConfig { seed: pcfg.seed.wrapping_add(1), ..pcfg.clone() };
     let intraop_intensity = render_intensity(&warped, &intra_cfg);

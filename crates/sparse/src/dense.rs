@@ -63,11 +63,11 @@ pub fn sub_into(a: &[f64], b: &[f64], z: &mut [f64]) {
 /// A dense LU factorization with partial pivoting (row-major storage).
 #[derive(Debug, Clone)]
 pub struct DenseLu {
-    pub(crate) n: usize,
+    n: usize,
     /// Combined L (unit lower) and U factors.
-    pub(crate) lu: Vec<f64>,
+    lu: Vec<f64>,
     /// Row permutation.
-    pub(crate) piv: Vec<usize>,
+    piv: Vec<usize>,
 }
 
 impl DenseLu {

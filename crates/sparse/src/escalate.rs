@@ -10,12 +10,10 @@
 //! (the intraoperative pipeline degrades to the previous scan's field).
 
 use crate::bicgstab::bicgstab;
-use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::gmres::{gmres_with_workspace, KrylovWorkspace};
 use crate::precond::Preconditioner;
-use crate::refine::{refine, MixedPrecision, RefineOptions};
-use crate::solver::{LinearOperator, Precision, SolveStats, SolverOptions, StopReason};
+use crate::solver::{LinearOperator, SolveStats, SolverOptions, StopReason};
 use std::time::{Duration, Instant};
 
 /// What to try, in order, after the primary GMRES configuration fails to
@@ -28,11 +26,6 @@ pub struct EscalationPolicy {
     pub larger_restarts: Vec<usize>,
     /// Whether to fall back to BiCGStab as the last rung.
     pub bicgstab_fallback: bool,
-    /// Whether a stalled or unconverged mixed-precision rung falls
-    /// through to the pure-f64 ladder (format v2; on by default). With it
-    /// off, a mixed rung's outcome is final — useful for benchmarking the
-    /// f32 path in isolation.
-    pub f64_fallback: bool,
     /// Overall wall-clock budget shared by *all* rungs; `None` means
     /// unbounded. Each attempt receives the remaining budget.
     pub time_budget: Option<Duration>,
@@ -42,24 +35,14 @@ impl Default for EscalationPolicy {
     fn default() -> Self {
         // GMRES(m) → GMRES(120) → BiCGStab, no wall-clock bound unless
         // the caller sets one.
-        EscalationPolicy {
-            larger_restarts: vec![120],
-            bicgstab_fallback: true,
-            f64_fallback: true,
-            time_budget: None,
-        }
+        EscalationPolicy { larger_restarts: vec![120], bicgstab_fallback: true, time_budget: None }
     }
 }
 
 impl EscalationPolicy {
     /// No escalation: the primary attempt's outcome is final.
     pub fn none() -> Self {
-        EscalationPolicy {
-            larger_restarts: Vec::new(),
-            bicgstab_fallback: false,
-            f64_fallback: true,
-            time_budget: None,
-        }
+        EscalationPolicy { larger_restarts: Vec::new(), bicgstab_fallback: false, time_budget: None }
     }
 }
 
@@ -70,10 +53,7 @@ impl brainshift_persist::Persist for EscalationPolicy {
     ) -> Result<(), brainshift_persist::PersistError> {
         self.larger_restarts.encode(enc)?;
         enc.put_bool(self.bicgstab_fallback);
-        self.time_budget.encode(enc)?;
-        // Format v2: the mixed-precision fallback switch rides at the tail.
-        enc.put_bool(self.f64_fallback);
-        Ok(())
+        self.time_budget.encode(enc)
     }
     fn decode(
         dec: &mut brainshift_persist::Decoder<'_>,
@@ -82,7 +62,6 @@ impl brainshift_persist::Persist for EscalationPolicy {
             larger_restarts: Vec::<usize>::decode(dec)?,
             bicgstab_fallback: dec.get_bool()?,
             time_budget: Option::<Duration>::decode(dec)?,
-            f64_fallback: if dec.version() >= 2 { dec.get_bool()? } else { true },
         })
     }
 }
@@ -93,7 +72,7 @@ impl brainshift_persist::Persist for EscalationPolicy {
 /// logical clock).
 #[derive(Debug, Clone)]
 pub struct RungTrace {
-    /// `"gmres-mixed"`, `"gmres"`, or `"bicgstab"`.
+    /// `"gmres"`, `"bicgstab"`, or `"cg"` (set by the FEM layer's CG path).
     pub solver: &'static str,
     /// GMRES restart length used (0 for BiCGStab).
     pub restart: usize,
@@ -152,30 +131,6 @@ pub fn solve_escalated(
     policy: &EscalationPolicy,
     ws: &mut KrylovWorkspace,
 ) -> Result<EscalationOutcome, SparseError> {
-    solve_escalated_mixed(a, precond, None, b, x, opts, policy, ws)
-}
-
-/// [`solve_escalated`] with an optional mixed-precision rung below the
-/// f64 ladder. When `opts.precision` is [`Precision::Mixed`] and a
-/// [`MixedPrecision`] mirror is supplied, an f32 iterative-refinement
-/// attempt (`"gmres-mixed"` in the trace) runs first; it needs the
-/// assembled f64 CSR for true residuals, so the mirror carries a
-/// reference to it. On a stall — the f32 inner solve can no longer
-/// reduce the f64 residual — the policy's `f64_fallback` decides whether
-/// the pure-f64 ladder picks up from the mixed iterate or the mixed
-/// outcome is final. Callers without a mirror (or with
-/// [`Precision::Double`]) get exactly the historical f64 ladder.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_escalated_mixed(
-    a: &dyn LinearOperator,
-    precond: &dyn Preconditioner,
-    mixed: Option<(&CsrMatrix, &MixedPrecision)>,
-    b: &[f64],
-    x: &mut [f64],
-    opts: &SolverOptions,
-    policy: &EscalationPolicy,
-    ws: &mut KrylovWorkspace,
-) -> Result<EscalationOutcome, SparseError> {
     let start = Instant::now();
     let remaining = |start: Instant| -> Option<Duration> {
         policy.time_budget.map(|total| total.saturating_sub(start.elapsed()))
@@ -201,43 +156,15 @@ pub fn solve_escalated_mixed(
         seconds: since.elapsed().as_secs_f64(),
     };
 
-    let mut attempts = 0usize;
-    let mut rung_reasons = Vec::with_capacity(3 + policy.larger_restarts.len());
-    let mut rungs = Vec::with_capacity(3 + policy.larger_restarts.len());
-
-    // Optional rung 0: mixed-precision iterative refinement.
-    if let Some((a64, mirror)) = mixed {
-        if opts.precision == Precision::Mixed {
-            attempts += 1;
-            let rung_start = Instant::now();
-            let stats =
-                refine(a64, mirror, b, x, &budgeted(opts, start), &RefineOptions::default())?;
-            rung_reasons.push(stats.reason);
-            rungs.push(trace("gmres-mixed", opts.restart.max(1), &stats, rung_start));
-            let out_of_time = stats.reason == StopReason::TimeBudget
-                || remaining(start).is_some_and(|r| r.is_zero());
-            if stats.converged() || !policy.f64_fallback || out_of_time {
-                return Ok(EscalationOutcome {
-                    stats,
-                    attempts,
-                    escalated: false,
-                    rung_reasons,
-                    rungs,
-                });
-            }
-            // Fall through: the f64 ladder warm-starts from the refined
-            // iterate, which is typically already close.
-        }
-    }
-
-    attempts += 1;
+    let mut attempts = 1usize;
+    let mut rung_reasons = Vec::with_capacity(2 + policy.larger_restarts.len());
+    let mut rungs = Vec::with_capacity(2 + policy.larger_restarts.len());
     let rung_start = Instant::now();
     let mut stats = gmres_with_workspace(a, precond, b, x, &budgeted(opts, start), ws)?;
     rung_reasons.push(stats.reason);
     rungs.push(trace("gmres", opts.restart.max(1), &stats, rung_start));
     if stats.converged() {
-        let escalated = attempts > 1;
-        return Ok(EscalationOutcome { stats, attempts, escalated, rung_reasons, rungs });
+        return Ok(EscalationOutcome { stats, attempts, escalated: false, rung_reasons, rungs });
     }
 
     let out_of_time =
@@ -295,7 +222,7 @@ pub fn solve_escalated_mixed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::TripletBuilder;
+    use crate::csr::{CsrMatrix, TripletBuilder};
     use crate::precond::IdentityPrecond;
 
     // Shadow the Result-returning entry point: test shapes always agree.
@@ -450,113 +377,5 @@ mod tests {
         let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy, &mut ws);
         assert_eq!(out.stats.reason, StopReason::TimeBudget);
         assert_eq!(out.attempts, 1, "no further rungs after the budget expired");
-    }
-    #[test]
-    fn mixed_rung_converges_without_touching_the_f64_ladder() {
-        let n = 150;
-        let a = laplace_1d(n);
-        let ilu = crate::precond::Ilu0::new(&a);
-        let mirror = MixedPrecision::from_ilu0(&a, &ilu).expect("mirror");
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 30);
-        let opts = SolverOptions {
-            tolerance: 1e-10,
-            max_iterations: 10_000,
-            precision: Precision::Mixed,
-            ..Default::default()
-        };
-        let out = solve_escalated_mixed(
-            &a,
-            &IdentityPrecond,
-            Some((&a, &mirror)),
-            &b,
-            &mut x,
-            &opts,
-            &EscalationPolicy::default(),
-            &mut ws,
-        )
-        .expect("shapes agree");
-        assert!(out.stats.converged(), "{:?}", out.stats);
-        assert_eq!(out.attempts, 1);
-        assert!(!out.escalated);
-        assert_eq!(out.rungs[0].solver, "gmres-mixed");
-    }
-
-    #[test]
-    fn stalled_mixed_rung_falls_through_to_f64() {
-        // An unreachable tolerance stalls the mixed rung; with
-        // `f64_fallback` on the pure-f64 ladder must run next, and with
-        // it off the stalled mixed outcome is final.
-        let n = 80;
-        let a = laplace_1d(n);
-        let ilu = crate::precond::Ilu0::new(&a);
-        let mirror = MixedPrecision::from_ilu0(&a, &ilu).expect("mirror");
-        let b = vec![1.0; n];
-        let opts = SolverOptions {
-            tolerance: 1e-30,
-            max_iterations: 500,
-            precision: Precision::Mixed,
-            ..Default::default()
-        };
-        let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 30);
-        let out = solve_escalated_mixed(
-            &a,
-            &IdentityPrecond,
-            Some((&a, &mirror)),
-            &b,
-            &mut x,
-            &opts,
-            &EscalationPolicy::default(),
-            &mut ws,
-        )
-        .expect("shapes agree");
-        assert!(out.attempts > 1, "{out:?}");
-        assert_eq!(out.rungs[0].solver, "gmres-mixed");
-        assert_eq!(out.rungs[0].reason, StopReason::Stalled);
-        assert_eq!(out.rungs[1].solver, "gmres");
-
-        let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 30);
-        let policy = EscalationPolicy { f64_fallback: false, ..Default::default() };
-        let out = solve_escalated_mixed(
-            &a,
-            &IdentityPrecond,
-            Some((&a, &mirror)),
-            &b,
-            &mut x,
-            &opts,
-            &policy,
-            &mut ws,
-        )
-        .expect("shapes agree");
-        assert_eq!(out.attempts, 1);
-        assert_eq!(out.stats.reason, StopReason::Stalled);
-        assert_eq!(out.rungs.len(), 1);
-    }
-
-    #[test]
-    fn double_precision_request_ignores_the_mirror() {
-        let n = 60;
-        let a = laplace_1d(n);
-        let mirror = MixedPrecision::jacobi(&a).expect("mirror");
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 30);
-        let opts = SolverOptions { tolerance: 1e-8, ..Default::default() };
-        let out = solve_escalated_mixed(
-            &a,
-            &IdentityPrecond,
-            Some((&a, &mirror)),
-            &b,
-            &mut x,
-            &opts,
-            &EscalationPolicy::default(),
-            &mut ws,
-        )
-        .expect("shapes agree");
-        assert!(out.stats.converged());
-        assert_eq!(out.rungs[0].solver, "gmres");
     }
 }

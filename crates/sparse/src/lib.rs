@@ -15,7 +15,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod bicgstab;
-pub mod block;
 pub mod cg;
 pub mod csr;
 pub mod dense;
@@ -26,26 +25,20 @@ pub mod gmres;
 pub mod ordering;
 pub mod partition;
 pub mod precond;
-pub mod refine;
 pub mod solver;
 
 pub use bicgstab::bicgstab;
-pub use block::BlockCsr;
 pub use cg::conjugate_gradient;
 pub use csr::{CsrMatrix, TripletBuilder};
 pub use eigen::{condition_estimate, largest_eigenvalue, smallest_eigenvalue};
 pub use error::SparseError;
-pub use escalate::{
-    solve_escalated, solve_escalated_mixed, EscalationOutcome, EscalationPolicy, RungTrace,
-};
+pub use escalate::{solve_escalated, EscalationOutcome, EscalationPolicy, RungTrace};
 pub use gmres::{gmres, gmres_with_workspace, KrylovWorkspace};
 pub use ordering::{
-    bandwidth, mean_row_bandwidth, permute_symmetric, permute_vec, permute_vec_into,
-    reverse_cuthill_mckee, reverse_cuthill_mckee_blocks, unpermute_vec, unpermute_vec_into,
+    bandwidth, permute_symmetric, permute_vec, reverse_cuthill_mckee, unpermute_vec,
 };
-pub use refine::{refine, CsrF32, MixedPrecision, PrecondF32, RefineOptions};
 pub use precond::{
     decode_preconditioner, BlockJacobiPrecond, BlockSolve, IdentityPrecond, Ilu0, JacobiPrecond,
     Preconditioner,
 };
-pub use solver::{LinearOperator, Precision, SolveStats, SolverOptions, StopReason};
+pub use solver::{LinearOperator, SolveStats, SolverOptions, StopReason};

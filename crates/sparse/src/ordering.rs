@@ -3,11 +3,10 @@
 //! ILU(0) quality and cache behaviour both depend on the row ordering.
 //! Our mesher emits nodes in discovery order (good but not optimal); RCM
 //! renumbers rows by breadth-first traversal from a peripheral vertex,
-//! concentrating non-zeros near the diagonal. The production
-//! [`SolverContext`](../../brainshift_fem/struct.SolverContext.html)
-//! applies the node-block variant at build time; the ordering ablation
-//! and the solver-ladder bench measure its effect on bandwidth and
-//! block-Jacobi/ILU(0) iteration counts.
+//! concentrating non-zeros near the diagonal. No production path
+//! reorders (the mesher's native order won when measured, DESIGN.md
+//! §16); the `ablation_ordering` study measures the effect on bandwidth
+//! and block-Jacobi/ILU(0) iteration counts.
 
 use crate::csr::{CsrMatrix, TripletBuilder};
 use crate::error::SparseError;
@@ -22,23 +21,6 @@ pub fn bandwidth(a: &CsrMatrix) -> usize {
         }
     }
     bw
-}
-
-/// Mean over rows of the row bandwidth `max_j |i − j|` — a smoother
-/// locality figure than the worst-case [`bandwidth`], reported by the
-/// solver-ladder bench.
-pub fn mean_row_bandwidth(a: &CsrMatrix) -> f64 {
-    let n = a.nrows();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut total = 0.0f64;
-    for i in 0..n {
-        let (cols, _) = a.row(i);
-        let row_bw = cols.iter().fold(0usize, |m, &c| m.max(i.abs_diff(c)));
-        total += row_bw as f64;
-    }
-    total / n as f64
 }
 
 /// Reverse Cuthill–McKee permutation of a structurally symmetric matrix:
@@ -117,54 +99,6 @@ pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Result<Vec<usize>, SparseError> {
     Ok(order)
 }
 
-/// RCM at the granularity of `bs`-sized index blocks: rows
-/// `bs·k .. bs·(k+1)` are treated as one supernode, so the returned
-/// permutation keeps each block contiguous and in-order
-/// (`perm[bs·new + c] = bs·old + c`). This is what the elasticity solver
-/// needs — the reduced stiffness couples whole nodes (3 DOFs), and a
-/// scalar RCM would tear the 3×3 blocks apart and defeat blocked SpMV.
-///
-/// Returns [`SparseError::DimensionMismatch`] when the matrix is not
-/// square or its dimension is not a multiple of `bs`.
-pub fn reverse_cuthill_mckee_blocks(
-    a: &CsrMatrix,
-    bs: usize,
-) -> Result<Vec<usize>, SparseError> {
-    let n = a.nrows();
-    if a.ncols() != n {
-        return Err(SparseError::DimensionMismatch {
-            what: "matrix columns",
-            expected: n,
-            got: a.ncols(),
-        });
-    }
-    if bs == 0 || !n.is_multiple_of(bs) {
-        return Err(SparseError::DimensionMismatch {
-            what: "block size",
-            expected: bs.max(1),
-            got: n % bs.max(1),
-        });
-    }
-    let nb = n / bs;
-    // Condense to the supernode adjacency graph (pattern only).
-    let mut b = TripletBuilder::new(nb, nb);
-    for i in 0..n {
-        let bi = i / bs;
-        let (cols, _) = a.row(i);
-        for &c in cols {
-            b.add(bi, c / bs, 1.0);
-        }
-    }
-    let block_perm = reverse_cuthill_mckee(&b.build())?;
-    let mut perm = Vec::with_capacity(n);
-    for &old_block in &block_perm {
-        for c in 0..bs {
-            perm.push(bs * old_block + c);
-        }
-    }
-    Ok(perm)
-}
-
 /// Apply a symmetric permutation: `B[new_i][new_j] = A[perm[new_i]][perm[new_j]]`.
 ///
 /// Returns [`SparseError::DimensionMismatch`] when `perm` does not have
@@ -197,15 +131,6 @@ pub fn permute_vec(x: &[f64], perm: &[usize]) -> Vec<f64> {
     perm.iter().map(|&old| x[old]).collect()
 }
 
-/// In-place-free variant of [`permute_vec`] writing into `out`.
-pub fn permute_vec_into(x: &[f64], perm: &[usize], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), perm.len());
-    debug_assert_eq!(out.len(), perm.len());
-    for (new, &old) in perm.iter().enumerate() {
-        out[new] = x[old];
-    }
-}
-
 /// Scatter a permuted vector back: `out[perm[new]] = x[new]`.
 pub fn unpermute_vec(x: &[f64], perm: &[usize]) -> Vec<f64> {
     let mut out = vec![0.0; x.len()];
@@ -213,15 +138,6 @@ pub fn unpermute_vec(x: &[f64], perm: &[usize]) -> Vec<f64> {
         out[old] = x[new];
     }
     out
-}
-
-/// In-place-free variant of [`unpermute_vec`] writing into `out`.
-pub fn unpermute_vec_into(x: &[f64], perm: &[usize], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), perm.len());
-    debug_assert_eq!(out.len(), perm.len());
-    for (new, &old) in perm.iter().enumerate() {
-        out[old] = x[new];
-    }
 }
 
 #[cfg(test)]
@@ -332,49 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn block_rcm_keeps_triples_contiguous() {
-        // Build a 3×3-block matrix from a shuffled banded node graph.
-        let (g, _) = shuffled_banded(40, 2, 7);
-        let n = 40 * 3;
-        let mut b = TripletBuilder::new(n, n);
-        for i in 0..40 {
-            let (cols, vals) = g.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                for c in 0..3 {
-                    b.add(3 * i + c, 3 * j + c, if i == j { 4.0 } else { v });
-                }
-            }
-        }
-        let a = b.build();
-        let perm = reverse_cuthill_mckee_blocks(&a, 3).expect("square, divisible by 3");
-        assert_eq!(perm.len(), n);
-        for k in 0..40 {
-            let base = perm[3 * k];
-            assert_eq!(base % 3, 0, "block start must be node-aligned");
-            assert_eq!(perm[3 * k + 1], base + 1);
-            assert_eq!(perm[3 * k + 2], base + 2);
-        }
-        // And it still reduces bandwidth (node graph has band 2 →
-        // dof band ≤ 3·(small)+2).
-        let before = bandwidth(&a);
-        let after = bandwidth(&permute_symmetric(&a, &perm).expect("valid permutation"));
-        assert!(after < before / 2, "bandwidth {before} → {after}");
-    }
-
-    #[test]
-    fn block_rcm_rejects_indivisible_dimension() {
-        let mut b = TripletBuilder::new(7, 7);
-        for i in 0..7 {
-            b.add(i, i, 1.0);
-        }
-        let a = b.build();
-        assert!(matches!(
-            reverse_cuthill_mckee_blocks(&a, 3),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn permutation_preserves_solutions() {
         use crate::gmres;
         use crate::precond::Ilu0;
@@ -403,12 +276,6 @@ mod tests {
         let p = permute_vec(&x, &perm);
         let back = unpermute_vec(&p, &perm);
         assert_eq!(x, back);
-        let mut p2 = vec![0.0; 10];
-        permute_vec_into(&x, &perm, &mut p2);
-        assert_eq!(p, p2);
-        let mut back2 = vec![0.0; 10];
-        unpermute_vec_into(&p2, &perm, &mut back2);
-        assert_eq!(x, back2);
     }
 
     #[test]

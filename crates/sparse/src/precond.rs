@@ -30,12 +30,6 @@ pub trait Preconditioner: Send + Sync {
     fn persist_into(&self, _enc: &mut Encoder) -> Result<bool, PersistError> {
         Ok(false)
     }
-    /// Build the f32 companion of this operator (plus an f32 copy of
-    /// `a`) for the mixed-precision refinement rung. `None` when the
-    /// operator has no f32 form; callers then run pure f64.
-    fn mixed_mirror(&self, _a: &CsrMatrix) -> Option<crate::refine::MixedPrecision> {
-        None
-    }
 }
 
 /// Persistence tags, one per supported `Preconditioner` implementation.
@@ -97,18 +91,12 @@ impl Preconditioner for IdentityPrecond {
         enc.put_u8(TAG_IDENTITY);
         Ok(true)
     }
-    fn mixed_mirror(&self, a: &CsrMatrix) -> Option<crate::refine::MixedPrecision> {
-        // A Jacobi inner preconditioner is strictly better than identity
-        // and costs one vector; refinement corrects against the true f64
-        // residual either way.
-        crate::refine::MixedPrecision::jacobi(a).ok()
-    }
 }
 
 /// Point-Jacobi (diagonal) preconditioning.
 #[derive(Debug, Clone)]
 pub struct JacobiPrecond {
-    pub(crate) inv_diag: Vec<f64>,
+    inv_diag: Vec<f64>,
 }
 
 impl JacobiPrecond {
@@ -142,9 +130,6 @@ impl Preconditioner for JacobiPrecond {
         Persist::encode(self, enc)?;
         Ok(true)
     }
-    fn mixed_mirror(&self, a: &CsrMatrix) -> Option<crate::refine::MixedPrecision> {
-        crate::refine::MixedPrecision::jacobi(a).ok()
-    }
 }
 
 impl Persist for JacobiPrecond {
@@ -165,11 +150,11 @@ impl Persist for JacobiPrecond {
 pub struct Ilu0 {
     /// Factored matrix: strictly-lower part stores L (unit diagonal
     /// implied), diagonal+upper stores U.
-    pub(crate) lu: CsrMatrix,
+    lu: CsrMatrix,
     /// Position of the diagonal entry in each row of `lu`.
-    pub(crate) diag_pos: Vec<usize>,
+    diag_pos: Vec<usize>,
     /// Symmetric scaling `S` applied before factorization.
-    pub(crate) scale: Vec<f64>,
+    scale: Vec<f64>,
 }
 
 impl Ilu0 {
@@ -337,9 +322,6 @@ impl Preconditioner for Ilu0 {
         Persist::encode(self, enc)?;
         Ok(true)
     }
-    fn mixed_mirror(&self, a: &CsrMatrix) -> Option<crate::refine::MixedPrecision> {
-        crate::refine::MixedPrecision::from_ilu0(a, self).ok()
-    }
 }
 
 impl Persist for Ilu0 {
@@ -419,7 +401,7 @@ impl Persist for BlockSolve {
     }
 }
 
-pub(crate) enum BlockFactor {
+enum BlockFactor {
     Dense(DenseLu),
     Ilu(Ilu0),
 }
@@ -461,8 +443,8 @@ impl Persist for BlockFactor {
 /// parallel and also why its iteration count grows with block count.
 pub struct BlockJacobiPrecond {
     /// Block row ranges `(lo, hi)`.
-    pub(crate) ranges: Vec<(usize, usize)>,
-    pub(crate) factors: Vec<BlockFactor>,
+    ranges: Vec<(usize, usize)>,
+    factors: Vec<BlockFactor>,
     /// How many blocks needed a diagonal-shift retry to factorize.
     shifted_blocks: usize,
 }
@@ -641,9 +623,6 @@ impl Preconditioner for BlockJacobiPrecond {
         enc.put_u8(TAG_BLOCK_JACOBI);
         Persist::encode(self, enc)?;
         Ok(true)
-    }
-    fn mixed_mirror(&self, a: &CsrMatrix) -> Option<crate::refine::MixedPrecision> {
-        crate::refine::MixedPrecision::from_block_jacobi(a, self).ok()
     }
 }
 

@@ -35,10 +35,6 @@ pub enum StopReason {
     /// best iterate so far was returned. This is what bounds a single
     /// solve inside the intraoperative real-time window.
     TimeBudget,
-    /// Mixed-precision iterative refinement stopped making progress —
-    /// the f32 inner solve can no longer reduce the f64 residual. The
-    /// escalation ladder treats this as the cue to rerun in pure f64.
-    Stalled,
 }
 
 /// Convergence statistics of one linear solve.
@@ -73,21 +69,6 @@ impl SolveStats {
     }
 }
 
-/// Arithmetic/storage precision a solve should run at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Everything in f64 — the historical behaviour and the default.
-    #[default]
-    Double,
-    /// f32-storage matrix + preconditioner inside an f64
-    /// iterative-refinement outer loop ([`crate::refine::refine`]).
-    /// Callers that cannot build the f32 mirror (no [`MixedPrecision`]
-    /// state available) fall back to [`Precision::Double`] silently.
-    ///
-    /// [`MixedPrecision`]: crate::refine::MixedPrecision
-    Mixed,
-}
-
 /// Parameters shared by the Krylov solvers.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
@@ -103,11 +84,6 @@ pub struct SolverOptions {
     /// budget expires mid-solve, the solver returns its best iterate with
     /// [`StopReason::TimeBudget`].
     pub time_budget: Option<std::time::Duration>,
-    /// Requested precision ladder rung. Plain [`crate::gmres`] /
-    /// [`crate::bicgstab`] ignore this (they are the f64 rungs); the
-    /// escalation entry points honour it when mixed-precision state is
-    /// supplied.
-    pub precision: Precision,
 }
 
 impl Default for SolverOptions {
@@ -119,7 +95,6 @@ impl Default for SolverOptions {
             restart: 30,
             record_history: false,
             time_budget: None,
-            precision: Precision::Double,
         }
     }
 }
@@ -134,7 +109,6 @@ impl brainshift_persist::Persist for StopReason {
             StopReason::MaxIterations => 1,
             StopReason::Breakdown => 2,
             StopReason::TimeBudget => 3,
-            StopReason::Stalled => 4,
         });
         Ok(())
     }
@@ -146,33 +120,8 @@ impl brainshift_persist::Persist for StopReason {
             1 => Ok(StopReason::MaxIterations),
             2 => Ok(StopReason::Breakdown),
             3 => Ok(StopReason::TimeBudget),
-            4 => Ok(StopReason::Stalled),
             t => Err(brainshift_persist::PersistError::InvalidData {
                 reason: format!("invalid StopReason tag {t}"),
-            }),
-        }
-    }
-}
-
-impl brainshift_persist::Persist for Precision {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_u8(match self {
-            Precision::Double => 0,
-            Precision::Mixed => 1,
-        });
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        match dec.get_u8()? {
-            0 => Ok(Precision::Double),
-            1 => Ok(Precision::Mixed),
-            t => Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!("invalid Precision tag {t}"),
             }),
         }
     }
@@ -187,10 +136,7 @@ impl brainshift_persist::Persist for SolverOptions {
         enc.put_usize(self.max_iterations);
         enc.put_usize(self.restart);
         enc.put_bool(self.record_history);
-        self.time_budget.encode(enc)?;
-        // Format v2: the precision rung rides at the tail so v1 decoders
-        // never see it and v2 decoders can default it for v1 payloads.
-        self.precision.encode(enc)
+        self.time_budget.encode(enc)
     }
     fn decode(
         dec: &mut brainshift_persist::Decoder<'_>,
@@ -201,11 +147,6 @@ impl brainshift_persist::Persist for SolverOptions {
             restart: dec.get_usize()?,
             record_history: dec.get_bool()?,
             time_budget: Option::<std::time::Duration>::decode(dec)?,
-            precision: if dec.version() >= 2 {
-                Precision::decode(dec)?
-            } else {
-                Precision::Double
-            },
         })
     }
 }
@@ -244,6 +185,17 @@ mod tests {
         let mut y = vec![0.0; 2];
         m.apply(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![2.0, 3.0]);
+    }
+
+    #[test]
+    fn retired_stop_reason_tag_is_invalid_data() {
+        // Tag 4 was the mixed-precision `Stalled` reason; it must not
+        // decode to anything now that the rung is gone.
+        let r = brainshift_persist::from_bytes::<StopReason>(&[4]);
+        assert!(
+            matches!(r, Err(brainshift_persist::PersistError::InvalidData { .. })),
+            "{r:?}"
+        );
     }
 
     #[test]

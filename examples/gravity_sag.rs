@@ -115,7 +115,7 @@ fn main() {
             println!("  {lo:>3}-{hi:>3} deg: {:>5.2} mm ({n} nodes)", sum / n as f64);
         }
     }
-    let states = evaluate_stress(&mesh, &mats, &disp);
+    let states = evaluate_stress(&mesh, &mats, &disp).expect("one displacement per node");
     let s = summarize(&states);
     println!("\ntissue loading: max von Mises {:.1} Pa, mean {:.1} Pa", s.max_von_mises_pa, s.mean_von_mises_pa);
     println!("dilatation range: [{:.4}, {:.4}]", s.min_dilatation, s.max_dilatation);

@@ -53,7 +53,8 @@ fn main() {
                 cpus,
                 &SimOptions::default(),
                 Some(&k),
-            );
+            )
+            .expect("simulated problem is consistent");
             print_timing_row(&t);
             if t.total_s() < best {
                 best = t.total_s();

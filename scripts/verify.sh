@@ -81,20 +81,16 @@ RAYON_NUM_THREADS=1 cargo test -q --test persist_props --test persist_recovery
 RAYON_NUM_THREADS=4 cargo test -q --test persist_props --test persist_recovery
 cargo run -q --release -p brainshift-bench --bin persist_report
 
-# Solver stage: the speed ladder (DESIGN.md §16). The conformance
-# differential harness (now including the RCM, mixed-precision, blocked
-# and matrix-free paths, pairwise ≤1e-6), the sparse refinement suite,
-# and the ladder property tests at two thread counts, then the ladder
-# report bin — which asserts RCM bandwidth reduction ≥2× vs an arbitrary
-# admission order and a cold-solve win from at least one rung — writing
-# bench_out/solver_ladder.json.
+# Solver stage: the conformance differential harness (eight named
+# paths, pairwise ≤1e-6) at two thread counts, so the agreement claims
+# survive parallelism.
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-conformance differential
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-conformance differential
-RAYON_NUM_THREADS=1 cargo test -q -p brainshift-sparse refine
-RAYON_NUM_THREADS=4 cargo test -q -p brainshift-sparse refine
-RAYON_NUM_THREADS=1 cargo test -q --test solver_ladder_props
-RAYON_NUM_THREADS=4 cargo test -q --test solver_ladder_props
-cargo run -q --release -p brainshift-bench --bin solver_ladder_json
+
+# The benchmark is a package of its own that the root workspace never
+# builds: compile it against the current crates and run its shortest
+# workload, so an API deletion cannot break it unseen.
+cargo run --release --quiet --manifest-path e2e_budget/Cargo.toml -- --workload small-fleet-open --smoke
 
 cargo clippy --all-targets -- -D warnings
 
@@ -105,15 +101,28 @@ cargo clippy --all-targets -- -D warnings
 # to enforce it.
 cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p brainshift-fem -p brainshift-core -p brainshift-service -p brainshift-segment -p brainshift-surface -p brainshift-scenario --lib -- -D warnings
 
-# Sparse assert audit: non-test sparse kernels must return typed
-# SparseError values (or use debug_assert!) instead of panicking
-# assert!s — a malformed RHS must never take down a worker thread.
-# Doc-comment mentions are fine; anything before a file's test module
-# is not.
-for f in crates/sparse/src/*.rs; do
-  if awk '/^(mod tests|#\[cfg\(test\)\])/{exit} !/^[[:space:]]*\/\//' "$f" \
-      | grep -nE '(^|[^_a-zA-Z0-9])assert(_eq|_ne)?!'; then
-    echo "panicking assert in non-test sparse code: $f" >&2
+# Assert audit: non-test sparse and FEM code must return typed
+# SparseError/FemError values (or use debug_assert!) instead of
+# panicking assert!s — a malformed vector must never take down a worker
+# thread. Doc-comment mentions are fine; anything before a file's test
+# module is not.
+non_test() {
+  awk '/^(mod tests|#\[cfg\(test\)\])/{exit} !/^[[:space:]]*\/\//' "$1"
+}
+for f in crates/sparse/src/*.rs crates/fem/src/*.rs; do
+  if non_test "$f" | grep -nE '(^|[^_a-zA-Z0-9])assert(_eq|_ne)?!'; then
+    echo "panicking assert in non-test code: $f" >&2
+    exit 1
+  fi
+done
+
+# One FEM solve path: SolverContext is the only place in the FEM crate
+# that runs the escalation ladder or CG — the cold entry points are
+# one-shot contexts, not a second copy of the solve.
+for call in 'solve_escalated(' 'conjugate_gradient('; do
+  n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF "$call" || true)
+  if [ "$n" -ne 1 ]; then
+    echo "expected exactly one non-test '$call' call in crates/fem/src, found $n" >&2
     exit 1
   fi
 done

@@ -48,6 +48,20 @@ fn every_solve_path_agrees_pairwise_within_1e6() {
         bcs.set(n, manufactured_field(mesh.nodes[n]));
     }
     let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs, &Default::default());
+    let names: Vec<&str> = r.paths.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "gmres",
+            "bicgstab",
+            "escalated",
+            "context-warm",
+            "distributed-p1",
+            "distributed-p2",
+            "distributed-p4",
+            "distributed-p8",
+        ]
+    );
     for p in &r.paths {
         assert!(p.converged, "{} failed to converge", p.name);
     }

@@ -10,7 +10,7 @@ use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
 use brainshift_imaging::{labels, Vec3};
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig, TetMesh};
-use brainshift_persist::{from_bytes, to_bytes};
+use brainshift_persist::{from_bytes, to_bytes, PersistError, SnapshotReader, SnapshotWriter};
 use brainshift_service::{Event, EventKind, EventLog, Rejected};
 use brainshift_sparse::{CsrMatrix, SolverOptions, TripletBuilder};
 use proptest::prelude::*;
@@ -158,6 +158,47 @@ fn solver_context_round_trips_and_solves_identically() {
     let ub: Vec<u64> =
         b.displacements.iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect();
     assert_eq!(ua, ub, "restored context solved differently");
+}
+
+/// Format v3 is the v1 layout: a default-config context inside a
+/// container re-stamped to version 1 decodes and resumes warm, and the
+/// retired v2 stamp (whose solver sections carried a tail nothing reads
+/// any more) is refused as a whole rather than mis-parsed.
+#[test]
+fn v1_stamped_context_resumes_warm_and_v2_is_refused() {
+    let mesh = block_mesh(4);
+    let surface = boundary_nodes(&mesh);
+    let mut ctx = SolverContext::new(
+        &mesh,
+        &MaterialTable::homogeneous(),
+        &surface,
+        FemSolveConfig::default(),
+    )
+    .expect("build solver context");
+    let mut bcs = DirichletBcs::new();
+    for &n in &surface {
+        let p = mesh.nodes[n];
+        bcs.set(n, Vec3::new(0.2 * (0.7 * p.y).sin(), 0.1 * (0.9 * p.z).cos(), 0.05));
+    }
+    assert!(ctx.solve(&bcs).expect("first scan").stats.converged());
+
+    let mut w = SnapshotWriter::new();
+    w.section_value("context", &ctx).expect("encode context");
+    let mut bytes = w.finish();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let reader = SnapshotReader::parse(&bytes).expect("v1 container parses");
+    let mut back: SolverContext = reader.section_value("context").expect("v1 context decodes");
+    let again = back.solve(&bcs).expect("repeated scan");
+    assert!(again.stats.converged());
+    assert_eq!(again.stats.iterations, 0, "restored warm start should satisfy the system");
+    assert_eq!(back.stats().factorizations, 1, "restore must not re-factor");
+
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let refused = SnapshotReader::parse(&bytes);
+    assert!(
+        matches!(refused, Err(PersistError::UnsupportedVersion { found: 2, .. })),
+        "{refused:?}"
+    );
 }
 
 /// `memory_bytes()` accounting audit: the serialized payload of a

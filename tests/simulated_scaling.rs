@@ -12,7 +12,9 @@ fn sweep(machine: MachineModel, cpus: &[usize], eqs: usize) -> Vec<SimTimings> {
     let k = SimProblem::new(&p.mesh, &materials, &p.bcs);
     cpus.iter()
         .map(|&c| {
-            simulate_assemble_solve(&p.mesh, &materials, &p.bcs, machine.clone(), c, &SimOptions::default(), Some(&k)).0
+            simulate_assemble_solve(&p.mesh, &materials, &p.bcs, machine.clone(), c, &SimOptions::default(), Some(&k))
+                .expect("simulated problem is consistent")
+                .0
         })
         .collect()
 }
@@ -92,7 +94,8 @@ fn ten_second_claim_at_paper_scale() {
         16,
         &SimOptions::default(),
         None,
-    );
+    )
+    .expect("simulated problem is consistent");
     assert!(t.converged);
     assert!(
         t.total_s() < 10.0,
@@ -108,6 +111,7 @@ fn ten_second_claim_at_paper_scale() {
         1,
         &SimOptions::default(),
         None,
-    );
+    )
+    .expect("simulated problem is consistent");
     assert!(t1.total_s() > 10.0, "1 CPU already meets the deadline: {}", t1.total_s());
 }

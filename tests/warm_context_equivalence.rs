@@ -1,11 +1,15 @@
 //! Integration: the persistent `SolverContext` is a pure optimization —
 //! its warm-started, assemble-once solves must be numerically equivalent
 //! to the cold per-scan path, and warm starts must never slow a solve
-//! down on the progressive-shift sequence phantom.
+//! down on the progressive-shift sequence phantom. The cold entry points
+//! are themselves one-shot contexts; the bitwise tests below pin that
+//! fold to the arithmetic of the hand-rolled path it replaced.
 
 use brainshift_core::{generate_scan_sequence, PipelineConfig};
+use brainshift_fem::solver::build_preconditioner;
 use brainshift_fem::{
-    solve_deformation, DirichletBcs, FemSolveConfig, MaterialTable, SolverContext,
+    apply_dirichlet, assemble_gravity, assemble_stiffness, solve_deformation, solve_with_loads,
+    DirichletBcs, FemError, FemSolution, FemSolveConfig, MaterialTable, SolverContext,
 };
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
@@ -13,7 +17,8 @@ use brainshift_imaging::{labels, Vec3};
 use brainshift_mesh::{
     boundary_nodes, extract_boundary, mesh_labeled_volume, MesherConfig, TetMesh,
 };
-use brainshift_sparse::SolverOptions;
+use brainshift_scenario::{generate_scenario, ScenarioKind};
+use brainshift_sparse::{solve_escalated, KrylovWorkspace, SolverOptions};
 use proptest::prelude::*;
 
 fn block_mesh(n: usize) -> TetMesh {
@@ -142,5 +147,109 @@ fn warm_started_sequence_scans_converge_no_slower_than_zero_start() {
             warm_iters[i],
             zero_iters[i]
         );
+    }
+}
+
+/// Generic (no exactly-zero component) surface displacements.
+fn generic_bcs(mesh: &TetMesh, surface: &[usize]) -> DirichletBcs {
+    let mut bcs = DirichletBcs::new();
+    for &n in surface {
+        let p = mesh.nodes[n];
+        bcs.set(
+            n,
+            Vec3::new(
+                0.11 + 0.3 * (0.7 * p.y).sin(),
+                -0.07 + 0.2 * (0.9 * p.z).cos(),
+                0.05 + 0.1 * (0.4 * (p.x + p.y)).sin(),
+            ),
+        );
+    }
+    bcs
+}
+
+fn bits(sol: &FemSolution) -> Vec<u64> {
+    sol.displacements.iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
+}
+
+/// The cold path as it was written before it became a one-shot context,
+/// from public pieces: assemble → `apply_dirichlet` → precondition →
+/// escalation ladder from a zero start with a fresh workspace → expand.
+fn hand_rolled_cold_solve(
+    mesh: &TetMesh,
+    materials: &MaterialTable,
+    bcs: &DirichletBcs,
+    loads: &[f64],
+    cfg: &FemSolveConfig,
+) -> (Vec<u64>, usize) {
+    let k = assemble_stiffness(mesh, materials);
+    let reduced = apply_dirichlet(&k, loads, bcs).expect("reduce");
+    let precond = build_preconditioner(cfg.precond, &reduced.matrix).expect("precondition");
+    let mut x = vec![0.0; reduced.matrix.nrows()];
+    let mut ws = KrylovWorkspace::new(x.len(), cfg.options.restart);
+    let out = solve_escalated(
+        &reduced.matrix,
+        precond.as_ref(),
+        &reduced.rhs,
+        &mut x,
+        &cfg.options,
+        &cfg.escalation,
+        &mut ws,
+    )
+    .expect("dims agree");
+    let full = reduced.expand_solution(&x);
+    (full.iter().map(|v| v.to_bits()).collect(), out.stats.iterations)
+}
+
+/// `solve_deformation` is the first solve of a fresh context, and
+/// `solve_with_loads` under gravity is the hand-rolled cold path — both
+/// bit for bit, on a regular block and on a sliver-bearing resection mesh.
+#[test]
+fn cold_entry_points_are_bitwise_a_one_shot_context() {
+    let case = generate_scenario(ScenarioKind::ResectionCollapse, 7).expect("generate");
+    for (mesh, materials) in [
+        (block_mesh(4), MaterialTable::homogeneous()),
+        (case.mesh, MaterialTable::heterogeneous()),
+    ] {
+        let surface = boundary_nodes(&mesh);
+        let bcs = generic_bcs(&mesh, &surface);
+        let cfg = tight();
+
+        let cold = solve_deformation(&mesh, &materials, &bcs, &cfg).expect("cold solve");
+        assert!(cold.stats.converged(), "{:?}", cold.stats);
+        let mut ctx =
+            SolverContext::new(&mesh, &materials, &surface, cfg.clone()).expect("context build");
+        let first = ctx.solve(&bcs).expect("first context solve");
+        assert_eq!(cold.stats.iterations, first.stats.iterations);
+        assert_eq!(bits(&cold), bits(&first), "solve_deformation is not a fresh context's solve");
+        let zero = vec![0.0; mesh.num_equations()];
+        let (reference, iterations) = hand_rolled_cold_solve(&mesh, &materials, &bcs, &zero, &cfg);
+        assert_eq!(cold.stats.iterations, iterations);
+        assert_eq!(bits(&cold), reference, "solve_deformation drifted from the pre-fold path");
+
+        let gravity = assemble_gravity(&mesh);
+        let loaded = solve_with_loads(&mesh, &materials, &bcs, &gravity, &cfg).expect("loaded");
+        assert!(loaded.stats.converged(), "{:?}", loaded.stats);
+        let (reference, iterations) =
+            hand_rolled_cold_solve(&mesh, &materials, &bcs, &gravity, &cfg);
+        assert_eq!(loaded.stats.iterations, iterations);
+        assert_eq!(bits(&loaded), reference, "solve_with_loads drifted from the pre-fold path");
+        assert_ne!(bits(&loaded), bits(&cold), "gravity must change the field");
+    }
+}
+
+/// The cold wrappers refuse the same inputs with the same errors as
+/// before the fold — a short load vector wins over an empty BC set.
+#[test]
+fn cold_entry_points_keep_their_typed_errors() {
+    let mesh = block_mesh(2);
+    let materials = MaterialTable::homogeneous();
+    let cfg = FemSolveConfig::default();
+    let none = DirichletBcs::new();
+    let r = solve_deformation(&mesh, &materials, &none, &cfg);
+    assert!(matches!(r, Err(FemError::Unconstrained)));
+    let short = vec![0.0; mesh.num_equations() - 1];
+    for bcs in [&none, &generic_bcs(&mesh, &boundary_nodes(&mesh))] {
+        let r = solve_with_loads(&mesh, &materials, bcs, &short, &cfg);
+        assert!(matches!(r, Err(FemError::LoadVectorMismatch { .. })));
     }
 }
