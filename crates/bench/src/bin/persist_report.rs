@@ -27,9 +27,7 @@ use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_obs::{BenchReport, JsonValue};
 use brainshift_persist::{from_bytes, to_bytes};
-use brainshift_service::{
-    RecordedRun, ScanJob, SchedulerPolicy, Service, ServiceConfig, SimConfig, SimJob,
-};
+use brainshift_service::{RecordedRun, ScanJob, Service, ServiceConfig, SimJob};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -177,8 +175,12 @@ fn main() {
             ctx_bytes: 1 << 18,
         })
         .collect();
-    let sim_cfg =
-        SimConfig { workers: 3, policy: SchedulerPolicy::default(), budget_bytes: 4 << 18 };
+    let sim_cfg = ServiceConfig {
+        workers: 3,
+        memory_budget_bytes: 4 << 18,
+        max_session_backlog: usize::MAX,
+        ..Default::default()
+    };
     let run = RecordedRun::record(&sim_cfg, &jobs);
     let log_bytes = run.to_bytes().expect("serialize recorded run");
     let replayed = RecordedRun::from_bytes(&log_bytes).expect("deserialize recorded run");

@@ -27,8 +27,7 @@ use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_obs::{BenchReport, JsonValue, Snapshot};
 use brainshift_service::{
-    simulate_fleet, AffinityConfig, FleetSimConfig, FleetSimReport, ScanJob, SchedulerPolicy,
-    Service, ServiceConfig, SimJob, StealPolicy,
+    simulate, simulate_fleet, FleetConfig, FleetSimReport, ScanJob, Service, ServiceConfig, SimJob,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -216,17 +215,14 @@ fn run_des_sweep() -> Vec<(usize, u64)> {
     [1usize, 2, 4, 8]
         .into_iter()
         .map(|workers| {
-            let r = brainshift_service::simulate_affinity(
-                &AffinityConfig {
+            let r = simulate(
+                &ServiceConfig {
                     workers,
-                    policy: SchedulerPolicy {
-                        queue_capacity: jobs.len(),
-                        aging_weight: 1.0,
-                        min_service_us: 0,
-                        priority_boost_us: 0,
-                    },
-                    budget_bytes: 512 << 20,
-                    steal: StealPolicy::default(),
+                    queue_capacity: jobs.len(),
+                    memory_budget_bytes: 512 << 20,
+                    priority_boost_us: 0,
+                    max_session_backlog: usize::MAX,
+                    ..Default::default()
                 },
                 &jobs,
             );
@@ -246,9 +242,9 @@ fn run_des_sweep() -> Vec<(usize, u64)> {
 
 /// The fleet, at a scale no single machine run can reach: hundreds of
 /// concurrent surgeries, tens of thousands of scan jobs, on the logical
-/// clock (the simulators run the production queue/cache/placement code,
-/// so shed rate, tail latency, and per-shard hit rates are those of the
-/// real policies).
+/// clock (the simulator drives the production `ShardCore`, so shed rate,
+/// tail latency, and per-shard hit rates are those of the real
+/// policies).
 fn run_fleet_sim(shards: usize, sessions: u64, rounds: usize) -> (FleetSimReport, Vec<SimJob>) {
     let cadence: u64 = 1_000_000; // 1 s scanner cadence, logical µs
     let mean_cost: u64 = 30_000; // ≈ the measured 32³ warm solve
@@ -271,20 +267,16 @@ fn run_fleet_sim(shards: usize, sessions: u64, rounds: usize) -> (FleetSimReport
         }
     }
     jobs.sort_by_key(|j| (j.submit_us, j.session));
-    let cfg = FleetSimConfig {
+    let cfg = FleetConfig {
         shards,
-        shard: AffinityConfig {
+        shard: ServiceConfig {
             workers: 2,
-            policy: SchedulerPolicy {
-                queue_capacity: 256,
-                aging_weight: 1.0,
-                min_service_us: 0,
-                priority_boost_us: 1_000_000,
-            },
+            queue_capacity: 256,
             // Roomy enough that eviction pressure comes from session
             // count, not from a starved budget.
-            budget_bytes: 512 << 20,
-            steal: StealPolicy::default(),
+            memory_budget_bytes: 512 << 20,
+            max_session_backlog: usize::MAX,
+            ..Default::default()
         },
     };
     (simulate_fleet(&cfg, &jobs), jobs)

@@ -31,7 +31,7 @@ use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
 use brainshift_fem::{displacement_field_from_mesh, DirichletBcs, SolverContext};
 use brainshift_imaging::dtransform::label_distance_map;
-use brainshift_imaging::{labels, DisplacementField, Vec3, Volume};
+use brainshift_imaging::{labels, Dims, DisplacementField, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
 use brainshift_segment::{
     classify_volume_incremental, largest_component, FeatureStack, IncrementalCache, KdTree,
@@ -45,6 +45,9 @@ use std::sync::{Arc, Mutex};
 /// (first intraoperative) scan that later scans reuse unchanged.
 pub struct PreparedSurgery {
     cfg: PipelineConfig,
+    /// Grid of the reference segmentation; every scan of the surgery
+    /// must arrive on it.
+    dims: Dims,
     mesh: TetMesh,
     surface: TriSurface,
     /// Mesh boundary snapped onto the reference brain boundary (cancels
@@ -134,6 +137,7 @@ impl PreparedSurgery {
             .collect();
         Ok(PreparedSurgery {
             cfg,
+            dims: reference_labels.dims(),
             mesh,
             surface,
             snap_positions: snap.positions,
@@ -187,6 +191,17 @@ impl PreparedSurgery {
         solver_override: Option<&SolverOptions>,
         escalation_override: Option<&EscalationPolicy>,
     ) -> Result<ScanRegistration, Error> {
+        // The shared distance channels, the prototype sites and the
+        // boundary surface all live on the reference grid; a scan on any
+        // other grid is a caller error, reported before the feature
+        // stack's own grid assert can take the calling thread down.
+        if intensity.dims() != self.dims {
+            return Err(Error::Pipeline(format!(
+                "scan grid {:?} does not match the prepared surgery's {:?}",
+                intensity.dims(),
+                self.dims
+            )));
+        }
         let mut sw = Stopwatch::wall();
         // Feature stack: fresh intensity channel + the per-surgery shared
         // distance channels (computed once in `new`).

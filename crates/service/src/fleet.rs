@@ -1,7 +1,7 @@
 //! A sharded fleet of [`Service`]s behind a session-affinity router.
 //!
 //! One [`Service`] scales to the cores of one worker pool, but its
-//! admission lock, event log, and context cache are still single
+//! scheduler lock, event log, and context cache are still single
 //! instances — and a deployment serving many operating rooms wants
 //! blast-radius isolation as much as throughput. The [`Fleet`] runs N
 //! independent shards (separate worker pools, queues, caches, logs) and

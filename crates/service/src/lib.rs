@@ -14,21 +14,30 @@
 //! * [`ContextCache`] — warm [`SolverContext`](brainshift_fem::SolverContext)s
 //!   under a byte budget; memory pressure evicts LRU sessions to *cold*
 //!   (reassemble on next touch), never to OOM and never to an error.
-//! * [`Service`] — a fixed worker pool executing jobs, deriving each
-//!   solve's escalation `time_budget` from the job's remaining deadline:
-//!   a late job returns [`ScanStatus::Degraded`](brainshift_core::ScanStatus)
-//!   with the carry-forward field instead of blocking the queue.
+//! * [`ShardCore`] — one shard's dispatch decisions (admit / reject /
+//!   start warm-or-cold / steal / evict / complete late / cancel) as a
+//!   plain `&mut self` state machine over the queues and the cache, and
+//!   the only code that records an event or a `service.*` metric.
+//! * [`Service`] — threads, wake channels and job payloads around a
+//!   `Mutex<ShardCore>`: a fixed worker pool executing jobs, deriving
+//!   each solve's escalation `time_budget` from the job's remaining
+//!   deadline: a late job returns
+//!   [`ScanStatus::Degraded`](brainshift_core::ScanStatus) with the
+//!   carry-forward field instead of blocking the queue. [`Fleet`] runs N
+//!   of them behind a session-affinity router.
 //! * [`EventLog`] — every enqueue/start/escalate/degrade/evict/complete
 //!   with monotonic timestamps and queue depths; its timestamp-free
 //!   [`script`](EventLog::script) is the determinism oracle.
-//! * [`simulate`] — a logical-clock discrete-event simulator over the
-//!   *same* queue and cache code, for property tests of the scheduling
-//!   contracts that the threaded service cannot check deterministically.
+//! * [`simulate`] — the other driver of [`ShardCore`]: a logical-clock
+//!   discrete-event loop configured by the production [`ServiceConfig`],
+//!   for property tests and replays of the scheduling contracts that the
+//!   threaded service cannot check deterministically.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod cache;
+pub mod core;
 pub mod dispatch;
 pub mod error;
 pub mod events;
@@ -41,6 +50,7 @@ pub mod session;
 pub mod sim;
 
 pub use cache::{CacheStats, ContextCache};
+pub use core::ShardCore;
 pub use dispatch::{preferred_worker, route_shard, StealPolicy};
 pub use error::{Rejected, ServiceError};
 pub use events::{Event, EventKind, EventLog};
@@ -51,6 +61,5 @@ pub use scheduler::{DeadlineQueue, QueuedJob, SchedulerPolicy};
 pub use service::{JobOutcome, JobTicket, ScanJob, Service, ServiceConfig};
 pub use session::{MeshFingerprint, SessionStats, SurgerySession};
 pub use sim::{
-    simulate, simulate_affinity, simulate_fleet, AffinityConfig, FleetSimConfig, FleetSimReport,
-    SimConfig, SimJob, SimOutcome, SimReport, StealRecord,
+    simulate, simulate_fleet, FleetSimReport, SimJob, SimOutcome, SimReport, StealRecord,
 };

@@ -6,17 +6,20 @@
 //! fixed submission script, which makes the script itself a complete
 //! record of a scheduling run: persisting the config + jobs + the
 //! rendered [`EventLog::script`](crate::EventLog::script) is enough to
-//! re-execute the run and byte-compare the scripts. A mismatch means the
-//! scheduling policy changed behaviour — the regression oracle the
-//! service's durability story rests on.
+//! re-execute the run and byte-compare the scripts. The simulator drives
+//! the production [`ShardCore`](crate::core::ShardCore) under the
+//! production [`ServiceConfig`], so a replay re-executes the decisions a
+//! threaded shard makes — stealing and the per-session cap included. A
+//! mismatch means the scheduling policy changed behaviour — the
+//! regression oracle the service's durability story rests on.
 
-use crate::scheduler::SchedulerPolicy;
-use crate::sim::{simulate, SimConfig, SimJob};
+use crate::service::ServiceConfig;
+use crate::sim::{simulate, SimJob};
 use brainshift_persist::{
     Decoder, Encoder, Persist, PersistError, SnapshotReader, SnapshotWriter,
 };
 
-/// Section name of the simulator configuration.
+/// Section name of the shard configuration.
 const SEC_CONFIG: &str = "replay.config";
 /// Section name of the submission script.
 const SEC_JOBS: &str = "replay.jobs";
@@ -46,19 +49,29 @@ impl Persist for SimJob {
     }
 }
 
-impl Persist for SimConfig {
+impl Persist for ServiceConfig {
     fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
         enc.put_usize(self.workers);
-        self.policy.encode(enc)?;
-        enc.put_usize(self.budget_bytes);
+        enc.put_usize(self.queue_capacity);
+        enc.put_usize(self.memory_budget_bytes);
+        enc.put_f64(self.aging_weight);
+        enc.put_u64(self.min_service_us);
+        enc.put_u64(self.priority_boost_us);
+        enc.put_usize(self.max_session_backlog);
+        enc.put_usize(self.steal_backlog_threshold);
         Ok(())
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        Ok(SimConfig {
+        Ok(ServiceConfig {
             workers: dec.get_usize()?,
-            policy: SchedulerPolicy::decode(dec)?,
-            budget_bytes: dec.get_usize()?,
+            queue_capacity: dec.get_usize()?,
+            memory_budget_bytes: dec.get_usize()?,
+            aging_weight: dec.get_f64()?,
+            min_service_us: dec.get_u64()?,
+            priority_boost_us: dec.get_u64()?,
+            max_session_backlog: dec.get_usize()?,
+            steal_backlog_threshold: dec.get_usize()?,
         })
     }
 }
@@ -67,8 +80,8 @@ impl Persist for SimConfig {
 /// it ran under, and the event script it produced.
 #[derive(Debug, Clone)]
 pub struct RecordedRun {
-    /// Simulator configuration of the original run.
-    pub config: SimConfig,
+    /// Shard configuration of the original run.
+    pub config: ServiceConfig,
     /// The submission script, in order.
     pub jobs: Vec<SimJob>,
     /// The timestamp-free event script the original run produced.
@@ -88,7 +101,7 @@ pub struct ReplayOutcome {
 impl RecordedRun {
     /// Execute the submission script through [`simulate`] and capture
     /// the run as a replayable record.
-    pub fn record(cfg: &SimConfig, jobs: &[SimJob]) -> Self {
+    pub fn record(cfg: &ServiceConfig, jobs: &[SimJob]) -> Self {
         let report = simulate(cfg, jobs);
         RecordedRun { config: cfg.clone(), jobs: jobs.to_vec(), script: report.log.script() }
     }
@@ -108,7 +121,7 @@ impl RecordedRun {
     /// any payload is trusted.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PersistError> {
         let reader = SnapshotReader::parse(bytes)?;
-        let config: SimConfig = reader.section_value(SEC_CONFIG)?;
+        let config: ServiceConfig = reader.section_value(SEC_CONFIG)?;
         let jobs: Vec<SimJob> = reader.section_value(SEC_JOBS)?;
         let mut dec = reader.section(SEC_SCRIPT)?;
         let script = dec.get_str()?;
@@ -143,12 +156,8 @@ mod tests {
             .collect()
     }
 
-    fn demo_cfg() -> SimConfig {
-        SimConfig {
-            workers: 2,
-            policy: SchedulerPolicy::default(),
-            budget_bytes: 3 << 16,
-        }
+    fn demo_cfg() -> ServiceConfig {
+        ServiceConfig { workers: 2, memory_budget_bytes: 3 << 16, ..Default::default() }
     }
 
     #[test]

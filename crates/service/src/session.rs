@@ -13,12 +13,13 @@
 //! Jobs of one session are serialized by the scheduler (a session's
 //! context is a single mutable resource), so the interior mutex is
 //! uncontended in practice; it exists to make the type shareable across
-//! the worker pool.
+//! the worker pool. Whether a session is open, mid-solve or backlogged is
+//! scheduler state and lives in [`ShardCore`](crate::core::ShardCore),
+//! not here.
 
 use brainshift_core::PreparedSurgery;
 use brainshift_imaging::DisplacementField;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 
 /// Lifetime counters for one session.
@@ -81,19 +82,6 @@ pub struct SurgerySession {
     /// [`crate::dispatch::preferred_worker`]). Immutable for the life of
     /// the session — affinity is an open-time decision.
     preferred_worker: usize,
-    /// True while a worker is executing one of this session's jobs. The
-    /// flag is only ever *set* under the session's preferred run-queue
-    /// lock (every queued job of the session lives there), which makes
-    /// the check-then-claim in `claim` race-free; it is cleared lock-free
-    /// when the job finishes.
-    pub(crate) busy: AtomicBool,
-    /// Set by `close_session`; a closed session's jobs fail typed and its
-    /// context is never re-cached.
-    pub(crate) closed: AtomicBool,
-    /// Jobs currently queued (admitted, not yet claimed) for this
-    /// session — the per-session admission bound, maintained without
-    /// scanning any queue.
-    pub(crate) backlog: AtomicUsize,
     pub(crate) state: Mutex<SessionState>,
 }
 
@@ -108,28 +96,13 @@ pub struct MeshFingerprint {
 
 impl SurgerySession {
     pub(crate) fn new(id: u64, prepared: Arc<PreparedSurgery>, preferred_worker: usize) -> Self {
-        let fingerprint = MeshFingerprint {
-            nodes: prepared.mesh().nodes.len(),
-            tets: prepared.mesh().tets.len(),
-        };
-        SurgerySession {
-            id,
-            fingerprint,
-            prepared,
-            preferred_worker,
-            busy: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-            backlog: AtomicUsize::new(0),
-            state: Mutex::new(SessionState { carry_forward: None, stats: SessionStats::default() }),
-        }
+        Self::restore(id, prepared, preferred_worker, None, SessionStats::default())
     }
 
     /// Rebuild a session from persisted state: same id as at snapshot
     /// time (so the shard's id sequence — and therefore the event-log
     /// script tail — continues unbroken), with the carry-forward field
-    /// and lifetime counters restored. The transient flags (`busy`,
-    /// `closed`, `backlog`) start clean: a restored shard has no jobs in
-    /// flight by construction (the snapshot was taken quiesced).
+    /// and lifetime counters restored.
     pub(crate) fn restore(
         id: u64,
         prepared: Arc<PreparedSurgery>,
@@ -146,9 +119,6 @@ impl SurgerySession {
             fingerprint,
             prepared,
             preferred_worker,
-            busy: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-            backlog: AtomicUsize::new(0),
             state: Mutex::new(SessionState { carry_forward, stats }),
         }
     }

@@ -2,25 +2,29 @@
 //!
 //! The threaded [`Service`](crate::service::Service) is nondeterministic
 //! by nature (OS scheduling decides which worker wins a wake token), so
-//! its contracts — deadline ordering, starvation bounds, cache-budget
-//! safety, event-log shape — are verified here instead, on a logical
-//! clock driving the *same* [`DeadlineQueue`] and [`ContextCache`] code
-//! the real service runs. For a fixed submission script the simulation is
-//! bit-deterministic: same admissions, same scheduling order, same
-//! evictions, same [`EventLog::script`]. Property tests fuzz submission
-//! scripts through this simulator; what they prove holds for the
-//! production policy code because it *is* the production policy code.
+//! its contracts — deadline ordering, starvation bounds, affinity and
+//! steal gating, cache-budget safety, event-log shape — are verified
+//! here instead. [`simulate`] is a second *driver* of the production
+//! [`ShardCore`], not a model of it: it owns only the logical clock, one
+//! `Running` slot per worker and the outcome bookkeeping, and asks the
+//! core for every decision. For a fixed submission script the simulation
+//! is bit-deterministic: same admissions, same scheduling order, same
+//! evictions, same [`EventLog::script`](crate::EventLog::script), same
+//! metric snapshot.
 //!
 //! Modeling choices (all deterministic): workers are slots, job cost is
-//! given per job in logical µs, and when a completion and a submission
-//! coincide the completion is processed first (capacity frees before the
-//! admission check, matching the real service's admission-under-lock).
+//! given per job in logical µs, every session a script names is open from
+//! the start, and job ids are script indices. Inside one logical instant
+//! completions are processed first, in worker order (capacity frees
+//! before the admission check), then submissions in script order, then
+//! one dispatch pass over the workers in ascending order.
 
-use crate::cache::{CacheStats, ContextCache};
-use crate::dispatch::{preferred_worker, route_shard, StealPolicy};
-use crate::error::Rejected;
-use crate::events::{EventKind, EventLog};
-use crate::scheduler::{DeadlineQueue, SchedulerPolicy};
+use crate::cache::CacheStats;
+use crate::core::ShardCore;
+use crate::dispatch::{preferred_worker, route_shard};
+use crate::events::EventLog;
+use crate::fleet::FleetConfig;
+use crate::service::ServiceConfig;
 use brainshift_obs::{Clock, Registry, Snapshot};
 
 /// One scripted submission.
@@ -41,17 +45,6 @@ pub struct SimJob {
     pub ctx_bytes: usize,
 }
 
-/// Simulator parameters.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Worker slots.
-    pub workers: usize,
-    /// Queue policy (capacity, aging, admission floor).
-    pub policy: SchedulerPolicy,
-    /// Warm-context cache budget in bytes.
-    pub budget_bytes: usize,
-}
-
 /// Per-job outcome of a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOutcome {
@@ -69,13 +62,11 @@ pub struct SimOutcome {
     pub warm: bool,
     /// Worker (slot) that executed it, or `None` if rejected.
     pub worker: Option<usize>,
-    /// Whether it ran on a worker other than its session's preferred one
-    /// (always `false` in the shared-queue [`simulate`], which has no
-    /// affinity to violate).
+    /// Whether it ran on a worker other than its session's preferred one.
     pub stolen: bool,
 }
 
-/// One work-stealing decision taken by [`simulate_affinity`] — the raw
+/// One work-stealing decision taken during [`simulate`] — the raw
 /// material for the steal-only-under-pressure property test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealRecord {
@@ -106,229 +97,45 @@ pub struct SimReport {
     pub peak_resident_bytes: usize,
     /// Largest queue depth ever observed (must stay ≤ capacity).
     pub peak_queue_depth: usize,
-    /// Every steal taken, in order (empty for the shared-queue
-    /// [`simulate`], which has no affinity).
+    /// Every steal taken, in order.
     pub steals: Vec<StealRecord>,
-    /// Metric snapshot taken on the simulator's logical clock with the
-    /// same names the threaded service records
-    /// (`service.jobs.*` / `service.cache.*` / `service.queue.*`), so
-    /// the same assertions and dashboards read both. Bit-deterministic
-    /// for a fixed script.
+    /// Metric snapshot of the core's registry on the simulator's logical
+    /// clock — the `service.*` metrics the threaded service records,
+    /// emitted by the same code. Bit-deterministic for a fixed script.
     pub metrics: Snapshot,
 }
 
+/// What a worker slot is executing.
 #[derive(Clone, Copy)]
 struct Running {
     script_index: usize,
-    session: u64,
-    deadline_us: u64,
     done_us: u64,
 }
 
-/// Run the script to completion and report.
+/// Run the script through a [`ShardCore`] configured by the production
+/// `cfg` and report. One worker is `workers: 1`; the old simulator's
+/// missing per-session cap is `max_session_backlog: usize::MAX`.
 ///
-/// Jobs are submitted in script order; the scheduler's own ordering and
-/// admission rules decide everything else. All queued work is drained
-/// even past the last submission (the real service's shutdown drain).
-pub fn simulate(cfg: &SimConfig, jobs: &[SimJob]) -> SimReport {
-    let mut queue = DeadlineQueue::new(cfg.policy.clone());
-    // The sim stores the script index as the "context"; bytes drive the
-    // eviction policy exactly as real contexts would.
-    let mut cache: ContextCache<u64> = ContextCache::new(cfg.budget_bytes);
-    let log = EventLog::new();
+/// Jobs must be scripted in non-decreasing `submit_us` order. All
+/// admitted work is drained even past the last submission, and the
+/// final `Shutdown` is stamped at the last completion.
+pub fn simulate(cfg: &ServiceConfig, jobs: &[SimJob]) -> SimReport {
     // Logical-clock registry: advanced to each event instant below, so
     // span/metric timing is a pure function of the script.
     let clock = Clock::logical();
-    let metrics = Registry::new(clock.clone());
-    let mut outcomes: Vec<SimOutcome> = (0..jobs.len())
-        .map(|i| SimOutcome {
-            script_index: i,
-            session: jobs[i].session,
-            started_us: None,
-            completed_us: None,
-            missed_deadline: false,
-            warm: false,
-            worker: None,
-            stolen: false,
-        })
-        .collect();
-    let mut completion_order = Vec::new();
-    let mut workers: Vec<Option<Running>> = vec![None; cfg.workers.max(1)];
-    let mut next_submit = 0usize;
-    let mut peak_resident = 0usize;
-    let mut peak_depth = 0usize;
-
-    loop {
-        let busy_min = workers.iter().flatten().map(|r| r.done_us).min();
-        let submit_t = jobs.get(next_submit).map(|j| j.submit_us);
-        // Next instant: earliest completion or submission; completions at
-        // a tied instant are processed first.
-        let now = match (busy_min, submit_t) {
-            (None, None) => break,
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (Some(a), Some(b)) => a.min(b),
-        };
-        clock.advance_to_us(now);
-
-        // 1. Completions at `now`.
-        for slot in workers.iter_mut() {
-            let Some(r) = *slot else { continue };
-            if r.done_us != now {
-                continue;
-            }
-            *slot = None;
-            cache.insert(r.session, r.script_index as u64, jobs[r.script_index].ctx_bytes);
-            peak_resident = peak_resident.max(cache.resident_bytes());
-            for (sess, freed) in cache.drain_evicted() {
-                metrics.counter_add("service.cache.evictions", 1);
-                log.record(now, queue.len(), EventKind::Evict { session: sess, freed_bytes: freed });
-            }
-            let missed = now > r.deadline_us;
-            outcomes[r.script_index].completed_us = Some(now);
-            outcomes[r.script_index].missed_deadline = missed;
-            completion_order.push(r.script_index);
-            metrics.counter_add("service.jobs.completed", 1);
-            if missed {
-                metrics.counter_add("service.jobs.missed_deadline", 1);
-            }
-            metrics.gauge_set("service.queue.depth", queue.len() as f64);
-            metrics.observe(
-                "service.job.latency_us",
-                now.saturating_sub(jobs[r.script_index].submit_us) as f64,
-            );
-            log.record(
-                now,
-                queue.len(),
-                EventKind::Complete {
-                    session: r.session,
-                    job: r.script_index as u64,
-                    missed_deadline: missed,
-                },
-            );
-        }
-
-        // 2. Submissions at `now` (script order).
-        while next_submit < jobs.len() && jobs[next_submit].submit_us == now {
-            let j = &jobs[next_submit];
-            let id = next_submit as u64;
-            match queue.push(id, j.session, j.deadline_us, j.priority, now) {
-                Ok(()) => {
-                    peak_depth = peak_depth.max(queue.len());
-                    metrics.counter_add("service.jobs.submitted", 1);
-                    metrics.gauge_set("service.queue.depth", queue.len() as f64);
-                    metrics.gauge_max("service.queue.peak_depth", queue.len() as f64);
-                    log.record(
-                        now,
-                        queue.len(),
-                        EventKind::Enqueue {
-                            session: j.session,
-                            job: id,
-                            deadline_us: j.deadline_us,
-                            priority: j.priority,
-                        },
-                    );
-                }
-                Err(reason) => {
-                    metrics.counter_add("service.jobs.rejected", 1);
-                    log.record(now, queue.len(), EventKind::Reject { session: j.session, reason });
-                }
-            }
-            next_submit += 1;
-        }
-
-        // 3. Dispatch: fill free workers with eligible jobs, lowest key
-        // first, skipping sessions already running.
-        while let Some(free) = workers.iter().position(Option::is_none) {
-            let running: Vec<u64> = workers.iter().flatten().map(|r| r.session).collect();
-            let Some(q) = queue.pop_next(|j| !running.contains(&j.session)) else { break };
-            let idx = q.job as usize;
-            let warm = cache.take(q.session).is_some();
-            metrics.counter_add(if warm { "service.cache.hit" } else { "service.cache.miss" }, 1);
-            metrics
-                .observe("service.deadline.slack_at_start_us", q.deadline_us.saturating_sub(now) as f64);
-            metrics.gauge_set("service.queue.depth", queue.len() as f64);
-            outcomes[idx].started_us = Some(now);
-            outcomes[idx].warm = warm;
-            outcomes[idx].worker = Some(free);
-            workers[free] = Some(Running {
-                script_index: idx,
-                session: q.session,
-                deadline_us: q.deadline_us,
-                done_us: now + jobs[idx].cost_us.max(1),
-            });
-            log.record(
-                now,
-                queue.len(),
-                // The shared queue has no affinity: the slot index is
-                // the worker, and nothing is ever "stolen".
-                EventKind::Start { session: q.session, job: q.job, warm, worker: free, stolen: false },
-            );
-        }
+    // The core caches the script index as the "context"; the scripted
+    // bytes drive the eviction policy exactly as real contexts would.
+    let mut core: ShardCore<u64> = ShardCore::new(cfg, EventLog::new(), Registry::new(clock.clone()));
+    for j in jobs {
+        core.adopt_session(j.session);
     }
-
-    log.record(
-        outcomes.iter().filter_map(|o| o.completed_us).max().unwrap_or(0),
-        queue.len(),
-        EventKind::Shutdown,
-    );
-    SimReport {
-        outcomes,
-        completion_order,
-        cache: cache.stats(),
-        peak_resident_bytes: peak_resident,
-        peak_queue_depth: peak_depth,
-        steals: Vec::new(),
-        metrics: metrics.snapshot(),
-        log,
-    }
-}
-
-/// Parameters of the affinity simulator — the shared-queue [`SimConfig`]
-/// plus the steal policy.
-#[derive(Debug, Clone)]
-pub struct AffinityConfig {
-    /// Worker slots, each with its own run queue.
-    pub workers: usize,
-    /// Queue policy. `queue_capacity` is the **global** bound across all
-    /// per-worker queues, enforced at admission exactly like the threaded
-    /// service's depth check.
-    pub policy: SchedulerPolicy,
-    /// Warm-context cache budget in bytes (one cache shared by the
-    /// workers, as in the threaded service).
-    pub budget_bytes: usize,
-    /// When a worker may steal from another worker's queue.
-    pub steal: StealPolicy,
-}
-
-/// Run the script through the **affinity** dispatch model: per-worker
-/// run queues, each session pinned to [`preferred_worker`], stealing
-/// only from queues whose backlog exceeds the [`StealPolicy`] threshold.
-///
-/// This is the deterministic twin of the threaded [`Service`]'s
-/// dispatch — same `DeadlineQueue` per worker, same shared
-/// `ContextCache`, same placement and steal policy functions — so the
-/// affinity and scaling properties proved here hold for the production
-/// policy code. Jobs must be scripted in non-decreasing `submit_us`
-/// order (as in [`simulate`]).
-pub fn simulate_affinity(cfg: &AffinityConfig, jobs: &[SimJob]) -> SimReport {
-    let n = cfg.workers.max(1);
-    let mut queues: Vec<DeadlineQueue> = (0..n)
-        .map(|_| {
-            // Per-queue capacity = the global capacity: the global
-            // admission check below always binds first, mirroring the
-            // threaded service's depth atomic.
-            DeadlineQueue::new(cfg.policy.clone())
-        })
-        .collect();
-    let mut cache: ContextCache<u64> = ContextCache::new(cfg.budget_bytes);
-    let log = EventLog::new();
-    let clock = Clock::logical();
-    let metrics = Registry::new(clock.clone());
-    let mut outcomes: Vec<SimOutcome> = (0..jobs.len())
-        .map(|i| SimOutcome {
+    let n = core.workers();
+    let mut outcomes: Vec<SimOutcome> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, j)| SimOutcome {
             script_index: i,
-            session: jobs[i].session,
+            session: j.session,
             started_us: None,
             completed_us: None,
             missed_deadline: false,
@@ -343,11 +150,12 @@ pub fn simulate_affinity(cfg: &AffinityConfig, jobs: &[SimJob]) -> SimReport {
     let mut next_submit = 0usize;
     let mut peak_resident = 0usize;
     let mut peak_depth = 0usize;
-    let depth_of = |queues: &[DeadlineQueue]| queues.iter().map(DeadlineQueue::len).sum::<usize>();
+    let mut last_completion = 0u64;
 
     loop {
         let busy_min = workers.iter().flatten().map(|r| r.done_us).min();
         let submit_t = jobs.get(next_submit).map(|j| j.submit_us);
+        // Next instant: earliest completion or submission.
         let now = match (busy_min, submit_t) {
             (None, None) => break,
             (Some(a), None) => a,
@@ -356,172 +164,66 @@ pub fn simulate_affinity(cfg: &AffinityConfig, jobs: &[SimJob]) -> SimReport {
         };
         clock.advance_to_us(now);
 
-        // 1. Completions at `now` (capacity frees before admission, as in
-        // the threaded service).
-        for slot in workers.iter_mut() {
-            let Some(r) = *slot else { continue };
-            if r.done_us != now {
-                continue;
-            }
+        // 1. Completions at `now`.
+        for (w, slot) in workers.iter_mut().enumerate() {
+            let Some(r) = slot.filter(|r| r.done_us == now) else { continue };
             *slot = None;
-            cache.insert(r.session, r.script_index as u64, jobs[r.script_index].ctx_bytes);
-            peak_resident = peak_resident.max(cache.resident_bytes());
-            let depth = depth_of(&queues);
-            for (sess, freed) in cache.drain_evicted() {
-                metrics.counter_add("service.cache.evictions", 1);
-                log.record(now, depth, EventKind::Evict { session: sess, freed_bytes: freed });
-            }
-            let missed = now > r.deadline_us;
+            let ctx = (r.script_index as u64, jobs[r.script_index].ctx_bytes);
+            let Some(done) = core.complete(w, now, Some(ctx)) else { continue };
+            peak_resident = peak_resident.max(core.cache_resident_bytes());
             outcomes[r.script_index].completed_us = Some(now);
-            outcomes[r.script_index].missed_deadline = missed;
+            outcomes[r.script_index].missed_deadline = done.missed_deadline;
             completion_order.push(r.script_index);
-            metrics.counter_add("service.jobs.completed", 1);
-            if missed {
-                metrics.counter_add("service.jobs.missed_deadline", 1);
-            }
-            metrics.gauge_set("service.queue.depth", depth as f64);
-            metrics.observe(
-                "service.job.latency_us",
-                now.saturating_sub(jobs[r.script_index].submit_us) as f64,
-            );
-            log.record(
-                now,
-                depth,
-                EventKind::Complete {
-                    session: r.session,
-                    job: r.script_index as u64,
-                    missed_deadline: missed,
-                },
-            );
+            last_completion = now;
         }
 
-        // 2. Submissions at `now`: global capacity first, then the
-        // session's preferred queue (affinity placement).
-        while next_submit < jobs.len() && jobs[next_submit].submit_us == now {
-            let j = &jobs[next_submit];
-            let id = next_submit as u64;
-            let pref = preferred_worker(j.session, n);
-            let verdict = if depth_of(&queues) >= cfg.policy.queue_capacity {
-                Err(Rejected::QueueFull { capacity: cfg.policy.queue_capacity })
-            } else {
-                queues[pref].push(id, j.session, j.deadline_us, j.priority, now)
-            };
-            let depth = depth_of(&queues);
-            match verdict {
-                Ok(()) => {
-                    peak_depth = peak_depth.max(depth);
-                    metrics.counter_add("service.jobs.submitted", 1);
-                    metrics.gauge_set("service.queue.depth", depth as f64);
-                    metrics.gauge_max("service.queue.peak_depth", depth as f64);
-                    log.record(
-                        now,
-                        depth,
-                        EventKind::Enqueue {
-                            session: j.session,
-                            job: id,
-                            deadline_us: j.deadline_us,
-                            priority: j.priority,
-                        },
-                    );
-                }
-                Err(reason) => {
-                    metrics.counter_add("service.jobs.rejected", 1);
-                    log.record(now, depth, EventKind::Reject { session: j.session, reason });
-                }
+        // 2. Submissions at `now`.
+        while let Some(j) = jobs.get(next_submit).filter(|j| j.submit_us == now) {
+            core.next_job = next_submit as u64;
+            if core.submit(now, j.session, j.deadline_us, j.priority).is_ok() {
+                peak_depth = peak_depth.max(core.depth());
             }
             next_submit += 1;
         }
 
-        // 3. Dispatch pass, workers in ascending order (deterministic):
-        // own queue first, then a ring steal scan gated on the owner's
-        // backlog exceeding the threshold. One claim per free worker —
-        // a claim never makes another worker's claim possible, so a
-        // single pass reaches the fixpoint.
-        for w in 0..n {
-            if workers[w].is_some() {
+        // 3. Dispatch. One claim per free worker — a claim never makes
+        // another worker's claim possible, so a single pass reaches the
+        // fixpoint.
+        for (w, slot) in workers.iter_mut().enumerate() {
+            if slot.is_some() {
                 continue;
             }
-            let running: Vec<u64> = workers.iter().flatten().map(|r| r.session).collect();
-            let mut claim: Option<(crate::scheduler::QueuedJob, bool, usize, usize)> = None;
-            if let Some(q) = queues[w].pop_next(|j| !running.contains(&j.session)) {
-                claim = Some((q, false, w, 0));
-            } else {
-                for d in 1..n {
-                    let owner = (w + d) % n;
-                    let backlog = queues[owner].len();
-                    if !cfg.steal.may_steal(backlog) {
-                        continue;
-                    }
-                    if let Some(q) = queues[owner].pop_next(|j| !running.contains(&j.session)) {
-                        claim = Some((q, true, owner, backlog));
-                        break;
-                    }
-                }
-            }
-            let Some((q, stolen, owner, owner_backlog)) = claim else { continue };
-            let idx = q.job as usize;
-            if stolen {
+            let Some(c) = core.claim(w, now) else { continue };
+            let idx = c.job.job as usize;
+            if c.stolen {
+                let owner = preferred_worker(c.job.session, n);
                 steals.push(StealRecord {
                     script_index: idx,
-                    session: q.session,
+                    session: c.job.session,
                     owner,
                     thief: w,
-                    owner_backlog,
+                    owner_backlog: core.backlog(owner) + 1,
                 });
             }
-            let warm = cache.take(q.session).is_some();
-            let depth = depth_of(&queues);
-            metrics.counter_add(if warm { "service.cache.hit" } else { "service.cache.miss" }, 1);
-            metrics.counter_add(
-                if stolen { "service.jobs.stolen" } else { "service.jobs.preferred" },
-                1,
-            );
-            metrics
-                .observe("service.deadline.slack_at_start_us", q.deadline_us.saturating_sub(now) as f64);
-            metrics.gauge_set("service.queue.depth", depth as f64);
             outcomes[idx].started_us = Some(now);
-            outcomes[idx].warm = warm;
+            outcomes[idx].warm = c.ctx.is_some();
             outcomes[idx].worker = Some(w);
-            outcomes[idx].stolen = stolen;
-            workers[w] = Some(Running {
-                script_index: idx,
-                session: q.session,
-                deadline_us: q.deadline_us,
-                done_us: now + jobs[idx].cost_us.max(1),
-            });
-            log.record(
-                now,
-                depth,
-                EventKind::Start { session: q.session, job: q.job, warm, worker: w, stolen },
-            );
+            outcomes[idx].stolen = c.stolen;
+            *slot = Some(Running { script_index: idx, done_us: now + jobs[idx].cost_us.max(1) });
         }
     }
 
-    log.record(
-        outcomes.iter().filter_map(|o| o.completed_us).max().unwrap_or(0),
-        depth_of(&queues),
-        EventKind::Shutdown,
-    );
+    core.record_shutdown(last_completion);
     SimReport {
         outcomes,
         completion_order,
-        cache: cache.stats(),
+        cache: core.cache_stats(),
         peak_resident_bytes: peak_resident,
         peak_queue_depth: peak_depth,
         steals,
-        metrics: metrics.snapshot(),
-        log,
+        metrics: core.metrics().snapshot(),
+        log: core.into_log(),
     }
-}
-
-/// Parameters of the fleet simulator: N identically configured affinity
-/// shards behind the [`route_shard`] router.
-#[derive(Debug, Clone)]
-pub struct FleetSimConfig {
-    /// Number of shards (each an independent [`simulate_affinity`] run).
-    pub shards: usize,
-    /// Per-shard configuration.
-    pub shard: AffinityConfig,
 }
 
 /// Aggregate view of a fleet simulation.
@@ -559,46 +261,44 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Route the script across `shards` affinity shards by session key and
-/// simulate each shard independently (shards share nothing — separate
+/// Route the script across `cfg.shards` shards by session key and
+/// [`simulate`] each shard independently (shards share nothing — separate
 /// queues, caches, and worker pools — exactly like the threaded
 /// [`Fleet`](crate::fleet::Fleet)).
 ///
 /// Deterministic end to end: the router is a pure hash, each shard's
 /// simulation is bit-deterministic, and the merged metrics snapshot is
 /// assembled in shard order.
-pub fn simulate_fleet(cfg: &FleetSimConfig, jobs: &[SimJob]) -> FleetSimReport {
+pub fn simulate_fleet(cfg: &FleetConfig, jobs: &[SimJob]) -> FleetSimReport {
     let s = cfg.shards.max(1);
     let mut per_shard: Vec<Vec<SimJob>> = vec![Vec::new(); s];
     for j in jobs {
         per_shard[route_shard(j.session, s)].push(j.clone());
     }
     let shards: Vec<SimReport> =
-        per_shard.iter().map(|script| simulate_affinity(&cfg.shard, script)).collect();
+        per_shard.iter().map(|script| simulate(&cfg.shard, script)).collect();
 
-    let mut submitted = 0u64;
     let mut completed = 0u64;
     let mut shed = 0u64;
     let mut missed = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
     for (i, r) in shards.iter().enumerate() {
         for o in &r.outcomes {
-            match o.completed_us {
-                Some(done) => {
-                    submitted += 1;
-                    completed += 1;
-                    if o.missed_deadline {
-                        missed += 1;
-                    }
-                    latencies.push(done.saturating_sub(per_shard[i][o.script_index].submit_us));
-                }
-                None if o.started_us.is_some() => submitted += 1,
-                None => shed += 1,
+            // The simulator drains every admitted job: one without a
+            // completion was shed at admission, and submitted = completed.
+            let Some(done) = o.completed_us else {
+                shed += 1;
+                continue;
+            };
+            completed += 1;
+            if o.missed_deadline {
+                missed += 1;
             }
+            latencies.push(done.saturating_sub(per_shard[i][o.script_index].submit_us));
         }
     }
     latencies.sort_unstable();
-    let admitted_or_shed = (submitted + shed).max(1);
+    let admitted_or_shed = (completed + shed).max(1);
 
     let mut parts: Vec<Snapshot> =
         shards.iter().enumerate().map(|(i, r)| r.metrics.prefixed(&format!("shard{i}"))).collect();
@@ -607,7 +307,7 @@ pub fn simulate_fleet(cfg: &FleetSimConfig, jobs: &[SimJob]) -> FleetSimReport {
             ("fleet.jobs.completed".to_string(), completed),
             ("fleet.jobs.missed_deadline".to_string(), missed),
             ("fleet.jobs.shed".to_string(), shed),
-            ("fleet.jobs.submitted".to_string(), submitted),
+            ("fleet.jobs.submitted".to_string(), completed),
         ],
         gauges: vec![
             ("fleet.latency.p50_us".to_string(), percentile_us(&latencies, 50.0) as f64),
@@ -620,7 +320,7 @@ pub fn simulate_fleet(cfg: &FleetSimConfig, jobs: &[SimJob]) -> FleetSimReport {
 
     FleetSimReport {
         per_shard_hit_rate: shards.iter().map(|r| r.cache.hit_rate()).collect(),
-        submitted,
+        submitted: completed,
         completed,
         shed,
         shed_rate: shed as f64 / admitted_or_shed as f64,
@@ -636,16 +336,16 @@ pub fn simulate_fleet(cfg: &FleetSimConfig, jobs: &[SimJob]) -> FleetSimReport {
 mod tests {
     use super::*;
 
-    fn cfg(workers: usize, capacity: usize, aging: f64, budget: usize) -> SimConfig {
-        SimConfig {
+    fn cfg(workers: usize, capacity: usize, aging: f64, budget: usize) -> ServiceConfig {
+        ServiceConfig {
             workers,
-            policy: SchedulerPolicy {
-                queue_capacity: capacity,
-                aging_weight: aging,
-                min_service_us: 0,
-                priority_boost_us: 0,
-            },
-            budget_bytes: budget,
+            queue_capacity: capacity,
+            memory_budget_bytes: budget,
+            aging_weight: aging,
+            min_service_us: 0,
+            priority_boost_us: 0,
+            max_session_backlog: usize::MAX,
+            ..Default::default()
         }
     }
 

@@ -1,25 +1,23 @@
 //! Property tests of the affinity-dispatch and fleet contracts, driven
-//! through the deterministic simulators (which run the production
-//! `DeadlineQueue` / `ContextCache` / `StealPolicy` / `preferred_worker`
-//! / `route_shard` code on a logical clock — see `sim.rs`).
+//! through the deterministic simulator (which drives the production
+//! `ShardCore` — queues, cache, steal policy, placement — and the
+//! `route_shard` router on a logical clock; see `sim.rs`).
 
 use brainshift_service::{
-    preferred_worker, simulate_affinity, simulate_fleet, AffinityConfig, FleetSimConfig,
-    SchedulerPolicy, SimJob, StealPolicy,
+    preferred_worker, simulate, simulate_fleet, FleetConfig, ServiceConfig, SimJob,
 };
 use proptest::prelude::*;
 
-fn cfg(workers: usize, capacity: usize, threshold: usize) -> AffinityConfig {
-    AffinityConfig {
+fn cfg(workers: usize, capacity: usize, threshold: usize) -> ServiceConfig {
+    ServiceConfig {
         workers,
-        policy: SchedulerPolicy {
-            queue_capacity: capacity,
-            aging_weight: 1.0,
-            min_service_us: 0,
-            priority_boost_us: 0,
-        },
-        budget_bytes: usize::MAX / 2,
-        steal: StealPolicy { backlog_threshold: threshold },
+        queue_capacity: capacity,
+        memory_budget_bytes: usize::MAX / 2,
+        aging_weight: 1.0,
+        min_service_us: 0,
+        priority_boost_us: 0,
+        max_session_backlog: usize::MAX,
+        steal_backlog_threshold: threshold,
     }
 }
 
@@ -68,7 +66,7 @@ fn des_scaling_p95_is_monotone_non_increasing_1_2_4_workers() {
     let jobs = steady_load(8, 40, 1_000, 600);
     let mut p95 = Vec::new();
     for workers in [1usize, 2, 4] {
-        let r = simulate_affinity(&cfg(workers, jobs.len(), 2), &jobs);
+        let r = simulate(&cfg(workers, jobs.len(), 2), &jobs);
         p95.push(p95_latency(&jobs, &r));
     }
     assert!(
@@ -104,7 +102,7 @@ proptest! {
         // the next wave: no backlog, no steal pressure.
         let cadence = cost * (sessions + 1);
         let jobs = steady_load(sessions, per, cadence, cost);
-        let r = simulate_affinity(&cfg(workers, jobs.len(), 2), &jobs);
+        let r = simulate(&cfg(workers, jobs.len(), 2), &jobs);
         prop_assert!(r.steals.is_empty(), "steals under nominal load: {:?}", r.steals);
         for o in &r.outcomes {
             prop_assert!(o.completed_us.is_some(), "job {} never completed", o.script_index);
@@ -148,7 +146,7 @@ proptest! {
                 }
             })
             .collect();
-        let r = simulate_affinity(&cfg(workers, jobs.len(), threshold), &jobs);
+        let r = simulate(&cfg(workers, jobs.len(), threshold), &jobs);
         for st in &r.steals {
             prop_assert!(
                 st.owner_backlog > threshold,
@@ -202,8 +200,8 @@ proptest! {
             })
             .collect();
         let c = cfg(workers, jobs.len().max(4), threshold);
-        let a = simulate_affinity(&c, &jobs);
-        let b = simulate_affinity(&c, &jobs);
+        let a = simulate(&c, &jobs);
+        let b = simulate(&c, &jobs);
         prop_assert_eq!(a.log.script(), b.log.script());
         prop_assert_eq!(a.steals, b.steals);
         prop_assert_eq!(a.completion_order, b.completion_order);
@@ -237,7 +235,7 @@ proptest! {
                 }
             })
             .collect();
-        let c = FleetSimConfig { shards, shard: cfg(2, jobs.len().max(4), 2) };
+        let c = FleetConfig { shards, shard: cfg(2, jobs.len().max(4), 2) };
         let a = simulate_fleet(&c, &jobs);
         let b = simulate_fleet(&c, &jobs);
         prop_assert_eq!(a.shards.len(), shards);

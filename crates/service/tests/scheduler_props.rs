@@ -1,20 +1,20 @@
 //! Property tests of the scheduling contracts, driven through the
-//! deterministic simulator (which runs the production `DeadlineQueue` and
-//! `ContextCache` code on a logical clock — see `sim.rs`).
+//! deterministic simulator (which drives the production `ShardCore` on a
+//! logical clock — see `sim.rs`).
 
-use brainshift_service::{simulate, SchedulerPolicy, SimConfig, SimJob};
+use brainshift_service::{simulate, ServiceConfig, SimJob};
 use proptest::prelude::*;
 
-fn cfg(workers: usize, capacity: usize, aging: f64, budget: usize) -> SimConfig {
-    SimConfig {
+fn cfg(workers: usize, capacity: usize, aging: f64, budget: usize) -> ServiceConfig {
+    ServiceConfig {
         workers,
-        policy: SchedulerPolicy {
-            queue_capacity: capacity,
-            aging_weight: aging,
-            min_service_us: 0,
-            priority_boost_us: 0,
-        },
-        budget_bytes: budget,
+        queue_capacity: capacity,
+        memory_budget_bytes: budget,
+        aging_weight: aging,
+        min_service_us: 0,
+        priority_boost_us: 0,
+        max_session_backlog: usize::MAX,
+        ..Default::default()
     }
 }
 

@@ -7,7 +7,7 @@ use brainshift_core::{PipelineConfig, PreparedSurgery, ScanStatus};
 use brainshift_core::generate_scan_sequence;
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
-use brainshift_service::{EventKind, Rejected, ScanJob, Service, ServiceConfig};
+use brainshift_service::{EventKind, Rejected, ScanJob, Service, ServiceConfig, ServiceError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -317,5 +317,53 @@ fn admission_rejections_are_typed() {
     });
     assert!(matches!(r.err(), Some(Rejected::DeadlineInfeasible)));
 
+    service.shutdown();
+}
+
+#[test]
+fn scan_on_the_wrong_grid_fails_typed_and_the_worker_survives() {
+    // Regression: `register_scan` handed a volume of foreign `Dims` to
+    // the feature stack, whose grid assert panicked the worker thread —
+    // the ticket saw `JobLost`, the session stayed busy forever, and
+    // `snapshot_shard`'s quiesce never returned.
+    let seq = small_seq(1, 8.0);
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    let s = service.open_session(prepared(&seq));
+    let wrong = brainshift_imaging::Volume::<f32>::zeros(Dims::new(16, 16, 12), Spacing::iso(9.0));
+    let bad = service
+        .submit(ScanJob {
+            session: s,
+            intensity: wrong,
+            priority: 0,
+            deadline: Duration::from_secs(300),
+        })
+        .expect("admission does not inspect the volume")
+        .wait();
+    match bad {
+        Err(ServiceError::Pipeline(e)) => {
+            let msg = e.to_string();
+            assert!(msg.contains("16") && msg.contains("32"), "error names both grids: {msg}");
+        }
+        other => panic!("mismatched grid must resolve Pipeline, got {other:?}"),
+    }
+
+    // Same session, same (only) worker: the next well-formed scan runs.
+    let good = service
+        .submit(ScanJob {
+            session: s,
+            intensity: seq.scans[0].intensity.clone(),
+            priority: 0,
+            deadline: Duration::from_secs(300),
+        })
+        .expect("admit")
+        .wait()
+        .expect("the worker survived the bad scan");
+    assert_ne!(good.status, ScanStatus::Degraded);
+    let st = service.session_stats(s).expect("session exists");
+    assert_eq!(st.completed, 2, "the failed scan counts as completed, like any pipeline error");
+
+    // And the shard still quiesces.
+    let bytes = service.snapshot_shard().expect("snapshot returns");
+    assert!(!bytes.is_empty());
     service.shutdown();
 }

@@ -36,13 +36,22 @@ RAYON_NUM_THREADS=1 cargo test -q -p brainshift-segment -p brainshift-surface
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-segment -p brainshift-surface
 cargo run -q --release -p brainshift-bench --bin segment_hot_json -- 4
 
-# Service stage: scheduler/cache property tests + threaded fault
-# injection, then a small-scale smoke of the open-loop load generator
-# (3 surgeries × 3 scans, 1.5 s cadence — ~10% utilization on one CPU).
-# It internally asserts deadline behaviour never worsens as workers are
-# added, no errors at half memory budget, and — always, on a logical
-# clock — p95 monotone non-increasing across the 1→2→4 worker sweep.
-cargo test -q -p brainshift-service
+# Service stage: the serving layer, all of it — core/queue/cache unit
+# tests, the scheduler and affinity property suites on the simulator
+# (EDF order, aging bound, threshold-gated stealing, byte-deterministic
+# scripts across worker and shard counts), the threaded fault-injection,
+# affinity and fleet end-to-end tests, and the root-level goldens that
+# pin simulator ≡ parent and threaded service ≡ simulator — at two rayon
+# thread counts so the determinism claims survive parallelism. Then a
+# small-scale smoke of the open-loop load generator (3 surgeries × 3
+# scans, 1.5 s cadence — ~10% utilization on one CPU). It internally
+# asserts deadline behaviour never worsens as workers are added, no
+# errors at half memory budget, and — always, on a logical clock — p95
+# monotone non-increasing across the 1→2→4 worker sweep.
+RAYON_NUM_THREADS=1 cargo test -q -p brainshift-service
+RAYON_NUM_THREADS=4 cargo test -q -p brainshift-service
+RAYON_NUM_THREADS=1 cargo test -q --test scheduler_core
+RAYON_NUM_THREADS=4 cargo test -q --test scheduler_core
 cargo run -q --release -p brainshift-bench --bin service_throughput_json -- 3 3 1500
 
 # Scenario stage: the seeded scenario factory. Property tests prove
@@ -57,14 +66,6 @@ cargo run -q --release -p brainshift-bench --bin service_throughput_json -- 3 3 
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-scenario
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-scenario
 cargo run -q --release -p brainshift-bench --bin scenario_suite_json -- 200
-
-# Fleet stage: the affinity-dispatch and sharded-fleet contracts. The
-# property suites (preferred-worker under nominal load, threshold-gated
-# stealing, byte-deterministic scripts across shard counts) plus the
-# threaded affinity/fleet end-to-end tests, under two worker counts so
-# the determinism claims survive thread-count changes.
-RAYON_NUM_THREADS=1 cargo test -q -p brainshift-service --test affinity_props --test service_affinity
-RAYON_NUM_THREADS=4 cargo test -q -p brainshift-service --test affinity_props --test service_affinity
 
 # Persist stage: the durability layer. Codec/container round-trip and
 # corruption suites in the persist crate, the workspace-wide Persist
@@ -123,6 +124,30 @@ for call in 'solve_escalated(' 'conjugate_gradient('; do
   n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF "$call" || true)
   if [ "$n" -ne 1 ]; then
     echo "expected exactly one non-test '$call' call in crates/fem/src, found $n" >&2
+    exit 1
+  fi
+done
+
+# One dispatch core: `core.rs` is the only place in the service crate
+# that makes a scheduling decision visible — it alone records events and
+# `service.*` metrics, each `EventKind` at exactly one site — and the
+# simulator is the only logical-clock event loop.
+n=$(for f in crates/service/src/*.rs; do non_test "$f"; done | grep -cF 'advance_to_us(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test 'advance_to_us(' call in crates/service/src, found $n" >&2
+  exit 1
+fi
+for f in crates/service/src/*.rs; do
+  [ "$f" = crates/service/src/core.rs ] && continue
+  if non_test "$f" | grep -nE '"service\.|\.record\('; then
+    echo "service.* metric literal or EventLog::record call outside the core: $f" >&2
+    exit 1
+  fi
+done
+for kind in Enqueue Reject Start Escalate Degrade Evict Cancel Complete Shutdown; do
+  n=$(non_test crates/service/src/core.rs | grep -cE "EventKind::$kind\b" || true)
+  if [ "$n" -ne 1 ]; then
+    echo "expected exactly one recording site for EventKind::$kind in core.rs, found $n" >&2
     exit 1
   fi
 done
