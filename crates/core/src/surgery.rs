@@ -8,9 +8,10 @@
 //!
 //! * [`PreparedSurgery`] — everything built **once per surgery** from the
 //!   reference scan: the tetrahedral mesh, its boundary surface snapped
-//!   onto the reference brain boundary, and the prototype-voxel
-//!   statistical model for intraoperative classification. Immutable and
-//!   shareable across scans (and across worker threads).
+//!   onto the reference brain boundary, the prototype-voxel statistical
+//!   model for intraoperative classification with its distance channels,
+//!   the surface's neighbour table, and the mesh → grid resample plan.
+//!   Immutable and shareable across scans (and across worker threads).
 //! * [`PreparedSurgery::register_scan`] — the **per-scan job**: classify
 //!   the new scan, evolve the active surface onto it, and run one
 //!   warm-started FEM solve against a caller-owned [`SolverContext`].
@@ -29,7 +30,7 @@ use crate::pipeline::PipelineConfig;
 use crate::sequence::ScanStatus;
 use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
-use brainshift_fem::{displacement_field_from_mesh, DirichletBcs, SolverContext};
+use brainshift_fem::{DirichletBcs, ResamplePlan, SolverContext};
 use brainshift_imaging::dtransform::label_distance_map;
 use brainshift_imaging::{labels, Dims, DisplacementField, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
@@ -62,6 +63,10 @@ pub struct PreparedSurgery {
     /// Vertex adjacency of the boundary surface, built once; every scan's
     /// active-surface evolution reuses it.
     neighbor_table: NeighborTable,
+    /// Voxel → (tet, barycentric weights) map of the mesh on the
+    /// reference grid; every scan's resampling is one weighted sum per
+    /// covered voxel.
+    resample_plan: ResamplePlan,
     /// Previous scan's classification state for incremental k-NN. `None`
     /// before the first scan and after a shape/model mismatch.
     seg_cache: Mutex<Option<IncrementalCache>>,
@@ -72,7 +77,7 @@ pub struct PreparedSurgery {
 pub struct ScanRegistration {
     /// How the biomechanical solve concluded.
     pub status: ScanStatus,
-    /// Recovered forward deformation field on the scan grid. For a
+    /// Recovered forward deformation field on the surgery's grid. For a
     /// [`ScanStatus::Degraded`] scan this is the carry-forward field
     /// (zero when none was provided), not a solution for this scan.
     pub field: DisplacementField,
@@ -135,6 +140,8 @@ impl PreparedSurgery {
             .iter()
             .map(|&c| Arc::new(label_distance_map(reference_labels, c, cfg.segment.distance_cap)))
             .collect();
+        let resample_plan =
+            ResamplePlan::new(&mesh, reference_labels.dims(), reference_labels.spacing());
         Ok(PreparedSurgery {
             cfg,
             dims: reference_labels.dims(),
@@ -144,6 +151,7 @@ impl PreparedSurgery {
             model,
             distance_channels,
             neighbor_table,
+            resample_plan,
             seg_cache: Mutex::new(None),
         })
     }
@@ -259,13 +267,7 @@ impl PreparedSurgery {
             } else {
                 ScanStatus::Converged
             };
-            let field = displacement_field_from_mesh(
-                &self.mesh,
-                &sol.displacements,
-                intensity.dims(),
-                intensity.spacing(),
-            )?;
-            (status, field)
+            (status, self.resample_plan.apply(&sol.displacements)?)
         } else {
             // Graceful degradation: the navigation display keeps showing
             // the last trusted state rather than an unconverged iterate.

@@ -31,7 +31,7 @@ pub use bc::{apply_dirichlet, DirichletBcs, DirichletStructure, ReducedSystem};
 pub use context::{ContextStats, ContextTimings, SolverContext};
 pub use element::{stiffness_btdb, stiffness_isotropic, TetShape};
 pub use error::FemError;
-pub use interpolate::displacement_field_from_mesh;
+pub use interpolate::{displacement_field_from_mesh, ResamplePlan};
 pub use loads::{
     assemble_body_force, assemble_directed_gravity, assemble_gravity, gravity_load_density,
 };

@@ -64,92 +64,91 @@ fn dt_1d(f: &[f64], h: f64, out: &mut [f64], v: &mut [usize], z: &mut [f64]) {
     }
 }
 
+/// Scratch for [`dt_1d`] over lines of up to `n` samples: a line's input
+/// copy and output, the parabola sites and their boundaries.
+fn line_scratch(n: usize) -> (Vec<f64>, Vec<f64>, Vec<usize>, Vec<f64>) {
+    (vec![0.0; n], vec![0.0; n], vec![0; n], vec![0.0; n + 1])
+}
+
+/// z-planes transposed per task by the last sweep of [`squared_edt_mm`]:
+/// one cache line of `f64` pillar samples.
+const Z_BLOCK: usize = 8;
+
 /// Exact squared Euclidean distance in *physical* units (mm², honoring
 /// anisotropic voxel spacing) from every voxel to the nearest voxel where
-/// `mask` is true. Voxels inside the mask get 0. If the mask is empty,
-/// all distances are `INF`-like large values.
-fn squared_edt_mm(mask: &Volume<bool>) -> Vec<f64> {
+/// `mask` is true, each passed through `finish` on its way out. Voxels
+/// inside the mask get 0. If the mask is empty, all distances are
+/// `INF`-like large values.
+///
+/// Three separable passes, x then y then z. The x and y passes run in
+/// place inside each z-slab; the z pass reads pillars out of the slabs
+/// and writes them contiguously into a `[y][x][z]` buffer, which a last
+/// slab-parallel sweep transposes back through `finish`. Scratch is
+/// allocated once per parallel task, never per line.
+fn squared_edt_mm<T: Copy + Default + Send>(
+    mask: &Volume<bool>,
+    finish: impl Fn(f64) -> T + Sync,
+) -> Vec<T> {
     let d = mask.dims();
     let sp = mask.spacing();
+    if d.is_empty() {
+        return Vec::new();
+    }
     let mut g: Vec<f64> = mask.data().iter().map(|&m| if m { 0.0 } else { INF }).collect();
+    let slab = d.nx * d.ny;
 
-    // Pass along x: for each (y, z) row.
-    {
-        let rows: Vec<(usize, usize)> = (0..d.nz).flat_map(|z| (0..d.ny).map(move |y| (y, z))).collect();
-        let results: Vec<(usize, Vec<f64>)> = rows
-            .par_iter()
-            .map(|&(y, z)| {
-                let mut f = vec![0.0; d.nx];
-                for x in 0..d.nx {
-                    f[x] = g[d.index(x, y, z)];
-                }
-                let mut out = vec![0.0; d.nx];
-                let mut v = vec![0usize; d.nx];
-                let mut zz = vec![0.0; d.nx + 1];
-                dt_1d(&f, sp.dx, &mut out, &mut v, &mut zz);
-                (d.index(0, y, z), out)
-            })
-            .collect();
-        for (start, row) in results {
-            g[start..start + d.nx].copy_from_slice(&row);
+    g.par_chunks_mut(slab).for_each(|plane| {
+        let (mut f, mut out, mut v, mut zz) = line_scratch(d.nx.max(d.ny));
+        // Pass along x: each row is contiguous.
+        for row in plane.chunks_mut(d.nx) {
+            f[..d.nx].copy_from_slice(row);
+            dt_1d(&f[..d.nx], sp.dx, row, &mut v, &mut zz);
         }
-    }
-
-    // Pass along y.
-    {
-        let cols: Vec<(usize, usize)> = (0..d.nz).flat_map(|z| (0..d.nx).map(move |x| (x, z))).collect();
-        let results: Vec<((usize, usize), Vec<f64>)> = cols
-            .par_iter()
-            .map(|&(x, z)| {
-                let mut f = vec![0.0; d.ny];
-                for y in 0..d.ny {
-                    f[y] = g[d.index(x, y, z)];
-                }
-                let mut out = vec![0.0; d.ny];
-                let mut v = vec![0usize; d.ny];
-                let mut zz = vec![0.0; d.ny + 1];
-                dt_1d(&f, sp.dy, &mut out, &mut v, &mut zz);
-                ((x, z), out)
-            })
-            .collect();
-        for ((x, z), col) in results {
-            for (y, val) in col.into_iter().enumerate() {
-                g[d.index(x, y, z)] = val;
+        // Pass along y: gather a column, transform, scatter it back.
+        for x in 0..d.nx {
+            for (fy, row) in f.iter_mut().zip(plane.chunks(d.nx)) {
+                *fy = row[x];
+            }
+            dt_1d(&f[..d.ny], sp.dy, &mut out[..d.ny], &mut v, &mut zz);
+            for (row, &o) in plane.chunks_mut(d.nx).zip(&out) {
+                row[x] = o;
             }
         }
-    }
+    });
 
-    // Pass along z.
-    {
-        let pillars: Vec<(usize, usize)> = (0..d.ny).flat_map(|y| (0..d.nx).map(move |x| (x, y))).collect();
-        let results: Vec<((usize, usize), Vec<f64>)> = pillars
-            .par_iter()
-            .map(|&(x, y)| {
-                let mut f = vec![0.0; d.nz];
-                for z in 0..d.nz {
-                    f[z] = g[d.index(x, y, z)];
-                }
-                let mut out = vec![0.0; d.nz];
-                let mut v = vec![0usize; d.nz];
-                let mut zz = vec![0.0; d.nz + 1];
-                dt_1d(&f, sp.dz, &mut out, &mut v, &mut zz);
-                ((x, y), out)
-            })
-            .collect();
-        for ((x, y), pillar) in results {
-            for (z, val) in pillar.into_iter().enumerate() {
-                g[d.index(x, y, z)] = val;
+    // Pass along z, one task per y: pillar (x, y) lands at
+    // `t[(y·nx + x)·nz ..][..nz]`.
+    let mut t = vec![0.0; g.len()];
+    t.par_chunks_mut(d.nx * d.nz).enumerate().for_each(|(y, pillars)| {
+        let (mut f, _, mut v, mut zz) = line_scratch(d.nz);
+        for (x, out) in pillars.chunks_mut(d.nz).enumerate() {
+            for (fz, plane) in f.iter_mut().zip(g.chunks(slab)) {
+                *fz = plane[x + d.nx * y];
+            }
+            dt_1d(&f, sp.dz, out, &mut v, &mut zz);
+        }
+    });
+    drop(g);
+
+    // Back to `[z][y][x]`, a block of planes per task so that each pillar
+    // is read once.
+    let mut out = vec![T::default(); t.len()];
+    out.par_chunks_mut(slab * Z_BLOCK).enumerate().for_each(|(b, planes)| {
+        let z0 = b * Z_BLOCK;
+        let z1 = z0 + planes.len() / slab;
+        for (i, pillar) in t.chunks(d.nz).enumerate() {
+            for (dz, &sq) in pillar[z0..z1].iter().enumerate() {
+                planes[dz * slab + i] = finish(sq);
             }
         }
-    }
-    g
+    });
+    out
 }
 
 /// Euclidean distance (millimetres; anisotropic spacing honored) from
 /// every voxel to the nearest voxel of `mask`.
 pub fn distance_transform(mask: &Volume<bool>) -> Volume<f32> {
-    let sq = squared_edt_mm(mask);
-    let data: Vec<f32> = sq.par_iter().map(|&s| (s.min(INF)).sqrt() as f32).collect();
+    let data = squared_edt_mm(mask, |s| (s.min(INF)).sqrt() as f32);
     Volume::from_vec(mask.dims(), mask.spacing(), data)
 }
 
@@ -295,6 +294,37 @@ mod tests {
             let brute = distance_transform_brute(&m);
             for (a, b) in fast.data().iter().zip(brute.data()) {
                 assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn squared_edt_equals_brute_force_on_thin_and_anisotropic_grids() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        // Spacings whose squares are exact in binary, so both sides do
+        // exact arithmetic and must agree to the bit. 7×5×1 has a z axis
+        // of length 1; 6×9×4 leaves a partial block in the last sweep.
+        for (dims, sp) in [
+            (Dims::new(7, 5, 1), Spacing::new(1.0, 1.5, 2.5)),
+            (Dims::new(6, 9, 4), Spacing::new(1.5, 0.5, 2.5)),
+        ] {
+            let m = Volume::from_fn(dims, sp, |_, _, _| rng.gen_bool(0.2));
+            let features: Vec<_> =
+                m.iter_voxels().filter(|&(_, _, _, &on)| on).map(|(x, y, z, _)| (x, y, z)).collect();
+            assert!(!features.is_empty());
+            let fast = squared_edt_mm(&m, |s| s);
+            assert_eq!(fast.len(), dims.len());
+            for (x, y, z, _) in m.iter_voxels() {
+                let brute = features
+                    .iter()
+                    .map(|&(fx, fy, fz)| {
+                        let d = |a: usize, b: usize, h: f64| (a as f64 - b as f64) * h;
+                        let (dx, dy, dz) = (d(x, fx, sp.dx), d(y, fy, sp.dy), d(z, fz, sp.dz));
+                        dx * dx + dy * dy + dz * dz
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                assert_eq!(fast[dims.index(x, y, z)].to_bits(), brute.to_bits(), "({x},{y},{z}) of {dims:?}");
             }
         }
     }

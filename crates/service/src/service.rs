@@ -393,7 +393,7 @@ impl Service {
         for (sess, context) in sessions {
             let (carry_forward, stats) = {
                 let state = sess.state.lock();
-                (state.carry_forward.clone(), state.stats)
+                (state.carry_forward.as_deref().cloned(), state.stats)
             };
             let mesh = sess.prepared().mesh();
             snaps.push(crate::persist::SessionSnapshot {
@@ -608,7 +608,7 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
     // already serializes jobs of one session, so state only needs a
     // short lock around each read/write.
     let carry = session.state.lock().carry_forward.clone();
-    let reg = match prepared.register_scan(&mut ctx, &pending.intensity, carry.as_ref(), None, Some(&policy)) {
+    let reg = match prepared.register_scan(&mut ctx, &pending.intensity, carry.as_deref(), None, Some(&policy)) {
         Ok(reg) => reg,
         Err(e) => {
             // A typed pipeline failure poisons neither the session (its
@@ -620,7 +620,8 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
     };
     // Everything slow happens before the lock: the next carry-forward
     // field is cloned and the context sized out here.
-    let carry_next = (!matches!(reg.status, ScanStatus::Degraded)).then(|| reg.field.clone());
+    let carry_next =
+        (!matches!(reg.status, ScanStatus::Degraded)).then(|| Arc::new(reg.field.clone()));
     let ctx_bytes = ctx.memory_bytes();
     let done = shared.decide(|shard, now| {
         // Per-stage spans: the paper's intraoperative breakdown, as

@@ -66,8 +66,9 @@ impl brainshift_persist::Persist for SessionStats {
 /// Mutable between-scan state.
 pub(crate) struct SessionState {
     /// Field of the last successfully registered scan; a degraded scan
-    /// returns this instead of a fresh solution.
-    pub carry_forward: Option<DisplacementField>,
+    /// returns this instead of a fresh solution. Shared, so a worker
+    /// borrows it for a scan without copying it under the lock.
+    pub carry_forward: Option<Arc<DisplacementField>>,
     pub stats: SessionStats,
 }
 
@@ -119,7 +120,7 @@ impl SurgerySession {
             fingerprint,
             prepared,
             preferred_worker,
-            state: Mutex::new(SessionState { carry_forward, stats }),
+            state: Mutex::new(SessionState { carry_forward: carry_forward.map(Arc::new), stats }),
         }
     }
 

@@ -36,6 +36,41 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// `y += alpha * x`, then `y · z` over the updated `y` (`y · y` when `z`
+/// is `None`), in one pass over the data.
+///
+/// Bit for bit [`axpy`]`(alpha, x, y)` followed by [`dot`]`(y, z)`: per
+/// element the same update and the same product, per chunk the same
+/// left-to-right sum, chunk boundaries those `dot` gets from the thread
+/// pool (`⌈n / threads⌉` from [`PAR_THRESHOLD`] elements up, one chunk
+/// below it), partial sums added in chunk order. What it saves is a
+/// second trip through the pool and a second read of `y`.
+pub fn axpy_then_dot(alpha: f64, x: &[f64], y: &mut [f64], z: Option<&[f64]>) -> f64 {
+    debug_assert_eq!(x.len(), y.len());
+    debug_assert!(z.is_none_or(|z| z.len() == y.len()));
+    let sweep = |x: &[f64], y: &mut [f64], z: Option<&[f64]>| -> f64 {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
+        match z {
+            Some(z) => y.iter().zip(z).map(|(a, b)| a * b).sum(),
+            None => y.iter().map(|a| a * a).sum(),
+        }
+    };
+    let n = y.len();
+    if n < PAR_THRESHOLD {
+        return sweep(x, y, z);
+    }
+    let per = n.div_ceil(rayon::current_num_threads().min(n));
+    let partials: Vec<f64> = y
+        .par_chunks_mut(per)
+        .zip(x.par_chunks(per))
+        .enumerate()
+        .map(|(c, (y, x))| sweep(x, y, z.map(|z| &z[c * per..c * per + y.len()])))
+        .collect();
+    partials.into_iter().sum()
+}
+
 /// `x *= alpha`.
 pub fn scale(alpha: f64, x: &mut [f64]) {
     if x.len() >= PAR_THRESHOLD {
@@ -206,6 +241,31 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| ((i + 3) % 7) as f64).collect();
         let serial: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
         assert!((dot(&a, &b) - serial).abs() < 1e-9 * serial.abs());
+    }
+
+    #[test]
+    fn fused_sweep_is_axpy_then_dot_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        // Both sides of PAR_THRESHOLD: one chunk, and one chunk per thread.
+        for n in [1_000, 40_000] {
+            let mut vec = || (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<f64>>();
+            let (x, z, y0) = (vec(), vec(), vec());
+            let alpha = -0.371;
+
+            let mut y_ref = y0.clone();
+            axpy(alpha, &x, &mut y_ref);
+            let mut y = y0.clone();
+            let got = axpy_then_dot(alpha, &x, &mut y, Some(&z));
+            assert_eq!(got.to_bits(), dot(&y_ref, &z).to_bits(), "n = {n}");
+            assert!(y.iter().zip(&y_ref).all(|(a, b)| a.to_bits() == b.to_bits()), "n = {n}");
+
+            // The closing sweep of a Gram–Schmidt step: ‖y‖² of the update.
+            let mut y = y0.clone();
+            let got = axpy_then_dot(alpha, &x, &mut y, None);
+            assert_eq!(got.sqrt().to_bits(), norm2(&y_ref).to_bits(), "n = {n}");
+            assert!(y.iter().zip(&y_ref).all(|(a, b)| a.to_bits() == b.to_bits()), "n = {n}");
+        }
     }
 
     #[test]

@@ -269,39 +269,49 @@ impl Ilu0 {
 
     /// Solve `M z = r` with `M = S⁻¹ (L U) S⁻¹` (the ILU factorization of
     /// the scaled matrix, unscaled back): `z = S · LU⁻¹ · (S r)`.
+    ///
+    /// Each factor entry is read once: [`split_row`](Self::split_row)
+    /// divides row `i` into its L part and its U part.
     pub fn solve(&self, r: &[f64], z: &mut [f64]) {
         let n = self.lu.nrows();
         debug_assert!(r.len() == n && z.len() == n);
+        let (indptr, cols, vals) = (self.lu.indptr(), self.lu.indices(), self.lu.values());
         // Forward: L y = S r (unit diagonal).
         for i in 0..n {
             let mut acc = r[i] * self.scale[i];
-            let (cols, vals) = self.lu.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c >= i {
-                    break;
-                }
-                acc -= v * z[c];
+            let (lower_end, _, _) = self.split_row(i);
+            for k in indptr[i]..lower_end {
+                acc -= vals[k] * z[cols[k]];
             }
             z[i] = acc;
         }
         // Backward: U w = y, then z = S w.
         for i in (0..n).rev() {
             let mut acc = z[i];
-            let (cols, vals) = self.lu.row(i);
-            let mut diag = 1.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c > i {
-                    acc -= v * z[c];
-                } else if c == i {
-                    diag = v;
-                }
+            let (_, upper_start, pivot) = self.split_row(i);
+            for k in upper_start..indptr[i + 1] {
+                acc -= vals[k] * z[cols[k]];
             }
-            z[i] = acc / diag;
+            z[i] = acc / pivot;
         }
         for i in 0..n {
             z[i] *= self.scale[i];
         }
-        let _ = &self.diag_pos;
+    }
+
+    /// Where row `i` of `lu` splits: the end of its strictly-lower
+    /// entries, the start of its strictly-upper ones, and its pivot. With
+    /// a stored diagonal that is `diag_pos` and its two neighbours; a row
+    /// without one splits at its first column ≥ `i` and pivots on 1.
+    #[inline]
+    fn split_row(&self, i: usize) -> (usize, usize, f64) {
+        let d = self.diag_pos[i];
+        if d != usize::MAX {
+            return (d, d + 1, self.lu.values()[d]);
+        }
+        let (start, end) = (self.lu.indptr()[i], self.lu.indptr()[i + 1]);
+        let first_upper = start + self.lu.indices()[start..end].partition_point(|&c| c < i);
+        (first_upper, first_upper, 1.0)
     }
 }
 
@@ -587,23 +597,19 @@ impl Preconditioner for BlockJacobiPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         // Each block solve is independent; in the real-parallel path they
         // run across threads, and in the simulated cluster each rank solves
-        // only its own block.
-        let chunks: Vec<(usize, Vec<f64>)> = self
-            .ranges
-            .par_iter()
-            .zip(self.factors.par_iter())
-            .map(|(&(lo, hi), factor)| {
-                let mut out = vec![0.0; hi - lo];
-                match factor {
-                    BlockFactor::Dense(lu) => lu.solve(&r[lo..hi], &mut out),
-                    BlockFactor::Ilu(ilu) => ilu.solve(&r[lo..hi], &mut out),
-                }
-                (lo, out)
-            })
-            .collect();
-        for (lo, out) in chunks {
-            z[lo..lo + out.len()].copy_from_slice(&out);
+        // only its own block. The blocks tile `z` in order, so each one
+        // solves straight into its own piece.
+        let mut rest = z;
+        let mut pieces = Vec::with_capacity(self.ranges.len());
+        for &(lo, hi) in &self.ranges {
+            let (piece, tail) = rest.split_at_mut(hi - lo);
+            pieces.push((piece, &r[lo..hi]));
+            rest = tail;
         }
+        pieces.par_iter_mut().zip(self.factors.par_iter()).for_each(|((z, r), factor)| match factor {
+            BlockFactor::Dense(lu) => lu.solve(r, z),
+            BlockFactor::Ilu(ilu) => ilu.solve(r, z),
+        });
     }
     fn name(&self) -> &'static str {
         "block-jacobi"
@@ -719,6 +725,95 @@ mod tests {
         ilu.solve(&b, &mut x);
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
+        }
+    }
+
+    /// The sweep `Ilu0::solve` replaced, kept as the reference: it walks
+    /// every row whole, twice, and tests each column against `i`.
+    fn solve_testing_every_column(ilu: &Ilu0, r: &[f64], z: &mut [f64]) {
+        let n = ilu.lu.nrows();
+        for i in 0..n {
+            let mut acc = r[i] * ilu.scale[i];
+            let (cols, vals) = ilu.lu.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c >= i {
+                    break;
+                }
+                acc -= v * z[c];
+            }
+            z[i] = acc;
+        }
+        for i in (0..n).rev() {
+            let mut acc = z[i];
+            let (cols, vals) = ilu.lu.row(i);
+            let mut diag = 1.0;
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c > i {
+                    acc -= v * z[c];
+                } else if c == i {
+                    diag = v;
+                }
+            }
+            z[i] = acc / diag;
+        }
+        for i in 0..n {
+            z[i] *= ilu.scale[i];
+        }
+    }
+
+    #[test]
+    fn ilu0_solve_equals_the_column_testing_sweep_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let n = 60;
+        // Rows 0 (no lower part), 17 (lower and upper entries around the
+        // gap) and n−1 (no upper part) have no stored diagonal.
+        let no_diag = [0, 17, n - 1];
+        let mut b = TripletBuilder::new(n, n);
+        for i in 0..n {
+            if !no_diag.contains(&i) {
+                b.add(i, i, 4.0 + rng.gen_range(0.0..1.0));
+            }
+            for j in 0..n {
+                if j != i && rng.gen_bool(0.12) {
+                    b.add(i, j, rng.gen_range(-1.0..1.0));
+                }
+            }
+        }
+        let ilu = Ilu0::new(&b.build());
+        for &i in &no_diag {
+            assert_eq!(ilu.diag_pos[i], usize::MAX);
+        }
+        assert!(ilu.lu.row(17).0.iter().any(|&c| c < 17) && ilu.lu.row(17).0.iter().any(|&c| c > 17));
+        let r: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (mut z, mut z_ref) = (vec![0.0; n], vec![0.0; n]);
+        ilu.solve(&r, &mut z);
+        solve_testing_every_column(&ilu, &r, &mut z_ref);
+        assert!(z.iter().all(|v| v.is_finite()));
+        for (i, (a, b)) in z.iter().zip(&z_ref).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+        }
+    }
+
+    #[test]
+    fn block_jacobi_solves_in_place_what_its_blocks_solve_alone() {
+        let a = tridiag(23);
+        let r: Vec<f64> = (0..23).map(|i| (i as f64 * 0.7).sin()).collect();
+        for solve in [BlockSolve::DenseLu, BlockSolve::Ilu0] {
+            let p = BlockJacobiPrecond::from_offsets(&a, &[0, 5, 6, 16, 23], solve).unwrap();
+            // Stale output must be overwritten everywhere.
+            let mut z = vec![f64::NAN; 23];
+            p.apply(&r, &mut z);
+            for (&(lo, hi), factor) in p.ranges.iter().zip(&p.factors) {
+                let mut alone = vec![0.0; hi - lo];
+                match factor {
+                    BlockFactor::Dense(lu) => lu.solve(&r[lo..hi], &mut alone),
+                    BlockFactor::Ilu(ilu) => ilu.solve(&r[lo..hi], &mut alone),
+                }
+                for (a, b) in z[lo..hi].iter().zip(&alone) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "block ({lo}, {hi})");
+                }
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! objects being matched." (paper §2.1.1, citing Ferrant et al.)
 
 use brainshift_imaging::dtransform::signed_distance_transform;
-use brainshift_imaging::filter::{gaussian_smooth, gradient};
+use brainshift_imaging::filter::{gaussian_smooth, gradient, gradient_planes};
 use brainshift_imaging::{DisplacementField, Vec3, Volume};
 
 /// Provides the external force pulling a surface vertex toward the target
@@ -50,15 +50,7 @@ impl DistanceForce {
         // The distance transform is already in millimetres (anisotropic
         // spacing honored).
         let phi = signed_distance_transform(mask);
-        let g = gradient(&phi);
-        let mut gx = Vec::with_capacity(g.len());
-        let mut gy = Vec::with_capacity(g.len());
-        let mut gz = Vec::with_capacity(g.len());
-        for v in &g {
-            gx.push(v.x as f32);
-            gy.push(v.y as f32);
-            gz.push(v.z as f32);
-        }
+        let [gx, gy, gz] = gradient_planes(&phi);
         DistanceForce { phi, gx, gy, gz, max_step }
     }
 

@@ -25,15 +25,23 @@ cargo test -q --test conformance_gate
 cargo test -q -p brainshift-conformance
 cargo run -q --release -p brainshift-conformance --bin conformance_report
 
-# Segment stage: the per-scan hot path. Property tests prove the
-# incremental classifier bitwise-exact at threshold 0 and the parallel
-# slab classifier equal to the serial oracle; running the suites under
-# two different worker counts extends the equality across thread counts.
-# Then a short hot-path bench run, which asserts the exactness invariant
-# on a real phantom sequence and that the thresholded pass skips work,
-# writing bench_out/segment_hot.json.
-RAYON_NUM_THREADS=1 cargo test -q -p brainshift-segment -p brainshift-surface
-RAYON_NUM_THREADS=4 cargo test -q -p brainshift-segment -p brainshift-surface
+# Per-scan stage: the hot path of one scan, layer by layer. Property
+# tests prove the incremental classifier bitwise-exact at threshold 0 and
+# the parallel slab classifier equal to the serial oracle; the sparse,
+# imaging and FEM suites pin the fused Gram–Schmidt sweep, the ILU sweep,
+# the distance transform, the stencil gradient and the resample plan to
+# the formulations they replaced, bit for bit. Running them under two
+# worker counts extends the equalities across thread counts (the fused
+# sweep's chunked path only runs above one thread), and the root-level
+# goldens pin three whole warm scans to the pre-change bits at both. Then
+# a short hot-path bench run, which asserts the exactness invariant on a
+# real phantom sequence and that the thresholded pass skips work, writing
+# bench_out/segment_hot.json.
+for threads in 1 4; do
+  RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
+    -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
+  RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise
+done
 cargo run -q --release -p brainshift-bench --bin segment_hot_json -- 4
 
 # Service stage: the serving layer, all of it — core/queue/cache unit
@@ -127,6 +135,40 @@ for call in 'solve_escalated(' 'conjugate_gradient('; do
     exit 1
   fi
 done
+
+# One resample traversal and no per-line allocation: the voxel → tet map
+# is computed in one place (`ResamplePlan::new`, the only caller of the
+# crate's one barycentric solve, `TetShape::shape_values`), the per-scan
+# path applies the per-surgery plan instead of rebuilding it, and the
+# distance transform allocates its line scratch once per parallel task —
+# nothing that allocates appears after the first `for` of any of its
+# pass closures.
+n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF 'barycentric_in(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test 'barycentric_in(' call in crates/fem/src, found $n" >&2
+  exit 1
+fi
+n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF 'TetShape::shape_values(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test 'TetShape::shape_values(' call in crates/fem/src, found $n" >&2
+  exit 1
+fi
+if non_test crates/core/src/surgery.rs | grep -nF 'displacement_field_from_mesh('; then
+  echo "register_scan must apply the per-surgery ResamplePlan, not rebuild it" >&2
+  exit 1
+fi
+if awk '/^fn squared_edt_mm/ {f = 1} f && /^}/ {exit} f' crates/imaging/src/dtransform.rs |
+  awk '/for_each\(/ {c = 1; l = 0}
+       c && /^[[:space:]]*for / {l = 1}
+       c && l && /vec!\[|Vec::|line_scratch\(|\.collect\(|\.to_vec\(/ {print}
+       /^    }\);/ {c = 0}' | grep -n .; then
+  echo "allocation inside a line loop of squared_edt_mm" >&2
+  exit 1
+fi
+if ! grep -qF 'fn squared_edt_mm' crates/imaging/src/dtransform.rs; then
+  echo "squared_edt_mm not found: the allocation guard above checks nothing" >&2
+  exit 1
+fi
 
 # One dispatch core: `core.rs` is the only place in the service crate
 # that makes a scheduling decision visible — it alone records events and
