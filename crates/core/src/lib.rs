@@ -30,8 +30,7 @@ pub use sequence::{
     ScanOutcome, ScanSequence, ScanStatus, SequenceResult,
 };
 pub use pipeline::{
-    composite_warped, run_pipeline, run_pipeline_with_solver, PipelineConfig, PipelineResult,
-    SurfaceForceKind,
+    composite_warped, run_pipeline, PipelineConfig, PipelineResult, SurfaceForceKind,
 };
 pub use surgery::{PreparedSurgery, ScanRegistration};
 pub use timeline::{StageTimings, Timeline};

@@ -6,21 +6,24 @@
 //!             └▶ brain surface target ──▶ active surface displacements
 //!                     └▶ biomechanical FEM ──▶ volumetric deformation
 //!                             └▶ resampled ("warped") preoperative data
+//!
+//! The stages themselves are composed in exactly one place,
+//! [`PreparedSurgery::register_scan`]. This module holds the
+//! configuration they share and [`run_pipeline`], the one-shot form:
+//! align the inputs, prepare a surgery, build its solver context,
+//! register the one scan, warp the reference.
 
 use crate::error::Error;
+use crate::surgery::PreparedSurgery;
 use crate::timeline::{StageTimings, Timeline};
-use brainshift_fem::{
-    displacement_field_from_mesh, ContextStats, ContextTimings, DirichletBcs, FemSolveConfig,
-    FemSolution, MaterialTable, SolverContext,
-};
+use brainshift_fem::{FemSolveConfig, FemSolution, MaterialTable};
 use brainshift_imaging::field::{invert_field, warp_volume_backward};
-use brainshift_imaging::{labels, DisplacementField, Vec3, Volume};
-use brainshift_mesh::{extract_boundary, mesh_labeled_volume, MesherConfig, TetMesh, TriSurface};
-use brainshift_register::{register_rigid, RigidRegConfig, RigidRegResult};
+use brainshift_imaging::{labels, DisplacementField, Volume};
+use brainshift_mesh::{MesherConfig, TetMesh, TriSurface};
 use brainshift_obs::Stopwatch;
-use brainshift_segment::classify::build_feature_stack;
-use brainshift_segment::{classify_volume, largest_component, KdTree, PrototypeModel, SegmentConfig};
-use brainshift_surface::{evolve_surface, ActiveSurfaceConfig, DistanceForce, EdgeForce, ExternalForce};
+use brainshift_register::{register_rigid, RigidRegConfig, RigidRegResult};
+use brainshift_segment::SegmentConfig;
+use brainshift_surface::ActiveSurfaceConfig;
 
 /// Which external force drives the active surface toward the intraop
 /// brain boundary.
@@ -36,6 +39,13 @@ pub enum SurfaceForceKind {
 }
 
 /// Pipeline configuration: one knob per stage.
+///
+/// `rigid`, `skip_rigid` and `normalize_intensity` are input alignment:
+/// [`run_pipeline`] consumes them *before* the per-surgery split, because
+/// a [`PreparedSurgery`] expects every scan already in the reference
+/// frame and intensity range (it never sees the reference intensity) and
+/// ignores all three. The other seven fields are what
+/// [`PreparedSurgery`] reads, once per surgery and per scan.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// MI rigid-registration settings.
@@ -83,7 +93,7 @@ impl Default for PipelineConfig {
 
 /// Everything the pipeline produces for one intraoperative scan.
 pub struct PipelineResult {
-    /// Recovered rigid transform (identity when `skip_rigid`).
+    /// Recovered rigid transform (`None` when `skip_rigid`).
     pub rigid: Option<RigidRegResult>,
     /// Intraoperative segmentation (k-NN over the multichannel stack).
     pub intraop_seg: Volume<u8>,
@@ -105,53 +115,39 @@ pub struct PipelineResult {
     pub warped_reference: Volume<f32>,
     /// Stage timings (Figure 6).
     pub timeline: Timeline,
-    /// Cumulative FEM solver-context counters (over every scan served by
-    /// the context passed to [`run_pipeline_with_solver`]).
-    pub solver_stats: ContextStats,
-    /// Paper-style per-stage breakdown of *this scan*: classifier, mesh,
-    /// surface, assembly/reduction/factorization (0.0 when served from a
-    /// warm context), solve, resample.
+    /// Paper-style per-stage breakdown: the scan's classifier, surface,
+    /// solve and resample (plus field inversion and the warp), and the
+    /// once-per-surgery preparation, assembly, reduction and
+    /// factorization this one-shot call also paid.
     pub stage_timings: StageTimings,
 }
 
-/// Run the full intraoperative pipeline.
+/// Run the full intraoperative pipeline for one scan: the one-shot form
+/// of [`PreparedSurgery`]. The reference is aligned to the scan (MI rigid
+/// registration unless `cfg.skip_rigid`), the scan optionally
+/// histogram-matched to it, then a surgery is prepared from the aligned
+/// segmentation, its solver context built, the scan registered, and the
+/// aligned reference warped through the inverted field. Callers with
+/// more than one scan keep the [`PreparedSurgery`] and the context.
 ///
 /// * `reference_intensity` / `reference_seg` — the first scan (or preop
 ///   data registered to it) with its trusted segmentation; this is the
 ///   "patient-specific atlas".
-/// * `intraop_intensity` — the later scan exhibiting brain shift.
+/// * `intraop_intensity` — the later scan exhibiting brain shift. With
+///   `skip_rigid` it must be on the reference's grid.
 ///
-/// Hard failures — an empty mesh, a singular preconditioner block, a
-/// malformed boundary-condition set — are returned as [`Error`]. A solver
-/// that merely fails to converge is *not* an error: inspect
-/// `result.fem.stats.converged()` and degrade at the call site (see
-/// [`crate::sequence::run_scan_sequence`]).
+/// Hard failures — an empty mesh, a scan on a foreign grid, a singular
+/// preconditioner block — are returned as [`Error`]. A solver that merely
+/// fails to converge is *not* an error; the scan degrades as every scan
+/// does (see [`crate::sequence::ScanStatus::Degraded`]):
+/// `result.fem.stats.converged()` is false, `result.fem.displacements`
+/// is the unconverged iterate, and `forward_field` — there being no
+/// earlier scan to carry forward — is zero.
 pub fn run_pipeline(
     reference_intensity: &Volume<f32>,
     reference_seg: &Volume<u8>,
     intraop_intensity: &Volume<f32>,
     cfg: &PipelineConfig,
-) -> Result<PipelineResult, Error> {
-    run_pipeline_with_solver(reference_intensity, reference_seg, intraop_intensity, cfg, &mut None)
-}
-
-/// [`run_pipeline`] with a persistent FEM solver context threaded across
-/// calls.
-///
-/// On the first scan of a surgery pass `&mut None`: the context (global
-/// stiffness assembly, Dirichlet reduction, preconditioner factorization)
-/// is built and left behind in `solver`. Later scans of the *same*
-/// surgery reuse it — their biomechanical stage is a single warm-started
-/// Krylov solve. The context is rebuilt automatically if the mesh or the
-/// constrained surface changes (e.g. rigid registration realigned the
-/// reference); changing `cfg.materials` or `cfg.fem` mid-surgery requires
-/// resetting `solver` to `None` yourself.
-pub fn run_pipeline_with_solver(
-    reference_intensity: &Volume<f32>,
-    reference_seg: &Volume<u8>,
-    intraop_intensity: &Volume<f32>,
-    cfg: &PipelineConfig,
-    solver: &mut Option<SolverContext>,
 ) -> Result<PipelineResult, Error> {
     let mut timeline = Timeline::new();
 
@@ -190,164 +186,41 @@ pub fn run_pipeline_with_solver(
         intraop_intensity
     };
 
-    // ── Intraoperative tissue classification (k-NN, Fig 1). ──
-    // `segment_intraop` inlined so the sub-stages land in the timings.
-    let mut class_sub = [0.0f64; 3]; // feature stack, kd-tree build, k-NN query
-    let intraop_seg = timeline.stage("tissue classification", true, || {
-        let mut sw = Stopwatch::wall();
-        let mut classes = ref_seg_aligned.labels();
-        classes.retain(|&c| c != labels::RESECTION);
-        let model =
-            PrototypeModel::sample(&ref_seg_aligned, &classes, cfg.segment.per_class, cfg.segment.seed);
-        let fs = build_feature_stack(intraop_intensity, &ref_seg_aligned, &classes, &cfg.segment);
-        class_sub[0] = sw.lap_s();
-        let tree = KdTree::build(model.extract(&fs))?;
-        class_sub[1] = sw.lap_s();
-        let seg = classify_volume(&fs, &tree, cfg.segment.k);
-        class_sub[2] = sw.lap_s();
-        Ok::<_, crate::error::Error>(seg)
-    })?;
+    // ── Once per surgery, then the one scan (Fig 6's two halves). ──
+    let mut sw = Stopwatch::wall();
+    let prepared = PreparedSurgery::new(&ref_seg_aligned, cfg.clone())?;
+    let prepare_s = sw.lap_s();
+    let mut ctx = prepared.build_solver_context()?;
+    let context_s = sw.lap_s();
+    let reg = prepared.register_scan(&mut ctx, intraop_intensity, None, None, None)?;
 
-    // ── Mesh the reference brain (initialization; overlappable). ──
-    let mesh = timeline.stage("mesh generation", true, || {
-        mesh_labeled_volume(&ref_seg_aligned, &cfg.mesher)
-    });
-    if mesh.num_tets() == 0 {
-        return Err(Error::Pipeline("reference segmentation produced an empty mesh".into()));
-    }
-    let brain_surface = extract_boundary(&mesh);
+    // ── Resample the reference through the field (the visualization step). ──
+    sw.lap_s();
+    let backward_field = invert_field(&reg.field, 10);
+    let warped_reference = warp_volume_backward(&ref_intensity_aligned, &backward_field, 0.0);
+    let warp_s = sw.lap_s();
 
-    // ── Active surface: match reference brain surface to the intraop
-    //    brain (surface displacement stage of Fig 6). Two passes: the
-    //    mesh boundary is voxel-blocky, so first snap it onto the
-    //    *reference* brain boundary (cancels discretization bias), then
-    //    evolve that onto the intraop boundary; the per-vertex
-    //    displacement is the difference.
-    let (surface_displacements, surface_residual) = timeline.stage("surface displacement", true, || {
-        let ref_mask = largest_component(&ref_seg_aligned.map(|&l| labels::is_brain_tissue(l)));
-        let force_ref = DistanceForce::from_mask(&ref_mask, cfg.surface_force_step);
-        let snap = evolve_surface(&brain_surface, &force_ref, &cfg.active_surface);
+    let mut stage_timings = reg.timings;
+    stage_timings.add_per_surgery(prepare_s, &ctx.timings());
+    stage_timings.resample_s += warp_s;
+    timeline.record("per-surgery preparation", prepare_s, true);
+    timeline.record("tissue classification", stage_timings.classification_s, true);
+    timeline.record("surface displacement", stage_timings.surface_s, true);
+    timeline.record("biomechanical simulation", context_s + stage_timings.solve_s, true);
+    timeline.record("visualization resample", stage_timings.resample_s, true);
 
-        let target_mask = largest_component(&intraop_seg.map(|&l| labels::is_brain_tissue(l)));
-        let force: Box<dyn ExternalForce> = match cfg.surface_force {
-            SurfaceForceKind::DistancePotential => {
-                Box::new(DistanceForce::from_mask(&target_mask, cfg.surface_force_step))
-            }
-            SurfaceForceKind::ImageGradient => {
-                // Gray-level prior: the brain/CSF boundary sits between
-                // the brain and CSF nominal intensities.
-                let expected = (brainshift_imaging::phantom::tissue_intensity(labels::BRAIN)
-                    + brainshift_imaging::phantom::tissue_intensity(labels::CSF))
-                    / 2.0;
-                Box::new(EdgeForce::from_image(
-                    intraop_intensity,
-                    1.0,
-                    expected,
-                    60.0,
-                    cfg.surface_force_step,
-                ))
-            }
-        };
-        let force = force.as_ref();
-        let mut snapped_surface = brain_surface.clone();
-        snapped_surface.vertices = snap.positions.clone();
-        let res = evolve_surface(&snapped_surface, force, &cfg.active_surface);
-        let resid = res.final_distance;
-        let displacements: Vec<Vec3> = res
-            .positions
-            .iter()
-            .zip(&snap.positions)
-            .map(|(a, b)| *a - *b)
-            .collect();
-        (displacements, resid)
-    });
-
-    // ── Biomechanical simulation: surface displacements as Dirichlet
-    //    data, FEM for the volume (Fig 1's last box). The solver context
-    //    (assembly + reduction + preconditioner) persists across scans of
-    //    a surgery; a scan whose mesh matches pays only the solve. ──
-    // Context timings before this scan, to delta out what *this* scan
-    // paid (a rebuilt context starts its phase clocks from zero).
-    let prior_timings = solver.as_ref().map(|c| c.timings()).unwrap_or_default();
-    let (fem, solver_stats, ctx_timings, rebuilt) = timeline.stage(
-        "biomechanical simulation",
-        true,
-        || -> Result<(FemSolution, ContextStats, ContextTimings, bool), Error> {
-            let mut bcs = DirichletBcs::new();
-            for (v, &node) in brain_surface.mesh_node.iter().enumerate() {
-                bcs.set(node, surface_displacements[v]);
-            }
-            let reusable = solver
-                .as_ref()
-                .is_some_and(|c| c.matches(&mesh, &brain_surface.mesh_node));
-            if !reusable {
-                *solver = Some(SolverContext::new(
-                    &mesh,
-                    &cfg.materials,
-                    &brain_surface.mesh_node,
-                    cfg.fem.clone(),
-                )?);
-            }
-            // Typed error, not a panic: the install above makes this
-            // unreachable, but the errors-vs-panics policy forbids
-            // `expect` on it in intraoperative code.
-            let ctx = solver
-                .as_mut()
-                .ok_or_else(|| Error::Pipeline("FEM solver context missing after installation".into()))?;
-            let solution = ctx.solve(&bcs)?;
-            Ok((solution, ctx.stats(), ctx.timings(), !reusable))
-        },
-    )?;
-
-    // ── Dense deformation + resample (the ~0.5 s visualization step). ──
-    let (forward_field, backward_field, warped_reference) = timeline.stage(
-        "visualization resample",
-        true,
-        || -> Result<_, Error> {
-            let fwd = displacement_field_from_mesh(
-                &mesh,
-                &fem.displacements,
-                intraop_intensity.dims(),
-                intraop_intensity.spacing(),
-            )?;
-            let bwd = invert_field(&fwd, 10);
-            let warped = warp_volume_backward(&ref_intensity_aligned, &bwd, 0.0);
-            Ok((fwd, bwd, warped))
-        },
-    )?;
-
-    // What this scan paid inside the FEM context: setup phases only when
-    // the context was (re)built, plus the delta of cumulative solve time.
-    let base = if rebuilt { ContextTimings::default() } else { prior_timings };
-    let stage_timings = StageTimings {
-        classification_s: timeline.seconds_of("tissue classification"),
-        mesh_s: timeline.seconds_of("mesh generation"),
-        surface_s: timeline.seconds_of("surface displacement"),
-        assembly_s: ctx_timings.assembly_s - base.assembly_s,
-        reduction_s: ctx_timings.reduction_s - base.reduction_s,
-        factorization_s: ctx_timings.factorization_s - base.factorization_s,
-        solve_s: ctx_timings.solve_s - base.solve_s,
-        resample_s: timeline.seconds_of("visualization resample"),
-        feature_s: class_sub[0],
-        knn_build_s: class_sub[1],
-        knn_query_s: class_sub[2],
-        // Morphology runs inside the surface stage on this monolithic
-        // path; `PreparedSurgery::register_scan` measures it separately.
-        ..Default::default()
-    };
-
+    let PreparedSurgery { mesh, surface: brain_surface, .. } = prepared;
     Ok(PipelineResult {
         rigid,
-        intraop_seg,
+        intraop_seg: reg.segmentation,
         mesh,
         brain_surface,
-        surface_residual,
-        fem,
-        forward_field,
+        surface_residual: reg.surface_residual,
+        fem: reg.fem,
+        forward_field: reg.field,
         backward_field,
         warped_reference,
         timeline,
-        solver_stats,
         stage_timings,
     })
 }
@@ -483,8 +356,8 @@ mod tests {
             &fast_cfg(),
         ).expect("pipeline failed");
         for stage in [
+            "per-surgery preparation",
             "tissue classification",
-            "mesh generation",
             "surface displacement",
             "biomechanical simulation",
             "visualization resample",
@@ -513,42 +386,6 @@ mod tests {
             "gradient force recovered only {peak:.2} mm of {:.2} mm",
             case.gt_forward.max_magnitude()
         );
-    }
-
-    #[test]
-    fn solver_context_persists_across_pipeline_calls() {
-        // Two scans of the same surgery (fixed reference, skip_rigid):
-        // the second run must reuse the first run's assembly and
-        // factorization and warm-start its solve.
-        let case = small_case();
-        let cfg = fast_cfg();
-        let mut solver = None;
-        let r1 = run_pipeline_with_solver(
-            &case.preop.intensity,
-            &case.preop.labels,
-            &case.intraop.intensity,
-            &cfg,
-            &mut solver,
-        ).expect("pipeline failed");
-        assert_eq!(r1.solver_stats.assemblies, 1);
-        assert_eq!(r1.solver_stats.factorizations, 1);
-        assert_eq!(r1.solver_stats.warm_started_solves, 0);
-        let r2 = run_pipeline_with_solver(
-            &case.preop.intensity,
-            &case.preop.labels,
-            &case.intraop.intensity,
-            &cfg,
-            &mut solver,
-        ).expect("pipeline failed");
-        assert!(r2.fem.stats.converged());
-        assert_eq!(r2.solver_stats.assemblies, 1, "second scan reassembled");
-        assert_eq!(r2.solver_stats.factorizations, 1, "second scan refactored");
-        assert_eq!(r2.solver_stats.solves, 2);
-        assert_eq!(r2.solver_stats.warm_started_solves, 1);
-        // Identical inputs → identical displacement output either way.
-        for (a, b) in r1.fem.displacements.iter().zip(&r2.fem.displacements) {
-            assert!((*a - *b).norm() < 1e-7);
-        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::pipeline::PipelineConfig;
 use crate::surgery::PreparedSurgery;
 use crate::timeline::StageTimings;
 use brainshift_fem::ContextStats;
+use brainshift_obs::Stopwatch;
 use brainshift_sparse::{EscalationPolicy, SolverOptions};
 use brainshift_imaging::phantom::{forward_warp_labels, render_intensity, BrainShiftConfig, PhantomConfig, PhantomScan};
 use brainshift_imaging::{labels, DisplacementField, Volume};
@@ -127,8 +128,9 @@ pub struct SequenceResult {
     /// Scans that ended [`ScanStatus::Degraded`].
     pub degraded_scans: usize,
     /// Whole-surgery stage totals: every scan's breakdown accumulated,
-    /// plus the once-per-surgery assembly / Dirichlet reduction /
-    /// preconditioner factorization measured on the solver context.
+    /// plus the once-per-surgery preparation and the assembly / Dirichlet
+    /// reduction / preconditioner factorization measured on the solver
+    /// context.
     pub stage_timings: StageTimings,
 }
 
@@ -168,7 +170,9 @@ pub fn run_scan_sequence_with_faults(
     // model (the per-surgery half of the job-ified pipeline), plus the
     // solver context — assemble K, split off K_ff/K_fc and factor the
     // preconditioner once, re-solve per scan.
+    let sw = Stopwatch::wall();
     let prepared = PreparedSurgery::new(&seq.reference.labels, cfg.clone())?;
+    let prepare_s = sw.elapsed_s();
     let mut solver = prepared.build_solver_context()?;
 
     // Options forcing genuine non-convergence on injected scans: zero
@@ -210,11 +214,7 @@ pub fn run_scan_sequence_with_faults(
             timings: reg.timings,
         });
     }
-    // Fold in the once-per-surgery costs measured on the context itself.
-    let ct = solver.timings();
-    stage_timings.assembly_s += ct.assembly_s;
-    stage_timings.reduction_s += ct.reduction_s;
-    stage_timings.factorization_s += ct.factorization_s;
+    stage_timings.add_per_surgery(prepare_s, &solver.timings());
     Ok(SequenceResult { outcomes, solver_stats: solver.stats(), degraded_scans, stage_timings })
 }
 
@@ -299,6 +299,7 @@ mod tests {
         // The whole-surgery breakdown carries both the once-per-surgery
         // costs and the per-scan work.
         let t = res.stage_timings;
+        assert!(t.mesh_s > 0.0, "per-surgery preparation untimed");
         assert!(t.assembly_s > 0.0, "assembly untimed");
         assert!(t.factorization_s > 0.0, "factorization untimed");
         assert!(t.solve_s > 0.0 && t.classification_s > 0.0 && t.resample_s > 0.0);

@@ -1,10 +1,9 @@
-//! Job-ification of the intraoperative pipeline: the per-surgery /
-//! per-scan split as an explicit API.
-//!
-//! [`run_pipeline_with_solver`](crate::pipeline::run_pipeline_with_solver)
-//! and [`run_scan_sequence`](crate::sequence::run_scan_sequence) bundle a
-//! whole surgery into one blocking call. A serving layer that multiplexes
-//! many concurrent surgeries needs the two halves separately:
+//! The intraoperative chain, split the way the paper's Figure 6 splits
+//! it: what is done once per surgery and what is done per scan. This is
+//! the only place in the workspace that composes the stages (classify →
+//! active surface → FEM solve → resample); the service, the sequence
+//! runner, the scenario suite, the benchmark and the one-shot
+//! [`run_pipeline`](crate::pipeline::run_pipeline) all call it.
 //!
 //! * [`PreparedSurgery`] — everything built **once per surgery** from the
 //!   reference scan: the tetrahedral mesh, its boundary surface snapped
@@ -20,26 +19,30 @@
 //!   preconditioner, warm-start seed) that a service keeps in a budgeted
 //!   cache and may evict between scans.
 //!
+//! Scans must arrive in the reference frame and intensity range; rigid
+//! registration and histogram matching are input alignment, done by the
+//! caller (`run_pipeline` does both) before the split.
+//!
 //! A scan whose solver fails to converge within its (possibly
 //! deadline-derived) budget is *not* an error: it degrades to the
-//! caller-provided carry-forward field, exactly as the sequence runner
-//! does — see [`ScanStatus::Degraded`].
+//! caller-provided carry-forward field — see [`ScanStatus::Degraded`].
 
 use crate::error::Error;
-use crate::pipeline::PipelineConfig;
+use crate::pipeline::{PipelineConfig, SurfaceForceKind};
 use crate::sequence::ScanStatus;
 use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
-use brainshift_fem::{DirichletBcs, ResamplePlan, SolverContext};
+use brainshift_fem::{DirichletBcs, FemSolution, ResamplePlan, SolverContext};
 use brainshift_imaging::dtransform::label_distance_map;
+use brainshift_imaging::phantom::tissue_intensity;
 use brainshift_imaging::{labels, Dims, DisplacementField, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
 use brainshift_segment::{
     classify_volume_incremental, largest_component, FeatureStack, IncrementalCache, KdTree,
     PrototypeModel,
 };
-use brainshift_sparse::{EscalationPolicy, SolverOptions, StopReason};
-use brainshift_surface::{evolve_surface_with, DistanceForce, NeighborTable};
+use brainshift_sparse::{EscalationPolicy, SolverOptions};
+use brainshift_surface::{evolve_surface_with, DistanceForce, EdgeForce, ExternalForce, NeighborTable};
 use std::sync::{Arc, Mutex};
 
 /// The once-per-surgery state: everything derived from the reference
@@ -49,8 +52,8 @@ pub struct PreparedSurgery {
     /// Grid of the reference segmentation; every scan of the surgery
     /// must arrive on it.
     dims: Dims,
-    mesh: TetMesh,
-    surface: TriSurface,
+    pub(crate) mesh: TetMesh,
+    pub(crate) surface: TriSurface,
     /// Mesh boundary snapped onto the reference brain boundary (cancels
     /// voxel-discretization bias; per-scan displacements are measured
     /// from these positions).
@@ -81,13 +84,17 @@ pub struct ScanRegistration {
     /// [`ScanStatus::Degraded`] scan this is the carry-forward field
     /// (zero when none was provided), not a solution for this scan.
     pub field: DisplacementField,
+    /// This scan's k-NN tissue classification.
+    pub segmentation: Volume<u8>,
+    /// The biomechanical solve as the context returned it: nodal
+    /// displacements (the unconverged iterate for a degraded scan),
+    /// convergence statistics and the per-rung escalation record a
+    /// serving layer's event log keeps per scan.
+    pub fem: FemSolution,
     /// Krylov iterations of the biomechanical solve.
     pub fem_iterations: usize,
     /// Solver attempts made (1 = primary configuration sufficed).
     pub attempts: usize,
-    /// Why each escalation rung stopped, in ladder order — the record a
-    /// serving layer's event log keeps per scan.
-    pub rung_reasons: Vec<StopReason>,
     /// Mean active-surface residual distance to the target (mm).
     pub surface_residual: f64,
     /// Voxels actually pushed through k-NN this scan (< `total_voxels`
@@ -181,9 +188,10 @@ impl PreparedSurgery {
     }
 
     /// Register one intraoperative scan: classification with the
-    /// per-surgery statistical model, active-surface correspondence, and
-    /// one warm-started FEM solve on `ctx` (which must have been built by
-    /// [`Self::build_solver_context`] or match this surgery's mesh).
+    /// per-surgery statistical model, active-surface correspondence under
+    /// the configured [`SurfaceForceKind`], and one warm-started FEM solve
+    /// on `ctx` (which must have been built by
+    /// [`Self::build_solver_context`]).
     ///
     /// `solver_override` / `escalation_override` tighten the solve for
     /// this scan only — a deadline-aware service derives the escalation
@@ -249,11 +257,24 @@ impl PreparedSurgery {
         let target = largest_component(&seg.map(|&l| labels::is_brain_tissue(l)));
         let morphology_s = sw.lap_s();
         let classification_s = feature_s + knn_build_s + knn_query_s + morphology_s;
-        let force = DistanceForce::from_mask(&target, self.cfg.surface_force_step);
+        let step = self.cfg.surface_force_step;
+        let force: Box<dyn ExternalForce> = match self.cfg.surface_force {
+            SurfaceForceKind::DistancePotential => Box::new(DistanceForce::from_mask(&target, step)),
+            SurfaceForceKind::ImageGradient => {
+                // Gray-level prior: the brain/CSF boundary sits between
+                // the brain and CSF nominal intensities.
+                let expected = (tissue_intensity(labels::BRAIN) + tissue_intensity(labels::CSF)) / 2.0;
+                Box::new(EdgeForce::from_image(intensity, 1.0, expected, 60.0, step))
+            }
+        };
         let mut snapped = self.surface.clone();
         snapped.vertices = self.snap_positions.clone();
-        let evolved =
-            evolve_surface_with(&snapped, &self.neighbor_table, &force, &self.cfg.active_surface);
+        let evolved = evolve_surface_with(
+            &snapped,
+            &self.neighbor_table,
+            force.as_ref(),
+            &self.cfg.active_surface,
+        );
         let mut bcs = DirichletBcs::new();
         for (v, &node) in self.surface.mesh_node.iter().enumerate() {
             bcs.set(node, evolved.positions[v] - self.snap_positions[v]);
@@ -290,9 +311,10 @@ impl PreparedSurgery {
         Ok(ScanRegistration {
             status,
             field,
+            segmentation: seg,
             fem_iterations: sol.stats.iterations,
             attempts: sol.attempts,
-            rung_reasons: sol.rung_reasons,
+            fem: sol,
             surface_residual: evolved.final_distance,
             reclassified_voxels,
             total_voxels,
@@ -324,12 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn prepared_surgery_serves_scans_like_the_sequence_runner() {
+    fn scans_are_served_warm_on_one_assembly() {
         let seq = small_seq(2);
         let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
-        let prepared = PreparedSurgery::new(&seq.reference.labels, cfg.clone()).expect("prepare failed");
+        let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare failed");
         let mut ctx = prepared.build_solver_context().expect("context build failed");
-        let mut fields = Vec::new();
         let mut last: Option<DisplacementField> = None;
         for scan in &seq.scans {
             let reg = prepared
@@ -341,15 +362,7 @@ mod tests {
             assert!(reg.timings.solve_s > 0.0);
             assert_eq!(reg.timings.assembly_s, 0.0);
             assert_eq!(reg.timings.factorization_s, 0.0);
-            last = Some(reg.field.clone());
-            fields.push(reg.field);
-        }
-        // Bitwise-identical to the monolithic sequence runner: both paths
-        // run the same stages in the same order on the same inputs.
-        let res = crate::sequence::run_scan_sequence(&seq, &cfg).expect("sequence failed");
-        assert_eq!(res.outcomes.len(), fields.len());
-        for (o, f) in res.outcomes.iter().zip(&fields) {
-            assert!((o.peak_recovered_mm - f.max_magnitude()).abs() < 1e-12);
+            last = Some(reg.field);
         }
         let s = ctx.stats();
         assert_eq!(s.assemblies, 1);
@@ -411,6 +424,29 @@ mod tests {
         for (a, b) in reg.field.data().iter().zip(good.field.data()) {
             assert_eq!(a, b);
         }
-        assert_eq!(reg.rung_reasons.len(), reg.attempts);
+        assert_eq!(reg.fem.rung_reasons.len(), reg.attempts);
+        assert!(!reg.fem.stats.converged());
+    }
+
+    #[test]
+    fn surface_force_kind_is_honoured() {
+        // One scan under each external force: both must converge, and the
+        // active surface must land somewhere else (a `surface_force` that
+        // is never read gives identical residual bits).
+        let seq = small_seq(1);
+        let register = |surface_force| {
+            let cfg = PipelineConfig { skip_rigid: true, surface_force, ..Default::default() };
+            let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare failed");
+            let mut ctx = prepared.build_solver_context().expect("context build failed");
+            prepared
+                .register_scan(&mut ctx, &seq.scans[0].intensity, None, None, None)
+                .expect("register failed")
+        };
+        let potential = register(SurfaceForceKind::DistancePotential);
+        let gradient = register(SurfaceForceKind::ImageGradient);
+        assert!(potential.fem.stats.converged() && gradient.fem.stats.converged());
+        assert_ne!(potential.surface_residual.to_bits(), gradient.surface_residual.to_bits());
+        // The classification does not depend on the force.
+        assert_eq!(potential.segmentation.data(), gradient.segmentation.data());
     }
 }

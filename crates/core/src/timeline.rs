@@ -1,10 +1,11 @@
 //! Stage timing for the intraoperative timeline (the paper's Figure 6).
 //!
-//! Each pipeline stage — rigid registration, tissue classification,
-//! surface displacement, biomechanical simulation, visualization resample
-//! — is timed so the Fig 6 reproduction can print when each action runs
-//! relative to "surgical progress".
+//! Each pipeline stage — rigid registration, per-surgery preparation,
+//! tissue classification, surface displacement, biomechanical simulation,
+//! visualization resample — is timed so the Fig 6 reproduction can print
+//! when each action runs relative to "surgical progress".
 
+use brainshift_fem::ContextTimings;
 use brainshift_obs::{Clock, Stopwatch};
 
 /// One completed stage.
@@ -95,13 +96,16 @@ impl Timeline {
 
 /// Per-stage timing breakdown of one intraoperative registration, in the
 /// paper's vocabulary (its Table-style breakdown of the < 10 s budget):
-/// classifier → mesher → FEM assembly → Dirichlet reduction →
-/// preconditioner build → GMRES solve → visualization resample.
+/// classifier → per-surgery preparation → FEM assembly → Dirichlet
+/// reduction → preconditioner build → GMRES solve → visualization
+/// resample.
 ///
-/// Assembly/reduction/factorization are once-per-surgery costs; scans
-/// served from a warm [`SolverContext`](brainshift_fem::SolverContext)
-/// report `0.0` for them, which is the assemble-once contract made
-/// visible.
+/// Preparation/assembly/reduction/factorization are once-per-surgery
+/// costs; scans served from a
+/// [`PreparedSurgery`](crate::surgery::PreparedSurgery) on a warm
+/// [`SolverContext`](brainshift_fem::SolverContext) report `0.0` for
+/// them, which is the assemble-once contract made visible. Whole-surgery
+/// and one-shot tables add them with [`StageTimings::add_per_surgery`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Intraoperative tissue classification (k-NN relabel). This is the
@@ -120,7 +124,9 @@ pub struct StageTimings {
     /// Sub-stage of classification: morphological cleanup of the brain
     /// mask (largest connected component).
     pub morphology_s: f64,
-    /// Volumetric mesh generation.
+    /// Once-per-surgery preparation (`PreparedSurgery::new`): mesh
+    /// generation, boundary surface snapped onto the reference brain,
+    /// prototype model, distance channels, resample plan (0 per scan).
     pub mesh_s: f64,
     /// Surface extraction + active-surface displacement.
     pub surface_s: f64,
@@ -168,6 +174,16 @@ impl StageTimings {
         self.resample_s += other.resample_s;
     }
 
+    /// Add the once-per-surgery costs to a per-scan (or accumulated)
+    /// breakdown: the wall time of `PreparedSurgery::new` and the setup
+    /// phases measured on the solver context it built.
+    pub fn add_per_surgery(&mut self, prepare_s: f64, context: &ContextTimings) {
+        self.mesh_s += prepare_s;
+        self.assembly_s += context.assembly_s;
+        self.reduction_s += context.reduction_s;
+        self.factorization_s += context.factorization_s;
+    }
+
     /// Render the paper-style stage table.
     pub fn render(&self) -> String {
         let mut out = String::from("Per-stage breakdown of the intraoperative solve\n");
@@ -178,7 +194,7 @@ impl StageTimings {
             ("  kd-tree build", self.knn_build_s),
             ("  k-NN query", self.knn_query_s),
             ("  morphology", self.morphology_s),
-            ("mesh generation", self.mesh_s),
+            ("per-surgery preparation", self.mesh_s),
             ("surface displacement", self.surface_s),
             ("FEM assembly", self.assembly_s),
             ("Dirichlet reduction", self.reduction_s),
@@ -261,7 +277,7 @@ mod tests {
         assert!((a.solve_s - 3.5).abs() < 1e-12);
         assert!((a.total_s() - 4.75).abs() < 1e-12);
         let table = a.render();
-        for row in ["tissue classification", "mesh generation", "FEM assembly", "Dirichlet reduction", "GMRES solve", "visualization resample", "TOTAL"] {
+        for row in ["tissue classification", "per-surgery preparation", "FEM assembly", "Dirichlet reduction", "GMRES solve", "visualization resample", "TOTAL"] {
             assert!(table.contains(row), "missing row {row}:\n{table}");
         }
     }

@@ -359,38 +359,6 @@ impl SolverContext {
     pub fn config(&self) -> &FemSolveConfig {
         &self.cfg
     }
-
-    /// Can this context serve solves for `mesh` with `constrained_nodes`?
-    ///
-    /// True when the mesh content fingerprint ([`TetMesh::fingerprint`]:
-    /// node coordinates, connectivity, and tissue labels) matches the one
-    /// the context was built from and the (deduplicated) constrained node
-    /// set is identical. Material changes are *not* detected — a surgery
-    /// keeps one material table, so callers must rebuild on their own if
-    /// they change it.
-    pub fn matches(&self, mesh: &TetMesh, constrained_nodes: &[usize]) -> bool {
-        if mesh.num_nodes() != self.num_nodes
-            || mesh.num_equations() != self.k.nrows()
-            || mesh.fingerprint() != self.mesh_fingerprint
-        {
-            return false;
-        }
-        let mut seen = vec![false; self.num_nodes];
-        let mut unique = 0usize;
-        for &n in constrained_nodes {
-            if n >= self.num_nodes {
-                return false;
-            }
-            if !seen[n] {
-                seen[n] = true;
-                unique += 1;
-            }
-        }
-        3 * unique == self.structure.num_constrained()
-            && constrained_nodes
-                .iter()
-                .all(|&n| self.structure.reduced_of_dof[3 * n] == usize::MAX)
-    }
 }
 
 impl brainshift_persist::Persist for ContextStats {

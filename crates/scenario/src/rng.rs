@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn permutation_is_a_bijection_and_seed_sensitive() {
         let p = draw_permutation(11, 9, 100);
-        let mut seen = vec![false; 100];
+        let mut seen = [false; 100];
         for &i in &p {
             assert!(!seen[i]);
             seen[i] = true;

@@ -12,7 +12,7 @@ use brainshift_scenario::{generate_scenario, ScenarioKind};
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn same_seed_same_kind_is_bitwise_identical(

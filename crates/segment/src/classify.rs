@@ -326,37 +326,6 @@ pub fn dice(a: &Volume<bool>, b: &Volume<bool>) -> f64 {
     2.0 * inter as f64 / (na + nb) as f64
 }
 
-impl brainshift_persist::Persist for IncrementalCache {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        self.matrix.encode(enc)?;
-        self.labels.encode(enc)?;
-        enc.put_u64(self.tree_fingerprint);
-        enc.put_usize(self.k);
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        let matrix = FeatureMatrix::decode(dec)?;
-        let labels = Vec::<u8>::decode(dec)?;
-        let tree_fingerprint = dec.get_u64()?;
-        let k = dec.get_usize()?;
-        if labels.len() != matrix.dims().len() {
-            return Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!(
-                    "cache has {} labels for {} voxels",
-                    labels.len(),
-                    matrix.dims().len()
-                ),
-            });
-        }
-        Ok(IncrementalCache { matrix, labels, tree_fingerprint, k })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

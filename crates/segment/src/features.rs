@@ -180,36 +180,6 @@ impl FeatureMatrix {
     }
 }
 
-impl brainshift_persist::Persist for FeatureMatrix {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        self.dims.encode(enc)?;
-        self.spacing.encode(enc)?;
-        enc.put_usize(self.channels);
-        self.data.encode(enc)
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        let dims = Dims::decode(dec)?;
-        let spacing = Spacing::decode(dec)?;
-        let channels = dec.get_usize()?;
-        let data = Vec::<f32>::decode(dec)?;
-        if data.len() != dims.len() * channels {
-            return Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!(
-                    "feature matrix has {} values for {} voxels x {channels} channels",
-                    data.len(),
-                    dims.len()
-                ),
-            });
-        }
-        Ok(FeatureMatrix { dims, spacing, channels, data })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

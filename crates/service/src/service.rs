@@ -639,11 +639,11 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
             ScanStatus::Converged => {}
             ScanStatus::Escalated { attempts } => {
                 state.stats.escalated += 1;
-                shard.core.note_escalated(worker, now, *attempts, reg.rung_reasons.clone());
+                shard.core.note_escalated(worker, now, *attempts, reg.fem.rung_reasons.clone());
             }
             ScanStatus::Degraded => {
                 state.stats.degraded += 1;
-                shard.core.note_degraded(worker, now, reg.rung_reasons.clone());
+                shard.core.note_degraded(worker, now, reg.fem.rung_reasons.clone());
             }
         }
         let done = shard.core.complete(worker, now, Some((ctx, ctx_bytes)))?;
@@ -667,7 +667,7 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
         field: reg.field,
         fem_iterations: reg.fem_iterations,
         attempts: reg.attempts,
-        rung_reasons: reg.rung_reasons,
+        rung_reasons: reg.fem.rung_reasons,
         surface_residual: reg.surface_residual,
         missed_deadline: done.missed_deadline,
         warm,

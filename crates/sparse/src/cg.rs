@@ -107,7 +107,7 @@ mod tests {
                 &a,
                 &IdentityPrecond,
                 &[1.0; 6],
-                &mut vec![0.0; 2],
+                &mut [0.0; 2],
                 &SolverOptions::default()
             ),
             Err(SparseError::DimensionMismatch { what: "x0", expected: 6, got: 2 })

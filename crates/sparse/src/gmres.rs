@@ -417,7 +417,7 @@ mod tests {
             &a,
             &IdentityPrecond,
             &[1.0; 8],
-            &mut vec![0.0; 3],
+            &mut [0.0; 3],
             &SolverOptions::default(),
         );
         match r {

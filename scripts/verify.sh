@@ -6,6 +6,11 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Tier-1 runs the root package only. The pipeline itself (core), the
+# mesher, rigid registration and the cluster model have unit tests that
+# no stage below reaches.
+cargo test -q -p brainshift-core -p brainshift-mesh -p brainshift-register -p brainshift-cluster
+
 # Failure paths are part of the contract: run the injection suite
 # explicitly so a filtered test run can't silently skip it.
 cargo test -q --test failure_injection
@@ -101,7 +106,9 @@ RAYON_NUM_THREADS=4 cargo test -q -p brainshift-conformance differential
 # workload, so an API deletion cannot break it unseen.
 cargo run --release --quiet --manifest-path e2e_budget/Cargo.toml -- --workload small-fleet-open --smoke
 
-cargo clippy --all-targets -- -D warnings
+# Every crate, every target: the bench bins and each crate's test code
+# are compiled and linted here and nowhere else.
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The numeric kernels must not panic on bad input — constructors return
 # typed errors instead. The obs, sparse, FEM, core, service, segment and
@@ -135,6 +142,22 @@ for call in 'solve_escalated(' 'conjugate_gradient('; do
     exit 1
   fi
 done
+
+# One intraoperative pipeline: `PreparedSurgery` (surgery.rs) is the only
+# place in the workspace that composes classify → surface → solve →
+# resample. `run_pipeline` is its one-shot form and calls no stage itself.
+for call in 'KdTree::build(' 'classify_volume' 'evolve_surface' 'SolverContext::new(' \
+  'mesh_labeled_volume(' 'displacement_field_from_mesh(' '.solve('; do
+  if non_test crates/core/src/pipeline.rs | grep -nF "$call"; then
+    echo "pipeline.rs runs a stage itself ('$call'): compose stages in surgery.rs only" >&2
+    exit 1
+  fi
+done
+n=$(for f in crates/core/src/*.rs; do non_test "$f"; done | grep -cF 'solve_with(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test 'solve_with(' call in crates/core/src, found $n" >&2
+  exit 1
+fi
 
 # One resample traversal and no per-line allocation: the voxel → tet map
 # is computed in one place (`ResamplePlan::new`, the only caller of the

@@ -150,3 +150,25 @@ fn pipeline_with_intensity_drift_needs_normalization() {
     );
     assert!(res.timeline.seconds_of("intensity normalization") > 0.0);
 }
+
+#[test]
+fn scan_on_a_foreign_grid_is_a_typed_error_not_a_panic() {
+    // `skip_rigid` promises a shared frame; a scan that breaks the promise
+    // must come back as the typed grid error of `register_scan`, not die
+    // on the feature stack's grid assert.
+    use brainshift_core::Error;
+    use brainshift_imaging::phantom::generate_preop;
+    let spacing = Spacing::iso(4.5);
+    let reference =
+        generate_preop(&PhantomConfig { dims: Dims::new(32, 32, 24), spacing, ..Default::default() });
+    let foreign =
+        generate_preop(&PhantomConfig { dims: Dims::new(30, 32, 24), spacing, ..Default::default() });
+    let res = run_pipeline(
+        &reference.intensity,
+        &reference.labels,
+        &foreign.intensity,
+        &PipelineConfig { skip_rigid: true, ..Default::default() },
+    );
+    let Err(Error::Pipeline(msg)) = res else { panic!("expected the typed grid error") };
+    assert!(msg.contains("scan grid") && msg.contains("does not match"), "{msg}");
+}
