@@ -9,8 +9,7 @@ use brainshift_core::case::{generate_elastic_case, ElasticCaseOptions};
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::labels;
-use brainshift_segment::classify::{build_feature_stack, classify_volume};
-use brainshift_segment::{dice, GaussianClassifier, KdTree, PrototypeModel, SegmentConfig};
+use brainshift_segment::{dice, Classifier, GaussianClassifier, SegmentConfig};
 use brainshift_obs::Stopwatch;
 
 fn main() {
@@ -22,11 +21,9 @@ fn main() {
     };
     let shift = BrainShiftConfig { peak_shift_mm: 8.0, resect_tumor: false, ..Default::default() };
     let case = generate_elastic_case(&cfg, &shift, &ElasticCaseOptions::default());
-    let seg_cfg = SegmentConfig::default();
-    let mut classes = case.preop.labels.labels();
-    classes.retain(|&c| c != labels::RESECTION);
-    let fs = build_feature_stack(&case.intraop.intensity, &case.preop.labels, &classes, &seg_cfg);
-    let model = PrototypeModel::sample(&case.preop.labels, &classes, seg_cfg.per_class, seg_cfg.seed);
+    let classifier = Classifier::new(&case.preop.labels, &SegmentConfig::default());
+    let fs = classifier.feature_stack(&case.intraop.intensity).expect("phantom scans share one grid");
+    let model = classifier.model();
     let protos = model.extract(&fs);
     println!(
         "training: {} prototypes over {} classes, {} feature channels\n",
@@ -48,8 +45,10 @@ fn main() {
 
     // k-NN.
     let t0 = Stopwatch::wall();
-    let tree = KdTree::build(protos.clone()).expect("phantom prototypes are valid");
-    let seg_knn = classify_volume(&fs, &tree, seg_cfg.k);
+    let seg_knn = classifier
+        .classify(&case.intraop.intensity)
+        .expect("phantom prototypes are valid")
+        .labels;
     let t_knn = t0.elapsed_s();
     // Gaussian ML.
     let t0 = Stopwatch::wall();

@@ -7,9 +7,9 @@
 //!
 //! * [`PreparedSurgery`] — everything built **once per surgery** from the
 //!   reference scan: the tetrahedral mesh, its boundary surface snapped
-//!   onto the reference brain boundary, the prototype-voxel statistical
-//!   model for intraoperative classification with its distance channels,
-//!   the surface's neighbour table, and the mesh → grid resample plan.
+//!   onto the reference brain boundary, the [`Classifier`] (prototype
+//!   sites and distance channels of the statistical model), the
+//!   surface's neighbour table, and the mesh → grid resample plan.
 //!   Immutable and shareable across scans (and across worker threads).
 //! * [`PreparedSurgery::register_scan`] — the **per-scan job**: classify
 //!   the new scan, evolve the active surface onto it, and run one
@@ -33,17 +33,12 @@ use crate::sequence::ScanStatus;
 use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
 use brainshift_fem::{DirichletBcs, FemSolution, ResamplePlan, SolverContext};
-use brainshift_imaging::dtransform::label_distance_map;
 use brainshift_imaging::phantom::tissue_intensity;
 use brainshift_imaging::{labels, Dims, DisplacementField, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
-use brainshift_segment::{
-    classify_volume_incremental, largest_component, FeatureStack, IncrementalCache, KdTree,
-    PrototypeModel,
-};
+use brainshift_segment::{largest_component, Classification, Classifier};
 use brainshift_sparse::{EscalationPolicy, SolverOptions};
 use brainshift_surface::{evolve_surface_with, DistanceForce, EdgeForce, ExternalForce, NeighborTable};
-use std::sync::{Arc, Mutex};
 
 /// The once-per-surgery state: everything derived from the reference
 /// (first intraoperative) scan that later scans reuse unchanged.
@@ -58,11 +53,8 @@ pub struct PreparedSurgery {
     /// voxel-discretization bias; per-scan displacements are measured
     /// from these positions).
     snap_positions: Vec<Vec3>,
-    model: PrototypeModel,
-    /// Saturated distance channels of the reference segmentation, one per
-    /// model class — the per-surgery constant half of every scan's
-    /// feature stack, computed once and shared by `Arc`.
-    distance_channels: Vec<Arc<Volume<f32>>>,
+    /// The per-surgery half of the k-NN classifier.
+    classifier: Classifier,
     /// Vertex adjacency of the boundary surface, built once; every scan's
     /// active-surface evolution reuses it.
     neighbor_table: NeighborTable,
@@ -70,9 +62,6 @@ pub struct PreparedSurgery {
     /// reference grid; every scan's resampling is one weighted sum per
     /// covered voxel.
     resample_plan: ResamplePlan,
-    /// Previous scan's classification state for incremental k-NN. `None`
-    /// before the first scan and after a shape/model mismatch.
-    seg_cache: Mutex<Option<IncrementalCache>>,
 }
 
 /// Outcome of registering one intraoperative scan via
@@ -97,56 +86,40 @@ pub struct ScanRegistration {
     pub attempts: usize,
     /// Mean active-surface residual distance to the target (mm).
     pub surface_residual: f64,
-    /// Voxels actually pushed through k-NN this scan (< `total_voxels`
-    /// when the incremental cache was used and parts of the head were
-    /// static).
+    /// Voxels pushed through k-NN this scan: always `total_voxels`. Kept
+    /// only because the benchmark reads it; goes when the benchmark is
+    /// next re-cut.
     pub reclassified_voxels: usize,
-    /// Total voxels in the scan grid.
+    /// Total voxels in the scan grid. Goes with `reclassified_voxels`.
     pub total_voxels: usize,
-    /// Whether the previous scan's classification cache was accepted.
-    pub used_incremental: bool,
     /// kd-tree leaf blocks scanned by this scan's k-NN queries.
     pub knn_leaf_visits: u64,
     /// Per-stage wall-clock breakdown for this scan. Assembly, reduction
     /// and factorization are `0.0` on the warm path (they belong to
     /// [`PreparedSurgery::build_solver_context`]); the solve entry is the
     /// Krylov time of this scan only, not the context's cumulative total.
-    /// The classification sub-stages (feature stack, kd-tree build, k-NN
-    /// query, morphology) are filled in and sum to `classification_s`.
+    /// The classification sub-stages (feature matrix, kd-tree build, k-NN
+    /// query, largest component) are filled in and sum to
+    /// `classification_s`.
     pub timings: StageTimings,
 }
 
 impl PreparedSurgery {
     /// Build the per-surgery state from the reference segmentation: mesh
-    /// the brain, extract and snap its boundary surface, and sample the
-    /// prototype classification model. Fails with a typed [`Error`] when
-    /// the segmentation produces an empty mesh.
+    /// the brain, extract and snap its boundary surface, and build the
+    /// classifier. Fails with a typed [`Error`] when the segmentation
+    /// produces an empty mesh.
     pub fn new(reference_labels: &Volume<u8>, cfg: PipelineConfig) -> Result<Self, Error> {
         let mesh = mesh_labeled_volume(reference_labels, &cfg.mesher);
         if mesh.num_tets() == 0 {
             return Err(Error::Pipeline("reference segmentation produced an empty mesh".into()));
         }
         let surface = extract_boundary(&mesh);
-        let mut classes = reference_labels.labels();
-        classes.retain(|&c| c != labels::RESECTION);
-        let model = PrototypeModel::sample(
-            reference_labels,
-            &classes,
-            cfg.segment.per_class,
-            cfg.segment.seed,
-        );
+        let classifier = Classifier::new(reference_labels, &cfg.segment);
         let ref_mask = largest_component(&reference_labels.map(|&l| labels::is_brain_tissue(l)));
         let force_ref = DistanceForce::from_mask(&ref_mask, cfg.surface_force_step);
         let neighbor_table = NeighborTable::build(&surface);
         let snap = evolve_surface_with(&surface, &neighbor_table, &force_ref, &cfg.active_surface);
-        // The distance channels of the feature stack depend only on the
-        // reference segmentation: compute them once here, share them into
-        // every scan's stack.
-        let distance_channels = model
-            .classes()
-            .iter()
-            .map(|&c| Arc::new(label_distance_map(reference_labels, c, cfg.segment.distance_cap)))
-            .collect();
         let resample_plan =
             ResamplePlan::new(&mesh, reference_labels.dims(), reference_labels.spacing());
         Ok(PreparedSurgery {
@@ -155,11 +128,9 @@ impl PreparedSurgery {
             mesh,
             surface,
             snap_positions: snap.positions,
-            model,
-            distance_channels,
+            classifier,
             neighbor_table,
             resample_plan,
-            seg_cache: Mutex::new(None),
         })
     }
 
@@ -207,10 +178,9 @@ impl PreparedSurgery {
         solver_override: Option<&SolverOptions>,
         escalation_override: Option<&EscalationPolicy>,
     ) -> Result<ScanRegistration, Error> {
-        // The shared distance channels, the prototype sites and the
-        // boundary surface all live on the reference grid; a scan on any
-        // other grid is a caller error, reported before the feature
-        // stack's own grid assert can take the calling thread down.
+        // The classifier, the boundary surface and the resample plan all
+        // live on the reference grid; a scan on any other grid is a
+        // caller error.
         if intensity.dims() != self.dims {
             return Err(Error::Pipeline(format!(
                 "scan grid {:?} does not match the prepared surgery's {:?}",
@@ -218,42 +188,14 @@ impl PreparedSurgery {
                 self.dims
             )));
         }
+        let Classification {
+            labels: seg,
+            leaf_visits: knn_leaf_visits,
+            feature_s,
+            knn_build_s,
+            knn_query_s,
+        } = self.classifier.classify(intensity)?;
         let mut sw = Stopwatch::wall();
-        // Feature stack: fresh intensity channel + the per-surgery shared
-        // distance channels (computed once in `new`).
-        let mut fs = FeatureStack::from_intensity(intensity.clone());
-        for chan in &self.distance_channels {
-            fs.push_shared_channel(chan.clone(), self.cfg.segment.distance_weight);
-        }
-        let feature_s = sw.lap_s();
-        // The paper's automatic model update: prototype features re-read
-        // from the current scan at the recorded sites.
-        let tree = KdTree::build(self.model.extract(&fs))?;
-        let knn_build_s = sw.lap_s();
-        // Incremental k-NN against the previous scan's cache. The cache is
-        // taken out under the lock (a concurrent scan of the same surgery
-        // simply misses) and the fresh state is stored back after the
-        // pass; a poisoned lock only means a panicked scan, whose cache
-        // state is still structurally sound.
-        let prev = self
-            .seg_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        let inc = classify_volume_incremental(
-            &fs,
-            &tree,
-            self.cfg.segment.k,
-            self.cfg.segment.incremental_threshold,
-            prev,
-        );
-        let knn_query_s = sw.lap_s();
-        let (seg, reclassified_voxels, total_voxels, used_incremental, knn_leaf_visits) =
-            (inc.labels, inc.reclassified, inc.total, inc.used_cache, inc.leaf_visits);
-        *self
-            .seg_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(inc.cache);
         let target = largest_component(&seg.map(|&l| labels::is_brain_tissue(l)));
         let morphology_s = sw.lap_s();
         let classification_s = feature_s + knn_build_s + knn_query_s + morphology_s;
@@ -316,9 +258,8 @@ impl PreparedSurgery {
             attempts: sol.attempts,
             fem: sol,
             surface_residual: evolved.final_distance,
-            reclassified_voxels,
-            total_voxels,
-            used_incremental,
+            reclassified_voxels: self.dims.len(),
+            total_voxels: self.dims.len(),
             knn_leaf_visits,
             timings,
         })
@@ -362,41 +303,19 @@ mod tests {
             assert!(reg.timings.solve_s > 0.0);
             assert_eq!(reg.timings.assembly_s, 0.0);
             assert_eq!(reg.timings.factorization_s, 0.0);
+            // Sub-stage laps cover the whole classification stage.
+            let t = reg.timings;
+            let sub = t.feature_s + t.knn_build_s + t.knn_query_s + t.morphology_s;
+            assert!((sub - t.classification_s).abs() < 1e-9);
+            assert_eq!(reg.reclassified_voxels, reg.total_voxels);
+            assert_eq!(reg.total_voxels, scan.intensity.dims().len());
+            assert!(reg.knn_leaf_visits > 0);
             last = Some(reg.field);
         }
         let s = ctx.stats();
         assert_eq!(s.assemblies, 1);
         assert_eq!(s.factorizations, 1);
         assert_eq!(s.solves, 2);
-    }
-
-    #[test]
-    fn repeated_scan_is_served_incrementally() {
-        // Serving the *same* scan twice: the second pass re-extracts the
-        // same prototypes (same tree fingerprint), the cache is accepted,
-        // and every feature row is unchanged — zero k-NN work at
-        // threshold 0, with an identical segmentation-driven surface.
-        let seq = small_seq(1);
-        let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
-        let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare failed");
-        let mut ctx = prepared.build_solver_context().expect("context build failed");
-        let first = prepared
-            .register_scan(&mut ctx, &seq.scans[0].intensity, None, None, None)
-            .expect("register failed");
-        assert!(!first.used_incremental);
-        assert_eq!(first.reclassified_voxels, first.total_voxels);
-        assert!(first.knn_leaf_visits > 0);
-        let second = prepared
-            .register_scan(&mut ctx, &seq.scans[0].intensity, None, None, None)
-            .expect("register failed");
-        assert!(second.used_incremental, "identical rescan must hit the cache");
-        assert_eq!(second.reclassified_voxels, 0);
-        assert_eq!(second.total_voxels, seq.scans[0].intensity.dims().len());
-        assert_eq!(second.surface_residual, first.surface_residual);
-        // Sub-stage laps cover the whole classification stage.
-        let t = second.timings;
-        let sub = t.feature_s + t.knn_build_s + t.knn_query_s + t.morphology_s;
-        assert!((sub - t.classification_s).abs() < 1e-9);
     }
 
     #[test]

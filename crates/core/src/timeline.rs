@@ -113,16 +113,16 @@ pub struct StageTimings {
     /// sub-stages and are excluded from [`StageTimings::total_s`] so the
     /// time is not double-counted.
     pub classification_s: f64,
-    /// Sub-stage of classification: assembling the multichannel feature
-    /// stack (intensity + shared distance channels).
+    /// Sub-stage of classification: stacking the channels (intensity +
+    /// shared distance maps) and flattening them into the feature matrix.
     pub feature_s: f64,
     /// Sub-stage of classification: prototype extraction + kd-tree build.
     pub knn_build_s: f64,
-    /// Sub-stage of classification: the whole-volume (or incremental)
-    /// k-NN query pass.
+    /// Sub-stage of classification: the whole-volume k-NN query pass,
+    /// queries only.
     pub knn_query_s: f64,
-    /// Sub-stage of classification: morphological cleanup of the brain
-    /// mask (largest connected component).
+    /// Sub-stage of classification: cleanup of the brain mask, which is
+    /// `segment::largest_component` (6-connected) and nothing else.
     pub morphology_s: f64,
     /// Once-per-surgery preparation (`PreparedSurgery::new`): mesh
     /// generation, boundary surface snapped onto the reference brain,

@@ -1,30 +1,26 @@
 //! Whole-volume intraoperative segmentation.
 //!
-//! Combines the feature stack, prototype model and k-NN classifier into
-//! the paper's intraoperative segmentation step, with a morphological
-//! cleanup of the brain mask (the active-surface target must be a single
-//! solid region).
-//!
-//! # Incremental re-classification
-//!
-//! Between consecutive intraoperative scans most of the head is static:
-//! only tissue near the resection and the shifting brain surface changes
-//! appreciably. [`classify_volume_incremental`] exploits this by keeping
-//! the previous scan's flattened feature matrix and label volume, and
-//! re-running k-NN only for voxels whose weighted feature vector moved by
-//! more than a threshold since the cached scan. The invariant: at
-//! threshold 0 (and an unchanged prototype model) the output is
-//! **bitwise identical** to a full classification — a voxel is skipped
-//! only when its feature row is exactly the cached row, and k-NN is a
-//! deterministic pure function of (row, tree, k).
+//! The paper's classifier has a fixed half and a per-scan half. Fixed for
+//! the surgery: the prototype *sites* and the "spatial localization
+//! model" — one saturated distance channel per tissue class of the
+//! registered preoperative segmentation. Per scan: the prototype
+//! *intensities*, "updated automatically when further intraoperative
+//! images are acquired", the kd-tree over them, and one k-NN query per
+//! voxel. [`Classifier`] is that split: [`Classifier::new`] computes the
+//! fixed half once, [`Classifier::classify`] is the per-scan call, and
+//! [`segment_intraop`] is the same object built, used once and dropped.
+//! The morphological cleanup of the brain mask (the active-surface
+//! target must be a single solid region) is [`largest_component`].
 
 use crate::error::SegmentError;
 use crate::features::{FeatureMatrix, FeatureStack, MATRIX_SLAB};
 use crate::knn::{KdTree, KnnScratch};
 use crate::prototypes::PrototypeModel;
-use brainshift_imaging::{labels, Volume};
+use brainshift_imaging::dtransform::label_distance_map;
+use brainshift_imaging::{labels, Dims, Volume};
+use brainshift_obs::Stopwatch;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Segmentation configuration.
 #[derive(Debug, Clone)]
@@ -43,13 +39,6 @@ pub struct SegmentConfig {
     pub per_class: usize,
     /// RNG seed for prototype sampling.
     pub seed: u64,
-    /// Incremental re-classification threshold in weighted feature units:
-    /// a voxel is re-classified only when some channel moved more than
-    /// this since the cached scan. `0.0` (the default) keeps the output
-    /// bitwise identical to a full classification; small positive values
-    /// (a few intensity units, i.e. well under the ~30-unit class gaps)
-    /// trade exactness for skipping noise-only voxels.
-    pub incremental_threshold: f32,
 }
 
 impl Default for SegmentConfig {
@@ -60,194 +49,141 @@ impl Default for SegmentConfig {
             distance_weight: 0.75,
             per_class: 150,
             seed: 0x5E6,
-            incremental_threshold: 0.0,
         }
     }
 }
 
-/// Build the multichannel feature stack the paper describes: intensity +
-/// one saturated distance channel per class present in the (registered)
-/// preoperative segmentation.
-pub fn build_feature_stack(
-    intraop_intensity: &Volume<f32>,
-    preop_seg: &Volume<u8>,
-    classes: &[u8],
-    cfg: &SegmentConfig,
-) -> FeatureStack {
-    let mut fs = FeatureStack::from_intensity(intraop_intensity.clone());
-    for &c in classes {
-        fs.push_distance_channel(preop_seg, c, cfg.distance_cap, cfg.distance_weight);
-    }
-    fs
+/// The once-per-surgery half of the classifier: prototype sites sampled
+/// from the registered preoperative segmentation and one saturated
+/// distance channel per model class. Immutable, so one instance serves
+/// every scan of a surgery from any thread.
+pub struct Classifier {
+    k: usize,
+    distance_weight: f32,
+    /// Grid of the preoperative segmentation; every scan must arrive on it.
+    dims: Dims,
+    model: PrototypeModel,
+    /// Shared into every scan's feature stack without copying.
+    distance_channels: Vec<Arc<Volume<f32>>>,
 }
 
-/// Classify every voxel with k-NN over the feature stack. The label
-/// volume is returned on the stack's own grid and spacing.
-pub fn classify_volume(features: &FeatureStack, tree: &KdTree, k: usize) -> Volume<u8> {
-    classify_matrix(&features.to_matrix(), tree, k)
+/// One scan's classification, with what it cost.
+#[derive(Debug)]
+pub struct Classification {
+    /// The label volume, on the scan's grid and spacing.
+    pub labels: Volume<u8>,
+    /// kd-tree leaf blocks scanned by this scan's k-NN queries.
+    pub leaf_visits: u64,
+    /// Seconds spent stacking the channels and flattening them into the
+    /// per-voxel feature matrix.
+    pub feature_s: f64,
+    /// Seconds spent re-reading the prototypes and building the kd-tree.
+    pub knn_build_s: f64,
+    /// Seconds spent in the k-NN queries alone.
+    pub knn_query_s: f64,
+}
+
+impl Classifier {
+    /// Sample the prototype sites (every class present except the
+    /// resection cavity) and compute the distance channels.
+    pub fn new(preop_seg: &Volume<u8>, cfg: &SegmentConfig) -> Self {
+        let mut classes = preop_seg.labels();
+        classes.retain(|&c| c != labels::RESECTION);
+        let model = PrototypeModel::sample(preop_seg, &classes, cfg.per_class, cfg.seed);
+        let distance_channels = model
+            .classes()
+            .iter()
+            .map(|&c| Arc::new(label_distance_map(preop_seg, c, cfg.distance_cap)))
+            .collect();
+        Classifier {
+            k: cfg.k,
+            distance_weight: cfg.distance_weight,
+            dims: preop_seg.dims(),
+            model,
+            distance_channels,
+        }
+    }
+
+    /// The recorded prototype sites.
+    pub fn model(&self) -> &PrototypeModel {
+        &self.model
+    }
+
+    /// The multichannel data set the paper describes for one scan: its
+    /// intensity plus the per-surgery distance channels.
+    pub fn feature_stack(&self, intensity: &Volume<f32>) -> Result<FeatureStack, SegmentError> {
+        if intensity.dims() != self.dims {
+            return Err(SegmentError::GridMismatch { expected: self.dims, got: intensity.dims() });
+        }
+        let mut fs = FeatureStack::from_intensity(intensity.clone());
+        for chan in &self.distance_channels {
+            fs.push_shared_channel(chan.clone(), self.distance_weight);
+        }
+        Ok(fs)
+    }
+
+    /// Classify one registered intraoperative scan. The prototype
+    /// features are re-read from this scan at the recorded sites — the
+    /// paper's automatic model update — so the interactive selection
+    /// happens once per surgery.
+    pub fn classify(&self, intensity: &Volume<f32>) -> Result<Classification, SegmentError> {
+        let mut sw = Stopwatch::wall();
+        let fs = self.feature_stack(intensity)?;
+        let matrix = fs.to_matrix();
+        let feature_s = sw.lap_s();
+        let tree = KdTree::build(self.model.extract(&fs))?;
+        let knn_build_s = sw.lap_s();
+        let (labels, leaf_visits) = classify_matrix(&matrix, &tree, self.k);
+        let knn_query_s = sw.lap_s();
+        Ok(Classification { labels, leaf_visits, feature_s, knn_build_s, knn_query_s })
+    }
 }
 
 /// Classify every voxel of a flattened feature matrix, in parallel over
-/// voxel slabs with one reusable k-NN scratch per slab.
-pub fn classify_matrix(matrix: &FeatureMatrix, tree: &KdTree, k: usize) -> Volume<u8> {
+/// voxel slabs with one reusable k-NN scratch per slab. Returns the label
+/// volume (on the matrix's grid and spacing) and the kd-tree leaf blocks
+/// scanned.
+pub fn classify_matrix(matrix: &FeatureMatrix, tree: &KdTree, k: usize) -> (Volume<u8>, u64) {
     let d = matrix.dims();
     let mut data = vec![0u8; d.len()];
-    data.par_chunks_mut(MATRIX_SLAB).enumerate().for_each(|(s, chunk)| {
-        let base = s * MATRIX_SLAB;
-        let mut scratch = KnnScratch::new();
-        for (i, out) in chunk.iter_mut().enumerate() {
-            *out = tree.classify_with(&mut scratch, matrix.row(base + i), k);
-        }
-    });
-    Volume::from_vec(d, matrix.spacing(), data)
+    let leaf_visits = data
+        .par_chunks_mut(MATRIX_SLAB)
+        .enumerate()
+        .map(|(s, chunk)| {
+            let base = s * MATRIX_SLAB;
+            let mut scratch = KnnScratch::new();
+            for (i, out) in chunk.iter_mut().enumerate() {
+                *out = tree.classify_with(&mut scratch, matrix.row(base + i), k);
+            }
+            scratch.leaf_visits
+        })
+        .sum();
+    (Volume::from_vec(d, matrix.spacing(), data), leaf_visits)
 }
 
 /// Serial reference classifier: identical output to [`classify_matrix`]
 /// by construction (per-voxel k-NN is a pure function, and slab order
 /// never enters the result). Kept as the oracle for the thread-count
 /// determinism tests.
-pub fn classify_matrix_serial(matrix: &FeatureMatrix, tree: &KdTree, k: usize) -> Volume<u8> {
+pub fn classify_matrix_serial(matrix: &FeatureMatrix, tree: &KdTree, k: usize) -> (Volume<u8>, u64) {
     let d = matrix.dims();
     let mut scratch = KnnScratch::new();
     let mut data = vec![0u8; d.len()];
     for (idx, out) in data.iter_mut().enumerate() {
         *out = tree.classify_with(&mut scratch, matrix.row(idx), k);
     }
-    Volume::from_vec(d, matrix.spacing(), data)
+    (Volume::from_vec(d, matrix.spacing(), data), scratch.leaf_visits)
 }
 
-/// The previous scan's classification state, kept by the caller (e.g.
-/// `PreparedSurgery`) to make the next scan incremental.
-#[derive(Debug, Clone)]
-pub struct IncrementalCache {
-    /// Flattened weighted features of the cached scan.
-    pub matrix: FeatureMatrix,
-    /// Labels produced for the cached scan (row-major, same grid).
-    pub labels: Vec<u8>,
-    /// Fingerprint of the kd-tree that produced `labels`.
-    pub tree_fingerprint: u64,
-    /// `k` used for `labels`.
-    pub k: usize,
-}
-
-/// Outcome of an incremental classification pass.
-#[derive(Debug)]
-pub struct IncrementalClassification {
-    /// The label volume (on the matrix's grid and spacing).
-    pub labels: Volume<u8>,
-    /// Voxels actually sent through k-NN this scan.
-    pub reclassified: usize,
-    /// Total voxels in the volume.
-    pub total: usize,
-    /// Whether the previous scan's cache was accepted.
-    pub used_cache: bool,
-    /// kd-tree leaf blocks scanned during this pass.
-    pub leaf_visits: u64,
-    /// State to hand to the next scan.
-    pub cache: IncrementalCache,
-}
-
-/// Classify a feature matrix, reusing the previous scan's labels for
-/// voxels whose features moved by at most `threshold` (weighted units).
-///
-/// The cache is accepted only when the grid/channel shape and `k` match,
-/// and — in exact mode (`threshold == 0`) — when the kd-tree fingerprint
-/// matches too: with a changed prototype model, an unchanged feature row
-/// no longer implies an unchanged label. At `threshold > 0` the caller
-/// has already accepted approximation, so model drift from re-extracted
-/// prototypes is tolerated. A rejected cache falls back to a full pass.
-pub fn classify_volume_incremental(
-    features: &FeatureStack,
-    tree: &KdTree,
-    k: usize,
-    threshold: f32,
-    prev: Option<IncrementalCache>,
-) -> IncrementalClassification {
-    let matrix = features.to_matrix();
-    let d = matrix.dims();
-    let total = d.len();
-    let usable = prev.as_ref().is_some_and(|c| {
-        c.matrix.same_shape(&matrix)
-            && c.k == k
-            && (threshold > 0.0 || c.tree_fingerprint == tree.fingerprint())
-    });
-    let leaf_visits = AtomicU64::new(0);
-    let reclassified = AtomicUsize::new(0);
-    let mut data = vec![0u8; total];
-    if let (true, Some(cache)) = (usable, prev.as_ref()) {
-        data.par_chunks_mut(MATRIX_SLAB).enumerate().for_each(|(s, chunk)| {
-            let base = s * MATRIX_SLAB;
-            let mut scratch = KnnScratch::new();
-            let mut changed = 0usize;
-            for (i, out) in chunk.iter_mut().enumerate() {
-                let idx = base + i;
-                let delta = matrix.row_delta_max(&cache.matrix, idx);
-                // `!(delta <= threshold)` so NaN deltas re-classify.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(delta <= threshold) {
-                    *out = tree.classify_with(&mut scratch, matrix.row(idx), k);
-                    changed += 1;
-                } else {
-                    *out = cache.labels[idx];
-                }
-            }
-            leaf_visits.fetch_add(scratch.leaf_visits, Ordering::Relaxed);
-            reclassified.fetch_add(changed, Ordering::Relaxed);
-        });
-    } else {
-        data.par_chunks_mut(MATRIX_SLAB).enumerate().for_each(|(s, chunk)| {
-            let base = s * MATRIX_SLAB;
-            let mut scratch = KnnScratch::new();
-            for (i, out) in chunk.iter_mut().enumerate() {
-                *out = tree.classify_with(&mut scratch, matrix.row(base + i), k);
-            }
-            leaf_visits.fetch_add(scratch.leaf_visits, Ordering::Relaxed);
-        });
-        reclassified.store(total, Ordering::Relaxed);
-    }
-    let labels = Volume::from_vec(d, matrix.spacing(), data.clone());
-    IncrementalClassification {
-        labels,
-        reclassified: reclassified.into_inner(),
-        total,
-        used_cache: usable,
-        leaf_visits: leaf_visits.into_inner(),
-        cache: IncrementalCache { matrix, labels: data, tree_fingerprint: tree.fingerprint(), k },
-    }
-}
-
-/// End-to-end intraoperative segmentation: prototypes sampled from the
-/// registered preoperative segmentation, model extracted from the current
-/// scan, k-NN over all voxels. Returns the label volume (on the intraop
-/// grid/spacing).
+/// End-to-end intraoperative segmentation of a single scan: a
+/// [`Classifier`] built, used once and dropped. Returns the label volume
+/// (on the intraop grid/spacing).
 pub fn segment_intraop(
     intraop_intensity: &Volume<f32>,
     preop_seg: &Volume<u8>,
     cfg: &SegmentConfig,
 ) -> Result<Volume<u8>, SegmentError> {
-    let mut classes = preop_seg.labels();
-    classes.retain(|&c| c != labels::RESECTION);
-    let model = PrototypeModel::sample(preop_seg, &classes, cfg.per_class, cfg.seed);
-    segment_intraop_with_model(intraop_intensity, preop_seg, &model, cfg)
-}
-
-/// Segmentation with an existing prototype model — the paper's automatic
-/// model update: "The spatial location of the prototype voxels is
-/// recorded and is used to update the statistical model automatically
-/// when further intraoperative images are acquired and registered." The
-/// recorded sites are re-read from the *current* scan's feature stack, so
-/// the interactive selection happens once per surgery.
-pub fn segment_intraop_with_model(
-    intraop_intensity: &Volume<f32>,
-    preop_seg: &Volume<u8>,
-    model: &PrototypeModel,
-    cfg: &SegmentConfig,
-) -> Result<Volume<u8>, SegmentError> {
-    let classes = model.classes();
-    let fs = build_feature_stack(intraop_intensity, preop_seg, &classes, cfg);
-    let protos = model.extract(&fs);
-    let tree = KdTree::build(protos)?;
-    Ok(classify_volume(&fs, &tree, cfg.k))
+    Ok(Classifier::new(preop_seg, cfg).classify(intraop_intensity)?.labels)
 }
 
 /// Largest 6-connected component of `mask`, as a new mask. Used to clean
@@ -330,7 +266,7 @@ pub fn dice(a: &Volume<bool>, b: &Volume<bool>) -> f64 {
 mod tests {
     use super::*;
     use brainshift_imaging::phantom::{generate_case, BrainShiftConfig, PhantomConfig};
-    use brainshift_imaging::volume::{Dims, Spacing};
+    use brainshift_imaging::volume::Spacing;
 
     #[test]
     fn segments_phantom_intraop_scan_well() {
@@ -370,90 +306,20 @@ mod tests {
         let intensity = Volume::from_fn(d, sp, |x, _, _| if x < 4 { 10.0 } else { 90.0 });
         let seg = Volume::from_fn(d, sp, |x, _, _| if x < 4 { 1u8 } else { 2 });
         let cfg = SegmentConfig { per_class: 20, ..Default::default() };
-        let fs = build_feature_stack(&intensity, &seg, &[1, 2], &cfg);
-        let model = PrototypeModel::sample(&seg, &[1, 2], cfg.per_class, cfg.seed);
-        let tree = KdTree::build(model.extract(&fs)).expect("valid prototypes");
-        let out = classify_volume(&fs, &tree, cfg.k);
+        let out = segment_intraop(&intensity, &seg, &cfg).expect("valid prototypes");
         assert_eq!(out.spacing(), sp, "classification must keep the intraop spacing");
-        let end_to_end = segment_intraop(&intensity, &seg, &cfg).expect("valid prototypes");
-        assert_eq!(end_to_end.spacing(), sp);
     }
 
     #[test]
-    fn incremental_threshold_zero_is_bitwise_identical() {
-        let d = Dims::new(10, 10, 8);
-        let sp = Spacing::iso(2.0);
-        let seg = Volume::from_fn(d, sp, |x, _, _| if x < 5 { 1u8 } else { 2 });
-        let cfg = SegmentConfig { per_class: 30, ..Default::default() };
-        let model = PrototypeModel::sample(&seg, &[1, 2], cfg.per_class, cfg.seed);
-        let make_fs = |phase: f32| {
-            let intensity = Volume::from_fn(d, sp, |x, y, z| {
-                let base = if x < 5 { 20.0 } else { 80.0 };
-                base + ((x + 2 * y + 3 * z) as f32 * phase).sin() * 5.0
-            });
-            build_feature_stack(&intensity, &seg, &[1, 2], &cfg)
-        };
-        let mut cache: Option<IncrementalCache> = None;
-        for scan in 0..3 {
-            let fs = make_fs(0.1 + scan as f32 * 0.05);
-            let tree = KdTree::build(model.extract(&fs)).expect("valid prototypes");
-            let full = classify_volume(&fs, &tree, cfg.k);
-            let inc = classify_volume_incremental(&fs, &tree, cfg.k, 0.0, cache.take());
-            assert_eq!(inc.labels.data(), full.data(), "scan {scan} diverged");
-            assert_eq!(inc.total, d.len());
-            cache = Some(inc.cache);
-        }
-    }
-
-    #[test]
-    fn incremental_skips_static_voxels_and_counts_changes() {
-        let d = Dims::new(8, 8, 8);
-        let sp = Spacing::iso(1.0);
-        let seg = Volume::from_fn(d, sp, |x, _, _| if x < 4 { 1u8 } else { 2 });
-        let cfg = SegmentConfig { per_class: 20, ..Default::default() };
-        let model = PrototypeModel::sample(&seg, &[1, 2], cfg.per_class, cfg.seed);
-        let intensity = Volume::from_fn(d, sp, |x, _, _| if x < 4 { 10.0 } else { 90.0 });
-        let fs = build_feature_stack(&intensity, &seg, &[1, 2], &cfg);
-        let tree = KdTree::build(model.extract(&fs)).expect("valid prototypes");
-        let first = classify_volume_incremental(&fs, &tree, cfg.k, 0.0, None);
-        assert!(!first.used_cache);
-        assert_eq!(first.reclassified, d.len());
-        // Identical scan: with the same tree, nothing should re-classify.
-        let second = classify_volume_incremental(&fs, &tree, cfg.k, 0.0, Some(first.cache));
-        assert!(second.used_cache);
-        assert_eq!(second.reclassified, 0);
-        assert_eq!(second.labels.data(), first.labels.data());
-        // Perturb one voxel beyond any threshold: exactly one re-classify.
-        let mut moved = intensity.clone();
-        moved.set(2, 3, 4, 55.0);
-        let fs2 = build_feature_stack(&moved, &seg, &[1, 2], &cfg);
-        let third = classify_volume_incremental(&fs2, &tree, cfg.k, 0.0, Some(second.cache));
-        assert!(third.used_cache);
-        assert_eq!(third.reclassified, 1);
-    }
-
-    #[test]
-    fn incremental_exact_mode_rejects_changed_tree() {
-        let d = Dims::new(6, 6, 6);
-        let sp = Spacing::iso(1.0);
-        let seg = Volume::from_fn(d, sp, |x, _, _| if x < 3 { 1u8 } else { 2 });
-        let cfg = SegmentConfig { per_class: 10, ..Default::default() };
-        let model = PrototypeModel::sample(&seg, &[1, 2], cfg.per_class, cfg.seed);
-        let intensity = Volume::from_fn(d, sp, |x, _, _| if x < 3 { 10.0 } else { 90.0 });
-        let fs = build_feature_stack(&intensity, &seg, &[1, 2], &cfg);
-        let tree = KdTree::build(model.extract(&fs)).expect("valid prototypes");
-        let first = classify_volume_incremental(&fs, &tree, cfg.k, 0.0, None);
-        // A different prototype model (reseeded) ⇒ different fingerprint ⇒
-        // exact mode must fall back to a full pass.
-        let model2 = PrototypeModel::sample(&seg, &[1, 2], cfg.per_class, cfg.seed + 1);
-        let tree2 = KdTree::build(model2.extract(&fs)).expect("valid prototypes");
-        let second = classify_volume_incremental(&fs, &tree2, cfg.k, 0.0, Some(first.cache.clone()));
-        assert!(!second.used_cache, "fingerprint mismatch must invalidate exact mode");
-        assert_eq!(second.reclassified, d.len());
-        // Thresholded mode tolerates the drifted tree and reuses labels.
-        let third = classify_volume_incremental(&fs, &tree2, cfg.k, 0.5, Some(first.cache));
-        assert!(third.used_cache);
-        assert_eq!(third.reclassified, 0);
+    fn scan_on_a_foreign_grid_is_a_typed_error() {
+        // Regression: this used to panic on the feature stack's grid assert.
+        let sp = Spacing::iso(4.0);
+        let seg_dims = Dims::new(32, 32, 24);
+        let scan_dims = Dims::new(30, 32, 24);
+        let seg = Volume::from_fn(seg_dims, sp, |x, _, _| if x < 16 { 1u8 } else { 2 });
+        let intensity = Volume::from_fn(scan_dims, sp, |x, _, _| if x < 16 { 10.0 } else { 90.0 });
+        let err = segment_intraop(&intensity, &seg, &SegmentConfig::default()).unwrap_err();
+        assert_eq!(err, SegmentError::GridMismatch { expected: seg_dims, got: scan_dims });
     }
 
     #[test]

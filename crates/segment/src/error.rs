@@ -7,9 +7,10 @@
 //! are reported as values, matching the errors-vs-panics policy of the
 //! sparse/FEM/mesh layers.
 
+use brainshift_imaging::Dims;
 use std::fmt;
 
-/// A structural violation in classifier training data.
+/// A structural violation in classifier training data or input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SegmentError {
     /// A k-NN model was requested over zero prototypes.
@@ -36,6 +37,15 @@ pub enum SegmentError {
         /// Offending feature axis.
         axis: usize,
     },
+    /// A scan arrived on a grid other than the preoperative
+    /// segmentation's, so the distance channels and prototype sites do
+    /// not line up with its voxels.
+    GridMismatch {
+        /// Grid of the preoperative segmentation.
+        expected: Dims,
+        /// Grid of the scan.
+        got: Dims,
+    },
 }
 
 impl fmt::Display for SegmentError {
@@ -54,6 +64,10 @@ impl fmt::Display for SegmentError {
             SegmentError::NonFiniteFeature { index, axis } => {
                 write!(f, "prototype {index} has a non-finite feature on axis {axis}")
             }
+            SegmentError::GridMismatch { expected, got } => write!(
+                f,
+                "scan grid {got:?} does not match the preoperative segmentation's {expected:?}"
+            ),
         }
     }
 }
@@ -72,5 +86,7 @@ mod tests {
         assert!(e.to_string().contains("expected 4"));
         let e = SegmentError::NonFiniteFeature { index: 3, axis: 1 };
         assert!(e.to_string().contains("non-finite"));
+        let e = SegmentError::GridMismatch { expected: Dims::new(4, 4, 4), got: Dims::new(4, 4, 3) };
+        assert!(e.to_string().contains("does not match"));
     }
 }

@@ -7,16 +7,16 @@
 //! location model..."
 //!
 //! Channels are reference-counted so the per-surgery constant channels
-//! (the saturated distance maps of the *preoperative* segmentation) can
-//! be computed once and shared across every scan's stack; only the
-//! intensity channel changes per scan. For the classification hot loop
+//! (the saturated distance maps of the *preoperative* segmentation) are
+//! computed once by [`Classifier::new`](crate::classify::Classifier::new)
+//! and shared into every scan's stack; only the intensity channel
+//! changes per scan. For the classification hot loop
 //! the stack is flattened into a [`FeatureMatrix`] — one contiguous
 //! weighted row per voxel — so queries borrow a slice instead of
 //! allocating a `Vec` per voxel.
 
 use std::sync::Arc;
 
-use brainshift_imaging::dtransform::label_distance_map;
 use brainshift_imaging::volume::Spacing;
 use brainshift_imaging::{Dims, Volume};
 use rayon::prelude::*;
@@ -54,14 +54,6 @@ impl FeatureStack {
         assert_eq!(channel.dims(), self.dims, "channel grid mismatch");
         self.channels.push(channel);
         self.weights.push(weight);
-    }
-
-    /// Add the saturated distance map of `label` in the (registered)
-    /// preoperative segmentation — the paper's "spatial localization
-    /// model" channel.
-    pub fn push_distance_channel(&mut self, preop_seg: &Volume<u8>, label: u8, cap: f32, weight: f32) {
-        assert_eq!(preop_seg.dims(), self.dims);
-        self.push_channel(label_distance_map(preop_seg, label, cap), weight);
     }
 
     /// Number of channels in the stack.
@@ -124,8 +116,7 @@ pub(crate) const MATRIX_SLAB: usize = 4096;
 
 /// A flattened feature stack: `dims.len() × channels` weighted feature
 /// values, row-major per voxel. This is the classification hot loop's
-/// working layout, and what the incremental re-classification cache keeps
-/// from the previous scan to measure per-voxel feature drift.
+/// working layout.
 #[derive(Debug, Clone)]
 pub struct FeatureMatrix {
     dims: Dims,
@@ -154,36 +145,12 @@ impl FeatureMatrix {
     pub fn row(&self, idx: usize) -> &[f32] {
         &self.data[idx * self.channels..(idx + 1) * self.channels]
     }
-
-    /// Largest absolute per-channel difference between this matrix's and
-    /// `prev`'s row for voxel `idx` (both in weighted feature units).
-    /// Returns NaN if any compared value is NaN, which callers must treat
-    /// as "changed".
-    pub fn row_delta_max(&self, prev: &FeatureMatrix, idx: usize) -> f32 {
-        let mut m = 0.0f32;
-        for (a, b) in self.row(idx).iter().zip(prev.row(idx)) {
-            let d = (a - b).abs();
-            // Propagate NaN: `max` would silently drop it, and the
-            // negated `<=` (unlike `>`) is true for NaN.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(d <= m) {
-                m = d;
-            }
-        }
-        m
-    }
-
-    /// True when `other` has the same grid and channel count, i.e. rows
-    /// are comparable voxel-for-voxel.
-    pub fn same_shape(&self, other: &FeatureMatrix) -> bool {
-        self.dims == other.dims && self.channels == other.channels
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use brainshift_imaging::volume::Spacing;
+    use brainshift_imaging::dtransform::label_distance_map;
 
     #[test]
     fn stack_builds_vectors_with_weights() {
@@ -235,26 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn row_delta_detects_single_channel_drift() {
-        let d = Dims::new(4, 1, 1);
-        let base = FeatureStack::from_intensity(Volume::from_fn(d, Spacing::iso(1.0), |x, _, _| x as f32))
-            .to_matrix();
-        let moved =
-            FeatureStack::from_intensity(Volume::from_fn(d, Spacing::iso(1.0), |x, _, _| {
-                x as f32 + if x == 2 { 0.5 } else { 0.0 }
-            }))
-            .to_matrix();
-        assert_eq!(moved.row_delta_max(&base, 0), 0.0);
-        assert_eq!(moved.row_delta_max(&base, 2), 0.5);
-    }
-
-    #[test]
     fn distance_channel_negative_inside_label() {
         let d = Dims::new(6, 6, 6);
         let intensity: Volume<f32> = Volume::zeros(d, Spacing::iso(1.0));
         let seg = Volume::from_fn(d, Spacing::iso(1.0), |x, _, _| if x < 3 { 4u8 } else { 0 });
         let mut fs = FeatureStack::from_intensity(intensity);
-        fs.push_distance_channel(&seg, 4, 10.0, 1.0);
+        fs.push_channel(label_distance_map(&seg, 4, 10.0), 1.0);
         assert!(fs.vector(0, 3, 3)[1] < 0.0, "inside should be negative");
         assert!(fs.vector(5, 3, 3)[1] > 0.0, "outside should be positive");
     }

@@ -98,7 +98,6 @@ pub struct KdTree {
     /// `leaf_len[j]` values per axis.
     leaf_feats: Vec<f32>,
     root: u32,
-    fingerprint: u64,
 }
 
 impl KdTree {
@@ -133,7 +132,6 @@ impl KdTree {
             labels.push(p.label);
             feats.extend_from_slice(&p.features);
         }
-        let fingerprint = fingerprint_of(dim, &labels, &feats);
         let mut tree = KdTree {
             dim,
             labels,
@@ -147,7 +145,6 @@ impl KdTree {
             leaf_index: Vec::new(),
             leaf_feats: Vec::new(),
             root: 0,
-            fingerprint,
         };
         let mut order: Vec<u32> = (0..n as u32).collect();
         tree.root = tree.build_node(&mut order);
@@ -239,14 +236,6 @@ impl KdTree {
     /// Features of the `i`-th prototype (original insertion order).
     pub fn feature(&self, i: usize) -> &[f32] {
         &self.feats[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// FNV-1a hash of the training set (dimensionality, labels, feature
-    /// bit patterns in original order). Two trees with equal fingerprints
-    /// classify identically; the incremental re-classification cache uses
-    /// this to detect prototype-model drift between scans.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// The `k` nearest prototypes to `query` (squared Euclidean), as
@@ -414,32 +403,6 @@ fn push_candidate(best: &mut Vec<(f32, u32)>, k: usize, d2: f32, idx: u32) {
     }
 }
 
-/// FNV-1a over the training set's structure and bit patterns.
-fn fingerprint_of(dim: usize, labels: &[u8], feats: &[f32]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    };
-    for b in (labels.len() as u64).to_le_bytes() {
-        eat(b);
-    }
-    for b in (dim as u64).to_le_bytes() {
-        eat(b);
-    }
-    for &l in labels {
-        eat(l);
-    }
-    for &f in feats {
-        for b in f.to_bits().to_le_bytes() {
-            eat(b);
-        }
-    }
-    h
-}
-
 /// Brute-force k-NN for testing, using the same `(distance², index)`
 /// candidate order as the tree.
 pub fn k_nearest_brute(protos: &[Prototype], query: &[f32], k: usize) -> Vec<(f32, usize)> {
@@ -603,21 +566,5 @@ mod tests {
             KdTree::build(vec![Prototype { features: vec![1.0, f32::NAN], label: 0 }]).err(),
             Some(SegmentError::NonFiniteFeature { index: 0, axis: 1 })
         );
-    }
-
-    #[test]
-    fn fingerprint_tracks_training_set_changes() {
-        let protos = random_protos(64, 3, 8);
-        let a = KdTree::build(protos.clone()).unwrap();
-        let b = KdTree::build(protos.clone()).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        let mut perturbed = protos.clone();
-        perturbed[10].features[1] += 1e-4;
-        let c = KdTree::build(perturbed).unwrap();
-        assert_ne!(a.fingerprint(), c.fingerprint());
-        let mut relabeled = protos;
-        relabeled[3].label ^= 1;
-        let d = KdTree::build(relabeled).unwrap();
-        assert_ne!(a.fingerprint(), d.fingerprint());
     }
 }

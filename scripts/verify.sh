@@ -30,24 +30,21 @@ cargo test -q --test conformance_gate
 cargo test -q -p brainshift-conformance
 cargo run -q --release -p brainshift-conformance --bin conformance_report
 
-# Per-scan stage: the hot path of one scan, layer by layer. Property
-# tests prove the incremental classifier bitwise-exact at threshold 0 and
-# the parallel slab classifier equal to the serial oracle; the sparse,
-# imaging and FEM suites pin the fused Gram–Schmidt sweep, the ILU sweep,
-# the distance transform, the stencil gradient and the resample plan to
-# the formulations they replaced, bit for bit. Running them under two
-# worker counts extends the equalities across thread counts (the fused
-# sweep's chunked path only runs above one thread), and the root-level
-# goldens pin three whole warm scans to the pre-change bits at both. Then
-# a short hot-path bench run, which asserts the exactness invariant on a
-# real phantom sequence and that the thresholded pass skips work, writing
-# bench_out/segment_hot.json.
+# Per-scan stage: the hot path of one scan, layer by layer. A property
+# test proves the parallel slab classifier equal to the serial oracle,
+# labels and leaf visits, on a grid of three slabs and a ragged tail; the
+# sparse, imaging and FEM suites pin the fused Gram–Schmidt sweep, the
+# ILU sweep, the distance transform, the stencil gradient and the
+# resample plan to the formulations they replaced, bit for bit. Running
+# them under two worker counts extends the equalities across thread
+# counts (the fused sweep's chunked path only runs above one thread), and
+# the root-level goldens pin three whole warm scans to the pre-change
+# bits at both.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
   RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise
 done
-cargo run -q --release -p brainshift-bench --bin segment_hot_json -- 4
 
 # Service stage: the serving layer, all of it — core/queue/cache unit
 # tests, the scheduler and affinity property suites on the simulator
@@ -146,7 +143,7 @@ done
 # One intraoperative pipeline: `PreparedSurgery` (surgery.rs) is the only
 # place in the workspace that composes classify → surface → solve →
 # resample. `run_pipeline` is its one-shot form and calls no stage itself.
-for call in 'KdTree::build(' 'classify_volume' 'evolve_surface' 'SolverContext::new(' \
+for call in 'KdTree::build(' '.classify(' 'evolve_surface' 'SolverContext::new(' \
   'mesh_labeled_volume(' 'displacement_field_from_mesh(' '.solve('; do
   if non_test crates/core/src/pipeline.rs | grep -nF "$call"; then
     echo "pipeline.rs runs a stage itself ('$call'): compose stages in surgery.rs only" >&2
@@ -156,6 +153,37 @@ done
 n=$(for f in crates/core/src/*.rs; do non_test "$f"; done | grep -cF 'solve_with(' || true)
 if [ "$n" -ne 1 ]; then
   echo "expected exactly one non-test 'solve_with(' call in crates/core/src, found $n" >&2
+  exit 1
+fi
+
+# One classification path: `segment::Classifier` is the only place that
+# composes stack → prototypes → kd-tree → k-NN. `register_scan` reaches it
+# through one call and knows none of its parts, the parallel slab loop
+# and its serial oracle are the only two callers of the per-voxel query,
+# and nothing carries classification state from one scan to the next.
+for part in 'KdTree::build(' 'FeatureStack::' 'PrototypeModel::' 'label_distance_map(' 'Mutex'; do
+  if non_test crates/core/src/surgery.rs | grep -nF "$part"; then
+    echo "surgery.rs knows the classifier's algorithm ('$part'): keep it behind segment::Classifier" >&2
+    exit 1
+  fi
+done
+n=$(non_test crates/core/src/surgery.rs | grep -cF '.classify(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test '.classify(' call in surgery.rs, found $n" >&2
+  exit 1
+fi
+n=$(non_test crates/segment/src/classify.rs | grep -cF 'KdTree::build(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test 'KdTree::build(' call in segment/src/classify.rs, found $n" >&2
+  exit 1
+fi
+n=$(non_test crates/segment/src/classify.rs | grep -cF 'classify_with(' || true)
+if [ "$n" -ne 2 ]; then
+  echo "expected two non-test 'classify_with(' calls in segment/src/classify.rs (slab loop, serial oracle), found $n" >&2
+  exit 1
+fi
+if grep -rn "incremental" crates/segment/src crates/core/src; then
+  echo "the incremental re-classification cache was removed (DESIGN §13): do not bring it back" >&2
   exit 1
 fi
 
