@@ -166,10 +166,10 @@ pub fn run_scan_sequence_with_faults(
     cfg: &PipelineConfig,
     faults: &FaultInjection,
 ) -> Result<SequenceResult, Error> {
-    // Built once per surgery: mesh, snapped boundary surface, prototype
-    // model (the per-surgery half of the job-ified pipeline), plus the
-    // solver context — assemble K, split off K_ff/K_fc and factor the
-    // preconditioner once, re-solve per scan.
+    // Built once per surgery: mesh, stiffness matrix K, snapped boundary
+    // surface, prototype model (the per-surgery half of the job-ified
+    // pipeline), plus the solver context — split K into K_ff/K_fc and
+    // factor the preconditioner once, re-solve per scan.
     let sw = Stopwatch::wall();
     let prepared = PreparedSurgery::new(&seq.reference.labels, cfg.clone())?;
     let prepare_s = sw.elapsed_s();
@@ -214,7 +214,7 @@ pub fn run_scan_sequence_with_faults(
             timings: reg.timings,
         });
     }
-    stage_timings.add_per_surgery(prepare_s, &solver.timings());
+    stage_timings.add_per_surgery(prepare_s, prepared.assembly_s(), &solver.timings());
     Ok(SequenceResult { outcomes, solver_stats: solver.stats(), degraded_scans, stage_timings })
 }
 

@@ -6,18 +6,22 @@
 //! [`run_pipeline`](crate::pipeline::run_pipeline) all call it.
 //!
 //! * [`PreparedSurgery`] — everything built **once per surgery** from the
-//!   reference scan: the tetrahedral mesh, its boundary surface snapped
-//!   onto the reference brain boundary, the [`Classifier`] (prototype
-//!   sites and distance channels of the statistical model), the
-//!   surface's neighbour table, and the mesh → grid resample plan.
-//!   Immutable and shareable across scans (and across worker threads).
+//!   reference scan: the tetrahedral mesh, the assembled stiffness matrix
+//!   `K` (a function of the mesh and the material table alone), the
+//!   mesh's boundary surface snapped onto the reference brain boundary,
+//!   the [`Classifier`] (prototype sites and distance channels of the
+//!   statistical model), the surface's neighbour table, and the mesh →
+//!   grid resample plan. Immutable and shareable across scans (and
+//!   across worker threads).
 //! * [`PreparedSurgery::register_scan`] — the **per-scan job**: classify
 //!   the new scan, evolve the active surface onto it, and run one
 //!   warm-started FEM solve against a caller-owned [`SolverContext`].
 //!   The context is deliberately *not* stored inside `PreparedSurgery`:
-//!   it is the mutable, memory-heavy half (assembled stiffness, factored
+//!   it is the mutable, memory-heavy half (reduced blocks, factored
 //!   preconditioner, warm-start seed) that a service keeps in a budgeted
-//!   cache and may evict between scans.
+//!   cache and may evict between scans. Every context shares the
+//!   surgery's `K`, so rebuilding one after an eviction is Dirichlet
+//!   reduction plus factorization, never a second assembly.
 //!
 //! Scans must arrive in the reference frame and intensity range; rigid
 //! registration and histogram matching are input alignment, done by the
@@ -32,13 +36,16 @@ use crate::pipeline::{PipelineConfig, SurfaceForceKind};
 use crate::sequence::ScanStatus;
 use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
-use brainshift_fem::{DirichletBcs, FemSolution, ResamplePlan, SolverContext};
+use brainshift_fem::{
+    assemble_stiffness, DirichletBcs, FemError, FemSolution, ResamplePlan, SolverContext,
+};
 use brainshift_imaging::phantom::tissue_intensity;
 use brainshift_imaging::{labels, Dims, DisplacementField, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
 use brainshift_segment::{largest_component, Classification, Classifier};
-use brainshift_sparse::{EscalationPolicy, SolverOptions};
+use brainshift_sparse::{CsrMatrix, EscalationPolicy, SolverOptions};
 use brainshift_surface::{evolve_surface_with, DistanceForce, EdgeForce, ExternalForce, NeighborTable};
+use std::sync::Arc;
 
 /// The once-per-surgery state: everything derived from the reference
 /// (first intraoperative) scan that later scans reuse unchanged.
@@ -48,6 +55,11 @@ pub struct PreparedSurgery {
     /// must arrive on it.
     dims: Dims,
     pub(crate) mesh: TetMesh,
+    /// The global stiffness matrix of `mesh` under `cfg.materials`,
+    /// assembled once; every solver context of the surgery shares it.
+    stiffness: Arc<CsrMatrix>,
+    /// Seconds `new` spent assembling `stiffness`.
+    assembly_s: f64,
     pub(crate) surface: TriSurface,
     /// Mesh boundary snapped onto the reference brain boundary (cancels
     /// voxel-discretization bias; per-scan displacements are measured
@@ -95,7 +107,8 @@ pub struct ScanRegistration {
     /// kd-tree leaf blocks scanned by this scan's k-NN queries.
     pub knn_leaf_visits: u64,
     /// Per-stage wall-clock breakdown for this scan. Assembly, reduction
-    /// and factorization are `0.0` on the warm path (they belong to
+    /// and factorization are `0.0` on the warm path (assembly belongs to
+    /// [`PreparedSurgery::new`], reduction and factorization to
     /// [`PreparedSurgery::build_solver_context`]); the solve entry is the
     /// Krylov time of this scan only, not the context's cumulative total.
     /// The classification sub-stages (feature matrix, kd-tree build, k-NN
@@ -106,14 +119,22 @@ pub struct ScanRegistration {
 
 impl PreparedSurgery {
     /// Build the per-surgery state from the reference segmentation: mesh
-    /// the brain, extract and snap its boundary surface, and build the
-    /// classifier. Fails with a typed [`Error`] when the segmentation
-    /// produces an empty mesh.
+    /// the brain, assemble its stiffness matrix, extract and snap its
+    /// boundary surface, and build the classifier. Fails with a typed
+    /// [`Error`] when the segmentation produces an empty mesh, and with
+    /// `Error::Fem(FemError::Mesh(..))` when the mesh fails validation.
     pub fn new(reference_labels: &Volume<u8>, cfg: PipelineConfig) -> Result<Self, Error> {
         let mesh = mesh_labeled_volume(reference_labels, &cfg.mesher);
         if mesh.num_tets() == 0 {
             return Err(Error::Pipeline("reference segmentation produced an empty mesh".into()));
         }
+        // Assembled first, while the mesh is the only other large thing
+        // alive, so the assembly's triplet buffers never coexist with the
+        // classifier's distance channels or the snap temporaries.
+        mesh.validate().map_err(FemError::from)?;
+        let sw = Stopwatch::wall();
+        let stiffness = Arc::new(assemble_stiffness(&mesh, &cfg.materials));
+        let assembly_s = sw.elapsed_s();
         let surface = extract_boundary(&mesh);
         let classifier = Classifier::new(reference_labels, &cfg.segment);
         let ref_mask = largest_component(&reference_labels.map(|&l| labels::is_brain_tissue(l)));
@@ -126,6 +147,8 @@ impl PreparedSurgery {
             cfg,
             dims: reference_labels.dims(),
             mesh,
+            stiffness,
+            assembly_s,
             surface,
             snap_positions: snap.positions,
             classifier,
@@ -134,15 +157,16 @@ impl PreparedSurgery {
         })
     }
 
-    /// Build a fresh solver context for this surgery: stiffness assembly,
-    /// Dirichlet reduction along the brain surface, preconditioner
-    /// factorization. This is the expensive, cacheable object a service
-    /// owns per session — dropping it and calling this again is the
-    /// "cold reassemble" path after a cache eviction.
+    /// Build a fresh solver context for this surgery around the shared
+    /// stiffness matrix: Dirichlet reduction along the brain surface and
+    /// preconditioner factorization. This is the expensive, cacheable
+    /// object a service owns per session — dropping it and calling this
+    /// again is the "cold rebuild" path after a cache eviction
+    /// (reduction + factorization; `K` is never assembled again).
     pub fn build_solver_context(&self) -> Result<SolverContext, Error> {
-        Ok(SolverContext::new(
+        Ok(SolverContext::with_matrix(
+            Arc::clone(&self.stiffness),
             &self.mesh,
-            &self.cfg.materials,
             &self.surface.mesh_node,
             self.cfg.fem.clone(),
         )?)
@@ -151,6 +175,18 @@ impl PreparedSurgery {
     /// The per-surgery tetrahedral mesh.
     pub fn mesh(&self) -> &TetMesh {
         &self.mesh
+    }
+
+    /// The surgery's stiffness matrix, shared by every context
+    /// [`Self::build_solver_context`] builds.
+    pub fn stiffness(&self) -> &Arc<CsrMatrix> {
+        &self.stiffness
+    }
+
+    /// Seconds [`Self::new`] spent assembling [`Self::stiffness`] (part
+    /// of its wall time).
+    pub fn assembly_s(&self) -> f64 {
+        self.assembly_s
     }
 
     /// The pipeline configuration this surgery was prepared with.
@@ -316,6 +352,11 @@ mod tests {
         assert_eq!(s.assemblies, 1);
         assert_eq!(s.factorizations, 1);
         assert_eq!(s.solves, 2);
+        // The one assembly is the surgery's, timed in `new`; the context
+        // shares its matrix and spent nothing assembling.
+        assert!(std::ptr::eq(ctx.matrix(), &**prepared.stiffness()));
+        assert!(prepared.assembly_s() > 0.0);
+        assert_eq!(ctx.timings().assembly_s, 0.0);
     }
 
     #[test]

@@ -124,13 +124,16 @@ pub struct StageTimings {
     /// Sub-stage of classification: cleanup of the brain mask, which is
     /// `segment::largest_component` (6-connected) and nothing else.
     pub morphology_s: f64,
-    /// Once-per-surgery preparation (`PreparedSurgery::new`): mesh
-    /// generation, boundary surface snapped onto the reference brain,
-    /// prototype model, distance channels, resample plan (0 per scan).
+    /// Once-per-surgery preparation (`PreparedSurgery::new`) other than
+    /// the stiffness assembly: mesh generation, boundary surface snapped
+    /// onto the reference brain, prototype model, distance channels,
+    /// resample plan (0 per scan).
     pub mesh_s: f64,
     /// Surface extraction + active-surface displacement.
     pub surface_s: f64,
-    /// Global stiffness assembly (0 when served warm).
+    /// Global stiffness assembly: the one `PreparedSurgery::new` does,
+    /// plus any a context did itself (0 per scan). `mesh_s + assembly_s`
+    /// covers the whole of `new`.
     pub assembly_s: f64,
     /// Dirichlet reduction to `K_ff`/`K_fc` (0 when served warm).
     pub reduction_s: f64,
@@ -175,11 +178,14 @@ impl StageTimings {
     }
 
     /// Add the once-per-surgery costs to a per-scan (or accumulated)
-    /// breakdown: the wall time of `PreparedSurgery::new` and the setup
-    /// phases measured on the solver context it built.
-    pub fn add_per_surgery(&mut self, prepare_s: f64, context: &ContextTimings) {
-        self.mesh_s += prepare_s;
-        self.assembly_s += context.assembly_s;
+    /// breakdown: `prepare_s`, the wall time of `PreparedSurgery::new`,
+    /// split into its `assembly_s` (what
+    /// [`PreparedSurgery::assembly_s`](crate::surgery::PreparedSurgery::assembly_s)
+    /// reports) and the rest, plus the setup phases measured on the solver
+    /// context it built.
+    pub fn add_per_surgery(&mut self, prepare_s: f64, assembly_s: f64, context: &ContextTimings) {
+        self.mesh_s += prepare_s - assembly_s;
+        self.assembly_s += assembly_s + context.assembly_s;
         self.reduction_s += context.reduction_s;
         self.factorization_s += context.factorization_s;
     }
@@ -280,6 +286,16 @@ mod tests {
         for row in ["tissue classification", "per-surgery preparation", "FEM assembly", "Dirichlet reduction", "GMRES solve", "visualization resample", "TOTAL"] {
             assert!(table.contains(row), "missing row {row}:\n{table}");
         }
+    }
+
+    #[test]
+    fn per_surgery_assembly_is_split_out_of_preparation_not_added_to_it() {
+        let mut t = StageTimings { solve_s: 0.5, ..Default::default() };
+        let shared = ContextTimings { reduction_s: 0.25, factorization_s: 0.125, ..Default::default() };
+        t.add_per_surgery(2.0, 0.75, &shared);
+        assert_eq!((t.mesh_s, t.assembly_s), (1.25, 0.75));
+        assert_eq!(t.mesh_s + t.assembly_s, 2.0, "the wall time of `new`, counted once");
+        assert_eq!(t.total_s(), 2.0 + 0.25 + 0.125 + 0.5);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::error::FemError;
 use brainshift_imaging::Vec3;
-use brainshift_sparse::{CsrMatrix, TripletBuilder};
+use brainshift_sparse::CsrMatrix;
 use std::collections::HashMap;
 
 /// A set of prescribed nodal displacements.
@@ -125,22 +125,32 @@ impl DirichletStructure {
         }
         let nfree = free_dofs.len();
         let nc = constrained_dofs.len();
-        let mut bff = TripletBuilder::with_capacity(nfree, nfree, k.nnz());
-        let mut bfc = TripletBuilder::new(nfree, nc.max(1));
-        for (ri, &dof) in free_dofs.iter().enumerate() {
+        // Written row by row, no sort: a free row of K is one row of each
+        // block, and both DOF maps are monotone, so every row's columns
+        // stay ascending and unique.
+        let nnz_ff = free_dofs
+            .iter()
+            .map(|&dof| k.row(dof).0.iter().filter(|&&c| reduced_of_dof[c] != usize::MAX).count())
+            .sum();
+        let nnz_fc = free_dofs.iter().map(|&dof| k.row(dof).0.len()).sum::<usize>() - nnz_ff;
+        let mut ff = CsrRows::with_capacity(nfree, nnz_ff);
+        let mut fc = CsrRows::with_capacity(nfree, nnz_fc);
+        for &dof in &free_dofs {
             let (cols, vals) = k.row(dof);
             for (&c, &v) in cols.iter().zip(vals) {
                 let rc = reduced_of_dof[c];
                 if rc == usize::MAX {
-                    bfc.add(ri, constrained_of_dof[c], v);
+                    fc.push(constrained_of_dof[c], v);
                 } else {
-                    bff.add(ri, rc, v);
+                    ff.push(rc, v);
                 }
             }
+            ff.end_row();
+            fc.end_row();
         }
         Ok(DirichletStructure {
-            matrix: bff.build(),
-            coupling: bfc.build(),
+            matrix: ff.finish(nfree)?,
+            coupling: fc.finish(nc.max(1))?,
             free_dofs,
             reduced_of_dof,
             constrained_dofs,
@@ -223,6 +233,35 @@ impl DirichletStructure {
     /// offsets — the quantity the paper blames for solver imbalance.
     pub fn rank_dof_counts(&self, dof_offsets: &[usize]) -> Vec<(usize, usize)> {
         rank_dof_counts(&self.reduced_of_dof, dof_offsets)
+    }
+}
+
+/// CSR arrays written one row at a time, columns already ascending.
+struct CsrRows {
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl CsrRows {
+    fn with_capacity(nrows: usize, nnz: usize) -> Self {
+        let mut indptr = Vec::with_capacity(nrows + 1);
+        indptr.push(0);
+        CsrRows { indptr, indices: Vec::with_capacity(nnz), values: Vec::with_capacity(nnz) }
+    }
+
+    fn push(&mut self, col: usize, value: f64) {
+        self.indices.push(col);
+        self.values.push(value);
+    }
+
+    fn end_row(&mut self) {
+        self.indptr.push(self.indices.len());
+    }
+
+    fn finish(self, ncols: usize) -> Result<CsrMatrix, FemError> {
+        let nrows = self.indptr.len() - 1;
+        Ok(CsrMatrix::from_raw(nrows, ncols, self.indptr, self.indices, self.values)?)
     }
 }
 
@@ -374,6 +413,7 @@ mod tests {
     use brainshift_imaging::labels;
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig, TetMesh};
+    use brainshift_sparse::TripletBuilder;
 
     fn block_mesh(n: usize) -> TetMesh {
         let seg = Volume::from_fn(Dims::new(n, n, n), Spacing::iso(1.0), |_, _, _| labels::BRAIN);
@@ -518,6 +558,60 @@ mod tests {
         for (a, b) in rhs.iter().zip(&red.rhs) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    /// The blocks as they were built before the row-by-row writer: both
+    /// through a `TripletBuilder` and its sort.
+    fn triplet_blocks(k: &CsrMatrix, s: &DirichletStructure) -> (CsrMatrix, CsrMatrix) {
+        let mut constrained_of_dof = vec![usize::MAX; k.nrows()];
+        for (ci, &dof) in s.constrained_dofs.iter().enumerate() {
+            constrained_of_dof[dof] = ci;
+        }
+        let mut bff = TripletBuilder::with_capacity(s.num_free(), s.num_free(), k.nnz());
+        let mut bfc = TripletBuilder::new(s.num_free(), s.num_constrained().max(1));
+        for (ri, &dof) in s.free_dofs.iter().enumerate() {
+            let (cols, vals) = k.row(dof);
+            for (&c, &v) in cols.iter().zip(vals) {
+                match s.reduced_of_dof[c] {
+                    usize::MAX => bfc.add(ri, constrained_of_dof[c], v),
+                    rc => bff.add(ri, rc, v),
+                }
+            }
+        }
+        (bff.build(), bfc.build())
+    }
+
+    fn assert_bitwise_eq(a: &CsrMatrix, b: &CsrMatrix, what: &str) {
+        assert_eq!((a.nrows(), a.ncols()), (b.nrows(), b.ncols()), "{what}: shape");
+        assert_eq!(a.indptr(), b.indptr(), "{what}: indptr");
+        assert_eq!(a.indices(), b.indices(), "{what}: indices");
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}: value bits");
+    }
+
+    #[test]
+    fn row_by_row_blocks_equal_the_triplet_construction_bit_for_bit() {
+        let mesh = block_mesh(4);
+        let k = assemble_stiffness(&mesh, &MaterialTable::heterogeneous());
+        // Scattered constrained nodes, on the surface and inside, listed
+        // out of order and with a repeat.
+        let constrained = [97, 3, 40, 62, 3, 118, 11];
+        let s = DirichletStructure::new(&k, &constrained).expect("valid constrained set");
+        assert_eq!(s.num_constrained(), 3 * 6);
+        let (kff, kfc) = triplet_blocks(&k, &s);
+        assert_bitwise_eq(&s.matrix, &kff, "K_ff");
+        assert_bitwise_eq(&s.coupling, &kfc, "K_fc");
+        // Both kinds of free row occur: with and without a constrained
+        // neighbour (an empty K_fc row).
+        let empty = (0..s.num_free()).filter(|&r| s.coupling.row(r).0.is_empty()).count();
+        assert!(0 < empty && empty < s.num_free(), "{empty} of {} K_fc rows empty", s.num_free());
+
+        // No constrained node at all: K_fc keeps its one (empty) column.
+        let s = DirichletStructure::new(&k, &[]).expect("empty constrained set");
+        let (kff, kfc) = triplet_blocks(&k, &s);
+        assert_bitwise_eq(&s.matrix, &kff, "K_ff, nothing constrained");
+        assert_bitwise_eq(&s.coupling, &kfc, "K_fc, nothing constrained");
+        assert_eq!(s.coupling.ncols(), 1);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! A [`SolverContext`] hoists all of that per-surgery work out of the
 //! per-scan path. It caches:
 //!
-//! 1. the assembled stiffness matrix `K`;
+//! 1. the assembled stiffness matrix `K`, behind an [`Arc`] so that every
+//!    context of one surgery can share the surgery's one assembly (a
+//!    rebuild after a cache eviction is then reduction + factorization
+//!    only — see [`SolverContext::with_matrix`]);
 //! 2. the reduced free-free block `K_ff` and the boundary-coupling block
 //!    `K_fc` (so each scan's load vector is one sparse product,
 //!    `f = −K_fc·u_c`);
@@ -42,12 +45,15 @@ use brainshift_sparse::{
     conjugate_gradient, solve_escalated, CsrMatrix, EscalationPolicy, KrylovWorkspace,
     Preconditioner, RungTrace, SolverOptions,
 };
+use std::sync::Arc;
 
 /// Counters proving the assemble-once / re-solve-many contract and
 /// recording how often the solver had to fight for convergence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContextStats {
-    /// Global stiffness assemblies performed by this context.
+    /// Global stiffness assemblies behind this context's matrix: 1 for
+    /// every context, whether it assembled `K` itself ([`SolverContext::new`])
+    /// or shares one assembled elsewhere ([`SolverContext::with_matrix`]).
     pub assemblies: usize,
     /// Preconditioner factorizations performed by this context.
     pub factorizations: usize,
@@ -70,7 +76,8 @@ pub struct ContextStats {
 /// recent solve alone.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ContextTimings {
-    /// Global stiffness assembly.
+    /// Global stiffness assembly done by *this* build: 0 for a context
+    /// built around a shared matrix ([`SolverContext::with_matrix`]).
     pub assembly_s: f64,
     /// Dirichlet reduction (building `K_ff`/`K_fc`).
     pub reduction_s: f64,
@@ -88,7 +95,7 @@ pub struct SolverContext {
     cfg: FemSolveConfig,
     num_nodes: usize,
     mesh_fingerprint: u64,
-    k: CsrMatrix,
+    k: Arc<CsrMatrix>,
     structure: DirichletStructure,
     precond: Box<dyn Preconditioner>,
     workspace: KrylovWorkspace,
@@ -116,18 +123,22 @@ impl SolverContext {
     ) -> Result<Self, FemError> {
         mesh.validate()?;
         let sw = Stopwatch::wall();
-        let k = assemble_stiffness(mesh, materials);
+        let k = Arc::new(assemble_stiffness(mesh, materials));
         let assembly_s = sw.elapsed_s();
         let mut ctx = Self::with_matrix(k, mesh, constrained_nodes, cfg)?;
-        ctx.stats.assemblies = 1;
         ctx.timings.assembly_s = assembly_s;
         Ok(ctx)
     }
 
-    /// Build a context around a pre-assembled stiffness matrix (no
-    /// assembly counted; one factorization performed).
+    /// Build a context around a stiffness matrix assembled elsewhere —
+    /// the once-per-surgery `K` that every context of a surgery shares.
+    /// Only the Dirichlet reduction and one factorization run here; the
+    /// matrix's one assembly is counted in [`ContextStats::assemblies`],
+    /// but its time is not this build's ([`ContextTimings::assembly_s`]
+    /// stays 0). The caller is responsible for `k` being the stiffness
+    /// matrix of a validated `mesh`.
     pub fn with_matrix(
-        k: CsrMatrix,
+        k: Arc<CsrMatrix>,
         mesh: &TetMesh,
         constrained_nodes: &[usize],
         cfg: FemSolveConfig,
@@ -162,9 +173,36 @@ impl SolverContext {
             has_prev: false,
             u_c: vec![0.0; nc],
             rhs: vec![0.0; nfree],
-            stats: ContextStats { factorizations: 1, ..Default::default() },
+            stats: ContextStats { assemblies: 1, factorizations: 1, ..Default::default() },
             timings: ContextTimings { reduction_s, factorization_s, ..Default::default() },
         })
+    }
+
+    /// Swap this context's stiffness matrix for `k` when the two are equal
+    /// bit for bit (shape, sparsity pattern, and every value's
+    /// `f64::to_bits`), so that a context decoded from a snapshot shares
+    /// its surgery's one `K` instead of holding a copy. Returns
+    /// [`FemError::StiffnessMismatch`] and leaves the context untouched
+    /// otherwise: a context whose reduced blocks and factorization came
+    /// from another matrix must not be resumed against this one.
+    pub fn share_matrix(&mut self, k: &Arc<CsrMatrix>) -> Result<(), FemError> {
+        let own = self.k.as_ref();
+        let part = if own.nrows() != k.nrows() || own.ncols() != k.ncols() {
+            Some("shape")
+        } else if own.indptr() != k.indptr() || own.indices() != k.indices() {
+            Some("sparsity pattern")
+        } else if own.values().iter().zip(k.values()).any(|(a, b)| a.to_bits() != b.to_bits()) {
+            Some("values")
+        } else {
+            None
+        };
+        match part {
+            Some(part) => Err(FemError::StiffnessMismatch { part }),
+            None => {
+                self.k = Arc::clone(k);
+                Ok(())
+            }
+        }
     }
 
     /// Solve for the displacement field under `bcs`. The constrained
@@ -312,7 +350,10 @@ impl SolverContext {
     /// the Krylov workspace, the warm-start/scratch vectors, and the
     /// configuration's heap (escalation restart ladder). This is what a
     /// memory-budgeted context cache charges a surgery for; the persist
-    /// layer's size-audit test holds it to the serialized size.
+    /// layer's size-audit test holds it to the serialized size. `K` is
+    /// counted in full even when it is shared with the surgery that
+    /// assembled it, so the charge does not depend on who holds the
+    /// matrix (evicting such a context frees everything but `K`).
     pub fn memory_bytes(&self) -> usize {
         self.k.memory_bytes()
             + self.structure.memory_bytes()
@@ -340,7 +381,7 @@ impl SolverContext {
         self.mesh_fingerprint
     }
 
-    /// The cached full stiffness matrix.
+    /// The full stiffness matrix (possibly shared with other contexts).
     pub fn matrix(&self) -> &CsrMatrix {
         &self.k
     }
@@ -417,7 +458,9 @@ impl brainshift_persist::Persist for ContextTimings {
 /// *factored* preconditioner, warm-start vector, counters) and rebuilds
 /// the per-solve scratch (Krylov workspace, gather buffers) on decode —
 /// so a restored context resumes warm without re-assembling or
-/// re-factoring anything.
+/// re-factoring anything. A decoded context owns its copy of `K`;
+/// [`SolverContext::share_matrix`] checks it against the surgery's and
+/// shares that one instead.
 impl brainshift_persist::Persist for SolverContext {
     fn encode(
         &self,
@@ -446,7 +489,7 @@ impl brainshift_persist::Persist for SolverContext {
         let cfg = FemSolveConfig::decode(dec)?;
         let num_nodes = dec.get_usize()?;
         let mesh_fingerprint = dec.get_u64()?;
-        let k = CsrMatrix::decode(dec)?;
+        let k = Arc::new(CsrMatrix::decode(dec)?);
         let structure = DirichletStructure::decode(dec)?;
         let invalid = |reason: String| Err(PersistError::InvalidData { reason });
         if k.nrows() != k.ncols() || k.nrows() != 3 * num_nodes {

@@ -56,6 +56,13 @@ pub enum FemError {
         /// Equations (3 × nodes) of the mesh.
         equations: usize,
     },
+    /// A stiffness matrix offered to a context is not bit-identical to
+    /// the one the context was built from.
+    StiffnessMismatch {
+        /// What differs first: `"shape"`, `"sparsity pattern"` or
+        /// `"values"`.
+        part: &'static str,
+    },
     /// An externally assembled load vector does not match the mesh's
     /// equation count.
     LoadVectorMismatch {
@@ -95,6 +102,9 @@ impl fmt::Display for FemError {
             }
             FemError::MatrixShapeMismatch { rows, equations } => {
                 write!(f, "stiffness matrix has {rows} rows, mesh has {equations} equations")
+            }
+            FemError::StiffnessMismatch { part } => {
+                write!(f, "stiffness matrix differs from the context's in its {part}")
             }
             FemError::LoadVectorMismatch { len, equations } => {
                 write!(f, "load vector has {len} entries, mesh has {equations} equations")

@@ -13,7 +13,8 @@
 //!   starvation.
 //! * [`ContextCache`] — warm [`SolverContext`](brainshift_fem::SolverContext)s
 //!   under a byte budget; memory pressure evicts LRU sessions to *cold*
-//!   (reassemble on next touch), never to OOM and never to an error.
+//!   (re-reduce and re-factor the surgery's shared stiffness matrix on
+//!   next touch), never to OOM and never to an error.
 //! * [`ShardCore`] — one shard's dispatch decisions (admit / reject /
 //!   start warm-or-cold / steal / evict / complete late / cancel) as a
 //!   plain `&mut self` state machine over the queues and the cache, and

@@ -20,8 +20,9 @@
 //! the immutable once-per-surgery preparation, rebuilt (or shared) by the
 //! caller and handed to
 //! [`Service::restore_shard`](crate::Service::restore_shard), which
-//! verifies it against the persisted mesh content fingerprint before
-//! trusting any restored solver context with it.
+//! verifies it against the persisted mesh content fingerprint and each
+//! restored solver context's stiffness matrix before trusting the context
+//! with it; an accepted context then shares the preparation's matrix.
 
 use crate::session::SessionStats;
 use brainshift_fem::SolverContext;

@@ -425,10 +425,13 @@ impl Service {
     /// Bring a snapshotted shard back up on a fresh worker pool. The
     /// caller supplies the once-per-surgery preparations keyed by the
     /// *persisted* (shard-local) session ids; each is verified against
-    /// the snapshot's mesh content fingerprint before any restored warm
-    /// context is trusted with it. Everything is decoded and validated
-    /// **before** the worker pool starts — a corrupt snapshot yields a
-    /// typed [`PersistError`] and no half-restored service.
+    /// the snapshot's mesh content fingerprint, and each restored warm
+    /// context's stiffness matrix against the preparation's, bit for bit
+    /// (the context then shares the preparation's matrix instead of its
+    /// decoded copy). Everything is decoded and validated **before** the
+    /// worker pool starts — a corrupt snapshot, or one taken under
+    /// another material table, yields a typed [`PersistError`] and no
+    /// half-restored service.
     ///
     /// Restored sessions keep their ids, counters, carry-forward fields,
     /// and (when resident at snapshot time) their warm contexts; the id
@@ -490,6 +493,19 @@ impl Service {
                     ),
                 });
             }
+            // Same mesh is not enough: a surgery prepared under another
+            // material table has another `K`. The restored context must
+            // have been reduced and factored from exactly the surgery's
+            // matrix, and then it shares that one instead of its copy.
+            let mut context = snap.context;
+            if let Some(ctx) = context.as_mut() {
+                ctx.share_matrix(prep.stiffness()).map_err(|e| PersistError::InvalidData {
+                    reason: format!(
+                        "session {}: restored context does not fit the prepared surgery: {e}",
+                        snap.id
+                    ),
+                })?;
+            }
             let sess = Arc::new(SurgerySession::restore(
                 snap.id,
                 Arc::clone(prep),
@@ -497,7 +513,7 @@ impl Service {
                 snap.carry_forward,
                 snap.stats,
             ));
-            restored.push((sess, snap.context));
+            restored.push((sess, context));
         }
         // All-or-nothing boundary: everything after this point is
         // installation of fully validated state.

@@ -39,11 +39,12 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # them under two worker counts extends the equalities across thread
 # counts (the fused sweep's chunked path only runs above one thread), and
 # the root-level goldens pin three whole warm scans to the pre-change
-# bits at both.
+# bits at both. The shared-stiffness suite pins a context rebuilt on the
+# surgery's one K (and one restored onto it) to the first context's bits.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
-  RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise
+  RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise --test shared_stiffness
 done
 
 # Service stage: the serving layer, all of it — core/queue/cache unit
@@ -155,6 +156,29 @@ if [ "$n" -ne 1 ]; then
   echo "expected exactly one non-test 'solve_with(' call in crates/core/src, found $n" >&2
   exit 1
 fi
+
+# One assembly per surgery: `PreparedSurgery::new` assembles K and every
+# solver context of the surgery shares it, so rebuilding a context after
+# a cache eviction is reduction + factorization only. Nothing else in
+# core or the service assembles, or builds a context that assembles.
+n=$(for f in crates/core/src/*.rs; do non_test "$f"; done | grep -cF 'assemble_stiffness(' || true)
+m=$(non_test crates/core/src/surgery.rs | grep -cF 'assemble_stiffness(' || true)
+if [ "$n" -ne 1 ] || [ "$m" -ne 1 ]; then
+  echo "expected exactly one non-test 'assemble_stiffness(' call in crates/core/src, in surgery.rs; found $n ($m in surgery.rs)" >&2
+  exit 1
+fi
+for f in crates/service/src/*.rs; do
+  if non_test "$f" | grep -nF 'assemble_stiffness('; then
+    echo "the service assembles a stiffness matrix ($f): share the surgery's" >&2
+    exit 1
+  fi
+done
+for f in crates/core/src/*.rs crates/service/src/*.rs; do
+  if non_test "$f" | grep -nF 'SolverContext::new('; then
+    echo "SolverContext::new assembles its own K ($f): build contexts with PreparedSurgery::build_solver_context" >&2
+    exit 1
+  fi
+done
 
 # One classification path: `segment::Classifier` is the only place that
 # composes stack → prototypes → kd-tree → k-NN. `register_scan` reaches it
