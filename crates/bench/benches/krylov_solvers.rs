@@ -3,7 +3,6 @@
 //! ablation.
 
 use brainshift_bench::problem_with_equations;
-use brainshift_fem::{apply_dirichlet, assemble_stiffness, MaterialTable};
 use brainshift_sparse::{
     conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, IdentityPrecond, JacobiPrecond,
     SolverOptions,
@@ -12,8 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_solvers(c: &mut Criterion) {
     let p = problem_with_equations(9_000);
-    let k = assemble_stiffness(&p.mesh, &MaterialTable::homogeneous());
-    let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &p.bcs).expect("valid BC set");
+    let red = p.structure();
+    let (_, rhs) = p.zero_load_rhs(&red);
     let a = &red.matrix;
     let opts = SolverOptions { tolerance: 1e-5, max_iterations: 3000, ..Default::default() };
 
@@ -22,7 +21,7 @@ fn bench_solvers(c: &mut Criterion) {
     g.bench_function("gmres_none", |b| {
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
-            let s = gmres(a, &IdentityPrecond, &red.rhs, &mut x, &opts).expect("dims agree");
+            let s = gmres(a, &IdentityPrecond, &rhs, &mut x, &opts).expect("dims agree");
             assert!(s.converged());
         });
     });
@@ -30,7 +29,7 @@ fn bench_solvers(c: &mut Criterion) {
         let pc = JacobiPrecond::new(a);
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
-            let s = gmres(a, &pc, &red.rhs, &mut x, &opts).expect("dims agree");
+            let s = gmres(a, &pc, &rhs, &mut x, &opts).expect("dims agree");
             assert!(s.converged());
         });
     });
@@ -38,7 +37,7 @@ fn bench_solvers(c: &mut Criterion) {
         let pc = BlockJacobiPrecond::new(a, 8, BlockSolve::Ilu0).expect("singular diagonal block");
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
-            let s = gmres(a, &pc, &red.rhs, &mut x, &opts).expect("dims agree");
+            let s = gmres(a, &pc, &rhs, &mut x, &opts).expect("dims agree");
             assert!(s.converged());
         });
     });
@@ -46,7 +45,7 @@ fn bench_solvers(c: &mut Criterion) {
         let pc = JacobiPrecond::new(a);
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
-            let s = conjugate_gradient(a, &pc, &red.rhs, &mut x, &opts).expect("dims agree");
+            let s = conjugate_gradient(a, &pc, &rhs, &mut x, &opts).expect("dims agree");
             assert!(s.converged());
         });
     });

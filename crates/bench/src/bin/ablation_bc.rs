@@ -7,7 +7,7 @@
 //! worsens conditioning. This ablation measures both effects.
 
 use brainshift_bench::problem_with_equations;
-use brainshift_fem::{apply_dirichlet, assemble_stiffness, MaterialTable};
+use brainshift_fem::{assemble_stiffness, DirichletStructure, MaterialTable};
 use brainshift_sparse::partition::even_offsets;
 use brainshift_sparse::{gmres, BlockJacobiPrecond, BlockSolve, CsrMatrix, SolverOptions, TripletBuilder};
 
@@ -39,11 +39,13 @@ fn main() {
     let blocks = 8;
 
     // --- Substitution (the paper). ---
-    let red = apply_dirichlet(&k, &vec![0.0; ndof], &p.bcs).expect("valid BC set");
+    let red = DirichletStructure::new(&k, &p.bcs.nodes_sorted()).expect("boundary nodes are mesh nodes");
+    let (u_c, rhs) = p.zero_load_rhs(&red);
     let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ilu0).expect("singular diagonal block");
     let mut x = vec![0.0; red.matrix.nrows()];
-    let s_sub = gmres(&red.matrix, &pc, &red.rhs, &mut x, &opts).expect("dims agree");
-    let sub_full = red.expand_solution(&x);
+    let s_sub = gmres(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
+    let mut sub_full = vec![0.0; ndof];
+    red.expand_solution_into(&x, &u_c, &mut sub_full);
     // Free-DOF imbalance across contiguous ranks (the paper's complaint).
     let offsets = even_offsets(ndof, blocks);
     let counts = red.rank_dof_counts(&offsets);

@@ -7,7 +7,6 @@
 
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::MachineModel;
-use brainshift_fem::{apply_dirichlet, assemble_stiffness, MaterialTable};
 use brainshift_sparse::{
     bicgstab, conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, IdentityPrecond,
     JacobiPrecond, Preconditioner, SolveStats, SolverOptions,
@@ -17,11 +16,11 @@ fn main() {
     println!("## Ablation — preconditioner and Krylov method\n");
     // A mid-size system so even the unpreconditioned run finishes.
     let p = problem_with_equations(30_000);
-    let k = assemble_stiffness(&p.mesh, &MaterialTable::homogeneous());
-    let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &p.bcs).expect("valid BC set");
+    let red = p.structure();
+    let (_, rhs) = p.zero_load_rhs(&red);
     println!(
         "system: {} equations ({} free), nnz {}\n",
-        k.nrows(),
+        p.mesh.num_equations(),
         red.matrix.nrows(),
         red.matrix.nnz()
     );
@@ -53,7 +52,7 @@ fn main() {
 
     let run_gmres = |p: &dyn Preconditioner| -> SolveStats {
         let mut x = vec![0.0; red.matrix.nrows()];
-        gmres(&red.matrix, p, &red.rhs, &mut x, &opts).expect("dims agree")
+        gmres(&red.matrix, p, &rhs, &mut x, &opts).expect("dims agree")
     };
     let nnz = red.matrix.nnz() as f64;
 
@@ -68,15 +67,15 @@ fn main() {
     }
     let pc = BlockJacobiPrecond::new(&red.matrix, 16, BlockSolve::Ilu0).expect("singular diagonal block");
     let mut x = vec![0.0; red.matrix.nrows()];
-    let s = conjugate_gradient(&red.matrix, &pc, &red.rhs, &mut x, &opts).expect("dims agree");
+    let s = conjugate_gradient(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
     report("cg    + block-jacobi/ilu0 x16", &s, 4.0 * nnz);
     let mut x = vec![0.0; red.matrix.nrows()];
-    let s = conjugate_gradient(&red.matrix, &JacobiPrecond::new(&red.matrix), &red.rhs, &mut x, &opts)
+    let s = conjugate_gradient(&red.matrix, &JacobiPrecond::new(&red.matrix), &rhs, &mut x, &opts)
         .expect("dims agree");
     report("cg    + jacobi", &s, red.matrix.nrows() as f64);
     let pc = BlockJacobiPrecond::new(&red.matrix, 16, BlockSolve::Ilu0).expect("singular diagonal block");
     let mut x = vec![0.0; red.matrix.nrows()];
-    let s = bicgstab(&red.matrix, &pc, &red.rhs, &mut x, &opts).expect("dims agree");
+    let s = bicgstab(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
     // BiCGStab does 2 matvecs + 2 precond applies per iteration.
     report("bicgstab + block-jacobi x16", &s, 4.0 * nnz + 2.0 * nnz);
 

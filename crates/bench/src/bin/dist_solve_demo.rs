@@ -12,7 +12,6 @@
 
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::{distributed_gmres, run_ranks, LocalSystem};
-use brainshift_fem::{apply_dirichlet, assemble_stiffness, MaterialTable};
 use brainshift_sparse::partition::even_offsets;
 use brainshift_sparse::SolverOptions;
 use brainshift_obs::Stopwatch;
@@ -21,10 +20,10 @@ fn main() {
     let equations: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
     println!("## distributed GMRES demo (real rank threads + message passing)\n");
     let p = problem_with_equations(equations);
-    let k = assemble_stiffness(&p.mesh, &MaterialTable::homogeneous());
-    let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &p.bcs).expect("valid BC set");
+    let red = p.structure();
+    let (_, rhs) = p.zero_load_rhs(&red);
     let n = red.matrix.nrows();
-    println!("system: {} equations, {} free, {} nnz", k.nrows(), n, red.matrix.nnz());
+    println!("system: {} equations, {} free, {} nnz", p.mesh.num_equations(), n, red.matrix.nnz());
     let opts = SolverOptions { tolerance: 1e-6, max_iterations: 5000, ..Default::default() };
 
     let mut reference: Option<Vec<f64>> = None;
@@ -38,7 +37,7 @@ fn main() {
         let results = run_ranks(ranks, |comm| {
             let r = comm.rank();
             let sys = LocalSystem::from_global(&red.matrix, offsets[r], offsets[r + 1]).expect("valid row slice");
-            distributed_gmres(comm, &sys, &red.rhs[offsets[r]..offsets[r + 1]], &opts)
+            distributed_gmres(comm, &sys, &rhs[offsets[r]..offsets[r + 1]], &opts)
         });
         let elapsed = t0.elapsed_s();
         let x: Vec<f64> = results.iter().flat_map(|(xl, _)| xl.clone()).collect();

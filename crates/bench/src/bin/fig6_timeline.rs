@@ -11,7 +11,7 @@ use brainshift_core::pipeline::{run_pipeline, PipelineConfig};
 use brainshift_core::timeline::Timeline;
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::MachineModel;
-use brainshift_fem::{simulate_assemble_solve, MaterialTable, SimOptions};
+use brainshift_fem::simulate_assemble_solve;
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 
@@ -54,16 +54,8 @@ fn main() {
     // ---- Modeled OR timings at the paper's scale. ----
     println!("modeled intraoperative biomechanical simulation at paper scale:");
     let p = problem_with_equations(77_511);
-    let (t, _) = simulate_assemble_solve(
-        &p.mesh,
-        &MaterialTable::homogeneous(),
-        &p.bcs,
-        MachineModel::deep_flow(),
-        16,
-        &SimOptions::default(),
-        None,
-    )
-    .expect("simulated problem is consistent");
+    let (t, _) = simulate_assemble_solve(&p.mesh, &p.structure(), &p.bcs, MachineModel::deep_flow(), 16)
+        .expect("simulated problem is consistent");
     println!("  {} equations on 16 CPUs ({}):", t.total_equations, t.machine);
     println!("    init      {:>7.2} s  (overlappable with earlier image processing)", t.init_s);
     println!("    assemble  {:>7.2} s", t.assemble_s);

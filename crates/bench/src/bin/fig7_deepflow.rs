@@ -4,7 +4,7 @@
 
 use brainshift_bench::{plot_log_series, print_timing_header, print_timing_row, problem_with_equations};
 use brainshift_cluster::MachineModel;
-use brainshift_fem::{simulate_assemble_solve, MaterialTable, SimOptions, SimProblem};
+use brainshift_fem::simulate_assemble_solve;
 
 fn main() {
     let target = std::env::args()
@@ -12,8 +12,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(77_511);
     let p = problem_with_equations(target);
-    let materials = MaterialTable::homogeneous();
-    let k = SimProblem::new(&p.mesh, &materials, &p.bcs);
+    let structure = p.structure();
     print_timing_header(
         "Figure 7 — Deep Flow cluster",
         p.mesh.num_equations(),
@@ -23,16 +22,8 @@ fn main() {
     let mut asm_series = Vec::new();
     let mut solve_series = Vec::new();
     for cpus in 1..=16 {
-        let (t, _) = simulate_assemble_solve(
-            &p.mesh,
-            &materials,
-            &p.bcs,
-            MachineModel::deep_flow(),
-            cpus,
-            &SimOptions::default(),
-            Some(&k),
-        )
-        .expect("simulated problem is consistent");
+        let (t, _) = simulate_assemble_solve(&p.mesh, &structure, &p.bcs, MachineModel::deep_flow(), cpus)
+            .expect("simulated problem is consistent");
         print_timing_row(&t);
         asm_series.push((cpus, t.assemble_s));
         solve_series.push((cpus, t.solve_s));

@@ -4,12 +4,11 @@
 
 use brainshift_bench::{plot_log_series, print_timing_header, print_timing_row, problem_with_equations};
 use brainshift_cluster::MachineModel;
-use brainshift_fem::{simulate_assemble_solve, MaterialTable, SimOptions, SimProblem};
+use brainshift_fem::simulate_assemble_solve;
 
 fn main() {
     let p = problem_with_equations(253_308);
-    let materials = MaterialTable::homogeneous();
-    let k = SimProblem::new(&p.mesh, &materials, &p.bcs);
+    let structure = p.structure();
     print_timing_header(
         "Figure 9 — 253k equations on Ultra HPC 6000",
         p.mesh.num_equations(),
@@ -18,16 +17,8 @@ fn main() {
     let mut asm_series = Vec::new();
     let mut solve_series = Vec::new();
     for cpus in 1..=20 {
-        let (t, _) = simulate_assemble_solve(
-            &p.mesh,
-            &materials,
-            &p.bcs,
-            MachineModel::ultra_hpc_6000(),
-            cpus,
-            &SimOptions::default(),
-            Some(&k),
-        )
-        .expect("simulated problem is consistent");
+        let (t, _) = simulate_assemble_solve(&p.mesh, &structure, &p.bcs, MachineModel::ultra_hpc_6000(), cpus)
+            .expect("simulated problem is consistent");
         print_timing_row(&t);
         asm_series.push((cpus, t.assemble_s));
         solve_series.push((cpus, t.solve_s));

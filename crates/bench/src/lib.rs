@@ -8,7 +8,7 @@
 #![warn(missing_docs)]
 
 use brainshift_core::case::cap_surface_displacement;
-use brainshift_fem::{DirichletBcs, SimTimings};
+use brainshift_fem::{assemble_stiffness, DirichletBcs, DirichletStructure, MaterialTable, SimTimings};
 use brainshift_imaging::phantom::{BrainShiftConfig, HeadModel, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
 use brainshift_imaging::{labels, Vec3};
@@ -25,6 +25,29 @@ pub struct BenchProblem {
     pub model: HeadModel,
     /// Craniotomy-cap surface displacements (Dirichlet data).
     pub bcs: DirichletBcs,
+}
+
+impl BenchProblem {
+    /// The mesh's homogeneous stiffness matrix reduced along the nodes of
+    /// `bcs`: the one system the timing figures price and the solver
+    /// studies solve.
+    pub fn structure(&self) -> DirichletStructure {
+        let k = assemble_stiffness(&self.mesh, &MaterialTable::homogeneous());
+        DirichletStructure::new(&k, &self.bcs.nodes_sorted()).expect("boundary nodes are mesh nodes")
+    }
+
+    /// The prescribed values `u_c` and the reduced right-hand side of
+    /// `structure` under an explicit zero load (see
+    /// [`DirichletStructure::rhs_into`]).
+    pub fn zero_load_rhs(&self, structure: &DirichletStructure) -> (Vec<f64>, Vec<f64>) {
+        let mut u_c = vec![0.0; structure.num_constrained()];
+        let mut rhs = vec![0.0; structure.num_free()];
+        let zeros = vec![0.0; self.mesh.num_equations()];
+        structure
+            .rhs_into(&self.bcs, Some(&zeros), &mut u_c, &mut rhs)
+            .expect("the structure was reduced along these BCs");
+        (u_c, rhs)
+    }
 }
 
 /// Generate a labels-only phantom (no intensity rendering — the timing

@@ -5,13 +5,13 @@
 //! [`SolverContext`], and the thread-message-passing distributed GMRES at
 //! 1/2/4/8 ranks. They share the assembly and Dirichlet reduction but
 //! nothing else; a bug in any one of them shows up as a field that
-//! silently disagrees with its siblings. This harness solves one
-//! [`SimProblem`] through all of them and asserts pairwise agreement of
-//! the *expanded nodal displacement fields*, which is the quantity the
-//! registration pipeline actually consumes.
+//! silently disagrees with its siblings. This harness solves the reduced
+//! system of one [`SolverContext`] through all of them and asserts
+//! pairwise agreement of the *expanded nodal displacement fields*, which
+//! is the quantity the registration pipeline actually consumes.
 
 use brainshift_cluster::{distributed_gmres_ghosted, run_ranks, GhostedSystem, LocalSystem};
-use brainshift_fem::{DirichletBcs, FemSolveConfig, MaterialTable, SimProblem, SolverContext};
+use brainshift_fem::{DirichletBcs, DirichletStructure, FemSolveConfig, MaterialTable, SolverContext};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKind};
@@ -85,13 +85,13 @@ impl DifferentialResult {
 }
 
 fn expand_to_nodes(
-    problem: &SimProblem,
+    structure: &DirichletStructure,
     x_reduced: &[f64],
     u_c: &[f64],
     num_nodes: usize,
 ) -> Vec<Vec3> {
     let mut full = vec![0.0; 3 * num_nodes];
-    problem.structure().expand_solution_into(x_reduced, u_c, &mut full);
+    structure.expand_solution_into(x_reduced, u_c, &mut full);
     (0..num_nodes)
         .map(|n| Vec3::new(full[3 * n], full[3 * n + 1], full[3 * n + 2]))
         .collect()
@@ -108,26 +108,40 @@ pub fn run_differential(
     bcs: &DirichletBcs,
     opts: &DifferentialOptions,
 ) -> DifferentialResult {
-    let problem = SimProblem::new(mesh, materials, bcs);
-    let structure = problem.structure();
-    let nfree = structure.num_free();
-    let num_nodes = mesh.num_nodes();
-
-    let mut u_c = vec![0.0; structure.num_constrained()];
-    structure
-        .gather_constrained(bcs, &mut u_c)
-        .expect("BCs were used to build the structure");
-    let mut rhs = vec![0.0; nfree];
-    structure.reduced_rhs_zero_f(&u_c, &mut rhs);
-
-    let a = &structure.matrix;
-    let pc = BlockJacobiPrecond::new(a, opts.blocks.min(nfree).max(1), BlockSolve::Ilu0)
-        .expect("reduced stiffness blocks are non-singular");
     let sopts = SolverOptions {
         tolerance: opts.tolerance,
         max_iterations: opts.max_iterations,
         ..Default::default()
     };
+    // The one reduction: path 4's context builds it and every other path
+    // borrows it. The context solves first so that the borrow can last.
+    let cfg = FemSolveConfig { options: sopts.clone(), ..Default::default() };
+    let mut ctx = SolverContext::new(mesh, materials, &bcs.nodes_sorted(), cfg)
+        .expect("context setup must succeed on a valid mesh");
+    // 4. Warm SolverContext: solve twice, keep the warm-started second
+    //    solve — the intraoperative steady state.
+    let _cold = ctx.solve(bcs).expect("cold context solve");
+    let warm = ctx.solve(bcs).expect("warm context solve");
+    let context_warm = PathField {
+        name: "context-warm".into(),
+        field: warm.displacements,
+        converged: warm.stats.converged(),
+        iterations: warm.stats.iterations,
+        relative_residual: warm.stats.relative_residual,
+    };
+
+    let structure = ctx.structure();
+    let nfree = structure.num_free();
+    let num_nodes = mesh.num_nodes();
+    let mut u_c = vec![0.0; structure.num_constrained()];
+    let mut rhs = vec![0.0; nfree];
+    structure
+        .rhs_into(bcs, None, &mut u_c, &mut rhs)
+        .expect("BCs were used to build the structure");
+
+    let a = &structure.matrix;
+    let pc = BlockJacobiPrecond::new(a, opts.blocks.min(nfree).max(1), BlockSolve::Ilu0)
+        .expect("reduced stiffness blocks are non-singular");
 
     let mut paths: Vec<PathField> = Vec::new();
 
@@ -137,7 +151,7 @@ pub fn run_differential(
         let stats = gmres(a, &pc, &rhs, &mut x, &sopts).expect("reduced system dims agree");
         paths.push(PathField {
             name: "gmres".into(),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
+            field: expand_to_nodes(structure, &x, &u_c, num_nodes),
             converged: stats.converged(),
             iterations: stats.iterations,
             relative_residual: stats.relative_residual,
@@ -150,7 +164,7 @@ pub fn run_differential(
         let stats = bicgstab(a, &pc, &rhs, &mut x, &sopts).expect("reduced system dims agree");
         paths.push(PathField {
             name: "bicgstab".into(),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
+            field: expand_to_nodes(structure, &x, &u_c, num_nodes),
             converged: stats.converged(),
             iterations: stats.iterations,
             relative_residual: stats.relative_residual,
@@ -168,29 +182,14 @@ pub fn run_differential(
                 .expect("reduced system dims agree");
         paths.push(PathField {
             name: "escalated".into(),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
+            field: expand_to_nodes(structure, &x, &u_c, num_nodes),
             converged: out.stats.converged(),
             iterations: out.stats.iterations,
             relative_residual: out.stats.relative_residual,
         });
     }
 
-    // 4. Warm SolverContext: solve twice, keep the warm-started second
-    //    solve — the intraoperative steady state.
-    {
-        let cfg = FemSolveConfig { options: sopts.clone(), ..Default::default() };
-        let mut ctx = SolverContext::new(mesh, materials, &bcs.nodes_sorted(), cfg)
-            .expect("context setup must succeed on a valid mesh");
-        let _cold = ctx.solve(bcs).expect("cold context solve");
-        let warm = ctx.solve(bcs).expect("warm context solve");
-        paths.push(PathField {
-            name: "context-warm".into(),
-            field: warm.displacements.clone(),
-            converged: warm.stats.converged(),
-            iterations: warm.stats.iterations,
-            relative_residual: warm.stats.relative_residual,
-        });
-    }
+    paths.push(context_warm);
 
     // 5. Distributed ghosted GMRES over the reduced system at each rank
     //    count (rank-0's stats are representative — all ranks return the
@@ -209,7 +208,7 @@ pub fn run_differential(
         let x: Vec<f64> = per_rank.into_iter().flat_map(|(xl, _)| xl).collect();
         paths.push(PathField {
             name: format!("distributed-p{p}"),
-            field: expand_to_nodes(&problem, &x, &u_c, num_nodes),
+            field: expand_to_nodes(structure, &x, &u_c, num_nodes),
             converged: stats.converged(),
             iterations: stats.iterations,
             relative_residual: stats.relative_residual,

@@ -10,7 +10,7 @@
 
 use crate::error::FemError;
 use brainshift_imaging::Vec3;
-use brainshift_sparse::CsrMatrix;
+use brainshift_sparse::{CsrMatrix, SparseError};
 use std::collections::HashMap;
 
 /// A set of prescribed nodal displacements.
@@ -176,16 +176,46 @@ impl DirichletStructure {
         self.constrained_dofs.len()
     }
 
-    /// Gather prescribed values from `bcs` into the compact constrained
-    /// vector `u_c`. Returns [`FemError::BcSetMismatch`] when `u_c` has
-    /// the wrong length and [`FemError::MissingBcValue`] when a
-    /// constrained node carries no prescribed displacement.
-    pub fn gather_constrained(&self, bcs: &DirichletBcs, u_c: &mut [f64]) -> Result<(), FemError> {
-        if u_c.len() != self.constrained_dofs.len() {
-            return Err(FemError::BcSetMismatch {
-                expected: self.constrained_dofs.len(),
-                got: u_c.len(),
-            });
+    /// Turn the prescribed values of `bcs` into the reduced right-hand
+    /// side of one solve: gather them into the compact constrained vector
+    /// `u_c` (length [`Self::num_constrained`]), then write
+    /// `rhs = f_f − K_fc·u_c` (length [`Self::num_free`]), with the load
+    /// vector `f` in original DOF numbering. `None` is the zero-load
+    /// shortcut `rhs = −(K_fc·u_c)`, which differs from an explicit zero
+    /// load only in the sign of zero entries: `−0.0` where `0.0 − 0.0`
+    /// gives `+0.0`.
+    ///
+    /// Returns [`FemError::BcSetMismatch`] when `bcs` constrains another
+    /// number of DOFs than this structure or `u_c` has the wrong length,
+    /// [`FemError::MissingBcValue`] when a constrained node carries no
+    /// prescribed displacement, [`FemError::LoadVectorMismatch`] when
+    /// `loads` does not hold one entry per DOF, and a
+    /// [`brainshift_sparse::SparseError::DimensionMismatch`] when `rhs`
+    /// has the wrong length.
+    pub fn rhs_into(
+        &self,
+        bcs: &DirichletBcs,
+        loads: Option<&[f64]>,
+        u_c: &mut [f64],
+        rhs: &mut [f64],
+    ) -> Result<(), FemError> {
+        let nc = self.constrained_dofs.len();
+        for got in [3 * bcs.len(), u_c.len()] {
+            if got != nc {
+                return Err(FemError::BcSetMismatch { expected: nc, got });
+            }
+        }
+        if rhs.len() != self.free_dofs.len() {
+            return Err(SparseError::DimensionMismatch {
+                what: "rhs",
+                expected: self.free_dofs.len(),
+                got: rhs.len(),
+            }
+            .into());
+        }
+        let ndof = self.reduced_of_dof.len();
+        if let Some(f) = loads.filter(|f| f.len() != ndof) {
+            return Err(FemError::LoadVectorMismatch { len: f.len(), equations: ndof });
         }
         for (ci, &dof) in self.constrained_dofs.iter().enumerate() {
             let node = dof / 3;
@@ -196,24 +226,16 @@ impl DirichletStructure {
                 _ => u.z,
             };
         }
+        self.coupling.spmv(u_c, rhs);
+        match loads {
+            Some(f) => {
+                for (r, &dof) in rhs.iter_mut().zip(&self.free_dofs) {
+                    *r = f[dof] - *r;
+                }
+            }
+            None => rhs.iter_mut().for_each(|r| *r = -*r),
+        }
         Ok(())
-    }
-
-    /// Reduced load vector for zero body force: `rhs = −K_fc·u_c`.
-    pub fn reduced_rhs_zero_f(&self, u_c: &[f64], rhs: &mut [f64]) {
-        self.coupling.spmv(u_c, rhs);
-        for v in rhs.iter_mut() {
-            *v = -*v;
-        }
-    }
-
-    /// Reduced load vector: `rhs = f_f − K_fc·u_c` (`f` in original DOF
-    /// numbering).
-    pub fn reduced_rhs(&self, f: &[f64], u_c: &[f64], rhs: &mut [f64]) {
-        self.coupling.spmv(u_c, rhs);
-        for (i, &dof) in self.free_dofs.iter().enumerate() {
-            rhs[i] = f[dof] - rhs[i];
-        }
     }
 
     /// Scatter a reduced solution plus the prescribed values into a full
@@ -232,7 +254,17 @@ impl DirichletStructure {
     /// Per-rank counts of (free, constrained) DOFs under contiguous DOF
     /// offsets — the quantity the paper blames for solver imbalance.
     pub fn rank_dof_counts(&self, dof_offsets: &[usize]) -> Vec<(usize, usize)> {
-        rank_dof_counts(&self.reduced_of_dof, dof_offsets)
+        let p = dof_offsets.len() - 1;
+        let mut counts = vec![(0usize, 0usize); p];
+        for (dof, &red) in self.reduced_of_dof.iter().enumerate() {
+            let rank = brainshift_sparse::partition::part_of(dof_offsets, dof);
+            if red != usize::MAX {
+                counts[rank].0 += 1;
+            } else {
+                counts[rank].1 += 1;
+            }
+        }
+        counts
     }
 }
 
@@ -263,89 +295,6 @@ impl CsrRows {
         let nrows = self.indptr.len() - 1;
         Ok(CsrMatrix::from_raw(nrows, ncols, self.indptr, self.indices, self.values)?)
     }
-}
-
-fn rank_dof_counts(reduced_of_dof: &[usize], dof_offsets: &[usize]) -> Vec<(usize, usize)> {
-    let p = dof_offsets.len() - 1;
-    let mut counts = vec![(0usize, 0usize); p];
-    for (dof, &red) in reduced_of_dof.iter().enumerate() {
-        let rank = brainshift_sparse::partition::part_of(dof_offsets, dof);
-        if red != usize::MAX {
-            counts[rank].0 += 1;
-        } else {
-            counts[rank].1 += 1;
-        }
-    }
-    counts
-}
-
-/// The reduced system after Dirichlet substitution.
-pub struct ReducedSystem {
-    /// `K_ff`, the free-free block.
-    pub matrix: CsrMatrix,
-    /// `f_f − K_fc u_c`.
-    pub rhs: Vec<f64>,
-    /// Free DOF indices in original numbering (`free_dofs[i]` = original
-    /// DOF of reduced row `i`).
-    pub free_dofs: Vec<usize>,
-    /// Original DOF → reduced index (`usize::MAX` for constrained DOFs).
-    pub reduced_of_dof: Vec<usize>,
-    /// Prescribed value of each original DOF (0.0 for free DOFs).
-    pub prescribed_values: Vec<f64>,
-}
-
-impl ReducedSystem {
-    /// Scatter a reduced solution back to full DOF vector (prescribed
-    /// values filled in).
-    pub fn expand_solution(&self, x_reduced: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(x_reduced.len(), self.free_dofs.len());
-        let mut full = self.prescribed_values.clone();
-        for (i, &dof) in self.free_dofs.iter().enumerate() {
-            full[dof] = x_reduced[i];
-        }
-        full
-    }
-
-    /// Per-rank counts of (free, constrained) DOFs under contiguous DOF
-    /// offsets — the quantity the paper blames for solver imbalance.
-    pub fn rank_dof_counts(&self, dof_offsets: &[usize]) -> Vec<(usize, usize)> {
-        rank_dof_counts(&self.reduced_of_dof, dof_offsets)
-    }
-}
-
-/// Apply Dirichlet substitution to `K u = f`.
-///
-/// One-shot form of [`DirichletStructure`]: builds the structure for this
-/// BC set, computes the load vector, and discards the coupling block.
-/// Repeat solves over a fixed constrained set should hold a
-/// `DirichletStructure` (or a `SolverContext`) instead. Returns
-/// [`FemError::MatrixShapeMismatch`] when `f` does not match the matrix
-/// and propagates structural errors from [`DirichletStructure::new`].
-pub fn apply_dirichlet(
-    k: &CsrMatrix,
-    f: &[f64],
-    bcs: &DirichletBcs,
-) -> Result<ReducedSystem, FemError> {
-    let ndof = k.nrows();
-    if f.len() != ndof {
-        return Err(FemError::MatrixShapeMismatch { rows: f.len(), equations: ndof });
-    }
-    let structure = DirichletStructure::new(k, &bcs.nodes_sorted())?;
-    let mut u_c = vec![0.0; structure.num_constrained()];
-    structure.gather_constrained(bcs, &mut u_c)?;
-    let mut rhs = vec![0.0; structure.num_free()];
-    structure.reduced_rhs(f, &u_c, &mut rhs);
-    let mut prescribed_values = vec![0.0; ndof];
-    for (ci, &dof) in structure.constrained_dofs.iter().enumerate() {
-        prescribed_values[dof] = u_c[ci];
-    }
-    Ok(ReducedSystem {
-        matrix: structure.matrix,
-        rhs,
-        free_dofs: structure.free_dofs,
-        reduced_of_dof: structure.reduced_of_dof,
-        prescribed_values,
-    })
 }
 
 impl brainshift_persist::Persist for DirichletStructure {
@@ -420,31 +369,42 @@ mod tests {
         mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable })
     }
 
+    /// The structure along the node set of `bcs`, its prescribed values
+    /// and its reduced right-hand side under an explicit zero load.
+    fn reduce(k: &CsrMatrix, bcs: &DirichletBcs) -> (DirichletStructure, Vec<f64>, Vec<f64>) {
+        let s = DirichletStructure::new(k, &bcs.nodes_sorted()).expect("valid constrained set");
+        let mut u_c = vec![0.0; s.num_constrained()];
+        let mut rhs = vec![0.0; s.num_free()];
+        s.rhs_into(bcs, Some(&vec![0.0; k.nrows()]), &mut u_c, &mut rhs).expect("complete BC values");
+        (s, u_c, rhs)
+    }
+
+    fn fixed_surface(mesh: &TetMesh) -> DirichletBcs {
+        let mut bcs = DirichletBcs::new();
+        for &n in boundary_nodes(mesh).iter() {
+            bcs.set(n, Vec3::ZERO);
+        }
+        bcs
+    }
+
     #[test]
     fn reduction_removes_constrained_dofs() {
         let mesh = block_mesh(3);
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
-        let mut bcs = DirichletBcs::new();
-        for &n in boundary_nodes(&mesh).iter() {
-            bcs.set(n, Vec3::ZERO);
-        }
-        let f = vec![0.0; k.nrows()];
-        let red = apply_dirichlet(&k, &f, &bcs).expect("valid BC set");
-        assert_eq!(red.matrix.nrows(), k.nrows() - 3 * bcs.len());
-        assert_eq!(red.free_dofs.len(), red.matrix.nrows());
+        let bcs = fixed_surface(&mesh);
+        let (s, _, _) = reduce(&k, &bcs);
+        assert_eq!(s.matrix.nrows(), k.nrows() - 3 * bcs.len());
+        assert_eq!(s.free_dofs.len(), s.matrix.nrows());
     }
 
     #[test]
     fn zero_bc_zero_rhs_solution_is_zero() {
         let mesh = block_mesh(3);
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
-        let mut bcs = DirichletBcs::new();
-        for &n in boundary_nodes(&mesh).iter() {
-            bcs.set(n, Vec3::ZERO);
-        }
-        let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &bcs).expect("valid BC set");
-        assert!(red.rhs.iter().all(|&v| v == 0.0));
-        let full = red.expand_solution(&vec![0.0; red.free_dofs.len()]);
+        let (s, u_c, rhs) = reduce(&k, &fixed_surface(&mesh));
+        assert!(rhs.iter().all(|&v| v == 0.0));
+        let mut full = vec![f64::NAN; k.nrows()];
+        s.expand_solution_into(&vec![0.0; s.num_free()], &u_c, &mut full);
         assert!(full.iter().all(|&v| v == 0.0));
     }
 
@@ -454,9 +414,9 @@ mod tests {
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
         let mut bcs = DirichletBcs::new();
         bcs.set(0, Vec3::new(1.0, 2.0, 3.0));
-        let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &bcs).expect("valid BC set");
-        let x = vec![0.5; red.free_dofs.len()];
-        let full = red.expand_solution(&x);
+        let (s, u_c, _) = reduce(&k, &bcs);
+        let mut full = vec![f64::NAN; k.nrows()];
+        s.expand_solution_into(&vec![0.5; s.num_free()], &u_c, &mut full);
         assert_eq!(full[0], 1.0);
         assert_eq!(full[1], 2.0);
         assert_eq!(full[2], 3.0);
@@ -473,8 +433,8 @@ mod tests {
                 bcs.set(n, Vec3::new(0.1, 0.0, 0.0));
             }
         }
-        let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &bcs).expect("valid BC set");
-        assert!(red.matrix.asymmetry() < 1e-12);
+        let (s, _, _) = reduce(&k, &bcs);
+        assert!(s.matrix.asymmetry() < 1e-12);
     }
 
     #[test]
@@ -483,8 +443,8 @@ mod tests {
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
         let mut bcs = DirichletBcs::new();
         bcs.set(0, Vec3::new(1.0, 0.0, 0.0));
-        let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &bcs).expect("valid BC set");
-        let rhs_norm: f64 = red.rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let (_, _, rhs) = reduce(&k, &bcs);
+        let rhs_norm: f64 = rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(rhs_norm > 0.0, "coupling to prescribed DOF must load the rhs");
     }
 
@@ -494,13 +454,9 @@ mod tests {
         // *not* evenly spread across ranks — the paper's solve imbalance.
         let mesh = block_mesh(5);
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
-        let mut bcs = DirichletBcs::new();
-        for &n in boundary_nodes(&mesh).iter() {
-            bcs.set(n, Vec3::ZERO);
-        }
-        let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &bcs).expect("valid BC set");
+        let (s, _, _) = reduce(&k, &fixed_surface(&mesh));
         let offsets = brainshift_sparse::partition::even_offsets(k.nrows(), 4);
-        let counts = red.rank_dof_counts(&offsets);
+        let counts = s.rank_dof_counts(&offsets);
         let frees: Vec<usize> = counts.iter().map(|c| c.0).collect();
         let min = *frees.iter().min().unwrap();
         let max = *frees.iter().max().unwrap();
@@ -540,24 +496,49 @@ mod tests {
     }
 
     #[test]
-    fn structure_rhs_matches_apply_dirichlet() {
-        let mesh = block_mesh(3);
+    fn zero_load_shortcut_equals_an_explicit_zero_load_up_to_the_sign_of_zero() {
+        let mesh = block_mesh(4);
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
         let mut bcs = DirichletBcs::new();
         for (i, &n) in boundary_nodes(&mesh).iter().enumerate() {
             bcs.set(n, Vec3::new(0.1 * i as f64, -0.05, 0.02 * i as f64));
         }
-        let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &bcs).expect("valid BC set");
-
-        let s = DirichletStructure::new(&k, &bcs.nodes_sorted()).expect("valid constrained set");
+        let (s, u_explicit, explicit) = reduce(&k, &bcs);
         let mut u_c = vec![0.0; s.num_constrained()];
-        s.gather_constrained(&bcs, &mut u_c).expect("complete BC values");
-        let mut rhs = vec![0.0; s.num_free()];
-        s.reduced_rhs_zero_f(&u_c, &mut rhs);
-        assert_eq!(rhs.len(), red.rhs.len());
-        for (a, b) in rhs.iter().zip(&red.rhs) {
-            assert!((a - b).abs() < 1e-12);
+        let mut shortcut = vec![0.0; s.num_free()];
+        s.rhs_into(&bcs, None, &mut u_c, &mut shortcut).expect("complete BC values");
+        assert_eq!(u_c, u_explicit);
+        for (a, b) in shortcut.iter().zip(&explicit) {
+            assert!(a.to_bits() == b.to_bits() || (*a == 0.0 && *b == 0.0), "{a} vs {b}");
         }
+        // Interior rows with no constrained neighbour are where the two
+        // forms differ: `−0.0` from the shortcut, `+0.0` from `0.0 − 0.0`.
+        let signed = shortcut.iter().zip(&explicit).filter(|(a, b)| a.to_bits() != b.to_bits()).count();
+        assert!(signed > 0, "no zero row: the sign case is not exercised");
+    }
+
+    #[test]
+    fn rhs_refuses_another_node_set_and_a_short_load_vector() {
+        let mesh = block_mesh(3);
+        let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
+        let bcs = fixed_surface(&mesh);
+        let (s, mut u_c, mut rhs) = reduce(&k, &bcs);
+        let mut fewer = DirichletBcs::new();
+        fewer.set(bcs.nodes_sorted()[0], Vec3::ZERO);
+        let r = s.rhs_into(&fewer, None, &mut u_c, &mut rhs);
+        assert!(matches!(r, Err(FemError::BcSetMismatch { .. })), "{r:?}");
+        // Same count, but one value sits on an interior node.
+        let interior = (0..mesh.num_nodes()).find(|&n| bcs.get(n).is_none()).expect("interior node");
+        let mut moved = DirichletBcs::new();
+        for (n, u) in bcs.iter() {
+            moved.set(if n == bcs.nodes_sorted()[0] { interior } else { n }, u);
+        }
+        let r = s.rhs_into(&moved, None, &mut u_c, &mut rhs);
+        assert!(matches!(r, Err(FemError::MissingBcValue { .. })), "{r:?}");
+        let r = s.rhs_into(&bcs, Some(&vec![0.0; k.nrows() - 1]), &mut u_c, &mut rhs);
+        assert!(matches!(r, Err(FemError::LoadVectorMismatch { .. })), "{r:?}");
+        let r = s.rhs_into(&bcs, None, &mut u_c, &mut rhs[1..]);
+        assert!(matches!(r, Err(FemError::Sparse(SparseError::DimensionMismatch { .. }))), "{r:?}");
     }
 
     /// The blocks as they were built before the row-by-row writer: both

@@ -232,8 +232,8 @@ impl SolverContext {
     }
 
     /// The one solve routine. `loads` is the nodal load vector in
-    /// original DOF numbering (length checked by the caller); `None` is
-    /// the per-scan case of no body force.
+    /// original DOF numbering; `None` is the per-scan case of no body
+    /// force (see [`DirichletStructure::rhs_into`]).
     pub(crate) fn solve_loaded(
         &mut self,
         bcs: &DirichletBcs,
@@ -241,17 +241,7 @@ impl SolverContext {
         opts_override: Option<&SolverOptions>,
         escalation_override: Option<&EscalationPolicy>,
     ) -> Result<FemSolution, FemError> {
-        if 3 * bcs.len() != self.structure.num_constrained() {
-            return Err(FemError::BcSetMismatch {
-                expected: self.structure.num_constrained(),
-                got: 3 * bcs.len(),
-            });
-        }
-        self.structure.gather_constrained(bcs, &mut self.u_c)?;
-        match loads {
-            Some(f) => self.structure.reduced_rhs(f, &self.u_c, &mut self.rhs),
-            None => self.structure.reduced_rhs_zero_f(&self.u_c, &mut self.rhs),
-        }
+        self.structure.rhs_into(bcs, loads, &mut self.u_c, &mut self.rhs)?;
 
         // Warm start: seed from the previous scan's reduced solution.
         let warm = self.has_prev;

@@ -35,7 +35,8 @@ pub enum FemError {
         ndof: usize,
     },
     /// The boundary-condition set does not match the constrained node set
-    /// the solver context was built with.
+    /// the reduction structure (or the solver context holding it) was
+    /// built with.
     BcSetMismatch {
         /// Constrained DOFs the context expects.
         expected: usize,
@@ -48,10 +49,10 @@ pub enum FemError {
         /// The node without a prescribed displacement.
         node: usize,
     },
-    /// A prebuilt stiffness matrix does not match the mesh's equation
-    /// count.
+    /// A prebuilt stiffness matrix, or a reduction structure split from
+    /// one, does not match the mesh's equation count.
     MatrixShapeMismatch {
-        /// Rows of the supplied matrix.
+        /// Rows of the supplied matrix (DOFs the structure covers).
         rows: usize,
         /// Equations (3 × nodes) of the mesh.
         equations: usize,
@@ -77,6 +78,15 @@ pub enum FemError {
         len: usize,
         /// Nodes of the mesh.
         nodes: usize,
+    },
+    /// A simulated run asked for no CPUs, or for more than the machine
+    /// has or the mesh has nodes to distribute.
+    CpuCountOutOfRange {
+        /// CPUs asked for.
+        cpus: usize,
+        /// Largest valid count: the smaller of the machine's CPUs and
+        /// the mesh's nodes.
+        max: usize,
     },
 }
 
@@ -111,6 +121,9 @@ impl fmt::Display for FemError {
             }
             FemError::NodalFieldMismatch { len, nodes } => {
                 write!(f, "displacement vector has {len} entries, mesh has {nodes} nodes")
+            }
+            FemError::CpuCountOutOfRange { cpus, max } => {
+                write!(f, "simulated run on {cpus} CPUs, valid counts are 1..={max}")
             }
         }
     }

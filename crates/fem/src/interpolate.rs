@@ -166,11 +166,6 @@ pub fn displacement_field_from_mesh(
     ResamplePlan::new(mesh, dims, spacing).apply(displacements)
 }
 
-/// Fraction of voxels in `dims` covered by the mesh (diagnostic).
-pub fn coverage_fraction(mesh: &TetMesh, dims: Dims, spacing: Spacing) -> f64 {
-    ResamplePlan::new(mesh, dims, spacing).covered() as f64 / dims.len().max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,7 +226,7 @@ mod tests {
     fn coverage_of_full_cube() {
         let mesh = full_mesh(4);
         // Voxels 0..=4 in each axis are inside the mesh: 5³ of 8³.
-        let frac = coverage_fraction(&mesh, Dims::new(8, 8, 8), Spacing::iso(1.0));
+        let frac = ResamplePlan::new(&mesh, Dims::new(8, 8, 8), Spacing::iso(1.0)).covered() as f64 / 512.0;
         let expect = 125.0 / 512.0;
         assert!((frac - expect).abs() < 0.02, "{frac} vs {expect}");
     }

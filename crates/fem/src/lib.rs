@@ -27,7 +27,7 @@ pub mod solver;
 pub mod stress;
 
 pub use assembly::assemble_stiffness;
-pub use bc::{apply_dirichlet, DirichletBcs, DirichletStructure, ReducedSystem};
+pub use bc::{DirichletBcs, DirichletStructure};
 pub use context::{ContextStats, ContextTimings, SolverContext};
 pub use element::{stiffness_btdb, stiffness_isotropic, TetShape};
 pub use error::FemError;
@@ -36,7 +36,7 @@ pub use loads::{
     assemble_body_force, assemble_directed_gravity, assemble_gravity, gravity_load_density,
 };
 pub use material::{Material, MaterialTable};
-pub use simulate::{simulate_assemble_solve, SimOptions, SimProblem, SimTimings};
+pub use simulate::{simulate_assemble_solve, SimTimings};
 pub use stress::{evaluate_stress, summarize, ElementState, StressSummary};
 pub use solver::{
     solve_deformation, solve_with_loads, FemSolveConfig, FemSolution, KrylovKind, PrecondKind,

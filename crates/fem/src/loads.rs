@@ -66,17 +66,40 @@ pub fn assemble_directed_gravity(mesh: &TetMesh, dir: Vec3) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assembly::assemble_stiffness;
-    use crate::bc::{apply_dirichlet, DirichletBcs};
+    use crate::bc::DirichletBcs;
     use crate::material::MaterialTable;
+    use crate::solver::{solve_with_loads, FemSolveConfig};
     use brainshift_imaging::labels;
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{mesh_labeled_volume, MesherConfig};
-    use brainshift_sparse::{gmres, Ilu0, SolverOptions};
+    use brainshift_sparse::SolverOptions;
 
     fn column_mesh(nx: usize, nz: usize) -> TetMesh {
         let seg = Volume::from_fn(Dims::new(nx, nx, nz), Spacing::iso(1.0), |_, _, _| labels::BRAIN);
         mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable })
+    }
+
+    /// The column's base fixed, everything above it free.
+    fn fixed_base(mesh: &TetMesh) -> DirichletBcs {
+        let mut bcs = DirichletBcs::new();
+        for (n, p) in mesh.nodes.iter().enumerate() {
+            if p.z < 1e-9 {
+                bcs.set(n, Vec3::ZERO);
+            }
+        }
+        bcs
+    }
+
+    /// Nodal z-displacements of the column under `loads`.
+    fn sag(mesh: &TetMesh, loads: &[f64]) -> Vec<f64> {
+        let cfg = FemSolveConfig {
+            options: SolverOptions { tolerance: 1e-10, max_iterations: 5000, ..Default::default() },
+            ..Default::default()
+        };
+        let sol = solve_with_loads(mesh, &MaterialTable::homogeneous(), &fixed_base(mesh), loads, &cfg)
+            .expect("consistent loads and BCs");
+        assert!(sol.stats.converged());
+        sol.displacements.iter().map(|u| u.z).collect()
     }
 
     #[test]
@@ -106,32 +129,12 @@ mod tests {
         // analytic order u = ρg H² / (2 E_c) with the constrained modulus.
         let nz = 8;
         let mesh = column_mesh(3, nz);
-        let mats = MaterialTable::homogeneous();
-        let k = assemble_stiffness(&mesh, &mats);
-        let f = assemble_gravity(&mesh);
-        let mut bcs = DirichletBcs::new();
-        for (n, p) in mesh.nodes.iter().enumerate() {
-            if p.z < 1e-9 {
-                bcs.set(n, Vec3::ZERO);
-            }
-        }
-        let red = apply_dirichlet(&k, &f, &bcs).expect("valid BC set");
-        let mut x = vec![0.0; red.matrix.nrows()];
-        let stats = gmres(
-            &red.matrix,
-            &Ilu0::new(&red.matrix),
-            &red.rhs,
-            &mut x,
-            &SolverOptions { tolerance: 1e-10, max_iterations: 5000, ..Default::default() },
-        )
-        .expect("dimensions agree");
-        assert!(stats.converged());
-        let full = red.expand_solution(&x);
+        let sag_z = sag(&mesh, &assemble_gravity(&mesh));
         // Monotone downward sag with height along the centre column.
         let mut prev = 0.0;
         for (n, p) in mesh.nodes.iter().enumerate() {
             if (p.x - 1.0).abs() < 1e-9 && (p.y - 1.0).abs() < 1e-9 {
-                let uz = full[3 * n + 2];
+                let uz = sag_z[n];
                 assert!(uz <= 1e-12, "node at z={} moved up: {uz}", p.z);
                 if p.z > 0.0 {
                     assert!(uz <= prev + 1e-12, "sag not monotone at z={}", p.z);
@@ -150,7 +153,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(_, p)| (p.z - h).abs() < 1e-9)
-            .map(|(n, _)| -full[3 * n + 2])
+            .map(|(n, _)| -sag_z[n])
             .fold(0.0f64, f64::max);
         assert!(
             top > 0.2 * analytic && top < 5.0 * analytic,
@@ -161,30 +164,9 @@ mod tests {
     #[test]
     fn heavier_tissue_sags_more() {
         let mesh = column_mesh(3, 6);
-        let mats = MaterialTable::homogeneous();
-        let k = assemble_stiffness(&mesh, &mats);
-        let mut bcs = DirichletBcs::new();
-        for (n, p) in mesh.nodes.iter().enumerate() {
-            if p.z < 1e-9 {
-                bcs.set(n, Vec3::ZERO);
-            }
-        }
         let solve_for = |rho: f64| -> f64 {
             let w = gravity_load_density(rho, standard_gravity());
-            let f = assemble_body_force(&mesh, |_| w);
-            let red = apply_dirichlet(&k, &f, &bcs).expect("valid BC set");
-            let mut x = vec![0.0; red.matrix.nrows()];
-            let s = gmres(
-                &red.matrix,
-                &Ilu0::new(&red.matrix),
-                &red.rhs,
-                &mut x,
-                &SolverOptions { tolerance: 1e-10, max_iterations: 5000, ..Default::default() },
-            )
-            .expect("dimensions agree");
-            assert!(s.converged());
-            let full = red.expand_solution(&x);
-            full.iter().skip(2).step_by(3).fold(0.0f64, |m, &v| m.max(-v))
+            sag(&mesh, &assemble_body_force(&mesh, |_| w)).iter().fold(0.0f64, |m, &v| m.max(-v))
         };
         let sag1 = solve_for(1000.0);
         let sag2 = solve_for(2000.0);

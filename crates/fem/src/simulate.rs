@@ -11,15 +11,25 @@
 //! * solve: Dirichlet substitution removes unequal numbers of unknowns
 //!   from each CPU's contiguous range.
 
-use crate::assembly::{assembly_flops_per_rank, assemble_stiffness};
+use crate::assembly::assembly_flops_per_rank;
 use crate::bc::{DirichletBcs, DirichletStructure};
 use crate::error::FemError;
-use crate::material::MaterialTable;
 use brainshift_cluster::{MachineModel, SimCluster};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_sparse::partition::{even_offsets, part_of};
-use brainshift_sparse::{gmres, BlockJacobiPrecond, BlockSolve, CsrMatrix, SolverOptions};
+use brainshift_sparse::{gmres, BlockJacobiPrecond, BlockSolve, SolverOptions};
+
+/// Relative-residual tolerance of the real solve (PETSc's default rtol).
+const TOLERANCE: f64 = 1e-5;
+/// Iteration cap of the real solve.
+const MAX_ITERATIONS: usize = 4000;
+/// GMRES restart length (PETSc's default); it also bounds the modeled
+/// orthogonalization depth.
+const RESTART: usize = 30;
+/// Voxels of the display volume for the resample-cost model: 256×256×60,
+/// the paper's intraoperative MRI.
+const RESAMPLE_VOXELS: usize = 256 * 256 * 60;
 
 /// Modeled timings of one assemble+solve on `cpus` CPUs of a machine.
 #[derive(Debug, Clone)]
@@ -57,84 +67,45 @@ impl SimTimings {
     }
 }
 
-/// Options of the simulated run.
-#[derive(Debug, Clone)]
-pub struct SimOptions {
-    /// Krylov solver settings for the real solve.
-    pub solver: SolverOptions,
-    /// Block-Jacobi sub-solver (ILU(0), as PETSc defaults).
-    pub block_solve: BlockSolve,
-    /// Voxels of the display volume for the resample-cost model.
-    pub resample_voxels: usize,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            solver: SolverOptions { tolerance: 1e-5, max_iterations: 4000, restart: 30, ..Default::default() },
-            block_solve: BlockSolve::Ilu0,
-            // 256×256×60, the paper's intraoperative MRI.
-            resample_voxels: 256 * 256 * 60,
-        }
-    }
-}
-
-/// The assembled-and-reduced elastic problem shared across simulated
-/// runs: the full stiffness matrix plus the Dirichlet split (`K_ff`,
-/// `K_fc`) for one constrained node set.
-///
-/// A CPU-count sweep re-prices the same numerics on different modeled
-/// machines; assembling and reducing once per sweep (instead of once per
-/// point) mirrors the per-surgery [`crate::SolverContext`] and keeps the
-/// figure benchmarks fast.
-pub struct SimProblem {
-    k: CsrMatrix,
-    structure: DirichletStructure,
-}
-
-impl SimProblem {
-    /// Assemble `mesh`/`materials` and reduce along the node set of
-    /// `bcs`. The prescribed *values* may change between runs; the node
-    /// set may not.
-    pub fn new(mesh: &TetMesh, materials: &MaterialTable, bcs: &DirichletBcs) -> Self {
-        let k = assemble_stiffness(mesh, materials);
-        let structure = DirichletStructure::new(&k, &bcs.nodes_sorted())
-            .expect("BC node set out of range for the assembled mesh");
-        SimProblem { k, structure }
-    }
-
-    /// The assembled global stiffness matrix.
-    pub fn matrix(&self) -> &CsrMatrix {
-        &self.k
-    }
-
-    /// The cached Dirichlet reduction structure.
-    pub fn structure(&self) -> &DirichletStructure {
-        &self.structure
-    }
-}
-
 /// Run the biomechanical system on a simulated machine with `cpus` CPUs.
 ///
-/// `bcs` are the active-surface displacements. The assembled + reduced
-/// problem may be passed via `prebuilt` to keep sweeps over CPU counts
-/// fast (the numerics don't depend on the partition; only the pricing
-/// does). A prebuilt problem must have been built for the same mesh and
-/// the same constrained node set ([`FemError::BcSetMismatch`] /
-/// [`FemError::MissingBcValue`] otherwise); the prescribed values are
-/// re-read from `bcs` on every call.
+/// `structure` is the stiffness matrix of `mesh` reduced along the node
+/// set of `bcs`, the active-surface displacements; the prescribed values
+/// are read from `bcs` on every call. The numerics do not depend on the
+/// partition, only the pricing does, so a CPU-count sweep borrows one
+/// structure for every point. The real solve is the paper's GMRES with
+/// one block-Jacobi/ILU(0) block per simulated rank.
+///
+/// Returns [`FemError::CpuCountOutOfRange`] unless
+/// `1 ≤ cpus ≤ min(machine.max_cpus, mesh.num_nodes())`,
+/// [`FemError::MatrixShapeMismatch`] when `structure` does not cover the
+/// mesh's DOFs, and the errors of [`DirichletStructure::rhs_into`] when
+/// `bcs` does not match its node set.
 pub fn simulate_assemble_solve(
     mesh: &TetMesh,
-    materials: &MaterialTable,
+    structure: &DirichletStructure,
     bcs: &DirichletBcs,
     machine: MachineModel,
     cpus: usize,
-    opts: &SimOptions,
-    prebuilt: Option<&SimProblem>,
 ) -> Result<(SimTimings, Vec<Vec3>), FemError> {
+    let max = machine.max_cpus.min(mesh.num_nodes());
+    if cpus == 0 || cpus > max {
+        return Err(FemError::CpuCountOutOfRange { cpus, max });
+    }
+    let ndof = mesh.num_equations();
+    if structure.reduced_of_dof.len() != ndof {
+        return Err(FemError::MatrixShapeMismatch {
+            rows: structure.reduced_of_dof.len(),
+            equations: ndof,
+        });
+    }
+    let nfree = structure.num_free();
+    let mut u_c = vec![0.0; structure.num_constrained()];
+    let mut rhs = vec![0.0; nfree];
+    structure.rhs_into(bcs, None, &mut u_c, &mut rhs)?;
+
     let machine_name = machine.name;
     let sim = SimCluster::new(machine, cpus);
-    let ndof = mesh.num_equations();
     let node_offsets = even_offsets(mesh.num_nodes(), cpus);
     let dof_offsets: Vec<usize> = node_offsets.iter().map(|&n| 3 * n).collect();
 
@@ -181,28 +152,7 @@ pub fn simulate_assemble_solve(
     let assemble_s = sim.record_phase("assemble", &asm_flops, asm_comm);
     let assembly_imbalance = sim.phases().last().expect("phase just recorded").imbalance();
 
-    // ---- Real numerics: assemble + reduce + solve on the host. ----
-    let owned_problem;
-    let problem = match prebuilt {
-        Some(p) => p,
-        None => {
-            owned_problem = SimProblem::new(mesh, materials, bcs);
-            &owned_problem
-        }
-    };
-    let structure = &problem.structure;
-    if 3 * bcs.len() != structure.num_constrained() {
-        return Err(FemError::BcSetMismatch {
-            expected: structure.num_constrained(),
-            got: 3 * bcs.len(),
-        });
-    }
-    let nfree = structure.num_free();
-    let mut u_c = vec![0.0; structure.num_constrained()];
-    structure.gather_constrained(bcs, &mut u_c)?;
-    let mut rhs = vec![0.0; nfree];
-    structure.reduced_rhs_zero_f(&u_c, &mut rhs);
-
+    // ---- Real numerics: the reduced solve on the host. ----
     // Reduced-system block offsets = cumulative free-DOF counts per rank
     // (ranks keep their contiguous ranges; substitution shrinks them
     // unevenly — the paper's solve imbalance).
@@ -222,10 +172,16 @@ pub fn simulate_assemble_solve(
     red_offsets.dedup();
     let eff_blocks = red_offsets.len() - 1;
 
-    let precond =
-        BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets, opts.block_solve)?;
+    // ILU(0) blocks, as PETSc defaults.
+    let precond = BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets, BlockSolve::Ilu0)?;
     let mut x = vec![0.0; nfree];
-    let stats = gmres(&structure.matrix, &precond, &rhs, &mut x, &opts.solver)?;
+    let solver = SolverOptions {
+        tolerance: TOLERANCE,
+        max_iterations: MAX_ITERATIONS,
+        restart: RESTART,
+        ..Default::default()
+    };
+    let stats = gmres(&structure.matrix, &precond, &rhs, &mut x, &solver)?;
     let mut full = vec![0.0; ndof];
     structure.expand_solution_into(&x, &u_c, &mut full);
     let displacements: Vec<Vec3> = (0..mesh.num_nodes())
@@ -251,9 +207,8 @@ pub fn simulate_assemble_solve(
         }
     }
     let iters = stats.iterations.max(1);
-    let restart = opts.solver.restart.max(1);
     // Mean orthogonalization depth over a restart cycle.
-    let depth = ((iters.min(restart) + 1) as f64) / 2.0;
+    let depth = ((iters.min(RESTART) + 1) as f64) / 2.0;
     let per_rank_flops: Vec<f64> = (0..eff_blocks)
         .map(|r| {
             let nloc = rank_rows[r] as f64;
@@ -279,7 +234,7 @@ pub fn simulate_assemble_solve(
 
     // ---- Resample cost (the ~0.5 s display step). ----
     // ~40 ops per voxel (trilinear + field lookup).
-    let resample_flops = opts.resample_voxels as f64 * 40.0 / cpus as f64;
+    let resample_flops = RESAMPLE_VOXELS as f64 * 40.0 / cpus as f64;
     let resample_s = sim.record_phase("resample", &vec![resample_flops; cpus], 0.0);
 
     Ok((
@@ -304,6 +259,8 @@ pub fn simulate_assemble_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assembly::assemble_stiffness;
+    use crate::material::MaterialTable;
     use brainshift_imaging::labels;
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
@@ -312,45 +269,36 @@ mod tests {
     // consistently, so a refusal is a test bug.
     fn simulate_assemble_solve(
         mesh: &TetMesh,
-        materials: &MaterialTable,
+        structure: &DirichletStructure,
         bcs: &DirichletBcs,
         machine: MachineModel,
         cpus: usize,
-        opts: &SimOptions,
-        prebuilt: Option<&SimProblem>,
     ) -> (SimTimings, Vec<Vec3>) {
-        super::simulate_assemble_solve(mesh, materials, bcs, machine, cpus, opts, prebuilt)
-            .expect("consistent problem")
+        super::simulate_assemble_solve(mesh, structure, bcs, machine, cpus).expect("consistent problem")
     }
 
-    fn test_problem() -> (TetMesh, DirichletBcs) {
-        let seg = Volume::from_fn(Dims::new(8, 8, 8), Spacing::iso(2.0), |_, _, _| labels::BRAIN);
+    /// A cube of `n`³ voxels (spacing 2 mm) pushed down 1 mm at its top
+    /// face and fixed on the rest of its surface, with the homogeneous
+    /// stiffness matrix reduced along that surface.
+    fn pushed_cube(n: usize) -> (TetMesh, DirichletStructure, DirichletBcs) {
+        let seg = Volume::from_fn(Dims::new(n, n, n), Spacing::iso(2.0), |_, _, _| labels::BRAIN);
         let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
         let mut bcs = DirichletBcs::new();
         let (_, hi) = mesh.bounding_box();
         for &n in boundary_nodes(&mesh).iter() {
             let p = mesh.nodes[n];
-            if (p.z - hi.z).abs() < 1e-9 {
-                bcs.set(n, Vec3::new(0.0, 0.0, -1.0));
-            } else {
-                bcs.set(n, Vec3::ZERO);
-            }
+            let u = if (p.z - hi.z).abs() < 1e-9 { Vec3::new(0.0, 0.0, -1.0) } else { Vec3::ZERO };
+            bcs.set(n, u);
         }
-        (mesh, bcs)
+        let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
+        let structure = DirichletStructure::new(&k, &bcs.nodes_sorted()).expect("surface nodes are mesh nodes");
+        (mesh, structure, bcs)
     }
 
     #[test]
     fn simulation_produces_converged_solve() {
-        let (mesh, bcs) = test_problem();
-        let (t, disp) = simulate_assemble_solve(
-            &mesh,
-            &MaterialTable::homogeneous(),
-            &bcs,
-            MachineModel::deep_flow(),
-            4,
-            &SimOptions::default(),
-            None,
-        );
+        let (mesh, s, bcs) = pushed_cube(8);
+        let (t, disp) = simulate_assemble_solve(&mesh, &s, &bcs, MachineModel::deep_flow(), 4);
         assert!(t.converged);
         assert!(t.iterations > 0);
         assert!(t.assemble_s > 0.0 && t.solve_s > 0.0);
@@ -362,19 +310,10 @@ mod tests {
 
     #[test]
     fn more_cpus_reduce_assembly_time() {
-        let (mesh, bcs) = test_problem();
-        let k = SimProblem::new(&mesh, &MaterialTable::homogeneous(), &bcs);
+        let (mesh, s, bcs) = pushed_cube(8);
         let mut prev = f64::INFINITY;
         for cpus in [1usize, 2, 4, 8] {
-            let (t, _) = simulate_assemble_solve(
-                &mesh,
-                &MaterialTable::homogeneous(),
-                &bcs,
-                MachineModel::deep_flow(),
-                cpus,
-                &SimOptions::default(),
-                Some(&k),
-            );
+            let (t, _) = simulate_assemble_solve(&mesh, &s, &bcs, MachineModel::deep_flow(), cpus);
             assert!(t.assemble_s < prev, "assembly not scaling at {cpus} cpus");
             prev = t.assemble_s;
         }
@@ -384,28 +323,8 @@ mod tests {
     fn speedup_is_sublinear_due_to_imbalance_and_comm() {
         // Needs a mesh big enough that compute outweighs Ethernet latency
         // (the same reason the paper measured a 77 511-equation system).
-        let seg = Volume::from_fn(Dims::new(14, 14, 14), Spacing::iso(2.0), |_, _, _| labels::BRAIN);
-        let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
-        let mut bcs = DirichletBcs::new();
-        let (_, hi) = mesh.bounding_box();
-        for &n in boundary_nodes(&mesh).iter() {
-            let p = mesh.nodes[n];
-            let u = if (p.z - hi.z).abs() < 1e-9 { Vec3::new(0.0, 0.0, -1.0) } else { Vec3::ZERO };
-            bcs.set(n, u);
-        }
-        let k = SimProblem::new(&mesh, &MaterialTable::homogeneous(), &bcs);
-        let run = |machine: MachineModel, cpus| {
-            simulate_assemble_solve(
-                &mesh,
-                &MaterialTable::homogeneous(),
-                &bcs,
-                machine,
-                cpus,
-                &SimOptions::default(),
-                Some(&k),
-            )
-            .0
-        };
+        let (mesh, s, bcs) = pushed_cube(14);
+        let run = |machine: MachineModel, cpus| simulate_assemble_solve(&mesh, &s, &bcs, machine, cpus).0;
         let t1 = run(MachineModel::deep_flow(), 1);
         let t8 = run(MachineModel::deep_flow(), 8);
         // Assembly is compute-dominated: real but sub-linear speedup
@@ -426,20 +345,8 @@ mod tests {
 
     #[test]
     fn smp_scales_at_least_as_well_as_ethernet() {
-        let (mesh, bcs) = test_problem();
-        let k = SimProblem::new(&mesh, &MaterialTable::homogeneous(), &bcs);
-        let run = |machine: MachineModel, cpus| {
-            simulate_assemble_solve(
-                &mesh,
-                &MaterialTable::homogeneous(),
-                &bcs,
-                machine,
-                cpus,
-                &SimOptions::default(),
-                Some(&k),
-            )
-            .0
-        };
+        let (mesh, s, bcs) = pushed_cube(8);
+        let run = |machine: MachineModel, cpus| simulate_assemble_solve(&mesh, &s, &bcs, machine, cpus).0;
         // Compare *scaling* (relative to its own 1-CPU run), isolating the
         // interconnect from CPU speed differences.
         let eth1 = run(MachineModel::deep_flow(), 1);
@@ -455,62 +362,35 @@ mod tests {
     }
 
     #[test]
-    fn solution_independent_of_prebuilt_matrix() {
-        let (mesh, bcs) = test_problem();
-        let k = SimProblem::new(&mesh, &MaterialTable::homogeneous(), &bcs);
-        let (_, d1) = simulate_assemble_solve(
-            &mesh,
-            &MaterialTable::homogeneous(),
-            &bcs,
-            MachineModel::deep_flow(),
-            2,
-            &SimOptions::default(),
-            Some(&k),
-        );
-        let (_, d2) = simulate_assemble_solve(
-            &mesh,
-            &MaterialTable::homogeneous(),
-            &bcs,
-            MachineModel::deep_flow(),
-            2,
-            &SimOptions::default(),
-            None,
-        );
-        for (a, b) in d1.iter().zip(&d2) {
-            assert!((*a - *b).norm() < 1e-12);
-        }
+    fn structure_for_another_node_set_or_mesh_is_a_typed_error() {
+        let (mesh, s, bcs) = pushed_cube(8);
+        let mut fewer = DirichletBcs::new();
+        fewer.set(bcs.nodes_sorted()[0], Vec3::ZERO);
+        let r = super::simulate_assemble_solve(&mesh, &s, &fewer, MachineModel::deep_flow(), 2);
+        assert!(matches!(r, Err(FemError::BcSetMismatch { .. })));
+        let (small, _, _) = pushed_cube(4);
+        let r = super::simulate_assemble_solve(&small, &s, &bcs, MachineModel::deep_flow(), 2);
+        assert!(matches!(r, Err(FemError::MatrixShapeMismatch { .. })));
     }
 
     #[test]
-    fn prebuilt_problem_for_another_node_set_is_a_typed_error() {
-        let (mesh, bcs) = test_problem();
-        let k = SimProblem::new(&mesh, &MaterialTable::homogeneous(), &bcs);
-        let mut fewer = DirichletBcs::new();
-        fewer.set(bcs.nodes_sorted()[0], Vec3::ZERO);
-        let r = super::simulate_assemble_solve(
-            &mesh,
-            &MaterialTable::homogeneous(),
-            &fewer,
-            MachineModel::deep_flow(),
-            2,
-            &SimOptions::default(),
-            Some(&k),
-        );
-        assert!(matches!(r, Err(FemError::BcSetMismatch { .. })));
+    fn more_cpus_than_mesh_nodes_is_a_typed_error() {
+        // 1×1×2 voxels: 12 nodes, fewer than the SMP's 20 CPUs.
+        let seg = Volume::from_fn(Dims::new(1, 1, 2), Spacing::iso(2.0), |_, _, _| labels::BRAIN);
+        let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
+        assert_eq!(mesh.num_nodes(), 12);
+        let mut bcs = DirichletBcs::new();
+        bcs.set(0, Vec3::ZERO);
+        let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
+        let s = DirichletStructure::new(&k, &bcs.nodes_sorted()).expect("node 0 is a mesh node");
+        let r = super::simulate_assemble_solve(&mesh, &s, &bcs, MachineModel::ultra_hpc_6000(), 13);
+        assert!(matches!(r, Err(FemError::CpuCountOutOfRange { cpus: 13, max: 12 })), "{r:?}");
     }
 
     #[test]
     fn resample_cost_is_subsecond_scale() {
-        let (mesh, bcs) = test_problem();
-        let (t, _) = simulate_assemble_solve(
-            &mesh,
-            &MaterialTable::homogeneous(),
-            &bcs,
-            MachineModel::deep_flow(),
-            8,
-            &SimOptions::default(),
-            None,
-        );
+        let (mesh, s, bcs) = pushed_cube(8);
+        let (t, _) = simulate_assemble_solve(&mesh, &s, &bcs, MachineModel::deep_flow(), 8);
         // The paper quotes ~0.5 s for the resample.
         assert!(t.resample_s < 5.0, "{}", t.resample_s);
         assert!(t.resample_s > 0.0);

@@ -18,11 +18,9 @@ pub mod bicgstab;
 pub mod cg;
 pub mod csr;
 pub mod dense;
-pub mod eigen;
 pub mod error;
 pub mod escalate;
 pub mod gmres;
-pub mod ordering;
 pub mod partition;
 pub mod precond;
 pub mod solver;
@@ -30,13 +28,9 @@ pub mod solver;
 pub use bicgstab::bicgstab;
 pub use cg::conjugate_gradient;
 pub use csr::{CsrMatrix, TripletBuilder};
-pub use eigen::{condition_estimate, largest_eigenvalue, smallest_eigenvalue};
 pub use error::SparseError;
 pub use escalate::{solve_escalated, EscalationOutcome, EscalationPolicy, RungTrace};
 pub use gmres::{gmres, gmres_with_workspace, KrylovWorkspace};
-pub use ordering::{
-    bandwidth, permute_symmetric, permute_vec, reverse_cuthill_mckee, unpermute_vec,
-};
 pub use precond::{
     decode_preconditioner, BlockJacobiPrecond, BlockSolve, IdentityPrecond, Ilu0, JacobiPrecond,
     Preconditioner,

@@ -9,7 +9,7 @@
 
 use brainshift_bench::{print_timing_header, print_timing_row, problem_with_equations};
 use brainshift_cluster::MachineModel;
-use brainshift_fem::{simulate_assemble_solve, MaterialTable, SimOptions, SimProblem};
+use brainshift_fem::simulate_assemble_solve;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -29,8 +29,7 @@ fn main() {
 
     println!("building a ~{equations}-equation brain FEM problem...");
     let p = problem_with_equations(equations);
-    let materials = MaterialTable::homogeneous();
-    let k = SimProblem::new(&p.mesh, &materials, &p.bcs);
+    let structure = p.structure();
     println!(
         "mesh: {} nodes, {} tets → {} equations\n",
         p.mesh.num_nodes(),
@@ -45,16 +44,8 @@ fn main() {
         let mut best = f64::INFINITY;
         let mut best_cpus = 1;
         while cpus <= max {
-            let (t, _) = simulate_assemble_solve(
-                &p.mesh,
-                &materials,
-                &p.bcs,
-                machine.clone(),
-                cpus,
-                &SimOptions::default(),
-                Some(&k),
-            )
-            .expect("simulated problem is consistent");
+            let (t, _) = simulate_assemble_solve(&p.mesh, &structure, &p.bcs, machine.clone(), cpus)
+                .expect("simulated problem is consistent");
             print_timing_row(&t);
             if t.total_s() < best {
                 best = t.total_s();

@@ -141,6 +141,27 @@ for call in 'solve_escalated(' 'conjugate_gradient('; do
   fi
 done
 
+# One reduced system: `DirichletStructure` is the only Dirichlet
+# substitution. The context builds it, the simulated cluster borrows it
+# and runs the crate's only direct GMRES (per-rank block-Jacobi, the
+# Fig 7–9 model), and neither the second and third forms of the reduction
+# nor the dead RCM and eigenvalue code come back (DESIGN §3, §16).
+if grep -rnE 'apply_dirichlet|ReducedSystem|SimProblem|SimOptions|reverse_cuthill_mckee|largest_eigenvalue' crates tests examples; then
+  echo "a deleted reduced-system form or dead sparse item is back" >&2
+  exit 1
+fi
+while read -r call home; do
+  n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF "$call" || true)
+  m=$(non_test "crates/fem/src/$home" | grep -cF "$call" || true)
+  if [ "$n" -ne 1 ] || [ "$m" -ne 1 ]; then
+    echo "expected exactly one non-test '$call' call in crates/fem/src, in $home; found $n ($m in $home)" >&2
+    exit 1
+  fi
+done <<'EOF'
+DirichletStructure::new( context.rs
+gmres( simulate.rs
+EOF
+
 # One intraoperative pipeline: `PreparedSurgery` (surgery.rs) is the only
 # place in the workspace that composes classify → surface → solve →
 # resample. `run_pipeline` is its one-shot form and calls no stage itself.

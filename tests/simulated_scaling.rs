@@ -4,15 +4,16 @@
 
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::MachineModel;
-use brainshift_fem::{simulate_assemble_solve, MaterialTable, SimOptions, SimProblem, SimTimings};
+use brainshift_fem::{simulate_assemble_solve, FemError, SimTimings};
+use brainshift_imaging::Vec3;
+use brainshift_persist::fnv1a;
 
 fn sweep(machine: MachineModel, cpus: &[usize], eqs: usize) -> Vec<SimTimings> {
     let p = problem_with_equations(eqs);
-    let materials = MaterialTable::homogeneous();
-    let k = SimProblem::new(&p.mesh, &materials, &p.bcs);
+    let structure = p.structure();
     cpus.iter()
         .map(|&c| {
-            simulate_assemble_solve(&p.mesh, &materials, &p.bcs, machine.clone(), c, &SimOptions::default(), Some(&k))
+            simulate_assemble_solve(&p.mesh, &structure, &p.bcs, machine.clone(), c)
                 .expect("simulated problem is consistent")
                 .0
         })
@@ -85,17 +86,9 @@ fn hierarchical_machine_penalized_only_across_nodes() {
 fn ten_second_claim_at_paper_scale() {
     // The headline: 77k equations, 16 Deep Flow CPUs, under 10 seconds.
     let p = problem_with_equations(77_511);
-    let materials = MaterialTable::homogeneous();
-    let (t, _) = simulate_assemble_solve(
-        &p.mesh,
-        &materials,
-        &p.bcs,
-        MachineModel::deep_flow(),
-        16,
-        &SimOptions::default(),
-        None,
-    )
-    .expect("simulated problem is consistent");
+    let structure = p.structure();
+    let (t, _) = simulate_assemble_solve(&p.mesh, &structure, &p.bcs, MachineModel::deep_flow(), 16)
+        .expect("simulated problem is consistent");
     assert!(t.converged);
     assert!(
         t.total_s() < 10.0,
@@ -103,15 +96,63 @@ fn ten_second_claim_at_paper_scale() {
         t.total_s()
     );
     // And 1 CPU must NOT meet the deadline (the parallelism is necessary).
-    let (t1, _) = simulate_assemble_solve(
-        &p.mesh,
-        &materials,
-        &p.bcs,
-        MachineModel::deep_flow(),
-        1,
-        &SimOptions::default(),
-        None,
-    )
-    .expect("simulated problem is consistent");
+    let (t1, _) = simulate_assemble_solve(&p.mesh, &structure, &p.bcs, MachineModel::deep_flow(), 1)
+        .expect("simulated problem is consistent");
     assert!(t1.total_s() > 10.0, "1 CPU already meets the deadline: {}", t1.total_s());
+}
+
+/// FNV-1a over the displacement bits, the iteration count, the
+/// convergence flag and the bits of every modeled time and imbalance.
+fn fig_numerics_hash(t: &SimTimings, displacements: &[Vec3]) -> u64 {
+    let mut bytes: Vec<u8> = displacements
+        .iter()
+        .flat_map(|v| [v.x, v.y, v.z])
+        .flat_map(|c| c.to_bits().to_le_bytes())
+        .collect();
+    bytes.extend((t.iterations as u64).to_le_bytes());
+    bytes.push(u8::from(t.converged));
+    for s in [t.init_s, t.assemble_s, t.solve_s, t.resample_s, t.assembly_imbalance, t.solve_imbalance] {
+        bytes.extend(s.to_bits().to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+#[test]
+fn figure_numerics_are_bit_identical_to_the_parent() {
+    // (machine, CPUs, hash, GMRES iterations), generated before the
+    // simulated solve borrowed its reduced system instead of building its
+    // own; identical at RAYON_NUM_THREADS 1 and 4.
+    let golden = [
+        (MachineModel::deep_flow(), 1, 0xf490_2029_0145_568eu64, 19usize),
+        (MachineModel::deep_flow(), 3, 0xb96c_035f_52a7_3d14, 31),
+        (MachineModel::deep_flow(), 8, 0x1025_3ce0_b894_9861, 43),
+        (MachineModel::ultra_80_pair(), 1, 0xf174_5e08_068d_5c7c, 19),
+        (MachineModel::ultra_80_pair(), 3, 0x42ae_0435_1a2b_9f80, 31),
+        (MachineModel::ultra_80_pair(), 8, 0x170f_fe4e_a084_2ee1, 43),
+    ];
+    let p = problem_with_equations(9_000);
+    let structure = p.structure();
+    for (machine, cpus, hash, iterations) in golden {
+        let name = machine.name;
+        let (t, d) = simulate_assemble_solve(&p.mesh, &structure, &p.bcs, machine, cpus)
+            .expect("simulated problem is consistent");
+        assert_eq!(t.iterations, iterations, "{name} at {cpus} CPUs");
+        assert_eq!(fig_numerics_hash(&t, &d), hash, "{name} at {cpus} CPUs: {t:?}");
+    }
+}
+
+#[test]
+fn cpu_count_outside_the_machine_is_a_typed_error() {
+    // The 16-CPU Deep Flow cluster: no CPUs and a 17th are refused, where
+    // the cluster model used to assert.
+    let p = problem_with_equations(9_000);
+    let structure = p.structure();
+    for cpus in [0, 17] {
+        let r = simulate_assemble_solve(&p.mesh, &structure, &p.bcs, MachineModel::deep_flow(), cpus);
+        assert!(
+            matches!(r, Err(FemError::CpuCountOutOfRange { cpus: c, max: 16 }) if c == cpus),
+            "{cpus} CPUs: {:?}",
+            r.map(|(t, _)| t)
+        );
+    }
 }

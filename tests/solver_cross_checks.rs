@@ -3,7 +3,7 @@
 //! (thread message-passing) reductions must match serial arithmetic.
 
 use brainshift_cluster::run_ranks;
-use brainshift_fem::{apply_dirichlet, assemble_stiffness, DirichletBcs, MaterialTable};
+use brainshift_fem::{assemble_stiffness, DirichletBcs, DirichletStructure, MaterialTable};
 use brainshift_imaging::labels;
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
 use brainshift_imaging::Vec3;
@@ -27,8 +27,11 @@ fn small_reduced() -> (brainshift_sparse::CsrMatrix, Vec<f64>) {
         let p = mesh.nodes[n];
         bcs.set(n, Vec3::new(0.1 * p.z, -0.05 * p.x, 0.02 * p.y));
     }
-    let red = apply_dirichlet(&k, &vec![0.0; k.nrows()], &bcs).expect("valid BC set");
-    (red.matrix, red.rhs)
+    let s = DirichletStructure::new(&k, &bcs.nodes_sorted()).expect("boundary nodes are mesh nodes");
+    let mut u_c = vec![0.0; s.num_constrained()];
+    let mut rhs = vec![0.0; s.num_free()];
+    s.rhs_into(&bcs, Some(&vec![0.0; k.nrows()]), &mut u_c, &mut rhs).expect("valid BC set");
+    (s.matrix, rhs)
 }
 
 #[test]

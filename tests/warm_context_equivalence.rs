@@ -8,8 +8,8 @@
 use brainshift_core::{generate_scan_sequence, PipelineConfig};
 use brainshift_fem::solver::build_preconditioner;
 use brainshift_fem::{
-    apply_dirichlet, assemble_gravity, assemble_stiffness, solve_deformation, solve_with_loads,
-    DirichletBcs, FemError, FemSolution, FemSolveConfig, MaterialTable, SolverContext,
+    assemble_gravity, assemble_stiffness, solve_deformation, solve_with_loads, DirichletBcs,
+    DirichletStructure, FemError, FemSolution, FemSolveConfig, MaterialTable, SolverContext,
 };
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
@@ -172,8 +172,9 @@ fn bits(sol: &FemSolution) -> Vec<u64> {
 }
 
 /// The cold path as it was written before it became a one-shot context,
-/// from public pieces: assemble → `apply_dirichlet` → precondition →
-/// escalation ladder from a zero start with a fresh workspace → expand.
+/// from public pieces: assemble → reduce → right-hand side under the
+/// explicit load → precondition → escalation ladder from a zero start
+/// with a fresh workspace → expand.
 fn hand_rolled_cold_solve(
     mesh: &TetMesh,
     materials: &MaterialTable,
@@ -182,21 +183,25 @@ fn hand_rolled_cold_solve(
     cfg: &FemSolveConfig,
 ) -> (Vec<u64>, usize) {
     let k = assemble_stiffness(mesh, materials);
-    let reduced = apply_dirichlet(&k, loads, bcs).expect("reduce");
+    let reduced = DirichletStructure::new(&k, &bcs.nodes_sorted()).expect("reduce");
+    let mut u_c = vec![0.0; reduced.num_constrained()];
+    let mut rhs = vec![0.0; reduced.num_free()];
+    reduced.rhs_into(bcs, Some(loads), &mut u_c, &mut rhs).expect("right-hand side");
     let precond = build_preconditioner(cfg.precond, &reduced.matrix).expect("precondition");
     let mut x = vec![0.0; reduced.matrix.nrows()];
     let mut ws = KrylovWorkspace::new(x.len(), cfg.options.restart);
     let out = solve_escalated(
         &reduced.matrix,
         precond.as_ref(),
-        &reduced.rhs,
+        &rhs,
         &mut x,
         &cfg.options,
         &cfg.escalation,
         &mut ws,
     )
     .expect("dims agree");
-    let full = reduced.expand_solution(&x);
+    let mut full = vec![0.0; k.nrows()];
+    reduced.expand_solution_into(&x, &u_c, &mut full);
     (full.iter().map(|v| v.to_bits()).collect(), out.stats.iterations)
 }
 
