@@ -5,7 +5,7 @@
 use brainshift_bench::problem_with_equations;
 use brainshift_sparse::{
     conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, IdentityPrecond, JacobiPrecond,
-    SolverOptions,
+    KrylovWorkspace, SolverOptions,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -33,8 +33,8 @@ fn bench_solvers(c: &mut Criterion) {
             assert!(s.converged());
         });
     });
-    g.bench_function("gmres_block_jacobi_ilu0_x8", |b| {
-        let pc = BlockJacobiPrecond::new(a, 8, BlockSolve::Ilu0).expect("singular diagonal block");
+    g.bench_function("gmres_block_jacobi_ic0_x8", |b| {
+        let pc = BlockJacobiPrecond::new(a, 8, BlockSolve::Ic0).expect("singular diagonal block");
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
             let s = gmres(a, &pc, &rhs, &mut x, &opts).expect("dims agree");
@@ -43,14 +43,24 @@ fn bench_solvers(c: &mut Criterion) {
     });
     g.bench_function("cg_jacobi", |b| {
         let pc = JacobiPrecond::new(a);
+        let mut ws = KrylovWorkspace::new(a.nrows());
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
-            let s = conjugate_gradient(a, &pc, &rhs, &mut x, &opts).expect("dims agree");
+            let s = conjugate_gradient(a, &pc, &rhs, &mut x, &opts, &mut ws).expect("dims agree");
             assert!(s.converged());
         });
     });
-    g.bench_function("precond_setup_block_jacobi_ilu0_x8", |b| {
-        b.iter(|| std::hint::black_box(BlockJacobiPrecond::new(a, 8, BlockSolve::Ilu0)));
+    g.bench_function("cg_block_jacobi_ic0_x8", |b| {
+        let pc = BlockJacobiPrecond::new(a, 8, BlockSolve::Ic0).expect("singular diagonal block");
+        let mut ws = KrylovWorkspace::new(a.nrows());
+        b.iter(|| {
+            let mut x = vec![0.0; a.nrows()];
+            let s = conjugate_gradient(a, &pc, &rhs, &mut x, &opts, &mut ws).expect("dims agree");
+            assert!(s.converged());
+        });
+    });
+    g.bench_function("precond_setup_block_jacobi_ic0_x8", |b| {
+        b.iter(|| std::hint::black_box(BlockJacobiPrecond::new(a, 8, BlockSolve::Ic0)));
     });
     g.finish();
 }

@@ -41,7 +41,7 @@ fn main() {
     // --- Substitution (the paper). ---
     let red = DirichletStructure::new(&k, &p.bcs.nodes_sorted()).expect("boundary nodes are mesh nodes");
     let (u_c, rhs) = p.zero_load_rhs(&red);
-    let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ilu0).expect("singular diagonal block");
+    let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ic0).expect("singular diagonal block");
     let mut x = vec![0.0; red.matrix.nrows()];
     let s_sub = gmres(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
     let mut sub_full = vec![0.0; ndof];
@@ -61,7 +61,7 @@ fn main() {
     for beta_factor in [1e4, 1e8] {
         let beta = kmax * beta_factor;
         let (kp, rhs) = penalty_system(&k, &p.bcs.dof_values(), beta);
-        let pc = BlockJacobiPrecond::new(&kp, blocks, BlockSolve::Ilu0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(&kp, blocks, BlockSolve::Ic0).expect("singular diagonal block");
         let mut xp = vec![0.0; ndof];
         let sp = gmres(&kp, &pc, &rhs, &mut xp, &opts).expect("dims agree");
         // Accuracy vs the substitution solution on free DOFs.

@@ -1,15 +1,17 @@
 //! Ablation: the paper's solver choice (GMRES + block Jacobi).
 //!
 //! Compares preconditioners (none / point Jacobi / block-Jacobi with
-//! dense-LU or ILU(0) blocks) and Krylov methods (GMRES vs CG, the system
-//! being SPD after Dirichlet substitution), reporting iteration counts
-//! and modeled Deep Flow solve times at 1 and 16 CPUs.
+//! IC(0) blocks) and Krylov methods (GMRES vs CG, the system being SPD
+//! after Dirichlet substitution), reporting iteration counts and modeled
+//! Deep Flow solve times at 1 and 16 CPUs. The CG rows run the production
+//! ladder's CG rung alone (`EscalationPolicy::none()`).
 
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::MachineModel;
 use brainshift_sparse::{
-    bicgstab, conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, IdentityPrecond,
-    JacobiPrecond, Preconditioner, SolveStats, SolverOptions,
+    bicgstab, gmres, solve_escalated, BlockJacobiPrecond, BlockSolve, EscalationPolicy,
+    IdentityPrecond, JacobiPrecond, KrylovKind, KrylovWorkspace, Preconditioner, SolveStats,
+    SolverOptions,
 };
 
 fn main() {
@@ -54,6 +56,14 @@ fn main() {
         let mut x = vec![0.0; red.matrix.nrows()];
         gmres(&red.matrix, p, &rhs, &mut x, &opts).expect("dims agree")
     };
+    let run_cg = |p: &dyn Preconditioner| -> SolveStats {
+        let mut x = vec![0.0; red.matrix.nrows()];
+        let mut ws = KrylovWorkspace::new(x.len());
+        let krylov = KrylovKind::ConjugateGradient;
+        solve_escalated(&red.matrix, p, &rhs, &mut x, krylov, &opts, &EscalationPolicy::none(), &mut ws)
+            .expect("dims agree")
+            .stats
+    };
     let nnz = red.matrix.nnz() as f64;
 
     let s = run_gmres(&IdentityPrecond);
@@ -61,19 +71,16 @@ fn main() {
     let s = run_gmres(&JacobiPrecond::new(&red.matrix));
     report("gmres + jacobi", &s, red.matrix.nrows() as f64);
     for blocks in [4usize, 16] {
-        let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ilu0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ic0).expect("singular diagonal block");
         let s = run_gmres(&pc);
-        report(&format!("gmres + block-jacobi/ilu0 x{blocks}"), &s, 4.0 * nnz);
+        report(&format!("gmres + block-jacobi/ic0 x{blocks}"), &s, 4.0 * nnz);
     }
-    let pc = BlockJacobiPrecond::new(&red.matrix, 16, BlockSolve::Ilu0).expect("singular diagonal block");
-    let mut x = vec![0.0; red.matrix.nrows()];
-    let s = conjugate_gradient(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
-    report("cg    + block-jacobi/ilu0 x16", &s, 4.0 * nnz);
-    let mut x = vec![0.0; red.matrix.nrows()];
-    let s = conjugate_gradient(&red.matrix, &JacobiPrecond::new(&red.matrix), &rhs, &mut x, &opts)
-        .expect("dims agree");
-    report("cg    + jacobi", &s, red.matrix.nrows() as f64);
-    let pc = BlockJacobiPrecond::new(&red.matrix, 16, BlockSolve::Ilu0).expect("singular diagonal block");
+    for blocks in [4usize, 16] {
+        let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ic0).expect("singular diagonal block");
+        report(&format!("cg    + block-jacobi/ic0 x{blocks}"), &run_cg(&pc), 4.0 * nnz);
+    }
+    report("cg    + jacobi", &run_cg(&JacobiPrecond::new(&red.matrix)), red.matrix.nrows() as f64);
+    let pc = BlockJacobiPrecond::new(&red.matrix, 16, BlockSolve::Ic0).expect("singular diagonal block");
     let mut x = vec![0.0; red.matrix.nrows()];
     let s = bicgstab(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
     // BiCGStab does 2 matvecs + 2 precond applies per iteration.

@@ -1,8 +1,8 @@
 //! Demo: the *executable* distributed solver.
 //!
 //! The timing figures price a modeled cluster; this binary actually runs
-//! the distributed GMRES — rank threads, message passing, block-ILU(0)
-//! preconditioning local to each rank — on the brain FEM system, and
+//! the distributed GMRES — rank threads, message passing, block-Jacobi
+//! IC(0) preconditioning local to each rank — on the brain FEM system, and
 //! verifies every rank count produces the same displacement field. This is
 //! the MPI-style program the paper ran, minus the 1999 hardware.
 //!
@@ -63,7 +63,7 @@ fn main() {
         );
         assert!(stats.converged(), "rank count {ranks} failed to converge");
     }
-    println!("\n(iterations grow with rank count — each rank's ILU(0) block shrinks,");
+    println!("\n(iterations grow with rank count — each rank's IC(0) block shrinks,");
     println!(" the same effect the paper's Figure 7 solve curve shows. On a 1-CPU");
     println!(" host the threads time-slice; on real cores this program scales.)");
 }

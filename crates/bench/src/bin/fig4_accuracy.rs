@@ -46,11 +46,12 @@ fn main() {
     let pipe_cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
     let res = run_pipeline(&case.preop.intensity, &case.preop.labels, &case.intraop.intensity, &pipe_cfg).expect("pipeline failed");
     println!(
-        "pipeline: mesh {} nodes / {} tets, FEM {} eqs ({} free), GMRES {} iters, converged: {}",
+        "pipeline: mesh {} nodes / {} tets, FEM {} eqs ({} free), {} {} iters, converged: {}",
         res.mesh.num_nodes(),
         res.mesh.num_tets(),
         res.fem.total_equations,
         res.fem.reduced_equations,
+        res.fem.rungs.last().map_or("solver", |r| r.solver),
         res.fem.stats.iterations,
         res.fem.stats.converged()
     );

@@ -1,13 +1,16 @@
 //! Durability benchmark and end-to-end recovery gate.
 //!
-//! Three claims are measured and *asserted*, then written to
+//! Three claims are *asserted*, then written with their measurements to
 //! `bench_out/persist.json` (`brainshift.obs.v1`):
 //!
-//! 1. **Warm restore beats cold rebuild**: decoding a persisted
-//!    [`SolverContext`] (stiffness CSR, Dirichlet structure, factored
-//!    preconditioner, warm-start state) is strictly cheaper than
-//!    rebuilding it from the prepared surgery — the point of snapshotting
-//!    a shard instead of re-preparing it.
+//! 1. **A restored context resumes warm**: a decoded [`SolverContext`]
+//!    (stiffness CSR, Dirichlet structure, factored preconditioner,
+//!    warm-start state) re-encodes to the same bytes, re-factors nothing,
+//!    and solves the scan it last saw again in zero Krylov iterations.
+//!    Its decode time is printed against a cold rebuild from the prepared
+//!    surgery, not asserted below it: since block-Jacobi IC(0), a rebuild
+//!    (reduction + factorization on the shared `K`) costs about what a
+//!    decode does (DESIGN.md §15).
 //! 2. **Crash recovery is byte-exact**: a scan sequence served across a
 //!    `snapshot_shard` → `restore_shard` boundary produces bitwise
 //!    identical displacement fields and an event-log script tail
@@ -90,7 +93,9 @@ fn main() {
     let prepared = Arc::new(PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare"));
 
     // ---- 1. Warm restore vs cold rebuild. ----
-    let ctx = prepared.build_solver_context().expect("probe context");
+    let mut ctx = prepared.build_solver_context().expect("probe context");
+    let first = &seq.scans[0].intensity;
+    prepared.register_scan(&mut ctx, first, None, None, None).expect("probe scan");
     let ctx_bytes = to_bytes(&ctx).expect("encode context");
     let cold_build_us = median_us(3, || prepared.build_solver_context().expect("cold build"));
     let restore_us = median_us(3, || from_bytes::<SolverContext>(&ctx_bytes).expect("decode"));
@@ -100,14 +105,12 @@ fn main() {
          ({ratio:.3}×, snapshot {} KiB)",
         ctx_bytes.len() / 1024
     );
-    assert!(
-        restore_us < cold_build_us,
-        "warm restore ({restore_us:.0} µs) must be strictly cheaper than a cold rebuild \
-         ({cold_build_us:.0} µs)"
-    );
     // Canonical encoding: restoring and re-encoding reproduces the bytes.
-    let restored: SolverContext = from_bytes(&ctx_bytes).expect("decode");
+    let mut restored: SolverContext = from_bytes(&ctx_bytes).expect("decode");
     assert_eq!(to_bytes(&restored).expect("re-encode"), ctx_bytes, "non-canonical context codec");
+    let again = prepared.register_scan(&mut restored, first, None, None, None).expect("restored scan");
+    assert_eq!(again.fem_iterations, 0, "the restored context did not resume warm");
+    assert_eq!(restored.stats().factorizations, 1, "the restore re-factored");
 
     // ---- 2. Crash recovery: snapshot mid-sequence, restore, finish. ----
     let n_scans = seq.scans.len();

@@ -3,14 +3,16 @@
 //! The timing figures use the deterministic cost model in [`crate::sim`],
 //! but the distributed *algorithm* itself — SPMD GMRES with row-partitioned
 //! matrix and vectors, allreduce dot products, allgather for the matvec,
-//! and a per-rank block-ILU(0) preconditioner (each rank owns exactly one
-//! block-Jacobi block, as in the paper's PETSc configuration) — runs here
+//! and a per-rank block-Jacobi preconditioner (each rank owns exactly one
+//! block, as in the paper's PETSc configuration, factored with IC(0): on
+//! the symmetric stiffness matrix, the operator PETSc's ILU(0) computes) —
+//! runs here
 //! on real rank threads exchanging real messages, and is verified against
 //! the serial solver. This is the executable counterpart of what the paper
 //! ran with MPI.
 
 use crate::comm::Comm;
-use brainshift_sparse::{CsrMatrix, Ilu0, SolveStats, SolverOptions, SparseError, StopReason};
+use brainshift_sparse::{CsrMatrix, Ic0, SolveStats, SolverOptions, SparseError, StopReason};
 
 /// One rank's share of a row-partitioned system.
 pub struct LocalSystem {
@@ -22,13 +24,19 @@ pub struct LocalSystem {
     pub row_end: usize,
     /// Global dimension.
     pub global_n: usize,
+    /// IC(0) factor of the diagonal block: this rank's block-Jacobi block.
+    factor: Ic0,
 }
 
 impl LocalSystem {
-    /// Slice rows `[lo, hi)` of a global matrix for one rank. An empty
-    /// range (`lo == hi`) is allowed — a rank beyond the clamped
-    /// effective partition simply owns no rows — but an out-of-bounds or
-    /// inverted range is reported instead of asserted.
+    /// Slice rows `[lo, hi)` of a global matrix for one rank and factor
+    /// its diagonal block. An empty range (`lo == hi`) is allowed — a rank
+    /// beyond the clamped effective partition simply owns no rows — but an
+    /// out-of-bounds or inverted range is reported instead of asserted, and
+    /// so is a diagonal block whose pattern is not symmetric
+    /// ([`SparseError::AsymmetricPattern`], in global numbering). Each
+    /// rank factors before its first message, so a refusal never leaves
+    /// another rank waiting in a collective.
     pub fn from_global(a: &CsrMatrix, lo: usize, hi: usize) -> Result<LocalSystem, SparseError> {
         if lo > hi || hi > a.nrows() {
             return Err(SparseError::InvalidRange { lo, hi, nrows: a.nrows() });
@@ -43,36 +51,44 @@ impl LocalSystem {
             values.extend_from_slice(vals);
             indptr.push(indices.len());
         }
-        Ok(LocalSystem {
-            rows: CsrMatrix::from_raw(hi - lo, a.ncols(), indptr, indices, values)
-                .expect("rows sliced from a valid CSR matrix are valid"),
-            row_begin: lo,
-            row_end: hi,
-            global_n: a.nrows(),
-        })
+        let rows = CsrMatrix::from_raw(hi - lo, a.ncols(), indptr, indices, values)
+            .expect("rows sliced from a valid CSR matrix are valid");
+        let factor = match Ic0::new(&diagonal_block(&rows, lo, hi)) {
+            Ok(f) => f,
+            Err(SparseError::AsymmetricPattern { row, col }) => {
+                return Err(SparseError::AsymmetricPattern { row: row + lo, col: col + lo })
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(LocalSystem { rows, row_begin: lo, row_end: hi, global_n: a.nrows(), factor })
     }
 
     /// The diagonal block (rows ∩ columns of this rank), for the local
     /// block-Jacobi preconditioner.
     pub fn diagonal_block(&self) -> CsrMatrix {
-        let n = self.row_end - self.row_begin;
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for i in 0..n {
-            let (cols, vals) = self.rows.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c >= self.row_begin && c < self.row_end {
-                    indices.push(c - self.row_begin);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix::from_raw(n, n, indptr, indices, values)
-            .expect("diagonal block of a valid CSR matrix is valid")
+        diagonal_block(&self.rows, self.row_begin, self.row_end)
     }
+}
+
+/// Columns `[lo, hi)` of the rows `rows` (global rows `[lo, hi)`), renumbered
+/// from 0.
+fn diagonal_block(rows: &CsrMatrix, lo: usize, hi: usize) -> CsrMatrix {
+    let n = hi - lo;
+    let mut indptr = Vec::with_capacity(n + 1);
+    let mut indices = Vec::new();
+    let mut values = Vec::new();
+    indptr.push(0);
+    for i in 0..n {
+        let (cols, vals) = rows.row(i);
+        for (&c, &v) in cols.iter().zip(vals) {
+            if c >= lo && c < hi {
+                indices.push(c - lo);
+                values.push(v);
+            }
+        }
+        indptr.push(indices.len());
+    }
+    CsrMatrix::from_raw(n, n, indptr, indices, values).expect("diagonal block of a valid CSR matrix is valid")
 }
 
 /// Distributed state each rank carries through the solve.
@@ -118,9 +134,10 @@ impl Dist<'_> {
 /// [`LocalSystem`] and local rhs slice; all ranks return the identical
 /// [`SolveStats`] and their local solution slice.
 ///
-/// Preconditioning is block Jacobi with one ILU(0) block per rank — no
-/// communication in the preconditioner, exactly the property the paper's
-/// configuration exploits.
+/// Preconditioning is block Jacobi with one block per rank, factored
+/// with IC(0) by [`LocalSystem::from_global`] — no communication in the
+/// preconditioner, exactly the property the paper's configuration
+/// exploits.
 pub fn distributed_gmres(
     comm: &mut Comm,
     sys: &LocalSystem,
@@ -150,7 +167,7 @@ fn distributed_gmres_impl(
 ) -> (Vec<f64>, SolveStats) {
     let nloc = sys.row_end - sys.row_begin;
     assert_eq!(b_local.len(), nloc);
-    let ilu = Ilu0::new(&sys.diagonal_block());
+    let factor = &sys.factor;
     let m = opts.restart.max(1);
 
     let mut dist = Dist { comm, sys, ghost };
@@ -198,7 +215,7 @@ fn distributed_gmres_impl(
         }
         // Preconditioned residual (local solve, no communication).
         let mut r = vec![0.0; nloc];
-        ilu.solve(&raw, &mut r);
+        factor.solve(&raw, &mut r);
         let beta = dist.norm(&r);
         if beta < 1e-300 {
             return (
@@ -209,7 +226,7 @@ fn distributed_gmres_impl(
         // Preconditioned rhs norm for the recurrence scale (computed once
         // per cycle — cheap and adequate).
         let mut zb = vec![0.0; nloc];
-        ilu.solve(b_local, &mut zb);
+        factor.solve(b_local, &mut zb);
         let pb_norm = dist.norm(&zb).max(1e-300);
 
         basis.clear();
@@ -229,7 +246,7 @@ fn distributed_gmres_impl(
             total_iters += 1;
             dist.matvec(&basis[j], &mut work);
             let mut w = vec![0.0; nloc];
-            ilu.solve(&work, &mut w);
+            factor.solve(&work, &mut w);
             for i in 0..=j {
                 let hij = dist.dot(&w, &basis[i]);
                 h[i + j * (m + 1)] = hij;
@@ -332,6 +349,21 @@ mod tests {
         assert_eq!(blk.get(0, 0), a.get(10, 10));
         // Off-block entries are excluded.
         assert_eq!(blk.get(0, 14), a.get(10, 24));
+    }
+
+    #[test]
+    fn asymmetric_diagonal_block_is_a_typed_error() {
+        let mut b = TripletBuilder::new(6, 6);
+        for i in 0..6 {
+            b.add(i, i, 4.0);
+        }
+        b.add(4, 3, -1.0);
+        let a = b.build();
+        assert!(LocalSystem::from_global(&a, 0, 3).is_ok());
+        assert_eq!(
+            LocalSystem::from_global(&a, 3, 6).err(),
+            Some(SparseError::AsymmetricPattern { row: 4, col: 3 })
+        );
     }
 
     #[test]

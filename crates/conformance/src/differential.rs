@@ -18,7 +18,7 @@ use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKi
 pub use brainshift_scenario::RecoveryPoint;
 use brainshift_sparse::{
     bicgstab, gmres, partition::even_offsets, solve_escalated, BlockJacobiPrecond, BlockSolve,
-    EscalationPolicy, KrylovWorkspace, SolverOptions,
+    EscalationPolicy, KrylovKind, KrylovWorkspace, SolverOptions,
 };
 
 /// Knobs for the harness.
@@ -30,7 +30,7 @@ pub struct DifferentialOptions {
     pub tolerance: f64,
     /// Iteration cap for every path.
     pub max_iterations: usize,
-    /// Block count of the block-Jacobi/ILU(0) preconditioner for the
+    /// Block count of the block-Jacobi/IC(0) preconditioner for the
     /// shared-memory paths.
     pub blocks: usize,
     /// Rank counts for the distributed path.
@@ -118,8 +118,9 @@ pub fn run_differential(
     let cfg = FemSolveConfig { options: sopts.clone(), ..Default::default() };
     let mut ctx = SolverContext::new(mesh, materials, &bcs.nodes_sorted(), cfg)
         .expect("context setup must succeed on a valid mesh");
-    // 4. Warm SolverContext: solve twice, keep the warm-started second
-    //    solve — the intraoperative steady state.
+    // 4. Warm SolverContext (the default CG + block-Jacobi IC(0)): solve
+    //    twice, keep the warm-started second solve — the intraoperative
+    //    steady state.
     let _cold = ctx.solve(bcs).expect("cold context solve");
     let warm = ctx.solve(bcs).expect("warm context solve");
     let context_warm = PathField {
@@ -140,7 +141,7 @@ pub fn run_differential(
         .expect("BCs were used to build the structure");
 
     let a = &structure.matrix;
-    let pc = BlockJacobiPrecond::new(a, opts.blocks.min(nfree).max(1), BlockSolve::Ilu0)
+    let pc = BlockJacobiPrecond::new(a, opts.blocks.min(nfree).max(1), BlockSolve::Ic0)
         .expect("reduced stiffness blocks are non-singular");
 
     let mut paths: Vec<PathField> = Vec::new();
@@ -171,15 +172,23 @@ pub fn run_differential(
         });
     }
 
-    // 3. The escalation ladder (should converge on its first rung here;
-    //    the point is that the ladder machinery does not perturb a
-    //    healthy solve).
+    // 3. The paper's GMRES ladder (should converge on its first rung
+    //    here; the point is that the ladder machinery does not perturb a
+    //    healthy solve). Path 4 runs the same ladder from its CG rung.
     {
         let mut x = vec![0.0; nfree];
-        let mut ws = KrylovWorkspace::new(nfree, sopts.restart);
-        let out =
-            solve_escalated(a, &pc, &rhs, &mut x, &sopts, &EscalationPolicy::default(), &mut ws)
-                .expect("reduced system dims agree");
+        let mut ws = KrylovWorkspace::new(nfree);
+        let out = solve_escalated(
+            a,
+            &pc,
+            &rhs,
+            &mut x,
+            KrylovKind::Gmres,
+            &sopts,
+            &EscalationPolicy::default(),
+            &mut ws,
+        )
+        .expect("reduced system dims agree");
         paths.push(PathField {
             name: "escalated".into(),
             field: expand_to_nodes(structure, &x, &u_c, num_nodes),

@@ -76,11 +76,6 @@ pub fn assembly_flops_per_rank(mesh: &TetMesh, node_offsets: &[usize]) -> Vec<f6
     flops
 }
 
-/// Total element count × per-element cost: the serial assembly work.
-pub fn assembly_flops_total(mesh: &TetMesh) -> f64 {
-    mesh.num_tets() as f64 * FLOPS_PER_ELEMENT
-}
-
 /// Per-node work weights (flops) for the improved, connectivity-balanced
 /// partition the paper proposes as future work.
 pub fn node_work_weights(mesh: &TetMesh) -> Vec<f64> {
@@ -163,7 +158,7 @@ mod tests {
         let offsets = even_offsets(mesh.num_nodes(), 4);
         let per = assembly_flops_per_rank(&mesh, &offsets);
         let total: f64 = per.iter().sum();
-        assert!((total - assembly_flops_total(&mesh)).abs() < 1e-6);
+        assert!((total - mesh.num_tets() as f64 * FLOPS_PER_ELEMENT).abs() < 1e-6);
     }
 
     #[test]

@@ -18,15 +18,17 @@
 //! 2. the reduced free-free block `K_ff` and the boundary-coupling block
 //!    `K_fc` (so each scan's load vector is one sparse product,
 //!    `f = −K_fc·u_c`);
-//! 3. the factored preconditioner for `K_ff`;
-//! 4. a [`KrylovWorkspace`] reused across solves (no per-scan basis
-//!    allocation).
+//! 3. the factored preconditioner for `K_ff` (block-Jacobi IC(0) by
+//!    default);
+//! 4. a [`KrylovWorkspace`] reused across solves (no per-scan vector
+//!    allocation; the GMRES basis only if a solve ever escalates to it).
 //!
 //! Per scan, the remaining work is: gather boundary values → one
-//! `K_fc` product → one GMRES solve warm-started from the previous
-//! scan's displacement (brain shift is progressive, so consecutive
-//! solutions are close). [`ContextStats`] counts assemblies and
-//! factorizations so callers can *assert* the assemble-once contract.
+//! `K_fc` product → one escalated Krylov solve (preconditioned CG first,
+//! by default) warm-started from the previous scan's displacement (brain
+//! shift is progressive, so consecutive solutions are close).
+//! [`ContextStats`] counts assemblies and factorizations so callers can
+//! *assert* the assemble-once contract.
 //!
 //! This is the only implementation of "solve `K u = f` with Dirichlet
 //! data" in the crate: the cold entry points
@@ -37,13 +39,12 @@ use crate::assembly::assemble_stiffness;
 use crate::bc::{DirichletBcs, DirichletStructure};
 use crate::error::FemError;
 use crate::material::MaterialTable;
-use crate::solver::{build_preconditioner, FemSolution, FemSolveConfig, KrylovKind};
+use crate::solver::{build_preconditioner, FemSolution, FemSolveConfig};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_obs::Stopwatch;
 use brainshift_sparse::{
-    conjugate_gradient, solve_escalated, CsrMatrix, EscalationPolicy, KrylovWorkspace,
-    Preconditioner, RungTrace, SolverOptions,
+    solve_escalated, CsrMatrix, EscalationPolicy, KrylovWorkspace, Preconditioner, SolverOptions,
 };
 use std::sync::Arc;
 
@@ -62,7 +63,7 @@ pub struct ContextStats {
     /// Solves seeded from a previous solution instead of zero.
     pub warm_started_solves: usize,
     /// Solves that needed at least one escalation rung beyond the
-    /// primary GMRES configuration.
+    /// primary one.
     pub escalations: usize,
     /// Solves that did not converge even after the full escalation
     /// ladder (the returned field is the best iterate, not a solution).
@@ -159,7 +160,6 @@ impl SolverContext {
         let factorization_s = sw.lap_s();
         let nfree = structure.num_free();
         let nc = structure.num_constrained();
-        let workspace = KrylovWorkspace::new(nfree, cfg.options.restart);
         Ok(SolverContext {
             cfg,
             num_nodes: mesh.num_nodes(),
@@ -168,7 +168,7 @@ impl SolverContext {
             k,
             structure,
             precond,
-            workspace,
+            workspace: KrylovWorkspace::new(nfree),
             prev_x: vec![0.0; nfree],
             has_prev: false,
             u_c: vec![0.0; nc],
@@ -252,47 +252,23 @@ impl SolverContext {
         let opts = opts_override.unwrap_or(&self.cfg.options);
         let escalation = escalation_override.unwrap_or(&self.cfg.escalation);
         let sw = Stopwatch::wall();
-        let (stats, attempts, escalated, rung_reasons, rungs) = match self.cfg.krylov {
-            KrylovKind::Gmres => {
-                let out = solve_escalated(
-                    &self.structure.matrix,
-                    self.precond.as_ref(),
-                    &self.rhs,
-                    &mut self.prev_x,
-                    opts,
-                    escalation,
-                    &mut self.workspace,
-                )?;
-                (out.stats, out.attempts, out.escalated, out.rung_reasons, out.rungs)
-            }
-            KrylovKind::ConjugateGradient => {
-                let s = conjugate_gradient(
-                    &self.structure.matrix,
-                    self.precond.as_ref(),
-                    &self.rhs,
-                    &mut self.prev_x,
-                    opts,
-                )?;
-                let reasons = vec![s.reason];
-                let rungs = vec![RungTrace {
-                    solver: "cg",
-                    restart: 0,
-                    reason: s.reason,
-                    iterations: s.iterations,
-                    restarts: 0,
-                    relative_residual: s.relative_residual,
-                    seconds: sw.elapsed_s(),
-                }];
-                (s, 1, false, reasons, rungs)
-            }
-        };
+        let out = solve_escalated(
+            &self.structure.matrix,
+            self.precond.as_ref(),
+            &self.rhs,
+            &mut self.prev_x,
+            self.cfg.krylov,
+            opts,
+            escalation,
+            &mut self.workspace,
+        )?;
         self.timings.last_solve_s = sw.elapsed_s();
         self.timings.solve_s += self.timings.last_solve_s;
         self.stats.solves += 1;
         if warm {
             self.stats.warm_started_solves += 1;
         }
-        if escalated {
+        if out.escalated {
             self.stats.escalations += 1;
         }
 
@@ -300,7 +276,7 @@ impl SolverContext {
         let displacements = (0..self.num_nodes)
             .map(|n| Vec3::new(self.full[3 * n], self.full[3 * n + 1], self.full[3 * n + 2]))
             .collect();
-        if stats.converged() {
+        if out.stats.converged() {
             self.has_prev = true;
         } else {
             // Roll back: the next solve seeds from the last *good* field.
@@ -309,11 +285,11 @@ impl SolverContext {
         }
         Ok(FemSolution {
             displacements,
-            stats,
-            attempts,
-            escalated,
-            rung_reasons,
-            rungs,
+            stats: out.stats,
+            attempts: out.attempts,
+            escalated: out.escalated,
+            rung_reasons: out.rung_reasons,
+            rungs: out.rungs,
             reduced_equations: self.structure.num_free(),
             total_equations: self.k.nrows(),
         })
@@ -507,7 +483,7 @@ impl brainshift_persist::Persist for SolverContext {
         let timings = ContextTimings::decode(dec)?;
         let nc = structure.num_constrained();
         Ok(SolverContext {
-            workspace: KrylovWorkspace::new(nfree, cfg.options.restart),
+            workspace: KrylovWorkspace::new(nfree),
             full: vec![0.0; k.nrows()],
             u_c: vec![0.0; nc],
             rhs: vec![0.0; nfree],
@@ -532,7 +508,8 @@ mod tests {
     use brainshift_imaging::labels;
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
-    use brainshift_sparse::SolverOptions;
+    use brainshift_sparse::{KrylovKind, SolverOptions, StopReason};
+    use std::time::Duration;
 
     fn block_mesh(n: usize) -> TetMesh {
         let seg = Volume::from_fn(Dims::new(n, n, n), Spacing::iso(1.0), |_, _, _| labels::BRAIN);
@@ -671,6 +648,45 @@ mod tests {
         let t2 = ctx.timings();
         assert!(t2.solve_s > t1.solve_s, "solve time accumulates");
         assert!(t2.last_solve_s <= t2.solve_s);
+    }
+
+    #[test]
+    fn a_cg_context_honours_a_zero_time_budget() {
+        let mesh = block_mesh(4);
+        let surface = boundary_nodes(&mesh);
+        let mut cfg = tight();
+        cfg.options.time_budget = Some(Duration::ZERO);
+        assert_eq!(cfg.krylov, KrylovKind::ConjugateGradient);
+        let mut ctx = SolverContext::new(&mesh, &MaterialTable::homogeneous(), &surface, cfg).expect("context build failed");
+        let sol = ctx.solve(&scan_bcs(&mesh, &surface, 1.0)).expect("solve failed");
+        assert_eq!(sol.stats.reason, StopReason::TimeBudget);
+        assert_eq!(sol.rung_reasons, vec![StopReason::TimeBudget], "no rung runs after the budget expired");
+        assert_eq!(ctx.stats().failed_solves, 1);
+    }
+
+    #[test]
+    fn a_starved_cg_rung_escalates_to_gmres() {
+        let mesh = block_mesh(4);
+        let surface = boundary_nodes(&mesh);
+        let bcs = scan_bcs(&mesh, &surface, 1.0);
+        let mut cfg = tight();
+        cfg.options.max_iterations = 3;
+        let mut alone_cfg = cfg.clone();
+        alone_cfg.escalation = EscalationPolicy::none();
+        let materials = MaterialTable::homogeneous();
+        let cg = SolverContext::new(&mesh, &materials, &surface, alone_cfg)
+            .expect("context build failed")
+            .solve(&bcs)
+            .expect("solve failed");
+        assert_eq!(cg.attempts, 1);
+        let mut ctx = SolverContext::new(&mesh, &materials, &surface, cfg).expect("context build failed");
+        let sol = ctx.solve(&bcs).expect("solve failed");
+        let solvers: Vec<&str> = sol.rungs.iter().map(|r| r.solver).collect();
+        assert_eq!(solvers[..2], ["cg", "gmres"]);
+        assert!(sol.escalated && sol.attempts >= 2, "{solvers:?}");
+        assert_eq!(sol.rungs[0].iterations, cg.stats.iterations);
+        assert!(sol.stats.relative_residual <= cg.stats.relative_residual);
+        assert_eq!(ctx.stats().escalations, 1);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! tetrahedral elements (Zienkiewicz & Taylor formulation), per-tissue
 //! material tables (homogeneous, as the paper used, and heterogeneous, as
 //! it proposed), parallel global assembly, Dirichlet substitution of the
-//! active-surface displacements, a GMRES + block-Jacobi solve driver, and
+//! active-surface displacements, a Krylov solve driver (CG on block-Jacobi
+//! IC(0) by default, the paper's GMRES + block Jacobi as a value), and
 //! the simulated-cluster instrumentation that regenerates the paper's
 //! timing figures.
 

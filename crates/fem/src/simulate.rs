@@ -74,7 +74,8 @@ impl SimTimings {
 /// are read from `bcs` on every call. The numerics do not depend on the
 /// partition, only the pricing does, so a CPU-count sweep borrows one
 /// structure for every point. The real solve is the paper's GMRES with
-/// one block-Jacobi/ILU(0) block per simulated rank.
+/// one block-Jacobi block per simulated rank, factored with IC(0) (on the
+/// symmetric `K_ff`, the operator of PETSc's default ILU(0)).
 ///
 /// Returns [`FemError::CpuCountOutOfRange`] unless
 /// `1 ≤ cpus ≤ min(machine.max_cpus, mesh.num_nodes())`,
@@ -172,8 +173,8 @@ pub fn simulate_assemble_solve(
     red_offsets.dedup();
     let eff_blocks = red_offsets.len() - 1;
 
-    // ILU(0) blocks, as PETSc defaults.
-    let precond = BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets, BlockSolve::Ilu0)?;
+    // One incomplete-factorization block per rank, as PETSc defaults.
+    let precond = BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets, BlockSolve::Ic0)?;
     let mut x = vec![0.0; nfree];
     let solver = SolverOptions {
         tolerance: TOLERANCE,
@@ -214,7 +215,7 @@ pub fn simulate_assemble_solve(
             let nloc = rank_rows[r] as f64;
             let nnz = rank_nnz[r] as f64;
             let spmv = 2.0 * nnz;
-            let precond_apply = 4.0 * nnz; // ILU fwd/bwd on the local block
+            let precond_apply = 4.0 * nnz; // PETSc ILU(0) fwd/bwd on the local block
             let orth = 4.0 * depth * nloc; // MGS dots + axpys
             let update = 6.0 * nloc;
             iters as f64 * (spmv + precond_apply + orth + update)

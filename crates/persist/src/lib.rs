@@ -26,9 +26,10 @@
 //!
 //! The format version is a single monotonically increasing `u32`
 //! ([`FORMAT_VERSION`]). A reader accepts the versions it knows
-//! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`], except the
-//! retired v2 whose solver-section tail no decoder reads any more);
-//! anything newer — or older than the supported floor — is
+//! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]: since v4
+//! stores IC(0) factors, v1–v3 — whose solver sections carry ILU(0)
+//! factors or a tail no decoder reads — are below the floor); anything
+//! newer — or older than the supported floor — is
 //! [`PersistError::UnsupportedVersion`] — refuse, don't guess. Compatible
 //! additions (new sections) do not bump the version: readers look
 //! sections up by name and ignore names they don't know. Any change to an

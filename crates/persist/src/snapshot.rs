@@ -30,19 +30,14 @@ pub const MAGIC: [u8; 8] = *b"BRSHSNAP";
 /// Current snapshot format version. Bumped only when an existing
 /// section's encoding changes; new sections do not bump it.
 ///
-/// v3 has the v1 section layouts. v2 appended trailing fields to the
-/// solver configuration and context sections for solver rungs that have
-/// since been removed (DESIGN.md §16); see [`RETIRED_VERSION`].
-pub const FORMAT_VERSION: u32 = 3;
+/// v4 stores block-Jacobi factors as IC(0) (one triangle, a tag of its
+/// own). v1 and v3 carried ILU(0) factors, which no decoder reads any
+/// more, and v2 a solver-section tail for rungs removed before that
+/// (DESIGN.md §15–16); all three are refused.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Oldest container version this reader still decodes.
-pub const MIN_SUPPORTED_VERSION: u32 = 1;
-
-/// The one version inside the supported range that is refused: a v2
-/// solver section carries a tail no decoder reads any more, so parsing
-/// it with the v1/v3 layout would mis-read it. No v2 snapshot was ever
-/// written to disk.
-const RETIRED_VERSION: u32 = 2;
+pub const MIN_SUPPORTED_VERSION: u32 = 4;
 
 /// Builds a snapshot from named payload sections.
 #[derive(Debug, Default)]
@@ -126,9 +121,7 @@ impl<'a> SnapshotReader<'a> {
         }
         let mut dec = Decoder::new(&buf[MAGIC.len()..]);
         let version = dec.get_u32()?;
-        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version)
-            || version == RETIRED_VERSION
-        {
+        if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(PersistError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -163,7 +156,7 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// The container's stamped format version (within
-    /// [`MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`], never 2).
+    /// [`MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]).
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -254,18 +247,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_container_is_still_accepted() {
-        // Section layouts are identical in v1 and v3, so a container
-        // re-stamped to version 1 must parse and decode, with the reader
-        // reporting the old version to section decoders.
-        let mut bytes = sample();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let r = SnapshotReader::parse(&bytes).expect("v1 parses");
-        assert_eq!(r.version(), 1);
-        assert_eq!(r.section("meta").expect("meta").version(), 1);
-        assert_eq!(r.section_value::<u64>("meta").expect("meta"), 42);
-        // Below the supported floor, and the retired v2, are refused.
-        for refused in [0u32, 2] {
+    fn ilu_era_versions_are_refused() {
+        // The current version parses and hands its version to decoders.
+        let bytes = sample();
+        let r = SnapshotReader::parse(&bytes).expect("v4 parses");
+        assert_eq!(r.version(), FORMAT_VERSION);
+        assert_eq!(r.section("meta").expect("meta").version(), FORMAT_VERSION);
+        // Every older stamp is refused as a whole, not mis-parsed.
+        for refused in [0u32, 1, 2, 3] {
             let mut old = sample();
             old[8..12].copy_from_slice(&refused.to_le_bytes());
             match SnapshotReader::parse(&old) {

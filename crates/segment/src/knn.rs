@@ -41,20 +41,21 @@ pub struct Prototype {
 /// Maximum number of prototypes per leaf block.
 pub const LEAF_SIZE: usize = 32;
 
+// A leaf's survivor mask is one bit per slot.
+const _: () = assert!(LEAF_SIZE <= u32::BITS as usize);
+
 /// High bit of a node reference marks it as a leaf id.
 const LEAF_FLAG: u32 = 1 << 31;
 
-/// Reusable per-thread query state: traversal stack, candidate list and
-/// leaf distance buffer. One scratch per worker thread turns the per-voxel
-/// k-NN query into a zero-allocation operation.
+/// Reusable per-thread query state: traversal stack and candidate list.
+/// One scratch per worker thread turns the per-voxel k-NN query into a
+/// zero-allocation operation.
 #[derive(Debug, Default)]
 pub struct KnnScratch {
     /// DFS stack of `(node ref, plane distance² at push time)`.
     stack: Vec<(u32, f32)>,
     /// Current best candidates, ascending by `(distance², prototype idx)`.
     best: Vec<(f32, u32)>,
-    /// Per-slot accumulated distances for the leaf being scanned.
-    dist: Vec<f32>,
     /// Leaf blocks scanned since construction (or the last reset);
     /// accumulates across queries so callers can report traversal cost.
     pub leaf_visits: u64,
@@ -293,32 +294,33 @@ impl KdTree {
         let start = self.leaf_start[leaf] as usize;
         let len = self.leaf_len[leaf] as usize;
         let block = &self.leaf_feats[start * self.dim..start * self.dim + len * self.dim];
-        scratch.dist.clear();
-        scratch.dist.resize(len, 0.0);
+        let index = &self.leaf_index[start..start + len];
+        let mut dist = [0.0f32; LEAF_SIZE];
+        let dist = &mut dist[..len];
         // Dimension-major accumulation: each axis contributes a straight
         // contiguous fused multiply-add pass over the block row.
         for (axis, &q) in query.iter().enumerate() {
             let row = &block[axis * len..(axis + 1) * len];
-            for (d, &v) in scratch.dist.iter_mut().zip(row) {
+            for (d, &v) in dist.iter_mut().zip(row) {
                 let t = v - q;
                 *d += t * t;
             }
         }
         scratch.leaf_visits += 1;
-        for slot in 0..len {
-            let d2 = scratch.dist[slot];
-            let idx = self.leaf_index[start + slot];
-            // Fast reject on the common path: once the list is full, a
-            // candidate ordered after the current k-th — strictly farther,
-            // or equal with a higher index — can never be inserted
-            // (`push_candidate` would land it at position `k`).
-            if scratch.best.len() == k {
-                let (kd, ki) = scratch.best[k - 1];
-                if d2 > kd || (d2 == kd && idx > ki) {
-                    continue;
-                }
-            }
-            push_candidate(&mut scratch.best, k, d2, idx);
+        // Survivors: the slots not ordered after the current k-th —
+        // strictly farther, or equal with a higher index — found without a
+        // branch per slot. Until the list is full nothing is rejected.
+        let (kd, ki) = if scratch.best.len() == k { scratch.best[k - 1] } else { (f32::INFINITY, u32::MAX) };
+        let mut survivors = 0u32;
+        for (slot, (&d2, &idx)) in dist.iter().zip(index).enumerate() {
+            let rejected = (d2 > kd) | ((d2 == kd) & (idx > ki));
+            survivors |= u32::from(!rejected) << slot;
+        }
+        // Insert in slot order; the k-th may tighten as survivors land.
+        while survivors != 0 {
+            let slot = survivors.trailing_zeros() as usize;
+            survivors &= survivors - 1;
+            insert_candidate(&mut scratch.best, k, dist[slot], index[slot]);
         }
     }
 
@@ -391,16 +393,25 @@ fn kth_d2(best: &[(f32, u32)]) -> f32 {
 }
 
 /// Insert `(d2, idx)` into the ascending candidate list, keeping at most
-/// `k` entries ordered by `(distance², prototype index)`.
+/// `k` entries ordered by `(distance², prototype index)`: shift the
+/// entries not ordered before it one place toward the tail, from the
+/// tail. Nothing moves when it would land at position `k`.
 #[inline]
-fn push_candidate(best: &mut Vec<(f32, u32)>, k: usize, d2: f32, idx: u32) {
-    let pos = best.partition_point(|&(d, i)| d < d2 || (d == d2 && i < idx));
-    if pos < k {
-        if best.len() == k {
-            best.pop();
+fn insert_candidate(best: &mut Vec<(f32, u32)>, k: usize, d2: f32, idx: u32) {
+    let before = |&(d, i): &(f32, u32)| d < d2 || (d == d2 && i < idx);
+    if best.len() == k {
+        if before(&best[k - 1]) {
+            return;
         }
-        best.insert(pos, (d2, idx));
+        best.pop();
     }
+    let mut pos = best.len();
+    best.push((d2, idx));
+    while pos > 0 && !before(&best[pos - 1]) {
+        best[pos] = best[pos - 1];
+        pos -= 1;
+    }
+    best[pos] = (d2, idx);
 }
 
 /// Brute-force k-NN for testing, using the same `(distance², index)`

@@ -3,7 +3,10 @@
 //! never depends on the worker thread count.
 
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
-use brainshift_segment::{classify_matrix, classify_matrix_serial, FeatureStack, KdTree, Prototype};
+use brainshift_segment::{
+    classify_matrix, classify_matrix_serial, k_nearest_brute, FeatureStack, KdTree, KnnScratch,
+    Prototype,
+};
 use proptest::prelude::*;
 
 /// Fixed test grid: 13 248 rows, i.e. three full 4096-row classifier
@@ -48,5 +51,42 @@ proptest! {
         let (ser, ser_visits) = classify_matrix_serial(&matrix, &tree, k);
         prop_assert_eq!(par.data(), ser.data());
         prop_assert_eq!(par_visits, ser_visits);
+    }
+
+    /// The tree's neighbour list and vote equal a brute-force scan of
+    /// every prototype, on integer-grid prototypes and queries where exact
+    /// distance ties (and duplicate points) are the rule: the candidate
+    /// order `(distance², prototype index)` and the lowest-label vote tie
+    /// break must survive any leaf layout. k = 17 exceeds the 16 labels
+    /// the small-k tally holds, so it takes the 256-bin histogram.
+    #[test]
+    fn tree_vote_equals_brute_force_vote_under_distance_ties(
+        protos_raw in prop::collection::vec((-3i8..4, -3i8..4, -2i8..3, 0u8..40), 1..120),
+        queries in prop::collection::vec((-4i8..5, -4i8..5, -3i8..4), 1..24),
+    ) {
+        let protos: Vec<Prototype> = protos_raw
+            .iter()
+            .map(|&(a, b, c, l)| Prototype { features: vec![a.into(), b.into(), c.into()], label: l })
+            .collect();
+        let tree = KdTree::build(protos.clone()).expect("generated prototypes are valid");
+        let mut scratch = KnnScratch::new();
+        for &(a, b, c) in &queries {
+            let q: [f32; 3] = [a.into(), b.into(), c.into()];
+            for k in [1usize, 5, 17] {
+                let brute = k_nearest_brute(&protos, &q, k);
+                let got = tree.classify_with(&mut scratch, &q, k);
+                let tree_list: Vec<(u32, usize)> =
+                    scratch.neighbors().iter().map(|&(d, i)| (d.to_bits(), i as usize)).collect();
+                let brute_list: Vec<(u32, usize)> = brute.iter().map(|&(d, i)| (d.to_bits(), i)).collect();
+                prop_assert!(tree_list == brute_list, "k = {}: {:?} vs {:?}", k, tree_list, brute_list);
+                let mut counts = [0u32; 256];
+                for &(_, i) in &brute {
+                    counts[protos[i].label as usize] += 1;
+                }
+                let top = *counts.iter().max().expect("256 bins");
+                let want = counts.iter().position(|&c| c == top).expect("a maximum exists") as u8;
+                prop_assert!(got == want, "k = {}: label {} vs {}", k, got, want);
+            }
+        }
     }
 }

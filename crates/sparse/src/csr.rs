@@ -121,13 +121,6 @@ impl CsrMatrix {
         (&self.indices[r.clone()], &self.values[r])
     }
 
-    /// Mutable values of row `i` (columns fixed).
-    #[inline]
-    pub fn row_values_mut(&mut self, i: usize) -> &mut [f64] {
-        let r = self.indptr[i]..self.indptr[i + 1];
-        &mut self.values[r]
-    }
-
     /// The row-pointer array (length `nrows + 1`).
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
@@ -141,11 +134,6 @@ impl CsrMatrix {
     /// Stored non-zero values (parallel to `indices`).
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Mutable non-zero values (sparsity pattern fixed).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// Entry `(i, j)` or 0.0 if not stored.

@@ -2,21 +2,32 @@
 //!
 //! The Krylov solvers are built on these BLAS-1 style kernels; the dense LU
 //! supports exact block solves in the block-Jacobi preconditioner (used for
-//! small blocks and for tests; large blocks use ILU(0)).
+//! small blocks and for tests; large blocks use IC(0)).
 
 use rayon::prelude::*;
 
 /// Threshold below which parallel reductions aren't worth the overhead.
 const PAR_THRESHOLD: usize = 1 << 14;
 
+/// From [`PAR_THRESHOLD`] elements up, a reduction sums fixed blocks of
+/// this many elements, each left to right, and then the block sums in
+/// block order. The threads only share out the blocks, so every result
+/// is the same bits at any thread count.
+const REDUCTION_BLOCK: usize = 1 << 12;
+
 /// Dot product.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    if a.len() >= PAR_THRESHOLD {
-        a.par_iter().zip(b.par_iter()).map(|(x, y)| x * y).sum()
-    } else {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
+    let serial = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>();
+    if a.len() < PAR_THRESHOLD {
+        return serial(a, b);
     }
+    let partials: Vec<f64> = a
+        .par_chunks(REDUCTION_BLOCK)
+        .zip(b.par_chunks(REDUCTION_BLOCK))
+        .map(|(a, b)| serial(a, b))
+        .collect();
+    partials.into_iter().sum()
 }
 
 /// Euclidean norm.
@@ -40,11 +51,11 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// is `None`), in one pass over the data.
 ///
 /// Bit for bit [`axpy`]`(alpha, x, y)` followed by [`dot`]`(y, z)`: per
-/// element the same update and the same product, per chunk the same
-/// left-to-right sum, chunk boundaries those `dot` gets from the thread
-/// pool (`⌈n / threads⌉` from [`PAR_THRESHOLD`] elements up, one chunk
-/// below it), partial sums added in chunk order. What it saves is a
-/// second trip through the pool and a second read of `y`.
+/// element the same update and the same product, per block the same
+/// left-to-right sum, the same blocks as `dot` ([`REDUCTION_BLOCK`]
+/// elements from [`PAR_THRESHOLD`] up, one block below it), block sums
+/// added in block order. What it saves is a second trip through the pool
+/// and a second read of `y`.
 pub fn axpy_then_dot(alpha: f64, x: &[f64], y: &mut [f64], z: Option<&[f64]>) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     debug_assert!(z.is_none_or(|z| z.len() == y.len()));
@@ -57,16 +68,15 @@ pub fn axpy_then_dot(alpha: f64, x: &[f64], y: &mut [f64], z: Option<&[f64]>) ->
             None => y.iter().map(|a| a * a).sum(),
         }
     };
-    let n = y.len();
-    if n < PAR_THRESHOLD {
+    if y.len() < PAR_THRESHOLD {
         return sweep(x, y, z);
     }
-    let per = n.div_ceil(rayon::current_num_threads().min(n));
+    let block = REDUCTION_BLOCK;
     let partials: Vec<f64> = y
-        .par_chunks_mut(per)
-        .zip(x.par_chunks(per))
+        .par_chunks_mut(block)
+        .zip(x.par_chunks(block))
         .enumerate()
-        .map(|(c, (y, x))| sweep(x, y, z.map(|z| &z[c * per..c * per + y.len()])))
+        .map(|(c, (y, x))| sweep(x, y, z.map(|z| &z[c * block..c * block + y.len()])))
         .collect();
     partials.into_iter().sum()
 }
@@ -82,17 +92,21 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     }
 }
 
+/// `y = x + alpha * y` (PETSc's `VecAYPX`: the CG direction update).
+pub fn aypx(alpha: f64, x: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(x.len(), y.len());
+    if x.len() >= PAR_THRESHOLD {
+        y.par_iter_mut().zip(x.par_iter()).for_each(|(yi, xi)| *yi = xi + alpha * *yi);
+    } else {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi = xi + alpha * *yi;
+        }
+    }
+}
+
 /// Copy `src` into `dst`.
 pub fn copy(src: &[f64], dst: &mut [f64]) {
     dst.copy_from_slice(src);
-}
-
-/// `z = a - b`.
-pub fn sub_into(a: &[f64], b: &[f64], z: &mut [f64]) {
-    debug_assert!(a.len() == b.len() && b.len() == z.len());
-    for ((zi, ai), bi) in z.iter_mut().zip(a).zip(b) {
-        *zi = ai - bi;
-    }
 }
 
 /// A dense LU factorization with partial pivoting (row-major storage).
@@ -232,6 +246,20 @@ mod tests {
         assert_eq!(y, vec![12.0, 24.0, 36.0]);
         scale(0.5, &mut y);
         assert_eq!(y, vec![6.0, 12.0, 18.0]);
+        aypx(0.5, &x, &mut y);
+        assert_eq!(y, vec![4.0, 8.0, 12.0]);
+    }
+
+    #[test]
+    fn parallel_aypx_is_the_serial_update_bit_for_bit() {
+        let n = PAR_THRESHOLD + 7;
+        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let y0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+        let mut y = y0.clone();
+        aypx(-0.73, &x, &mut y);
+        for i in 0..n {
+            assert_eq!(y[i].to_bits(), (x[i] + -0.73 * y0[i]).to_bits(), "element {i}");
+        }
     }
 
     #[test]
@@ -244,10 +272,25 @@ mod tests {
     }
 
     #[test]
+    fn large_dot_is_the_blocked_serial_sum_at_any_thread_count() {
+        // No thread appears in the reference: equal bits mean the result
+        // cannot depend on how many threads shared the blocks.
+        let n = 3 * PAR_THRESHOLD + 1234;
+        let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin()).collect();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.377).cos()).collect();
+        let blocked: f64 = a
+            .chunks(REDUCTION_BLOCK)
+            .zip(b.chunks(REDUCTION_BLOCK))
+            .map(|(a, b)| a.iter().zip(b).map(|(x, y)| x * y).sum::<f64>())
+            .sum();
+        assert_eq!(dot(&a, &b).to_bits(), blocked.to_bits());
+    }
+
+    #[test]
     fn fused_sweep_is_axpy_then_dot_bit_for_bit() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        // Both sides of PAR_THRESHOLD: one chunk, and one chunk per thread.
+        // Both sides of PAR_THRESHOLD: one block, and several.
         for n in [1_000, 40_000] {
             let mut vec = || (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect::<Vec<f64>>();
             let (x, z, y0) = (vec(), vec(), vec());

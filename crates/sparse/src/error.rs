@@ -54,6 +54,15 @@ pub enum SparseError {
         /// Whether a diagonal-shift retry was attempted before giving up.
         shifted: bool,
     },
+    /// A symmetric factorization (IC(0)) was handed a matrix whose
+    /// sparsity pattern is not symmetric: entry `(row, col)` is stored
+    /// but `(col, row)` is not.
+    AsymmetricPattern {
+        /// Row of the stored entry.
+        row: usize,
+        /// Column of the stored entry.
+        col: usize,
+    },
 }
 
 impl fmt::Display for SparseError {
@@ -80,6 +89,10 @@ impl fmt::Display for SparseError {
                     write!(f, "diagonal block {block} (rows {}..{}) is singular", rows.0, rows.1)
                 }
             }
+            SparseError::AsymmetricPattern { row, col } => write!(
+                f,
+                "sparsity pattern is not symmetric: ({row}, {col}) is stored but ({col}, {row}) is not"
+            ),
         }
     }
 }
@@ -104,6 +117,12 @@ mod tests {
         let e = SparseError::DimensionMismatch { what: "rhs", expected: 30, got: 7 };
         let s = e.to_string();
         assert!(s.contains("rhs") && s.contains("30") && s.contains('7'), "{s}");
+    }
+
+    #[test]
+    fn asymmetric_pattern_names_both_positions() {
+        let s = SparseError::AsymmetricPattern { row: 3, col: 9 }.to_string();
+        assert!(s.contains("(3, 9)") && s.contains("(9, 3)"), "{s}");
     }
 
     #[test]

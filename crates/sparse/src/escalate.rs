@@ -3,21 +3,23 @@
 //! The paper's solve runs *during* surgery: a solver that silently fails
 //! to converge (or hangs past the ~10 s intraoperative window) is
 //! clinically useless. This module implements an explicit escalation
-//! ladder — GMRES with the configured restart → GMRES with larger
-//! restart(s) → BiCGStab — where every rung is bounded by the caller's
-//! iteration budget and by the remaining share of an overall wall-clock
-//! budget. The caller decides what to do when the ladder is exhausted
-//! (the intraoperative pipeline degrades to the previous scan's field).
+//! ladder — the configured method first (preconditioned CG for the SPD
+//! system, or the paper's GMRES with the configured restart), then GMRES
+//! with the configured and larger restart(s), then BiCGStab — where every
+//! rung is bounded by the caller's iteration budget and by the remaining
+//! share of an overall wall-clock budget. The caller decides what to do
+//! when the ladder is exhausted (the intraoperative pipeline degrades to
+//! the previous scan's field).
 
 use crate::bicgstab::bicgstab;
+use crate::cg::conjugate_gradient;
 use crate::error::SparseError;
 use crate::gmres::{gmres_with_workspace, KrylovWorkspace};
 use crate::precond::Preconditioner;
-use crate::solver::{LinearOperator, SolveStats, SolverOptions, StopReason};
+use crate::solver::{KrylovKind, LinearOperator, SolveStats, SolverOptions, StopReason};
 use std::time::{Duration, Instant};
 
-/// What to try, in order, after the primary GMRES configuration fails to
-/// converge.
+/// What to try, in order, after the primary attempt fails to converge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EscalationPolicy {
     /// Restart lengths for follow-up GMRES attempts (each strictly after
@@ -33,8 +35,8 @@ pub struct EscalationPolicy {
 
 impl Default for EscalationPolicy {
     fn default() -> Self {
-        // GMRES(m) → GMRES(120) → BiCGStab, no wall-clock bound unless
-        // the caller sets one.
+        // GMRES(120) → BiCGStab after the primary rung(s), no wall-clock
+        // bound unless the caller sets one.
         EscalationPolicy { larger_restarts: vec![120], bicgstab_fallback: true, time_budget: None }
     }
 }
@@ -43,6 +45,11 @@ impl EscalationPolicy {
     /// No escalation: the primary attempt's outcome is final.
     pub fn none() -> Self {
         EscalationPolicy { larger_restarts: Vec::new(), bicgstab_fallback: false, time_budget: None }
+    }
+
+    /// Whether any rung follows the primary attempt.
+    fn escalates(&self) -> bool {
+        !self.larger_restarts.is_empty() || self.bicgstab_fallback
     }
 }
 
@@ -72,9 +79,9 @@ impl brainshift_persist::Persist for EscalationPolicy {
 /// logical clock).
 #[derive(Debug, Clone)]
 pub struct RungTrace {
-    /// `"gmres"`, `"bicgstab"`, or `"cg"` (set by the FEM layer's CG path).
+    /// `"cg"`, `"gmres"` or `"bicgstab"`.
     pub solver: &'static str,
-    /// GMRES restart length used (0 for BiCGStab).
+    /// GMRES restart length used (0 for CG and BiCGStab).
     pub restart: usize,
     /// Why this rung stopped.
     pub reason: StopReason,
@@ -110,123 +117,122 @@ pub struct EscalationOutcome {
     pub rungs: Vec<RungTrace>,
 }
 
-/// Solve `A x = b`, escalating through the policy's ladder until an
-/// attempt converges, the ladder is exhausted, or the wall-clock budget
-/// expires. `x` holds the initial guess on entry and the best iterate on
-/// exit; each rung starts from the previous rung's partial progress.
+/// One rung of the ladder.
+#[derive(Debug, Clone, Copy)]
+enum Rung {
+    Cg,
+    Gmres(usize),
+    BiCgStab,
+}
+
+/// Solve `A x = b`, escalating through the ladder until an attempt
+/// converges, the ladder is exhausted, or the wall-clock budget expires.
+/// `x` holds the initial guess on entry and the best iterate on exit;
+/// each rung starts from the previous rung's partial progress.
 ///
-/// The ladder never returns a worse residual than its best rung: every
-/// GMRES rung is monotone by construction (it warm-starts from the
-/// incumbent iterate and minimizes the residual over the new Krylov
-/// space), but the BiCGStab fallback is not — its recurrence can end
+/// The ladder is `krylov`'s rung — PCG, or GMRES(`opts.restart`) — then,
+/// if `policy` escalates at all, GMRES(`opts.restart`) after a CG rung,
+/// GMRES at each of `policy.larger_restarts`, and BiCGStab when
+/// `policy.bicgstab_fallback` is set. The GMRES basis in `ws` is sized by
+/// the first GMRES rung that runs.
+///
+/// The ladder never returns a worse residual than its best rung: CG
+/// minimizes the error in the energy norm, not the residual, and the
+/// BiCGStab fallback is not monotone either — its recurrence can end
 /// farther from the solution than it started. The iterate/stats pair of
 /// the best rung is therefore snapshotted and restored whenever a later
 /// rung regresses.
+#[allow(clippy::too_many_arguments)]
 pub fn solve_escalated(
     a: &dyn LinearOperator,
     precond: &dyn Preconditioner,
     b: &[f64],
     x: &mut [f64],
+    krylov: KrylovKind,
     opts: &SolverOptions,
     policy: &EscalationPolicy,
     ws: &mut KrylovWorkspace,
 ) -> Result<EscalationOutcome, SparseError> {
     let start = Instant::now();
-    let remaining = |start: Instant| -> Option<Duration> {
-        policy.time_budget.map(|total| total.saturating_sub(start.elapsed()))
-    };
-    let budgeted = |base: &SolverOptions, start: Instant| -> SolverOptions {
-        let mut o = base.clone();
-        // The tighter of the per-attempt budget and the ladder's
-        // remaining overall budget wins.
-        o.time_budget = match (o.time_budget, remaining(start)) {
+    let remaining = || policy.time_budget.map(|total| total.saturating_sub(start.elapsed()));
+    // The tighter of the per-attempt budget and the ladder's remaining
+    // overall budget wins.
+    let budgeted = |base: SolverOptions| SolverOptions {
+        time_budget: match (base.time_budget, remaining()) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        };
-        o
+        },
+        ..base
     };
 
-    let trace = |solver: &'static str, restart: usize, s: &SolveStats, since: Instant| RungTrace {
-        solver,
-        restart,
-        reason: s.reason,
-        iterations: s.iterations,
-        restarts: s.restarts,
-        relative_residual: s.relative_residual,
-        seconds: since.elapsed().as_secs_f64(),
+    let primary = match krylov {
+        KrylovKind::ConjugateGradient => Rung::Cg,
+        KrylovKind::Gmres => Rung::Gmres(opts.restart),
     };
+    let cg_handoff =
+        (krylov == KrylovKind::ConjugateGradient && policy.escalates()).then_some(Rung::Gmres(opts.restart));
+    let ladder = std::iter::once(primary)
+        .chain(cg_handoff)
+        .chain(policy.larger_restarts.iter().map(|&m| Rung::Gmres(m)))
+        .chain(policy.bicgstab_fallback.then_some(Rung::BiCgStab));
 
-    let mut attempts = 1usize;
-    let mut rung_reasons = Vec::with_capacity(2 + policy.larger_restarts.len());
-    let mut rungs = Vec::with_capacity(2 + policy.larger_restarts.len());
-    let rung_start = Instant::now();
-    let mut stats = gmres_with_workspace(a, precond, b, x, &budgeted(opts, start), ws)?;
-    rung_reasons.push(stats.reason);
-    rungs.push(trace("gmres", opts.restart.max(1), &stats, rung_start));
-    if stats.converged() {
-        return Ok(EscalationOutcome { stats, attempts, escalated: false, rung_reasons, rungs });
-    }
-
-    let out_of_time =
-        |s: &SolveStats| s.reason == StopReason::TimeBudget || remaining(start).is_some_and(|r| r.is_zero());
-
+    let mut rung_reasons = Vec::new();
+    let mut rungs = Vec::new();
     // Best-rung snapshot: iterate + stats of the lowest residual so far.
-    let mut best_x = x.to_vec();
-    let mut best_stats = stats.clone();
-
-    for &restart in &policy.larger_restarts {
-        if out_of_time(&stats) {
-            return Ok(EscalationOutcome {
-                stats: best_stats,
-                attempts,
-                escalated: attempts > 1,
-                rung_reasons,
-                rungs,
-            });
-        }
-        attempts += 1;
-        let rung = SolverOptions { restart, ..opts.clone() };
+    let mut best: Option<(Vec<f64>, SolveStats)> = None;
+    for rung in ladder {
         let rung_start = Instant::now();
-        stats = gmres_with_workspace(a, precond, b, x, &budgeted(&rung, start), ws)?;
+        let (solver, restart, stats) = match rung {
+            Rung::Cg => ("cg", 0, conjugate_gradient(a, precond, b, x, &budgeted(opts.clone()), ws)?),
+            Rung::Gmres(m) => {
+                let o = budgeted(SolverOptions { restart: m, ..opts.clone() });
+                ("gmres", m.max(1), gmres_with_workspace(a, precond, b, x, &o, ws)?)
+            }
+            Rung::BiCgStab => ("bicgstab", 0, bicgstab(a, precond, b, x, &budgeted(opts.clone()))?),
+        };
         rung_reasons.push(stats.reason);
-        rungs.push(trace("gmres", restart, &stats, rung_start));
+        rungs.push(RungTrace {
+            solver,
+            restart,
+            reason: stats.reason,
+            iterations: stats.iterations,
+            restarts: stats.restarts,
+            relative_residual: stats.relative_residual,
+            seconds: rung_start.elapsed().as_secs_f64(),
+        });
+        let attempts = rungs.len();
         if stats.converged() {
-            return Ok(EscalationOutcome { stats, attempts, escalated: true, rung_reasons, rungs });
+            return Ok(EscalationOutcome { stats, attempts, escalated: attempts > 1, rung_reasons, rungs });
         }
-        if stats.relative_residual <= best_stats.relative_residual {
-            best_x.copy_from_slice(x);
-            best_stats = stats.clone();
+        let out_of_time = stats.reason == StopReason::TimeBudget || remaining().is_some_and(|r| r.is_zero());
+        match &mut best {
+            Some((best_x, best_stats)) => {
+                if stats.relative_residual <= best_stats.relative_residual {
+                    best_x.copy_from_slice(x);
+                    *best_stats = stats;
+                }
+            }
+            None => best = Some((x.to_vec(), stats)),
         }
-    }
-
-    if policy.bicgstab_fallback && !out_of_time(&stats) {
-        attempts += 1;
-        let rung_start = Instant::now();
-        stats = bicgstab(a, precond, b, x, &budgeted(opts, start))?;
-        rung_reasons.push(stats.reason);
-        rungs.push(trace("bicgstab", 0, &stats, rung_start));
-        if stats.converged() {
-            return Ok(EscalationOutcome { stats, attempts, escalated: true, rung_reasons, rungs });
-        }
-        if stats.relative_residual <= best_stats.relative_residual {
-            best_x.copy_from_slice(x);
-            best_stats = stats.clone();
+        if out_of_time {
+            break;
         }
     }
     // No rung converged: hand back the best iterate seen, not the last.
+    let (best_x, stats) = best.expect("the ladder always runs its primary rung");
     x.copy_from_slice(&best_x);
-    let escalated = attempts > 1;
-    Ok(EscalationOutcome { stats: best_stats, attempts, escalated, rung_reasons, rungs })
+    let attempts = rungs.len();
+    Ok(EscalationOutcome { stats, attempts, escalated: attempts > 1, rung_reasons, rungs })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::{CsrMatrix, TripletBuilder};
-    use crate::precond::IdentityPrecond;
+    use crate::precond::{IdentityPrecond, JacobiPrecond};
 
-    // Shadow the Result-returning entry point: test shapes always agree.
-    #[allow(clippy::too_many_arguments)]
+    // Shadow the Result-returning entry point with the paper's GMRES
+    // ladder and a fresh workspace: test shapes always agree.
     fn solve_escalated(
         a: &dyn LinearOperator,
         precond: &dyn Preconditioner,
@@ -234,9 +240,21 @@ mod tests {
         x: &mut [f64],
         opts: &SolverOptions,
         policy: &EscalationPolicy,
-        ws: &mut KrylovWorkspace,
     ) -> EscalationOutcome {
-        super::solve_escalated(a, precond, b, x, opts, policy, ws).expect("test shapes agree")
+        escalate_from(a, precond, b, x, KrylovKind::Gmres, opts, policy)
+    }
+
+    fn escalate_from(
+        a: &dyn LinearOperator,
+        precond: &dyn Preconditioner,
+        b: &[f64],
+        x: &mut [f64],
+        krylov: KrylovKind,
+        opts: &SolverOptions,
+        policy: &EscalationPolicy,
+    ) -> EscalationOutcome {
+        let mut ws = KrylovWorkspace::default();
+        super::solve_escalated(a, precond, b, x, krylov, opts, policy, &mut ws).expect("test shapes agree")
     }
 
     fn laplace_1d(n: usize) -> CsrMatrix {
@@ -259,7 +277,6 @@ mod tests {
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 30);
         let out = solve_escalated(
             &a,
             &IdentityPrecond,
@@ -267,7 +284,6 @@ mod tests {
             &mut x,
             &SolverOptions { tolerance: 1e-8, ..Default::default() },
             &EscalationPolicy::default(),
-            &mut ws,
         );
         assert!(out.stats.converged());
         assert_eq!(out.attempts, 1);
@@ -283,14 +299,13 @@ mod tests {
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 2);
         let opts = SolverOptions { tolerance: 1e-10, restart: 2, max_iterations: 150, ..Default::default() };
         let policy = EscalationPolicy {
             larger_restarts: vec![150],
             bicgstab_fallback: false,
             ..Default::default()
         };
-        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy, &mut ws);
+        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy);
         assert!(out.stats.converged(), "{:?}", out.stats);
         assert!(out.escalated);
         assert_eq!(out.attempts, 2);
@@ -308,11 +323,10 @@ mod tests {
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 2);
         let opts = SolverOptions { tolerance: 1e-14, restart: 2, max_iterations: 2, ..Default::default() };
         let policy =
             EscalationPolicy { larger_restarts: vec![3], ..Default::default() };
-        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy, &mut ws);
+        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy);
         assert_eq!(out.attempts, 3);
         assert!(out.escalated);
         assert!(!out.stats.converged());
@@ -327,11 +341,10 @@ mod tests {
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 2);
         let opts = SolverOptions { tolerance: 1e-14, restart: 2, max_iterations: 3, ..Default::default() };
         let policy =
             EscalationPolicy { larger_restarts: vec![3], ..Default::default() };
-        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy, &mut ws);
+        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy);
         assert!(!out.stats.converged());
         assert_eq!(out.attempts, 3);
     }
@@ -344,11 +357,10 @@ mod tests {
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 2);
         let opts = SolverOptions { tolerance: 1e-14, restart: 2, max_iterations: 2, ..Default::default() };
         let policy =
             EscalationPolicy { larger_restarts: vec![3], ..Default::default() };
-        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy, &mut ws);
+        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy);
         assert_eq!(out.rungs.len(), out.attempts);
         assert_eq!(
             out.rungs.iter().map(|r| (r.solver, r.restart)).collect::<Vec<_>>(),
@@ -367,15 +379,85 @@ mod tests {
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, 30);
         let opts = SolverOptions { tolerance: 1e-14, ..Default::default() };
         let policy = EscalationPolicy {
             larger_restarts: vec![100, 200],
             time_budget: Some(Duration::ZERO),
             ..Default::default()
         };
-        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy, &mut ws);
+        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &policy);
         assert_eq!(out.stats.reason, StopReason::TimeBudget);
         assert_eq!(out.attempts, 1, "no further rungs after the budget expired");
+    }
+
+    fn residual(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
+        let mut ax = vec![0.0; b.len()];
+        a.spmv(x, &mut ax);
+        let r: f64 = ax.iter().zip(b).map(|(p, q)| (p - q).powi(2)).sum::<f64>().sqrt();
+        r / b.iter().map(|v| v * v).sum::<f64>().sqrt()
+    }
+
+    #[test]
+    fn cg_leads_and_converges_on_its_own_rung() {
+        let n = 60;
+        let a = laplace_1d(n);
+        let b = vec![1.0; n];
+        let mut x = vec![0.0; n];
+        let opts = SolverOptions { tolerance: 1e-8, ..Default::default() };
+        let out = escalate_from(&a, &JacobiPrecond::new(&a), &b, &mut x, KrylovKind::ConjugateGradient, &opts, &EscalationPolicy::default());
+        assert!(out.stats.converged());
+        assert_eq!(out.attempts, 1);
+        assert_eq!(out.rungs.iter().map(|r| (r.solver, r.restart)).collect::<Vec<_>>(), vec![("cg", 0)]);
+    }
+
+    #[test]
+    fn a_starved_cg_rung_hands_its_iterate_to_gmres() {
+        let n = 120;
+        let a = laplace_1d(n);
+        let b = vec![1.0; n];
+        let opts = SolverOptions { tolerance: 1e-14, restart: 2, max_iterations: 4, ..Default::default() };
+        let mut x_cg = vec![0.0; n];
+        let alone = escalate_from(&a, &IdentityPrecond, &b, &mut x_cg, KrylovKind::ConjugateGradient, &opts, &EscalationPolicy::none());
+        assert_eq!(alone.attempts, 1, "EscalationPolicy::none() keeps CG final");
+        let policy = EscalationPolicy { larger_restarts: vec![3], ..Default::default() };
+        let mut x = vec![0.0; n];
+        let out = escalate_from(&a, &IdentityPrecond, &b, &mut x, KrylovKind::ConjugateGradient, &opts, &policy);
+        assert_eq!(
+            out.rungs.iter().map(|r| (r.solver, r.restart)).collect::<Vec<_>>(),
+            vec![("cg", 0), ("gmres", 2), ("gmres", 3), ("bicgstab", 0)]
+        );
+        assert!(out.escalated && out.attempts == 4);
+        assert_eq!(out.rungs[0].iterations, alone.stats.iterations);
+        assert!(out.stats.relative_residual <= alone.stats.relative_residual);
+        assert!(residual(&a, &b, &x) <= residual(&a, &b, &x_cg) * (1.0 + 1e-12));
+    }
+
+    #[test]
+    fn zero_budget_stops_the_cg_rung_and_the_ladder() {
+        let n = 200;
+        let a = laplace_1d(n);
+        let b = vec![1.0; n];
+        let mut x = vec![0.0; n];
+        let opts = SolverOptions { tolerance: 1e-14, ..Default::default() };
+        let policy = EscalationPolicy { time_budget: Some(Duration::ZERO), ..Default::default() };
+        let out = escalate_from(&a, &IdentityPrecond, &b, &mut x, KrylovKind::ConjugateGradient, &opts, &policy);
+        assert_eq!(out.stats.reason, StopReason::TimeBudget);
+        assert_eq!(out.attempts, 1);
+    }
+
+    #[test]
+    fn a_cg_solve_never_sizes_the_gmres_basis() {
+        let n = 100;
+        let a = laplace_1d(n);
+        let mut ws = KrylovWorkspace::default();
+        let mut x = vec![0.0; n];
+        let opts = SolverOptions { tolerance: 1e-8, ..Default::default() };
+        super::solve_escalated(&a, &IdentityPrecond, &[1.0; 100], &mut x, KrylovKind::ConjugateGradient, &opts, &EscalationPolicy::default(), &mut ws)
+            .unwrap();
+        assert_eq!(ws.bytes(), 5 * n * 8);
+        let mut x = vec![0.0; n];
+        super::solve_escalated(&a, &IdentityPrecond, &[1.0; 100], &mut x, KrylovKind::Gmres, &opts, &EscalationPolicy::default(), &mut ws)
+            .unwrap();
+        assert!(ws.bytes() >= (opts.restart + 1) * n * 8);
     }
 }

@@ -20,15 +20,16 @@ use crate::error::SparseError;
 use crate::precond::Preconditioner;
 use crate::solver::{Deadline, LinearOperator, SolveStats, SolverOptions, StopReason};
 
-/// Preallocated scratch memory for restarted GMRES.
+/// Preallocated scratch memory for the Krylov solvers.
 ///
-/// A GMRES(m) cycle on an n-dof system needs an (m+1)×n Krylov basis plus
-/// a handful of n- and m-sized vectors. Allocating them inside the solver
-/// (the original implementation built the basis as a `Vec<Vec<f64>>` per
-/// restart) costs both allocator traffic and page faults on every scan of
-/// an intraoperative sequence. A `KrylovWorkspace` is created once, sized
-/// on first use, and reused for every subsequent solve on the same
-/// system; repeat solves allocate nothing that grows with n.
+/// Every method needs a handful of n-vectors; GMRES(m) on an n-dof
+/// system also needs an (m+1)×n Krylov basis plus m-sized Hessenberg and
+/// rotation storage. Allocating them inside the solver costs allocator
+/// traffic and page faults on every scan of an intraoperative sequence.
+/// A `KrylovWorkspace` starts empty, grows on first use and is reused for
+/// every later solve on the same system, so repeat solves allocate
+/// nothing that grows with n. The basis is sized by the first GMRES run
+/// only: a solve that converges on the CG rung never allocates it.
 #[derive(Debug, Default)]
 pub struct KrylovWorkspace {
     n: usize,
@@ -41,29 +42,43 @@ pub struct KrylovWorkspace {
     sn: Vec<f64>,
     g: Vec<f64>,
     y: Vec<f64>,
-    w: Vec<f64>,
-    r: Vec<f64>,
-    raw: Vec<f64>,
-    work_ax: Vec<f64>,
-    zb: Vec<f64>,
+    // The n-vectors, named for their GMRES roles; CG borrows four of them.
+    pub(crate) w: Vec<f64>,
+    pub(crate) r: Vec<f64>,
+    pub(crate) raw: Vec<f64>,
+    pub(crate) work_ax: Vec<f64>,
+    pub(crate) zb: Vec<f64>,
 }
 
 impl KrylovWorkspace {
-    /// Workspace sized for an `n`-dof system with restart length `m`.
-    pub fn new(n: usize, restart: usize) -> Self {
+    /// Workspace for an `n`-dof system: the n-vectors sized now, the
+    /// GMRES basis left to the first GMRES run.
+    pub fn new(n: usize) -> Self {
         let mut ws = KrylovWorkspace::default();
-        ws.ensure(n, restart);
+        ws.ensure_vectors(n);
         ws
     }
 
-    /// Resize for a system of `n` dofs and restart `m`; no-op (and no
-    /// allocation) when the shape already matches.
-    pub fn ensure(&mut self, n: usize, restart: usize) {
-        let m = restart.max(1);
-        if self.n == n && self.m == m {
+    /// Size the n-vectors for an `n`-dof system; no-op (and no
+    /// allocation) when they already fit.
+    pub(crate) fn ensure_vectors(&mut self, n: usize) {
+        if self.n == n {
             return;
         }
         self.n = n;
+        self.m = 0;
+        for v in [&mut self.w, &mut self.r, &mut self.raw, &mut self.work_ax, &mut self.zb] {
+            v.resize(n, 0.0);
+        }
+    }
+
+    /// Size everything GMRES(`restart`) needs on an `n`-dof system.
+    fn ensure_basis(&mut self, n: usize, restart: usize) {
+        let m = restart.max(1);
+        self.ensure_vectors(n);
+        if self.m == m {
+            return;
+        }
         self.m = m;
         self.basis.resize((m + 1) * n, 0.0);
         self.h.resize((m + 1) * m, 0.0);
@@ -71,11 +86,6 @@ impl KrylovWorkspace {
         self.sn.resize(m, 0.0);
         self.g.resize(m + 1, 0.0);
         self.y.resize(m, 0.0);
-        self.w.resize(n, 0.0);
-        self.r.resize(n, 0.0);
-        self.raw.resize(n, 0.0);
-        self.work_ax.resize(n, 0.0);
-        self.zb.resize(n, 0.0);
     }
 
     /// Total scratch footprint in bytes (diagnostics).
@@ -111,14 +121,14 @@ pub fn gmres(
     x: &mut [f64],
     opts: &SolverOptions,
 ) -> Result<SolveStats, SparseError> {
-    let mut ws = KrylovWorkspace::new(a.dim(), opts.restart);
+    let mut ws = KrylovWorkspace::default();
     gmres_with_workspace(a, precond, b, x, opts, &mut ws)
 }
 
 /// [`gmres`] with caller-owned scratch memory: after the workspace's
 /// first use at this problem size an iteration makes no O(n) allocation
 /// (basis, residual, and Hessenberg storage all live in `ws`, and the
-/// block-Jacobi and ILU(0) preconditioners solve straight into their
+/// block-Jacobi and IC(0) preconditioners solve straight into their
 /// output). What remains per iteration is O(threads): above the BLAS-1
 /// parallel threshold every kernel call boxes one task per chunk for the
 /// thread pool and collects one partial sum per chunk.
@@ -135,9 +145,9 @@ pub fn gmres(
 /// residual `‖b − A x‖/‖b‖`, verified with an explicit matvec at the end
 /// of each restart cycle. The preconditioned recurrence only *suggests*
 /// when to end a cycle early: with an ill-conditioned preconditioner
-/// (e.g. ILU(0) on a high-contrast matrix) the recurrence norm can
-/// collapse while the actual residual has not moved, and trusting it
-/// returns garbage "converged" solutions.
+/// (e.g. an incomplete factorization of a high-contrast matrix) the
+/// recurrence norm can collapse while the actual residual has not moved,
+/// and trusting it returns garbage "converged" solutions.
 pub fn gmres_with_workspace(
     a: &dyn LinearOperator,
     precond: &dyn Preconditioner,
@@ -154,7 +164,7 @@ pub fn gmres_with_workspace(
         return Err(SparseError::DimensionMismatch { what: "x0", expected: n, got: x.len() });
     }
     let m = opts.restart.max(1);
-    ws.ensure(n, m);
+    ws.ensure_basis(n, m);
     let deadline = Deadline::from_budget(opts.time_budget);
 
     let mut history = Vec::new();
@@ -377,7 +387,7 @@ pub fn gmres_with_workspace(
 mod tests {
     use super::*;
     use crate::csr::{CsrMatrix, TripletBuilder};
-    use crate::precond::{BlockJacobiPrecond, BlockSolve, IdentityPrecond, Ilu0, JacobiPrecond};
+    use crate::precond::{BlockJacobiPrecond, BlockSolve, Ic0, IdentityPrecond, JacobiPrecond};
     use rand::{Rng, SeedableRng};
 
     // The entry points return `Result` (dimension mismatches are typed
@@ -537,13 +547,13 @@ mod tests {
         let mut x1 = vec![0.0; n];
         let s_none = gmres(&a, &IdentityPrecond, &b, &mut x1, &opts);
         let mut x2 = vec![0.0; n];
-        let ilu = Ilu0::new(&a);
-        let s_ilu = gmres(&a, &ilu, &b, &mut x2, &opts);
-        assert!(s_ilu.converged());
-        // ILU(0) on a tridiagonal matrix is an exact factorization: one or
+        let ic = Ic0::new(&a).unwrap();
+        let s_ic = gmres(&a, &ic, &b, &mut x2, &opts);
+        assert!(s_ic.converged());
+        // IC(0) on a tridiagonal matrix is an exact factorization: one or
         // two iterations.
-        assert!(s_ilu.iterations <= 3, "ilu took {}", s_ilu.iterations);
-        assert!(s_ilu.iterations < s_none.iterations);
+        assert!(s_ic.iterations <= 3, "ic0 took {}", s_ic.iterations);
+        assert!(s_ic.iterations < s_none.iterations);
         check_solution(&a, &b, &x2, 1e-6);
     }
 
@@ -656,7 +666,7 @@ mod tests {
         // tight tolerance without restart stagnation.
         let opts = SolverOptions { tolerance: 1e-10, restart: 160, ..Default::default() };
         let p = JacobiPrecond::new(&a);
-        let mut ws = KrylovWorkspace::new(n, opts.restart);
+        let mut ws = KrylovWorkspace::default();
 
         for seed in 0..4u64 {
             let x_true: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.11 + seed as f64).sin()).collect();
@@ -687,7 +697,17 @@ mod tests {
 
     #[test]
     fn workspace_resizes_for_larger_system() {
-        let mut ws = KrylovWorkspace::new(10, 5);
+        let mut ws = KrylovWorkspace::default();
+        let small = laplace_1d(10);
+        let stats = gmres_with_workspace(
+            &small,
+            &IdentityPrecond,
+            &[1.0; 10],
+            &mut [0.0; 10],
+            &SolverOptions { restart: 5, ..Default::default() },
+            &mut ws,
+        );
+        assert!(stats.converged());
         let a = laplace_1d(80);
         let b = vec![1.0; 80];
         let mut x = vec![0.0; 80];

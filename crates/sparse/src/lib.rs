@@ -2,8 +2,9 @@
 //!
 //! From-scratch replacement for the slice of PETSc the paper uses: CSR
 //! storage with a concurrent-friendly triplet builder, BLAS-1 kernels, a
-//! dense LU for small blocks, restarted GMRES and CG, and Jacobi /
-//! block-Jacobi / ILU(0) preconditioners, plus the row-partitioning
+//! dense LU for small blocks, preconditioned CG and restarted GMRES on one
+//! escalation ladder, and Jacobi / block-Jacobi / IC(0) preconditioners,
+//! plus the row-partitioning
 //! helpers that drive the parallel decomposition (and its load imbalance,
 //! the central subject of the paper's §3.2).
 
@@ -32,7 +33,7 @@ pub use error::SparseError;
 pub use escalate::{solve_escalated, EscalationOutcome, EscalationPolicy, RungTrace};
 pub use gmres::{gmres, gmres_with_workspace, KrylovWorkspace};
 pub use precond::{
-    decode_preconditioner, BlockJacobiPrecond, BlockSolve, IdentityPrecond, Ilu0, JacobiPrecond,
+    decode_preconditioner, BlockJacobiPrecond, BlockSolve, Ic0, IdentityPrecond, JacobiPrecond,
     Preconditioner,
 };
-pub use solver::{LinearOperator, SolveStats, SolverOptions, StopReason};
+pub use solver::{KrylovKind, LinearOperator, SolveStats, SolverOptions, StopReason};

@@ -3,7 +3,9 @@
 //! The paper solves its FEM system "using the Generalized Minimal Residual
 //! (GMRES) solver with block Jacobi preconditioning" (PETSc's default
 //! block-Jacobi applies one block per process, ILU(0) inside each block).
-//! We provide exactly that, plus point Jacobi and identity for ablations.
+//! On the symmetric stiffness matrix, ILU(0) and IC(0) are the same
+//! operator, so the blocks here are factored with IC(0), which stores one
+//! triangle instead of two; point Jacobi and identity serve the ablations.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseLu;
@@ -33,10 +35,11 @@ pub trait Preconditioner: Send + Sync {
 }
 
 /// Persistence tags, one per supported `Preconditioner` implementation.
+/// Tag 2 was the retired ILU(0) factor; it is not reused.
 const TAG_IDENTITY: u8 = 0;
 const TAG_JACOBI: u8 = 1;
-const TAG_ILU0: u8 = 2;
 const TAG_BLOCK_JACOBI: u8 = 3;
+const TAG_IC0: u8 = 4;
 
 /// Decode a preconditioner written by
 /// [`Preconditioner::persist_into`], validating that the operator acts
@@ -57,10 +60,10 @@ pub fn decode_preconditioner(
             }
             Ok(Box::new(p))
         }
-        TAG_ILU0 => {
-            let p = Ilu0::decode(dec)?;
-            if p.lu.nrows() != expect_dim {
-                return Err(dim_mismatch("ilu0", p.lu.nrows()));
+        TAG_IC0 => {
+            let p = Ic0::decode(dec)?;
+            if p.dim() != expect_dim {
+                return Err(dim_mismatch("ic0", p.dim()));
             }
             Ok(Box::new(p))
         }
@@ -141,247 +144,234 @@ impl Persist for JacobiPrecond {
     }
 }
 
-/// ILU(0): incomplete LU with zero fill-in, on the sparsity pattern of `A`.
-/// Standard IKJ formulation, applied to the symmetrically diagonally
-/// scaled matrix `S A S` (`S = diag(1/√|a_ii|)`) — without the scaling,
-/// ILU(0) is numerically unstable on high-material-contrast elasticity
-/// matrices and the resulting preconditioner stalls the Krylov solver.
+/// IC(0): incomplete Cholesky with zero fill-in, in the root-free form
+/// `M = Uᵀ D⁻¹ U` (`D = diag(U)`) on the upper-triangle pattern of `A`.
+///
+/// It factors the symmetrically scaled `S A S + αI`
+/// (`S = diag(1/√|a_ii|)`): without the scaling an incomplete
+/// factorization is numerically unstable on high-material-contrast
+/// elasticity matrices and the resulting preconditioner stalls the Krylov
+/// solver. On a symmetric matrix this is the operator ILU(0) computes —
+/// its unit lower factor is `Uᵀ D⁻¹` — from one stored triangle.
 #[derive(Debug, Clone)]
-pub struct Ilu0 {
-    /// Factored matrix: strictly-lower part stores L (unit diagonal
-    /// implied), diagonal+upper stores U.
-    lu: CsrMatrix,
-    /// Position of the diagonal entry in each row of `lu`.
-    diag_pos: Vec<usize>,
+pub struct Ic0 {
+    /// The factor `U`: row `i` holds the pivot `u_ii` first, then `u_ij`
+    /// for the columns `j > i` of row `i` of `A`.
+    u: CsrMatrix,
     /// Symmetric scaling `S` applied before factorization.
     scale: Vec<f64>,
 }
 
-impl Ilu0 {
-    /// Factorize with an adaptive diagonal shift: ILU(0) of an SPD matrix
+impl Ic0 {
+    /// Factorize with an adaptive diagonal shift: IC(0) of an SPD matrix
     /// can still produce tiny or negative pivots when material contrast is
     /// high; following PETSc's positive-definite shift strategy, the
     /// scaled matrix is refactored with a growing `αI` until all pivots
     /// are healthy.
-    pub fn new(a: &CsrMatrix) -> Self {
-        let mut alpha = 0.0;
-        loop {
-            let (ilu, min_pivot) = Self::factor_with_shift(a, alpha);
-            // Scaled diagonal is ~1, so pivots ≥ 0.01 mean a stable factor.
-            if min_pivot >= 1e-2 || alpha > 1.0 {
-                return ilu;
-            }
-            alpha = if alpha == 0.0 { 0.02 } else { alpha * 4.0 };
-        }
-    }
-
-    /// One factorization attempt of `S A S + αI`; returns the factor and
-    /// the smallest pivot magnitude encountered.
-    fn factor_with_shift(a: &CsrMatrix, alpha: f64) -> (Self, f64) {
-        debug_assert_eq!(a.nrows(), a.ncols(), "ILU(0) needs a square matrix");
+    ///
+    /// `a` must be square with a structurally symmetric sparsity pattern,
+    /// as every stiffness matrix and each of its principal blocks is; a
+    /// stored entry without its mirror is [`SparseError::AsymmetricPattern`].
+    pub fn new(a: &CsrMatrix) -> Result<Self, SparseError> {
         let n = a.nrows();
-        let mut lu = a.clone();
-        // Symmetric diagonal scaling: B = S A S with S = 1/sqrt(|a_ii|).
+        if a.ncols() != n {
+            return Err(SparseError::DimensionMismatch { what: "ic0 columns", expected: n, got: a.ncols() });
+        }
         let scale: Vec<f64> = a
             .diagonal()
             .into_iter()
             .map(|d| if d.abs() > 1e-300 { 1.0 / d.abs().sqrt() } else { 1.0 })
             .collect();
-        for i in 0..n {
-            let start = lu.indptr()[i];
-            let end = lu.indptr()[i + 1];
-            for k in start..end {
-                let j = lu.indices()[k];
-                lu.values_mut()[k] *= scale[i] * scale[j];
-                if i == j {
-                    lu.values_mut()[k] += alpha;
-                }
+        let upper = ScaledUpper::new(a, &scale);
+        let mut alpha = 0.0;
+        loop {
+            let (values, min_pivot) = upper.factor(a, alpha)?;
+            // Scaled diagonal is ~1, so pivots ≥ 0.01 mean a stable factor.
+            if min_pivot >= 1e-2 || alpha > 1.0 {
+                let u = CsrMatrix::from_raw(n, n, upper.indptr, upper.indices, values)?;
+                return Ok(Ic0 { u, scale });
             }
+            alpha = if alpha == 0.0 { 0.02 } else { alpha * 4.0 };
         }
-        let mut diag_pos = vec![usize::MAX; n];
-        // Per-row magnitude of the ORIGINAL matrix: pivot guards must be
-        // relative to the problem's scale, or a badly scaled system (e.g.
-        // high material contrast) produces near-singular factors whose
-        // inverse destroys the preconditioned residual norm.
-        let mut row_scale = vec![0.0f64; n];
-        for i in 0..n {
-            let (cols, _) = lu.row(i);
-            if let Ok(k) = cols.binary_search(&i) {
-                diag_pos[i] = lu.indptr()[i] + k;
-            }
-            let (_, vals) = lu.row(i);
-            row_scale[i] = vals.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1e-300);
-        }
-        let mut min_pivot = f64::INFINITY;
-        // Column-position lookup per row happens via binary search on the
-        // row's sorted indices.
-        for i in 0..n {
-            let row_start = lu.indptr()[i];
-            let row_end = lu.indptr()[i + 1];
-            // For each k < i present in row i:
-            for kk in row_start..row_end {
-                let k = lu.indices()[kk];
-                if k >= i {
-                    break;
-                }
-                let dk = diag_pos[k];
-                if dk == usize::MAX {
-                    continue;
-                }
-                let pivot = lu.values()[dk];
-                let floor = 1e-8 * row_scale[k];
-                let pivot = if pivot.abs() < floor {
-                    if pivot >= 0.0 { floor } else { -floor }
-                } else {
-                    pivot
-                };
-                let lik = lu.values()[kk] / pivot;
-                lu.values_mut()[kk] = lik;
-                // row_i -= lik * row_k (upper part of row k only), on the
-                // existing pattern of row i.
-                let krow_start = lu.indptr()[k];
-                let krow_end = lu.indptr()[k + 1];
-                for kj in krow_start..krow_end {
-                    let j = lu.indices()[kj];
-                    if j <= k {
-                        continue;
-                    }
-                    let ukj = lu.values()[kj];
-                    // Find j in row i.
-                    let icols = &lu.indices()[row_start..row_end];
-                    if let Ok(pos) = icols.binary_search(&j) {
-                        lu.values_mut()[row_start + pos] -= lik * ukj;
-                    }
-                }
-            }
-            // Guard the pivot relative to the row's original scale.
-            if diag_pos[i] != usize::MAX {
-                let d = lu.values()[diag_pos[i]];
-                let floor = 1e-8 * row_scale[i];
-                if d.abs() < floor {
-                    lu.values_mut()[diag_pos[i]] = if d >= 0.0 { floor } else { -floor };
-                }
-                min_pivot = min_pivot.min(lu.values()[diag_pos[i]]);
-            }
-        }
-        (Ilu0 { lu, diag_pos, scale }, min_pivot)
     }
 
-    /// Solve `M z = r` with `M = S⁻¹ (L U) S⁻¹` (the ILU factorization of
-    /// the scaled matrix, unscaled back): `z = S · LU⁻¹ · (S r)`.
-    ///
-    /// Each factor entry is read once: [`split_row`](Self::split_row)
-    /// divides row `i` into its L part and its U part.
+    /// Dimension of the factored matrix.
+    fn dim(&self) -> usize {
+        self.scale.len()
+    }
+
+    /// Solve `M z = r` with `M = S⁻¹ Uᵀ D⁻¹ U S⁻¹`:
+    /// `z = S · (Uᵀ D⁻¹ U)⁻¹ · (S r)`. The forward sweep scatters row `i`
+    /// of `U` (column `i` of `Uᵀ`) once its unknown is final; the backward
+    /// sweep gathers it. Each factor entry is read once per sweep.
     pub fn solve(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.lu.nrows();
+        let n = self.dim();
         debug_assert!(r.len() == n && z.len() == n);
-        let (indptr, cols, vals) = (self.lu.indptr(), self.lu.indices(), self.lu.values());
-        // Forward: L y = S r (unit diagonal).
-        for i in 0..n {
-            let mut acc = r[i] * self.scale[i];
-            let (lower_end, _, _) = self.split_row(i);
-            for k in indptr[i]..lower_end {
-                acc -= vals[k] * z[cols[k]];
-            }
-            z[i] = acc;
+        let (indptr, cols, vals) = (self.u.indptr(), self.u.indices(), self.u.values());
+        for ((zi, ri), si) in z.iter_mut().zip(r).zip(&self.scale) {
+            *zi = ri * si;
         }
-        // Backward: U w = y, then z = S w.
+        // Forward: (Uᵀ D⁻¹) w = S r.
+        for i in 0..n {
+            let pivot = indptr[i];
+            let wi_over_d = z[i] / vals[pivot];
+            for p in pivot + 1..indptr[i + 1] {
+                z[cols[p]] -= vals[p] * wi_over_d;
+            }
+        }
+        // Backward: U v = w, then z = S v.
         for i in (0..n).rev() {
+            let pivot = indptr[i];
             let mut acc = z[i];
-            let (_, upper_start, pivot) = self.split_row(i);
-            for k in upper_start..indptr[i + 1] {
-                acc -= vals[k] * z[cols[k]];
+            for p in pivot + 1..indptr[i + 1] {
+                acc -= vals[p] * z[cols[p]];
             }
-            z[i] = acc / pivot;
+            z[i] = acc / vals[pivot];
         }
-        for i in 0..n {
-            z[i] *= self.scale[i];
+        for (zi, si) in z.iter_mut().zip(&self.scale) {
+            *zi *= si;
         }
-    }
-
-    /// Where row `i` of `lu` splits: the end of its strictly-lower
-    /// entries, the start of its strictly-upper ones, and its pivot. With
-    /// a stored diagonal that is `diag_pos` and its two neighbours; a row
-    /// without one splits at its first column ≥ `i` and pivots on 1.
-    #[inline]
-    fn split_row(&self, i: usize) -> (usize, usize, f64) {
-        let d = self.diag_pos[i];
-        if d != usize::MAX {
-            return (d, d + 1, self.lu.values()[d]);
-        }
-        let (start, end) = (self.lu.indptr()[i], self.lu.indptr()[i + 1]);
-        let first_upper = start + self.lu.indices()[start..end].partition_point(|&c| c < i);
-        (first_upper, first_upper, 1.0)
     }
 }
 
-impl Preconditioner for Ilu0 {
+/// The upper triangle of `S A S` with the diagonal first in every row
+/// (stored even where `A` has none), plus each row's largest
+/// off-diagonal magnitude over the *whole* row: the pivot floors are
+/// relative to the problem's scale, or a badly scaled system produces
+/// near-singular factors whose inverse destroys the preconditioned
+/// residual norm.
+struct ScaledUpper {
+    indptr: Vec<usize>,
+    indices: Vec<usize>,
+    values: Vec<f64>,
+    off_max: Vec<f64>,
+}
+
+impl ScaledUpper {
+    fn new(a: &CsrMatrix, scale: &[f64]) -> Self {
+        let n = a.nrows();
+        let cap = (a.nnz() + n) / 2 + n;
+        let mut indptr = Vec::with_capacity(n + 1);
+        let mut indices = Vec::with_capacity(cap);
+        let mut values = Vec::with_capacity(cap);
+        let mut off_max = Vec::with_capacity(n);
+        indptr.push(0);
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            let upper = cols.partition_point(|&j| j <= i);
+            let mut diag = 0.0;
+            let mut largest = 0.0f64;
+            for (&j, &v) in cols.iter().zip(vals) {
+                let s = v * (scale[i] * scale[j]);
+                if j == i {
+                    diag = s;
+                } else {
+                    largest = largest.max(s.abs());
+                }
+            }
+            indices.push(i);
+            values.push(diag);
+            for (&j, &v) in cols[upper..].iter().zip(&vals[upper..]) {
+                indices.push(j);
+                values.push(v * (scale[i] * scale[j]));
+            }
+            off_max.push(largest);
+            indptr.push(indices.len());
+        }
+        ScaledUpper { indptr, indices, values, off_max }
+    }
+
+    /// One factorization attempt of `S A S + αI`, row by row: row `i`
+    /// subtracts `(u_ki / u_kk) ·` (row `k` from column `i` on) for every
+    /// `k < i` in row `i` of `A`, on row `i`'s own pattern (found through
+    /// a dense position array). Row `k`'s entry in column `i` sits at
+    /// `cursor[k]`: the columns of a finished row are consumed in
+    /// ascending order as later rows reach them. Returns the factor's
+    /// values and the smallest pivot.
+    fn factor(&self, a: &CsrMatrix, alpha: f64) -> Result<(Vec<f64>, f64), SparseError> {
+        const ABSENT: usize = usize::MAX;
+        let n = self.off_max.len();
+        let (indptr, cols) = (&self.indptr, &self.indices);
+        let mut u = self.values.clone();
+        let mut cursor: Vec<usize> = indptr[..n].iter().map(|&p| p + 1).collect();
+        let mut pos = vec![ABSENT; n];
+        let mut min_pivot = f64::INFINITY;
+        for i in 0..n {
+            let (pivot, end) = (indptr[i], indptr[i + 1]);
+            u[pivot] += alpha;
+            for p in pivot..end {
+                pos[cols[p]] = p;
+            }
+            for &k in a.row(i).0.iter().take_while(|&&k| k < i) {
+                let c = cursor[k];
+                if c == indptr[k + 1] || cols[c] != i {
+                    return Err(SparseError::AsymmetricPattern { row: i, col: k });
+                }
+                cursor[k] = c + 1;
+                let l = u[c] / u[indptr[k]];
+                for q in c..indptr[k + 1] {
+                    let p = pos[cols[q]];
+                    if p != ABSENT {
+                        u[p] -= l * u[q];
+                    }
+                }
+            }
+            for p in pivot..end {
+                pos[cols[p]] = ABSENT;
+            }
+            let row_scale = self.off_max[i].max((self.values[pivot] + alpha).abs()).max(1e-300);
+            let floor = 1e-8 * row_scale;
+            if u[pivot].abs() < floor {
+                u[pivot] = if u[pivot] >= 0.0 { floor } else { -floor };
+            }
+            min_pivot = min_pivot.min(u[pivot]);
+        }
+        // Every strictly-upper entry must have met its mirror in a later row.
+        if let Some(k) = (0..n).find(|&k| cursor[k] != indptr[k + 1]) {
+            return Err(SparseError::AsymmetricPattern { row: k, col: cols[cursor[k]] });
+        }
+        Ok((u, min_pivot))
+    }
+}
+
+impl Preconditioner for Ic0 {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         self.solve(r, z);
     }
     fn name(&self) -> &'static str {
-        "ilu0"
+        "ic0"
     }
     fn memory_bytes(&self) -> usize {
-        self.lu.memory_bytes()
-            + std::mem::size_of_val(self.diag_pos.as_slice())
-            + std::mem::size_of_val(self.scale.as_slice())
+        self.u.memory_bytes() + std::mem::size_of_val(self.scale.as_slice())
     }
     fn persist_into(&self, enc: &mut Encoder) -> Result<bool, PersistError> {
-        enc.put_u8(TAG_ILU0);
+        enc.put_u8(TAG_IC0);
         Persist::encode(self, enc)?;
         Ok(true)
     }
 }
 
-impl Persist for Ilu0 {
+impl Persist for Ic0 {
     fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        self.lu.encode(enc)?;
-        // `diag_pos` holds `usize::MAX` sentinels for rows without a
-        // stored diagonal; shift by one so the sentinel encodes as 0
-        // instead of a value that only round-trips on 64-bit hosts.
-        let diag_pos: Vec<u64> = self
-            .diag_pos
-            .iter()
-            .map(|&p| if p == usize::MAX { 0 } else { p as u64 + 1 })
-            .collect();
-        diag_pos.encode(enc)?;
+        self.u.encode(enc)?;
         self.scale.encode(enc)
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let lu = CsrMatrix::decode(dec)?;
-        let n = lu.nrows();
-        if lu.ncols() != n {
-            return Err(PersistError::InvalidData {
-                reason: format!("ilu0 factor is {}×{}, must be square", n, lu.ncols()),
-            });
-        }
-        let raw = Vec::<u64>::decode(dec)?;
+        let u = CsrMatrix::decode(dec)?;
         let scale = Vec::<f64>::decode(dec)?;
-        if raw.len() != n || scale.len() != n {
+        let n = u.nrows();
+        if u.ncols() != n || scale.len() != n {
             return Err(PersistError::InvalidData {
-                reason: format!(
-                    "ilu0 arrays disagree: {} diag positions, {} scales, dim {n}",
-                    raw.len(),
-                    scale.len()
-                ),
+                reason: format!("ic0 factor is {n}×{} with {} scales", u.ncols(), scale.len()),
             });
         }
-        let mut diag_pos = Vec::with_capacity(n);
-        for (i, &p) in raw.iter().enumerate() {
-            if p == 0 {
-                diag_pos.push(usize::MAX);
-                continue;
-            }
-            let p = (p - 1) as usize;
-            if p < lu.indptr()[i] || p >= lu.indptr()[i + 1] || lu.indices()[p] != i {
-                return Err(PersistError::InvalidData {
-                    reason: format!("ilu0 diag position {p} not on row {i}'s diagonal"),
-                });
-            }
-            diag_pos.push(p);
+        // Sorted unique columns starting at the pivot: row i is upper.
+        if let Some(i) = (0..n).find(|&i| u.row(i).0.first() != Some(&i)) {
+            return Err(PersistError::InvalidData {
+                reason: format!("ic0 factor row {i} does not start at its pivot"),
+            });
         }
-        Ok(Ilu0 { lu, diag_pos, scale })
+        Ok(Ic0 { u, scale })
     }
 }
 
@@ -390,22 +380,24 @@ impl Persist for Ilu0 {
 pub enum BlockSolve {
     /// Exact dense LU (only sensible for small blocks).
     DenseLu,
-    /// ILU(0) on the block (PETSc's default sub-preconditioner).
-    Ilu0,
+    /// IC(0) on the block: on a symmetric block, the operator of PETSc's
+    /// default ILU(0) sub-preconditioner.
+    Ic0,
 }
 
+/// Tag 1 was the retired ILU(0) block solve; it is not reused.
 impl Persist for BlockSolve {
     fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
         enc.put_u8(match self {
             BlockSolve::DenseLu => 0,
-            BlockSolve::Ilu0 => 1,
+            BlockSolve::Ic0 => 2,
         });
         Ok(())
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         match dec.get_u8()? {
             0 => Ok(BlockSolve::DenseLu),
-            1 => Ok(BlockSolve::Ilu0),
+            2 => Ok(BlockSolve::Ic0),
             t => Err(PersistError::InvalidData { reason: format!("invalid BlockSolve tag {t}") }),
         }
     }
@@ -413,18 +405,19 @@ impl Persist for BlockSolve {
 
 enum BlockFactor {
     Dense(DenseLu),
-    Ilu(Ilu0),
+    Ic(Ic0),
 }
 
 impl BlockFactor {
     fn dim(&self) -> usize {
         match self {
             BlockFactor::Dense(lu) => lu.dim(),
-            BlockFactor::Ilu(ilu) => ilu.lu.nrows(),
+            BlockFactor::Ic(ic) => ic.dim(),
         }
     }
 }
 
+/// Tag 1 was the retired ILU(0) factor; it is not reused.
 impl Persist for BlockFactor {
     fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
         match self {
@@ -432,16 +425,16 @@ impl Persist for BlockFactor {
                 enc.put_u8(0);
                 lu.encode(enc)
             }
-            BlockFactor::Ilu(ilu) => {
-                enc.put_u8(1);
-                ilu.encode(enc)
+            BlockFactor::Ic(ic) => {
+                enc.put_u8(2);
+                ic.encode(enc)
             }
         }
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         match dec.get_u8()? {
             0 => Ok(BlockFactor::Dense(DenseLu::decode(dec)?)),
-            1 => Ok(BlockFactor::Ilu(Ilu0::decode(dec)?)),
+            2 => Ok(BlockFactor::Ic(Ic0::decode(dec)?)),
             t => Err(PersistError::InvalidData { reason: format!("invalid BlockFactor tag {t}") }),
         }
     }
@@ -479,7 +472,9 @@ impl BlockJacobiPrecond {
     /// block still fails — or the block has a structurally zero row — the
     /// error is returned instead of the historical silent identity
     /// fallback, which masked singular systems behind a preconditioner
-    /// that quietly destroyed convergence.
+    /// that quietly destroyed convergence. An IC(0) block whose pattern
+    /// is not symmetric is [`SparseError::AsymmetricPattern`], in the
+    /// matrix's own row and column numbers.
     pub fn from_offsets(
         a: &CsrMatrix,
         offsets: &[usize],
@@ -516,7 +511,7 @@ impl BlockJacobiPrecond {
                     shifted,
                 };
                 // A structurally/numerically zero row makes the block
-                // singular regardless of the factorization used (ILU(0)'s
+                // singular regardless of the factorization used (IC(0)'s
                 // pivot floors would otherwise paper over it).
                 let n = hi - lo;
                 for i in 0..n {
@@ -554,7 +549,13 @@ impl BlockJacobiPrecond {
                             None => Err(singular(true)),
                         }
                     }
-                    BlockSolve::Ilu0 => Ok((BlockFactor::Ilu(Ilu0::new(&block)), false)),
+                    BlockSolve::Ic0 => match Ic0::new(&block) {
+                        Ok(ic) => Ok((BlockFactor::Ic(ic), false)),
+                        Err(SparseError::AsymmetricPattern { row, col }) => {
+                            Err(SparseError::AsymmetricPattern { row: row + lo, col: col + lo })
+                        }
+                        Err(e) => Err(e),
+                    },
                 }
             })
             .collect();
@@ -574,16 +575,6 @@ impl BlockJacobiPrecond {
     pub fn new(a: &CsrMatrix, nblocks: usize, solve: BlockSolve) -> Result<Self, SparseError> {
         let offsets = crate::partition::even_offsets(a.nrows(), nblocks);
         Self::from_offsets(a, &offsets, solve)
-    }
-
-    /// Number of diagonal blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Row range `(lo, hi)` of each block.
-    pub fn block_ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
     }
 
     /// How many blocks required a diagonal-shift retry during
@@ -608,7 +599,7 @@ impl Preconditioner for BlockJacobiPrecond {
         }
         pieces.par_iter_mut().zip(self.factors.par_iter()).for_each(|((z, r), factor)| match factor {
             BlockFactor::Dense(lu) => lu.solve(r, z),
-            BlockFactor::Ilu(ilu) => ilu.solve(r, z),
+            BlockFactor::Ic(ic) => ic.solve(r, z),
         });
     }
     fn name(&self) -> &'static str {
@@ -620,7 +611,7 @@ impl Preconditioner for BlockJacobiPrecond {
             .iter()
             .map(|f| match f {
                 BlockFactor::Dense(lu) => lu.memory_bytes(),
-                BlockFactor::Ilu(ilu) => ilu.memory_bytes(),
+                BlockFactor::Ic(ic) => ic.memory_bytes(),
             })
             .sum();
         factors + std::mem::size_of_val(self.ranges.as_slice())
@@ -677,6 +668,7 @@ impl Persist for BlockJacobiPrecond {
 mod tests {
     use super::*;
     use crate::csr::TripletBuilder;
+    use rand::{Rng, SeedableRng};
 
     /// A small SPD tridiagonal system.
     fn tridiag(n: usize) -> CsrMatrix {
@@ -691,6 +683,39 @@ mod tests {
             }
         }
         b.build()
+    }
+
+    /// A random sparse SPD matrix with a symmetric pattern, strongly
+    /// diagonally dominant (so IC(0) needs no shift), with diagonal
+    /// magnitudes spread over three decades (so the scaling matters).
+    fn random_spd(n: usize, seed: u64) -> CsrMatrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut b = TripletBuilder::new(n, n);
+        let weight: Vec<f64> = (0..n).map(|_| 10f64.powf(rng.gen_range(0.0..3.0))).collect();
+        let mut diag = vec![0.0f64; n];
+        for i in 0..n {
+            for j in i + 1..n {
+                if rng.gen_bool(0.1) {
+                    let v = rng.gen_range(-1.0..1.0) * (weight[i] * weight[j]).sqrt();
+                    b.add(i, j, v);
+                    b.add(j, i, v);
+                    diag[i] += 2.0 * v.abs();
+                    diag[j] += 2.0 * v.abs();
+                }
+            }
+        }
+        for (i, d) in diag.iter().enumerate() {
+            b.add(i, i, d + weight[i]);
+        }
+        b.build()
+    }
+
+    /// The unshifted factor's pivots, from the factorization itself.
+    fn unshifted_pivots(a: &CsrMatrix) -> Vec<f64> {
+        let scale: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d.abs().sqrt()).collect();
+        let upper = ScaledUpper::new(a, &scale);
+        let (u, _) = upper.factor(a, 0.0).expect("symmetric pattern");
+        (0..a.nrows()).map(|i| u[upper.indptr[i]]).collect()
     }
 
     #[test]
@@ -713,93 +738,151 @@ mod tests {
     }
 
     #[test]
-    fn ilu0_exact_for_tridiagonal() {
-        // For a tridiagonal matrix ILU(0) equals full LU, so the solve is
-        // exact.
+    fn ic0_reproduces_the_scaled_matrix_on_its_pattern() {
+        // IC(0)'s defining property: (Uᵀ D⁻¹ U)_ij = (S A S)_ij for every
+        // (i, j) in the pattern of A (fill outside it is dropped).
+        let n = 60;
+        let a = random_spd(n, 27);
+        let ic = Ic0::new(&a).unwrap();
+        assert!(unshifted_pivots(&a).iter().all(|&d| d >= 1e-2), "the fixture must not shift");
+        let mut product = vec![0.0; n * n];
+        for k in 0..n {
+            let (cols, vals) = ic.u.row(k);
+            assert_eq!(cols[0], k, "row {k} starts at its pivot");
+            for (&i, &uki) in cols.iter().zip(vals) {
+                for (&j, &ukj) in cols.iter().zip(vals) {
+                    product[i * n + j] += uki * ukj / vals[0];
+                }
+            }
+        }
+        let mut checked = 0;
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let scaled = v * ic.scale[i] * ic.scale[j];
+                let got = product[i * n + j];
+                assert!((got - scaled).abs() <= 1e-12 * scaled.abs().max(1.0), "({i}, {j}): {got} vs {scaled}");
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, a.nnz());
+    }
+
+    #[test]
+    fn ic0_exact_for_tridiagonal() {
+        // A tridiagonal matrix has no fill, so IC(0) is its Cholesky
+        // factorization and the solve is exact.
         let a = tridiag(8);
-        let ilu = Ilu0::new(&a);
+        let ic = Ic0::new(&a).unwrap();
         let x_true: Vec<f64> = (0..8).map(|i| (i as f64) - 3.5).collect();
         let mut b = vec![0.0; 8];
         a.spmv(&x_true, &mut b);
         let mut x = vec![0.0; 8];
-        ilu.solve(&b, &mut x);
+        ic.solve(&b, &mut x);
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
     }
 
-    /// The sweep `Ilu0::solve` replaced, kept as the reference: it walks
-    /// every row whole, twice, and tests each column against `i`.
-    fn solve_testing_every_column(ilu: &Ilu0, r: &[f64], z: &mut [f64]) {
-        let n = ilu.lu.nrows();
-        for i in 0..n {
-            let mut acc = r[i] * ilu.scale[i];
-            let (cols, vals) = ilu.lu.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c >= i {
-                    break;
-                }
-                acc -= v * z[c];
-            }
-            z[i] = acc;
-        }
-        for i in (0..n).rev() {
-            let mut acc = z[i];
-            let (cols, vals) = ilu.lu.row(i);
-            let mut diag = 1.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c > i {
-                    acc -= v * z[c];
-                } else if c == i {
-                    diag = v;
-                }
-            }
-            z[i] = acc / diag;
-        }
-        for i in 0..n {
-            z[i] *= ilu.scale[i];
+    #[test]
+    fn ic0_apply_is_symmetric() {
+        // yᵀ M⁻¹ x = xᵀ M⁻¹ y: what makes it a valid CG preconditioner.
+        let n = 80;
+        let ic = Ic0::new(&random_spd(n, 3)).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        for _ in 0..5 {
+            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let y: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let (mut mx, mut my) = (vec![0.0; n], vec![0.0; n]);
+            ic.solve(&x, &mut mx);
+            ic.solve(&y, &mut my);
+            let ymx: f64 = y.iter().zip(&mx).map(|(a, b)| a * b).sum();
+            let xmy: f64 = x.iter().zip(&my).map(|(a, b)| a * b).sum();
+            assert!((ymx - xmy).abs() <= 1e-12 * ymx.abs().max(1.0), "{ymx} vs {xmy}");
         }
     }
 
     #[test]
-    fn ilu0_solve_equals_the_column_testing_sweep_bit_for_bit() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
-        let n = 60;
-        // Rows 0 (no lower part), 17 (lower and upper entries around the
-        // gap) and n−1 (no upper part) have no stored diagonal.
-        let no_diag = [0, 17, n - 1];
-        let mut b = TripletBuilder::new(n, n);
-        for i in 0..n {
-            if !no_diag.contains(&i) {
-                b.add(i, i, 4.0 + rng.gen_range(0.0..1.0));
-            }
-            for j in 0..n {
-                if j != i && rng.gen_bool(0.12) {
-                    b.add(i, j, rng.gen_range(-1.0..1.0));
-                }
-            }
-        }
-        let ilu = Ilu0::new(&b.build());
-        for &i in &no_diag {
-            assert_eq!(ilu.diag_pos[i], usize::MAX);
-        }
-        assert!(ilu.lu.row(17).0.iter().any(|&c| c < 17) && ilu.lu.row(17).0.iter().any(|&c| c > 17));
-        let r: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let (mut z, mut z_ref) = (vec![0.0; n], vec![0.0; n]);
-        ilu.solve(&r, &mut z);
-        solve_testing_every_column(&ilu, &r, &mut z_ref);
+    fn shift_loop_fires_on_a_high_contrast_block() {
+        // A soft spring (1e-6) to ground in series with a stiff one (1):
+        // SPD, but the scaled second pivot is ≈ 1e-6, far below the 0.01
+        // floor, so the factorization is retried with a diagonal shift.
+        let mut b = TripletBuilder::new(2, 2);
+        b.add(0, 0, 1.0 + 1e-6);
+        b.add(0, 1, -1.0);
+        b.add(1, 0, -1.0);
+        b.add(1, 1, 1.0);
+        let a = b.build();
+        assert!(unshifted_pivots(&a)[1] < 1e-2);
+        let ic = Ic0::new(&a).unwrap();
+        let pivots: Vec<f64> = (0..2).map(|i| ic.u.row(i).1[0]).collect();
+        assert!(pivots.iter().all(|&d| d >= 1e-2), "shifted pivots {pivots:?}");
+        let mut z = vec![0.0; 2];
+        ic.solve(&[1.0, -1.0], &mut z);
         assert!(z.iter().all(|v| v.is_finite()));
-        for (i, (a, b)) in z.iter().zip(&z_ref).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "row {i}");
+    }
+
+    #[test]
+    fn asymmetric_pattern_is_a_typed_error() {
+        // (1, 2) stored without (2, 1): caught when row 1 is left with an
+        // unconsumed entry; (3, 0) without (0, 3): caught at row 3.
+        let mut upper_only = TripletBuilder::new(3, 3);
+        let mut lower_only = TripletBuilder::new(4, 4);
+        for i in 0..3 {
+            upper_only.add(i, i, 4.0);
         }
+        for i in 0..4 {
+            lower_only.add(i, i, 4.0);
+        }
+        upper_only.add(1, 2, -1.0);
+        lower_only.add(3, 0, -1.0);
+        let e = Ic0::new(&upper_only.build()).unwrap_err();
+        assert_eq!(e, SparseError::AsymmetricPattern { row: 1, col: 2 });
+        let lower_only = lower_only.build();
+        assert_eq!(Ic0::new(&lower_only).unwrap_err(), SparseError::AsymmetricPattern { row: 3, col: 0 });
+        // Inside a block-Jacobi block the position is the matrix's own.
+        let mut big = TripletBuilder::new(6, 6);
+        for i in 0..6 {
+            big.add(i, i, 4.0);
+        }
+        big.add(5, 2, -1.0);
+        let e = BlockJacobiPrecond::from_offsets(&big.build(), &[0, 2, 6], BlockSolve::Ic0).unwrap_err();
+        assert_eq!(e, SparseError::AsymmetricPattern { row: 5, col: 2 });
+        let e = Ic0::new(&CsrMatrix::from_raw(1, 2, vec![0, 1], vec![0], vec![1.0]).unwrap());
+        assert!(matches!(e, Err(SparseError::DimensionMismatch { .. })), "{e:?}");
+    }
+
+    #[test]
+    fn ic0_persist_round_trip_is_canonical_and_checks_the_dimension() {
+        let a = random_spd(40, 8);
+        let ic = Ic0::new(&a).unwrap();
+        let mut enc = Encoder::new();
+        assert!(ic.persist_into(&mut enc).unwrap());
+        let bytes = enc.into_bytes();
+        let back = decode_preconditioner(&mut Decoder::new(&bytes), 40).unwrap();
+        let mut again = Encoder::new();
+        assert!(back.persist_into(&mut again).unwrap());
+        assert_eq!(again.into_bytes(), bytes, "re-encoding must reproduce the bytes");
+        let r: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
+        let (mut z1, mut z2) = (vec![0.0; 40], vec![0.0; 40]);
+        ic.apply(&r, &mut z1);
+        back.apply(&r, &mut z2);
+        assert!(z1.iter().zip(&z2).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let wrong = decode_preconditioner(&mut Decoder::new(&bytes), 41);
+        assert!(matches!(wrong, Err(PersistError::InvalidData { .. })));
+        // A factor whose row does not start at its pivot is refused.
+        let lower = Ic0 { u: tridiag(3), scale: vec![1.0; 3] };
+        let mut enc = Encoder::new();
+        lower.encode(&mut enc).unwrap();
+        let bytes = enc.into_bytes();
+        assert!(matches!(Ic0::decode(&mut Decoder::new(&bytes)), Err(PersistError::InvalidData { .. })));
     }
 
     #[test]
     fn block_jacobi_solves_in_place_what_its_blocks_solve_alone() {
         let a = tridiag(23);
         let r: Vec<f64> = (0..23).map(|i| (i as f64 * 0.7).sin()).collect();
-        for solve in [BlockSolve::DenseLu, BlockSolve::Ilu0] {
+        for solve in [BlockSolve::DenseLu, BlockSolve::Ic0] {
             let p = BlockJacobiPrecond::from_offsets(&a, &[0, 5, 6, 16, 23], solve).unwrap();
             // Stale output must be overwritten everywhere.
             let mut z = vec![f64::NAN; 23];
@@ -808,7 +891,7 @@ mod tests {
                 let mut alone = vec![0.0; hi - lo];
                 match factor {
                     BlockFactor::Dense(lu) => lu.solve(&r[lo..hi], &mut alone),
-                    BlockFactor::Ilu(ilu) => ilu.solve(&r[lo..hi], &mut alone),
+                    BlockFactor::Ic(ic) => ic.solve(&r[lo..hi], &mut alone),
                 }
                 for (a, b) in z[lo..hi].iter().zip(&alone) {
                     assert_eq!(a.to_bits(), b.to_bits(), "block ({lo}, {hi})");
@@ -835,7 +918,7 @@ mod tests {
     fn block_jacobi_many_blocks_is_approximate_but_spd_like() {
         let a = tridiag(16);
         let p = BlockJacobiPrecond::new(&a, 4, BlockSolve::DenseLu).unwrap();
-        assert_eq!(p.num_blocks(), 4);
+        assert_eq!(p.ranges.len(), 4);
         assert_eq!(p.num_shifted_blocks(), 0);
         let r = vec![1.0; 16];
         let mut z = vec![0.0; 16];
@@ -847,18 +930,18 @@ mod tests {
     #[test]
     fn block_offsets_respected() {
         let a = tridiag(10);
-        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 3, 10], BlockSolve::Ilu0).unwrap();
-        assert_eq!(p.block_ranges(), &[(0, 3), (3, 10)]);
+        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 3, 10], BlockSolve::Ic0).unwrap();
+        assert_eq!(p.ranges, vec![(0, 3), (3, 10)]);
     }
 
     #[test]
     fn bad_offsets_are_rejected() {
         let a = tridiag(4);
-        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 5], BlockSolve::Ilu0);
+        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 5], BlockSolve::Ic0);
         assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })), "{e:?}");
-        let e = BlockJacobiPrecond::from_offsets(&a, &[1, 4], BlockSolve::Ilu0);
+        let e = BlockJacobiPrecond::from_offsets(&a, &[1, 4], BlockSolve::Ic0);
         assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })));
-        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 2, 2, 4], BlockSolve::Ilu0);
+        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 2, 2, 4], BlockSolve::Ic0);
         assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })));
     }
 
@@ -872,7 +955,7 @@ mod tests {
         b.add(2, 2, 0.0);
         b.add(3, 3, 2.0);
         let a = b.build();
-        for solve in [BlockSolve::DenseLu, BlockSolve::Ilu0] {
+        for solve in [BlockSolve::DenseLu, BlockSolve::Ic0] {
             let e = BlockJacobiPrecond::from_offsets(&a, &[0, 2, 4], solve);
             match e {
                 Err(SparseError::SingularBlock { block, rows, .. }) => {

@@ -21,6 +21,18 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
+/// Which Krylov method leads the escalation ladder
+/// ([`crate::solve_escalated`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KrylovKind {
+    /// Restarted GMRES: the paper's choice (PETSc's default Krylov
+    /// method), for any nonsingular system.
+    Gmres,
+    /// Preconditioned conjugate gradients: for the symmetric positive
+    /// definite `K_ff` of linear elasticity, with an SPD preconditioner.
+    ConjugateGradient,
+}
+
 /// Why a Krylov solve stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
@@ -76,7 +88,7 @@ pub struct SolverOptions {
     pub tolerance: f64,
     /// Maximum total iterations.
     pub max_iterations: usize,
-    /// GMRES restart length (ignored by CG).
+    /// GMRES restart length (ignored by CG and BiCGStab).
     pub restart: usize,
     /// Record per-iteration residuals in `SolveStats::history`.
     pub record_history: bool,
@@ -95,6 +107,30 @@ impl Default for SolverOptions {
             restart: 30,
             record_history: false,
             time_budget: None,
+        }
+    }
+}
+
+impl brainshift_persist::Persist for KrylovKind {
+    fn encode(
+        &self,
+        enc: &mut brainshift_persist::Encoder,
+    ) -> Result<(), brainshift_persist::PersistError> {
+        enc.put_u8(match self {
+            KrylovKind::Gmres => 0,
+            KrylovKind::ConjugateGradient => 1,
+        });
+        Ok(())
+    }
+    fn decode(
+        dec: &mut brainshift_persist::Decoder<'_>,
+    ) -> Result<Self, brainshift_persist::PersistError> {
+        match dec.get_u8()? {
+            0 => Ok(KrylovKind::Gmres),
+            1 => Ok(KrylovKind::ConjugateGradient),
+            t => Err(brainshift_persist::PersistError::InvalidData {
+                reason: format!("invalid KrylovKind tag {t}"),
+            }),
         }
     }
 }

@@ -79,7 +79,7 @@ fn main() {
 
     let cfg = FemSolveConfig {
         krylov: KrylovKind::Gmres,
-        precond: PrecondKind::BlockJacobi { blocks: 8, solve: BlockSolve::Ilu0 },
+        precond: PrecondKind::BlockJacobi { blocks: 8, solve: BlockSolve::Ic0 },
         options: SolverOptions { tolerance: 1e-8, max_iterations: 5000, ..Default::default() },
         escalation: EscalationPolicy::none(),
     };

@@ -47,8 +47,10 @@ fn main() {
     // 3. Report.
     println!("  mesh: {} nodes, {} tets", result.mesh.num_nodes(), result.mesh.num_tets());
     println!(
-        "  FEM: {} equations, GMRES converged in {} iterations",
-        result.fem.total_equations, result.fem.stats.iterations
+        "  FEM: {} equations, {} converged in {} iterations",
+        result.fem.total_equations,
+        result.fem.rungs.last().map_or("solver", |r| r.solver),
+        result.fem.stats.iterations
     );
     println!("  active surface residual: {:.2} mm", result.surface_residual);
     println!("\nstage timings (the paper's Figure 6):");

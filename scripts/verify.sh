@@ -30,17 +30,20 @@ cargo test -q --test conformance_gate
 cargo test -q -p brainshift-conformance
 cargo run -q --release -p brainshift-conformance --bin conformance_report
 
-# Per-scan stage: the hot path of one scan, layer by layer. A property
-# test proves the parallel slab classifier equal to the serial oracle,
-# labels and leaf visits, on a grid of three slabs and a ragged tail; the
-# sparse, imaging and FEM suites pin the fused Gram–Schmidt sweep, the
-# ILU sweep, the distance transform, the stencil gradient and the
-# resample plan to the formulations they replaced, bit for bit. Running
+# Per-scan stage: the hot path of one scan, layer by layer. Property
+# tests prove the parallel slab classifier equal to the serial oracle,
+# labels and leaf visits, on a grid of three slabs and a ragged tail, and
+# the k-NN vote equal to a brute-force scan under forced distance ties;
+# the sparse, imaging and FEM suites pin the fused Gram–Schmidt sweep,
+# the distance transform, the stencil gradient and the resample plan to
+# the formulations they replaced, bit for bit, IC(0) to its defining
+# product and the CG rung to its deadline and hand-off to GMRES. Running
 # them under two worker counts extends the equalities across thread
-# counts (the fused sweep's chunked path only runs above one thread), and
-# the root-level goldens pin three whole warm scans to the pre-change
-# bits at both. The shared-stiffness suite pins a context rebuilt on the
-# surgery's one K (and one restored onto it) to the first context's bits.
+# counts (the dense reductions sum fixed blocks, so a Krylov solve is the
+# same bits at any count), and the root-level goldens pin three whole
+# warm scans and six one-shot pipelines to the same bits at both. The
+# shared-stiffness suite pins a context rebuilt on the surgery's one K
+# (and one restored onto it) to the first context's bits.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
@@ -84,9 +87,9 @@ cargo run -q --release -p brainshift-bench --bin scenario_suite_json -- 200
 # shard mid-sequence, restore, finish — fields and event script must be
 # byte-identical to an uninterrupted run) at two thread counts so the
 # bitwise claims survive parallelism. Then the durability report bin,
-# which additionally asserts warm restore strictly cheaper than a cold
-# context rebuild and deterministic replay-from-log, writing
-# bench_out/persist.json.
+# which prints warm restore against a cold context rebuild and asserts
+# that the restored context resumes warm, re-encodes canonically, and
+# that replay-from-log is deterministic, writing bench_out/persist.json.
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-persist
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-persist
 RAYON_NUM_THREADS=1 cargo test -q --test persist_props --test persist_recovery
@@ -130,16 +133,28 @@ for f in crates/sparse/src/*.rs crates/fem/src/*.rs; do
   fi
 done
 
-# One FEM solve path: SolverContext is the only place in the FEM crate
-# that runs the escalation ladder or CG — the cold entry points are
-# one-shot contexts, not a second copy of the solve.
-for call in 'solve_escalated(' 'conjugate_gradient('; do
-  n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF "$call" || true)
-  if [ "$n" -ne 1 ]; then
-    echo "expected exactly one non-test '$call' call in crates/fem/src, found $n" >&2
+# One FEM solve path and one ladder: SolverContext is the only place in
+# the FEM crate that runs the escalation ladder — the cold entry points
+# are one-shot contexts, not a second copy of the solve — and CG runs only
+# as a rung of that ladder: no program code calls it but the solver and
+# the ladder themselves (DESIGN §9). IC(0) is the one incomplete
+# factorization; ILU(0) does not come back (DESIGN §16).
+n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF 'solve_escalated(' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test 'solve_escalated(' call in crates/fem/src, found $n" >&2
+  exit 1
+fi
+for f in $(find crates/*/src examples -name '*.rs' | sort); do
+  case "$f" in crates/sparse/src/cg.rs | crates/sparse/src/escalate.rs) continue ;; esac
+  if non_test "$f" | grep -nF 'conjugate_gradient('; then
+    echo "conjugate_gradient called outside the escalation ladder ($f): solve through solve_escalated" >&2
     exit 1
   fi
 done
+if grep -rnE 'Ilu0|ilu0' crates tests examples; then
+  echo "ILU(0) is back: IC(0) is the one incomplete factorization" >&2
+  exit 1
+fi
 
 # One reduced system: `DirichletStructure` is the only Dirichlet
 # substitution. The context builds it, the simulated cluster borrows it

@@ -12,7 +12,7 @@
 //! * [`register`] — MI rigid registration;
 //! * [`mesh`] — the labeled-volume tetrahedral mesher;
 //! * [`surface`] — the active-surface correspondence stage;
-//! * [`sparse`] — CSR + GMRES/CG + block-Jacobi/ILU(0) (the PETSc slice);
+//! * [`sparse`] — CSR + CG/GMRES ladder + block-Jacobi/IC(0) (the PETSc slice);
 //! * [`cluster`] — machine models of the paper's three computers and the
 //!   simulated-time cost accounting;
 //! * [`fem`] — the linear-elastic tetrahedral FEM and the instrumented

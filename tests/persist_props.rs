@@ -160,12 +160,12 @@ fn solver_context_round_trips_and_solves_identically() {
     assert_eq!(ua, ub, "restored context solved differently");
 }
 
-/// Format v3 is the v1 layout: a default-config context inside a
-/// container re-stamped to version 1 decodes and resumes warm, and the
-/// retired v2 stamp (whose solver sections carried a tail nothing reads
-/// any more) is refused as a whole rather than mis-parsed.
+/// Format v4 carries the default context's block-Jacobi IC(0) factors: a
+/// snapshot of it decodes and resumes warm without re-factoring, and the
+/// older stamps — v1 and v3 with ILU(0) factors, v2 with a solver tail
+/// nothing reads — are refused as a whole rather than mis-parsed.
 #[test]
-fn v1_stamped_context_resumes_warm_and_v2_is_refused() {
+fn v4_context_resumes_warm_and_older_versions_are_refused() {
     let mesh = block_mesh(4);
     let surface = boundary_nodes(&mesh);
     let mut ctx = SolverContext::new(
@@ -185,20 +185,22 @@ fn v1_stamped_context_resumes_warm_and_v2_is_refused() {
     let mut w = SnapshotWriter::new();
     w.section_value("context", &ctx).expect("encode context");
     let mut bytes = w.finish();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let reader = SnapshotReader::parse(&bytes).expect("v1 container parses");
-    let mut back: SolverContext = reader.section_value("context").expect("v1 context decodes");
+    let reader = SnapshotReader::parse(&bytes).expect("v4 container parses");
+    assert_eq!(reader.version(), 4);
+    let mut back: SolverContext = reader.section_value("context").expect("v4 context decodes");
     let again = back.solve(&bcs).expect("repeated scan");
     assert!(again.stats.converged());
     assert_eq!(again.stats.iterations, 0, "restored warm start should satisfy the system");
     assert_eq!(back.stats().factorizations, 1, "restore must not re-factor");
 
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let refused = SnapshotReader::parse(&bytes);
-    assert!(
-        matches!(refused, Err(PersistError::UnsupportedVersion { found: 2, .. })),
-        "{refused:?}"
-    );
+    for old in [1u32, 2, 3] {
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        let refused = SnapshotReader::parse(&bytes);
+        assert!(
+            matches!(refused, Err(PersistError::UnsupportedVersion { found, .. }) if found == old),
+            "v{old}: {refused:?}"
+        );
+    }
 }
 
 /// `memory_bytes()` accounting audit: the serialized payload of a

@@ -7,7 +7,7 @@ use brainshift_mesh::tetmesh::{barycentric_in, signed_volume};
 use brainshift_register::RigidTransform;
 use brainshift_sparse::{
     conjugate_gradient, gmres, partition::weighted_offsets, solve_escalated, CsrMatrix,
-    EscalationPolicy, IdentityPrecond, JacobiPrecond, KrylovWorkspace, SolverOptions,
+    EscalationPolicy, IdentityPrecond, JacobiPrecond, KrylovKind, KrylovWorkspace, SolverOptions,
     TripletBuilder,
 };
 use proptest::prelude::*;
@@ -52,7 +52,8 @@ proptest! {
         let sg = gmres(&a, &IdentityPrecond, &rhs, &mut xg, &opts).expect("dims agree");
         prop_assert!(sg.converged());
         let mut xc = vec![0.0; n];
-        let sc = conjugate_gradient(&a, &JacobiPrecond::new(&a), &rhs, &mut xc, &opts).expect("dims agree");
+        let sc = conjugate_gradient(&a, &JacobiPrecond::new(&a), &rhs, &mut xc, &opts, &mut KrylovWorkspace::new(n))
+            .expect("dims agree");
         prop_assert!(sc.converged());
         let scale = x_true.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         for i in 0..n {
@@ -88,8 +89,9 @@ proptest! {
             ..Default::default()
         };
         let mut x = vec![0.0; n];
-        let mut ws = KrylovWorkspace::new(n, opts.restart);
-        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, &opts, &ladder, &mut ws).expect("dims agree");
+        let mut ws = KrylovWorkspace::new(n);
+        let out = solve_escalated(&a, &IdentityPrecond, &b, &mut x, KrylovKind::Gmres, &opts, &ladder, &mut ws)
+            .expect("dims agree");
 
         // (1) The reported residual is the residual of the returned x.
         let mut ax = vec![0.0; n];
@@ -105,9 +107,9 @@ proptest! {
         // (2) Never worse than the first stage run on its own (the ladder
         // contains that exact attempt and keeps the best).
         let mut x1 = vec![0.0; n];
-        let mut ws1 = KrylovWorkspace::new(n, opts.restart);
+        let mut ws1 = KrylovWorkspace::new(n);
         let first = solve_escalated(
-            &a, &IdentityPrecond, &b, &mut x1, &opts, &EscalationPolicy::none(), &mut ws1,
+            &a, &IdentityPrecond, &b, &mut x1, KrylovKind::Gmres, &opts, &EscalationPolicy::none(), &mut ws1,
         )
         .expect("dims agree");
         prop_assert!(

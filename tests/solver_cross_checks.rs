@@ -10,7 +10,8 @@ use brainshift_imaging::Vec3;
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
 use brainshift_sparse::dense::DenseLu;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, Ilu0, JacobiPrecond, SolverOptions,
+    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, Ic0, JacobiPrecond, KrylovWorkspace,
+    SolverOptions,
 };
 
 fn small_mesh() -> brainshift_mesh::TetMesh {
@@ -52,16 +53,23 @@ fn gmres_cg_and_dense_lu_agree_on_fem_system() {
 
     let opts = SolverOptions { tolerance: 1e-12, max_iterations: 20_000, ..Default::default() };
     let mut x_g = vec![0.0; n];
-    let sg = gmres(&a, &Ilu0::new(&a), &rhs, &mut x_g, &opts).expect("dims agree");
+    let ic = Ic0::new(&a).expect("K_ff has a symmetric pattern");
+    let sg = gmres(&a, &ic, &rhs, &mut x_g, &opts).expect("dims agree");
     assert!(sg.converged());
+    let mut ws = KrylovWorkspace::new(n);
     let mut x_c = vec![0.0; n];
-    let sc = conjugate_gradient(&a, &JacobiPrecond::new(&a), &rhs, &mut x_c, &opts).expect("dims agree");
+    let sc = conjugate_gradient(&a, &JacobiPrecond::new(&a), &rhs, &mut x_c, &opts, &mut ws).expect("dims agree");
     assert!(sc.converged());
+    let mut x_ic = vec![0.0; n];
+    let sic = conjugate_gradient(&a, &ic, &rhs, &mut x_ic, &opts, &mut ws).expect("dims agree");
+    assert!(sic.converged());
+    assert!(sic.iterations < sc.iterations, "IC(0) {} vs Jacobi {}", sic.iterations, sc.iterations);
 
     let scale = x_lu.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
     for i in 0..n {
         assert!((x_g[i] - x_lu[i]).abs() < 1e-7 * scale, "gmres[{i}]");
         assert!((x_c[i] - x_lu[i]).abs() < 1e-7 * scale, "cg[{i}]");
+        assert!((x_ic[i] - x_lu[i]).abs() < 1e-7 * scale, "cg + ic0[{i}]");
     }
 }
 
@@ -71,7 +79,7 @@ fn block_jacobi_block_count_does_not_change_solution() {
     let opts = SolverOptions { tolerance: 1e-11, max_iterations: 20_000, ..Default::default() };
     let mut reference: Option<Vec<f64>> = None;
     for blocks in [1usize, 2, 5] {
-        let pc = BlockJacobiPrecond::new(&a, blocks, BlockSolve::Ilu0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(&a, blocks, BlockSolve::Ic0).expect("singular diagonal block");
         let mut x = vec![0.0; a.nrows()];
         let s = gmres(&a, &pc, &rhs, &mut x, &opts).expect("dims agree");
         assert!(s.converged(), "blocks={blocks}");
@@ -196,7 +204,8 @@ fn distributed_gmres_solves_fem_system() {
     let opts = SolverOptions { tolerance: 1e-9, max_iterations: 5000, ..Default::default() };
     // Serial reference.
     let mut x_ref = vec![0.0; n];
-    let s_ref = gmres(&a, &Ilu0::new(&a), &rhs, &mut x_ref, &opts).expect("dims agree");
+    let ic = Ic0::new(&a).expect("K_ff has a symmetric pattern");
+    let s_ref = gmres(&a, &ic, &rhs, &mut x_ref, &opts).expect("dims agree");
     assert!(s_ref.converged());
     let p = 4;
     let offsets = brainshift_sparse::partition::even_offsets(n, p);

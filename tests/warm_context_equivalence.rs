@@ -189,12 +189,13 @@ fn hand_rolled_cold_solve(
     reduced.rhs_into(bcs, Some(loads), &mut u_c, &mut rhs).expect("right-hand side");
     let precond = build_preconditioner(cfg.precond, &reduced.matrix).expect("precondition");
     let mut x = vec![0.0; reduced.matrix.nrows()];
-    let mut ws = KrylovWorkspace::new(x.len(), cfg.options.restart);
+    let mut ws = KrylovWorkspace::new(x.len());
     let out = solve_escalated(
         &reduced.matrix,
         precond.as_ref(),
         &rhs,
         &mut x,
+        cfg.krylov,
         &cfg.options,
         &cfg.escalation,
         &mut ws,

@@ -4,22 +4,27 @@
 //! `PreparedSurgery::register_scan` on one warm `SolverContext`; the
 //! FNV-1a hash over `f64::to_bits` of every field component, the Krylov
 //! iteration count and the bits of the surface residual must equal the
-//! constants below. The constants were generated on the commit *before*
-//! the resample plan, the fused Gram–Schmidt sweep, the single-touch ILU
-//! sweep, the in-place distance transform and the stencil gradient
-//! landed, so any of those changing one bit of any output fails here.
+//! constants below.
 //!
 //! The one-shot form is pinned the same way: `run_pipeline` is
 //! `PreparedSurgery::new` + `build_solver_context` + one `register_scan`
 //! behind input alignment, and every output it hands back — forward and
 //! backward field, warped reference, segmentation, nodal displacements,
-//! iterations, residual — must equal the constants generated on the last
-//! commit where `run_pipeline` was a second, monolithic copy of the
-//! stages (`e99a9c6`).
+//! iterations, residual — must equal the constants.
 //!
-//! Every mesh stays under the BLAS-1 kernels' parallel threshold (2¹⁴
-//! elements), so every reduction is one left-to-right sum and the hashes
-//! hold at any `RAYON_NUM_THREADS`.
+//! The constants were regenerated once, deliberately, when preconditioned
+//! CG on block-Jacobi IC(0) replaced GMRES on block-Jacobi ILU(0) as the
+//! default solve (DESIGN §16): the field, displacement, iteration and
+//! warped-reference entries moved. Every segmentation hash and every
+//! distance-potential surface residual kept its bits — the k-NN leaf-scan
+//! rewrite that landed with it reproduces the previous constants on its
+//! own. The two image-gradient residuals moved in the ninth digit: that
+//! force reads the scan's intensities, and the elastic case synthesizes
+//! the scan from a ground-truth solve with the default solver.
+//!
+//! Every Krylov kernel — the dense reductions in fixed blocks, the
+//! row-parallel SpMV, the per-block preconditioner — gives the same bits
+//! at any thread count, so the constants hold at any `RAYON_NUM_THREADS`.
 
 use brainshift_core::{
     generate_elastic_case, generate_scan_sequence, run_pipeline, ElasticCase, ElasticCaseOptions,
@@ -33,15 +38,15 @@ use brainshift_imaging::{DisplacementField, Mat3, Vec3, Volume};
 type Golden = [(u64, usize, u64); 3];
 
 const GOLDEN_ISO_32X32X24: Golden = [
-    (0x743b_a800_2da8_d3be, 22, 0x3ff9_ea82_b660_f4f2),
-    (0xade3_80dc_5e91_b851, 27, 0x3ff9_8b6b_6213_66e9),
-    (0x69f6_1f52_fd39_1234, 25, 0x3ff9_d242_77d3_22df),
+    (0x711e_34fe_c7fb_f698, 23, 0x3ff9_ea82_b660_f4f2),
+    (0x22dd_236c_1632_b125, 25, 0x3ff9_8b6b_6213_66e9),
+    (0xab10_ddbe_1acc_5630, 23, 0x3ff9_d242_77d3_22df),
 ];
 
 const GOLDEN_ANISO_48X40X30: Golden = [
-    (0x3a43_9932_ff1d_2831, 27, 0x3ff9_28b9_5441_2ec9),
-    (0xeaeb_533f_b7ea_5986, 30, 0x3ff8_a37b_88b9_7eb0),
-    (0x8390_81e6_5a09_bbcf, 25, 0x3ff7_94be_6dc2_23bf),
+    (0x60a0_0914_a079_e32f, 27, 0x3ff9_28b9_5441_2ec9),
+    (0x1def_894e_4d89_71d3, 28, 0x3ff8_a37b_88b9_7eb0),
+    (0xb9c6_268c_aded_590f, 27, 0x3ff7_94be_6dc2_23bf),
 ];
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -67,11 +72,6 @@ fn three_warm_scans(dims: Dims, spacing: Spacing) -> Golden {
     );
     let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
     let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare failed");
-    assert!(
-        3 * prepared.mesh().num_nodes() < 1 << 14,
-        "{} nodes: the reductions would go parallel and the hashes would depend on the thread count",
-        prepared.mesh().num_nodes()
-    );
     let mut ctx = prepared.build_solver_context().expect("context build failed");
     let mut carry: Option<DisplacementField> = None;
     let mut out = [(0, 0, 0); 3];
@@ -106,68 +106,68 @@ type OneShotGolden = ([u64; 5], usize, u64);
 
 const GOLDEN_ONE_SHOT_ISO_48X48X36: OneShotGolden = (
     [
-        0x2744_0d27_493a_1db4,
-        0xac1d_f171_5bb6_2ef8,
-        0x3e92_82b1_4eb5_62c3,
+        0x9b89_a080_f7ec_4cf1,
+        0x8c01_597a_f3c9_ae07,
+        0x45fc_4ae1_1dcd_ced9,
         0x9dd2_5117_6ea9_563a,
-        0x0ca5_745d_35d3_aa95,
+        0xe464_b8ca_2ba3_eb12,
     ],
-    36,
+    33,
     0x3ff9_9012_0526_f162,
 );
 const GOLDEN_ONE_SHOT_GRADIENT_48X48X36: OneShotGolden = (
     [
-        0x368a_fad4_988b_6bb5,
-        0xcdd9_f2f8_4dc7_5078,
-        0x9ce2_890a_8737_009c,
+        0x8184_87d8_6bc8_bf8e,
+        0x7f28_27c3_815d_7d8e,
+        0xf90f_1c59_e92d_78d9,
         0x9dd2_5117_6ea9_563a,
-        0x2ab4_b105_02b3_d983,
+        0xbab4_93c9_ad6b_37e7,
     ],
-    35,
-    0x3fe4_fade_6a77_7057,
+    33,
+    0x3fe4_fade_6b4d_4267,
 );
 const GOLDEN_ONE_SHOT_ANISO_48X40X30: OneShotGolden = (
     [
-        0xb8fb_348d_4d9c_4a5e,
-        0x3731_b26c_aa36_259a,
-        0xa5fb_d078_c799_e109,
+        0xdf17_8c98_56d9_af9f,
+        0x7043_bc64_b26b_6230,
+        0xc9ea_09f8_52ee_1aa4,
         0x2e2e_599c_5525_de01,
-        0x1f86_432b_83f0_30ee,
+        0x412f_b267_bf6d_c25c,
     ],
-    29,
+    27,
     0x3ff7_5b71_1f80_ac6b,
 );
 const GOLDEN_ONE_SHOT_DRIFT_40X40X30: OneShotGolden = (
     [
-        0xb3e7_a6e5_19ed_234c,
-        0xbd22_cb6f_0e74_7139,
-        0x709b_6695_9523_ff93,
+        0x002a_2869_aa3c_2a3f,
+        0x19a3_cc5b_a379_dfa4,
+        0xbe25_0368_45dd_5634,
         0x9552_e710_7b56_2e4f,
-        0x2c4b_79ef_bb5f_1064,
+        0x0a8e_3178_c709_7c70,
     ],
-    28,
+    29,
     0x3ffa_e432_05e3_2614,
 );
 const GOLDEN_ONE_SHOT_DRIFT_GRADIENT_40X40X30: OneShotGolden = (
     [
-        0x8b8c_907f_a05b_4303,
-        0x5a81_328a_d9ac_2f5d,
-        0x0b77_0f8d_b339_11c9,
+        0x0a9a_088f_d245_9d6e,
+        0xa029_6509_a975_c7a1,
+        0x06b8_2906_391c_b59f,
         0x9552_e710_7b56_2e4f,
-        0x8c64_519e_b695_8930,
+        0x8688_e773_516c_e3d2,
     ],
     28,
-    0x3fe5_9eec_aa8b_6c60,
+    0x3fe5_9eec_a723_bc0c,
 );
 const GOLDEN_ONE_SHOT_RIGID_40X40X30: OneShotGolden = (
     [
-        0x7255_6577_3763_3beb,
-        0x9e65_536d_f94f_be37,
-        0xbd64_001c_5c83_7207,
+        0x0f2f_a1f6_f387_cd8f,
+        0x90c3_d0eb_e611_f3eb,
+        0x0f49_bf64_f4c5_9f39,
         0xdf10_d9fe_2c4f_1e1f,
-        0x7b3a_bc40_13f7_6b9e,
+        0x7793_fea8_f79f_0f5e,
     ],
-    32,
+    29,
     0x3ffb_7b14_4417_bc2f,
 );
 
@@ -182,11 +182,6 @@ fn elastic_case(dims: Dims, spacing: Spacing, resect_tumor: bool) -> ElasticCase
 fn one_shot(case: &ElasticCase, scan: &Volume<f32>, cfg: &PipelineConfig) -> OneShotGolden {
     let res = run_pipeline(&case.preop.intensity, &case.preop.labels, scan, cfg).expect("pipeline failed");
     assert!(res.fem.stats.converged());
-    assert!(
-        3 * res.mesh.num_nodes() < 1 << 14,
-        "{} nodes: the reductions would go parallel and the hashes would depend on the thread count",
-        res.mesh.num_nodes()
-    );
     let hashes = [
         fnv1a_field(&res.forward_field),
         fnv1a_field(&res.backward_field),
