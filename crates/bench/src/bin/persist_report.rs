@@ -3,14 +3,13 @@
 //! Three claims are *asserted*, then written with their measurements to
 //! `bench_out/persist.json` (`brainshift.obs.v1`):
 //!
-//! 1. **A restored context resumes warm**: a decoded [`SolverContext`]
-//!    (stiffness CSR, Dirichlet structure, factored preconditioner,
-//!    warm-start state) re-encodes to the same bytes, re-factors nothing,
-//!    and solves the scan it last saw again in zero Krylov iterations.
-//!    Its decode time is printed against a cold rebuild from the prepared
-//!    surgery, not asserted below it: since block-Jacobi IC(0), a rebuild
-//!    (reduction + factorization on the shared `K`) costs about what a
-//!    decode does (DESIGN.md §15).
+//! 1. **A restored session resumes warm**: a shard snapshot keeps a
+//!    resident context's warm-start seed, not the context, and
+//!    `restore_shard` rebuilds the context on the surgery's `K` and seeds
+//!    it, so a repeat of the last scan before the snapshot is served warm
+//!    in zero Krylov iterations. The shard snapshot's size with and
+//!    without a resident context and the restore time are printed
+//!    (DESIGN.md §15).
 //! 2. **Crash recovery is byte-exact**: a scan sequence served across a
 //!    `snapshot_shard` → `restore_shard` boundary produces bitwise
 //!    identical displacement fields and an event-log script tail
@@ -25,32 +24,37 @@
 
 use brainshift_conformance::{quantized_field_hash, GOLDEN_QUANTUM_MM};
 use brainshift_core::{generate_scan_sequence, PipelineConfig, PreparedSurgery, ScanSequence};
-use brainshift_fem::SolverContext;
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_obs::{BenchReport, JsonValue};
-use brainshift_persist::{from_bytes, to_bytes};
 use brainshift_service::{RecordedRun, ScanJob, Service, ServiceConfig, SimJob};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Median of `n` timed runs of `f`, in µs.
-fn median_us<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut samples: Vec<f64> = (0..n)
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn service_cfg() -> ServiceConfig {
     ServiceConfig { workers: 1, queue_capacity: 16, ..Default::default() }
+}
+
+fn scan_job(session: u64, seq: &ScanSequence, i: usize) -> ScanJob {
+    ScanJob {
+        session,
+        intensity: seq.scans[i].intensity.clone(),
+        priority: 0,
+        deadline: Duration::from_secs(120),
+    }
+}
+
+/// Serve the first scan on a fresh one-session shard under `cfg`, then
+/// snapshot the shard.
+fn snapshot_after_first_scan(cfg: ServiceConfig, prepared: &Arc<PreparedSurgery>, seq: &ScanSequence) -> (u64, Vec<u8>) {
+    let shard = Service::start(cfg);
+    let sid = shard.open_session(Arc::clone(prepared));
+    shard.submit(scan_job(sid, seq, 0)).expect("submit scan").wait().expect("scan outcome");
+    let snapshot = shard.snapshot_shard().expect("snapshot shard");
+    shard.shutdown();
+    (sid, snapshot)
 }
 
 /// Serve scans `[from, to)` of the sequence sequentially on `service`,
@@ -64,14 +68,7 @@ fn serve(
     out: &mut Vec<(u64, bool)>,
 ) {
     for i in from..to {
-        let ticket = service
-            .submit(ScanJob {
-                session,
-                intensity: seq.scans[i].intensity.clone(),
-                priority: 0,
-                deadline: Duration::from_secs(120),
-            })
-            .expect("submit scan");
+        let ticket = service.submit(scan_job(session, seq, i)).expect("submit scan");
         let outcome = ticket.wait().expect("scan outcome");
         out.push((quantized_field_hash(outcome.field.data(), GOLDEN_QUANTUM_MM), outcome.warm));
     }
@@ -92,25 +89,28 @@ fn main() {
     let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
     let prepared = Arc::new(PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare"));
 
-    // ---- 1. Warm restore vs cold rebuild. ----
-    let mut ctx = prepared.build_solver_context().expect("probe context");
-    let first = &seq.scans[0].intensity;
-    prepared.register_scan(&mut ctx, first, None, None, None).expect("probe scan");
-    let ctx_bytes = to_bytes(&ctx).expect("encode context");
-    let cold_build_us = median_us(3, || prepared.build_solver_context().expect("cold build"));
-    let restore_us = median_us(3, || from_bytes::<SolverContext>(&ctx_bytes).expect("decode"));
-    let ratio = restore_us / cold_build_us;
-    println!(
-        "solver context: cold build {cold_build_us:.0} µs, warm restore {restore_us:.0} µs \
-         ({ratio:.3}×, snapshot {} KiB)",
-        ctx_bytes.len() / 1024
+    // ---- 1. A restore is a rebuild plus a seed. ----
+    // A one-byte budget evicts the context after every scan, so that
+    // snapshot holds no resident context.
+    let (_, evicted) = snapshot_after_first_scan(
+        ServiceConfig { memory_budget_bytes: 1, ..service_cfg() },
+        &prepared,
+        &seq,
     );
-    // Canonical encoding: restoring and re-encoding reproduces the bytes.
-    let mut restored: SolverContext = from_bytes(&ctx_bytes).expect("decode");
-    assert_eq!(to_bytes(&restored).expect("re-encode"), ctx_bytes, "non-canonical context codec");
-    let again = prepared.register_scan(&mut restored, first, None, None, None).expect("restored scan");
-    assert_eq!(again.fem_iterations, 0, "the restored context did not resume warm");
-    assert_eq!(restored.stats().factorizations, 1, "the restore re-factored");
+    let (sid, resident) = snapshot_after_first_scan(service_cfg(), &prepared, &seq);
+    let t0 = Instant::now();
+    let restored = Service::restore_shard(service_cfg(), &resident, &HashMap::from([(sid, Arc::clone(&prepared))]))
+        .expect("restore shard");
+    let restore_us = t0.elapsed().as_secs_f64() * 1e6;
+    let again = restored.submit(scan_job(sid, &seq, 0)).expect("submit repeat").wait().expect("repeat outcome");
+    restored.shutdown();
+    println!(
+        "shard snapshot: {} B without a resident context, {} B with one; restore {restore_us:.0} µs",
+        evicted.len(),
+        resident.len()
+    );
+    assert!(again.warm, "the restored session did not resume warm");
+    assert_eq!(again.fem_iterations, 0, "the restored seed does not solve the scan it came from");
 
     // ---- 2. Crash recovery: snapshot mid-sequence, restore, finish. ----
     let n_scans = seq.scans.len();
@@ -204,12 +204,11 @@ fn main() {
         .with("snapshot_at_scan", cut.into())
         .with("replay_jobs", jobs.len().into());
     report.extra = JsonValue::obj()
-        .with("context_snapshot_bytes", ctx_bytes.len().into())
+        .with("snapshot_bytes_without_context", evicted.len().into())
+        .with("snapshot_bytes_with_context", resident.len().into())
+        .with("restore_us", restore_us.into())
         .with("shard_snapshot_bytes", snapshot.len().into())
         .with("replay_log_bytes", log_bytes.len().into())
-        .with("cold_build_us", cold_build_us.into())
-        .with("restore_us", restore_us.into())
-        .with("restore_over_cold_ratio", ratio.into())
         .with("shard_restore_us", shard_restore_us.into())
         .with("recovery_match", recovery_match.into())
         .with("replay_match", outcome.matches.into());

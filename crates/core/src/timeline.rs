@@ -97,7 +97,7 @@ impl Timeline {
 /// Per-stage timing breakdown of one intraoperative registration, in the
 /// paper's vocabulary (its Table-style breakdown of the < 10 s budget):
 /// classifier → per-surgery preparation → FEM assembly → Dirichlet
-/// reduction → preconditioner build → GMRES solve → visualization
+/// reduction → preconditioner build → Krylov solve → visualization
 /// resample.
 ///
 /// Preparation/assembly/reduction/factorization are once-per-surgery
@@ -139,7 +139,7 @@ pub struct StageTimings {
     pub reduction_s: f64,
     /// Preconditioner factorization (0 when served warm).
     pub factorization_s: f64,
-    /// Krylov (GMRES ladder) solve.
+    /// Krylov solve (the escalation ladder, CG first by default).
     pub solve_s: f64,
     /// Resampling the mesh solution onto the voxel grid.
     pub resample_s: f64,
@@ -205,7 +205,7 @@ impl StageTimings {
             ("FEM assembly", self.assembly_s),
             ("Dirichlet reduction", self.reduction_s),
             ("preconditioner build", self.factorization_s),
-            ("GMRES solve", self.solve_s),
+            ("Krylov solve", self.solve_s),
             ("visualization resample", self.resample_s),
         ];
         for (name, seconds) in rows {
@@ -283,7 +283,7 @@ mod tests {
         assert!((a.solve_s - 3.5).abs() < 1e-12);
         assert!((a.total_s() - 4.75).abs() < 1e-12);
         let table = a.render();
-        for row in ["tissue classification", "per-surgery preparation", "FEM assembly", "Dirichlet reduction", "GMRES solve", "visualization resample", "TOTAL"] {
+        for row in ["tissue classification", "per-surgery preparation", "FEM assembly", "Dirichlet reduction", "Krylov solve", "visualization resample", "TOTAL"] {
             assert!(table.contains(row), "missing row {row}:\n{table}");
         }
     }

@@ -297,63 +297,6 @@ impl CsrRows {
     }
 }
 
-impl brainshift_persist::Persist for DirichletStructure {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        self.matrix.encode(enc)?;
-        self.coupling.encode(enc)?;
-        self.free_dofs.encode(enc)?;
-        // `reduced_of_dof` and `constrained_dofs` are derivable from
-        // `free_dofs` + the total DOF count; persist only the count and
-        // rebuild, so a corrupted snapshot cannot desynchronize the maps.
-        enc.put_usize(self.reduced_of_dof.len());
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        use brainshift_persist::PersistError;
-        let matrix = CsrMatrix::decode(dec)?;
-        let coupling = CsrMatrix::decode(dec)?;
-        let free_dofs = Vec::<usize>::decode(dec)?;
-        let ndof = dec.get_usize()?;
-        let invalid = |reason: String| Err(PersistError::InvalidData { reason });
-        if matrix.nrows() != matrix.ncols() || matrix.nrows() != free_dofs.len() {
-            return invalid(format!(
-                "reduced matrix is {}x{} for {} free DOFs",
-                matrix.nrows(),
-                matrix.ncols(),
-                free_dofs.len()
-            ));
-        }
-        if free_dofs.len() > ndof {
-            return invalid(format!("{} free DOFs exceed {ndof} total", free_dofs.len()));
-        }
-        if coupling.nrows() != free_dofs.len() || coupling.ncols() != ndof - free_dofs.len() {
-            return invalid(format!(
-                "coupling block is {}x{}, expected {}x{}",
-                coupling.nrows(),
-                coupling.ncols(),
-                free_dofs.len(),
-                ndof - free_dofs.len()
-            ));
-        }
-        if free_dofs.windows(2).any(|w| w[0] >= w[1]) || free_dofs.last().is_some_and(|&d| d >= ndof)
-        {
-            return invalid("free DOFs must be sorted, unique, and in range".to_string());
-        }
-        let mut reduced_of_dof = vec![usize::MAX; ndof];
-        for (r, &dof) in free_dofs.iter().enumerate() {
-            reduced_of_dof[dof] = r;
-        }
-        let constrained_dofs: Vec<usize> =
-            (0..ndof).filter(|&d| reduced_of_dof[d] == usize::MAX).collect();
-        Ok(DirichletStructure { matrix, coupling, free_dofs, reduced_of_dof, constrained_dofs })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -95,7 +95,6 @@ pub struct ContextTimings {
 pub struct SolverContext {
     cfg: FemSolveConfig,
     num_nodes: usize,
-    mesh_fingerprint: u64,
     k: Arc<CsrMatrix>,
     structure: DirichletStructure,
     precond: Box<dyn Preconditioner>,
@@ -163,7 +162,6 @@ impl SolverContext {
         Ok(SolverContext {
             cfg,
             num_nodes: mesh.num_nodes(),
-            mesh_fingerprint: mesh.fingerprint(),
             full: vec![0.0; k.nrows()],
             k,
             structure,
@@ -176,33 +174,6 @@ impl SolverContext {
             stats: ContextStats { assemblies: 1, factorizations: 1, ..Default::default() },
             timings: ContextTimings { reduction_s, factorization_s, ..Default::default() },
         })
-    }
-
-    /// Swap this context's stiffness matrix for `k` when the two are equal
-    /// bit for bit (shape, sparsity pattern, and every value's
-    /// `f64::to_bits`), so that a context decoded from a snapshot shares
-    /// its surgery's one `K` instead of holding a copy. Returns
-    /// [`FemError::StiffnessMismatch`] and leaves the context untouched
-    /// otherwise: a context whose reduced blocks and factorization came
-    /// from another matrix must not be resumed against this one.
-    pub fn share_matrix(&mut self, k: &Arc<CsrMatrix>) -> Result<(), FemError> {
-        let own = self.k.as_ref();
-        let part = if own.nrows() != k.nrows() || own.ncols() != k.ncols() {
-            Some("shape")
-        } else if own.indptr() != k.indptr() || own.indices() != k.indices() {
-            Some("sparsity pattern")
-        } else if own.values().iter().zip(k.values()).any(|(a, b)| a.to_bits() != b.to_bits()) {
-            Some("values")
-        } else {
-            None
-        };
-        match part {
-            Some(part) => Err(FemError::StiffnessMismatch { part }),
-            None => {
-                self.k = Arc::clone(k);
-                Ok(())
-            }
-        }
     }
 
     /// Solve for the displacement field under `bcs`. The constrained
@@ -315,8 +286,7 @@ impl SolverContext {
     /// `K_ff`/`K_fc` blocks and DOF maps, the factored preconditioner,
     /// the Krylov workspace, the warm-start/scratch vectors, and the
     /// configuration's heap (escalation restart ladder). This is what a
-    /// memory-budgeted context cache charges a surgery for; the persist
-    /// layer's size-audit test holds it to the serialized size. `K` is
+    /// memory-budgeted context cache charges a surgery for. `K` is
     /// counted in full even when it is shared with the surgery that
     /// assembled it, so the charge does not depend on who holds the
     /// matrix (evicting such a context frees everything but `K`).
@@ -325,26 +295,32 @@ impl SolverContext {
             + self.structure.memory_bytes()
             + self.precond.memory_bytes()
             + std::mem::size_of_val(self.cfg.escalation.larger_restarts.as_slice())
-            + self.scratch_bytes()
-            + std::mem::size_of_val(self.prev_x.as_slice())
-    }
-
-    /// Heap bytes of the state that is *not* serialized by `Persist`
-    /// because it is rebuilt on decode: the Krylov workspace and the
-    /// per-solve scratch vectors. `memory_bytes() − scratch_bytes()` is
-    /// therefore the accountant's estimate of the serialized payload.
-    pub fn scratch_bytes(&self) -> usize {
-        self.workspace.bytes()
+            + self.workspace.bytes()
             + std::mem::size_of_val(self.u_c.as_slice())
             + std::mem::size_of_val(self.rhs.as_slice())
             + std::mem::size_of_val(self.full.as_slice())
+            + std::mem::size_of_val(self.prev_x.as_slice())
     }
 
-    /// The content fingerprint ([`TetMesh::fingerprint`]) of the mesh
-    /// this context was built from. The persist layer checks it against
-    /// the live mesh before resuming a restored context.
-    pub fn mesh_fingerprint(&self) -> u64 {
-        self.mesh_fingerprint
+    /// The warm-start seed the next solve starts from: the last converged
+    /// reduced solution, or `None` before the first converged solve (and
+    /// after [`Self::reset_warm_start`]). It is all of a context's state
+    /// that a rebuild does not reproduce, so it is what a snapshot keeps.
+    pub fn warm_seed(&self) -> Option<&[f64]> {
+        self.has_prev.then_some(self.prev_x.as_slice())
+    }
+
+    /// Seed the next solve with `seed`, one entry per reduced unknown, as
+    /// if it were this context's last converged solution. A seed of any
+    /// other length is [`FemError::SeedLengthMismatch`] and leaves the
+    /// context untouched.
+    pub fn set_warm_seed(&mut self, seed: &[f64]) -> Result<(), FemError> {
+        if seed.len() != self.prev_x.len() {
+            return Err(FemError::SeedLengthMismatch { len: seed.len(), unknowns: self.prev_x.len() });
+        }
+        self.prev_x.copy_from_slice(seed);
+        self.has_prev = true;
+        Ok(())
     }
 
     /// The full stiffness matrix (possibly shared with other contexts).
@@ -365,139 +341,6 @@ impl SolverContext {
     /// The solver configuration this context was built with.
     pub fn config(&self) -> &FemSolveConfig {
         &self.cfg
-    }
-}
-
-impl brainshift_persist::Persist for ContextStats {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_usize(self.assemblies);
-        enc.put_usize(self.factorizations);
-        enc.put_usize(self.solves);
-        enc.put_usize(self.warm_started_solves);
-        enc.put_usize(self.escalations);
-        enc.put_usize(self.failed_solves);
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(ContextStats {
-            assemblies: dec.get_usize()?,
-            factorizations: dec.get_usize()?,
-            solves: dec.get_usize()?,
-            warm_started_solves: dec.get_usize()?,
-            escalations: dec.get_usize()?,
-            failed_solves: dec.get_usize()?,
-        })
-    }
-}
-
-impl brainshift_persist::Persist for ContextTimings {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_f64(self.assembly_s);
-        enc.put_f64(self.reduction_s);
-        enc.put_f64(self.factorization_s);
-        enc.put_f64(self.solve_s);
-        enc.put_f64(self.last_solve_s);
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(ContextTimings {
-            assembly_s: dec.get_f64()?,
-            reduction_s: dec.get_f64()?,
-            factorization_s: dec.get_f64()?,
-            solve_s: dec.get_f64()?,
-            last_solve_s: dec.get_f64()?,
-        })
-    }
-}
-
-/// Serializes the once-per-surgery state (assembled `K`, reduced blocks,
-/// *factored* preconditioner, warm-start vector, counters) and rebuilds
-/// the per-solve scratch (Krylov workspace, gather buffers) on decode —
-/// so a restored context resumes warm without re-assembling or
-/// re-factoring anything. A decoded context owns its copy of `K`;
-/// [`SolverContext::share_matrix`] checks it against the surgery's and
-/// shares that one instead.
-impl brainshift_persist::Persist for SolverContext {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        self.cfg.encode(enc)?;
-        enc.put_usize(self.num_nodes);
-        enc.put_u64(self.mesh_fingerprint);
-        self.k.encode(enc)?;
-        self.structure.encode(enc)?;
-        if !self.precond.persist_into(enc)? {
-            return Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!("preconditioner '{}' does not support persistence", self.precond.name()),
-            });
-        }
-        self.prev_x.encode(enc)?;
-        enc.put_bool(self.has_prev);
-        self.stats.encode(enc)?;
-        self.timings.encode(enc)
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        use brainshift_persist::PersistError;
-        let cfg = FemSolveConfig::decode(dec)?;
-        let num_nodes = dec.get_usize()?;
-        let mesh_fingerprint = dec.get_u64()?;
-        let k = Arc::new(CsrMatrix::decode(dec)?);
-        let structure = DirichletStructure::decode(dec)?;
-        let invalid = |reason: String| Err(PersistError::InvalidData { reason });
-        if k.nrows() != k.ncols() || k.nrows() != 3 * num_nodes {
-            return invalid(format!(
-                "stiffness matrix is {}×{} for {num_nodes} nodes",
-                k.nrows(),
-                k.ncols()
-            ));
-        }
-        if structure.reduced_of_dof.len() != k.nrows() {
-            return invalid(format!(
-                "reduction covers {} DOFs, matrix has {}",
-                structure.reduced_of_dof.len(),
-                k.nrows()
-            ));
-        }
-        let nfree = structure.num_free();
-        let precond = brainshift_sparse::decode_preconditioner(dec, nfree)?;
-        let prev_x = Vec::<f64>::decode(dec)?;
-        if prev_x.len() != nfree {
-            return invalid(format!("warm-start vector has {} entries for {nfree} unknowns", prev_x.len()));
-        }
-        let has_prev = dec.get_bool()?;
-        let stats = ContextStats::decode(dec)?;
-        let timings = ContextTimings::decode(dec)?;
-        let nc = structure.num_constrained();
-        Ok(SolverContext {
-            workspace: KrylovWorkspace::new(nfree),
-            full: vec![0.0; k.nrows()],
-            u_c: vec![0.0; nc],
-            rhs: vec![0.0; nfree],
-            cfg,
-            num_nodes,
-            mesh_fingerprint,
-            k,
-            structure,
-            precond,
-            prev_x,
-            has_prev,
-            stats,
-            timings,
-        })
     }
 }
 
@@ -687,6 +530,33 @@ mod tests {
         assert_eq!(sol.rungs[0].iterations, cg.stats.iterations);
         assert!(sol.stats.relative_residual <= cg.stats.relative_residual);
         assert_eq!(ctx.stats().escalations, 1);
+    }
+
+    #[test]
+    fn a_seeded_rebuild_solves_like_the_context_it_was_taken_from() {
+        let mesh = block_mesh(4);
+        let surface = boundary_nodes(&mesh);
+        let k = Arc::new(assemble_stiffness(&mesh, &MaterialTable::homogeneous()));
+        let build = || SolverContext::with_matrix(Arc::clone(&k), &mesh, &surface, tight()).expect("context build failed");
+        let mut live = build();
+        assert_eq!(live.warm_seed(), None, "no seed before the first solve");
+        live.solve(&scan_bcs(&mesh, &surface, 1.0)).expect("solve failed");
+        let seed = live.warm_seed().expect("converged solve leaves a seed").to_vec();
+
+        let mut rebuilt = build();
+        let short = rebuilt.set_warm_seed(&seed[1..]);
+        assert_eq!(short, Err(FemError::SeedLengthMismatch { len: seed.len() - 1, unknowns: seed.len() }));
+        assert_eq!(rebuilt.warm_seed(), None, "a refused seed leaves the context cold");
+        rebuilt.set_warm_seed(&seed).expect("seed fits");
+
+        let bcs = scan_bcs(&mesh, &surface, 1.3);
+        let (a, b) = (live.solve(&bcs).expect("solve failed"), rebuilt.solve(&bcs).expect("solve failed"));
+        let bits = |s: &FemSolution| -> Vec<u64> {
+            s.displacements.iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
+        };
+        assert_eq!(a.stats.iterations, b.stats.iterations);
+        assert_eq!(bits(&a), bits(&b), "a seeded rebuild solved differently");
+        assert_eq!(rebuilt.stats().warm_started_solves, 1);
     }
 
     #[test]

@@ -57,12 +57,13 @@ pub enum FemError {
         /// Equations (3 × nodes) of the mesh.
         equations: usize,
     },
-    /// A stiffness matrix offered to a context is not bit-identical to
-    /// the one the context was built from.
-    StiffnessMismatch {
-        /// What differs first: `"shape"`, `"sparsity pattern"` or
-        /// `"values"`.
-        part: &'static str,
+    /// A warm-start seed handed to a context does not have one entry per
+    /// reduced unknown.
+    SeedLengthMismatch {
+        /// Length of the supplied seed.
+        len: usize,
+        /// Unknowns in the context's reduced system.
+        unknowns: usize,
     },
     /// An externally assembled load vector does not match the mesh's
     /// equation count.
@@ -113,8 +114,8 @@ impl fmt::Display for FemError {
             FemError::MatrixShapeMismatch { rows, equations } => {
                 write!(f, "stiffness matrix has {rows} rows, mesh has {equations} equations")
             }
-            FemError::StiffnessMismatch { part } => {
-                write!(f, "stiffness matrix differs from the context's in its {part}")
+            FemError::SeedLengthMismatch { len, unknowns } => {
+                write!(f, "warm-start seed has {len} entries, context has {unknowns} unknowns")
             }
             FemError::LoadVectorMismatch { len, equations } => {
                 write!(f, "load vector has {len} entries, mesh has {equations} equations")

@@ -214,7 +214,7 @@ impl TetMesh {
     /// collide only if they are bit-identical in geometry, connectivity,
     /// and labeling — unlike count-based comparison, which cannot tell
     /// apart distinct meshes of the same size. Used to validate that a
-    /// cached or restored `SolverContext` belongs to this exact mesh.
+    /// cached context or a restored session belongs to this exact mesh.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

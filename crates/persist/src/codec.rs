@@ -7,7 +7,6 @@
 //! round-trip test suites assert directly.
 
 use crate::error::PersistError;
-use std::time::Duration;
 
 /// FNV-1a over a byte slice — the same hash family the repo uses for
 /// mesh and kd-tree fingerprints, here hashing section payloads.
@@ -103,36 +102,16 @@ impl Encoder {
 
 /// Cursor over an immutable byte slice; every read is bounds-checked and
 /// failures are typed ([`PersistError::Truncated`]).
-///
-/// The decoder also carries the *container format version* the bytes
-/// were written under, so `Persist::decode` impls can skip fields that
-/// did not exist yet (`if dec.version() >= N { … }`). Freshly-encoded
-/// buffers (`from_bytes` round trips) decode at the current
-/// [`crate::FORMAT_VERSION`]; snapshot sections decode at the version
-/// stamped in the container header.
 #[derive(Debug)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> Decoder<'a> {
-    /// A decoder at the start of `buf`, assuming the current
-    /// [`crate::FORMAT_VERSION`] layout.
+    /// A decoder at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Decoder { buf, pos: 0, version: crate::FORMAT_VERSION }
-    }
-
-    /// A decoder for bytes written under an explicit (possibly older)
-    /// container format version.
-    pub fn with_version(buf: &'a [u8], version: u32) -> Self {
-        Decoder { buf, pos: 0, version }
-    }
-
-    /// Format version the underlying bytes were written at.
-    pub fn version(&self) -> u32 {
-        self.version
+        Decoder { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
@@ -323,22 +302,6 @@ impl Persist for String {
     }
 }
 
-impl Persist for Duration {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u64(self.as_secs());
-        enc.put_u32(self.subsec_nanos());
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let secs = dec.get_u64()?;
-        let nanos = dec.get_u32()?;
-        if nanos >= 1_000_000_000 {
-            return Err(PersistError::InvalidData { reason: format!("{nanos} subsec nanos") });
-        }
-        Ok(Duration::new(secs, nanos))
-    }
-}
-
 impl<T: Persist> Persist for Option<T> {
     fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
         match self {
@@ -382,16 +345,6 @@ impl<T: Persist> Persist for Vec<T> {
     }
 }
 
-impl<A: Persist, B: Persist> Persist for (A, B) {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        self.0.encode(enc)?;
-        self.1.encode(enc)
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        Ok((A::decode(dec)?, B::decode(dec)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,11 +368,9 @@ mod tests {
         round_trip(&f64::NEG_INFINITY);
         round_trip(&true);
         round_trip(&String::from("brainshift"));
-        round_trip(&Duration::from_micros(123_456_789));
         round_trip(&Some(3.5f64));
         round_trip(&Option::<u64>::None);
         round_trip(&vec![1usize, 2, 3]);
-        round_trip(&vec![(1usize, 2usize), (3, 4)]);
     }
 
     #[test]

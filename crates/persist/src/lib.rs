@@ -1,9 +1,9 @@
 //! # brainshift-persist
 //!
 //! The durability layer: a versioned, endian-stable binary format for
-//! snapshotting warm per-surgery state (assembled stiffness matrices,
-//! factored preconditioners, warm-start vectors, event logs) so a shard
-//! restart never pays the cold once-per-surgery rebuild mid-surgery.
+//! snapshotting a shard's durable state (sessions, carry-forward fields,
+//! warm-start seeds, event logs) so a replacement shard resumes its
+//! sessions warm.
 //!
 //! Three pieces, bottom to top:
 //!
@@ -12,8 +12,7 @@
 //!   little-endian regardless of host order, so a snapshot taken on one
 //!   machine restores on another.
 //! * [`Persist`] — the encode/decode trait the domain crates (`sparse`,
-//!   `fem`, `segment`, `service`, `imaging`) implement for their own
-//!   types. Decoding validates: corrupt or truncated input surfaces as a
+//!   `service`, `imaging`) implement for their own types. Decoding validates: corrupt or truncated input surfaces as a
 //!   typed [`PersistError`], never a panic and never a partially
 //!   constructed value.
 //! * [`SnapshotWriter`] / [`SnapshotReader`] — the container: an 8-byte
@@ -26,16 +25,14 @@
 //!
 //! The format version is a single monotonically increasing `u32`
 //! ([`FORMAT_VERSION`]). A reader accepts the versions it knows
-//! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]: since v4
-//! stores IC(0) factors, v1–v3 — whose solver sections carry ILU(0)
-//! factors or a tail no decoder reads — are below the floor); anything
-//! newer — or older than the supported floor — is
+//! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]: since v5
+//! persists warm-start seeds instead of solver contexts, v1–v4 are below
+//! the floor); anything newer — or older than the supported floor — is
 //! [`PersistError::UnsupportedVersion`] — refuse, don't guess. Compatible
 //! additions (new sections) do not bump the version: readers look
 //! sections up by name and ignore names they don't know. Any change to an
-//! existing section's encoding bumps the version; the reader hands each
-//! section a [`Decoder`] carrying the container's stamped version so
-//! `Persist::decode` impls read old layouts via `dec.version()`.
+//! existing section's encoding bumps the version, and the floor moves
+//! with it: no decoder reads an older layout.
 
 #![warn(missing_docs)]
 // Decoding untrusted bytes must never panic: every failure is a typed

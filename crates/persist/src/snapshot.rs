@@ -30,14 +30,14 @@ pub const MAGIC: [u8; 8] = *b"BRSHSNAP";
 /// Current snapshot format version. Bumped only when an existing
 /// section's encoding changes; new sections do not bump it.
 ///
-/// v4 stores block-Jacobi factors as IC(0) (one triangle, a tag of its
-/// own). v1 and v3 carried ILU(0) factors, which no decoder reads any
-/// more, and v2 a solver-section tail for rungs removed before that
-/// (DESIGN.md §15–16); all three are refused.
-pub const FORMAT_VERSION: u32 = 4;
+/// v5 persists a session's warm-start seed and a stiffness fingerprint
+/// where v1–v4 carried a whole solver context (matrices and factors);
+/// a restore rebuilds the context instead (DESIGN.md §15), so every
+/// older stamp is refused.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Oldest container version this reader still decodes.
-pub const MIN_SUPPORTED_VERSION: u32 = 4;
+pub const MIN_SUPPORTED_VERSION: u32 = 5;
 
 /// Builds a snapshot from named payload sections.
 #[derive(Debug, Default)]
@@ -178,12 +178,7 @@ impl<'a> SnapshotReader<'a> {
             .iter()
             .find(|e| e.name == name)
             .ok_or_else(|| PersistError::MissingSection { name: name.to_string() })?;
-        // Decode at the *container's* stamped version so older payload
-        // layouts are read correctly.
-        Ok(Decoder::with_version(
-            &self.buf[entry.offset..entry.offset + entry.len],
-            self.version,
-        ))
+        Ok(Decoder::new(&self.buf[entry.offset..entry.offset + entry.len]))
     }
 
     /// Decode one `Persist` value from a named section, requiring the
@@ -247,14 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn ilu_era_versions_are_refused() {
-        // The current version parses and hands its version to decoders.
+    fn older_versions_are_refused() {
         let bytes = sample();
-        let r = SnapshotReader::parse(&bytes).expect("v4 parses");
+        let r = SnapshotReader::parse(&bytes).expect("v5 parses");
         assert_eq!(r.version(), FORMAT_VERSION);
-        assert_eq!(r.section("meta").expect("meta").version(), FORMAT_VERSION);
         // Every older stamp is refused as a whole, not mis-parsed.
-        for refused in [0u32, 1, 2, 3] {
+        for refused in [0u32, 1, 2, 3, 4] {
             let mut old = sample();
             old[8..12].copy_from_slice(&refused.to_le_bytes());
             match SnapshotReader::parse(&old) {

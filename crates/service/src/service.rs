@@ -368,8 +368,8 @@ impl Service {
 
     /// Quiesce this shard (stop admission, finish every in-flight job)
     /// and serialize its durable state: session table with carry-forward
-    /// fields and counters, resident warm solver contexts, id counters,
-    /// and the full event log. Terminal — the caller is expected to
+    /// fields and counters, which sessions had a resident solver context
+    /// and its warm-start seed, id counters, and the full event log. Terminal — the caller is expected to
     /// [`Service::shutdown`] the drained shard and hand the bytes to
     /// [`Service::restore_shard`] on a replacement.
     pub fn snapshot_shard(&self) -> Result<Vec<u8>, PersistError> {
@@ -377,9 +377,9 @@ impl Service {
         let (sessions, next_session, next_job) = self.shared.decide(|shard, _| {
             let mut sessions: Vec<Arc<SurgerySession>> = shard.sessions.values().cloned().collect();
             sessions.sort_by_key(|s| s.id());
-            // Destructive checkout: the snapshot is the context's new
-            // home. This shard is being retired; a restored shard must
-            // never race it for the same warm state.
+            // Destructive checkout: the snapshot is the new home of the
+            // context's warm state. This shard is being retired; a
+            // restored shard must never race it for the same warm state.
             let sessions: Vec<_> = sessions
                 .into_iter()
                 .map(|s| {
@@ -395,16 +395,13 @@ impl Service {
                 let state = sess.state.lock();
                 (state.carry_forward.as_deref().cloned(), state.stats)
             };
-            let mesh = sess.prepared().mesh();
-            snaps.push(crate::persist::SessionSnapshot {
-                id: sess.id(),
-                mesh_nodes: mesh.nodes.len(),
-                mesh_tets: mesh.tets.len(),
-                mesh_content_fingerprint: mesh.fingerprint(),
+            snaps.push(crate::persist::SessionSnapshot::capture(
+                sess.id(),
+                sess.prepared(),
                 carry_forward,
                 stats,
-                context,
-            });
+                context.as_ref(),
+            ));
         }
         let mut meta = brainshift_persist::Encoder::new();
         meta.put_u64(next_session);
@@ -412,8 +409,8 @@ impl Service {
         let mut w = brainshift_persist::SnapshotWriter::new();
         w.section(crate::persist::SEC_META, meta.into_bytes());
         w.section_value(crate::persist::SEC_SESSIONS, &snaps)?;
-        // The contexts were encoded outside the lock; only the (small)
-        // event log is encoded under it.
+        // The sessions were encoded outside the lock; only the event log
+        // is encoded under it.
         self.shared.decide(|shard, _| {
             w.section_value(crate::persist::SEC_LOG, shard.core.log())?;
             let bytes = w.finish();
@@ -425,13 +422,15 @@ impl Service {
     /// Bring a snapshotted shard back up on a fresh worker pool. The
     /// caller supplies the once-per-surgery preparations keyed by the
     /// *persisted* (shard-local) session ids; each is verified against
-    /// the snapshot's mesh content fingerprint, and each restored warm
-    /// context's stiffness matrix against the preparation's, bit for bit
-    /// (the context then shares the preparation's matrix instead of its
-    /// decoded copy). Everything is decoded and validated **before** the
-    /// worker pool starts — a corrupt snapshot, or one taken under
-    /// another material table, yields a typed [`PersistError`] and no
-    /// half-restored service.
+    /// the snapshot's mesh and stiffness-matrix fingerprints, for every
+    /// session. A context that was resident at snapshot time is rebuilt
+    /// exactly as a cache miss builds one
+    /// ([`PreparedSurgery::build_solver_context`], on the surgery's one
+    /// `K`) and seeded with its persisted warm-start vector. Everything is
+    /// decoded, validated and built **before** the worker pool starts — a
+    /// corrupt snapshot, one taken under another material table, or a
+    /// failed build yields a typed [`PersistError`] and no half-restored
+    /// service.
     ///
     /// Restored sessions keep their ids, counters, carry-forward fields,
     /// and (when resident at snapshot time) their warm contexts; the id
@@ -470,42 +469,7 @@ impl Service {
                     reason: format!("no prepared surgery supplied for session {}", snap.id),
                 });
             };
-            let mesh = prep.mesh();
-            if mesh.nodes.len() != snap.mesh_nodes || mesh.tets.len() != snap.mesh_tets {
-                return Err(PersistError::InvalidData {
-                    reason: format!(
-                        "session {}: prepared mesh is {}n/{}t, snapshot expects {}n/{}t",
-                        snap.id,
-                        mesh.nodes.len(),
-                        mesh.tets.len(),
-                        snap.mesh_nodes,
-                        snap.mesh_tets
-                    ),
-                });
-            }
-            let fp = mesh.fingerprint();
-            if fp != snap.mesh_content_fingerprint {
-                return Err(PersistError::InvalidData {
-                    reason: format!(
-                        "session {}: prepared mesh fingerprint {fp:#x} does not match \
-                         snapshot's {:#x}",
-                        snap.id, snap.mesh_content_fingerprint
-                    ),
-                });
-            }
-            // Same mesh is not enough: a surgery prepared under another
-            // material table has another `K`. The restored context must
-            // have been reduced and factored from exactly the surgery's
-            // matrix, and then it shares that one instead of its copy.
-            let mut context = snap.context;
-            if let Some(ctx) = context.as_mut() {
-                ctx.share_matrix(prep.stiffness()).map_err(|e| PersistError::InvalidData {
-                    reason: format!(
-                        "session {}: restored context does not fit the prepared surgery: {e}",
-                        snap.id
-                    ),
-                })?;
-            }
+            let context = snap.restore_context(prep)?;
             let sess = Arc::new(SurgerySession::restore(
                 snap.id,
                 Arc::clone(prep),

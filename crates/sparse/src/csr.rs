@@ -250,34 +250,6 @@ impl CsrMatrix {
     }
 }
 
-impl brainshift_persist::Persist for CsrMatrix {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_usize(self.nrows);
-        enc.put_usize(self.ncols);
-        self.indptr.encode(enc)?;
-        self.indices.encode(enc)?;
-        self.values.encode(enc)
-    }
-
-    /// Decodes through [`CsrMatrix::from_raw`], so a snapshot can never
-    /// smuggle in a CSR that violates the structural invariants.
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        use brainshift_persist::PersistError;
-        let nrows = dec.get_usize()?;
-        let ncols = dec.get_usize()?;
-        let indptr = Vec::<usize>::decode(dec)?;
-        let indices = Vec::<usize>::decode(dec)?;
-        let values = Vec::<f64>::decode(dec)?;
-        CsrMatrix::from_raw(nrows, ncols, indptr, indices, values)
-            .map_err(|e| PersistError::InvalidData { reason: e.to_string() })
-    }
-}
-
 /// Accumulates `(row, col, value)` triplets and compresses them to CSR,
 /// summing duplicates — the classic two-pass COO→CSR conversion.
 #[derive(Debug, Clone)]

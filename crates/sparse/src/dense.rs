@@ -189,42 +189,6 @@ impl DenseLu {
             out[i] = acc / self.lu[i * n + i];
         }
     }
-
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-}
-
-impl brainshift_persist::Persist for DenseLu {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_usize(self.n);
-        self.lu.encode(enc)?;
-        self.piv.encode(enc)
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        use brainshift_persist::PersistError;
-        let n = dec.get_usize()?;
-        let lu = Vec::<f64>::decode(dec)?;
-        let piv = Vec::<usize>::decode(dec)?;
-        if lu.len() != n * n {
-            return Err(PersistError::InvalidData {
-                reason: format!("DenseLu: {} factor entries for dim {n}", lu.len()),
-            });
-        }
-        if piv.len() != n || piv.iter().any(|&p| p >= n) {
-            return Err(PersistError::InvalidData {
-                reason: format!("DenseLu: invalid pivot array (len {}, dim {n})", piv.len()),
-            });
-        }
-        Ok(DenseLu { n, lu, piv })
-    }
 }
 
 #[cfg(test)]

@@ -53,26 +53,6 @@ impl EscalationPolicy {
     }
 }
 
-impl brainshift_persist::Persist for EscalationPolicy {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        self.larger_restarts.encode(enc)?;
-        enc.put_bool(self.bicgstab_fallback);
-        self.time_budget.encode(enc)
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(EscalationPolicy {
-            larger_restarts: Vec::<usize>::decode(dec)?,
-            bicgstab_fallback: dec.get_bool()?,
-            time_budget: Option::<Duration>::decode(dec)?,
-        })
-    }
-}
-
 /// Per-rung trace of one escalated solve: which solver ran, how hard it
 /// worked, and how long it took. `seconds` is wall-clock (rung timing is
 /// a real-time measurement even when the rest of the system runs on a

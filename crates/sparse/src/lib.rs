@@ -33,7 +33,6 @@ pub use error::SparseError;
 pub use escalate::{solve_escalated, EscalationOutcome, EscalationPolicy, RungTrace};
 pub use gmres::{gmres, gmres_with_workspace, KrylovWorkspace};
 pub use precond::{
-    decode_preconditioner, BlockJacobiPrecond, BlockSolve, Ic0, IdentityPrecond, JacobiPrecond,
-    Preconditioner,
+    BlockJacobiPrecond, BlockSolve, Ic0, IdentityPrecond, JacobiPrecond, Preconditioner,
 };
 pub use solver::{KrylovKind, LinearOperator, SolveStats, SolverOptions, StopReason};

@@ -10,7 +10,6 @@
 use crate::csr::CsrMatrix;
 use crate::dense::DenseLu;
 use crate::error::SparseError;
-use brainshift_persist::{Decoder, Encoder, Persist, PersistError};
 use rayon::prelude::*;
 
 /// Application of `z = M⁻¹ r` for some preconditioning operator `M`.
@@ -25,58 +24,6 @@ pub trait Preconditioner: Send + Sync {
     fn memory_bytes(&self) -> usize {
         0
     }
-    /// Serialize the *factored* operator (a tag byte plus the factors)
-    /// so a restored context skips re-factorization. Returns `Ok(false)`
-    /// without writing for operators that don't support persistence;
-    /// decode back through [`decode_preconditioner`].
-    fn persist_into(&self, _enc: &mut Encoder) -> Result<bool, PersistError> {
-        Ok(false)
-    }
-}
-
-/// Persistence tags, one per supported `Preconditioner` implementation.
-/// Tag 2 was the retired ILU(0) factor; it is not reused.
-const TAG_IDENTITY: u8 = 0;
-const TAG_JACOBI: u8 = 1;
-const TAG_BLOCK_JACOBI: u8 = 3;
-const TAG_IC0: u8 = 4;
-
-/// Decode a preconditioner written by
-/// [`Preconditioner::persist_into`], validating that the operator acts
-/// on vectors of length `expect_dim`.
-pub fn decode_preconditioner(
-    dec: &mut Decoder<'_>,
-    expect_dim: usize,
-) -> Result<Box<dyn Preconditioner>, PersistError> {
-    let dim_mismatch = |name: &str, got: usize| PersistError::InvalidData {
-        reason: format!("{name} preconditioner has dimension {got}, operator needs {expect_dim}"),
-    };
-    match dec.get_u8()? {
-        TAG_IDENTITY => Ok(Box::new(IdentityPrecond)),
-        TAG_JACOBI => {
-            let p = JacobiPrecond::decode(dec)?;
-            if p.inv_diag.len() != expect_dim {
-                return Err(dim_mismatch("jacobi", p.inv_diag.len()));
-            }
-            Ok(Box::new(p))
-        }
-        TAG_IC0 => {
-            let p = Ic0::decode(dec)?;
-            if p.dim() != expect_dim {
-                return Err(dim_mismatch("ic0", p.dim()));
-            }
-            Ok(Box::new(p))
-        }
-        TAG_BLOCK_JACOBI => {
-            let p = BlockJacobiPrecond::decode(dec)?;
-            let covered = p.ranges.last().map_or(0, |&(_, hi)| hi);
-            if covered != expect_dim {
-                return Err(dim_mismatch("block-jacobi", covered));
-            }
-            Ok(Box::new(p))
-        }
-        tag => Err(PersistError::InvalidData { reason: format!("unknown preconditioner tag {tag}") }),
-    }
 }
 
 /// No preconditioning (`M = I`).
@@ -89,10 +36,6 @@ impl Preconditioner for IdentityPrecond {
     }
     fn name(&self) -> &'static str {
         "none"
-    }
-    fn persist_into(&self, enc: &mut Encoder) -> Result<bool, PersistError> {
-        enc.put_u8(TAG_IDENTITY);
-        Ok(true)
     }
 }
 
@@ -127,20 +70,6 @@ impl Preconditioner for JacobiPrecond {
     }
     fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.inv_diag.as_slice())
-    }
-    fn persist_into(&self, enc: &mut Encoder) -> Result<bool, PersistError> {
-        enc.put_u8(TAG_JACOBI);
-        Persist::encode(self, enc)?;
-        Ok(true)
-    }
-}
-
-impl Persist for JacobiPrecond {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        self.inv_diag.encode(enc)
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        Ok(JacobiPrecond { inv_diag: Vec::<f64>::decode(dec)? })
     }
 }
 
@@ -344,35 +273,6 @@ impl Preconditioner for Ic0 {
     fn memory_bytes(&self) -> usize {
         self.u.memory_bytes() + std::mem::size_of_val(self.scale.as_slice())
     }
-    fn persist_into(&self, enc: &mut Encoder) -> Result<bool, PersistError> {
-        enc.put_u8(TAG_IC0);
-        Persist::encode(self, enc)?;
-        Ok(true)
-    }
-}
-
-impl Persist for Ic0 {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        self.u.encode(enc)?;
-        self.scale.encode(enc)
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let u = CsrMatrix::decode(dec)?;
-        let scale = Vec::<f64>::decode(dec)?;
-        let n = u.nrows();
-        if u.ncols() != n || scale.len() != n {
-            return Err(PersistError::InvalidData {
-                reason: format!("ic0 factor is {n}×{} with {} scales", u.ncols(), scale.len()),
-            });
-        }
-        // Sorted unique columns starting at the pivot: row i is upper.
-        if let Some(i) = (0..n).find(|&i| u.row(i).0.first() != Some(&i)) {
-            return Err(PersistError::InvalidData {
-                reason: format!("ic0 factor row {i} does not start at its pivot"),
-            });
-        }
-        Ok(Ic0 { u, scale })
-    }
 }
 
 /// How each diagonal block of the block-Jacobi preconditioner is solved.
@@ -385,59 +285,9 @@ pub enum BlockSolve {
     Ic0,
 }
 
-/// Tag 1 was the retired ILU(0) block solve; it is not reused.
-impl Persist for BlockSolve {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u8(match self {
-            BlockSolve::DenseLu => 0,
-            BlockSolve::Ic0 => 2,
-        });
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        match dec.get_u8()? {
-            0 => Ok(BlockSolve::DenseLu),
-            2 => Ok(BlockSolve::Ic0),
-            t => Err(PersistError::InvalidData { reason: format!("invalid BlockSolve tag {t}") }),
-        }
-    }
-}
-
 enum BlockFactor {
     Dense(DenseLu),
     Ic(Ic0),
-}
-
-impl BlockFactor {
-    fn dim(&self) -> usize {
-        match self {
-            BlockFactor::Dense(lu) => lu.dim(),
-            BlockFactor::Ic(ic) => ic.dim(),
-        }
-    }
-}
-
-/// Tag 1 was the retired ILU(0) factor; it is not reused.
-impl Persist for BlockFactor {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        match self {
-            BlockFactor::Dense(lu) => {
-                enc.put_u8(0);
-                lu.encode(enc)
-            }
-            BlockFactor::Ic(ic) => {
-                enc.put_u8(2);
-                ic.encode(enc)
-            }
-        }
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        match dec.get_u8()? {
-            0 => Ok(BlockFactor::Dense(DenseLu::decode(dec)?)),
-            2 => Ok(BlockFactor::Ic(Ic0::decode(dec)?)),
-            t => Err(PersistError::InvalidData { reason: format!("invalid BlockFactor tag {t}") }),
-        }
-    }
 }
 
 /// Block-Jacobi: the matrix's diagonal blocks — one per partition / "CPU"
@@ -615,52 +465,6 @@ impl Preconditioner for BlockJacobiPrecond {
             })
             .sum();
         factors + std::mem::size_of_val(self.ranges.as_slice())
-    }
-    fn persist_into(&self, enc: &mut Encoder) -> Result<bool, PersistError> {
-        enc.put_u8(TAG_BLOCK_JACOBI);
-        Persist::encode(self, enc)?;
-        Ok(true)
-    }
-}
-
-impl Persist for BlockJacobiPrecond {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        self.ranges.encode(enc)?;
-        self.factors.encode(enc)?;
-        enc.put_usize(self.shifted_blocks);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        let ranges = Vec::<(usize, usize)>::decode(dec)?;
-        let factors = Vec::<BlockFactor>::decode(dec)?;
-        let shifted_blocks = dec.get_usize()?;
-        if ranges.is_empty() || ranges.len() != factors.len() || shifted_blocks > ranges.len() {
-            return Err(PersistError::InvalidData {
-                reason: format!(
-                    "block-jacobi: {} ranges, {} factors, {shifted_blocks} shifted",
-                    ranges.len(),
-                    factors.len()
-                ),
-            });
-        }
-        let mut expect_lo = 0usize;
-        for (&(lo, hi), factor) in ranges.iter().zip(&factors) {
-            if lo != expect_lo || hi <= lo {
-                return Err(PersistError::InvalidData {
-                    reason: format!("block-jacobi: non-contiguous block ({lo}, {hi})"),
-                });
-            }
-            if factor.dim() != hi - lo {
-                return Err(PersistError::InvalidData {
-                    reason: format!(
-                        "block-jacobi: block ({lo}, {hi}) has a factor of dimension {}",
-                        factor.dim()
-                    ),
-                });
-            }
-            expect_lo = hi;
-        }
-        Ok(BlockJacobiPrecond { ranges, factors, shifted_blocks })
     }
 }
 
@@ -850,32 +654,6 @@ mod tests {
         assert_eq!(e, SparseError::AsymmetricPattern { row: 5, col: 2 });
         let e = Ic0::new(&CsrMatrix::from_raw(1, 2, vec![0, 1], vec![0], vec![1.0]).unwrap());
         assert!(matches!(e, Err(SparseError::DimensionMismatch { .. })), "{e:?}");
-    }
-
-    #[test]
-    fn ic0_persist_round_trip_is_canonical_and_checks_the_dimension() {
-        let a = random_spd(40, 8);
-        let ic = Ic0::new(&a).unwrap();
-        let mut enc = Encoder::new();
-        assert!(ic.persist_into(&mut enc).unwrap());
-        let bytes = enc.into_bytes();
-        let back = decode_preconditioner(&mut Decoder::new(&bytes), 40).unwrap();
-        let mut again = Encoder::new();
-        assert!(back.persist_into(&mut again).unwrap());
-        assert_eq!(again.into_bytes(), bytes, "re-encoding must reproduce the bytes");
-        let r: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
-        let (mut z1, mut z2) = (vec![0.0; 40], vec![0.0; 40]);
-        ic.apply(&r, &mut z1);
-        back.apply(&r, &mut z2);
-        assert!(z1.iter().zip(&z2).all(|(a, b)| a.to_bits() == b.to_bits()));
-        let wrong = decode_preconditioner(&mut Decoder::new(&bytes), 41);
-        assert!(matches!(wrong, Err(PersistError::InvalidData { .. })));
-        // A factor whose row does not start at its pivot is refused.
-        let lower = Ic0 { u: tridiag(3), scale: vec![1.0; 3] };
-        let mut enc = Encoder::new();
-        lower.encode(&mut enc).unwrap();
-        let bytes = enc.into_bytes();
-        assert!(matches!(Ic0::decode(&mut Decoder::new(&bytes)), Err(PersistError::InvalidData { .. })));
     }
 
     #[test]

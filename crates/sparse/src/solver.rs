@@ -111,30 +111,6 @@ impl Default for SolverOptions {
     }
 }
 
-impl brainshift_persist::Persist for KrylovKind {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_u8(match self {
-            KrylovKind::Gmres => 0,
-            KrylovKind::ConjugateGradient => 1,
-        });
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        match dec.get_u8()? {
-            0 => Ok(KrylovKind::Gmres),
-            1 => Ok(KrylovKind::ConjugateGradient),
-            t => Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!("invalid KrylovKind tag {t}"),
-            }),
-        }
-    }
-}
-
 impl brainshift_persist::Persist for StopReason {
     fn encode(
         &self,
@@ -160,30 +136,6 @@ impl brainshift_persist::Persist for StopReason {
                 reason: format!("invalid StopReason tag {t}"),
             }),
         }
-    }
-}
-
-impl brainshift_persist::Persist for SolverOptions {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_f64(self.tolerance);
-        enc.put_usize(self.max_iterations);
-        enc.put_usize(self.restart);
-        enc.put_bool(self.record_history);
-        self.time_budget.encode(enc)
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(SolverOptions {
-            tolerance: dec.get_f64()?,
-            max_iterations: dec.get_usize()?,
-            restart: dec.get_usize()?,
-            record_history: dec.get_bool()?,
-            time_budget: Option::<std::time::Duration>::decode(dec)?,
-        })
     }
 }
 

@@ -1,56 +1,24 @@
-//! Property tests of the persistence layer across the workspace: every
-//! `Persist` codec must round-trip bitwise and re-encode canonically
-//! (decode-then-encode reproduces the original bytes), and the
-//! `memory_bytes()` accounting of a `SolverContext` must agree with what
-//! its snapshot actually serializes.
+//! Property tests of the persistence layer across the workspace: event
+//! logs round-trip bitwise and re-encode canonically (decode-then-encode
+//! reproduces the original bytes), a restored shard resumes its sessions
+//! bit-identically from their warm-start seeds, and a shard snapshot
+//! holds a seed where it used to hold a whole solver context.
 
-use brainshift_core::{generate_scan_sequence, PipelineConfig, PreparedSurgery};
-use brainshift_fem::{DirichletBcs, FemSolveConfig, MaterialTable, SolverContext};
+use brainshift_core::{generate_scan_sequence, PipelineConfig, PreparedSurgery, ScanSequence};
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
-use brainshift_imaging::volume::{Dims, Spacing, Volume};
-use brainshift_imaging::{labels, Vec3};
-use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig, TetMesh};
-use brainshift_persist::{from_bytes, to_bytes, PersistError, SnapshotReader, SnapshotWriter};
-use brainshift_service::{Event, EventKind, EventLog, Rejected};
-use brainshift_sparse::{CsrMatrix, SolverOptions, TripletBuilder};
+use brainshift_imaging::volume::{Dims, Spacing};
+use brainshift_persist::{from_bytes, to_bytes, PersistError, SnapshotReader, FORMAT_VERSION};
+use brainshift_service::{
+    Event, EventKind, EventLog, JobOutcome, Rejected, ScanJob, Service, ServiceConfig,
+    SessionSnapshot,
+};
 use proptest::prelude::*;
-
-fn block_mesh(n: usize) -> TetMesh {
-    let seg = Volume::from_fn(Dims::new(n, n, n), Spacing::iso(1.0), |_, _, _| labels::BRAIN);
-    mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable })
-}
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Duration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// CSR matrices round-trip bitwise and canonically across random
-    /// sparsity patterns and values (including duplicate accumulation
-    /// inside the builder).
-    #[test]
-    fn csr_round_trips_bitwise(
-        n in 1usize..12,
-        entries in prop::collection::vec(
-            (0usize..12, 0usize..12, -1.0e6f64..1.0e6),
-            0..64,
-        ),
-    ) {
-        let mut b = TripletBuilder::new(n, n);
-        for (r, c, v) in entries {
-            b.add(r % n, c % n, v);
-        }
-        let m = b.build();
-        let bytes = to_bytes(&m).expect("encode CSR");
-        let back: CsrMatrix = from_bytes(&bytes).expect("decode CSR");
-        prop_assert_eq!(back.nrows(), m.nrows());
-        prop_assert_eq!(back.indptr(), m.indptr());
-        prop_assert_eq!(back.indices(), m.indices());
-        // Bitwise, not approximate: the codec stores f64 bit patterns.
-        let vals: Vec<u64> = m.values().iter().map(|v| v.to_bits()).collect();
-        let back_vals: Vec<u64> = back.values().iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(back_vals, vals);
-        // Canonical: re-encoding the decoded value reproduces the bytes.
-        prop_assert_eq!(to_bytes(&back).expect("re-encode CSR"), bytes);
-    }
 
     /// Event logs round-trip with byte-identical deterministic scripts
     /// across random event sequences.
@@ -117,98 +85,8 @@ proptest! {
     }
 }
 
-/// A solved (warm-started, preconditioner-factored) `SolverContext`
-/// round-trips bitwise: the restored context re-encodes to the same
-/// bytes, and its next solve is bit-identical to the original's.
-#[test]
-fn solver_context_round_trips_and_solves_identically() {
-    let mesh = block_mesh(4);
-    let materials = MaterialTable::homogeneous();
-    let surface = boundary_nodes(&mesh);
-    let cfg = FemSolveConfig {
-        options: SolverOptions { tolerance: 1e-9, max_iterations: 4000, ..Default::default() },
-        ..Default::default()
-    };
-    let mut ctx =
-        SolverContext::new(&mesh, &materials, &surface, cfg).expect("build solver context");
-    let bcs_of = |ampl: f64| {
-        let mut bcs = DirichletBcs::new();
-        for &n in &surface {
-            let p = mesh.nodes[n];
-            bcs.set(n, Vec3::new(ampl * (0.7 * p.y).sin(), ampl * (0.9 * p.z).cos(), 0.05));
-        }
-        bcs
-    };
-    // Warm the context so prev_x / stats / timings are all non-trivial.
-    ctx.solve(&bcs_of(0.2)).expect("warm-up solve");
-
-    let bytes = to_bytes(&ctx).expect("encode context");
-    let mut back: SolverContext = from_bytes(&bytes).expect("decode context");
-    assert_eq!(to_bytes(&back).expect("re-encode context"), bytes, "codec is not canonical");
-    assert_eq!(back.mesh_fingerprint(), ctx.mesh_fingerprint());
-    assert_eq!(back.reduced_equations(), ctx.reduced_equations());
-
-    // Same next solve, bit for bit — the restored warm-start state is
-    // the original's.
-    let a = ctx.solve(&bcs_of(0.35)).expect("original solve");
-    let b = back.solve(&bcs_of(0.35)).expect("restored solve");
-    assert_eq!(a.stats.iterations, b.stats.iterations);
-    let ua: Vec<u64> =
-        a.displacements.iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect();
-    let ub: Vec<u64> =
-        b.displacements.iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect();
-    assert_eq!(ua, ub, "restored context solved differently");
-}
-
-/// Format v4 carries the default context's block-Jacobi IC(0) factors: a
-/// snapshot of it decodes and resumes warm without re-factoring, and the
-/// older stamps — v1 and v3 with ILU(0) factors, v2 with a solver tail
-/// nothing reads — are refused as a whole rather than mis-parsed.
-#[test]
-fn v4_context_resumes_warm_and_older_versions_are_refused() {
-    let mesh = block_mesh(4);
-    let surface = boundary_nodes(&mesh);
-    let mut ctx = SolverContext::new(
-        &mesh,
-        &MaterialTable::homogeneous(),
-        &surface,
-        FemSolveConfig::default(),
-    )
-    .expect("build solver context");
-    let mut bcs = DirichletBcs::new();
-    for &n in &surface {
-        let p = mesh.nodes[n];
-        bcs.set(n, Vec3::new(0.2 * (0.7 * p.y).sin(), 0.1 * (0.9 * p.z).cos(), 0.05));
-    }
-    assert!(ctx.solve(&bcs).expect("first scan").stats.converged());
-
-    let mut w = SnapshotWriter::new();
-    w.section_value("context", &ctx).expect("encode context");
-    let mut bytes = w.finish();
-    let reader = SnapshotReader::parse(&bytes).expect("v4 container parses");
-    assert_eq!(reader.version(), 4);
-    let mut back: SolverContext = reader.section_value("context").expect("v4 context decodes");
-    let again = back.solve(&bcs).expect("repeated scan");
-    assert!(again.stats.converged());
-    assert_eq!(again.stats.iterations, 0, "restored warm start should satisfy the system");
-    assert_eq!(back.stats().factorizations, 1, "restore must not re-factor");
-
-    for old in [1u32, 2, 3] {
-        bytes[8..12].copy_from_slice(&old.to_le_bytes());
-        let refused = SnapshotReader::parse(&bytes);
-        assert!(
-            matches!(refused, Err(PersistError::UnsupportedVersion { found, .. }) if found == old),
-            "v{old}: {refused:?}"
-        );
-    }
-}
-
-/// `memory_bytes()` accounting audit: the serialized payload of a
-/// context must match the accounted persistent footprint
-/// (`memory_bytes − scratch_bytes`) within a small envelope — every
-/// field the snapshot writes is a field the accounting counts.
-#[test]
-fn context_accounting_matches_encoded_size() {
+/// A 24×24×18 phantom surgery (6 mm voxels) and its scan sequence.
+fn phantom(scans: usize) -> (Arc<PreparedSurgery>, ScanSequence) {
     let seq = generate_scan_sequence(
         &PhantomConfig {
             dims: Dims::new(24, 24, 18),
@@ -216,21 +94,128 @@ fn context_accounting_matches_encoded_size() {
             ..Default::default()
         },
         &BrainShiftConfig::default(),
-        1,
-        1,
+        scans,
+        scans,
     );
     let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
-    let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare");
-    let ctx = prepared.build_solver_context().expect("build context");
-    let encoded = to_bytes(&ctx).expect("encode").len();
-    let accounted = ctx.memory_bytes() - ctx.scratch_bytes();
-    let diff = encoded.abs_diff(accounted);
-    // Envelope: codec framing (length prefixes, tags, config scalars)
-    // on top of the accounted arrays — generous 5% + 4 KiB, far below
-    // the size of any single forgotten array.
+    let prepared = Arc::new(PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare"));
+    (prepared, seq)
+}
+
+fn scan(service: &Service, session: u64, seq: &ScanSequence, i: usize) -> JobOutcome {
+    service
+        .submit(ScanJob {
+            session,
+            intensity: seq.scans[i].intensity.clone(),
+            priority: 0,
+            deadline: Duration::from_secs(120),
+        })
+        .expect("submit")
+        .wait()
+        .expect("outcome")
+}
+
+fn field_bits(out: &JobOutcome) -> Vec<u64> {
+    out.field.data().iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
+}
+
+/// Snapshot a one-session shard after scan 0 under `cfg`.
+fn snapshot_after_one_scan(
+    cfg: &ServiceConfig,
+    prepared: &Arc<PreparedSurgery>,
+    seq: &ScanSequence,
+) -> (u64, Vec<u8>) {
+    let service = Service::start(cfg.clone());
+    let sid = service.open_session(Arc::clone(prepared));
+    scan(&service, sid, seq, 0);
+    let bytes = service.snapshot_shard().expect("snapshot");
+    service.shutdown();
+    (sid, bytes)
+}
+
+/// The canonical re-encoding of a shard snapshot's session table.
+fn sessions_bytes(snapshot: &[u8]) -> Vec<u8> {
+    let reader = SnapshotReader::parse(snapshot).expect("parses");
+    let sessions: Vec<SessionSnapshot> = reader.section_value("shard.sessions").expect("sessions");
+    to_bytes(&sessions).expect("re-encode sessions")
+}
+
+/// A solver context survives a shard snapshot: the restored shard
+/// rebuilds the session's context and seeds it, a second snapshot holds
+/// the same session table, and the next scan is bit-identical to an
+/// uninterrupted run's.
+#[test]
+fn solver_context_round_trips_and_solves_identically() {
+    let (prepared, seq) = phantom(2);
+    let cfg = ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() };
+
+    let uninterrupted = Service::start(cfg.clone());
+    let sid = uninterrupted.open_session(Arc::clone(&prepared));
+    scan(&uninterrupted, sid, &seq, 0);
+    let want = field_bits(&scan(&uninterrupted, sid, &seq, 1));
+    uninterrupted.shutdown();
+
+    let (sid_a, bytes) = snapshot_after_one_scan(&cfg, &prepared, &seq);
+    assert_eq!(sid_a, sid);
+    let preps = HashMap::from([(sid, Arc::clone(&prepared))]);
+    // The session table (carry-forward, counters, context seed) survives
+    // restore-then-snapshot byte for byte; the event log restarts.
+    let again = Service::restore_shard(cfg.clone(), &bytes, &preps).expect("restore");
+    let resnap = again.snapshot_shard().expect("re-snapshot");
+    again.shutdown();
+    assert_eq!(sessions_bytes(&resnap), sessions_bytes(&bytes), "the session table did not round-trip");
+
+    let restored = Service::restore_shard(cfg.clone(), &bytes, &preps).expect("restore");
+    let next = scan(&restored, sid, &seq, 1);
+    restored.shutdown();
+    assert!(next.warm, "the restored session ran cold");
+    assert!(field_bits(&next) == want, "the next scan after a restore differs from the uninterrupted run's");
+}
+
+/// A restored context resumes warm: a repeat of the last scan before the
+/// snapshot solves in zero Krylov iterations. Snapshots stamped with an
+/// older format — v4 carried whole contexts, v1–v3 their ILU(0) factors
+/// or a solver tail nothing reads — are refused as a whole.
+#[test]
+fn v4_context_resumes_warm_and_older_versions_are_refused() {
+    let (prepared, seq) = phantom(1);
+    let cfg = ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() };
+    let (sid, mut bytes) = snapshot_after_one_scan(&cfg, &prepared, &seq);
+    let preps = HashMap::from([(sid, Arc::clone(&prepared))]);
+
+    let restored = Service::restore_shard(cfg.clone(), &bytes, &preps).expect("restore");
+    let repeat = scan(&restored, sid, &seq, 0);
+    restored.shutdown();
+    assert!(repeat.warm, "the restored session ran cold");
+    assert_eq!(repeat.fem_iterations, 0, "the restored seed does not solve the scan it came from");
+
+    assert_eq!(SnapshotReader::parse(&bytes).expect("parses").version(), FORMAT_VERSION);
+    for old in [1u32, 2, 3, 4] {
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        let refused = Service::restore_shard(cfg.clone(), &bytes, &preps).err();
+        assert!(
+            matches!(refused, Some(PersistError::UnsupportedVersion { found, .. }) if found == old),
+            "v{old}: {refused:?}"
+        );
+    }
+}
+
+/// Size audit: a resident context adds its warm-start seed (8 bytes per
+/// reduced unknown) and a few bytes of framing to a shard snapshot, and
+/// nothing else — no stiffness matrix, reduced blocks or factors.
+#[test]
+fn a_resident_context_adds_only_its_seed_to_a_shard_snapshot() {
+    let (prepared, seq) = phantom(1);
+    let cfg = ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() };
+    let evicting = ServiceConfig { memory_budget_bytes: 1, ..cfg.clone() };
+    let (_, resident) = snapshot_after_one_scan(&cfg, &prepared, &seq);
+    let (_, evicted) = snapshot_after_one_scan(&evicting, &prepared, &seq);
+    let seed = 8 * prepared.build_solver_context().expect("context").reduced_equations();
+    const FRAMING: usize = 64;
     assert!(
-        diff <= accounted / 20 + 4096,
-        "accounting drift: encoded {encoded} B vs accounted {accounted} B (diff {diff} B) — \
-         a serialized field is missing from memory_bytes() or vice versa"
+        resident.len() <= evicted.len() + seed + FRAMING,
+        "a resident context adds {} B to the snapshot, its seed is {seed} B",
+        resident.len() as i64 - evicted.len() as i64
     );
+    assert!(resident.len() + FRAMING >= evicted.len() + seed, "the seed is missing from the snapshot");
 }

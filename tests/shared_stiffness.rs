@@ -4,9 +4,9 @@
 //! `build_solver_context` makes shares that matrix, so rebuilding a
 //! context after the service cache evicted one is Dirichlet reduction plus
 //! factorization only — and must be indistinguishable from the first
-//! context in its bytes and in the bits of the scan it serves. A context
-//! restored from a snapshot is checked against the surgery's `K` bit for
-//! bit before it is trusted, and then shares it too.
+//! context in its bytes and in the bits of the scan it serves. A shard
+//! restore is such a rebuild plus the persisted warm-start seed, after a
+//! check of the snapshot's stiffness fingerprint against the surgery's.
 //!
 //! Every mesh stays under the BLAS-1 kernels' parallel threshold, so the
 //! bit comparisons hold at any `RAYON_NUM_THREADS`.
@@ -14,10 +14,10 @@
 use brainshift_core::{
     generate_scan_sequence, PipelineConfig, PreparedSurgery, ScanRegistration, ScanSequence,
 };
-use brainshift_fem::{assemble_stiffness, FemError, MaterialTable, SolverContext};
+use brainshift_fem::{assemble_stiffness, MaterialTable, SolverContext};
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
-use brainshift_persist::{from_bytes, to_bytes, PersistError};
+use brainshift_persist::PersistError;
 use brainshift_service::{ScanJob, Service, ServiceConfig};
 use brainshift_sparse::CsrMatrix;
 use std::collections::HashMap;
@@ -122,81 +122,121 @@ fn a_context_rebuilt_after_eviction_serves_the_same_bits() {
     assert!(got == want, "rebuilt context served different bits");
 }
 
-#[test]
-fn a_restored_context_shares_the_surgery_matrix_and_solves_identically() {
-    let seq = sequence(2);
-    let prepared = prepare(&seq, MaterialTable::homogeneous());
-    let mut live = prepared.build_solver_context().expect("context");
-    register(&prepared, &mut live, &seq, 0);
-
-    let mut restored: SolverContext =
-        from_bytes(&to_bytes(&live).expect("encode")).expect("decode");
-    assert!(
-        !std::ptr::eq(restored.matrix(), &**prepared.stiffness()),
-        "decode owns a copy"
-    );
-    restored.share_matrix(prepared.stiffness()).expect("same K");
-    assert!(std::ptr::eq(restored.matrix(), &**prepared.stiffness()));
-
-    let want = scan_bits(&register(&prepared, &mut live, &seq, 1));
-    let got = scan_bits(&register(&prepared, &mut restored, &seq, 1));
-    assert!(got == want, "restored context solved differently");
-
-    // Another material table, same mesh: a different K, refused, and the
-    // context keeps the matrix it was built from.
-    let other = prepare(&seq, MaterialTable::heterogeneous());
-    assert_eq!(other.mesh().fingerprint(), prepared.mesh().fingerprint());
-    let err = live
-        .share_matrix(other.stiffness())
-        .expect_err("different K accepted");
-    assert_eq!(err, FemError::StiffnessMismatch { part: "values" });
-    assert!(std::ptr::eq(live.matrix(), &**prepared.stiffness()));
-}
-
-#[test]
-fn restore_refuses_a_snapshot_taken_under_another_material_table() {
-    let seq = sequence(1);
-    let prepared = Arc::new(prepare(&seq, MaterialTable::homogeneous()));
-    let cfg = ServiceConfig {
+fn service_cfg(memory_budget_bytes: usize) -> ServiceConfig {
+    ServiceConfig {
         workers: 1,
         queue_capacity: 4,
+        memory_budget_bytes,
         ..Default::default()
-    };
-    let service = Service::start(cfg.clone());
-    let sid = service.open_session(Arc::clone(&prepared));
-    let job = ScanJob {
-        session: sid,
-        intensity: seq.scans[0].intensity.clone(),
+    }
+}
+
+fn scan_job(session: u64, seq: &ScanSequence, i: usize) -> ScanJob {
+    ScanJob {
+        session,
+        intensity: seq.scans[i].intensity.clone(),
         priority: 0,
         deadline: Duration::from_secs(120),
-    };
+    }
+}
+
+/// Serve scan 0 on a fresh one-session shard, snapshot it and shut it
+/// down.
+fn snapshot_after_scan_0(
+    cfg: &ServiceConfig,
+    prepared: &Arc<PreparedSurgery>,
+    seq: &ScanSequence,
+) -> (u64, Vec<u8>) {
+    let service = Service::start(cfg.clone());
+    let sid = service.open_session(Arc::clone(prepared));
     service
-        .submit(job)
+        .submit(scan_job(sid, seq, 0))
         .expect("submit")
         .wait()
         .expect("outcome");
     let snapshot = service.snapshot_shard().expect("snapshot");
     service.shutdown();
+    (sid, snapshot)
+}
 
-    // Control: the surgery the snapshot was taken under restores.
-    let same = HashMap::from([(sid, Arc::clone(&prepared))]);
-    Service::restore_shard(cfg.clone(), &snapshot, &same)
-        .expect("same surgery restores")
-        .shutdown();
+#[test]
+fn a_restored_context_shares_the_surgery_matrix_and_solves_identically() {
+    let seq = sequence(2);
+    let prepared = Arc::new(prepare(&seq, MaterialTable::homogeneous()));
+    let mut live = prepared.build_solver_context().expect("context");
+    register(&prepared, &mut live, &seq, 0);
+    let want = register(&prepared, &mut live, &seq, 1);
+    drop(live);
 
+    let cfg = service_cfg(ServiceConfig::default().memory_budget_bytes);
+    let (sid, snapshot) = snapshot_after_scan_0(&cfg, &prepared, &seq);
+    assert_eq!(
+        Arc::strong_count(prepared.stiffness()),
+        1,
+        "only the surgery holds K"
+    );
+    let restored = Service::restore_shard(
+        cfg,
+        &snapshot,
+        &HashMap::from([(sid, Arc::clone(&prepared))]),
+    )
+    .expect("restore");
+    assert_eq!(
+        Arc::strong_count(prepared.stiffness()),
+        2,
+        "the restored context holds the surgery's K, not a copy"
+    );
+    let got = restored
+        .submit(scan_job(sid, &seq, 1))
+        .expect("submit")
+        .wait()
+        .expect("outcome");
+    restored.shutdown();
+    assert!(got.warm);
+    let bits = |vs: &[brainshift_imaging::Vec3]| -> Vec<u64> {
+        vs.iter()
+            .flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
+            .collect()
+    };
+    assert!(
+        bits(got.field.data()) == bits(want.field.data()),
+        "restored context solved differently"
+    );
+    assert_eq!(got.fem_iterations, want.fem_iterations);
+}
+
+/// Refused whether the session's context was resident at snapshot time
+/// or had been evicted: the carry-forward field is the old physics' too.
+#[test]
+fn restore_refuses_a_snapshot_taken_under_another_material_table() {
+    let seq = sequence(1);
+    let prepared = Arc::new(prepare(&seq, MaterialTable::homogeneous()));
     // Same reference scan, same mesh (the fingerprint check passes), but
-    // another material table: resuming the snapshot's context would
-    // solve the old physics.
+    // another material table: another K.
     let other = Arc::new(prepare(&seq, MaterialTable::heterogeneous()));
     assert_eq!(other.mesh().fingerprint(), prepared.mesh().fingerprint());
-    let err = Service::restore_shard(cfg, &snapshot, &HashMap::from([(sid, other)]))
-        .err()
-        .expect("a context assembled under another material table was restored");
-    match err {
-        PersistError::InvalidData { reason } => {
-            assert!(reason.contains(&format!("session {sid}")), "{reason}");
-            assert!(reason.contains("stiffness"), "{reason}");
+    for budget in [ServiceConfig::default().memory_budget_bytes, 1] {
+        let cfg = service_cfg(budget);
+        let (sid, snapshot) = snapshot_after_scan_0(&cfg, &prepared, &seq);
+
+        // Control: the surgery the snapshot was taken under restores.
+        let same = HashMap::from([(sid, Arc::clone(&prepared))]);
+        Service::restore_shard(cfg.clone(), &snapshot, &same)
+            .expect("same surgery restores")
+            .shutdown();
+
+        let err =
+            Service::restore_shard(cfg, &snapshot, &HashMap::from([(sid, Arc::clone(&other))]))
+                .err()
+                .unwrap_or_else(|| {
+                    panic!("budget {budget}: a session of another material table was restored")
+                });
+        match err {
+            PersistError::InvalidData { reason } => {
+                assert!(reason.contains(&format!("session {sid}")), "{reason}");
+                assert!(reason.contains("stiffness"), "{reason}");
+            }
+            other => panic!("expected InvalidData, got {other:?}"),
         }
-        other => panic!("expected InvalidData, got {other:?}"),
     }
 }
