@@ -57,7 +57,7 @@ fn bench_imaging(c: &mut Criterion) {
             Vec3::new(d.nx as f64 / 2.0, d.ny as f64 / 2.0, d.nz as f64 / 2.0),
         );
         b.iter(|| {
-            std::hint::black_box(mi_transform(&scan.intensity, &scan.intensity, &t, &MiConfig::default()))
+            std::hint::black_box(mi_transform(&scan.intensity, &scan.intensity, |p| t.apply(p), &MiConfig::default()))
         });
     });
     g.finish();

@@ -136,10 +136,11 @@ pub struct PipelineResult {
 /// * `intraop_intensity` — the later scan exhibiting brain shift. With
 ///   `skip_rigid` it must be on the reference's grid.
 ///
-/// Hard failures — an empty mesh, a scan on a foreign grid, a singular
-/// preconditioner block — are returned as [`Error`]. A solver that merely
-/// fails to converge is *not* an error; the scan degrades as every scan
-/// does (see [`crate::sequence::ScanStatus::Degraded`]):
+/// Hard failures — a rigid config the registration cannot run, an empty
+/// mesh, a scan on a foreign grid, a singular preconditioner block — are
+/// returned as [`Error`], the first before any stage runs. A solver that
+/// merely fails to converge is *not* an error; the scan degrades as every
+/// scan does (see [`crate::sequence::ScanStatus::Degraded`]):
 /// `result.fem.stats.converged()` is false, `result.fem.displacements`
 /// is the unconverged iterate, and `forward_field` — there being no
 /// earlier scan to carry forward — is zero.
@@ -149,6 +150,9 @@ pub fn run_pipeline(
     intraop_intensity: &Volume<f32>,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, Error> {
+    if !cfg.skip_rigid {
+        check_rigid(&cfg.rigid)?;
+    }
     let mut timeline = Timeline::new();
 
     // ── Rigid registration: bring the reference into the intraop frame. ──
@@ -226,6 +230,25 @@ pub fn run_pipeline(
         timeline,
         stage_timings,
     })
+}
+
+/// Refuse a rigid-registration config before any stage runs: the joint
+/// histogram needs two bins per axis, and a pyramid factor of 0 has no
+/// level grid (it would divide the level scale by zero).
+fn check_rigid(rigid: &RigidRegConfig) -> Result<(), Error> {
+    if rigid.mi.bins < 2 {
+        return Err(Error::Pipeline(format!(
+            "rigid registration needs at least 2 histogram bins, got {}",
+            rigid.mi.bins
+        )));
+    }
+    if rigid.pyramid.contains(&0) {
+        return Err(Error::Pipeline(format!(
+            "rigid registration pyramid factors must be at least 1, got {:?}",
+            rigid.pyramid
+        )));
+    }
+    Ok(())
 }
 
 /// Composite the warped brain into the intraop scan background for

@@ -4,12 +4,16 @@
 //! geometry; gradient-coil miscalibration or different scanners introduce
 //! scale/shear that only an affine model can absorb. This module extends
 //! the transform family to 12 DOF — rotation · shear · scale + translation
-//! — optimized with Powell over the same (N)MI metric.
+//! — searched by the same multi-resolution coordinate descent over the
+//! same (N)MI metric as the rigid model (`search.rs`).
 
 use crate::mi_metric::MiConfig;
-use crate::powell::{powell_minimize, PowellOptions};
-use brainshift_imaging::interp::downsample;
+use crate::search::{grid_center, search_levels};
 use brainshift_imaging::{Mat3, Vec3, Volume};
+
+/// The affine search stops once every step is below this factor of its
+/// initial value.
+const MIN_STEP_FACTOR: f64 = 0.05;
 
 /// A 12-DOF affine transform `T(x) = A (x − c) + c + t`.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +87,7 @@ pub struct AffineRegConfig {
     pub shear_step: f64,
     /// Initial translation step (voxels).
     pub trans_step: f64,
-    /// Powell sweeps per level.
+    /// Max coordinate-descent sweeps per level.
     pub max_sweeps: usize,
     /// Metric settings.
     pub mi: MiConfig,
@@ -117,124 +121,29 @@ pub struct AffineRegResult {
 /// Register `moving` onto `fixed` with a 12-DOF affine transform
 /// maximizing (normalized) mutual information.
 pub fn register_affine(fixed: &Volume<f32>, moving: &Volume<f32>, cfg: &AffineRegConfig) -> AffineRegResult {
-    let d = fixed.dims();
-    let full_center = Vec3::new(d.nx as f64 / 2.0, d.ny as f64 / 2.0, d.nz as f64 / 2.0);
-    let mut params = [0.0f64; 12];
-    let mut evaluations = 0usize;
-    let mut last_mi = 0.0;
-
-    let mut levels = cfg.pyramid.clone();
-    if levels.is_empty() {
-        levels.push(1);
-    }
-    for &factor in &levels {
-        let (f_lvl, m_lvl);
-        let (f_ref, m_ref) = if factor > 1 {
-            f_lvl = downsample(fixed, factor);
-            m_lvl = downsample(moving, factor);
-            (&f_lvl, &m_lvl)
-        } else {
-            (fixed, moving)
-        };
-        let scale = 1.0 / factor as f64;
-        let center = full_center * scale;
-        let mut mi_cfg = cfg.mi.clone();
-        while mi_cfg.stride > 1 && f_ref.dims().len() / mi_cfg.stride.pow(3) < 30_000 {
-            mi_cfg.stride -= 1;
-        }
-        let mut evals = 0usize;
-        let mut obj = (12usize, |p: &[f64]| {
-            evals += 1;
-            let mut arr = [0.0f64; 12];
-            arr.copy_from_slice(p);
-            // Translations live at full resolution; scale to this level.
-            arr[9] *= scale;
-            arr[10] *= scale;
-            arr[11] *= scale;
-            let t = AffineTransform::from_params(&arr, center);
+    let (r, s, k, dt) = (cfg.rot_step, cfg.scale_step, cfg.shear_step, cfg.trans_step);
+    let (params, mi, evaluations) = search_levels(
+        fixed,
+        moving,
+        &cfg.pyramid,
+        &cfg.mi,
+        cfg.max_sweeps,
+        MIN_STEP_FACTOR,
+        [r, r, r, s, s, s, k, k, k, dt, dt, dt],
+        |p, center| {
+            let t = AffineTransform::from_params(p, center);
             // Plausibility wall: intra-patient scanner distortions are a
             // few percent. Without it, MI's degenerate optima (collapse
             // the moving image onto a uniform region) can capture the
-            // optimizer.
-            let mut penalty = 0.0;
-            for &v in &arr[3..9] {
-                let excess = (v.abs() - 0.2).max(0.0);
-                penalty += (10.0 * excess).powi(2);
-            }
-            penalty - affine_mutual_information(f_ref, m_ref, &t, &mi_cfg)
-        });
-        let res = powell_minimize(
-            &mut obj,
-            &params,
-            &PowellOptions {
-                initial_step: vec![
-                    cfg.rot_step,
-                    cfg.rot_step,
-                    cfg.rot_step,
-                    cfg.scale_step,
-                    cfg.scale_step,
-                    cfg.scale_step,
-                    cfg.shear_step,
-                    cfg.shear_step,
-                    cfg.shear_step,
-                    cfg.trans_step * factor as f64,
-                    cfg.trans_step * factor as f64,
-                    cfg.trans_step * factor as f64,
-                ],
-                tolerance: 1e-7,
-                max_iterations: cfg.max_sweeps,
-                line_tolerance: 0.05,
-            },
-        );
-        params.copy_from_slice(&res.x);
-        last_mi = -res.value;
-        evaluations += evals;
-    }
+            // search.
+            let penalty = p[3..9].iter().map(|v| (10.0 * (v.abs() - 0.2).max(0.0)).powi(2)).sum();
+            (move |q| t.apply(q), penalty)
+        },
+    );
     AffineRegResult {
-        transform: AffineTransform::from_params(&params, full_center),
-        mi: last_mi,
+        transform: AffineTransform::from_params(&params, grid_center(fixed)),
+        mi,
         evaluations,
-    }
-}
-
-/// MI between `fixed(x)` and `moving(T x)` for an affine `T` (same
-/// implementation as the rigid metric, different transform type).
-pub fn affine_mutual_information(
-    fixed: &Volume<f32>,
-    moving: &Volume<f32>,
-    t: &AffineTransform,
-    cfg: &MiConfig,
-) -> f64 {
-    use brainshift_imaging::interp::sample_trilinear;
-    use brainshift_imaging::similarity::JointHistogram;
-    let d = fixed.dims();
-    let mut hist = JointHistogram::new(cfg.bins, fixed.min_max(), moving.min_max());
-    let stride = cfg.stride.max(1);
-    let dm = moving.dims();
-    for z in (0..d.nz).step_by(stride) {
-        for y in (0..d.ny).step_by(stride) {
-            for x in (0..d.nx).step_by(stride) {
-                let q = t.apply(Vec3::new(x as f64, y as f64, z as f64));
-                if q.x < 0.0
-                    || q.y < 0.0
-                    || q.z < 0.0
-                    || q.x > dm.nx as f64 - 1.0
-                    || q.y > dm.ny as f64 - 1.0
-                    || q.z > dm.nz as f64 - 1.0
-                {
-                    continue;
-                }
-                hist.add(*fixed.get(x, y, z), sample_trilinear(moving, q, 0.0));
-            }
-        }
-    }
-    if hist.total() < 100.0 {
-        return 0.0;
-    }
-    if cfg.normalized {
-        hist.normalized_mutual_information()
-    } else {
-        hist.mutual_information()
     }
 }
 

@@ -1,9 +1,9 @@
 //! Transform-aware mutual-information metric.
 //!
 //! Evaluates MI between a fixed volume and a moving volume pulled through
-//! a candidate rigid transform (Wells et al., the paper's ref [20]).
+//! a candidate point map — rigid or affine (Wells et al., the paper's
+//! ref [20]).
 
-use crate::transform::RigidTransform;
 use brainshift_imaging::interp::sample_trilinear;
 use brainshift_imaging::similarity::JointHistogram;
 use brainshift_imaging::{Vec3, Volume};
@@ -12,7 +12,7 @@ use rayon::prelude::*;
 /// Metric configuration.
 #[derive(Debug, Clone)]
 pub struct MiConfig {
-    /// Histogram bins per axis.
+    /// Histogram bins per axis (≥ 2).
     pub bins: usize,
     /// Sample every `stride`-th voxel in each axis (≥1); MI is robust to
     /// sparse sampling and this keeps each evaluation cheap.
@@ -30,13 +30,14 @@ impl Default for MiConfig {
     }
 }
 
-/// Mutual information (nats) between `fixed(x)` and `moving(T(x))`,
-/// sampled on the fixed grid. Voxel pairs mapping outside the moving
-/// volume are skipped; returns 0 if fewer than a minimal count remain.
+/// Mutual information (nats) between `fixed(x)` and `moving(map(x))`,
+/// sampled on the fixed grid in voxel coordinates. Voxel pairs mapping
+/// outside the moving volume are skipped; returns 0 if fewer than a
+/// minimal count remain.
 pub fn mutual_information(
     fixed: &Volume<f32>,
     moving: &Volume<f32>,
-    transform: &RigidTransform,
+    map: impl Fn(Vec3) -> Vec3 + Sync,
     cfg: &MiConfig,
 ) -> f64 {
     let d = fixed.dims();
@@ -44,7 +45,7 @@ pub fn mutual_information(
     let m_range = moving.min_max();
     let stride = cfg.stride.max(1);
     // One private histogram per z-slab, merged afterwards — the metric
-    // sits in the inner loop of the rigid optimizer, so the accumulation
+    // sits in the inner loop of the registration search, so the accumulation
     // runs slab-parallel with no shared bins to contend on.
     let zs: Vec<usize> = (0..d.nz).step_by(stride).collect();
     let partials: Vec<JointHistogram> = zs
@@ -55,7 +56,7 @@ pub fn mutual_information(
             for y in (0..d.ny).step_by(stride) {
                 for x in (0..d.nx).step_by(stride) {
                     let p = Vec3::new(x as f64, y as f64, z as f64);
-                    let q = transform.apply(p);
+                    let q = map(p);
                     if q.x < 0.0
                         || q.y < 0.0
                         || q.z < 0.0
@@ -89,6 +90,7 @@ pub fn mutual_information(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::RigidTransform;
     use brainshift_imaging::phantom::{generate_preop, PhantomConfig};
     use brainshift_imaging::volume::{Dims, Spacing};
 
@@ -106,16 +108,20 @@ mod tests {
         Vec3::new(d.nx as f64 / 2.0, d.ny as f64 / 2.0, d.nz as f64 / 2.0)
     }
 
+    fn through(t: RigidTransform) -> impl Fn(Vec3) -> Vec3 + Sync {
+        move |p| t.apply(p)
+    }
+
     #[test]
     fn identity_beats_shifted() {
         let v = phantom();
         let c = center(&v);
         let cfg = MiConfig::default();
-        let id = mutual_information(&v, &v, &RigidTransform::identity(c), &cfg);
+        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)), &cfg);
         let shifted = mutual_information(
             &v,
             &v,
-            &RigidTransform::from_params([0.0, 0.0, 0.0, 4.0, 0.0, 0.0], c),
+            through(RigidTransform::from_params([0.0, 0.0, 0.0, 4.0, 0.0, 0.0], c)),
             &cfg,
         );
         assert!(id > shifted, "{id} vs {shifted}");
@@ -126,11 +132,11 @@ mod tests {
         let v = phantom();
         let c = center(&v);
         let cfg = MiConfig::default();
-        let id = mutual_information(&v, &v, &RigidTransform::identity(c), &cfg);
+        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)), &cfg);
         let rot = mutual_information(
             &v,
             &v,
-            &RigidTransform::from_params([0.0, 0.0, 0.2, 0.0, 0.0, 0.0], c),
+            through(RigidTransform::from_params([0.0, 0.0, 0.2, 0.0, 0.0, 0.0], c)),
             &cfg,
         );
         assert!(id > rot, "{id} vs {rot}");
@@ -146,7 +152,7 @@ mod tests {
             mutual_information(
                 &v,
                 &v,
-                &RigidTransform::from_params([0.0, 0.0, 0.0, dx, 0.0, 0.0], c),
+                through(RigidTransform::from_params([0.0, 0.0, 0.0, dx, 0.0, 0.0], c)),
                 &cfg,
             )
         };
@@ -161,6 +167,6 @@ mod tests {
         let v = phantom();
         let c = center(&v);
         let t = RigidTransform::from_params([0.0, 0.0, 0.0, 1000.0, 0.0, 0.0], c);
-        assert_eq!(mutual_information(&v, &v, &t, &MiConfig::default()), 0.0);
+        assert_eq!(mutual_information(&v, &v, through(t), &MiConfig::default()), 0.0);
     }
 }

@@ -1,34 +1,20 @@
 //! MI rigid registration driver.
 //!
 //! Multi-resolution maximization of mutual information over the 6 rigid
-//! parameters with an adaptive coordinate-descent search (a compact stand-in
-//! for the Powell-style optimizers of Wells/Viola): at each pyramid level,
-//! each parameter is perturbed ±step; improving moves are kept and steps
-//! shrink until convergence.
+//! parameters: the shared level loop (`search.rs`) runs an adaptive
+//! coordinate descent at each pyramid level — each parameter is perturbed
+//! ±step, improving moves are kept and steps shrink until convergence.
 
-use crate::mi_metric::{mutual_information, MiConfig};
-use crate::powell::{powell_minimize, PowellOptions};
+use crate::mi_metric::MiConfig;
+use crate::search::{grid_center, search_levels};
 use crate::transform::RigidTransform;
-use brainshift_imaging::interp::downsample;
-use brainshift_imaging::{Vec3, Volume};
-
-/// Which parameter optimizer drives the registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OptimizerKind {
-    /// Adaptive coordinate descent (fast, robust default).
-    CoordinateDescent,
-    /// Powell's direction-set method with golden-section line search (the
-    /// classic choice of the MI-registration literature; more metric
-    /// evaluations, finer convergence).
-    Powell,
-}
+use brainshift_imaging::Volume;
 
 /// Registration configuration.
 #[derive(Debug, Clone)]
 pub struct RigidRegConfig {
-    /// Parameter-search strategy.
-    pub optimizer: OptimizerKind,
-    /// Pyramid downsampling factors, coarse → fine (e.g. `[4, 2, 1]`).
+    /// Pyramid downsampling factors, each ≥ 1, coarse → fine (e.g.
+    /// `[4, 2, 1]`).
     pub pyramid: Vec<usize>,
     /// Initial step for rotations (radians) at the coarsest level.
     pub rot_step: f64,
@@ -45,7 +31,6 @@ pub struct RigidRegConfig {
 impl Default for RigidRegConfig {
     fn default() -> Self {
         RigidRegConfig {
-            optimizer: OptimizerKind::CoordinateDescent,
             pyramid: vec![4, 2, 1],
             rot_step: 0.05,
             trans_step: 2.0,
@@ -71,109 +56,22 @@ pub struct RigidRegResult {
 /// Register `moving` onto `fixed`: find `T` maximizing
 /// `MI(fixed(x), moving(T x))`.
 pub fn register_rigid(fixed: &Volume<f32>, moving: &Volume<f32>, cfg: &RigidRegConfig) -> RigidRegResult {
-    let d = fixed.dims();
-    let full_center = Vec3::new(d.nx as f64 / 2.0, d.ny as f64 / 2.0, d.nz as f64 / 2.0);
-    // params: [rx, ry, rz, tx, ty, tz] at FULL resolution (voxels).
-    let mut params = [0.0f64; 6];
-    let mut evaluations = 0usize;
-    let mut last_mi = 0.0;
-
-    let mut levels = cfg.pyramid.clone();
-    if levels.is_empty() {
-        levels.push(1);
-    }
-    for &factor in &levels {
-        let (f_lvl, m_lvl);
-        let (f_ref, m_ref) = if factor > 1 {
-            f_lvl = downsample(fixed, factor);
-            m_lvl = downsample(moving, factor);
-            (&f_lvl, &m_lvl)
-        } else {
-            (fixed, moving)
-        };
-        let scale = 1.0 / factor as f64;
-        let center = full_center * scale;
-        // Adapt the sampling stride to the level size: coarse levels must
-        // not starve the joint histogram (aim for ≥ ~30k samples when the
-        // level has them).
-        let mut mi_cfg = cfg.mi.clone();
-        while mi_cfg.stride > 1 && f_ref.dims().len() / mi_cfg.stride.pow(3) < 30_000 {
-            mi_cfg.stride -= 1;
-        }
-        // Convert current full-res params to this level.
-        let eval = |p: &[f64; 6], evals: &mut usize| -> f64 {
-            *evals += 1;
-            let t = RigidTransform::from_params(
-                [p[0], p[1], p[2], p[3] * scale, p[4] * scale, p[5] * scale],
-                center,
-            );
-            mutual_information(f_ref, m_ref, &t, &mi_cfg)
-        };
-        if cfg.optimizer == OptimizerKind::Powell {
-            // Powell minimizes; negate the MI objective.
-            let mut evals_cell = 0usize;
-            let mut obj = (6usize, |p: &[f64]| {
-                let arr = [p[0], p[1], p[2], p[3], p[4], p[5]];
-                -eval(&arr, &mut evals_cell)
-            });
-            let res = powell_minimize(
-                &mut obj,
-                &params,
-                &PowellOptions {
-                    initial_step: vec![
-                        cfg.rot_step,
-                        cfg.rot_step,
-                        cfg.rot_step,
-                        cfg.trans_step * factor as f64,
-                        cfg.trans_step * factor as f64,
-                        cfg.trans_step * factor as f64,
-                    ],
-                    tolerance: 1e-7,
-                    max_iterations: cfg.max_sweeps,
-                    line_tolerance: cfg.min_step_factor,
-                },
-            );
-            params.copy_from_slice(&res.x);
-            evaluations += evals_cell;
-            last_mi = -res.value;
-            continue;
-        }
-        let mut best = eval(&params, &mut evaluations);
-        let mut rot_step = cfg.rot_step;
-        let mut trans_step = cfg.trans_step * factor as f64;
-        let min_rot = cfg.rot_step * cfg.min_step_factor;
-        let min_trans = cfg.trans_step * cfg.min_step_factor * factor as f64;
-        for _sweep in 0..cfg.max_sweeps {
-            let mut improved = false;
-            for i in 0..6 {
-                let step = if i < 3 { rot_step } else { trans_step };
-                for dir in [1.0, -1.0] {
-                    let mut trial = params;
-                    trial[i] += dir * step;
-                    let v = eval(&trial, &mut evaluations);
-                    if v > best + 1e-9 {
-                        best = v;
-                        params = trial;
-                        improved = true;
-                        break;
-                    }
-                }
-            }
-            if !improved {
-                rot_step *= 0.5;
-                trans_step *= 0.5;
-                if rot_step < min_rot && trans_step < min_trans {
-                    break;
-                }
-            }
-        }
-        last_mi = best;
-    }
-    RigidRegResult {
-        transform: RigidTransform::from_params(params, full_center),
-        mi: last_mi,
-        evaluations,
-    }
+    // params: [rx, ry, rz, tx, ty, tz], translations at full resolution.
+    let (r, dt) = (cfg.rot_step, cfg.trans_step);
+    let (params, mi, evaluations) = search_levels(
+        fixed,
+        moving,
+        &cfg.pyramid,
+        &cfg.mi,
+        cfg.max_sweeps,
+        cfg.min_step_factor,
+        [r, r, r, dt, dt, dt],
+        |p, center| {
+            let t = RigidTransform::from_params(*p, center);
+            (move |q| t.apply(q), 0.0)
+        },
+    );
+    RigidRegResult { transform: RigidTransform::from_params(params, grid_center(fixed)), mi, evaluations }
 }
 
 /// Resample `moving` into the fixed grid through the recovered transform:
@@ -188,7 +86,7 @@ mod tests {
     use brainshift_imaging::phantom::{apply_rigid_misalignment, generate_preop, PhantomConfig};
     use brainshift_imaging::similarity::ncc;
     use brainshift_imaging::volume::{Dims, Spacing};
-    use brainshift_imaging::Mat3;
+    use brainshift_imaging::{Mat3, Vec3};
 
     fn phantom_scan() -> brainshift_imaging::phantom::PhantomScan {
         generate_preop(&PhantomConfig {
@@ -236,29 +134,6 @@ mod tests {
         let after = ncc(&scan.intensity, &aligned);
         assert!(after > before, "ncc {before} → {after}");
         assert!(after > 0.9, "alignment too poor: {after}");
-    }
-
-    #[test]
-    fn powell_recovers_translation_at_least_as_well() {
-        let scan = phantom_scan();
-        let true_shift = Vec3::new(3.0, -2.0, 1.0);
-        let moved = apply_rigid_misalignment(&scan, Mat3::IDENTITY, true_shift);
-        let cfg = RigidRegConfig { optimizer: OptimizerKind::Powell, ..Default::default() };
-        let res = register_rigid(&scan.intensity, &moved.intensity, &cfg);
-        let rec = res.transform.apply(Vec3::new(20.0, 20.0, 16.0)) - Vec3::new(20.0, 20.0, 16.0);
-        assert!((rec + true_shift).norm() < 1.0, "recovered {rec:?}");
-    }
-
-    #[test]
-    fn powell_recovers_rotation() {
-        let scan = phantom_scan();
-        let angle = 0.08f64;
-        let moved = apply_rigid_misalignment(&scan, Mat3::rot_z(angle), Vec3::ZERO);
-        let cfg = RigidRegConfig { optimizer: OptimizerKind::Powell, ..Default::default() };
-        let res = register_rigid(&scan.intensity, &moved.intensity, &cfg);
-        let (rec_angle, rec_trans) = res.transform.magnitude();
-        assert!((rec_angle - angle).abs() < 0.03, "angle {rec_angle} vs {angle}");
-        assert!(rec_trans < 2.0);
     }
 
     #[test]

@@ -11,6 +11,12 @@ cargo test -q
 # no stage below reaches.
 cargo test -q -p brainshift-core -p brainshift-mesh -p brainshift-register -p brainshift-cluster
 
+# Registration: rigid and affine MI registration share one search. The
+# ablation bin asserts what it prints — the affine model aligns the
+# scale-distorted scan better than the rigid one and recovers its volume
+# factor to within 0.5 % (about 2 s).
+cargo run -q --release -p brainshift-bench --bin ablation_rigid_affine
+
 # Failure paths are part of the contract: run the injection suite
 # explicitly so a filtered test run can't silently skip it.
 cargo test -q --test failure_injection
@@ -116,13 +122,13 @@ cargo run --release --quiet --manifest-path e2e_budget/Cargo.toml -- --workload 
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The numeric kernels must not panic on bad input — constructors return
-# typed errors instead. The obs, sparse, FEM, core, service, segment and
-# surface crates deny clippy::unwrap_used / clippy::panic in their
-# non-test code (see the cfg_attr in each crate's lib.rs); lint the libs
-# to enforce it.
-cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p brainshift-fem -p brainshift-core -p brainshift-service -p brainshift-segment -p brainshift-surface -p brainshift-scenario --lib -- -D warnings
+# typed errors instead. The obs, sparse, FEM, core, service, segment,
+# surface and register crates deny clippy::unwrap_used / clippy::panic in
+# their non-test code (see the cfg_attr in each crate's lib.rs); lint the
+# libs to enforce it.
+cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p brainshift-fem -p brainshift-core -p brainshift-service -p brainshift-segment -p brainshift-surface -p brainshift-scenario -p brainshift-register --lib -- -D warnings
 
-# Assert audit: non-test sparse and FEM code must return typed
+# Assert audit: non-test sparse, FEM and register code must return typed
 # SparseError/FemError values (or use debug_assert!) instead of
 # panicking assert!s — a malformed vector must never take down a worker
 # thread. Doc-comment mentions are fine; anything before a file's test
@@ -130,7 +136,7 @@ cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p bra
 non_test() {
   awk '/^(mod tests|#\[cfg\(test\)\])/{exit} !/^[[:space:]]*\/\//' "$1"
 }
-for f in crates/sparse/src/*.rs crates/fem/src/*.rs; do
+for f in crates/sparse/src/*.rs crates/fem/src/*.rs crates/register/src/*.rs; do
   if non_test "$f" | grep -nE '(^|[^_a-zA-Z0-9])assert(_eq|_ne)?!'; then
     echo "panicking assert in non-test code: $f" >&2
     exit 1
@@ -180,6 +186,20 @@ done <<'EOF'
 DirichletStructure::new( context.rs
 gmres( simulate.rs
 EOF
+
+# One registration search: rigid and affine MI registration run the same
+# coordinate descent through the same level loop on the same metric
+# (`crates/register/src/search.rs`). The second optimizer, its selector
+# and the affine copy of the metric do not come back.
+if grep -rnE 'powell|Powell|OptimizerKind|affine_mutual_information' crates tests examples; then
+  echo "a deleted registration optimizer or metric copy is back: both models share search.rs" >&2
+  exit 1
+fi
+n=$(for f in crates/register/src/*.rs; do non_test "$f"; done | grep -cE '\bfn mutual_information\b' || true)
+if [ "$n" -ne 1 ]; then
+  echo "expected exactly one non-test 'fn mutual_information' in crates/register/src, found $n" >&2
+  exit 1
+fi
 
 # One intraoperative pipeline: `PreparedSurgery` (surgery.rs) is the only
 # place in the workspace that composes classify → surface → solve →

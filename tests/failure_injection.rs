@@ -1,27 +1,32 @@
 //! Failure-injection tests: the typed-error layer and the degradation
 //! contract, exercised end to end.
 //!
-//! Three families, matching the failure policy in DESIGN.md:
+//! Four families, matching the failure policy in DESIGN.md:
 //!
 //! 1. A singular preconditioner block is a [`SparseError::SingularBlock`],
 //!    never a silently wrong answer (the historical identity fallback).
 //! 2. A malformed mesh (inverted element, sliver) is rejected when the
 //!    FEM solver context is built, before any cycles are spent on it.
-//! 3. A solver non-convergence mid-sequence degrades exactly that scan —
+//! 3. A rigid-registration config the registration cannot run is an
+//!    [`Error::Pipeline`] from `run_pipeline` before any stage runs.
+//! 4. A solver non-convergence mid-sequence degrades exactly that scan —
 //!    the previous scan's displacement field is carried forward and the
 //!    surgery's registration stream continues.
 
 use brainshift_core::{
-    generate_scan_sequence, run_scan_sequence_with_faults, FaultInjection, PipelineConfig,
-    ScanStatus,
+    generate_scan_sequence, run_pipeline, run_scan_sequence_with_faults, Error, FaultInjection,
+    PipelineConfig, ScanStatus,
 };
 use brainshift_fem::{FemError, FemSolveConfig, MaterialTable, SolverContext};
 use brainshift_imaging::labels;
-use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
+use brainshift_imaging::phantom::{
+    apply_rigid_misalignment, generate_preop, BrainShiftConfig, PhantomConfig,
+};
 use brainshift_imaging::volume::{Dims, Spacing};
-use brainshift_imaging::Vec3;
+use brainshift_imaging::{Mat3, Vec3};
 use brainshift_mesh::error::MeshError;
 use brainshift_mesh::TetMesh;
+use brainshift_register::{MiConfig, RigidRegConfig};
 use brainshift_sparse::{BlockJacobiPrecond, BlockSolve, CsrMatrix, SparseError, TripletBuilder};
 use proptest::prelude::*;
 
@@ -154,6 +159,34 @@ fn repeated_node_rejected() {
         tet_labels: vec![labels::BRAIN],
     };
     assert!(matches!(mesh.validate(), Err(MeshError::RepeatedNode { tet: 0 })));
+}
+
+// ───────────────────── rigid-registration config ─────────────────────
+
+#[test]
+fn run_pipeline_rejects_a_rigid_config_it_cannot_run() {
+    // A misaligned scan: a config that silently skipped the search would
+    // hand back the identity transform instead of an error.
+    let reference = generate_preop(&PhantomConfig {
+        dims: Dims::new(24, 24, 18),
+        spacing: Spacing::iso(6.0),
+        ..Default::default()
+    });
+    let scan = apply_rigid_misalignment(&reference, Mat3::rot_z(0.05), Vec3::new(1.5, -1.0, 0.5));
+    let cases = [
+        // The joint histogram needs two bins per axis.
+        ("one histogram bin", RigidRegConfig { mi: MiConfig { bins: 1, ..Default::default() }, ..Default::default() }),
+        // A level of factor 0 has no grid.
+        ("pyramid factor 0", RigidRegConfig { pyramid: vec![2, 0], ..Default::default() }),
+    ];
+    for (what, rigid) in cases {
+        let cfg = PipelineConfig { rigid, ..Default::default() };
+        let r = run_pipeline(&reference.intensity, &reference.labels, &scan.intensity, &cfg);
+        assert!(
+            matches!(r, Err(Error::Pipeline(_))),
+            "{what}: run_pipeline must refuse the config before any stage runs"
+        );
+    }
 }
 
 // ───────────────────── mid-sequence degradation ─────────────────────

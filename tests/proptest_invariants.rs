@@ -263,34 +263,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn powell_minimizes_random_convex_quadratics(
+    fn coordinate_descent_maximizes_random_concave_quadratics(
         c0 in -3.0f64..3.0, c1 in -3.0f64..3.0, c2 in -3.0f64..3.0,
         w0 in 0.5f64..5.0, w1 in 0.5f64..5.0, w2 in 0.5f64..5.0,
         cross in -0.4f64..0.4,
     ) {
-        use brainshift_register::{powell_minimize, PowellOptions};
+        use brainshift_register::coordinate_descent;
         let c = [c0, c1, c2];
         let w = [w0, w1, w2];
-        let mut obj = (3usize, move |x: &[f64]| {
+        let (x, _) = coordinate_descent([0.0; 3], [1.0; 3], 400, 1e-5, |x| {
             let mut f = 0.0;
             for i in 0..3 {
                 f += w[i] * (x[i] - c[i]).powi(2);
             }
-            f + cross * (x[0] - c[0]) * (x[1] - c[1])
+            -(f + cross * (x[0] - c[0]) * (x[1] - c[1]))
         });
-        let r = powell_minimize(
-            &mut obj,
-            &[0.0, 0.0, 0.0],
-            &PowellOptions {
-                initial_step: vec![1.0; 3],
-                tolerance: 1e-12,
-                max_iterations: 200,
-                line_tolerance: 1e-6,
-            },
-        );
-        // |cross| < min weights keeps the quadratic convex; minimum at c.
+        // |cross| < min weights keeps the quadratic concave; maximum at c.
         for i in 0..3 {
-            prop_assert!((r.x[i] - c[i]).abs() < 1e-3, "x[{}] = {} vs {}", i, r.x[i], c[i]);
+            prop_assert!((x[i] - c[i]).abs() < 1e-3, "x[{}] = {} vs {}", i, x[i], c[i]);
         }
     }
 
