@@ -3,15 +3,14 @@
 //! Compares preconditioners (none / point Jacobi / block-Jacobi with
 //! IC(0) blocks) and Krylov methods (GMRES vs CG, the system being SPD
 //! after Dirichlet substitution), reporting iteration counts and modeled
-//! Deep Flow solve times at 1 and 16 CPUs. The CG rows run the production
-//! ladder's CG rung alone (`EscalationPolicy::none()`).
+//! Deep Flow solve times at 1 and 16 CPUs. The CG rows are the production
+//! solve, one `conjugate_gradient` call.
 
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::MachineModel;
 use brainshift_sparse::{
-    bicgstab, gmres, solve_escalated, BlockJacobiPrecond, BlockSolve, EscalationPolicy,
-    IdentityPrecond, JacobiPrecond, KrylovKind, KrylovWorkspace, Preconditioner, SolveStats,
-    SolverOptions,
+    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, IdentityPrecond, JacobiPrecond,
+    KrylovWorkspace, Preconditioner, SolveStats, SolverOptions,
 };
 
 fn main() {
@@ -59,10 +58,7 @@ fn main() {
     let run_cg = |p: &dyn Preconditioner| -> SolveStats {
         let mut x = vec![0.0; red.matrix.nrows()];
         let mut ws = KrylovWorkspace::new(x.len());
-        let krylov = KrylovKind::ConjugateGradient;
-        solve_escalated(&red.matrix, p, &rhs, &mut x, krylov, &opts, &EscalationPolicy::none(), &mut ws)
-            .expect("dims agree")
-            .stats
+        conjugate_gradient(&red.matrix, p, &rhs, &mut x, &opts, &mut ws).expect("dims agree")
     };
     let nnz = red.matrix.nnz() as f64;
 
@@ -80,11 +76,6 @@ fn main() {
         report(&format!("cg    + block-jacobi/ic0 x{blocks}"), &run_cg(&pc), 4.0 * nnz);
     }
     report("cg    + jacobi", &run_cg(&JacobiPrecond::new(&red.matrix)), red.matrix.nrows() as f64);
-    let pc = BlockJacobiPrecond::new(&red.matrix, 16, BlockSolve::Ic0).expect("singular diagonal block");
-    let mut x = vec![0.0; red.matrix.nrows()];
-    let s = bicgstab(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
-    // BiCGStab does 2 matvecs + 2 precond applies per iteration.
-    report("bicgstab + block-jacobi x16", &s, 4.0 * nnz + 2.0 * nnz);
 
     println!("\n(the paper chose GMRES + block Jacobi: block count matches CPU count,");
     println!(" so the preconditioner needs no communication — the trade-off visible");

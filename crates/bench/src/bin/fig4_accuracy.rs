@@ -51,7 +51,7 @@ fn main() {
         res.mesh.num_tets(),
         res.fem.total_equations,
         res.fem.reduced_equations,
-        res.fem.rungs.last().map_or("solver", |r| r.solver),
+        pipe_cfg.fem.krylov,
         res.fem.stats.iterations,
         res.fem.stats.converged()
     );

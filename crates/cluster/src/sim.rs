@@ -74,11 +74,6 @@ impl SimCluster {
         &self.machine
     }
 
-    /// Seconds the machine's CPU takes for `flops` useful operations.
-    pub fn compute_seconds(&self, flops: f64) -> f64 {
-        self.machine.cpu.seconds(flops)
-    }
-
     /// Record a bulk-synchronous phase given per-rank flop counts and a
     /// pre-priced communication cost. Returns the phase wall-clock.
     pub fn record_phase(&self, name: &str, per_rank_flops: &[f64], comm_seconds: f64) -> f64 {

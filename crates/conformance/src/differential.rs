@@ -1,10 +1,10 @@
 //! Differential solver harness: one problem, every solve path.
 //!
-//! The repo has grown several routes to the same reduced system — cold
-//! GMRES, BiCGStab, the escalation ladder, the warm per-surgery
-//! [`SolverContext`], and the thread-message-passing distributed GMRES at
-//! 1/2/4/8 ranks. They share the assembly and Dirichlet reduction but
-//! nothing else; a bug in any one of them shows up as a field that
+//! The repo has several routes to the same reduced system — cold GMRES
+//! (the paper's method), cold CG (the production method), the warm
+//! per-surgery [`SolverContext`], and the thread-message-passing
+//! distributed GMRES at 1/2/4/8 ranks. They share the assembly and
+//! Dirichlet reduction but nothing else; a bug in any one of them shows up as a field that
 //! silently disagrees with its siblings. This harness solves the reduced
 //! system of one [`SolverContext`] through all of them and asserts
 //! pairwise agreement of the *expanded nodal displacement fields*, which
@@ -17,8 +17,8 @@ use brainshift_mesh::TetMesh;
 use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKind};
 pub use brainshift_scenario::RecoveryPoint;
 use brainshift_sparse::{
-    bicgstab, gmres, partition::even_offsets, solve_escalated, BlockJacobiPrecond, BlockSolve,
-    EscalationPolicy, KrylovKind, KrylovWorkspace, SolverOptions,
+    conjugate_gradient, gmres, partition::even_offsets, BlockJacobiPrecond, BlockSolve,
+    KrylovWorkspace, SolverOptions,
 };
 
 /// Knobs for the harness.
@@ -51,8 +51,8 @@ impl Default for DifferentialOptions {
 /// One solve path's expanded nodal field plus its solve diagnostics.
 #[derive(Debug, Clone)]
 pub struct PathField {
-    /// Path label (`"gmres"`, `"bicgstab"`, `"escalated"`,
-    /// `"context-warm"`, `"distributed-p4"`, …).
+    /// Path label (`"gmres"`, `"cg"`, `"context-warm"`,
+    /// `"distributed-p4"`, …).
     pub name: String,
     /// Per-node displacement after expansion through the Dirichlet
     /// structure (constrained nodes carry the imposed values).
@@ -113,12 +113,12 @@ pub fn run_differential(
         max_iterations: opts.max_iterations,
         ..Default::default()
     };
-    // The one reduction: path 4's context builds it and every other path
+    // The one reduction: path 3's context builds it and every other path
     // borrows it. The context solves first so that the borrow can last.
     let cfg = FemSolveConfig { options: sopts.clone(), ..Default::default() };
     let mut ctx = SolverContext::new(mesh, materials, &bcs.nodes_sorted(), cfg)
         .expect("context setup must succeed on a valid mesh");
-    // 4. Warm SolverContext (the default CG + block-Jacobi IC(0)): solve
+    // 3. Warm SolverContext (the default CG + block-Jacobi IC(0)): solve
     //    twice, keep the warm-started second solve — the intraoperative
     //    steady state.
     let _cold = ctx.solve(bcs).expect("cold context solve");
@@ -159,12 +159,15 @@ pub fn run_differential(
         });
     }
 
-    // 2. BiCGStab on the identical reduced system.
+    // 2. Cold preconditioned CG — the production method — from a zero
+    //    start on the identical reduced system.
     {
         let mut x = vec![0.0; nfree];
-        let stats = bicgstab(a, &pc, &rhs, &mut x, &sopts).expect("reduced system dims agree");
+        let mut ws = KrylovWorkspace::new(nfree);
+        let stats =
+            conjugate_gradient(a, &pc, &rhs, &mut x, &sopts, &mut ws).expect("reduced system dims agree");
         paths.push(PathField {
-            name: "bicgstab".into(),
+            name: "cg".into(),
             field: expand_to_nodes(structure, &x, &u_c, num_nodes),
             converged: stats.converged(),
             iterations: stats.iterations,
@@ -172,35 +175,9 @@ pub fn run_differential(
         });
     }
 
-    // 3. The paper's GMRES ladder (should converge on its first rung
-    //    here; the point is that the ladder machinery does not perturb a
-    //    healthy solve). Path 4 runs the same ladder from its CG rung.
-    {
-        let mut x = vec![0.0; nfree];
-        let mut ws = KrylovWorkspace::new(nfree);
-        let out = solve_escalated(
-            a,
-            &pc,
-            &rhs,
-            &mut x,
-            KrylovKind::Gmres,
-            &sopts,
-            &EscalationPolicy::default(),
-            &mut ws,
-        )
-        .expect("reduced system dims agree");
-        paths.push(PathField {
-            name: "escalated".into(),
-            field: expand_to_nodes(structure, &x, &u_c, num_nodes),
-            converged: out.stats.converged(),
-            iterations: out.stats.iterations,
-            relative_residual: out.stats.relative_residual,
-        });
-    }
-
     paths.push(context_warm);
 
-    // 5. Distributed ghosted GMRES over the reduced system at each rank
+    // 4. Distributed ghosted GMRES over the reduced system at each rank
     //    count (rank-0's stats are representative — all ranks return the
     //    same stats by construction).
     for &p in &opts.ranks {
@@ -310,8 +287,7 @@ mod tests {
             names,
             [
                 "gmres",
-                "bicgstab",
-                "escalated",
+                "cg",
                 "context-warm",
                 "distributed-p1",
                 "distributed-p2",

@@ -3,7 +3,7 @@
 //! The correctness gate of the solver stack. The paper's claim is "fast
 //! *and* faithful": the FEM solve must reproduce the volumetric
 //! deformation the surface displacements imply, across every solve path
-//! the repo has grown — cold GMRES, BiCGStab, the escalation ladder, the
+//! the repo has — cold GMRES, cold CG, the
 //! warm per-surgery [`brainshift_fem::SolverContext`], and the
 //! thread-message-passing distributed solver. This crate provides the
 //! oracle hierarchy (DESIGN.md §10) that says the fields are *right*,

@@ -18,7 +18,7 @@ use crate::surgery::PreparedSurgery;
 use crate::timeline::StageTimings;
 use brainshift_fem::ContextStats;
 use brainshift_obs::Stopwatch;
-use brainshift_sparse::{EscalationPolicy, SolverOptions};
+use brainshift_sparse::SolverOptions;
 use brainshift_imaging::phantom::{forward_warp_labels, render_intensity, BrainShiftConfig, PhantomConfig, PhantomScan};
 use brainshift_imaging::{labels, DisplacementField, Volume};
 
@@ -80,16 +80,10 @@ pub fn generate_scan_sequence(
 /// How the biomechanical solve of one scan concluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanStatus {
-    /// The primary solver configuration converged.
+    /// The Krylov solve converged.
     Converged,
-    /// The solver converged, but only after walking the escalation
-    /// ladder (larger GMRES restarts and/or the BiCGStab fallback).
-    Escalated {
-        /// Total solver attempts made (≥ 2).
-        attempts: usize,
-    },
-    /// The solver did not converge within its budget even after
-    /// escalation: the scan's displacement field is the *previous*
+    /// The solver did not converge within its iteration or time budget:
+    /// the scan's displacement field is the *previous*
     /// scan's field carried forward (zero for the first scan), not a
     /// solution for this scan's boundary conditions.
     Degraded,
@@ -135,9 +129,8 @@ pub struct SequenceResult {
 }
 
 /// Deterministic fault injection for failure-path testing: the listed
-/// scans are solved with a starved iteration budget and no escalation,
-/// forcing a genuine solver non-convergence at exactly those points of
-/// the sequence.
+/// scans are solved with a starved iteration budget, forcing a genuine
+/// solver non-convergence at exactly those points of the sequence.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjection {
     /// Scan indices whose FEM solve is starved (0-based).
@@ -158,9 +151,9 @@ pub fn run_scan_sequence(seq: &ScanSequence, cfg: &PipelineConfig) -> Result<Seq
 }
 
 /// [`run_scan_sequence`] with deterministic fault injection: scans listed
-/// in `faults.fail_fem_scans` are solved with a starved iteration budget
-/// and no escalation. Used to exercise the degradation path; production
-/// callers use [`run_scan_sequence`].
+/// in `faults.fail_fem_scans` are solved with a starved iteration budget.
+/// Used to exercise the degradation path; production callers use
+/// [`run_scan_sequence`].
 pub fn run_scan_sequence_with_faults(
     seq: &ScanSequence,
     cfg: &PipelineConfig,
@@ -176,9 +169,8 @@ pub fn run_scan_sequence_with_faults(
     let mut solver = prepared.build_solver_context()?;
 
     // Options forcing genuine non-convergence on injected scans: zero
-    // Krylov iterations, no escalation.
+    // Krylov iterations.
     let starved = SolverOptions { max_iterations: 0, ..cfg.fem.options.clone() };
-    let no_escalation = EscalationPolicy::none();
 
     let mut outcomes = Vec::with_capacity(seq.scans.len());
     let mut degraded_scans = 0usize;
@@ -194,7 +186,7 @@ pub fn run_scan_sequence_with_faults(
             &scan.intensity,
             last_field.as_ref(),
             injected.then_some(&starved),
-            injected.then_some(&no_escalation),
+            None,
         )?;
         if reg.status == ScanStatus::Degraded {
             degraded_scans += 1;

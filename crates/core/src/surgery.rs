@@ -43,9 +43,10 @@ use brainshift_imaging::phantom::tissue_intensity;
 use brainshift_imaging::{labels, Dims, DisplacementField, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
 use brainshift_segment::{largest_component, Classification, Classifier};
-use brainshift_sparse::{CsrMatrix, EscalationPolicy, SolverOptions};
+use brainshift_sparse::{CsrMatrix, SolverOptions};
 use brainshift_surface::{evolve_surface_with, DistanceForce, EdgeForce, ExternalForce, NeighborTable};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The once-per-surgery state: everything derived from the reference
 /// (first intraoperative) scan that later scans reuse unchanged.
@@ -88,13 +89,15 @@ pub struct ScanRegistration {
     /// This scan's k-NN tissue classification.
     pub segmentation: Volume<u8>,
     /// The biomechanical solve as the context returned it: nodal
-    /// displacements (the unconverged iterate for a degraded scan),
-    /// convergence statistics and the per-rung escalation record a
-    /// serving layer's event log keeps per scan.
+    /// displacements (the unconverged iterate for a degraded scan) and
+    /// the convergence statistics whose stop reason a serving layer's
+    /// event log keeps per degraded scan.
     pub fem: FemSolution,
     /// Krylov iterations of the biomechanical solve.
     pub fem_iterations: usize,
-    /// Solver attempts made (1 = primary configuration sufficed).
+    /// Solver attempts: always 1, one Krylov call per scan. Kept only
+    /// because the benchmark reads it; goes when the benchmark is next
+    /// re-cut.
     pub attempts: usize,
     /// Mean active-surface residual distance to the target (mm).
     pub surface_residual: f64,
@@ -200,19 +203,20 @@ impl PreparedSurgery {
     /// on `ctx` (which must have been built by
     /// [`Self::build_solver_context`]).
     ///
-    /// `solver_override` / `escalation_override` tighten the solve for
-    /// this scan only — a deadline-aware service derives the escalation
-    /// policy's `time_budget` from the job's remaining deadline. When the
-    /// solve fails to converge the scan degrades to `carry_forward`
-    /// (cloned; zero field when `None`) and the context's warm-start seed
-    /// rolls back, so one bad scan cannot poison the next.
+    /// `solver_override` replaces the configured solver options for this
+    /// scan only, and `time_budget` tightens their wall-clock budget (the
+    /// tighter of the two wins) — a deadline-aware service passes the
+    /// job's remaining deadline. When the solve fails to converge within
+    /// them the scan degrades to `carry_forward` (cloned; zero field when
+    /// `None`) and the context's warm-start seed rolls back, so one bad
+    /// scan cannot poison the next.
     pub fn register_scan(
         &self,
         ctx: &mut SolverContext,
         intensity: &Volume<f32>,
         carry_forward: Option<&DisplacementField>,
         solver_override: Option<&SolverOptions>,
-        escalation_override: Option<&EscalationPolicy>,
+        time_budget: Option<Duration>,
     ) -> Result<ScanRegistration, Error> {
         // The classifier, the boundary surface and the resample plan all
         // live on the reference grid; a scan on any other grid is a
@@ -258,15 +262,15 @@ impl PreparedSurgery {
             bcs.set(node, evolved.positions[v] - self.snap_positions[v]);
         }
         let surface_s = sw.lap_s();
-        let sol = ctx.solve_with(&bcs, solver_override, escalation_override)?;
+        let budgeted = time_budget.map(|limit| {
+            let opts = solver_override.unwrap_or(&ctx.config().options);
+            let time_budget = Some(opts.time_budget.map_or(limit, |t| t.min(limit)));
+            SolverOptions { time_budget, ..opts.clone() }
+        });
+        let sol = ctx.solve_with(&bcs, budgeted.as_ref().or(solver_override))?;
         sw.lap_s();
         let (status, field) = if sol.stats.converged() {
-            let status = if sol.escalated {
-                ScanStatus::Escalated { attempts: sol.attempts }
-            } else {
-                ScanStatus::Converged
-            };
-            (status, self.resample_plan.apply(&sol.displacements)?)
+            (ScanStatus::Converged, self.resample_plan.apply(&sol.displacements)?)
         } else {
             // Graceful degradation: the navigation display keeps showing
             // the last trusted state rather than an unconverged iterate.
@@ -291,7 +295,7 @@ impl PreparedSurgery {
             field,
             segmentation: seg,
             fem_iterations: sol.stats.iterations,
-            attempts: sol.attempts,
+            attempts: 1,
             fem: sol,
             surface_residual: evolved.final_distance,
             reclassified_voxels: self.dims.len(),
@@ -376,7 +380,7 @@ mod tests {
                 &seq.scans[1].intensity,
                 Some(&good.field),
                 Some(&starved),
-                Some(&EscalationPolicy::none()),
+                None,
             )
             .expect("register failed");
         assert_eq!(reg.status, ScanStatus::Degraded);
@@ -384,7 +388,7 @@ mod tests {
         for (a, b) in reg.field.data().iter().zip(good.field.data()) {
             assert_eq!(a, b);
         }
-        assert_eq!(reg.fem.rung_reasons.len(), reg.attempts);
+        assert_eq!(reg.attempts, 1);
         assert!(!reg.fem.stats.converged());
     }
 

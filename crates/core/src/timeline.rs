@@ -139,7 +139,7 @@ pub struct StageTimings {
     pub reduction_s: f64,
     /// Preconditioner factorization (0 when served warm).
     pub factorization_s: f64,
-    /// Krylov solve (the escalation ladder, CG first by default).
+    /// Krylov solve (one CG call by default).
     pub solve_s: f64,
     /// Resampling the mesh solution onto the voxel grid.
     pub resample_s: f64,

@@ -21,11 +21,11 @@
 //! 3. the factored preconditioner for `K_ff` (block-Jacobi IC(0) by
 //!    default);
 //! 4. a [`KrylovWorkspace`] reused across solves (no per-scan vector
-//!    allocation; the GMRES basis only if a solve ever escalates to it).
+//!    allocation; the GMRES basis only if the context solves with GMRES).
 //!
 //! Per scan, the remaining work is: gather boundary values → one
-//! `K_fc` product → one escalated Krylov solve (preconditioned CG first,
-//! by default) warm-started from the previous scan's displacement (brain
+//! `K_fc` product → one Krylov solve (preconditioned CG by default)
+//! warm-started from the previous scan's displacement (brain
 //! shift is progressive, so consecutive solutions are close).
 //! [`ContextStats`] counts assemblies and factorizations so callers can
 //! *assert* the assemble-once contract.
@@ -44,7 +44,8 @@ use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_obs::Stopwatch;
 use brainshift_sparse::{
-    solve_escalated, CsrMatrix, EscalationPolicy, KrylovWorkspace, Preconditioner, SolverOptions,
+    conjugate_gradient, gmres_with_workspace, CsrMatrix, KrylovKind, KrylovWorkspace,
+    Preconditioner, SolverOptions,
 };
 use std::sync::Arc;
 
@@ -62,11 +63,8 @@ pub struct ContextStats {
     pub solves: usize,
     /// Solves seeded from a previous solution instead of zero.
     pub warm_started_solves: usize,
-    /// Solves that needed at least one escalation rung beyond the
-    /// primary one.
-    pub escalations: usize,
-    /// Solves that did not converge even after the full escalation
-    /// ladder (the returned field is the best iterate, not a solution).
+    /// Solves that did not converge within their iteration or time
+    /// budget (the returned field is the best iterate, not a solution).
     pub failed_solves: usize,
 }
 
@@ -182,24 +180,23 @@ impl SolverContext {
     ///
     /// The solve is warm-started from the previous scan's solution when
     /// one exists (see [`Self::reset_warm_start`]). When the solver fails
-    /// to converge even after escalation, the pre-solve warm-start seed
+    /// to converge within its budget, the pre-solve warm-start seed
     /// is restored so one bad scan cannot poison the next scan's seed —
     /// the unconverged iterate is still returned for the caller to judge.
     pub fn solve(&mut self, bcs: &DirichletBcs) -> Result<FemSolution, FemError> {
-        self.solve_with(bcs, None, None)
+        self.solve_with(bcs, None)
     }
 
-    /// [`Self::solve`] with per-call overrides of the solver options
-    /// and/or escalation policy (the context's configuration is used for
-    /// whichever is `None`). Used by fault-injection tests and by callers
-    /// that tighten the time budget for a specific scan.
+    /// [`Self::solve`] with a per-call override of the solver options
+    /// (the context's configuration is used when `None`). Used by
+    /// fault-injection tests and by callers that tighten the time budget
+    /// for a specific scan.
     pub fn solve_with(
         &mut self,
         bcs: &DirichletBcs,
         opts_override: Option<&SolverOptions>,
-        escalation_override: Option<&EscalationPolicy>,
     ) -> Result<FemSolution, FemError> {
-        self.solve_loaded(bcs, None, opts_override, escalation_override)
+        self.solve_loaded(bcs, None, opts_override)
     }
 
     /// The one solve routine. `loads` is the nodal load vector in
@@ -210,7 +207,6 @@ impl SolverContext {
         bcs: &DirichletBcs,
         loads: Option<&[f64]>,
         opts_override: Option<&SolverOptions>,
-        escalation_override: Option<&EscalationPolicy>,
     ) -> Result<FemSolution, FemError> {
         self.structure.rhs_into(bcs, loads, &mut self.u_c, &mut self.rhs)?;
 
@@ -221,33 +217,24 @@ impl SolverContext {
         }
         let seed_snapshot = self.prev_x.clone();
         let opts = opts_override.unwrap_or(&self.cfg.options);
-        let escalation = escalation_override.unwrap_or(&self.cfg.escalation);
+        let (a, pc, ws) = (&self.structure.matrix, self.precond.as_ref(), &mut self.workspace);
         let sw = Stopwatch::wall();
-        let out = solve_escalated(
-            &self.structure.matrix,
-            self.precond.as_ref(),
-            &self.rhs,
-            &mut self.prev_x,
-            self.cfg.krylov,
-            opts,
-            escalation,
-            &mut self.workspace,
-        )?;
+        let stats = match self.cfg.krylov {
+            KrylovKind::ConjugateGradient => conjugate_gradient(a, pc, &self.rhs, &mut self.prev_x, opts, ws)?,
+            KrylovKind::Gmres => gmres_with_workspace(a, pc, &self.rhs, &mut self.prev_x, opts, ws)?,
+        };
         self.timings.last_solve_s = sw.elapsed_s();
         self.timings.solve_s += self.timings.last_solve_s;
         self.stats.solves += 1;
         if warm {
             self.stats.warm_started_solves += 1;
         }
-        if out.escalated {
-            self.stats.escalations += 1;
-        }
 
         self.structure.expand_solution_into(&self.prev_x, &self.u_c, &mut self.full);
         let displacements = (0..self.num_nodes)
             .map(|n| Vec3::new(self.full[3 * n], self.full[3 * n + 1], self.full[3 * n + 2]))
             .collect();
-        if out.stats.converged() {
+        if stats.converged() {
             self.has_prev = true;
         } else {
             // Roll back: the next solve seeds from the last *good* field.
@@ -256,11 +243,7 @@ impl SolverContext {
         }
         Ok(FemSolution {
             displacements,
-            stats: out.stats,
-            attempts: out.attempts,
-            escalated: out.escalated,
-            rung_reasons: out.rung_reasons,
-            rungs: out.rungs,
+            stats,
             reduced_equations: self.structure.num_free(),
             total_equations: self.k.nrows(),
         })
@@ -284,8 +267,7 @@ impl SolverContext {
     /// Approximate heap footprint of everything this context keeps alive
     /// between scans: the assembled stiffness matrix, the reduced
     /// `K_ff`/`K_fc` blocks and DOF maps, the factored preconditioner,
-    /// the Krylov workspace, the warm-start/scratch vectors, and the
-    /// configuration's heap (escalation restart ladder). This is what a
+    /// the Krylov workspace and the warm-start/scratch vectors. This is what a
     /// memory-budgeted context cache charges a surgery for. `K` is
     /// counted in full even when it is shared with the surgery that
     /// assembled it, so the charge does not depend on who holds the
@@ -294,7 +276,6 @@ impl SolverContext {
         self.k.memory_bytes()
             + self.structure.memory_bytes()
             + self.precond.memory_bytes()
-            + std::mem::size_of_val(self.cfg.escalation.larger_restarts.as_slice())
             + self.workspace.bytes()
             + std::mem::size_of_val(self.u_c.as_slice())
             + std::mem::size_of_val(self.rhs.as_slice())
@@ -503,33 +484,7 @@ mod tests {
         let mut ctx = SolverContext::new(&mesh, &MaterialTable::homogeneous(), &surface, cfg).expect("context build failed");
         let sol = ctx.solve(&scan_bcs(&mesh, &surface, 1.0)).expect("solve failed");
         assert_eq!(sol.stats.reason, StopReason::TimeBudget);
-        assert_eq!(sol.rung_reasons, vec![StopReason::TimeBudget], "no rung runs after the budget expired");
         assert_eq!(ctx.stats().failed_solves, 1);
-    }
-
-    #[test]
-    fn a_starved_cg_rung_escalates_to_gmres() {
-        let mesh = block_mesh(4);
-        let surface = boundary_nodes(&mesh);
-        let bcs = scan_bcs(&mesh, &surface, 1.0);
-        let mut cfg = tight();
-        cfg.options.max_iterations = 3;
-        let mut alone_cfg = cfg.clone();
-        alone_cfg.escalation = EscalationPolicy::none();
-        let materials = MaterialTable::homogeneous();
-        let cg = SolverContext::new(&mesh, &materials, &surface, alone_cfg)
-            .expect("context build failed")
-            .solve(&bcs)
-            .expect("solve failed");
-        assert_eq!(cg.attempts, 1);
-        let mut ctx = SolverContext::new(&mesh, &materials, &surface, cfg).expect("context build failed");
-        let sol = ctx.solve(&bcs).expect("solve failed");
-        let solvers: Vec<&str> = sol.rungs.iter().map(|r| r.solver).collect();
-        assert_eq!(solvers[..2], ["cg", "gmres"]);
-        assert!(sol.escalated && sol.attempts >= 2, "{solvers:?}");
-        assert_eq!(sol.rungs[0].iterations, cg.stats.iterations);
-        assert!(sol.stats.relative_residual <= cg.stats.relative_residual);
-        assert_eq!(ctx.stats().escalations, 1);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! FEM constructors and solver entry points validate their inputs and
 //! return [`FemError`] instead of panicking: a degenerate element, an
 //! unconstrained system, or a singular preconditioner block must reach
-//! the intraoperative pipeline as data it can react to (escalate,
-//! degrade, skip the scan), not as an abort.
+//! the intraoperative pipeline as data it can react to (degrade, skip
+//! the scan), not as an abort.
 
 use brainshift_mesh::MeshError;
 use brainshift_sparse::SparseError;

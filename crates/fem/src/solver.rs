@@ -8,7 +8,8 @@
 //! the default here is preconditioned CG on block-Jacobi IC(0) — on a
 //! symmetric matrix the operator of PETSc's block-Jacobi ILU(0) — with
 //! the paper's GMRES one [`FemSolveConfig`] value away. The solve itself
-//! — reduce, precondition, escalate, expand — lives in [`SolverContext`];
+//! — reduce, precondition, one Krylov call, expand — lives in
+//! [`SolverContext`];
 //! a cold solve builds a context around the freshly assembled matrix,
 //! solves once, and drops it.
 
@@ -20,8 +21,8 @@ use crate::material::MaterialTable;
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_sparse::{
-    BlockJacobiPrecond, BlockSolve, CsrMatrix, EscalationPolicy, IdentityPrecond, JacobiPrecond,
-    Preconditioner, RungTrace, SolveStats, SolverOptions, StopReason,
+    BlockJacobiPrecond, BlockSolve, CsrMatrix, IdentityPrecond, JacobiPrecond, Preconditioner,
+    SolveStats, SolverOptions,
 };
 pub use brainshift_sparse::KrylovKind;
 
@@ -46,17 +47,13 @@ pub enum PrecondKind {
 /// Full solver configuration.
 #[derive(Debug, Clone)]
 pub struct FemSolveConfig {
-    /// Krylov method of the ladder's first rung.
+    /// Krylov method: CG for the SPD `K_ff`, or the paper's GMRES.
     pub krylov: KrylovKind,
     /// Preconditioner.
     pub precond: PrecondKind,
-    /// Tolerance / iteration budget / restart length.
+    /// Tolerance / iteration budget / restart length / wall-clock
+    /// budget. A solve that does not converge within them is final.
     pub options: SolverOptions,
-    /// What to try when the primary attempt fails to converge (after a
-    /// CG rung, GMRES with `options.restart`; then the larger restarts and
-    /// BiCGStab) and the shared wall-clock budget. Use
-    /// [`EscalationPolicy::none`] to make the primary attempt final.
-    pub escalation: EscalationPolicy,
 }
 
 impl Default for FemSolveConfig {
@@ -65,7 +62,6 @@ impl Default for FemSolveConfig {
             krylov: KrylovKind::ConjugateGradient,
             precond: PrecondKind::BlockJacobi { blocks: 4, solve: BlockSolve::Ic0 },
             options: SolverOptions::default(),
-            escalation: EscalationPolicy::default(),
         }
     }
 }
@@ -78,22 +74,10 @@ impl Default for FemSolveConfig {
 pub struct FemSolution {
     /// Displacement of every mesh node (mm).
     pub displacements: Vec<Vec3>,
-    /// Krylov convergence statistics (of the last escalation attempt).
+    /// Krylov convergence statistics; `stats.reason` says *how* the
+    /// solve concluded (converged, out of iterations, out of time,
+    /// breakdown), which serving layers log.
     pub stats: SolveStats,
-    /// Solver attempts made (1 = the primary configuration sufficed).
-    pub attempts: usize,
-    /// True when any escalation rung beyond the primary attempt ran.
-    pub escalated: bool,
-    /// Why each escalation rung stopped, in ladder order (one entry per
-    /// attempt). Surfaced so serving layers can log *how* a solve
-    /// concluded (iterations vs wall-clock budget vs breakdown), not just
-    /// whether it converged.
-    pub rung_reasons: Vec<StopReason>,
-    /// Full per-rung escalation trace (solver, restart length,
-    /// iterations, restart cycles, residual, wall-clock seconds), one
-    /// entry per attempt — the solve's residual-history record for the
-    /// observability layer.
-    pub rungs: Vec<RungTrace>,
     /// Size of the reduced (free) system actually solved.
     pub reduced_equations: usize,
     /// Size of the full system before substitution (the paper's quoted
@@ -103,8 +87,7 @@ pub struct FemSolution {
 
 /// Build the requested preconditioner for a reduced matrix. Returns
 /// [`FemError::Sparse`] when a block-Jacobi block is singular (the
-/// matrix itself is defective — escalating the Krylov method cannot
-/// recover).
+/// matrix itself is defective — no Krylov method can recover).
 pub fn build_preconditioner(
     kind: PrecondKind,
     k: &CsrMatrix,
@@ -158,7 +141,7 @@ pub fn solve_with_loads(
     }
     let k = std::sync::Arc::new(assemble_stiffness(mesh, materials));
     let mut ctx = SolverContext::with_matrix(k, mesh, &bcs.nodes_sorted(), cfg.clone())?;
-    ctx.solve_loaded(bcs, Some(loads), None, None)
+    ctx.solve_loaded(bcs, Some(loads), None)
 }
 
 #[cfg(test)]

@@ -179,11 +179,6 @@ impl<T> Volume<T> {
         &mut self.data
     }
 
-    /// Consume the volume, returning its buffer.
-    pub fn into_data(self) -> Vec<T> {
-        self.data
-    }
-
     #[inline]
     /// Voxel value at `(x, y, z)` (panics out of range).
     pub fn get(&self, x: usize, y: usize, z: usize) -> &T {

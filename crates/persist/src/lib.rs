@@ -25,8 +25,8 @@
 //!
 //! The format version is a single monotonically increasing `u32`
 //! ([`FORMAT_VERSION`]). A reader accepts the versions it knows
-//! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]: since v5
-//! persists warm-start seeds instead of solver contexts, v1–v4 are below
+//! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]: since v6
+//! changed the session-stats and event-log encodings, v1–v5 are below
 //! the floor); anything newer — or older than the supported floor — is
 //! [`PersistError::UnsupportedVersion`] — refuse, don't guess. Compatible
 //! additions (new sections) do not bump the version: readers look

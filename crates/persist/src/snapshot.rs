@@ -32,12 +32,14 @@ pub const MAGIC: [u8; 8] = *b"BRSHSNAP";
 ///
 /// v5 persists a session's warm-start seed and a stiffness fingerprint
 /// where v1–v4 carried a whole solver context (matrices and factors);
-/// a restore rebuilds the context instead (DESIGN.md §15), so every
-/// older stamp is refused.
-pub const FORMAT_VERSION: u32 = 5;
+/// a restore rebuilds the context instead (DESIGN.md §15). v6 drops the
+/// escalation counter from session stats and the escalation event from
+/// logs, and a degrade event carries one stop reason, so every older
+/// stamp is refused.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Oldest container version this reader still decodes.
-pub const MIN_SUPPORTED_VERSION: u32 = 5;
+pub const MIN_SUPPORTED_VERSION: u32 = 6;
 
 /// Builds a snapshot from named payload sections.
 #[derive(Debug, Default)]
@@ -244,10 +246,10 @@ mod tests {
     #[test]
     fn older_versions_are_refused() {
         let bytes = sample();
-        let r = SnapshotReader::parse(&bytes).expect("v5 parses");
+        let r = SnapshotReader::parse(&bytes).expect("v6 parses");
         assert_eq!(r.version(), FORMAT_VERSION);
         // Every older stamp is refused as a whole, not mis-parsed.
-        for refused in [0u32, 1, 2, 3, 4] {
+        for refused in [0u32, 1, 2, 3, 4, 5] {
             let mut old = sample();
             old[8..12].copy_from_slice(&refused.to_le_bytes());
             match SnapshotReader::parse(&old) {

@@ -48,8 +48,6 @@ pub mod metric {
     pub const JOBS_PREFERRED: &str = "service.jobs.preferred";
     /// Counter — jobs started on another worker under backlog pressure.
     pub const JOBS_STOLEN: &str = "service.jobs.stolen";
-    /// Counter — jobs that walked at least one escalation rung.
-    pub const JOBS_ESCALATED: &str = "service.jobs.escalated";
     /// Counter — jobs that degraded to the carry-forward field.
     pub const JOBS_DEGRADED: &str = "service.jobs.degraded";
     /// Counter — jobs that reached `Complete` (any result).
@@ -80,12 +78,11 @@ pub mod metric {
     pub const PERSIST_RESTORE_US: &str = "service.persist.restore_us";
 
     /// The whole catalogue.
-    pub const ALL: [&str; 19] = [
+    pub const ALL: [&str; 18] = [
         JOBS_SUBMITTED,
         JOBS_REJECTED,
         JOBS_PREFERRED,
         JOBS_STOLEN,
-        JOBS_ESCALATED,
         JOBS_DEGRADED,
         JOBS_COMPLETED,
         JOBS_MISSED_DEADLINE,
@@ -396,19 +393,12 @@ impl<C> ShardCore<C> {
         Some(Claimed { job, ctx, stolen })
     }
 
-    /// Record that `worker`'s running job walked `attempts` solver rungs.
-    pub fn note_escalated(&mut self, worker: usize, now_us: u64, attempts: usize, reasons: Vec<StopReason>) {
-        let Some(r) = &self.running[worker] else { return };
-        self.metrics.counter_add(metric::JOBS_ESCALATED, 1);
-        self.record(now_us, EventKind::Escalate { session: r.session, job: r.job, attempts, reasons });
-    }
-
     /// Record that `worker`'s running job fell back to the carry-forward
-    /// field.
-    pub fn note_degraded(&mut self, worker: usize, now_us: u64, reasons: Vec<StopReason>) {
+    /// field because its solve stopped for `reason`.
+    pub fn note_degraded(&mut self, worker: usize, now_us: u64, reason: StopReason) {
         let Some(r) = &self.running[worker] else { return };
         self.metrics.counter_add(metric::JOBS_DEGRADED, 1);
-        self.record(now_us, EventKind::Degrade { session: r.session, job: r.job, reasons });
+        self.record(now_us, EventKind::Degrade { session: r.session, job: r.job, reason });
     }
 
     /// Finish `worker`'s running job: check `ctx` (with its byte size)

@@ -1,6 +1,6 @@
 //! The service's deterministic event log.
 //!
-//! Every scheduling decision — admission, start, escalation, degradation,
+//! Every scheduling decision — admission, start, degradation,
 //! eviction, completion — is recorded as one [`Event`] with a monotonic
 //! timestamp and the queue depth at that instant. The log is both the
 //! observability surface (a service operator replays it to understand a
@@ -51,17 +51,6 @@ pub enum EventKind {
         /// the steal threshold).
         stolen: bool,
     },
-    /// The job's solve walked at least one escalation rung.
-    Escalate {
-        /// Session the job belongs to.
-        session: u64,
-        /// Job id.
-        job: u64,
-        /// Total solver attempts.
-        attempts: usize,
-        /// Why each rung stopped, in ladder order.
-        reasons: Vec<StopReason>,
-    },
     /// The job's solve did not converge within its budget; the result is
     /// the carry-forward field.
     Degrade {
@@ -69,8 +58,8 @@ pub enum EventKind {
         session: u64,
         /// Job id.
         job: u64,
-        /// Why each rung stopped, in ladder order.
-        reasons: Vec<StopReason>,
+        /// Why the solve stopped.
+        reason: StopReason,
     },
     /// A session's solver context was evicted from the warm cache to
     /// stay inside the memory budget.
@@ -158,11 +147,8 @@ impl Event {
             EventKind::Cancel { session, job } => {
                 let _ = write!(s, "cancel s{session} j{job}");
             }
-            EventKind::Escalate { session, job, attempts, reasons } => {
-                let _ = write!(s, "escalate s{session} j{job} a{attempts} {reasons:?}");
-            }
-            EventKind::Degrade { session, job, reasons } => {
-                let _ = write!(s, "degrade s{session} j{job} {reasons:?}");
+            EventKind::Degrade { session, job, reason } => {
+                let _ = write!(s, "degrade s{session} j{job} {reason:?}");
             }
             EventKind::Evict { session, .. } => {
                 let _ = write!(s, "evict s{session}");
@@ -271,18 +257,12 @@ impl brainshift_persist::Persist for EventKind {
                 enc.put_usize(*worker);
                 enc.put_bool(*stolen);
             }
-            EventKind::Escalate { session, job, attempts, reasons } => {
-                enc.put_u8(3);
-                enc.put_u64(*session);
-                enc.put_u64(*job);
-                enc.put_usize(*attempts);
-                reasons.encode(enc)?;
-            }
-            EventKind::Degrade { session, job, reasons } => {
+            // Tag 3 was the escalation event; it is not reused.
+            EventKind::Degrade { session, job, reason } => {
                 enc.put_u8(4);
                 enc.put_u64(*session);
                 enc.put_u64(*job);
-                reasons.encode(enc)?;
+                reason.encode(enc)?;
             }
             EventKind::Evict { session, freed_bytes } => {
                 enc.put_u8(5);
@@ -323,16 +303,10 @@ impl brainshift_persist::Persist for EventKind {
                 worker: dec.get_usize()?,
                 stolen: dec.get_bool()?,
             },
-            3 => EventKind::Escalate {
-                session: dec.get_u64()?,
-                job: dec.get_u64()?,
-                attempts: dec.get_usize()?,
-                reasons: Vec::<StopReason>::decode(dec)?,
-            },
             4 => EventKind::Degrade {
                 session: dec.get_u64()?,
                 job: dec.get_u64()?,
-                reasons: Vec::<StopReason>::decode(dec)?,
+                reason: StopReason::decode(dec)?,
             },
             5 => EventKind::Evict { session: dec.get_u64()?, freed_bytes: dec.get_usize()? },
             6 => EventKind::Cancel { session: dec.get_u64()?, job: dec.get_u64()? },
@@ -431,6 +405,13 @@ mod tests {
         log2.record(999, 2, EventKind::Enqueue { session: 7, job: 3, deadline_us: 1899, priority: 1 });
         log2.record(1999, 1, EventKind::Start { session: 7, job: 3, warm: true, worker: 1, stolen: false });
         assert_eq!(log2.script(), s);
+    }
+
+    #[test]
+    fn the_retired_escalation_tag_is_invalid_data() {
+        // Tag 3 was the escalation event; the ladder it logged is gone.
+        let r = brainshift_persist::from_bytes::<EventKind>(&[3, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(matches!(r, Err(brainshift_persist::PersistError::InvalidData { .. })), "{r:?}");
     }
 
     #[test]

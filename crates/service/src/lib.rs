@@ -20,13 +20,13 @@
 //!   plain `&mut self` state machine over the queues and the cache, and
 //!   the only code that records an event or a `service.*` metric.
 //! * [`Service`] — threads, wake channels and job payloads around a
-//!   `Mutex<ShardCore>`: a fixed worker pool executing jobs, deriving
-//!   each solve's escalation `time_budget` from the job's remaining
-//!   deadline: a late job returns
+//!   `Mutex<ShardCore>`: a fixed worker pool executing jobs, passing
+//!   each job's remaining deadline to its solve as the wall-clock
+//!   budget: a late job returns
 //!   [`ScanStatus::Degraded`](brainshift_core::ScanStatus) with the
 //!   carry-forward field instead of blocking the queue. [`Fleet`] runs N
 //!   of them behind a session-affinity router.
-//! * [`EventLog`] — every enqueue/start/escalate/degrade/evict/complete
+//! * [`EventLog`] — every enqueue/start/degrade/evict/complete
 //!   with monotonic timestamps and queue depths; its timestamp-free
 //!   [`script`](EventLog::script) is the determinism oracle.
 //! * [`simulate`] — the other driver of [`ShardCore`]: a logical-clock

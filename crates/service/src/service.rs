@@ -38,7 +38,6 @@ use brainshift_fem::SolverContext;
 use brainshift_imaging::{DisplacementField, Volume};
 use brainshift_obs::{Registry, Snapshot};
 use brainshift_persist::PersistError;
-use brainshift_sparse::StopReason;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -114,10 +113,6 @@ pub struct JobOutcome {
     pub field: DisplacementField,
     /// Krylov iterations of the biomechanical solve.
     pub fem_iterations: usize,
-    /// Solver attempts (1 = primary configuration sufficed).
-    pub attempts: usize,
-    /// Why each escalation rung stopped, ladder order.
-    pub rung_reasons: Vec<StopReason>,
     /// Mean active-surface residual to the scan's boundary (mm).
     pub surface_residual: f64,
     /// True when the job finished after its deadline.
@@ -280,7 +275,7 @@ impl Service {
         // shard is stopped is fully enqueued before the workers begin
         // their cancel drain.
         let (admitted, rx) = self.shared.decide(|shard, now| -> Result<_, Rejected> {
-            let deadline_us = now.saturating_add(deadline.as_micros() as u64);
+            let deadline_us = now.saturating_add(u64::try_from(deadline.as_micros()).unwrap_or(u64::MAX));
             let admitted = shard.core.submit(now, session, deadline_us, priority)?;
             let (tx, rx) = unbounded();
             shard.pending.insert(admitted.job, Pending { intensity, tx });
@@ -573,22 +568,18 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
         Err(e) => return fail(e),
     };
 
-    // The escalation ladder's wall-clock budget is whatever deadline
-    // headroom remains *now*, after queueing and any cold rebuild. A job
-    // already past its deadline gets a token budget and degrades fast.
-    let remaining = q.deadline_us.saturating_sub(shared.now_us()).max(1);
-    let mut policy = prepared.config().fem.escalation.clone();
-    policy.time_budget = Some(match policy.time_budget {
-        Some(existing) => existing.min(Duration::from_micros(remaining)),
-        None => Duration::from_micros(remaining),
-    });
+    // The solve's wall-clock budget is whatever deadline headroom
+    // remains *now*, after queueing and any cold rebuild (or the
+    // configured budget, if that is tighter). A job already past its
+    // deadline gets a token budget and degrades fast.
+    let remaining = Duration::from_micros(q.deadline_us.saturating_sub(shared.now_us()).max(1));
 
     // Lock discipline: the session state lock is never held across the
     // solve, and nests inside the shard lock, never around it. The core
     // already serializes jobs of one session, so state only needs a
     // short lock around each read/write.
     let carry = session.state.lock().carry_forward.clone();
-    let reg = match prepared.register_scan(&mut ctx, &pending.intensity, carry.as_deref(), None, Some(&policy)) {
+    let reg = match prepared.register_scan(&mut ctx, &pending.intensity, carry.as_deref(), None, Some(remaining)) {
         Ok(reg) => reg,
         Err(e) => {
             // A typed pipeline failure poisons neither the session (its
@@ -601,7 +592,7 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
     // Everything slow happens before the lock: the next carry-forward
     // field is cloned and the context sized out here.
     let carry_next =
-        (!matches!(reg.status, ScanStatus::Degraded)).then(|| Arc::new(reg.field.clone()));
+        (reg.status != ScanStatus::Degraded).then(|| Arc::new(reg.field.clone()));
     let ctx_bytes = ctx.memory_bytes();
     let done = shared.decide(|shard, now| {
         // Per-stage spans: the paper's intraoperative breakdown, as
@@ -615,16 +606,9 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
         // completion they describe, so a quiesce that finds the worker
         // idle also finds them up to date.
         let mut state = session.state.lock();
-        match &reg.status {
-            ScanStatus::Converged => {}
-            ScanStatus::Escalated { attempts } => {
-                state.stats.escalated += 1;
-                shard.core.note_escalated(worker, now, *attempts, reg.fem.rung_reasons.clone());
-            }
-            ScanStatus::Degraded => {
-                state.stats.degraded += 1;
-                shard.core.note_degraded(worker, now, reg.fem.rung_reasons.clone());
-            }
+        if reg.status == ScanStatus::Degraded {
+            state.stats.degraded += 1;
+            shard.core.note_degraded(worker, now, reg.fem.stats.reason);
         }
         let done = shard.core.complete(worker, now, Some((ctx, ctx_bytes)))?;
         if carry_next.is_some() {
@@ -646,8 +630,6 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
         status: reg.status,
         field: reg.field,
         fem_iterations: reg.fem_iterations,
-        attempts: reg.attempts,
-        rung_reasons: reg.fem.rung_reasons,
         surface_residual: reg.surface_residual,
         missed_deadline: done.missed_deadline,
         warm,

@@ -27,8 +27,6 @@ use std::sync::Arc;
 pub struct SessionStats {
     /// Jobs that completed (any status).
     pub completed: u64,
-    /// Jobs that needed at least one escalation rung.
-    pub escalated: u64,
     /// Jobs that degraded to the carry-forward field.
     pub degraded: u64,
     /// Jobs that finished after their deadline.
@@ -43,7 +41,6 @@ impl brainshift_persist::Persist for SessionStats {
         enc: &mut brainshift_persist::Encoder,
     ) -> Result<(), brainshift_persist::PersistError> {
         enc.put_u64(self.completed);
-        enc.put_u64(self.escalated);
         enc.put_u64(self.degraded);
         enc.put_u64(self.deadline_misses);
         enc.put_u64(self.warm_starts);
@@ -55,7 +52,6 @@ impl brainshift_persist::Persist for SessionStats {
     ) -> Result<Self, brainshift_persist::PersistError> {
         Ok(SessionStats {
             completed: dec.get_u64()?,
-            escalated: dec.get_u64()?,
             degraded: dec.get_u64()?,
             deadline_misses: dec.get_u64()?,
             warm_starts: dec.get_u64()?,

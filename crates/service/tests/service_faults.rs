@@ -98,8 +98,8 @@ fn degrading_session_keeps_slot_and_does_not_poison_others() {
     assert_ne!(a0.status, ScanStatus::Degraded);
     assert_ne!(b0.status, ScanStatus::Degraded);
 
-    // Fault: session A's scan 1 gets a deadline so tight the escalation
-    // ladder's derived time budget cannot converge — the service-level
+    // Fault: session A's scan 1 gets a deadline so tight the solve's
+    // derived time budget cannot converge — the service-level
     // analogue of core's FaultInjection starved-solver scans.
     let a1 = submit(a, &seq_a.scans[1].intensity, Duration::from_micros(1));
     assert_eq!(a1.status, ScanStatus::Degraded, "starved job must degrade, not error");
@@ -230,7 +230,7 @@ fn closing_session_mid_flight_does_not_orphan_cache_entry() {
 #[test]
 fn stats_probes_never_deadlock_against_degrade_logging() {
     // Regression: execute() held the session state lock while acquiring
-    // the service mutex to log Escalate/Degrade, while session_stats()
+    // the service mutex to log Degrade, while session_stats()
     // took the same locks in the opposite order — an AB-BA deadlock
     // whenever a probe raced a degrading job. Hammer the probes while
     // jobs degrade; the test passing at all is the assertion.

@@ -3,8 +3,9 @@
 //! The FEM stiffness matrix is symmetric positive definite after Dirichlet
 //! substitution, and block-Jacobi IC(0) is an SPD preconditioner, so CG
 //! needs neither GMRES's Krylov basis nor its orthogonalization sweeps. It
-//! is the first rung of the escalation ladder ([`crate::solve_escalated`]);
-//! a CG solve that does not converge hands its iterate to GMRES.
+//! is the production solve; one that does not converge within its
+//! iteration or time budget is final — the caller degrades, it does not
+//! retry with another method.
 
 use crate::dense::{axpy, axpy_then_dot, aypx, dot, norm2};
 use crate::error::SparseError;

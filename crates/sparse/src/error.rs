@@ -3,7 +3,7 @@
 //! Library code in this crate must not panic on bad input: the solver
 //! runs inside an intraoperative pipeline where a panic aborts the
 //! surgery-time computation. Constructors return [`SparseError`]
-//! instead, and callers decide whether to escalate, degrade, or abort.
+//! instead, and callers decide whether to degrade or abort.
 
 use std::fmt;
 

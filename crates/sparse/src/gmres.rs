@@ -29,7 +29,7 @@ use crate::solver::{Deadline, LinearOperator, SolveStats, SolverOptions, StopRea
 /// A `KrylovWorkspace` starts empty, grows on first use and is reused for
 /// every later solve on the same system, so repeat solves allocate
 /// nothing that grows with n. The basis is sized by the first GMRES run
-/// only: a solve that converges on the CG rung never allocates it.
+/// only: a CG solve never allocates it.
 #[derive(Debug, Default)]
 pub struct KrylovWorkspace {
     n: usize,

@@ -2,9 +2,8 @@
 //!
 //! From-scratch replacement for the slice of PETSc the paper uses: CSR
 //! storage with a concurrent-friendly triplet builder, BLAS-1 kernels, a
-//! dense LU for small blocks, preconditioned CG and restarted GMRES on one
-//! escalation ladder, and Jacobi / block-Jacobi / IC(0) preconditioners,
-//! plus the row-partitioning
+//! dense LU for small blocks, preconditioned CG and restarted GMRES, and
+//! Jacobi / block-Jacobi / IC(0) preconditioners, plus the row-partitioning
 //! helpers that drive the parallel decomposition (and its load imbalance,
 //! the central subject of the paper's §3.2).
 
@@ -15,22 +14,18 @@
 // invariants remains allowed.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
-pub mod bicgstab;
 pub mod cg;
 pub mod csr;
 pub mod dense;
 pub mod error;
-pub mod escalate;
 pub mod gmres;
 pub mod partition;
 pub mod precond;
 pub mod solver;
 
-pub use bicgstab::bicgstab;
 pub use cg::conjugate_gradient;
 pub use csr::{CsrMatrix, TripletBuilder};
 pub use error::SparseError;
-pub use escalate::{solve_escalated, EscalationOutcome, EscalationPolicy, RungTrace};
 pub use gmres::{gmres, gmres_with_workspace, KrylovWorkspace};
 pub use precond::{
     BlockJacobiPrecond, BlockSolve, Ic0, IdentityPrecond, JacobiPrecond, Preconditioner,

@@ -21,8 +21,8 @@ impl LinearOperator for CsrMatrix {
     }
 }
 
-/// Which Krylov method leads the escalation ladder
-/// ([`crate::solve_escalated`]).
+/// Which Krylov method solves the system: one call of
+/// [`crate::conjugate_gradient`] or [`crate::gmres_with_workspace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KrylovKind {
     /// Restarted GMRES: the paper's choice (PETSc's default Krylov
@@ -31,6 +31,16 @@ pub enum KrylovKind {
     /// Preconditioned conjugate gradients: for the symmetric positive
     /// definite `K_ff` of linear elasticity, with an SPD preconditioner.
     ConjugateGradient,
+}
+
+impl std::fmt::Display for KrylovKind {
+    /// The short name reports print: `"gmres"` or `"cg"`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            KrylovKind::Gmres => "gmres",
+            KrylovKind::ConjugateGradient => "cg",
+        })
+    }
 }
 
 /// Why a Krylov solve stopped.
@@ -70,7 +80,7 @@ pub struct SolveStats {
     pub history: Vec<f64>,
     /// Completed restart cycles beyond the first (GMRES): a solve that
     /// finished inside its first Krylov cycle reports `0`. Always `0`
-    /// for non-restarted methods (CG, BiCGStab).
+    /// for CG, which does not restart.
     pub restarts: usize,
 }
 
@@ -88,11 +98,12 @@ pub struct SolverOptions {
     pub tolerance: f64,
     /// Maximum total iterations.
     pub max_iterations: usize,
-    /// GMRES restart length (ignored by CG and BiCGStab).
+    /// GMRES restart length (ignored by CG).
     pub restart: usize,
     /// Record per-iteration residuals in `SolveStats::history`.
     pub record_history: bool,
-    /// Wall-clock budget for one solve; `None` means unbounded. When the
+    /// Wall-clock budget for one solve; `None` means unbounded, and so
+    /// does a budget too large for the clock to represent. When the
     /// budget expires mid-solve, the solver returns its best iterate with
     /// [`StopReason::TimeBudget`].
     pub time_budget: Option<std::time::Duration>,
@@ -150,8 +161,10 @@ impl brainshift_persist::Persist for StopReason {
 pub(crate) struct Deadline(Option<std::time::Instant>);
 
 impl Deadline {
+    /// A budget past the clock's range (`Duration::MAX`, say) is no
+    /// deadline at all rather than an overflow panic.
     pub(crate) fn from_budget(budget: Option<std::time::Duration>) -> Self {
-        Deadline(budget.map(|d| std::time::Instant::now() + d))
+        Deadline(budget.and_then(|d| std::time::Instant::now().checked_add(d)))
     }
     pub(crate) fn expired(&self) -> bool {
         self.0.is_some_and(|t| std::time::Instant::now() >= t)
@@ -184,6 +197,29 @@ mod tests {
             matches!(r, Err(brainshift_persist::PersistError::InvalidData { .. })),
             "{r:?}"
         );
+    }
+
+    #[test]
+    fn an_unrepresentable_time_budget_is_unbounded() {
+        use crate::precond::IdentityPrecond;
+        let n = 50;
+        let mut t = TripletBuilder::new(n, n);
+        for i in 0..n {
+            t.add(i, i, 2.0);
+            if i > 0 {
+                t.add(i, i - 1, -1.0);
+                t.add(i - 1, i, -1.0);
+            }
+        }
+        let a = t.build();
+        let b = vec![1.0; n];
+        let opts = SolverOptions { time_budget: Some(std::time::Duration::MAX), ..Default::default() };
+        let mut ws = crate::gmres::KrylovWorkspace::default();
+        let mut x = vec![0.0; n];
+        let cg = crate::cg::conjugate_gradient(&a, &IdentityPrecond, &b, &mut x, &opts, &mut ws).unwrap();
+        let mut x = vec![0.0; n];
+        let gm = crate::gmres::gmres_with_workspace(&a, &IdentityPrecond, &b, &mut x, &opts, &mut ws).unwrap();
+        assert!(cg.converged() && gm.converged(), "{cg:?} {gm:?}");
     }
 
     #[test]

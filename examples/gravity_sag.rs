@@ -22,7 +22,7 @@ use brainshift_imaging::phantom::BrainShiftConfig;
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
-use brainshift_sparse::{BlockSolve, EscalationPolicy, SolverOptions};
+use brainshift_sparse::{BlockSolve, SolverOptions};
 
 fn main() {
     println!("gravity-driven brain sag");
@@ -81,7 +81,6 @@ fn main() {
         krylov: KrylovKind::Gmres,
         precond: PrecondKind::BlockJacobi { blocks: 8, solve: BlockSolve::Ic0 },
         options: SolverOptions { tolerance: 1e-8, max_iterations: 5000, ..Default::default() },
-        escalation: EscalationPolicy::none(),
     };
     let sol = solve_with_loads(&mesh, &mats, &bcs, &f, &cfg).expect("valid BC set");
     println!("solve: {} iterations, converged: {}", sol.stats.iterations, sol.stats.converged());

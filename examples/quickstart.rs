@@ -37,19 +37,16 @@ fn main() {
     //    rigid stage because the synthetic scans share a frame; see the
     //    `neurosurgery_case` example for the full chain).
     println!("running intraoperative pipeline...");
-    let result = run_pipeline(
-        &case.preop.intensity,
-        &case.preop.labels,
-        &case.intraop.intensity,
-        &PipelineConfig { skip_rigid: true, ..Default::default() },
-    ).expect("pipeline failed");
+    let pipe_cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
+    let result = run_pipeline(&case.preop.intensity, &case.preop.labels, &case.intraop.intensity, &pipe_cfg)
+        .expect("pipeline failed");
 
     // 3. Report.
     println!("  mesh: {} nodes, {} tets", result.mesh.num_nodes(), result.mesh.num_tets());
     println!(
         "  FEM: {} equations, {} converged in {} iterations",
         result.fem.total_equations,
-        result.fem.rungs.last().map_or("solver", |r| r.solver),
+        pipe_cfg.fem.krylov,
         result.fem.stats.iterations
     );
     println!("  active surface residual: {:.2} mm", result.surface_residual);

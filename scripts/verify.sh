@@ -43,7 +43,8 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # the sparse, imaging and FEM suites pin the fused Gram–Schmidt sweep,
 # the distance transform, the stencil gradient and the resample plan to
 # the formulations they replaced, bit for bit, IC(0) to its defining
-# product and the CG rung to its deadline and hand-off to GMRES. Running
+# product and CG and GMRES to their deadlines (an expired budget stops
+# the solve, an unrepresentable one bounds nothing). Running
 # them under two worker counts extends the equalities across thread
 # counts (the dense reductions sum fixed blocks, so a Krylov solve is the
 # same bits at any count), and the root-level goldens pin three whole
@@ -90,7 +91,7 @@ cargo run -q --release -p brainshift-bench --bin scenario_suite_json -- 200
 # Persist stage: the durability layer. Codec/container round-trip and
 # corruption suites in the persist crate; the workspace property tests
 # (event logs round-trip canonically, a restored shard's next scan is
-# bit-identical to an uninterrupted run's, a v4 snapshot is refused, and
+# bit-identical to an uninterrupted run's, a v5 snapshot is refused, and
 # a resident context adds only its warm-start seed to a snapshot); and
 # the crash-recovery gate (snapshot a shard mid-sequence, restore, finish
 # — fields and event script must be byte-identical to an uninterrupted
@@ -106,7 +107,7 @@ RAYON_NUM_THREADS=1 cargo test -q --test persist_props --test persist_recovery
 RAYON_NUM_THREADS=4 cargo test -q --test persist_props --test persist_recovery
 cargo run -q --release -p brainshift-bench --bin persist_report
 
-# Solver stage: the conformance differential harness (eight named
+# Solver stage: the conformance differential harness (seven named
 # paths, pairwise ≤1e-6) at two thread counts, so the agreement claims
 # survive parallelism.
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-conformance differential
@@ -143,21 +144,22 @@ for f in crates/sparse/src/*.rs crates/fem/src/*.rs crates/register/src/*.rs; do
   fi
 done
 
-# One FEM solve path and one ladder: SolverContext is the only place in
-# the FEM crate that runs the escalation ladder — the cold entry points
-# are one-shot contexts, not a second copy of the solve — and CG runs only
-# as a rung of that ladder: no program code calls it but the solver and
-# the ladder themselves (DESIGN §9). IC(0) is the one incomplete
-# factorization; ILU(0) does not come back (DESIGN §16).
-n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF 'solve_escalated(' || true)
-if [ "$n" -ne 1 ]; then
-  echo "expected exactly one non-test 'solve_escalated(' call in crates/fem/src, found $n" >&2
+# One FEM solve path and one Krylov call: SolverContext is the only place
+# in the FEM crate that solves — the cold entry points are one-shot
+# contexts, not a second copy of the solve — and it calls the configured
+# method once. A solve that does not converge within its budget degrades;
+# nothing retries it with another method, so the escalation ladder and
+# BiCGStab do not come back (DESIGN §9, §16). IC(0) is the one incomplete
+# factorization; ILU(0) does not come back either.
+if grep -rnE 'bicgstab|BiCgStab|EscalationPolicy|EscalationOutcome|RungTrace|solve_escalated|rung_reasons|note_escalated|JOBS_ESCALATED' crates tests examples; then
+  echo "the escalation ladder or BiCGStab is back: a failed solve degrades (DESIGN §9)" >&2
   exit 1
 fi
-for f in $(find crates/*/src examples -name '*.rs' | sort); do
-  case "$f" in crates/sparse/src/cg.rs | crates/sparse/src/escalate.rs) continue ;; esac
-  if non_test "$f" | grep -nF 'conjugate_gradient('; then
-    echo "conjugate_gradient called outside the escalation ladder ($f): solve through solve_escalated" >&2
+for call in 'conjugate_gradient(' 'gmres_with_workspace('; do
+  n=$(for f in crates/fem/src/*.rs; do non_test "$f"; done | grep -cF "$call" || true)
+  m=$(non_test crates/fem/src/context.rs | grep -cF "$call" || true)
+  if [ "$n" -ne 1 ] || [ "$m" -ne 1 ]; then
+    echo "expected exactly one non-test '$call' call in crates/fem/src, in context.rs; found $n ($m in context.rs)" >&2
     exit 1
   fi
 done
@@ -321,7 +323,7 @@ for f in crates/service/src/*.rs; do
     exit 1
   fi
 done
-for kind in Enqueue Reject Start Escalate Degrade Evict Cancel Complete Shutdown; do
+for kind in Enqueue Reject Start Degrade Evict Cancel Complete Shutdown; do
   n=$(non_test crates/service/src/core.rs | grep -cE "EventKind::$kind\b" || true)
   if [ "$n" -ne 1 ]; then
     echo "expected exactly one recording site for EventKind::$kind in core.rs, found $n" >&2

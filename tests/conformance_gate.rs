@@ -53,8 +53,7 @@ fn every_solve_path_agrees_pairwise_within_1e6() {
         names,
         [
             "gmres",
-            "bicgstab",
-            "escalated",
+            "cg",
             "context-warm",
             "distributed-p1",
             "distributed-p2",

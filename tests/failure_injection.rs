@@ -1,7 +1,7 @@
 //! Failure-injection tests: the typed-error layer and the degradation
 //! contract, exercised end to end.
 //!
-//! Four families, matching the failure policy in DESIGN.md:
+//! Five families, matching the failure policy in DESIGN.md:
 //!
 //! 1. A singular preconditioner block is a [`SparseError::SingularBlock`],
 //!    never a silently wrong answer (the historical identity fallback).
@@ -12,10 +12,14 @@
 //! 4. A solver non-convergence mid-sequence degrades exactly that scan —
 //!    the previous scan's displacement field is carried forward and the
 //!    surgery's registration stream continues.
+//! 5. The service turns a job's remaining deadline into its solve's time
+//!    budget: a job whose deadline has passed degrades on that budget,
+//!    and a deadline past the service clock saturates instead of
+//!    wrapping.
 
 use brainshift_core::{
     generate_scan_sequence, run_pipeline, run_scan_sequence_with_faults, Error, FaultInjection,
-    PipelineConfig, ScanStatus,
+    PipelineConfig, PreparedSurgery, ScanSequence, ScanStatus,
 };
 use brainshift_fem::{FemError, FemSolveConfig, MaterialTable, SolverContext};
 use brainshift_imaging::labels;
@@ -27,8 +31,13 @@ use brainshift_imaging::{Mat3, Vec3};
 use brainshift_mesh::error::MeshError;
 use brainshift_mesh::TetMesh;
 use brainshift_register::{MiConfig, RigidRegConfig};
-use brainshift_sparse::{BlockJacobiPrecond, BlockSolve, CsrMatrix, SparseError, TripletBuilder};
+use brainshift_service::{EventKind, JobOutcome, ScanJob, Service, ServiceConfig};
+use brainshift_sparse::{
+    BlockJacobiPrecond, BlockSolve, CsrMatrix, SparseError, StopReason, TripletBuilder,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 // ───────────────────────── singular blocks ─────────────────────────
 
@@ -191,7 +200,7 @@ fn run_pipeline_rejects_a_rigid_config_it_cannot_run() {
 
 // ───────────────────── mid-sequence degradation ─────────────────────
 
-fn small_seq(n: usize) -> brainshift_core::ScanSequence {
+fn small_seq(n: usize) -> ScanSequence {
     generate_scan_sequence(
         &PhantomConfig {
             dims: Dims::new(32, 32, 24),
@@ -253,4 +262,66 @@ fn degraded_first_scan_falls_back_to_zero_field() {
     // poisoned the warm-start state.
     assert!(!matches!(res.outcomes[1].status, ScanStatus::Degraded));
     assert!(res.outcomes[1].peak_recovered_mm > 0.0);
+}
+
+// ───────────────────── the service's deadline budget ─────────────────────
+
+/// A one-worker service with one open session on `seq`'s surgery.
+fn serve(seq: &ScanSequence) -> (Service, u64) {
+    let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
+    let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare surgery");
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    let session = service.open_session(Arc::new(prepared));
+    (service, session)
+}
+
+fn run_job(service: &Service, session: u64, seq: &ScanSequence, scan: usize, deadline: Duration) -> JobOutcome {
+    let job = ScanJob { session, intensity: seq.scans[scan].intensity.clone(), priority: 0, deadline };
+    service.submit(job).expect("admit").wait().expect("execute")
+}
+
+#[test]
+fn a_job_past_its_deadline_degrades_on_the_time_budget() {
+    let seq = small_seq(3);
+    let (service, session) = serve(&seq);
+    let first = run_job(&service, session, &seq, 0, Duration::from_secs(300));
+    assert_eq!(first.status, ScanStatus::Converged);
+
+    // A 1 µs deadline has passed by the time the solve starts: the
+    // solve's budget is the token 1 µs and it stops on it.
+    let starved = run_job(&service, session, &seq, 1, Duration::from_micros(1));
+    assert_eq!(starved.status, ScanStatus::Degraded, "a starved job must degrade, not error");
+    let bits = |o: &JobOutcome| -> Vec<u64> {
+        o.field.data().iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
+    };
+    assert_eq!(bits(&starved), bits(&first), "the degraded field is not scan 0's, bit for bit");
+
+    let next = run_job(&service, session, &seq, 2, Duration::from_secs(300));
+    assert_eq!(next.status, ScanStatus::Converged, "the session recovers after a degraded job");
+    assert_eq!(service.session_stats(session).expect("session is open").degraded, 1);
+
+    let degrades: Vec<(u64, StopReason)> = service
+        .shutdown()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Degrade { session: s, job, reason } if s == session => Some((job, reason)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(degrades, [(starved.job, StopReason::TimeBudget)]);
+}
+
+#[test]
+fn a_deadline_past_the_service_clock_saturates() {
+    let seq = small_seq(1);
+    let (service, session) = serve(&seq);
+    // 18 446 744 073 710 s is just over u64::MAX µs: a truncating cast
+    // would wrap it to a deadline of about 0.45 s.
+    let out = run_job(&service, session, &seq, 0, Duration::from_secs(18_446_744_073_710));
+    assert_eq!(out.status, ScanStatus::Converged);
+    let deadline = service.shutdown().into_iter().find_map(|e| match e.kind {
+        EventKind::Enqueue { job, deadline_us, .. } if job == out.job => Some(deadline_us),
+        _ => None,
+    });
+    assert_eq!(deadline, Some(u64::MAX));
 }

@@ -55,19 +55,10 @@ proptest! {
                     worker: depth % 4,
                     stolen: job % 3 == 0,
                 },
-                3 => EventKind::Escalate {
-                    session,
-                    job,
-                    attempts: 1 + depth % 3,
-                    reasons: vec![
-                        brainshift_sparse::StopReason::MaxIterations,
-                        brainshift_sparse::StopReason::Converged,
-                    ],
-                },
                 4 => EventKind::Degrade {
                     session,
                     job,
-                    reasons: vec![brainshift_sparse::StopReason::TimeBudget],
+                    reason: brainshift_sparse::StopReason::TimeBudget,
                 },
                 5 => EventKind::Evict { session, freed_bytes: depth * 1024 },
                 6 => EventKind::Cancel { session, job },
@@ -174,8 +165,9 @@ fn solver_context_round_trips_and_solves_identically() {
 
 /// A restored context resumes warm: a repeat of the last scan before the
 /// snapshot solves in zero Krylov iterations. Snapshots stamped with an
-/// older format — v4 carried whole contexts, v1–v3 their ILU(0) factors
-/// or a solver tail nothing reads — are refused as a whole.
+/// older format — v5 kept an escalation counter and escalation events,
+/// v4 carried whole contexts, v1–v3 their ILU(0) factors or a solver
+/// tail nothing reads — are refused as a whole.
 #[test]
 fn v4_context_resumes_warm_and_older_versions_are_refused() {
     let (prepared, seq) = phantom(1);
@@ -190,7 +182,7 @@ fn v4_context_resumes_warm_and_older_versions_are_refused() {
     assert_eq!(repeat.fem_iterations, 0, "the restored seed does not solve the scan it came from");
 
     assert_eq!(SnapshotReader::parse(&bytes).expect("parses").version(), FORMAT_VERSION);
-    for old in [1u32, 2, 3, 4] {
+    for old in [1u32, 2, 3, 4, 5] {
         bytes[8..12].copy_from_slice(&old.to_le_bytes());
         let refused = Service::restore_shard(cfg.clone(), &bytes, &preps).err();
         assert!(

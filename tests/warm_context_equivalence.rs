@@ -18,7 +18,7 @@ use brainshift_mesh::{
     boundary_nodes, extract_boundary, mesh_labeled_volume, MesherConfig, TetMesh,
 };
 use brainshift_scenario::{generate_scenario, ScenarioKind};
-use brainshift_sparse::{solve_escalated, KrylovWorkspace, SolverOptions};
+use brainshift_sparse::{conjugate_gradient, KrylovWorkspace, SolverOptions};
 use proptest::prelude::*;
 
 fn block_mesh(n: usize) -> TetMesh {
@@ -173,7 +173,7 @@ fn bits(sol: &FemSolution) -> Vec<u64> {
 
 /// The cold path as it was written before it became a one-shot context,
 /// from public pieces: assemble → reduce → right-hand side under the
-/// explicit load → precondition → escalation ladder from a zero start
+/// explicit load → precondition → the configured CG from a zero start
 /// with a fresh workspace → expand.
 fn hand_rolled_cold_solve(
     mesh: &TetMesh,
@@ -190,20 +190,11 @@ fn hand_rolled_cold_solve(
     let precond = build_preconditioner(cfg.precond, &reduced.matrix).expect("precondition");
     let mut x = vec![0.0; reduced.matrix.nrows()];
     let mut ws = KrylovWorkspace::new(x.len());
-    let out = solve_escalated(
-        &reduced.matrix,
-        precond.as_ref(),
-        &rhs,
-        &mut x,
-        cfg.krylov,
-        &cfg.options,
-        &cfg.escalation,
-        &mut ws,
-    )
-    .expect("dims agree");
+    let stats = conjugate_gradient(&reduced.matrix, precond.as_ref(), &rhs, &mut x, &cfg.options, &mut ws)
+        .expect("dims agree");
     let mut full = vec![0.0; k.nrows()];
     reduced.expand_solution_into(&x, &u_c, &mut full);
-    (full.iter().map(|v| v.to_bits()).collect(), out.stats.iterations)
+    (full.iter().map(|v| v.to_bits()).collect(), stats.iterations)
 }
 
 /// `solve_deformation` is the first solve of a fresh context, and
