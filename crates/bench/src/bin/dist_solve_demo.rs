@@ -1,24 +1,26 @@
 //! Demo: the *executable* distributed solver.
 //!
 //! The timing figures price a modeled cluster; this binary actually runs
-//! the distributed GMRES — rank threads, message passing, block-Jacobi
-//! IC(0) preconditioning local to each rank — on the brain FEM system, and
-//! verifies every rank count produces the same displacement field. This is
-//! the MPI-style program the paper ran, minus the 1999 hardware.
+//! the distributed solve — rank threads, ghost exchange, allreduce dot
+//! products, block-Jacobi IC(0) preconditioning local to each rank — on
+//! the brain FEM system, with CG (the production method) and GMRES (the
+//! paper's), and verifies every rank count produces the same displacement
+//! field. This is the MPI-style program the paper ran, minus the 1999
+//! hardware.
 //!
 //! ```bash
 //! cargo run --release -p brainshift-bench --bin dist_solve_demo [equations]
 //! ```
 
 use brainshift_bench::problem_with_equations;
-use brainshift_cluster::{distributed_gmres, run_ranks, LocalSystem};
-use brainshift_sparse::partition::even_offsets;
-use brainshift_sparse::SolverOptions;
+use brainshift_cluster::{distributed_solve, run_ranks, RankSystem};
 use brainshift_obs::Stopwatch;
+use brainshift_sparse::partition::even_offsets;
+use brainshift_sparse::{KrylovKind, SolverOptions};
 
 fn main() {
     let equations: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20_000);
-    println!("## distributed GMRES demo (real rank threads + message passing)\n");
+    println!("## distributed Krylov demo (real rank threads + message passing)\n");
     let p = problem_with_equations(equations);
     let red = p.structure();
     let (_, rhs) = p.zero_load_rhs(&red);
@@ -28,40 +30,43 @@ fn main() {
 
     let mut reference: Option<Vec<f64>> = None;
     println!(
-        "\n{:>6} {:>12} {:>8} {:>12} {:>16}",
-        "ranks", "rows/rank", "iters", "host time", "vs 1-rank result"
+        "\n{:>6} {:>6} {:>12} {:>8} {:>12} {:>16}",
+        "method", "ranks", "rows/rank", "iters", "host time", "vs 1-rank CG"
     );
-    for ranks in [1usize, 2, 4, 8] {
-        let offsets = even_offsets(n, ranks);
-        let t0 = Stopwatch::wall();
-        let results = run_ranks(ranks, |comm| {
-            let r = comm.rank();
-            let sys = LocalSystem::from_global(&red.matrix, offsets[r], offsets[r + 1]).expect("valid row slice");
-            distributed_gmres(comm, &sys, &rhs[offsets[r]..offsets[r + 1]], &opts)
-        });
-        let elapsed = t0.elapsed_s();
-        let x: Vec<f64> = results.iter().flat_map(|(xl, _)| xl.clone()).collect();
-        let stats = &results[0].1;
-        let agreement = match &reference {
-            None => {
-                reference = Some(x);
-                "reference".to_string()
-            }
-            Some(r) => {
-                let num: f64 = x.iter().zip(r).map(|(a, b)| (a - b).powi(2)).sum::<f64>().sqrt();
-                let den: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-                format!("{:.2e} rel diff", num / den.max(1e-300))
-            }
-        };
-        println!(
-            "{:>6} {:>12} {:>8} {:>10.2} s {:>16}",
-            ranks,
-            n / ranks,
-            stats.iterations,
-            elapsed,
-            agreement
-        );
-        assert!(stats.converged(), "rank count {ranks} failed to converge");
+    for kind in [KrylovKind::ConjugateGradient, KrylovKind::Gmres] {
+        for ranks in [1usize, 2, 4, 8] {
+            let offsets = even_offsets(n, ranks);
+            let t0 = Stopwatch::wall();
+            let results = run_ranks(ranks, |comm| {
+                let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
+                let sys = RankSystem::new(comm, &red.matrix, &offsets).expect("K_ff blocks factor");
+                distributed_solve(comm, &sys, kind, &rhs[lo..hi], &opts).expect("slices match the rows")
+            });
+            let elapsed = t0.elapsed_s();
+            let stats = results[0].1.clone();
+            let x: Vec<f64> = results.into_iter().flat_map(|(xl, _)| xl).collect();
+            let agreement = match &reference {
+                None => {
+                    reference = Some(x);
+                    "reference".to_string()
+                }
+                Some(r) => {
+                    let num: f64 = x.iter().zip(r).map(|(a, b)| (a - b).powi(2)).sum::<f64>().sqrt();
+                    let den: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
+                    format!("{:.2e} rel diff", num / den.max(1e-300))
+                }
+            };
+            println!(
+                "{:>6} {:>6} {:>12} {:>8} {:>10.2} s {:>16}",
+                kind.to_string(),
+                ranks,
+                n / ranks,
+                stats.iterations,
+                elapsed,
+                agreement
+            );
+            assert!(stats.converged(), "{kind} at {ranks} ranks failed to converge");
+        }
     }
     println!("\n(iterations grow with rank count — each rank's IC(0) block shrinks,");
     println!(" the same effect the paper's Figure 7 solve curve shows. On a 1-CPU");

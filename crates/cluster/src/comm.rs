@@ -71,6 +71,8 @@ impl Comm {
     /// Sum-allreduce: every rank contributes `local` and receives the
     /// global element-wise sum. Binomial-tree reduce to rank 0 followed by
     /// a broadcast — the same communication pattern the cost model prices.
+    /// Every rank receives rank 0's total, so the result is the same bits
+    /// on every rank.
     pub fn allreduce_sum(&mut self, local: &[f64]) -> Vec<f64> {
         let mut acc = local.to_vec();
         let p = self.size;
@@ -112,29 +114,10 @@ impl Comm {
         }
         acc
     }
-
-    /// Gather variable-length contributions from all ranks onto every rank
-    /// (concatenated in rank order).
-    pub fn allgatherv(&mut self, local: &[f64]) -> Vec<Vec<f64>> {
-        let mut parts: Vec<Vec<f64>> = vec![Vec::new(); self.size];
-        for dest in 0..self.size {
-            if dest != self.rank {
-                self.send(dest, TAG_GATHER, local.to_vec());
-            }
-        }
-        parts[self.rank] = local.to_vec();
-        for src in 0..self.size {
-            if src != self.rank {
-                parts[src] = self.recv(src, TAG_GATHER);
-            }
-        }
-        parts
-    }
 }
 
 const TAG_REDUCE: u64 = 1 << 32;
 const TAG_BCAST: u64 = 2 << 32;
-const TAG_GATHER: u64 = 3 << 32;
 
 /// Run `f` on `nranks` rank threads, each given its own [`Comm`]; returns
 /// the per-rank results in rank order.
@@ -226,20 +209,6 @@ mod tests {
                 assert_eq!(r[0], expect0, "p={p}");
                 assert_eq!(r[1], p as f64);
             }
-        }
-    }
-
-    #[test]
-    fn allgatherv_collects_in_rank_order() {
-        let results = run_ranks(3, |comm| {
-            let local = vec![comm.rank() as f64; comm.rank() + 1];
-            comm.allgatherv(&local)
-        });
-        for parts in &results {
-            assert_eq!(parts.len(), 3);
-            assert_eq!(parts[0], vec![0.0]);
-            assert_eq!(parts[1], vec![1.0, 1.0]);
-            assert_eq!(parts[2], vec![2.0, 2.0, 2.0]);
         }
     }
 

@@ -9,6 +9,9 @@
 //! distributed algorithms.
 
 #![warn(missing_docs)]
+// Rank code must not panic on bad input: a refused partition or solve is
+// a typed `SparseError` on every rank. Test modules are exempt.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod comm;
 pub mod dsolve;
@@ -16,6 +19,6 @@ pub mod machine;
 pub mod sim;
 
 pub use comm::{run_ranks, Comm};
-pub use dsolve::{distributed_gmres, distributed_gmres_ghosted, GhostedSystem, LocalSystem};
+pub use dsolve::{distributed_solve, RankSystem};
 pub use machine::{CpuSpec, Interconnect, LinkSpec, MachineModel};
 pub use sim::{PhaseCost, SimCluster};

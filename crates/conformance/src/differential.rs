@@ -3,23 +3,27 @@
 //! The repo has several routes to the same reduced system — cold GMRES
 //! (the paper's method), cold CG (the production method), the warm
 //! per-surgery [`SolverContext`], and the thread-message-passing
-//! distributed GMRES at 1/2/4/8 ranks. They share the assembly and
-//! Dirichlet reduction but nothing else; a bug in any one of them shows up as a field that
+//! distributed solve (CG at 1/2/4/8 ranks, GMRES at 4). They share the
+//! assembly and Dirichlet reduction, and the distributed paths the
+//! serial Krylov loops, but nothing else; a bug in any one of them shows up as a field that
 //! silently disagrees with its siblings. This harness solves the reduced
 //! system of one [`SolverContext`] through all of them and asserts
 //! pairwise agreement of the *expanded nodal displacement fields*, which
 //! is the quantity the registration pipeline actually consumes.
 
-use brainshift_cluster::{distributed_gmres_ghosted, run_ranks, GhostedSystem, LocalSystem};
+use brainshift_cluster::{distributed_solve, run_ranks, RankSystem};
 use brainshift_fem::{DirichletBcs, DirichletStructure, FemSolveConfig, MaterialTable, SolverContext};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKind};
 pub use brainshift_scenario::RecoveryPoint;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, partition::even_offsets, BlockJacobiPrecond, BlockSolve,
+    conjugate_gradient, gmres, partition::even_offsets, BlockJacobiPrecond, BlockSolve, KrylovKind,
     KrylovWorkspace, SolverOptions,
 };
+
+/// Rank count of the one distributed GMRES path (`distributed-gmres-p4`).
+const GMRES_RANKS: usize = 4;
 
 /// Knobs for the harness.
 #[derive(Debug, Clone)]
@@ -33,7 +37,7 @@ pub struct DifferentialOptions {
     /// Block count of the block-Jacobi/IC(0) preconditioner for the
     /// shared-memory paths.
     pub blocks: usize,
-    /// Rank counts for the distributed path.
+    /// Rank counts for the distributed CG paths.
     pub ranks: Vec<usize>,
 }
 
@@ -52,7 +56,7 @@ impl Default for DifferentialOptions {
 #[derive(Debug, Clone)]
 pub struct PathField {
     /// Path label (`"gmres"`, `"cg"`, `"context-warm"`,
-    /// `"distributed-p4"`, …).
+    /// `"distributed-cg-p4"`, `"distributed-gmres-p4"`, …).
     pub name: String,
     /// Per-node displacement after expansion through the Dirichlet
     /// structure (constrained nodes carry the imposed values).
@@ -177,23 +181,21 @@ pub fn run_differential(
 
     paths.push(context_warm);
 
-    // 4. Distributed ghosted GMRES over the reduced system at each rank
-    //    count (rank-0's stats are representative — all ranks return the
-    //    same stats by construction).
-    for &p in &opts.ranks {
+    // 4. The distributed solve over the reduced system: CG at each rank
+    //    count, GMRES at one (rank-0's stats are representative — all
+    //    ranks return the same stats by construction).
+    let runs = opts.ranks.iter().map(|&p| (KrylovKind::ConjugateGradient, p));
+    for (kind, p) in runs.chain([(KrylovKind::Gmres, GMRES_RANKS)]) {
         let offsets = even_offsets(nfree, p);
-        let eff_ranks = offsets.len() - 1;
-        let per_rank = run_ranks(eff_ranks, |comm| {
-            let r = comm.rank();
-            let (lo, hi) = (offsets[r], offsets[r + 1]);
-            let sys = LocalSystem::from_global(a, lo, hi).expect("offsets are in range");
-            let ghosted = GhostedSystem::new(comm, sys, &offsets);
-            distributed_gmres_ghosted(comm, &ghosted, &rhs[lo..hi], &sopts)
+        let per_rank = run_ranks(offsets.len() - 1, |comm| {
+            let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
+            let sys = RankSystem::new(comm, a, &offsets).expect("reduced stiffness blocks factor");
+            distributed_solve(comm, &sys, kind, &rhs[lo..hi], &sopts).expect("reduced system dims agree")
         });
         let stats = per_rank[0].1.clone();
         let x: Vec<f64> = per_rank.into_iter().flat_map(|(xl, _)| xl).collect();
         paths.push(PathField {
-            name: format!("distributed-p{p}"),
+            name: format!("distributed-{kind}-p{p}"),
             field: expand_to_nodes(structure, &x, &u_c, num_nodes),
             converged: stats.converged(),
             iterations: stats.iterations,
@@ -289,14 +291,22 @@ mod tests {
                 "gmres",
                 "cg",
                 "context-warm",
-                "distributed-p1",
-                "distributed-p2",
-                "distributed-p4",
-                "distributed-p8",
+                "distributed-cg-p1",
+                "distributed-cg-p2",
+                "distributed-cg-p4",
+                "distributed-cg-p8",
+                "distributed-gmres-p4",
             ]
         );
         for p in &r.paths {
             assert!(p.converged, "{} did not converge: {:?}", p.name, p.relative_residual);
+        }
+        // The distributed solve runs the serial loops on the same blocks:
+        // it differs from its serial twin only in how the dot products'
+        // partial sums are grouped.
+        for (serial, dist) in [("gmres", "distributed-gmres-p4"), ("cg", "distributed-cg-p4")] {
+            let dev = r.pairwise.iter().find(|p| p.0 == serial && p.1 == dist).map(|p| p.2);
+            assert!(dev.is_some_and(|d| d <= 1e-12), "{serial} vs {dist}: {dev:?}");
         }
         assert!(
             r.agrees_within(1e-6),

@@ -7,7 +7,7 @@
 //! iteration or time budget is final — the caller degrades, it does not
 //! retry with another method.
 
-use crate::dense::{axpy, axpy_then_dot, aypx, dot, norm2};
+use crate::dense::{axpy, axpy_then_dot, aypx, dot};
 use crate::error::SparseError;
 use crate::gmres::KrylovWorkspace;
 use crate::precond::Preconditioner;
@@ -20,7 +20,9 @@ use crate::solver::{Deadline, LinearOperator, SolveStats, SolverOptions, StopRea
 /// The vectors live in `ws`, so a solve on a warm workspace allocates
 /// nothing that grows with n, and every vector operation is a
 /// [`crate::dense`] kernel, so the result is the same bits at any thread
-/// count.
+/// count. Every reduction is completed by [`LinearOperator::sum`]: an
+/// iteration makes one matvec and three reductions, which on one rank's
+/// slice of a distributed system are its allreduces.
 /// The solve stops with [`StopReason::TimeBudget`] once
 /// `opts.time_budget` has elapsed (one clock read per iteration).
 ///
@@ -57,7 +59,7 @@ pub fn conjugate_gradient(
         restarts: 0,
     };
 
-    let b_norm = norm2(b);
+    let b_norm = a.sum(dot(b, b)).sqrt();
     if b_norm == 0.0 {
         x.iter_mut().for_each(|v| *v = 0.0);
         if opts.record_history {
@@ -71,7 +73,7 @@ pub fn conjugate_gradient(
         for ((ri, bi), ai) in r.iter_mut().zip(b).zip(ap.iter()) {
             *ri = bi - ai;
         }
-        norm2(r) / b_norm
+        a.sum(dot(r, r)).sqrt() / b_norm
     };
 
     let mut rel = true_residual(x, r, ap);
@@ -84,7 +86,7 @@ pub fn conjugate_gradient(
     let restart = |r: &[f64], z: &mut [f64], p: &mut [f64], rz: &mut f64| {
         precond.apply(r, z);
         p.copy_from_slice(z);
-        *rz = dot(r, z);
+        *rz = a.sum(dot(r, z));
     };
     if rel > opts.tolerance {
         restart(r, z, p, &mut rz);
@@ -104,13 +106,13 @@ pub fn conjugate_gradient(
         }
         iterations += 1;
         a.apply(p, ap);
-        let pap = dot(p, ap);
+        let pap = a.sum(dot(p, ap));
         if degenerate(pap) {
             break StopReason::Breakdown;
         }
         let alpha = rz / pap;
         axpy(alpha, p, x);
-        rel = axpy_then_dot(-alpha, ap, r, None).sqrt() / b_norm;
+        rel = a.sum(axpy_then_dot(-alpha, ap, r, None)).sqrt() / b_norm;
         if opts.record_history {
             history.push(rel);
         }
@@ -124,7 +126,7 @@ pub fn conjugate_gradient(
             continue;
         }
         precond.apply(r, z);
-        let rz_new = dot(r, z);
+        let rz_new = a.sum(dot(r, z));
         aypx(rz_new / rz, z, p);
         rz = rz_new;
     };

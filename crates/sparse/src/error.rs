@@ -18,7 +18,8 @@ pub enum SparseError {
         reason: String,
     },
     /// Block-partition offsets are malformed (wrong endpoints, not
-    /// strictly increasing, empty block).
+    /// strictly increasing, empty block), or another rank of a
+    /// distributed system refused its share of the partition.
     InvalidOffsets {
         /// What invariant was violated.
         reason: String,
@@ -63,6 +64,12 @@ pub enum SparseError {
         /// Column of the stored entry.
         col: usize,
     },
+    /// A solver option the entry point cannot honour (a distributed
+    /// solve refuses a wall-clock budget: each rank reads its own clock).
+    UnsupportedOption {
+        /// The option that was refused.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for SparseError {
@@ -93,6 +100,7 @@ impl fmt::Display for SparseError {
                 f,
                 "sparsity pattern is not symmetric: ({row}, {col}) is stored but ({col}, {row}) is not"
             ),
+            SparseError::UnsupportedOption { what } => write!(f, "unsupported solver option: {what}"),
         }
     }
 }

@@ -15,7 +15,7 @@
 //! that no reorthogonalization pass is needed. Step j costs j+2 sweeps
 //! over the work vector (see [`gmres_with_workspace`]).
 
-use crate::dense::{axpy, axpy_then_dot, dot, norm2};
+use crate::dense::{axpy, axpy_then_dot, dot};
 use crate::error::SparseError;
 use crate::precond::Preconditioner;
 use crate::solver::{Deadline, LinearOperator, SolveStats, SolverOptions, StopReason};
@@ -138,8 +138,10 @@ pub fn gmres(
 /// [`axpy_then_dot`](crate::dense::axpy_then_dot) passes that each
 /// subtract the previous projection and accumulate the next coefficient
 /// (the last one accumulates ‖w‖²) — the arithmetic of j+1 × (`dot`,
-/// `axpy`) + `norm2`, bit for bit, in j+2 trips through the pool
-/// instead of 2j+3.
+/// `axpy`) + `dot(w, w)`, bit for bit, in j+2 trips through the pool
+/// instead of 2j+3. Every reduction is completed by
+/// [`LinearOperator::sum`], so on one rank's slice of a distributed
+/// system step j makes j+2 allreduces.
 ///
 /// Convergence is declared on the **true unpreconditioned** relative
 /// residual `‖b − A x‖/‖b‖`, verified with an explicit matvec at the end
@@ -176,8 +178,8 @@ pub fn gmres_with_workspace(
     // Preconditioned rhs norm scales the inner recurrence; the true
     // (unpreconditioned) norm scales the convergence criterion.
     precond.apply(b, &mut ws.zb);
-    let b_norm = norm2(&ws.zb).max(1e-300);
-    let b_norm_raw = norm2(b);
+    let b_norm = a.sum(dot(&ws.zb, &ws.zb)).sqrt().max(1e-300);
+    let b_norm_raw = a.sum(dot(b, b)).sqrt();
     if b_norm_raw == 0.0 {
         // b = 0 → x = 0. Record the (zero) residual so the history
         // contract holds on this exit too.
@@ -208,7 +210,7 @@ pub fn gmres_with_workspace(
         for i in 0..n {
             ws.raw[i] = b[i] - ws.work_ax[i];
         }
-        let raw_rel = norm2(&ws.raw) / b_norm_raw;
+        let raw_rel = a.sum(dot(&ws.raw, &ws.raw)).sqrt() / b_norm_raw;
         if opts.record_history && history.is_empty() {
             history.push(raw_rel);
         }
@@ -251,7 +253,7 @@ pub fn gmres_with_workspace(
         }
         // Preconditioned residual starts the Krylov cycle.
         precond.apply(&ws.raw, &mut ws.r);
-        let beta = norm2(&ws.r);
+        let beta = a.sum(dot(&ws.r, &ws.r)).sqrt();
         if beta < 1e-300 {
             // Preconditioner annihilated a nonzero residual: breakdown.
             // Same SolveStats shape as the converged path — reason, true
@@ -291,12 +293,12 @@ pub fn gmres_with_workspace(
             // Modified Gram–Schmidt in j+2 sweeps over w: each sweep
             // subtracts the previous projection and, in the same pass,
             // accumulates the next coefficient (the last one ‖w‖²).
-            let mut hij = dot(&ws.w, &ws.basis[..n]);
+            let mut hij = a.sum(dot(&ws.w, &ws.basis[..n]));
             for i in 0..=j {
                 ws.h[i + j * (m + 1)] = hij;
                 let vi = &ws.basis[i * n..(i + 1) * n];
                 let next = (i < j).then(|| &ws.basis[(i + 1) * n..(i + 2) * n]);
-                hij = axpy_then_dot(-hij, vi, &mut ws.w, next);
+                hij = a.sum(axpy_then_dot(-hij, vi, &mut ws.w, next));
             }
             let wnorm = hij.sqrt();
             ws.h[(j + 1) + j * (m + 1)] = wnorm;
@@ -366,7 +368,7 @@ pub fn gmres_with_workspace(
             for i in 0..n {
                 ws.raw[i] = b[i] - ws.work_ax[i];
             }
-            let final_rel = norm2(&ws.raw) / b_norm_raw;
+            let final_rel = a.sum(dot(&ws.raw, &ws.raw)).sqrt() / b_norm_raw;
             if opts.record_history {
                 history.push(final_rel);
             }

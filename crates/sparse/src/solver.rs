@@ -2,13 +2,30 @@
 
 use crate::csr::CsrMatrix;
 
-/// Anything that can apply `y = A x` — a plain CSR matrix, or the
-/// distributed operator run across the simulated cluster.
-pub trait LinearOperator: Sync {
-    /// Dimension of the (square) operator.
+/// Anything that can apply `y = A x` and complete a reduction over the
+/// vectors it acts on — a plain CSR matrix, or one rank's rows of a
+/// distributed system (`brainshift_cluster::distributed_solve`).
+///
+/// [`crate::conjugate_gradient`] and [`crate::gmres_with_workspace`]
+/// pass every dot product and norm through [`LinearOperator::sum`], so
+/// the same loops run serially and on each rank's slice of the vectors.
+/// There is no `Sync` bound: the loops call the operator from one
+/// thread, and a rank's operator keeps its communicator endpoint in a
+/// `RefCell`, which is not `Sync`.
+pub trait LinearOperator {
+    /// Dimension of the (square) operator: the length of the vectors it
+    /// acts on, which for a rank's operator is that rank's rows.
     fn dim(&self) -> usize;
     /// `y = A x`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
+    /// Complete a reduction whose `local` part was computed on this
+    /// operator's vectors: the identity for an operator that owns whole
+    /// vectors, an allreduce across ranks for a distributed one. It must
+    /// return identical bits on every rank, because every branch of the
+    /// Krylov loops (convergence, breakdown, restart) reads its result.
+    fn sum(&self, local: f64) -> f64 {
+        local
+    }
 }
 
 impl LinearOperator for CsrMatrix {
@@ -186,6 +203,70 @@ mod tests {
         let mut y = vec![0.0; 2];
         m.apply(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![2.0, 3.0]);
+    }
+
+    /// A CSR matrix that counts its matvecs and reductions: on a rank's
+    /// operator these are the ghost exchanges and the allreduces.
+    struct Counting<'a> {
+        a: &'a CsrMatrix,
+        applies: std::cell::Cell<usize>,
+        sums: std::cell::Cell<usize>,
+    }
+
+    impl LinearOperator for Counting<'_> {
+        fn dim(&self) -> usize {
+            self.a.nrows()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.applies.set(self.applies.get() + 1);
+            self.a.apply(x, y);
+        }
+        fn sum(&self, local: f64) -> f64 {
+            self.sums.set(self.sums.get() + 1);
+            local
+        }
+    }
+
+    #[test]
+    fn reductions_per_iteration_are_pinned() {
+        use crate::precond::JacobiPrecond;
+        let n = 200;
+        let mut t = TripletBuilder::new(n, n);
+        for i in 0..n {
+            t.add(i, i, 2.0);
+            if i > 0 {
+                t.add(i, i - 1, -1.0);
+                t.add(i - 1, i, -1.0);
+            }
+        }
+        let a = t.build();
+        let pc = JacobiPrecond::new(&a);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
+        // (matvecs, reductions) of a solve stopped after `k` iterations;
+        // the tolerance is out of reach and GMRES never restarts.
+        let counts = |kind: KrylovKind, k: usize| {
+            let op = Counting { a: &a, applies: Default::default(), sums: Default::default() };
+            let opts = SolverOptions { tolerance: 1e-300, max_iterations: k, restart: 50, ..Default::default() };
+            let (mut x, mut ws) = (vec![0.0; n], crate::gmres::KrylovWorkspace::default());
+            let stats = match kind {
+                KrylovKind::ConjugateGradient => crate::cg::conjugate_gradient(&op, &pc, &b, &mut x, &opts, &mut ws),
+                KrylovKind::Gmres => crate::gmres::gmres_with_workspace(&op, &pc, &b, &mut x, &opts, &mut ws),
+            }
+            .unwrap();
+            assert_eq!((stats.reason, stats.iterations), (StopReason::MaxIterations, k));
+            (op.applies.get(), op.sums.get())
+        };
+        // From the second iteration on: GMRES's first also opens its cycle.
+        for k in 1..12 {
+            let (a0, s0) = counts(KrylovKind::ConjugateGradient, k);
+            let (a1, s1) = counts(KrylovKind::ConjugateGradient, k + 1);
+            assert_eq!((a1 - a0, s1 - s0), (1, 3), "CG iteration {k}");
+            // GMRES step j = k: one matvec, then j + 2 reductions (the
+            // first coefficient, j fused projections, ‖w‖²).
+            let (a0, s0) = counts(KrylovKind::Gmres, k);
+            let (a1, s1) = counts(KrylovKind::Gmres, k + 1);
+            assert_eq!((a1 - a0, s1 - s0), (1, k + 2), "GMRES step {k}");
+        }
     }
 
     #[test]

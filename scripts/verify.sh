@@ -107,11 +107,15 @@ RAYON_NUM_THREADS=1 cargo test -q --test persist_props --test persist_recovery
 RAYON_NUM_THREADS=4 cargo test -q --test persist_props --test persist_recovery
 cargo run -q --release -p brainshift-bench --bin persist_report
 
-# Solver stage: the conformance differential harness (seven named
-# paths, pairwise ≤1e-6) at two thread counts, so the agreement claims
-# survive parallelism.
+# Solver stage: the conformance differential harness (eight named
+# paths, pairwise ≤1e-6, each distributed path within 1e-12 of its serial
+# twin) at two thread counts, so the agreement claims survive
+# parallelism. Then the executable distributed solve on a small FEM
+# system: CG and GMRES at 1, 2, 4 and 8 rank threads; the demo asserts
+# that every rank count converges.
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-conformance differential
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-conformance differential
+cargo run -q --release -p brainshift-bench --bin dist_solve_demo -- 5000
 
 # The benchmark is a package of its own that the root workspace never
 # builds: compile it against the current crates and run its shortest
@@ -124,20 +128,31 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The numeric kernels must not panic on bad input — constructors return
 # typed errors instead. The obs, sparse, FEM, core, service, segment,
-# surface and register crates deny clippy::unwrap_used / clippy::panic in
-# their non-test code (see the cfg_attr in each crate's lib.rs); lint the
-# libs to enforce it.
-cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p brainshift-fem -p brainshift-core -p brainshift-service -p brainshift-segment -p brainshift-surface -p brainshift-scenario -p brainshift-register --lib -- -D warnings
+# surface, register and cluster crates deny clippy::unwrap_used /
+# clippy::panic in their non-test code (see the cfg_attr in each crate's
+# lib.rs); lint the libs to enforce it.
+cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p brainshift-fem -p brainshift-core -p brainshift-service -p brainshift-segment -p brainshift-surface -p brainshift-scenario -p brainshift-register -p brainshift-cluster --lib -- -D warnings
 
-# Assert audit: non-test sparse, FEM and register code must return typed
-# SparseError/FemError values (or use debug_assert!) instead of
-# panicking assert!s — a malformed vector must never take down a worker
-# thread. Doc-comment mentions are fine; anything before a file's test
-# module is not.
+# Assert audit: non-test sparse, FEM, register and distributed-solve code
+# must return typed SparseError/FemError values (or use debug_assert!)
+# instead of panicking assert!s — a malformed vector must never take down
+# a worker thread. Doc-comment mentions are fine; anything before a file's
+# test module is not. (The communicator's and the cost model's asserts,
+# cluster/src/{comm,sim}.rs, are still to go: ROADMAP item 4(a).)
 non_test() {
   awk '/^(mod tests|#\[cfg\(test\)\])/{exit} !/^[[:space:]]*\/\//' "$1"
 }
-for f in crates/sparse/src/*.rs crates/fem/src/*.rs crates/register/src/*.rs; do
+# `non_test` stops at a file's first test module, so everything after it
+# must be test code: no item at the top level may follow a test module
+# unless `#[cfg(test)]` heads it.
+if awk 'FNR == 1 { t = 0; prev = "" }
+        /^(mod tests|#\[cfg\(test\)\])/ { t = 1 }
+        t && /^[^[:space:]})\]\/#]/ && prev !~ /^#\[cfg\(test\)\]/ && !/^mod tests/ { print FILENAME ":" FNR ": " $0 }
+        /^[^[:space:]]/ { prev = $0 }' $(find crates/*/src -name '*.rs') | grep .; then
+  echo "non-test code after a test module: the line counts and audits below would not see it" >&2
+  exit 1
+fi
+for f in crates/sparse/src/*.rs crates/fem/src/*.rs crates/register/src/*.rs crates/cluster/src/dsolve.rs; do
   if non_test "$f" | grep -nE '(^|[^_a-zA-Z0-9])assert(_eq|_ne)?!'; then
     echo "panicking assert in non-test code: $f" >&2
     exit 1
@@ -165,6 +180,21 @@ for call in 'conjugate_gradient(' 'gmres_with_workspace('; do
 done
 if grep -rnE 'Ilu0|ilu0' crates tests examples; then
   echo "ILU(0) is back: IC(0) is the one incomplete factorization" >&2
+  exit 1
+fi
+
+# One Krylov loop, serial and distributed: the distributed solve runs
+# sparse's CG and GMRES on a rank operator whose reductions are
+# allreduces (DESIGN §2), so the workspace holds exactly one Arnoldi
+# loop — one file with a Givens update — and the distributed GMRES copy,
+# the allgather matvec and the old rank types do not come back.
+files=$(for f in $(find crates/*/src -name '*.rs'); do non_test "$f" | grep -F '/ denom' >/dev/null && echo "$f"; done || true)
+if [ "$files" != crates/sparse/src/gmres.rs ]; then
+  echo "expected the one Givens/Arnoldi update ('/ denom') in crates/sparse/src/gmres.rs only; found in: $files" >&2
+  exit 1
+fi
+if grep -rnE '\b(distributed_gmres|distributed_gmres_ghosted|distributed_gmres_impl|allgatherv|LocalSystem|GhostedSystem)\b' crates tests examples; then
+  echo "a deleted distributed-solve item is back: solve with cluster::distributed_solve" >&2
   exit 1
 fi
 

@@ -55,10 +55,11 @@ fn every_solve_path_agrees_pairwise_within_1e6() {
             "gmres",
             "cg",
             "context-warm",
-            "distributed-p1",
-            "distributed-p2",
-            "distributed-p4",
-            "distributed-p8",
+            "distributed-cg-p1",
+            "distributed-cg-p2",
+            "distributed-cg-p4",
+            "distributed-cg-p8",
+            "distributed-gmres-p4",
         ]
     );
     for p in &r.paths {

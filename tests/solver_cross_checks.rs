@@ -2,7 +2,7 @@
 //! solved through independent code paths must agree, and the distributed
 //! (thread message-passing) reductions must match serial arithmetic.
 
-use brainshift_cluster::run_ranks;
+use brainshift_cluster::{distributed_solve, run_ranks, RankSystem};
 use brainshift_fem::{assemble_stiffness, DirichletBcs, DirichletStructure, MaterialTable};
 use brainshift_imaging::labels;
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
@@ -10,8 +10,8 @@ use brainshift_imaging::Vec3;
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
 use brainshift_sparse::dense::DenseLu;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, Ic0, JacobiPrecond, KrylovWorkspace,
-    SolverOptions,
+    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, Ic0, JacobiPrecond, KrylovKind,
+    KrylovWorkspace, SolverOptions,
 };
 
 fn small_mesh() -> brainshift_mesh::TetMesh {
@@ -146,32 +146,27 @@ fn reduced_system_is_positive_definite_on_random_vectors() {
 #[test]
 fn distributed_spmv_matches_serial() {
     // Row-partitioned SpMV executed on real threads with message passing:
-    // each rank owns a contiguous row block and gathers the full vector.
+    // each rank owns a contiguous row block and receives only the ghost
+    // entries its rows reference. Every row sums in the global row's
+    // order, so the result is the serial one bit for bit.
     let (a, _) = small_reduced();
     let n = a.nrows();
     let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) * 0.25 - 1.0).collect();
     let mut serial = vec![0.0; n];
     a.spmv(&x, &mut serial);
 
-    let p = 4.min(n);
-    let offsets = brainshift_sparse::partition::even_offsets(n, p);
-    let results = run_ranks(p, |comm| {
-        let r = comm.rank();
-        let lo = offsets[r];
-        let hi = offsets[r + 1];
-        // Allgather the input vector (ghost exchange superset).
-        let parts = comm.allgatherv(&x[lo..hi]);
-        let full: Vec<f64> = parts.concat();
+    let offsets = brainshift_sparse::partition::even_offsets(n, 4);
+    let results = run_ranks(offsets.len() - 1, |comm| {
+        let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
+        let sys = RankSystem::new(comm, &a, &offsets).expect("K_ff has a symmetric pattern");
         let mut local = vec![0.0; hi - lo];
-        for (li, row) in (lo..hi).enumerate() {
-            let (cols, vals) = a.row(row);
-            local[li] = cols.iter().zip(vals).map(|(&c, &v)| v * full[c]).sum();
-        }
+        sys.matvec(comm, &x[lo..hi], &mut local);
         local
     });
     let distributed: Vec<f64> = results.concat();
+    assert_eq!(distributed.len(), n);
     for (d, s) in distributed.iter().zip(&serial) {
-        assert!((d - s).abs() < 1e-12);
+        assert_eq!(d.to_bits(), s.to_bits(), "{d} vs {s}");
     }
 }
 
@@ -196,30 +191,46 @@ fn distributed_gmres_norms_match_serial() {
 
 #[test]
 fn distributed_gmres_solves_fem_system() {
-    // The real-message-passing distributed solver on the actual reduced
-    // FEM matrix: all ranks converge to the serial solution.
-    use brainshift_cluster::{distributed_gmres, LocalSystem};
+    // The real-message-passing distributed solve on the actual reduced
+    // FEM matrix, with both Krylov methods: at one rank it is the serial
+    // solve with the whole matrix's IC(0) bit for bit, and at four ranks
+    // every rank converges to the serial solution.
     let (a, rhs) = small_reduced();
     let n = a.nrows();
     let opts = SolverOptions { tolerance: 1e-9, max_iterations: 5000, ..Default::default() };
-    // Serial reference.
-    let mut x_ref = vec![0.0; n];
     let ic = Ic0::new(&a).expect("K_ff has a symmetric pattern");
-    let s_ref = gmres(&a, &ic, &rhs, &mut x_ref, &opts).expect("dims agree");
-    assert!(s_ref.converged());
-    let p = 4;
-    let offsets = brainshift_sparse::partition::even_offsets(n, p);
-    let results = run_ranks(p, |comm| {
-        let r = comm.rank();
-        let sys = LocalSystem::from_global(&a, offsets[r], offsets[r + 1]).expect("valid row slice");
-        distributed_gmres(comm, &sys, &rhs[offsets[r]..offsets[r + 1]], &opts)
-    });
-    let x: Vec<f64> = results.iter().flat_map(|(xl, _)| xl.clone()).collect();
-    let scale = x_ref.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
-    for (d, s) in x.iter().zip(&x_ref) {
-        assert!((d - s).abs() < 1e-5 * scale, "{d} vs {s}");
-    }
-    for (_, stats) in &results {
-        assert!(stats.converged());
+    let solve_on = |p: usize, kind: KrylovKind| {
+        let offsets = brainshift_sparse::partition::even_offsets(n, p);
+        run_ranks(offsets.len() - 1, |comm| {
+            let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
+            let sys = RankSystem::new(comm, &a, &offsets).expect("K_ff has a symmetric pattern");
+            distributed_solve(comm, &sys, kind, &rhs[lo..hi], &opts).expect("slices match the rows")
+        })
+    };
+    for kind in [KrylovKind::ConjugateGradient, KrylovKind::Gmres] {
+        // Serial reference.
+        let mut x_ref = vec![0.0; n];
+        let mut ws = KrylovWorkspace::new(n);
+        let s_ref = match kind {
+            KrylovKind::ConjugateGradient => conjugate_gradient(&a, &ic, &rhs, &mut x_ref, &opts, &mut ws),
+            KrylovKind::Gmres => gmres(&a, &ic, &rhs, &mut x_ref, &opts),
+        }
+        .expect("dims agree");
+        assert!(s_ref.converged());
+
+        let (x1, s1) = solve_on(1, kind).remove(0);
+        assert_eq!(s1.iterations, s_ref.iterations, "{kind}");
+        assert!(x1.iter().zip(&x_ref).all(|(d, s)| d.to_bits() == s.to_bits()), "{kind}: one rank is not the serial solve");
+
+        let results = solve_on(4, kind);
+        let x: Vec<f64> = results.iter().flat_map(|(xl, _)| xl.clone()).collect();
+        let scale = x_ref.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
+        for (d, s) in x.iter().zip(&x_ref) {
+            assert!((d - s).abs() < 1e-5 * scale, "{kind}: {d} vs {s}");
+        }
+        for (_, stats) in &results {
+            assert!(stats.converged(), "{kind}");
+            assert_eq!(stats.iterations, results[0].1.iterations);
+        }
     }
 }
