@@ -1,6 +1,6 @@
 //! Durability benchmark and end-to-end recovery gate.
 //!
-//! Three claims are *asserted*, then written with their measurements to
+//! Two claims are *asserted*, then written with their measurements to
 //! `bench_out/persist.json` (`brainshift.obs.v1`):
 //!
 //! 1. **A restored session resumes warm**: a shard snapshot keeps a
@@ -14,9 +14,6 @@
 //!    `snapshot_shard` → `restore_shard` boundary produces bitwise
 //!    identical displacement fields and an event-log script tail
 //!    byte-identical to an uninterrupted run's.
-//! 3. **Replay is deterministic**: a persisted submission log re-executed
-//!    through the logical-clock simulator reproduces its recorded event
-//!    script byte-for-byte.
 //!
 //! ```bash
 //! cargo run --release -p brainshift-bench --bin persist_report
@@ -27,7 +24,7 @@ use brainshift_core::{generate_scan_sequence, PipelineConfig, PreparedSurgery, S
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_obs::{BenchReport, JsonValue};
-use brainshift_service::{RecordedRun, ScanJob, Service, ServiceConfig, SimJob};
+use brainshift_service::{ScanJob, Service, ServiceConfig};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -167,51 +164,19 @@ fn main() {
     // the session table.
     assert!(rec_results[cut].1, "first post-restore scan ran cold; warm context was lost");
 
-    // ---- 3. Deterministic replay from a persisted submission log. ----
-    let jobs: Vec<SimJob> = (0..200u64)
-        .map(|i| SimJob {
-            session: 1 + i % 7,
-            submit_us: i * 400,
-            deadline_us: i * 400 + 25_000,
-            priority: (i % 3) as u8,
-            cost_us: 2_000 + 350 * (i % 5),
-            ctx_bytes: 1 << 18,
-        })
-        .collect();
-    let sim_cfg = ServiceConfig {
-        workers: 3,
-        memory_budget_bytes: 4 << 18,
-        max_session_backlog: usize::MAX,
-        ..Default::default()
-    };
-    let run = RecordedRun::record(&sim_cfg, &jobs);
-    let log_bytes = run.to_bytes().expect("serialize recorded run");
-    let replayed = RecordedRun::from_bytes(&log_bytes).expect("deserialize recorded run");
-    let outcome = replayed.replay();
-    println!(
-        "replay: {} jobs, log {} KiB, script {}",
-        jobs.len(),
-        log_bytes.len() / 1024,
-        if outcome.matches { "byte-identical" } else { "DIVERGED" }
-    );
-    assert!(outcome.matches, "replayed event script diverged from the recorded run");
-
     // ---- Shared report schema (brainshift.obs.v1). ----
     let mut report = BenchReport::new("persist");
     report.params = JsonValue::obj()
         .with("phantom_dims", "32x32x24".into())
         .with("scans", n_scans.into())
-        .with("snapshot_at_scan", cut.into())
-        .with("replay_jobs", jobs.len().into());
+        .with("snapshot_at_scan", cut.into());
     report.extra = JsonValue::obj()
         .with("snapshot_bytes_without_context", evicted.len().into())
         .with("snapshot_bytes_with_context", resident.len().into())
         .with("restore_us", restore_us.into())
         .with("shard_snapshot_bytes", snapshot.len().into())
-        .with("replay_log_bytes", log_bytes.len().into())
         .with("shard_restore_us", shard_restore_us.into())
-        .with("recovery_match", recovery_match.into())
-        .with("replay_match", outcome.matches.into());
+        .with("recovery_match", recovery_match.into());
     let path = PathBuf::from("bench_out").join("persist.json");
     report.write(&path).expect("write persist.json");
     println!("written: {}", path.display());

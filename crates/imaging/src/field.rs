@@ -236,30 +236,6 @@ pub fn invert_field(field: &DisplacementField, iterations: usize) -> Displacemen
     inv
 }
 
-impl brainshift_persist::Persist for DisplacementField {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        self.dims.encode(enc)?;
-        self.spacing.encode(enc)?;
-        self.data.encode(enc)
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        let dims = Dims::decode(dec)?;
-        let spacing = Spacing::decode(dec)?;
-        let data = Vec::<Vec3>::decode(dec)?;
-        if data.len() != dims.len() {
-            return Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!("field has {} samples for dims {dims:?}", data.len()),
-            });
-        }
-        Ok(DisplacementField { dims, spacing, data })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

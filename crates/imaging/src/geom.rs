@@ -288,23 +288,6 @@ impl Mul<Vec3> for Mat3 {
     }
 }
 
-impl brainshift_persist::Persist for Vec3 {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_f64(self.x);
-        enc.put_f64(self.y);
-        enc.put_f64(self.z);
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(Vec3 { x: dec.get_f64()?, y: dec.get_f64()?, z: dec.get_f64()? })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

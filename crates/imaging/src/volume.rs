@@ -304,64 +304,6 @@ impl Volume<u8> {
     }
 }
 
-impl brainshift_persist::Persist for Dims {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_usize(self.nx);
-        enc.put_usize(self.ny);
-        enc.put_usize(self.nz);
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(Dims { nx: dec.get_usize()?, ny: dec.get_usize()?, nz: dec.get_usize()? })
-    }
-}
-
-impl brainshift_persist::Persist for Spacing {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_f64(self.dx);
-        enc.put_f64(self.dy);
-        enc.put_f64(self.dz);
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(Spacing { dx: dec.get_f64()?, dy: dec.get_f64()?, dz: dec.get_f64()? })
-    }
-}
-
-impl<T: brainshift_persist::Persist> brainshift_persist::Persist for Volume<T> {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        self.dims.encode(enc)?;
-        self.spacing.encode(enc)?;
-        self.data.encode(enc)
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        let dims = Dims::decode(dec)?;
-        let spacing = Spacing::decode(dec)?;
-        let data = Vec::<T>::decode(dec)?;
-        if data.len() != dims.len() {
-            return Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!("volume has {} voxels for dims {dims:?}", data.len()),
-            });
-        }
-        Ok(Volume { dims, spacing, data })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

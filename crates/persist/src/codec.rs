@@ -33,16 +33,6 @@ impl Encoder {
         Self::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consume the encoder, returning its bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -63,11 +53,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// `usize` widened to a `u64` (portable across word sizes).
     pub fn put_usize(&mut self, v: usize) {
         self.put_u64(v as u64);
@@ -76,11 +61,6 @@ impl Encoder {
     /// IEEE-754 bit pattern of an `f64` (bitwise lossless).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
-    }
-
-    /// IEEE-754 bit pattern of an `f32` (bitwise lossless).
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
     }
 
     /// A bool as one byte (0 or 1).
@@ -158,11 +138,6 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// Little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, PersistError> {
-        Ok(self.get_u64()? as i64)
-    }
-
     /// A `u64` narrowed to the host `usize`.
     pub fn get_usize(&mut self) -> Result<usize, PersistError> {
         let v = self.get_u64()?;
@@ -173,11 +148,6 @@ impl<'a> Decoder<'a> {
     /// `f64` from its IEEE-754 bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// `f32` from its IEEE-754 bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, PersistError> {
-        Ok(f32::from_bits(self.get_u32()?))
     }
 
     /// A bool; any byte other than 0/1 is [`PersistError::InvalidData`].
@@ -212,56 +182,6 @@ pub trait Persist: Sized {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError>;
 }
 
-impl Persist for u8 {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u8(*self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_u8()
-    }
-}
-
-impl Persist for u32 {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u32(*self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_u32()
-    }
-}
-
-impl Persist for u64 {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u64(*self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_u64()
-    }
-}
-
-impl Persist for i64 {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_i64(*self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_i64()
-    }
-}
-
-impl Persist for usize {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_usize(*self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_usize()
-    }
-}
-
 impl Persist for f64 {
     fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
         enc.put_f64(*self);
@@ -269,36 +189,6 @@ impl Persist for f64 {
     }
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
         dec.get_f64()
-    }
-}
-
-impl Persist for f32 {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_f32(*self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_f32()
-    }
-}
-
-impl Persist for bool {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_bool(*self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_bool()
-    }
-}
-
-impl Persist for String {
-    fn encode(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_str(self);
-        Ok(())
-    }
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, PersistError> {
-        dec.get_str()
     }
 }
 
@@ -360,17 +250,32 @@ mod tests {
     }
 
     #[test]
-    fn primitives_round_trip() {
-        round_trip(&0u8);
-        round_trip(&u64::MAX);
-        round_trip(&usize::MAX);
-        round_trip(&(-1i64));
+    fn containers_round_trip() {
         round_trip(&f64::NEG_INFINITY);
-        round_trip(&true);
-        round_trip(&String::from("brainshift"));
         round_trip(&Some(3.5f64));
-        round_trip(&Option::<u64>::None);
-        round_trip(&vec![1usize, 2, 3]);
+        round_trip(&Option::<f64>::None);
+        round_trip(&vec![1.0f64, -2.0, 3.0]);
+        round_trip(&vec![Some(vec![0.5f64]), None]);
+    }
+
+    #[test]
+    fn primitives_round_trip() {
+        let mut enc = Encoder::new();
+        enc.put_u8(7);
+        enc.put_u32(u32::MAX);
+        enc.put_u64(u64::MAX);
+        enc.put_usize(usize::MAX);
+        enc.put_bool(true);
+        enc.put_str("brainshift");
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(dec.get_u8().expect("u8"), 7);
+        assert_eq!(dec.get_u32().expect("u32"), u32::MAX);
+        assert_eq!(dec.get_u64().expect("u64"), u64::MAX);
+        assert_eq!(dec.get_usize().expect("usize"), usize::MAX);
+        assert!(dec.get_bool().expect("bool"));
+        assert_eq!(dec.get_str().expect("str"), "brainshift");
+        dec.finish().expect("fully consumed");
     }
 
     #[test]
@@ -396,15 +301,15 @@ mod tests {
     fn lying_vec_length_rejected_without_allocation() {
         let mut enc = Encoder::new();
         enc.put_usize(usize::MAX / 2);
-        let r: Result<Vec<u8>, _> = crate::from_bytes(&enc.into_bytes());
+        let r: Result<Vec<f64>, _> = crate::from_bytes(&enc.into_bytes());
         assert!(matches!(r, Err(PersistError::Truncated { .. })), "{r:?}");
     }
 
     #[test]
     fn invalid_tags_rejected() {
-        let r: Result<bool, _> = crate::from_bytes(&[7]);
+        let r = Decoder::new(&[7]).get_bool();
         assert!(matches!(r, Err(PersistError::InvalidData { .. })));
-        let r: Result<Option<u8>, _> = crate::from_bytes(&[9, 0]);
+        let r: Result<Option<f64>, _> = crate::from_bytes(&[9, 0]);
         assert!(matches!(r, Err(PersistError::InvalidData { .. })));
     }
 
@@ -418,11 +323,6 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_u64_round_trips(v in 0..u64::MAX) {
-            round_trip(&v);
-        }
-
-        #[test]
         fn prop_f64_bits_round_trip(bits in 0..u64::MAX) {
             let v = f64::from_bits(bits);
             let bytes = crate::to_bytes(&v).expect("encode");
@@ -432,12 +332,17 @@ mod tests {
 
         #[test]
         fn prop_vecs_and_strings_round_trip(
-            v in prop::collection::vec(0..u32::MAX, 0..64),
+            v in prop::collection::vec(-1e12f64..1e12, 0..64),
             chars in prop::collection::vec(32u8..127, 0..48),
         ) {
             round_trip(&v);
             let s = String::from_utf8(chars).expect("ascii");
-            round_trip(&s);
+            let mut enc = Encoder::new();
+            enc.put_str(&s);
+            let bytes = enc.into_bytes();
+            let mut dec = Decoder::new(&bytes);
+            prop_assert_eq!(dec.get_str().expect("str"), s);
+            prop_assert!(dec.finish().is_ok());
         }
     }
 }

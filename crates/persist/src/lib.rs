@@ -2,8 +2,7 @@
 //!
 //! The durability layer: a versioned, endian-stable binary format for
 //! snapshotting a shard's durable state (sessions, carry-forward fields,
-//! warm-start seeds, event logs) so a replacement shard resumes its
-//! sessions warm.
+//! warm-start seeds) so a replacement shard resumes its sessions warm.
 //!
 //! Three pieces, bottom to top:
 //!
@@ -11,10 +10,12 @@
 //!   length-prefixed containers. Every multi-byte value is written
 //!   little-endian regardless of host order, so a snapshot taken on one
 //!   machine restores on another.
-//! * [`Persist`] — the encode/decode trait the domain crates (`sparse`,
-//!   `service`, `imaging`) implement for their own types. Decoding validates: corrupt or truncated input surfaces as a
-//!   typed [`PersistError`], never a panic and never a partially
-//!   constructed value.
+//! * [`Persist`] — the encode/decode trait, implemented here for `f64`,
+//!   `Option` and `Vec` and, outside this crate, only by the service's
+//!   session snapshot (`brainshift_service::persist`, the one module
+//!   that knows what a session looks like on disk). Decoding validates:
+//!   corrupt or truncated input surfaces as a typed [`PersistError`],
+//!   never a panic and never a partially constructed value.
 //! * [`SnapshotWriter`] / [`SnapshotReader`] — the container: an 8-byte
 //!   magic, a format version, and a section table (name, offset, length,
 //!   FNV-1a checksum) followed by the section payloads. The reader
@@ -26,8 +27,8 @@
 //! The format version is a single monotonically increasing `u32`
 //! ([`FORMAT_VERSION`]). A reader accepts the versions it knows
 //! ([`snapshot::MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]: since v6
-//! changed the session-stats and event-log encodings, v1–v5 are below
-//! the floor); anything newer — or older than the supported floor — is
+//! changed the session-stats encoding, v1–v5 are below the floor);
+//! anything newer — or older than the supported floor — is
 //! [`PersistError::UnsupportedVersion`] — refuse, don't guess. Compatible
 //! additions (new sections) do not bump the version: readers look
 //! sections up by name and ignore names they don't know. Any change to an

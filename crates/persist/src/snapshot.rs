@@ -33,9 +33,9 @@ pub const MAGIC: [u8; 8] = *b"BRSHSNAP";
 /// v5 persists a session's warm-start seed and a stiffness fingerprint
 /// where v1–v4 carried a whole solver context (matrices and factors);
 /// a restore rebuilds the context instead (DESIGN.md §15). v6 drops the
-/// escalation counter from session stats and the escalation event from
-/// logs, and a degrade event carries one stop reason, so every older
-/// stamp is refused.
+/// escalation counter from session stats, so every older stamp is
+/// refused. (v6 snapshots written before the event log left the
+/// snapshot carry a `shard.log` section; no reader asks for it.)
 pub const FORMAT_VERSION: u32 = 6;
 
 /// Oldest container version this reader still decodes.
@@ -199,7 +199,7 @@ mod tests {
 
     fn sample() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.section_value("meta", &42u64).expect("encode");
+        w.section_value("meta", &42.0f64).expect("encode");
         w.section_value("payload", &vec![1.5f64, -2.5, 3.25]).expect("encode");
         w.finish()
     }
@@ -210,7 +210,7 @@ mod tests {
         let r = SnapshotReader::parse(&bytes).expect("parse");
         assert_eq!(r.section_names().collect::<Vec<_>>(), vec!["meta", "payload"]);
         assert!(r.has_section("meta") && !r.has_section("absent"));
-        assert_eq!(r.section_value::<u64>("meta").expect("meta"), 42);
+        assert_eq!(r.section_value::<f64>("meta").expect("meta"), 42.0);
         assert_eq!(
             r.section_value::<Vec<f64>>("payload").expect("payload"),
             vec![1.5, -2.5, 3.25]
@@ -314,12 +314,12 @@ mod tests {
     fn section_with_trailing_bytes_is_rejected_by_section_value() {
         let mut w = SnapshotWriter::new();
         let mut enc = crate::Encoder::new();
-        enc.put_u64(7);
+        enc.put_f64(7.0);
         enc.put_u8(0xaa); // one stray byte after the value
         w.section("meta", enc.into_bytes());
         let bytes = w.finish();
         let r = SnapshotReader::parse(&bytes).expect("parse");
-        let res = r.section_value::<u64>("meta");
+        let res = r.section_value::<f64>("meta");
         assert!(matches!(res, Err(PersistError::TrailingBytes { remaining: 1 })), "{res:?}");
     }
 

@@ -12,7 +12,7 @@
 //! everything slow (context build, solve, reply) outside it. The
 //! simulator ([`simulate`](crate::sim::simulate)) drives a
 //! `ShardCore<u64>` — the "context" is a token, its byte size scripted —
-//! on a logical clock. What a property test or a replay proves about the
+//! on a logical clock. What a property test proves about the
 //! simulator's decisions therefore holds for production: it is the same
 //! code, not a model of it.
 //!

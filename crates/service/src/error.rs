@@ -59,48 +59,6 @@ impl fmt::Display for Rejected {
 
 impl std::error::Error for Rejected {}
 
-impl brainshift_persist::Persist for Rejected {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        match self {
-            Rejected::QueueFull { capacity } => {
-                enc.put_u8(0);
-                enc.put_usize(*capacity);
-            }
-            Rejected::DeadlineInfeasible => enc.put_u8(1),
-            Rejected::ShuttingDown => enc.put_u8(2),
-            Rejected::UnknownSession { session } => {
-                enc.put_u8(3);
-                enc.put_u64(*session);
-            }
-            Rejected::SessionBacklogFull { session } => {
-                enc.put_u8(4);
-                enc.put_u64(*session);
-            }
-        }
-        Ok(())
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(match dec.get_u8()? {
-            0 => Rejected::QueueFull { capacity: dec.get_usize()? },
-            1 => Rejected::DeadlineInfeasible,
-            2 => Rejected::ShuttingDown,
-            3 => Rejected::UnknownSession { session: dec.get_u64()? },
-            4 => Rejected::SessionBacklogFull { session: dec.get_u64()? },
-            t => {
-                return Err(brainshift_persist::PersistError::InvalidData {
-                    reason: format!("invalid Rejected tag {t}"),
-                })
-            }
-        })
-    }
-}
-
 /// A hard failure while executing an admitted job.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {

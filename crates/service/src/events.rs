@@ -231,150 +231,6 @@ impl EventLog {
     }
 }
 
-impl brainshift_persist::Persist for EventKind {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        match self {
-            EventKind::Enqueue { session, job, deadline_us, priority } => {
-                enc.put_u8(0);
-                enc.put_u64(*session);
-                enc.put_u64(*job);
-                enc.put_u64(*deadline_us);
-                enc.put_u8(*priority);
-            }
-            EventKind::Reject { session, reason } => {
-                enc.put_u8(1);
-                enc.put_u64(*session);
-                reason.encode(enc)?;
-            }
-            EventKind::Start { session, job, warm, worker, stolen } => {
-                enc.put_u8(2);
-                enc.put_u64(*session);
-                enc.put_u64(*job);
-                enc.put_bool(*warm);
-                enc.put_usize(*worker);
-                enc.put_bool(*stolen);
-            }
-            // Tag 3 was the escalation event; it is not reused.
-            EventKind::Degrade { session, job, reason } => {
-                enc.put_u8(4);
-                enc.put_u64(*session);
-                enc.put_u64(*job);
-                reason.encode(enc)?;
-            }
-            EventKind::Evict { session, freed_bytes } => {
-                enc.put_u8(5);
-                enc.put_u64(*session);
-                enc.put_usize(*freed_bytes);
-            }
-            EventKind::Cancel { session, job } => {
-                enc.put_u8(6);
-                enc.put_u64(*session);
-                enc.put_u64(*job);
-            }
-            EventKind::Complete { session, job, missed_deadline } => {
-                enc.put_u8(7);
-                enc.put_u64(*session);
-                enc.put_u64(*job);
-                enc.put_bool(*missed_deadline);
-            }
-            EventKind::Shutdown => enc.put_u8(8),
-        }
-        Ok(())
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(match dec.get_u8()? {
-            0 => EventKind::Enqueue {
-                session: dec.get_u64()?,
-                job: dec.get_u64()?,
-                deadline_us: dec.get_u64()?,
-                priority: dec.get_u8()?,
-            },
-            1 => EventKind::Reject { session: dec.get_u64()?, reason: Rejected::decode(dec)? },
-            2 => EventKind::Start {
-                session: dec.get_u64()?,
-                job: dec.get_u64()?,
-                warm: dec.get_bool()?,
-                worker: dec.get_usize()?,
-                stolen: dec.get_bool()?,
-            },
-            4 => EventKind::Degrade {
-                session: dec.get_u64()?,
-                job: dec.get_u64()?,
-                reason: StopReason::decode(dec)?,
-            },
-            5 => EventKind::Evict { session: dec.get_u64()?, freed_bytes: dec.get_usize()? },
-            6 => EventKind::Cancel { session: dec.get_u64()?, job: dec.get_u64()? },
-            7 => EventKind::Complete {
-                session: dec.get_u64()?,
-                job: dec.get_u64()?,
-                missed_deadline: dec.get_bool()?,
-            },
-            8 => EventKind::Shutdown,
-            t => {
-                return Err(brainshift_persist::PersistError::InvalidData {
-                    reason: format!("invalid EventKind tag {t}"),
-                })
-            }
-        })
-    }
-}
-
-impl brainshift_persist::Persist for Event {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_u64(self.seq);
-        enc.put_u64(self.t_us);
-        self.wall_unix_us.encode(enc)?;
-        enc.put_usize(self.queue_depth);
-        self.kind.encode(enc)
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(Event {
-            seq: dec.get_u64()?,
-            t_us: dec.get_u64()?,
-            wall_unix_us: Option::<u64>::decode(dec)?,
-            queue_depth: dec.get_usize()?,
-            kind: EventKind::decode(dec)?,
-        })
-    }
-}
-
-impl brainshift_persist::Persist for EventLog {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_bool(self.wall);
-        self.snapshot().encode(enc)
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        let wall = dec.get_bool()?;
-        let events = Vec::<Event>::decode(dec)?;
-        for (i, e) in events.iter().enumerate() {
-            if e.seq != i as u64 {
-                return Err(brainshift_persist::PersistError::InvalidData {
-                    reason: format!("EventLog: event {i} carries sequence number {}", e.seq),
-                });
-            }
-        }
-        Ok(EventLog { events: Mutex::new(events), wall })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,13 +261,6 @@ mod tests {
         log2.record(999, 2, EventKind::Enqueue { session: 7, job: 3, deadline_us: 1899, priority: 1 });
         log2.record(1999, 1, EventKind::Start { session: 7, job: 3, warm: true, worker: 1, stolen: false });
         assert_eq!(log2.script(), s);
-    }
-
-    #[test]
-    fn the_retired_escalation_tag_is_invalid_data() {
-        // Tag 3 was the escalation event; the ladder it logged is gone.
-        let r = brainshift_persist::from_bytes::<EventKind>(&[3, 0, 0, 0, 0, 0, 0, 0, 0]);
-        assert!(matches!(r, Err(brainshift_persist::PersistError::InvalidData { .. })), "{r:?}");
     }
 
     #[test]

@@ -20,10 +20,15 @@
 //! registry under a `shard{i}.` prefix ([`Snapshot::prefixed`]), so one
 //! `brainshift.obs.v1` document carries per-shard cache hit rates next
 //! to fleet totals.
+//!
+//! A slot outlives the shards in it: when [`Fleet::restore_shard`]
+//! replaces one, the slot keeps the displaced shard's events and final
+//! metrics, so its script, its metrics and the logs [`Fleet::shutdown`]
+//! returns cover both sides of the restore.
 
 use crate::dispatch::route_shard;
 use crate::error::{Rejected, ServiceError};
-use crate::events::Event;
+use crate::events::{Event, EventKind};
 use crate::service::{JobOutcome, JobTicket, ScanJob, Service, ServiceConfig};
 use crate::session::SessionStats;
 use crate::CacheStats;
@@ -121,9 +126,19 @@ fn remap(
     }
 }
 
+/// What a slot kept of the shards [`Fleet::restore_shard`] replaced in
+/// it: their events, oldest first, and their final metrics, merged.
+#[derive(Default)]
+struct History {
+    events: Vec<Event>,
+    metrics: Snapshot,
+}
+
 /// N independent [`Service`] shards behind a session-affinity router.
 pub struct Fleet {
     shards: Vec<Service>,
+    /// Per slot, what came before its current shard.
+    history: Vec<History>,
     /// Live (open) sessions per shard — the least-loaded placement
     /// signal, released on close so the fleet rebalances without moving
     /// live sessions.
@@ -139,6 +154,7 @@ impl Fleet {
         let n = cfg.shards.max(1);
         Fleet {
             shards: (0..n).map(|_| Service::start(cfg.shard.clone())).collect(),
+            history: (0..n).map(|_| History::default()).collect(),
             live: Mutex::new(vec![0; n]),
             shard_cfg: cfg.shard,
         }
@@ -216,27 +232,39 @@ impl Fleet {
 
     /// All shard registries merged into one snapshot, each under a
     /// `shard{i}.` prefix — one `brainshift.obs.v1` document for the
-    /// whole fleet.
+    /// whole fleet. A slot's metrics include the shards it replaced:
+    /// counters and histograms add, gauges keep their maximum.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let parts: Vec<Snapshot> = self
             .shards
             .iter()
+            .zip(&self.history)
             .enumerate()
-            .map(|(i, s)| s.metrics_snapshot().prefixed(&format!("shard{i}")))
+            .map(|(i, (s, h))| {
+                Snapshot::merged([&h.metrics, &s.metrics_snapshot()]).prefixed(&format!("shard{i}"))
+            })
             .collect();
         Snapshot::merged(parts.iter())
     }
 
-    /// Each shard's deterministic event script, indexed by shard id.
-    /// Sessions of one shard never appear in another's script — the
-    /// isolation the router promises.
+    /// Each shard's deterministic event script, indexed by shard id,
+    /// the replaced shards' events first. Sessions of one shard never
+    /// appear in another's script — the isolation the router promises.
     pub fn scripts(&self) -> Vec<String> {
-        self.shards.iter().map(Service::script).collect()
+        self.shards
+            .iter()
+            .zip(&self.history)
+            .map(|(s, h)| {
+                let mut script: String = h.events.iter().map(|e| e.script_line() + "\n").collect();
+                script.push_str(&s.script());
+                script
+            })
+            .collect()
     }
 
     /// Quiesce one shard (stop its admission, finish its in-flight jobs)
-    /// and serialize its sessions, warm contexts, id counters, and event
-    /// log (see [`Service::snapshot_shard`]). Terminal for the shard:
+    /// and serialize its sessions, warm-start seeds and id counters (see
+    /// [`Service::snapshot_shard`]). Terminal for the shard:
     /// follow with [`Fleet::restore_shard`] to bring a replacement up in
     /// its slot. Sessions of other shards are untouched — the blast
     /// radius the router promises.
@@ -257,7 +285,9 @@ impl Fleet {
     /// every pre-snapshot fleet id keeps routing correctly — the
     /// migrated sessions come back warm under their old handles. The
     /// displaced shard is shut down (its queues were already drained by
-    /// the snapshot's quiesce). Returns the number of restored sessions.
+    /// the snapshot's quiesce) and the slot keeps its events, all but
+    /// the final `Shutdown`, and its metrics. Returns the number of
+    /// restored sessions.
     pub fn restore_shard(
         &mut self,
         shard: usize,
@@ -283,16 +313,32 @@ impl Fleet {
         let fresh = Service::restore_shard(self.shard_cfg.clone(), bytes, &local)?;
         let count = fresh.session_count();
         let old = std::mem::replace(&mut self.shards[shard], fresh);
-        old.shutdown();
+        let (mut events, metrics) = old.retire();
+        // The slot lives on in the fresh shard: its history does not end.
+        if events.last().is_some_and(|e| e.kind == EventKind::Shutdown) {
+            events.pop();
+        }
+        let history = &mut self.history[shard];
+        history.events.extend(events);
+        history.metrics = Snapshot::merged([&history.metrics, &metrics]);
         self.live.lock()[shard] = count;
         Ok(count)
     }
 
     /// Shut every shard down (in shard order); queued jobs resolve as
     /// [`ServiceError::Cancelled`] exactly as on a single service.
-    /// Returns each shard's final event log.
+    /// Returns each slot's event log: the replaced shards' events, then
+    /// the final shard's.
     pub fn shutdown(self) -> Vec<Vec<Event>> {
-        self.shards.into_iter().map(Service::shutdown).collect()
+        self.shards
+            .into_iter()
+            .zip(self.history)
+            .map(|(s, h)| {
+                let mut events = h.events;
+                events.extend(s.shutdown());
+                events
+            })
+            .collect()
     }
 }
 

@@ -31,8 +31,12 @@
 //!   [`script`](EventLog::script) is the determinism oracle.
 //! * [`simulate`] — the other driver of [`ShardCore`]: a logical-clock
 //!   discrete-event loop configured by the production [`ServiceConfig`],
-//!   for property tests and replays of the scheduling contracts that the
-//!   threaded service cannot check deterministically.
+//!   for property tests of the scheduling contracts that the threaded
+//!   service cannot check deterministically. Run twice on one submission
+//!   script it renders the same script: it is the determinism oracle.
+//! * [`Service::snapshot_shard`] / [`Service::restore_shard`] — a
+//!   quiesced shard's sessions as bytes, and a shard rebuilt from them;
+//!   [`persist`] is the one place that knows their on-disk layout.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
@@ -44,7 +48,6 @@ pub mod error;
 pub mod events;
 pub mod fleet;
 pub mod persist;
-pub mod replay;
 pub mod scheduler;
 pub mod service;
 pub mod session;
@@ -57,7 +60,6 @@ pub use error::{Rejected, ServiceError};
 pub use events::{Event, EventKind, EventLog};
 pub use fleet::{Fleet, FleetConfig};
 pub use persist::SessionSnapshot;
-pub use replay::{RecordedRun, ReplayOutcome};
 pub use scheduler::{DeadlineQueue, QueuedJob, SchedulerPolicy};
 pub use service::{JobOutcome, JobTicket, ScanJob, Service, ServiceConfig};
 pub use session::{MeshFingerprint, SessionStats, SurgerySession};

@@ -2,18 +2,22 @@
 //! writes so a replacement shard can resume its sessions *warm*.
 //!
 //! A shard snapshot is a [`brainshift_persist::SnapshotWriter`] container
-//! with three sections:
+//! with two sections:
 //!
 //! | section          | payload                                        |
 //! |------------------|------------------------------------------------|
 //! | `shard.meta`     | id counters (`next_session`, `next_job`)       |
 //! | `shard.sessions` | `Vec<SessionSnapshot>`, sorted by session id   |
-//! | `shard.log`      | the full [`EventLog`](crate::EventLog)         |
 //!
 //! The id counters are what make recovery *observably seamless*: a
 //! restored shard hands out the same job ids the dead shard would have,
 //! so the event-log script of (pre-crash tail + post-restore run) is
-//! byte-identical to an uninterrupted run's.
+//! byte-identical to an uninterrupted run's. The event log itself is not
+//! in the snapshot: the caller already holds it (a
+//! [`Fleet`](crate::Fleet) keeps a replaced shard's history in its slot),
+//! and a restore reads nothing else. Snapshots written before the log
+//! was dropped still carry a `shard.log` section; readers look sections
+//! up by name, so it is ignored.
 //!
 //! The snapshot deliberately does **not** carry the
 //! [`PreparedSurgery`] itself — that is the immutable once-per-surgery
@@ -24,12 +28,13 @@
 //! fingerprint of the `K` it was taken under; a restore checks the
 //! preparation against both fingerprints (mesh and stiffness) and builds
 //! the context the way a cache miss does, then seeds it. This module is
-//! the only place that knows what a session looks like on disk.
+//! the only place outside the persist crate that knows how anything
+//! looks on disk.
 
 use crate::session::SessionStats;
 use brainshift_core::PreparedSurgery;
 use brainshift_fem::SolverContext;
-use brainshift_imaging::DisplacementField;
+use brainshift_imaging::{Dims, DisplacementField, Spacing, Vec3};
 use brainshift_persist::{Decoder, Encoder, Persist, PersistError};
 use brainshift_sparse::CsrMatrix;
 
@@ -37,8 +42,6 @@ use brainshift_sparse::CsrMatrix;
 pub(crate) const SEC_META: &str = "shard.meta";
 /// Section name of the serialized sessions.
 pub(crate) const SEC_SESSIONS: &str = "shard.sessions";
-/// Section name of the serialized event log.
-pub(crate) const SEC_LOG: &str = "shard.log";
 
 /// Everything one session needs to resume on a fresh shard.
 pub struct SessionSnapshot {
@@ -179,8 +182,17 @@ impl Persist for SessionSnapshot {
         enc.put_usize(self.mesh_tets);
         enc.put_u64(self.mesh_content_fingerprint);
         enc.put_u64(self.stiffness_fingerprint);
-        self.carry_forward.encode(enc)?;
-        self.stats.encode(enc)?;
+        match &self.carry_forward {
+            None => enc.put_u8(0),
+            Some(field) => {
+                enc.put_u8(1);
+                put_field(enc, field);
+            }
+        }
+        let s = &self.stats;
+        for v in [s.completed, s.degraded, s.deadline_misses, s.warm_starts] {
+            enc.put_u64(v);
+        }
         enc.put_bool(self.context_resident);
         self.warm_seed.encode(enc)
     }
@@ -192,8 +204,21 @@ impl Persist for SessionSnapshot {
             mesh_tets: dec.get_usize()?,
             mesh_content_fingerprint: dec.get_u64()?,
             stiffness_fingerprint: dec.get_u64()?,
-            carry_forward: Option::<DisplacementField>::decode(dec)?,
-            stats: SessionStats::decode(dec)?,
+            carry_forward: match dec.get_u8()? {
+                0 => None,
+                1 => Some(get_field(dec)?),
+                t => {
+                    return Err(PersistError::InvalidData {
+                        reason: format!("invalid Option tag {t}"),
+                    })
+                }
+            },
+            stats: SessionStats {
+                completed: dec.get_u64()?,
+                degraded: dec.get_u64()?,
+                deadline_misses: dec.get_u64()?,
+                warm_starts: dec.get_u64()?,
+            },
             context_resident: dec.get_bool()?,
             warm_seed: Option::<Vec<f64>>::decode(dec)?,
         };
@@ -206,5 +231,96 @@ impl Persist for SessionSnapshot {
             });
         }
         Ok(snap)
+    }
+}
+
+/// A displacement field: dims (three `usize`), spacing (three `f64`),
+/// then the samples as a length-prefixed run of `(x, y, z)` triples.
+fn put_field(enc: &mut Encoder, field: &DisplacementField) {
+    let (d, s) = (field.dims(), field.spacing());
+    for n in [d.nx, d.ny, d.nz] {
+        enc.put_usize(n);
+    }
+    for h in [s.dx, s.dy, s.dz] {
+        enc.put_f64(h);
+    }
+    enc.put_usize(field.data().len());
+    for c in field.data().iter().flat_map(|v| [v.x, v.y, v.z]) {
+        enc.put_f64(c);
+    }
+}
+
+/// The inverse of [`put_field`]. A sample count beyond the remaining
+/// input is refused before anything is allocated for it, and one that
+/// does not match the dims is [`PersistError::InvalidData`].
+fn get_field(dec: &mut Decoder<'_>) -> Result<DisplacementField, PersistError> {
+    let dims = Dims::new(dec.get_usize()?, dec.get_usize()?, dec.get_usize()?);
+    let spacing = Spacing::new(dec.get_f64()?, dec.get_f64()?, dec.get_f64()?);
+    let len = dec.get_usize()?;
+    if len > dec.remaining() {
+        return Err(PersistError::Truncated { needed: len, remaining: dec.remaining() });
+    }
+    if dims.nx.checked_mul(dims.ny).and_then(|n| n.checked_mul(dims.nz)) != Some(len) {
+        return Err(PersistError::InvalidData {
+            reason: format!("field has {len} samples for dims {dims:?}"),
+        });
+    }
+    let mut field = DisplacementField::zeros(dims, spacing);
+    for v in field.data_mut() {
+        *v = Vec3::new(dec.get_f64()?, dec.get_f64()?, dec.get_f64()?);
+    }
+    Ok(field)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A session with a 2×2×2 carry-forward field and a 3-entry seed.
+    fn hand_built() -> SessionSnapshot {
+        SessionSnapshot {
+            id: 3,
+            mesh_nodes: 10,
+            mesh_tets: 24,
+            mesh_content_fingerprint: 0x0123_4567_89ab_cdef,
+            stiffness_fingerprint: 0xfedc_ba98_7654_3210,
+            carry_forward: Some(DisplacementField::from_fn(
+                Dims::new(2, 2, 2),
+                Spacing::new(1.0, 1.5, 2.0),
+                |x, y, z| Vec3::new(x as f64, -0.5 * y as f64, 0.25 * (x + y + z) as f64),
+            )),
+            stats: SessionStats { completed: 4, degraded: 1, deadline_misses: 2, warm_starts: 3 },
+            context_resident: true,
+            warm_seed: Some(vec![1.0, -2.5, 1e-300]),
+        }
+    }
+
+    /// Format v6 fixes a session's byte layout: a hand-built session
+    /// encodes to pinned bytes, which decode back to themselves.
+    #[test]
+    fn the_session_layout_is_pinned() {
+        let bytes = brainshift_persist::to_bytes(&hand_built()).expect("encode");
+        assert_eq!(bytes.len(), 355);
+        assert_eq!(brainshift_persist::fnv1a(&bytes), 0x734f_feaa_29e0_42b5);
+        let back: SessionSnapshot = brainshift_persist::from_bytes(&bytes).expect("decode");
+        assert_eq!(brainshift_persist::to_bytes(&back).expect("re-encode"), bytes);
+    }
+
+    /// A field whose sample count disagrees with its dims, or exceeds
+    /// the input, is refused with a typed error.
+    #[test]
+    fn a_field_of_the_wrong_length_is_refused() {
+        let bytes = brainshift_persist::to_bytes(&hand_built()).expect("encode");
+        // The field's dims start after five 8-byte header fields and the
+        // Option tag; its sample count follows dims and spacing.
+        let (dims_at, len_at) = (41, 41 + 48);
+        let mut wrong_dims = bytes.clone();
+        wrong_dims[dims_at] = 3;
+        let r = brainshift_persist::from_bytes::<SessionSnapshot>(&wrong_dims);
+        assert!(matches!(r, Err(PersistError::InvalidData { .. })), "{:?}", r.err());
+        let mut lying = bytes;
+        lying[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let r = brainshift_persist::from_bytes::<SessionSnapshot>(&lying);
+        assert!(matches!(r, Err(PersistError::Truncated { .. })), "{:?}", r.err());
     }
 }

@@ -65,30 +65,6 @@ impl Default for SchedulerPolicy {
     }
 }
 
-impl brainshift_persist::Persist for SchedulerPolicy {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_usize(self.queue_capacity);
-        enc.put_f64(self.aging_weight);
-        enc.put_u64(self.min_service_us);
-        enc.put_u64(self.priority_boost_us);
-        Ok(())
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(SchedulerPolicy {
-            queue_capacity: dec.get_usize()?,
-            aging_weight: dec.get_f64()?,
-            min_service_us: dec.get_u64()?,
-            priority_boost_us: dec.get_u64()?,
-        })
-    }
-}
-
 /// One queued job, as the scheduler sees it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueuedJob {

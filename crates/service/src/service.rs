@@ -362,11 +362,13 @@ impl Service {
     }
 
     /// Quiesce this shard (stop admission, finish every in-flight job)
-    /// and serialize its durable state: session table with carry-forward
-    /// fields and counters, which sessions had a resident solver context
-    /// and its warm-start seed, id counters, and the full event log. Terminal — the caller is expected to
-    /// [`Service::shutdown`] the drained shard and hand the bytes to
-    /// [`Service::restore_shard`] on a replacement.
+    /// and serialize what a restore reads: the session table with
+    /// carry-forward fields and counters, which sessions had a resident
+    /// solver context and its warm-start seed, and the id counters. The
+    /// event log stays with the caller ([`Service::shutdown`] returns
+    /// it). Terminal — the caller is expected to [`Service::shutdown`]
+    /// the drained shard and hand the bytes to [`Service::restore_shard`]
+    /// on a replacement.
     pub fn snapshot_shard(&self) -> Result<Vec<u8>, PersistError> {
         self.quiesce();
         let (sessions, next_session, next_job) = self.shared.decide(|shard, _| {
@@ -404,14 +406,9 @@ impl Service {
         let mut w = brainshift_persist::SnapshotWriter::new();
         w.section(crate::persist::SEC_META, meta.into_bytes());
         w.section_value(crate::persist::SEC_SESSIONS, &snaps)?;
-        // The sessions were encoded outside the lock; only the event log
-        // is encoded under it.
-        self.shared.decide(|shard, _| {
-            w.section_value(crate::persist::SEC_LOG, shard.core.log())?;
-            let bytes = w.finish();
-            shard.core.note_snapshot(bytes.len());
-            Ok(bytes)
-        })
+        let bytes = w.finish();
+        self.shared.decide(|shard, _| shard.core.note_snapshot(bytes.len()));
+        Ok(bytes)
     }
 
     /// Bring a snapshotted shard back up on a fresh worker pool. The
@@ -423,8 +420,9 @@ impl Service {
     /// ([`PreparedSurgery::build_solver_context`], on the surgery's one
     /// `K`) and seeded with its persisted warm-start vector. Everything is
     /// decoded, validated and built **before** the worker pool starts — a
-    /// corrupt snapshot, one taken under another material table, or a
-    /// failed build yields a typed [`PersistError`] and no half-restored
+    /// corrupt snapshot, a session table whose ids are not strictly
+    /// increasing, one taken under another material table, or a failed
+    /// build yields a typed [`PersistError`] and no half-restored
     /// service.
     ///
     /// Restored sessions keep their ids, counters, carry-forward fields,
@@ -444,10 +442,16 @@ impl Service {
         meta.finish()?;
         let snaps: Vec<crate::persist::SessionSnapshot> =
             reader.section_value(crate::persist::SEC_SESSIONS)?;
-        // Decoded for integrity (the section checksum alone cannot catch
-        // an encoder/decoder skew); the old shard's log is the caller's
-        // record, not the new shard's — seq numbers restart at 0.
-        let _log: EventLog = reader.section_value(crate::persist::SEC_LOG)?;
+        // The table is sorted by session id, each id once: a repeated id
+        // would build two contexts and let the second silently win.
+        if let Some(pair) = snaps.windows(2).find(|pair| pair[1].id <= pair[0].id) {
+            return Err(PersistError::InvalidData {
+                reason: format!(
+                    "session table not strictly increasing: session {} follows session {}",
+                    pair[1].id, pair[0].id
+                ),
+            });
+        }
         let n_workers = cfg.workers.max(1);
         let mut restored = Vec::with_capacity(snaps.len());
         for snap in snaps {
@@ -503,6 +507,12 @@ impl Service {
     /// workers, and return the final event log. No ticket is left
     /// hanging.
     pub fn shutdown(self) -> Vec<Event> {
+        self.retire().0
+    }
+
+    /// [`Service::shutdown`], also returning the final metrics — what a
+    /// [`Fleet`](crate::Fleet) keeps of a shard it replaces.
+    pub(crate) fn retire(self) -> (Vec<Event>, Snapshot) {
         self.shared.decide(|shard, _| shard.core.stop());
         // Dropping the wake senders is the shutdown signal: each worker's
         // recv fails, switching it into cancel-drain mode.
@@ -519,7 +529,7 @@ impl Service {
         }
         self.shared.decide(|shard, now| {
             shard.core.record_shutdown(now);
-            shard.core.log().snapshot()
+            (shard.core.log().snapshot(), shard.core.metrics().snapshot())
         })
     }
 }

@@ -35,30 +35,6 @@ pub struct SessionStats {
     pub warm_starts: u64,
 }
 
-impl brainshift_persist::Persist for SessionStats {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_u64(self.completed);
-        enc.put_u64(self.degraded);
-        enc.put_u64(self.deadline_misses);
-        enc.put_u64(self.warm_starts);
-        Ok(())
-    }
-
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        Ok(SessionStats {
-            completed: dec.get_u64()?,
-            degraded: dec.get_u64()?,
-            deadline_misses: dec.get_u64()?,
-            warm_starts: dec.get_u64()?,
-        })
-    }
-}
-
 /// Mutable between-scan state.
 pub(crate) struct SessionState {
     /// Field of the last successfully registered scan; a degraded scan

@@ -139,34 +139,6 @@ impl Default for SolverOptions {
     }
 }
 
-impl brainshift_persist::Persist for StopReason {
-    fn encode(
-        &self,
-        enc: &mut brainshift_persist::Encoder,
-    ) -> Result<(), brainshift_persist::PersistError> {
-        enc.put_u8(match self {
-            StopReason::Converged => 0,
-            StopReason::MaxIterations => 1,
-            StopReason::Breakdown => 2,
-            StopReason::TimeBudget => 3,
-        });
-        Ok(())
-    }
-    fn decode(
-        dec: &mut brainshift_persist::Decoder<'_>,
-    ) -> Result<Self, brainshift_persist::PersistError> {
-        match dec.get_u8()? {
-            0 => Ok(StopReason::Converged),
-            1 => Ok(StopReason::MaxIterations),
-            2 => Ok(StopReason::Breakdown),
-            3 => Ok(StopReason::TimeBudget),
-            t => Err(brainshift_persist::PersistError::InvalidData {
-                reason: format!("invalid StopReason tag {t}"),
-            }),
-        }
-    }
-}
-
 /// Deadline derived from a [`SolverOptions::time_budget`], checked inside
 /// the Krylov loops.
 ///
@@ -267,17 +239,6 @@ mod tests {
             let (a1, s1) = counts(KrylovKind::Gmres, k + 1);
             assert_eq!((a1 - a0, s1 - s0), (1, k + 2), "GMRES step {k}");
         }
-    }
-
-    #[test]
-    fn retired_stop_reason_tag_is_invalid_data() {
-        // Tag 4 was the mixed-precision `Stalled` reason; it must not
-        // decode to anything now that the rung is gone.
-        let r = brainshift_persist::from_bytes::<StopReason>(&[4]);
-        assert!(
-            matches!(r, Err(brainshift_persist::PersistError::InvalidData { .. })),
-            "{r:?}"
-        );
     }
 
     #[test]

@@ -90,17 +90,19 @@ cargo run -q --release -p brainshift-bench --bin scenario_suite_json -- 200
 
 # Persist stage: the durability layer. Codec/container round-trip and
 # corruption suites in the persist crate; the workspace property tests
-# (event logs round-trip canonically, a restored shard's next scan is
-# bit-identical to an uninterrupted run's, a v5 snapshot is refused, and
-# a resident context adds only its warm-start seed to a snapshot); and
-# the crash-recovery gate (snapshot a shard mid-sequence, restore, finish
-# — fields and event script must be byte-identical to an uninterrupted
-# run), at two thread counts so the bitwise claims survive parallelism.
-# Then the durability report bin, which prints the shard snapshot's size
-# with and without a resident context and the restore time, and asserts
-# that the restored session repeats its last scan warm in zero
-# iterations, that recovery is byte-exact and that replay-from-log is
-# deterministic, writing bench_out/persist.json.
+# (a restored shard's next scan is bit-identical to an uninterrupted
+# run's and its snapshot is the one it was restored from, byte for byte;
+# a snapshot carrying the retired event-log section restores warm; a v5
+# snapshot is refused; a resident context adds only its warm-start seed
+# to a snapshot); and the crash-recovery gate (snapshot a shard
+# mid-sequence, restore, finish — fields and event script must be
+# byte-identical to an uninterrupted run; a repeated session id is
+# refused; a fleet slot keeps the replaced shard's history), at two
+# thread counts so the bitwise claims survive parallelism. Then the
+# durability report bin, which prints the shard snapshot's size with and
+# without a resident context and the restore time, and asserts that the
+# restored session repeats its last scan warm in zero iterations and
+# that recovery is byte-exact, writing bench_out/persist.json.
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-persist
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-persist
 RAYON_NUM_THREADS=1 cargo test -q --test persist_props --test persist_recovery
@@ -361,23 +363,32 @@ for kind in Enqueue Reject Start Degrade Evict Cancel Complete Shutdown; do
   fi
 done
 
-# A restore is a rebuild plus a seed (DESIGN §15): a shard snapshot keeps
-# each session's warm-start vector and a stiffness fingerprint, and
-# `restore_shard` rebuilds the context on the surgery's one K. So no
-# solver state has a codec: the sparse crate keeps exactly one Persist
-# impl (`StopReason`, which event logs carry), fem does not depend on the
-# persist crate, and the context codec's hooks do not come back.
+# A shard snapshot holds what a restore reads (DESIGN §15): each
+# session's warm-start vector, a stiffness fingerprint, its carry-forward
+# field and counters, and the id counters. `restore_shard` rebuilds the
+# context on the surgery's one K, so no solver state has a codec and the
+# context codec's hooks do not come back; the event log stays with the
+# caller, and the recorded-run codec is gone (`simulate` is the
+# determinism oracle). `crates/service/src/persist.rs` is the one file
+# outside the persist crate that knows the on-disk format: nothing else
+# implements `Persist`, and sparse, imaging and fem do not depend on the
+# persist crate.
 if grep -rnE 'persist_into|decode_preconditioner|share_matrix|StiffnessMismatch' crates tests examples; then
   echo "a deleted solver-state codec is back: snapshots keep only the warm seed (DESIGN §15)" >&2
   exit 1
 fi
-if grep -n 'brainshift-persist' crates/fem/Cargo.toml; then
-  echo "fem depends on brainshift-persist: solver state is rebuilt on restore, not decoded" >&2
+if grep -rnE 'RecordedRun|ReplayOutcome|SEC_LOG' crates examples; then
+  echo "the event-log section or the recorded-run codec is back: a snapshot holds what a restore reads (DESIGN §15)" >&2
   exit 1
 fi
-n=$(grep -rhE 'impl\b.*\bPersist for\b' crates/sparse/src | wc -l || true)
-m=$(grep -rhE 'impl\b.*\bPersist for StopReason\b' crates/sparse/src | wc -l || true)
-if [ "$n" -ne 1 ] || [ "$m" -ne 1 ]; then
-  echo "expected exactly one Persist impl in crates/sparse/src, for StopReason; found $n ($m for StopReason)" >&2
+for krate in sparse imaging fem; do
+  if grep -n 'brainshift-persist' "crates/$krate/Cargo.toml"; then
+    echo "$krate depends on brainshift-persist: the on-disk format lives in service/src/persist.rs" >&2
+    exit 1
+  fi
+done
+if grep -rnE 'impl\b.*\bPersist for\b' crates --include='*.rs' |
+  grep -vE '^(crates/persist/src/|crates/service/src/persist\.rs:)'; then
+  echo "a Persist impl outside crates/persist/src and crates/service/src/persist.rs" >&2
   exit 1
 fi

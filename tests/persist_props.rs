@@ -1,80 +1,18 @@
-//! Property tests of the persistence layer across the workspace: event
-//! logs round-trip bitwise and re-encode canonically (decode-then-encode
-//! reproduces the original bytes), a restored shard resumes its sessions
-//! bit-identically from their warm-start seeds, and a shard snapshot
-//! holds a seed where it used to hold a whole solver context.
+//! Properties of shard snapshots across the workspace: a restored shard
+//! resumes its sessions bit-identically from their warm-start seeds and
+//! snapshots back to the bytes it was restored from, a snapshot that
+//! still carries the retired event-log section restores unchanged, and a
+//! shard snapshot holds a seed where it used to hold a whole solver
+//! context.
 
 use brainshift_core::{generate_scan_sequence, PipelineConfig, PreparedSurgery, ScanSequence};
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
-use brainshift_persist::{from_bytes, to_bytes, PersistError, SnapshotReader, FORMAT_VERSION};
-use brainshift_service::{
-    Event, EventKind, EventLog, JobOutcome, Rejected, ScanJob, Service, ServiceConfig,
-    SessionSnapshot,
-};
-use proptest::prelude::*;
+use brainshift_persist::{Encoder, PersistError, SnapshotReader, SnapshotWriter, FORMAT_VERSION};
+use brainshift_service::{JobOutcome, ScanJob, Service, ServiceConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Event logs round-trip with byte-identical deterministic scripts
-    /// across random event sequences.
-    #[test]
-    fn event_log_round_trips_bitwise(
-        raw in prop::collection::vec(
-            (0u8..9, 0u64..1000, 0u64..1000, 0u64..1_000_000, 0usize..64),
-            0..40,
-        ),
-    ) {
-        let log = EventLog::new();
-        for (tag, session, job, t_us, depth) in raw {
-            let kind = match tag {
-                0 => EventKind::Enqueue {
-                    session,
-                    job,
-                    deadline_us: t_us + 500,
-                    priority: (job % 4) as u8,
-                },
-                1 => EventKind::Reject {
-                    session,
-                    reason: match job % 5 {
-                        0 => Rejected::QueueFull { capacity: depth },
-                        1 => Rejected::DeadlineInfeasible,
-                        2 => Rejected::ShuttingDown,
-                        3 => Rejected::UnknownSession { session },
-                        _ => Rejected::SessionBacklogFull { session },
-                    },
-                },
-                2 => EventKind::Start {
-                    session,
-                    job,
-                    warm: job % 2 == 0,
-                    worker: depth % 4,
-                    stolen: job % 3 == 0,
-                },
-                4 => EventKind::Degrade {
-                    session,
-                    job,
-                    reason: brainshift_sparse::StopReason::TimeBudget,
-                },
-                5 => EventKind::Evict { session, freed_bytes: depth * 1024 },
-                6 => EventKind::Cancel { session, job },
-                7 => EventKind::Complete { session, job, missed_deadline: job % 2 == 1 },
-                _ => EventKind::Shutdown,
-            };
-            log.record(t_us, depth, kind);
-        }
-        let bytes = to_bytes(&log).expect("encode log");
-        let back: EventLog = from_bytes(&bytes).expect("decode log");
-        prop_assert_eq!(back.script(), log.script());
-        let (a, b): (Vec<Event>, Vec<Event>) = (back.snapshot(), log.snapshot());
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(to_bytes(&back).expect("re-encode log"), bytes);
-    }
-}
 
 /// A 24×24×18 phantom surgery (6 mm voxels) and its scan sequence.
 fn phantom(scans: usize) -> (Arc<PreparedSurgery>, ScanSequence) {
@@ -124,16 +62,9 @@ fn snapshot_after_one_scan(
     (sid, bytes)
 }
 
-/// The canonical re-encoding of a shard snapshot's session table.
-fn sessions_bytes(snapshot: &[u8]) -> Vec<u8> {
-    let reader = SnapshotReader::parse(snapshot).expect("parses");
-    let sessions: Vec<SessionSnapshot> = reader.section_value("shard.sessions").expect("sessions");
-    to_bytes(&sessions).expect("re-encode sessions")
-}
-
 /// A solver context survives a shard snapshot: the restored shard
-/// rebuilds the session's context and seeds it, a second snapshot holds
-/// the same session table, and the next scan is bit-identical to an
+/// rebuilds the session's context and seeds it, a second snapshot is
+/// the first one byte for byte, and the next scan is bit-identical to an
 /// uninterrupted run's.
 #[test]
 fn solver_context_round_trips_and_solves_identically() {
@@ -149,12 +80,13 @@ fn solver_context_round_trips_and_solves_identically() {
     let (sid_a, bytes) = snapshot_after_one_scan(&cfg, &prepared, &seq);
     assert_eq!(sid_a, sid);
     let preps = HashMap::from([(sid, Arc::clone(&prepared))]);
-    // The session table (carry-forward, counters, context seed) survives
-    // restore-then-snapshot byte for byte; the event log restarts.
+    // The snapshot holds only what a restore reads (id counters,
+    // carry-forward, counters, context seed), so restore-then-snapshot
+    // reproduces it byte for byte.
     let again = Service::restore_shard(cfg.clone(), &bytes, &preps).expect("restore");
     let resnap = again.snapshot_shard().expect("re-snapshot");
     again.shutdown();
-    assert_eq!(sessions_bytes(&resnap), sessions_bytes(&bytes), "the session table did not round-trip");
+    assert!(resnap == bytes, "restore-then-snapshot changed the snapshot");
 
     let restored = Service::restore_shard(cfg.clone(), &bytes, &preps).expect("restore");
     let next = scan(&restored, sid, &seq, 1);
@@ -190,6 +122,61 @@ fn v4_context_resumes_warm_and_older_versions_are_refused() {
             "v{old}: {refused:?}"
         );
     }
+}
+
+/// The same snapshot with the `shard.log` section that snapshots carried
+/// before the event log left them, here one enqueue and a shutdown in
+/// that section's layout.
+fn with_a_parent_log_section(bytes: &[u8]) -> Vec<u8> {
+    let reader = SnapshotReader::parse(bytes).expect("parses");
+    let mut w = SnapshotWriter::new();
+    for name in ["shard.meta", "shard.sessions"] {
+        let mut section = reader.section(name).expect("section");
+        let payload = section.take(section.remaining()).expect("payload").to_vec();
+        w.section(name, payload);
+    }
+    let mut log = Encoder::new();
+    log.put_bool(true); // wall-clock stamps
+    log.put_usize(2); // events
+    for (seq, tag) in [(0u64, 0u8), (1, 8)] {
+        log.put_u64(seq);
+        log.put_u64(100 * seq); // t_us
+        log.put_u8(1);
+        log.put_u64(1_700_000_000_000_000 + seq); // wall_unix_us
+        log.put_usize(0); // queue depth
+        log.put_u8(tag);
+        if tag == 0 {
+            // Enqueue: session, job, deadline, priority.
+            [1u64, 0, 5_000].into_iter().for_each(|v| log.put_u64(v));
+            log.put_u8(0);
+        }
+    }
+    w.section("shard.log", log.into_bytes());
+    w.finish()
+}
+
+/// A snapshot written while the event log was still in it restores like
+/// one without: the reader never asks for `shard.log`, the session
+/// resumes warm, and the next snapshot holds only what a restore reads.
+#[test]
+fn a_snapshot_with_a_parent_log_section_restores_warm() {
+    let (prepared, seq) = phantom(1);
+    let cfg = ServiceConfig { workers: 1, queue_capacity: 4, ..Default::default() };
+    let (sid, bytes) = snapshot_after_one_scan(&cfg, &prepared, &seq);
+    let preps = HashMap::from([(sid, Arc::clone(&prepared))]);
+    let parent = with_a_parent_log_section(&bytes);
+    assert!(SnapshotReader::parse(&parent).expect("parses").has_section("shard.log"));
+
+    let restored = Service::restore_shard(cfg.clone(), &parent, &preps).expect("restore");
+    let resnap = restored.snapshot_shard().expect("re-snapshot");
+    restored.shutdown();
+    assert!(resnap == bytes, "the restored shard's snapshot is not the log-free original");
+
+    let restored = Service::restore_shard(cfg, &parent, &preps).expect("restore");
+    let repeat = scan(&restored, sid, &seq, 0);
+    restored.shutdown();
+    assert!(repeat.warm, "the restored session ran cold");
+    assert_eq!(repeat.fem_iterations, 0, "the restored seed does not solve the scan it came from");
 }
 
 /// Size audit: a resident context adds its warm-start seed (8 bytes per

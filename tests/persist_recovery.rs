@@ -2,14 +2,17 @@
 //! it from its snapshot, finish the sequence — the displacement fields
 //! and the event-log script must be byte-identical to an uninterrupted
 //! run's. Plus the service-level corruption suite: a damaged snapshot is
-//! refused with a typed error and no half-restored shard ever starts.
+//! refused with a typed error and no half-restored shard ever starts;
+//! and a fleet slot keeps the history of the shard a restore replaced.
 
 use brainshift_conformance::{quantized_field_hash, GOLDEN_QUANTUM_MM};
 use brainshift_core::{generate_scan_sequence, PipelineConfig, PreparedSurgery, ScanSequence};
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
-use brainshift_persist::PersistError;
-use brainshift_service::{Fleet, FleetConfig, ScanJob, Service, ServiceConfig};
+use brainshift_persist::{PersistError, SnapshotReader, SnapshotWriter};
+use brainshift_service::{
+    Event, EventKind, Fleet, FleetConfig, ScanJob, Service, ServiceConfig, SessionSnapshot,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,4 +236,111 @@ fn fleet_drains_and_rehomes_a_shard_with_sessions_warm() {
     let other_shard = 1 - shard;
     assert!(fleet.restore_shard(other_shard, &bytes, &prep_map).is_err());
     fleet.shutdown();
+}
+
+/// §15's session table is sorted by session id, each id once. A table
+/// that repeats an id — checksum recomputed, so the container is intact
+/// — is refused before any context is built or worker started, instead
+/// of building two contexts and letting the second win.
+#[test]
+fn a_session_table_with_a_duplicate_id_is_refused() {
+    let (prepared, _) = phantom_sequence(1);
+    let service = Service::start(one_worker());
+    let sid = service.open_session(Arc::clone(&prepared));
+    let snapshot = service.snapshot_shard().expect("snapshot");
+    service.shutdown();
+
+    let reader = SnapshotReader::parse(&snapshot).expect("parses");
+    let mut sessions: Vec<SessionSnapshot> = reader.section_value("shard.sessions").expect("sessions");
+    let again: Vec<SessionSnapshot> = reader.section_value("shard.sessions").expect("sessions");
+    sessions.extend(again);
+    let mut meta = reader.section("shard.meta").expect("meta");
+    let mut w = SnapshotWriter::new();
+    w.section("shard.meta", meta.take(meta.remaining()).expect("meta bytes").to_vec());
+    w.section_value("shard.sessions", &sessions).expect("encode sessions");
+    let doctored = w.finish();
+
+    let prep_map = HashMap::from([(sid, Arc::clone(&prepared))]);
+    match Service::restore_shard(one_worker(), &doctored, &prep_map) {
+        Err(PersistError::InvalidData { reason }) => {
+            assert!(reason.contains(&format!("session {sid}")), "{reason}")
+        }
+        Err(other) => panic!("a duplicate session id gave {other:?}"),
+        Ok(service) => {
+            service.shutdown();
+            panic!("a session table with a duplicate id restored");
+        }
+    }
+}
+
+/// Serve scans `[from, to)` of every session of `fleet`, one at a time.
+fn serve_fleet(fleet: &Fleet, sessions: &[u64], seq: &ScanSequence, from: usize, to: usize) {
+    for i in from..to {
+        for &session in sessions {
+            fleet
+                .submit(ScanJob {
+                    session,
+                    intensity: seq.scans[i].intensity.clone(),
+                    priority: 0,
+                    deadline: Duration::from_secs(120),
+                })
+                .expect("submit")
+                .wait()
+                .expect("outcome");
+        }
+    }
+}
+
+/// A restored slot keeps the history of the shard it replaced: its
+/// script, its metrics and its shutdown log cover both sides of the
+/// restore, exactly as for a fleet that was never interrupted.
+#[test]
+fn a_fleet_restore_keeps_the_replaced_shards_history() {
+    let (prepared, seq) = phantom_sequence(2);
+    let cfg = FleetConfig { shards: 2, shard: ServiceConfig { workers: 1, ..Default::default() } };
+
+    let uninterrupted = Fleet::start(cfg.clone());
+    let sessions: Vec<u64> =
+        (0..2).map(|_| uninterrupted.open_session(Arc::clone(&prepared))).collect();
+    serve_fleet(&uninterrupted, &sessions, &seq, 0, 2);
+    let want_scripts = uninterrupted.scripts();
+    let want_metrics = uninterrupted.metrics_snapshot();
+    let want_logs = uninterrupted.shutdown();
+
+    let mut fleet = Fleet::start(cfg);
+    let ids: Vec<u64> = (0..2).map(|_| fleet.open_session(Arc::clone(&prepared))).collect();
+    assert_eq!(ids, sessions);
+    serve_fleet(&fleet, &ids, &seq, 0, 1);
+    let bytes = fleet.snapshot_shard(0).expect("snapshot");
+    let on_shard_0: HashMap<u64, Arc<PreparedSurgery>> =
+        ids.iter().filter(|&&id| id % 2 == 0).map(|&id| (id, Arc::clone(&prepared))).collect();
+    assert_eq!(fleet.restore_shard(0, &bytes, &on_shard_0).expect("restore"), on_shard_0.len());
+    serve_fleet(&fleet, &ids, &seq, 1, 2);
+
+    assert_eq!(fleet.scripts(), want_scripts, "a restored slot's script lost its history");
+    let metrics = fleet.metrics_snapshot();
+    for shard in 0..2 {
+        let completed = format!("shard{shard}.service.jobs.completed");
+        assert_eq!(metrics.counter(&completed), want_metrics.counter(&completed), "{completed}");
+    }
+    assert_eq!(metrics.counter("shard0.service.jobs.completed"), Some(2));
+
+    let logs = fleet.shutdown();
+    for (shard, (log, want)) in logs.iter().zip(&want_logs).enumerate() {
+        let script = |events: &[Event]| events.iter().map(Event::script_line).collect::<Vec<_>>();
+        assert_eq!(script(log), script(want), "shard {shard}'s shutdown log");
+        // Every admitted job ends exactly once.
+        for e in log {
+            if let EventKind::Enqueue { job, .. } = e.kind {
+                let ends = log
+                    .iter()
+                    .filter(|f| {
+                        matches!(f.kind, EventKind::Complete { job: j, .. }
+                            | EventKind::Cancel { job: j, .. } if j == job)
+                    })
+                    .count();
+                assert_eq!(ends, 1, "shard {shard} job {job} ends {ends} times");
+            }
+        }
+    }
 }

@@ -6,7 +6,7 @@
 //!   and metric snapshots byte for byte;
 //! * production ≡ simulation: a threaded `Service` and `simulate` emit
 //!   the same event script for the same closed-loop submissions;
-//! * a `RecordedRun` replays a configuration that steals;
+//! * `simulate` re-runs a configuration that steals to the same bytes;
 //! * DESIGN.md documents every metric name the core can emit.
 
 use brainshift_core::{
@@ -16,7 +16,7 @@ use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_persist::fnv1a;
 use brainshift_service::{
-    simulate, simulate_fleet, FleetConfig, RecordedRun, ScanJob, Service, ServiceConfig, SimJob,
+    simulate, simulate_fleet, FleetConfig, ScanJob, Service, ServiceConfig, SimJob,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -278,11 +278,11 @@ fn threaded_service_script_equals_the_simulators_line_for_line() {
     assert_eq!(simulated.iter().filter(|l| l.starts_with("evict")).count(), 3);
 }
 
-/// A recorded run persists the production config, so a replay exercises
+/// `simulate` runs under the production config, so a re-run exercises
 /// what that config turns on — here three workers stealing at a
 /// threshold of 1, under the default per-session cap.
 #[test]
-fn recorded_run_replays_a_configuration_that_steals() {
+fn a_configuration_that_steals_simulates_deterministically() {
     let cfg = ServiceConfig {
         workers: 3,
         steal_backlog_threshold: 1,
@@ -301,21 +301,13 @@ fn recorded_run_replays_a_configuration_that_steals() {
             ctx_bytes: 1 << 16,
         })
         .collect();
-    let run = RecordedRun::record(&cfg, &jobs);
-    assert!(run.script.contains(" stolen "), "script exercises stealing:\n{}", run.script);
-    let bytes = run.to_bytes().expect("serialize");
-    let back = RecordedRun::from_bytes(&bytes).expect("deserialize");
-    assert_eq!(back.config.workers, 3);
-    assert_eq!(back.config.steal_backlog_threshold, 1);
-    assert_eq!(back.config.max_session_backlog, cfg.max_session_backlog);
-    assert_eq!(back.jobs, run.jobs);
-    assert_eq!(back.to_bytes().expect("re-serialize"), bytes, "canonical encoding");
-    let outcome = back.replay();
-    assert!(outcome.matches, "replayed script diverged:\n{}", outcome.script);
-    // The same jobs under a threshold nothing reaches replay differently:
-    // the config is part of the record, not decoration.
-    let sticky = RecordedRun { config: ServiceConfig { steal_backlog_threshold: 64, ..cfg }, ..back };
-    assert!(!sticky.replay().matches);
+    let script = simulate(&cfg, &jobs).log.script();
+    assert!(script.contains(" stolen "), "script exercises stealing:\n{script}");
+    assert_eq!(simulate(&cfg, &jobs).log.script(), script, "a second run diverged");
+    // The same jobs under a threshold nothing reaches run differently:
+    // the config steers the decisions, it is not decoration.
+    let sticky = ServiceConfig { steal_backlog_threshold: 64, ..cfg };
+    assert_ne!(simulate(&sticky, &jobs).log.script(), script);
 }
 
 /// DESIGN.md §12 is the metric catalogue's prose twin: every name the
