@@ -104,7 +104,7 @@ pub fn problem_with_equations(target_equations: usize) -> BenchProblem {
 /// boundary node (the same Dirichlet data the pipeline's active surface
 /// produces, here prescribed analytically so the timing benches don't
 /// depend on image processing).
-pub fn cap_bcs(mesh: &TetMesh, model: &HeadModel, shift: &BrainShiftConfig) -> DirichletBcs {
+fn cap_bcs(mesh: &TetMesh, model: &HeadModel, shift: &BrainShiftConfig) -> DirichletBcs {
     let mut bcs = DirichletBcs::new();
     for &n in boundary_nodes(mesh).iter() {
         bcs.set(n, cap_surface_displacement(mesh.nodes[n], model, shift));

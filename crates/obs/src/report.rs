@@ -22,7 +22,7 @@ pub const SCHEMA: &str = "brainshift.obs.v1";
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Report name (e.g. `"warm_solve"`, `"service_throughput"`).
+    /// Report name (e.g. `"e2e_budget"`, `"conformance"`).
     pub name: String,
     /// Input parameters of the run.
     pub params: JsonValue,

@@ -33,18 +33,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Warm-hit rate in [0, 1]; 0 when nothing was ever requested.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 struct Entry<T> {
     value: T,
     bytes: usize,
@@ -182,7 +170,6 @@ mod tests {
         assert!(c.is_empty(), "take checks the entry out");
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -28,9 +28,8 @@ pub enum Rejected {
         /// The offending session id.
         session: u64,
     },
-    /// The session already has a job queued or running *and* the service
-    /// was configured with per-session serialization at capacity 1 queue
-    /// depth per session.
+    /// The session already has `ServiceConfig::max_session_backlog` jobs
+    /// queued (default 8).
     SessionBacklogFull {
         /// The offending session id.
         session: u64,

@@ -109,8 +109,10 @@ pub struct JobOutcome {
     /// How the solve concluded (a `Degraded` job carries the previous
     /// field forward; it is not an error).
     pub status: ScanStatus,
-    /// The volumetric deformation field for this scan.
-    pub field: DisplacementField,
+    /// The volumetric deformation field for this scan, shared with the
+    /// session's carry-forward (a converged scan's field is the next
+    /// scan's fallback; it is not copied).
+    pub field: Arc<DisplacementField>,
     /// Krylov iterations of the biomechanical solve.
     pub fem_iterations: usize,
     /// Mean active-surface residual to the scan's boundary (mm).
@@ -599,10 +601,10 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
             return fail(e);
         }
     };
-    // Everything slow happens before the lock: the next carry-forward
-    // field is cloned and the context sized out here.
-    let carry_next =
-        (reg.status != ScanStatus::Degraded).then(|| Arc::new(reg.field.clone()));
+    // Everything slow happens before the lock: the context is sized out
+    // here. The outcome and the next carry-forward share one field.
+    let field = Arc::new(reg.field);
+    let carry_next = (reg.status != ScanStatus::Degraded).then(|| Arc::clone(&field));
     let ctx_bytes = ctx.memory_bytes();
     let done = shared.decide(|shard, now| {
         // Per-stage spans: the paper's intraoperative breakdown, as
@@ -638,7 +640,7 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
         job: q.job,
         session: q.session,
         status: reg.status,
-        field: reg.field,
+        field,
         fem_iterations: reg.fem_iterations,
         surface_residual: reg.surface_residual,
         missed_deadline: done.missed_deadline,

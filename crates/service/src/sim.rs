@@ -230,22 +230,14 @@ pub fn simulate(cfg: &ServiceConfig, jobs: &[SimJob]) -> SimReport {
 pub struct FleetSimReport {
     /// One full report per shard, indexed by shard id.
     pub shards: Vec<SimReport>,
-    /// Jobs that passed admission, fleet-wide.
-    pub submitted: u64,
     /// Jobs that completed, fleet-wide.
     pub completed: u64,
     /// Jobs refused at admission (shed), fleet-wide.
     pub shed: u64,
-    /// `shed / (shed + submitted)` — the fleet's load-shedding fraction.
-    pub shed_rate: f64,
-    /// Completions past their deadline, fleet-wide.
-    pub missed_deadlines: u64,
     /// Median completion latency (submit → complete), logical µs.
     pub p50_latency_us: u64,
     /// 99th-percentile completion latency, logical µs (nearest-rank).
     pub p99_latency_us: u64,
-    /// Warm-cache hit rate per shard, indexed by shard id.
-    pub per_shard_hit_rate: Vec<f64>,
     /// All shard registries merged into one snapshot, each shard's
     /// metrics under a `shard{i}.` prefix plus unprefixed fleet totals
     /// (`fleet.jobs.completed`, …).
@@ -298,7 +290,7 @@ pub fn simulate_fleet(cfg: &FleetConfig, jobs: &[SimJob]) -> FleetSimReport {
         }
     }
     latencies.sort_unstable();
-    let admitted_or_shed = (completed + shed).max(1);
+    let (p50, p99) = (percentile_us(&latencies, 50.0), percentile_us(&latencies, 99.0));
 
     let mut parts: Vec<Snapshot> =
         shards.iter().enumerate().map(|(i, r)| r.metrics.prefixed(&format!("shard{i}"))).collect();
@@ -310,23 +302,19 @@ pub fn simulate_fleet(cfg: &FleetConfig, jobs: &[SimJob]) -> FleetSimReport {
             ("fleet.jobs.submitted".to_string(), completed),
         ],
         gauges: vec![
-            ("fleet.latency.p50_us".to_string(), percentile_us(&latencies, 50.0) as f64),
-            ("fleet.latency.p99_us".to_string(), percentile_us(&latencies, 99.0) as f64),
-            ("fleet.shed_rate".to_string(), shed as f64 / admitted_or_shed as f64),
+            ("fleet.latency.p50_us".to_string(), p50 as f64),
+            ("fleet.latency.p99_us".to_string(), p99 as f64),
+            ("fleet.shed_rate".to_string(), shed as f64 / (completed + shed).max(1) as f64),
         ],
         ..Snapshot::default()
     });
     let metrics = Snapshot::merged(parts.iter());
 
     FleetSimReport {
-        per_shard_hit_rate: shards.iter().map(|r| r.cache.hit_rate()).collect(),
-        submitted: completed,
         completed,
         shed,
-        shed_rate: shed as f64 / admitted_or_shed as f64,
-        missed_deadlines: missed,
-        p50_latency_us: percentile_us(&latencies, 50.0),
-        p99_latency_us: percentile_us(&latencies, 99.0),
+        p50_latency_us: p50,
+        p99_latency_us: p99,
         metrics,
         shards,
     }

@@ -139,56 +139,6 @@ fn degrading_session_keeps_slot_and_does_not_poison_others() {
 }
 
 #[test]
-fn half_budget_runs_cold_but_completes_everything() {
-    // A budget that fits only one of two contexts: sessions evict each
-    // other (ping-pong), every scan still completes without error.
-    let seq_a = small_seq(2, 8.0);
-    let seq_b = small_seq(2, 5.0);
-    let probe = prepared(&seq_a);
-    let ctx_bytes = probe.build_solver_context().expect("probe context").memory_bytes();
-    let probe_a = Arc::clone(&probe);
-
-    let service = Service::start(ServiceConfig {
-        workers: 1,
-        memory_budget_bytes: ctx_bytes + ctx_bytes / 2,
-        ..Default::default()
-    });
-    let a = service.open_session(probe_a);
-    let b = service.open_session(prepared(&seq_b));
-
-    for i in 0..2 {
-        for (session, seq) in [(a, &seq_a), (b, &seq_b)] {
-            let out = service
-                .submit(ScanJob {
-                    session,
-                    intensity: seq.scans[i].intensity.clone(),
-                    priority: 0,
-                    deadline: Duration::from_secs(300),
-                })
-                .expect("admit")
-                .wait()
-                .expect("execute");
-            assert_ne!(out.status, ScanStatus::Degraded);
-            assert!(!out.warm, "interleaved sessions under half budget always run cold");
-        }
-    }
-    let stats = service.cache_stats();
-    assert_eq!(stats.hits, 0);
-    assert!(stats.evictions >= 2, "sessions evicted each other");
-    // The metrics registry mirrors the cache/event counters and carries
-    // the per-stage solve spans, under the same names the simulator uses.
-    let m = service.metrics_snapshot();
-    assert_eq!(m.counter("service.jobs.submitted"), Some(4));
-    assert_eq!(m.counter("service.jobs.completed"), Some(4));
-    assert_eq!(m.counter("service.cache.miss"), Some(4));
-    assert_eq!(m.counter("service.cache.evictions").unwrap_or(0), stats.evictions);
-    assert_eq!(m.span("scan/solve").map(|s| s.count), Some(4));
-    assert!(m.histogram("service.deadline.slack_at_start_us").map(|h| h.count) == Some(4));
-    let events = service.shutdown();
-    assert!(events.iter().any(|e| matches!(e.kind, EventKind::Evict { .. })));
-}
-
-#[test]
 fn closing_session_mid_flight_does_not_orphan_cache_entry() {
     // Regression: finish() used to re-insert the solver context into the
     // cache even when close_session() had removed the session while its

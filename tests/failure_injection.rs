@@ -1,7 +1,7 @@
 //! Failure-injection tests: the typed-error layer and the degradation
 //! contract, exercised end to end.
 //!
-//! Five families, matching the failure policy in DESIGN.md:
+//! Six families, matching the failure policy in DESIGN.md:
 //!
 //! 1. A singular preconditioner block is a [`SparseError::SingularBlock`],
 //!    never a silently wrong answer (the historical identity fallback).
@@ -16,6 +16,8 @@
 //!    budget: a job whose deadline has passed degrades on that budget,
 //!    and a deadline past the service clock saturates instead of
 //!    wrapping.
+//! 6. A memory budget below two contexts makes two sessions evict each
+//!    other: every scan runs cold, and every scan still completes.
 
 use brainshift_core::{
     generate_scan_sequence, run_pipeline, run_scan_sequence_with_faults, Error, FaultInjection,
@@ -200,14 +202,14 @@ fn run_pipeline_rejects_a_rigid_config_it_cannot_run() {
 
 // ───────────────────── mid-sequence degradation ─────────────────────
 
-fn small_seq(n: usize) -> ScanSequence {
+fn small_seq(n: usize, peak_shift_mm: f64) -> ScanSequence {
     generate_scan_sequence(
         &PhantomConfig {
             dims: Dims::new(32, 32, 24),
             spacing: Spacing::iso(4.5),
             ..Default::default()
         },
-        &BrainShiftConfig { peak_shift_mm: 8.0, ..Default::default() },
+        &BrainShiftConfig { peak_shift_mm, ..Default::default() },
         n,
         n,
     )
@@ -215,7 +217,7 @@ fn small_seq(n: usize) -> ScanSequence {
 
 #[test]
 fn forced_nonconvergence_degrades_scan_and_reuses_previous_field() {
-    let seq = small_seq(3);
+    let seq = small_seq(3, 8.0);
     let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
     let res = run_scan_sequence_with_faults(&seq, &cfg, &FaultInjection { fail_fem_scans: vec![1] })
         .expect("a non-converged scan must degrade, not abort the sequence");
@@ -249,7 +251,7 @@ fn forced_nonconvergence_degrades_scan_and_reuses_previous_field() {
 
 #[test]
 fn degraded_first_scan_falls_back_to_zero_field() {
-    let seq = small_seq(2);
+    let seq = small_seq(2, 8.0);
     let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
     let res = run_scan_sequence_with_faults(&seq, &cfg, &FaultInjection { fail_fem_scans: vec![0] })
         .expect("sequence failed");
@@ -266,12 +268,15 @@ fn degraded_first_scan_falls_back_to_zero_field() {
 
 // ───────────────────── the service's deadline budget ─────────────────────
 
+fn prepared(seq: &ScanSequence) -> Arc<PreparedSurgery> {
+    let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
+    Arc::new(PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare surgery"))
+}
+
 /// A one-worker service with one open session on `seq`'s surgery.
 fn serve(seq: &ScanSequence) -> (Service, u64) {
-    let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
-    let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare surgery");
     let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
-    let session = service.open_session(Arc::new(prepared));
+    let session = service.open_session(prepared(seq));
     (service, session)
 }
 
@@ -282,7 +287,7 @@ fn run_job(service: &Service, session: u64, seq: &ScanSequence, scan: usize, dea
 
 #[test]
 fn a_job_past_its_deadline_degrades_on_the_time_budget() {
-    let seq = small_seq(3);
+    let seq = small_seq(3, 8.0);
     let (service, session) = serve(&seq);
     let first = run_job(&service, session, &seq, 0, Duration::from_secs(300));
     assert_eq!(first.status, ScanStatus::Converged);
@@ -313,7 +318,7 @@ fn a_job_past_its_deadline_degrades_on_the_time_budget() {
 
 #[test]
 fn a_deadline_past_the_service_clock_saturates() {
-    let seq = small_seq(1);
+    let seq = small_seq(1, 8.0);
     let (service, session) = serve(&seq);
     // 18 446 744 073 710 s is just over u64::MAX µs: a truncating cast
     // would wrap it to a deadline of about 0.45 s.
@@ -324,4 +329,46 @@ fn a_deadline_past_the_service_clock_saturates() {
         _ => None,
     });
     assert_eq!(deadline, Some(u64::MAX));
+}
+
+// ───────────────────── the service's memory budget ─────────────────────
+
+#[test]
+fn half_budget_runs_cold_but_completes_everything() {
+    // A budget that fits only one of two contexts: sessions evict each
+    // other (ping-pong), every scan still completes without error.
+    let seq_a = small_seq(2, 8.0);
+    let seq_b = small_seq(2, 5.0);
+    let probe = prepared(&seq_a);
+    let ctx_bytes = probe.build_solver_context().expect("probe context").memory_bytes();
+
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        memory_budget_bytes: ctx_bytes + ctx_bytes / 2,
+        ..Default::default()
+    });
+    let a = service.open_session(probe);
+    let b = service.open_session(prepared(&seq_b));
+
+    for i in 0..2 {
+        for (session, seq) in [(a, &seq_a), (b, &seq_b)] {
+            let out = run_job(&service, session, seq, i, Duration::from_secs(300));
+            assert_ne!(out.status, ScanStatus::Degraded);
+            assert!(!out.warm, "interleaved sessions under half budget always run cold");
+        }
+    }
+    let stats = service.cache_stats();
+    assert_eq!(stats.hits, 0);
+    assert!(stats.evictions >= 2, "sessions evicted each other");
+    // The metrics registry mirrors the cache/event counters and carries
+    // the per-stage solve spans, under the same names the simulator uses.
+    let m = service.metrics_snapshot();
+    assert_eq!(m.counter("service.jobs.submitted"), Some(4));
+    assert_eq!(m.counter("service.jobs.completed"), Some(4));
+    assert_eq!(m.counter("service.cache.miss"), Some(4));
+    assert_eq!(m.counter("service.cache.evictions").unwrap_or(0), stats.evictions);
+    assert_eq!(m.span("scan/solve").map(|s| s.count), Some(4));
+    assert!(m.histogram("service.deadline.slack_at_start_us").map(|h| h.count) == Some(4));
+    let events = service.shutdown();
+    assert!(events.iter().any(|e| matches!(e.kind, EventKind::Evict { .. })));
 }

@@ -7,6 +7,7 @@
 //! * production ≡ simulation: a threaded `Service` and `simulate` emit
 //!   the same event script for the same closed-loop submissions;
 //! * `simulate` re-runs a configuration that steals to the same bytes;
+//! * p95 latency does not rise from 1 to 2 to 4 workers on a steady load;
 //! * DESIGN.md documents every metric name the core can emit.
 
 use brainshift_core::{
@@ -169,6 +170,34 @@ fn steady_load_scripts_and_metrics_match_the_parent_simulator() {
         assert_eq!(fnv1a(rendered.as_bytes()), metrics, "{workers}-worker metrics:\n{rendered}");
         assert_eq!(r.steals.len(), steals);
     }
+}
+
+/// Adding workers must not make tail latency worse on a fixed
+/// multi-session load. A shared run queue failed this (p95 rose from 1 to
+/// 2 workers as sessions lost their warm-context affinity); per-worker
+/// queues with sticky placement keep it monotone.
+#[test]
+fn des_scaling_p95_is_monotone_non_increasing_1_2_4_workers() {
+    // 8 sessions × 40 scans; each scan costs 600µs at a 1000µs cadence,
+    // so one worker is saturated (offered load 4.8×) and extra workers
+    // have real work to absorb.
+    let jobs = steady_load(8, 40, 1_000, 600);
+    let p95: Vec<u64> = [1usize, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let r = simulate(&sim_cfg(workers, jobs.len(), 0, 0, usize::MAX / 2, 2), &jobs);
+            // Nearest-rank p95 of submit → complete, µs.
+            let mut lat: Vec<u64> = r
+                .outcomes
+                .iter()
+                .filter_map(|o| Some(o.completed_us? - jobs[o.script_index].submit_us))
+                .collect();
+            assert_eq!(lat.len(), jobs.len(), "{workers} workers: every job completes");
+            lat.sort_unstable();
+            lat[(0.95 * lat.len() as f64).ceil() as usize - 1]
+        })
+        .collect();
+    assert!(p95.windows(2).all(|w| w[1] <= w[0]), "p95 rose with workers 1, 2, 4: {p95:?} µs");
 }
 
 #[test]
