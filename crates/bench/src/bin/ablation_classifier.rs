@@ -45,8 +45,9 @@ fn main() {
 
     // k-NN.
     let t0 = Stopwatch::wall();
+    let every: Vec<usize> = (0..gt.dims().len()).collect();
     let seg_knn = classifier
-        .classify(&case.intraop.intensity)
+        .classify(&case.intraop.intensity, &every, &case.preop.labels)
         .expect("phantom prototypes are valid")
         .labels;
     let t_knn = t0.elapsed_s();

@@ -95,7 +95,8 @@ impl Default for PipelineConfig {
 pub struct PipelineResult {
     /// Recovered rigid transform (`None` when `skip_rigid`).
     pub rigid: Option<RigidRegResult>,
-    /// Intraoperative segmentation (k-NN over the multichannel stack).
+    /// Intraoperative segmentation (k-NN over the multichannel stack, on
+    /// every voxel whatever `SegmentConfig::band_mm` says).
     pub intraop_seg: Volume<u8>,
     /// Volumetric mesh of the (registered) reference brain.
     pub mesh: TetMesh,
@@ -191,8 +192,14 @@ pub fn run_pipeline(
     };
 
     // ── Once per surgery, then the one scan (Fig 6's two halves). ──
+    // The segmentation is a product here (composited display, Dice), not
+    // only the surface's target, so the one-shot classifies every voxel.
+    let whole_volume = PipelineConfig {
+        segment: SegmentConfig { band_mm: f32::INFINITY, ..cfg.segment.clone() },
+        ..cfg.clone()
+    };
     let mut sw = Stopwatch::wall();
-    let prepared = PreparedSurgery::new(&ref_seg_aligned, cfg.clone())?;
+    let prepared = PreparedSurgery::new(&ref_seg_aligned, whole_volume)?;
     let prepare_s = sw.lap_s();
     let mut ctx = prepared.build_solver_context()?;
     let context_s = sw.lap_s();

@@ -10,12 +10,15 @@
 //!   `K` (a function of the mesh and the material table alone), the
 //!   mesh's boundary surface snapped onto the reference brain boundary,
 //!   the [`Classifier`] (prototype sites and distance channels of the
-//!   statistical model), the surface's neighbour table, and the mesh →
-//!   grid resample plan. Immutable and shareable across scans (and
-//!   across worker threads).
+//!   statistical model), the band of voxels around the reference brain
+//!   boundary that a scan classifies, the surface's neighbour table, and
+//!   the mesh → grid resample plan. Immutable and shareable across scans
+//!   (and across worker threads).
 //! * [`PreparedSurgery::register_scan`] — the **per-scan job**: classify
-//!   the new scan, evolve the active surface onto it, and run one
-//!   warm-started FEM solve against a caller-owned [`SolverContext`].
+//!   the new scan on the band, evolve the active surface onto it (again
+//!   over the whole volume if the surface read a value the band could
+//!   have changed), and run one warm-started FEM solve against a
+//!   caller-owned [`SolverContext`].
 //!   The context is deliberately *not* stored inside `PreparedSurgery`:
 //!   it is the mutable, memory-heavy half (reduced blocks, factored
 //!   preconditioner, warm-start seed) that a service keeps in a budgeted
@@ -40,11 +43,13 @@ use brainshift_fem::{
     assemble_stiffness, DirichletBcs, FemError, FemSolution, ResamplePlan, SolverContext,
 };
 use brainshift_imaging::phantom::tissue_intensity;
-use brainshift_imaging::{labels, Dims, DisplacementField, Vec3, Volume};
+use brainshift_imaging::{labels, Dims, DisplacementField, Spacing, Vec3, Volume};
 use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface};
 use brainshift_segment::{largest_component, Classification, Classifier};
 use brainshift_sparse::{CsrMatrix, SolverOptions};
-use brainshift_surface::{evolve_surface_with, DistanceForce, EdgeForce, ExternalForce, NeighborTable};
+use brainshift_surface::{
+    evolve_surface_with, ActiveSurfaceResult, DistanceForce, EdgeForce, ExternalForce, NeighborTable,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,6 +73,17 @@ pub struct PreparedSurgery {
     snap_positions: Vec<Vec3>,
     /// The per-surgery half of the k-NN classifier.
     classifier: Classifier,
+    /// The reference segmentation: the label of every voxel a scan does
+    /// not classify.
+    reference_labels: Volume<u8>,
+    /// |φ_ref| per voxel (mm): distance to the reference brain boundary.
+    reference_distance: Vec<f32>,
+    /// Band half-width (mm): `SegmentConfig::band_mm` plus the reach of
+    /// the surface's sampling (see [`band_reach_mm`]).
+    band_mm: f32,
+    /// The voxels with |φ_ref| ≤ `band_mm`, ascending: what a scan
+    /// classifies. Every voxel when `band_mm` is infinite.
+    band: Vec<usize>,
     /// Vertex adjacency of the boundary surface, built once; every scan's
     /// active-surface evolution reuses it.
     neighbor_table: NeighborTable,
@@ -101,29 +117,59 @@ pub struct ScanRegistration {
     pub attempts: usize,
     /// Mean active-surface residual distance to the target (mm).
     pub surface_residual: f64,
-    /// Voxels pushed through k-NN this scan: always `total_voxels`. Kept
-    /// only because the benchmark reads it; goes when the benchmark is
-    /// next re-cut.
+    /// Voxels pushed through k-NN this scan: the band, plus the whole
+    /// volume when the scan fell back.
     pub reclassified_voxels: usize,
-    /// Total voxels in the scan grid. Goes with `reclassified_voxels`.
+    /// Total voxels in the scan grid.
     pub total_voxels: usize,
-    /// kd-tree leaf blocks scanned by this scan's k-NN queries.
+    /// True when the active surface read a value the band could have
+    /// changed, so the scan was classified and evolved again over the
+    /// whole volume (its outputs are then those of that second pass).
+    pub band_fallback: bool,
+    /// kd-tree leaf blocks scanned by this scan's k-NN queries, over
+    /// both passes of a fallback scan.
     pub knn_leaf_visits: u64,
     /// Per-stage wall-clock breakdown for this scan. Assembly, reduction
     /// and factorization are `0.0` on the warm path (assembly belongs to
     /// [`PreparedSurgery::new`], reduction and factorization to
     /// [`PreparedSurgery::build_solver_context`]); the solve entry is the
     /// Krylov time of this scan only, not the context's cumulative total.
-    /// The classification sub-stages (feature matrix, kd-tree build, k-NN
-    /// query, largest component) are filled in and sum to
-    /// `classification_s`.
+    /// The classification sub-stages (fill copy, kd-tree build, k-NN
+    /// pass, largest component) are filled in and sum to
+    /// `classification_s`; on a fallback scan they and `surface_s`
+    /// include the discarded band pass.
     pub timings: StageTimings,
+}
+
+/// One classification pass over a voxel list and the active-surface
+/// evolution it drives.
+struct Pass {
+    segmentation: Volume<u8>,
+    evolved: ActiveSurfaceResult,
+    /// The guarded distance force was read outside its exact region.
+    left_band: bool,
+    reclassified_voxels: usize,
+    leaf_visits: u64,
+    /// The classification sub-stages and `surface_s`.
+    timings: StageTimings,
+}
+
+/// How far (mm) the active surface's reads reach beyond the voxel
+/// nearest a sample, counted once for each term of the band guard
+/// |φ| + |φ_ref|: a trilinear cell spans one voxel-cell diagonal and the
+/// central-difference gradient one more voxel along an axis.
+fn band_reach_mm(spacing: Spacing) -> f32 {
+    let (dx, dy, dz) = (spacing.dx, spacing.dy, spacing.dz);
+    let diagonal = (dx * dx + dy * dy + dz * dz).sqrt();
+    (2.0 * (diagonal + dx.max(dy).max(dz))) as f32
 }
 
 impl PreparedSurgery {
     /// Build the per-surgery state from the reference segmentation: mesh
     /// the brain, assemble its stiffness matrix, extract and snap its
-    /// boundary surface, and build the classifier. Fails with a typed
+    /// boundary surface, build the classifier, and mark the band of
+    /// voxels around the reference brain boundary a scan classifies (from
+    /// the distance transform the snap already computes). Fails with a typed
     /// [`Error`] when the segmentation produces an empty mesh, and with
     /// `Error::Fem(FemError::Mesh(..))` when the mesh fails validation.
     pub fn new(reference_labels: &Volume<u8>, cfg: PipelineConfig) -> Result<Self, Error> {
@@ -144,6 +190,11 @@ impl PreparedSurgery {
         let force_ref = DistanceForce::from_mask(&ref_mask, cfg.surface_force_step);
         let neighbor_table = NeighborTable::build(&surface);
         let snap = evolve_surface_with(&surface, &neighbor_table, &force_ref, &cfg.active_surface);
+        // The band reuses the snap's distance transform of the reference.
+        let reference_distance: Vec<f32> = force_ref.phi().data().iter().map(|p| p.abs()).collect();
+        drop(force_ref);
+        let band_mm = cfg.segment.band_mm + band_reach_mm(reference_labels.spacing());
+        let band = (0..reference_distance.len()).filter(|&v| reference_distance[v] <= band_mm).collect();
         let resample_plan =
             ResamplePlan::new(&mesh, reference_labels.dims(), reference_labels.spacing());
         Ok(PreparedSurgery {
@@ -155,6 +206,10 @@ impl PreparedSurgery {
             surface,
             snap_positions: snap.positions,
             classifier,
+            reference_labels: reference_labels.clone(),
+            reference_distance,
+            band_mm,
+            band,
             neighbor_table,
             resample_plan,
         })
@@ -197,11 +252,75 @@ impl PreparedSurgery {
         &self.cfg
     }
 
+    /// Voxels a scan classifies unless it falls back: those within the
+    /// band around the reference brain boundary.
+    pub fn band_voxels(&self) -> usize {
+        self.band.len()
+    }
+
+    /// Classify the listed voxels of `intensity` (reference labels
+    /// elsewhere), take the brain target's largest component and evolve
+    /// the snapped surface onto it under the configured force. A pass
+    /// over fewer than every voxel guards its distance force.
+    fn classify_and_evolve(&self, intensity: &Volume<f32>, voxels: &[usize]) -> Result<Pass, Error> {
+        let Classification { labels: segmentation, leaf_visits, feature_s, knn_build_s, knn_query_s } =
+            self.classifier.classify(intensity, voxels, &self.reference_labels)?;
+        let mut sw = Stopwatch::wall();
+        let target = largest_component(&segmentation.map(|&l| labels::is_brain_tissue(l)));
+        let morphology_s = sw.lap_s();
+        let step = self.cfg.surface_force_step;
+        let mut distance = None;
+        let edge;
+        let force: &dyn ExternalForce = match self.cfg.surface_force {
+            SurfaceForceKind::DistancePotential => {
+                let mut force = DistanceForce::from_mask(&target, step);
+                if voxels.len() < self.dims.len() {
+                    force.guard(&self.reference_distance, self.band_mm);
+                }
+                distance.insert(force)
+            }
+            SurfaceForceKind::ImageGradient => {
+                // Gray-level prior: the brain/CSF boundary sits between
+                // the brain and CSF nominal intensities. This force does
+                // not read the labels, so it needs no guard.
+                let expected = (tissue_intensity(labels::BRAIN) + tissue_intensity(labels::CSF)) / 2.0;
+                edge = EdgeForce::from_image(intensity, 1.0, expected, 60.0, step);
+                &edge
+            }
+        };
+        let mut snapped = self.surface.clone();
+        snapped.vertices = self.snap_positions.clone();
+        let evolved =
+            evolve_surface_with(&snapped, &self.neighbor_table, force, &self.cfg.active_surface);
+        let left_band = distance.as_ref().is_some_and(DistanceForce::left_exact_region);
+        let timings = StageTimings {
+            classification_s: feature_s + knn_build_s + knn_query_s + morphology_s,
+            feature_s,
+            knn_build_s,
+            knn_query_s,
+            morphology_s,
+            surface_s: sw.lap_s(),
+            ..Default::default()
+        };
+        Ok(Pass {
+            segmentation,
+            evolved,
+            left_band,
+            reclassified_voxels: voxels.len(),
+            leaf_visits,
+            timings,
+        })
+    }
+
     /// Register one intraoperative scan: classification with the
-    /// per-surgery statistical model, active-surface correspondence under
-    /// the configured [`SurfaceForceKind`], and one warm-started FEM solve
-    /// on `ctx` (which must have been built by
-    /// [`Self::build_solver_context`]).
+    /// per-surgery statistical model on the band around the reference
+    /// brain boundary, active-surface correspondence under the configured
+    /// [`SurfaceForceKind`], and one warm-started FEM solve on `ctx`
+    /// (which must have been built by [`Self::build_solver_context`]).
+    /// When the distance force's guard finds that the surface read a
+    /// value the band could have changed, the scan is classified and
+    /// evolved again over the whole volume, so the band never changes
+    /// the field, the nodal displacements or the surface residual.
     ///
     /// `solver_override` replaces the configured solver options for this
     /// scan only, and `time_budget` tightens their wall-clock budget (the
@@ -228,40 +347,23 @@ impl PreparedSurgery {
                 self.dims
             )));
         }
-        let Classification {
-            labels: seg,
-            leaf_visits: knn_leaf_visits,
-            feature_s,
-            knn_build_s,
-            knn_query_s,
-        } = self.classifier.classify(intensity)?;
+        let mut pass = self.classify_and_evolve(intensity, &self.band)?;
+        let band_fallback = pass.left_band;
+        if band_fallback {
+            let every: Vec<usize> = (0..self.dims.len()).collect();
+            let discarded = pass;
+            pass = self.classify_and_evolve(intensity, &every)?;
+            pass.timings.accumulate(&discarded.timings);
+            pass.reclassified_voxels += discarded.reclassified_voxels;
+            pass.leaf_visits += discarded.leaf_visits;
+        }
+        let Pass { segmentation, evolved, reclassified_voxels, leaf_visits, mut timings, .. } = pass;
         let mut sw = Stopwatch::wall();
-        let target = largest_component(&seg.map(|&l| labels::is_brain_tissue(l)));
-        let morphology_s = sw.lap_s();
-        let classification_s = feature_s + knn_build_s + knn_query_s + morphology_s;
-        let step = self.cfg.surface_force_step;
-        let force: Box<dyn ExternalForce> = match self.cfg.surface_force {
-            SurfaceForceKind::DistancePotential => Box::new(DistanceForce::from_mask(&target, step)),
-            SurfaceForceKind::ImageGradient => {
-                // Gray-level prior: the brain/CSF boundary sits between
-                // the brain and CSF nominal intensities.
-                let expected = (tissue_intensity(labels::BRAIN) + tissue_intensity(labels::CSF)) / 2.0;
-                Box::new(EdgeForce::from_image(intensity, 1.0, expected, 60.0, step))
-            }
-        };
-        let mut snapped = self.surface.clone();
-        snapped.vertices = self.snap_positions.clone();
-        let evolved = evolve_surface_with(
-            &snapped,
-            &self.neighbor_table,
-            force.as_ref(),
-            &self.cfg.active_surface,
-        );
         let mut bcs = DirichletBcs::new();
         for (v, &node) in self.surface.mesh_node.iter().enumerate() {
             bcs.set(node, evolved.positions[v] - self.snap_positions[v]);
         }
-        let surface_s = sw.lap_s();
+        timings.surface_s += sw.lap_s();
         let budgeted = time_budget.map(|limit| {
             let opts = solver_override.unwrap_or(&ctx.config().options);
             let time_budget = Some(opts.time_budget.map_or(limit, |t| t.min(limit)));
@@ -279,28 +381,20 @@ impl PreparedSurgery {
             });
             (ScanStatus::Degraded, field)
         };
-        let timings = StageTimings {
-            classification_s,
-            feature_s,
-            knn_build_s,
-            knn_query_s,
-            morphology_s,
-            surface_s,
-            solve_s: ctx.timings().last_solve_s,
-            resample_s: sw.lap_s(),
-            ..Default::default()
-        };
+        timings.solve_s = ctx.timings().last_solve_s;
+        timings.resample_s = sw.lap_s();
         Ok(ScanRegistration {
             status,
             field,
-            segmentation: seg,
+            segmentation,
             fem_iterations: sol.stats.iterations,
             attempts: 1,
             fem: sol,
             surface_residual: evolved.final_distance,
-            reclassified_voxels: self.dims.len(),
+            reclassified_voxels,
             total_voxels: self.dims.len(),
-            knn_leaf_visits,
+            band_fallback,
+            knn_leaf_visits: leaf_visits,
             timings,
         })
     }
@@ -347,7 +441,11 @@ mod tests {
             let t = reg.timings;
             let sub = t.feature_s + t.knn_build_s + t.knn_query_s + t.morphology_s;
             assert!((sub - t.classification_s).abs() < 1e-9);
-            assert_eq!(reg.reclassified_voxels, reg.total_voxels);
+            // Served scans classify the band around the reference brain
+            // boundary only; an 8 mm shift stays inside it.
+            assert!(!reg.band_fallback);
+            assert_eq!(reg.reclassified_voxels, prepared.band_voxels());
+            assert!(reg.reclassified_voxels < reg.total_voxels);
             assert_eq!(reg.total_voxels, scan.intensity.dims().len());
             assert!(reg.knn_leaf_visits > 0);
             last = Some(reg.field);

@@ -113,13 +113,14 @@ pub struct StageTimings {
     /// sub-stages and are excluded from [`StageTimings::total_s`] so the
     /// time is not double-counted.
     pub classification_s: f64,
-    /// Sub-stage of classification: stacking the channels (intensity +
-    /// shared distance maps) and flattening them into the feature matrix.
+    /// Sub-stage of classification: checking the scan's grid and copying
+    /// the reference labels the unclassified voxels keep.
     pub feature_s: f64,
     /// Sub-stage of classification: prototype extraction + kd-tree build.
     pub knn_build_s: f64,
-    /// Sub-stage of classification: the whole-volume k-NN query pass,
-    /// queries only.
+    /// Sub-stage of classification: the k-NN pass over the band (and
+    /// the whole volume on a fallback scan): each voxel's feature row
+    /// read from the channels, its query, the label scatter.
     pub knn_query_s: f64,
     /// Sub-stage of classification: cleanup of the brain mask, which is
     /// `segment::largest_component` (6-connected) and nothing else.

@@ -1,4 +1,4 @@
-//! Whole-volume intraoperative segmentation.
+//! Intraoperative segmentation, volume or band.
 //!
 //! The paper's classifier has a fixed half and a per-scan half. Fixed for
 //! the surgery: the prototype *sites* and the "spatial localization
@@ -6,15 +6,17 @@
 //! registered preoperative segmentation. Per scan: the prototype
 //! *intensities*, "updated automatically when further intraoperative
 //! images are acquired", the kd-tree over them, and one k-NN query per
-//! voxel. [`Classifier`] is that split: [`Classifier::new`] computes the
-//! fixed half once, [`Classifier::classify`] is the per-scan call, and
-//! [`segment_intraop`] is the same object built, used once and dropped.
+//! listed voxel. [`Classifier`] is that split: [`Classifier::new`]
+//! computes the fixed half once, [`Classifier::classify`] is the per-scan
+//! call, and [`segment_intraop`] is the same object built, used once over
+//! every voxel and dropped. A caller that needs labels only near a
+//! boundary lists those voxels; every other voxel keeps a fill label.
 //! The morphological cleanup of the brain mask (the active-surface
 //! target must be a single solid region) is [`largest_component`].
 
 use crate::error::SegmentError;
-use crate::features::{FeatureMatrix, FeatureStack, MATRIX_SLAB};
-use crate::knn::{KdTree, KnnScratch};
+use crate::features::FeatureStack;
+use crate::knn::{KdTree, KnnScratch, Prototype};
 use crate::prototypes::PrototypeModel;
 use brainshift_imaging::dtransform::label_distance_map;
 use brainshift_imaging::{labels, Dims, Volume};
@@ -39,6 +41,15 @@ pub struct SegmentConfig {
     pub per_class: usize,
     /// RNG seed for prototype sampling.
     pub seed: u64,
+    /// Half-width (mm) of the band around the reference brain boundary
+    /// that a served scan classifies; voxels outside it keep their
+    /// reference label. The surgery widens it by the reach of the
+    /// surface's sampling, and a scan whose surface read a value the band
+    /// could have changed is classified again over the whole volume, so
+    /// this sets speed, never output bits. 12 mm is the top of the
+    /// 5–12 mm peak shifts the `keypoints` scenario class draws;
+    /// `f32::INFINITY` classifies the whole volume.
+    pub band_mm: f32,
 }
 
 impl Default for SegmentConfig {
@@ -49,6 +60,7 @@ impl Default for SegmentConfig {
             distance_weight: 0.75,
             per_class: 150,
             seed: 0x5E6,
+            band_mm: 12.0,
         }
     }
 }
@@ -63,25 +75,91 @@ pub struct Classifier {
     /// Grid of the preoperative segmentation; every scan must arrive on it.
     dims: Dims,
     model: PrototypeModel,
-    /// Shared into every scan's feature stack without copying.
+    /// Read in place by every scan's feature rows.
     distance_channels: Vec<Arc<Volume<f32>>>,
 }
 
 /// One scan's classification, with what it cost.
 #[derive(Debug)]
 pub struct Classification {
-    /// The label volume, on the scan's grid and spacing.
+    /// The label volume, on the scan's grid and spacing: the k-NN label
+    /// at every listed voxel, the fill label everywhere else.
     pub labels: Volume<u8>,
     /// kd-tree leaf blocks scanned by this scan's k-NN queries.
     pub leaf_visits: u64,
-    /// Seconds spent stacking the channels and flattening them into the
-    /// per-voxel feature matrix.
+    /// Seconds spent checking the grids and copying the fill labels.
     pub feature_s: f64,
     /// Seconds spent re-reading the prototypes and building the kd-tree.
     pub knn_build_s: f64,
-    /// Seconds spent in the k-NN queries alone.
+    /// Seconds spent in the k-NN pass: gathering each listed voxel's
+    /// feature row, its query and the label scatter.
     pub knn_query_s: f64,
 }
+
+/// One scan's weighted feature rows, read in place: the scan's
+/// intensity (weight 1) followed by the per-surgery distance channels
+/// (each weighted by `distance_weight`). A row holds the same bits as
+/// [`FeatureStack::vector_at`] on the stack [`Classifier::feature_stack`]
+/// builds.
+struct FeatureRows<'a> {
+    intensity: &'a [f32],
+    channels: &'a [Arc<Volume<f32>>],
+    weight: f32,
+}
+
+impl FeatureRows<'_> {
+    fn width(&self) -> usize {
+        1 + self.channels.len()
+    }
+
+    /// Write voxel `idx`'s row into `row` (of length [`Self::width`]).
+    fn gather(&self, idx: usize, row: &mut [f32]) {
+        row[0] = self.intensity[idx];
+        for (r, chan) in row[1..].iter_mut().zip(self.channels) {
+            *r = chan.data()[idx] * self.weight;
+        }
+    }
+}
+
+/// Voxels per slab of the k-NN pass. The thread pool splits the slab
+/// list into one contiguous run per thread, so a slab is kept small
+/// against a band of a few thousand voxels: the runs then differ by at
+/// most one slab.
+const VOXEL_SLAB: usize = 512;
+
+/// The k-NN pass over `voxels`, in parallel over fixed slabs of the list
+/// with one reusable scratch and row buffer per slab: `out[i]` becomes
+/// the label of `voxels[i]`. Returns the kd-tree leaf blocks scanned.
+fn query_parallel(rows: &FeatureRows, tree: &KdTree, k: usize, voxels: &[usize], out: &mut [u8]) -> u64 {
+    out.par_chunks_mut(VOXEL_SLAB)
+        .zip(voxels.par_chunks(VOXEL_SLAB))
+        .map(|(out, voxels)| {
+            let mut scratch = KnnScratch::new();
+            let mut row = vec![0.0f32; rows.width()];
+            for (o, &v) in out.iter_mut().zip(voxels) {
+                rows.gather(v, &mut row);
+                *o = tree.classify_with(&mut scratch, &row, k);
+            }
+            scratch.leaf_visits
+        })
+        .sum()
+}
+
+/// Serial reference for [`query_parallel`]: identical output by
+/// construction (per-voxel k-NN is a pure function, and slab order never
+/// enters the result). Kept as the oracle for the thread-count
+/// determinism tests.
+fn query_serial(rows: &FeatureRows, tree: &KdTree, k: usize, voxels: &[usize], out: &mut [u8]) -> u64 {
+    let mut scratch = KnnScratch::new();
+    let mut row = vec![0.0f32; rows.width()];
+    for (o, &v) in out.iter_mut().zip(voxels) {
+        rows.gather(v, &mut row);
+        *o = tree.classify_with(&mut scratch, &row, k);
+    }
+    scratch.leaf_visits
+}
+
+type QueryPass = fn(&FeatureRows, &KdTree, usize, &[usize], &mut [u8]) -> u64;
 
 impl Classifier {
     /// Sample the prototype sites (every class present except the
@@ -112,9 +190,7 @@ impl Classifier {
     /// The multichannel data set the paper describes for one scan: its
     /// intensity plus the per-surgery distance channels.
     pub fn feature_stack(&self, intensity: &Volume<f32>) -> Result<FeatureStack, SegmentError> {
-        if intensity.dims() != self.dims {
-            return Err(SegmentError::GridMismatch { expected: self.dims, got: intensity.dims() });
-        }
+        self.check_grid(intensity.dims())?;
         let mut fs = FeatureStack::from_intensity(intensity.clone());
         for chan in &self.distance_channels {
             fs.push_shared_channel(chan.clone(), self.distance_weight);
@@ -122,68 +198,93 @@ impl Classifier {
         Ok(fs)
     }
 
-    /// Classify one registered intraoperative scan. The prototype
-    /// features are re-read from this scan at the recorded sites — the
-    /// paper's automatic model update — so the interactive selection
-    /// happens once per surgery.
-    pub fn classify(&self, intensity: &Volume<f32>) -> Result<Classification, SegmentError> {
+    /// Classify the listed voxels of one registered intraoperative scan;
+    /// every other voxel takes its label from `fill`. Each listed voxel
+    /// gets the label a pass over the whole volume would give it. The
+    /// prototype features are re-read from this scan at the recorded
+    /// sites — the paper's automatic model update — so the interactive
+    /// selection happens once per surgery.
+    pub fn classify(
+        &self,
+        intensity: &Volume<f32>,
+        voxels: &[usize],
+        fill: &Volume<u8>,
+    ) -> Result<Classification, SegmentError> {
+        self.classify_by(intensity, voxels, fill, query_parallel)
+    }
+
+    /// [`Self::classify`] with a serial k-NN pass: the oracle the
+    /// thread-count determinism tests compare the parallel pass with.
+    pub fn classify_serial(
+        &self,
+        intensity: &Volume<f32>,
+        voxels: &[usize],
+        fill: &Volume<u8>,
+    ) -> Result<Classification, SegmentError> {
+        self.classify_by(intensity, voxels, fill, query_serial)
+    }
+
+    fn classify_by(
+        &self,
+        intensity: &Volume<f32>,
+        voxels: &[usize],
+        fill: &Volume<u8>,
+        query: QueryPass,
+    ) -> Result<Classification, SegmentError> {
         let mut sw = Stopwatch::wall();
-        let fs = self.feature_stack(intensity)?;
-        let matrix = fs.to_matrix();
+        self.check_grid(intensity.dims())?;
+        self.check_grid(fill.dims())?;
+        let len = self.dims.len();
+        if let Some(&index) = voxels.iter().find(|&&v| v >= len) {
+            return Err(SegmentError::VoxelOutOfGrid { index, len });
+        }
+        let rows = FeatureRows {
+            intensity: intensity.data(),
+            channels: &self.distance_channels,
+            weight: self.distance_weight,
+        };
+        let mut labels = Volume::from_vec(self.dims, intensity.spacing(), fill.data().to_vec());
         let feature_s = sw.lap_s();
-        let tree = KdTree::build(self.model.extract(&fs))?;
+        let prototypes = self
+            .model
+            .sites
+            .iter()
+            .map(|&(x, y, z, label)| {
+                let mut features = vec![0.0f32; rows.width()];
+                rows.gather(self.dims.index(x, y, z), &mut features);
+                Prototype { features, label }
+            })
+            .collect();
+        let tree = KdTree::build(prototypes)?;
         let knn_build_s = sw.lap_s();
-        let (labels, leaf_visits) = classify_matrix(&matrix, &tree, self.k);
+        let mut out = vec![0u8; voxels.len()];
+        let leaf_visits = query(&rows, &tree, self.k, voxels, &mut out);
+        let data = labels.data_mut();
+        for (&v, &l) in voxels.iter().zip(&out) {
+            data[v] = l;
+        }
         let knn_query_s = sw.lap_s();
         Ok(Classification { labels, leaf_visits, feature_s, knn_build_s, knn_query_s })
     }
-}
 
-/// Classify every voxel of a flattened feature matrix, in parallel over
-/// voxel slabs with one reusable k-NN scratch per slab. Returns the label
-/// volume (on the matrix's grid and spacing) and the kd-tree leaf blocks
-/// scanned.
-pub fn classify_matrix(matrix: &FeatureMatrix, tree: &KdTree, k: usize) -> (Volume<u8>, u64) {
-    let d = matrix.dims();
-    let mut data = vec![0u8; d.len()];
-    let leaf_visits = data
-        .par_chunks_mut(MATRIX_SLAB)
-        .enumerate()
-        .map(|(s, chunk)| {
-            let base = s * MATRIX_SLAB;
-            let mut scratch = KnnScratch::new();
-            for (i, out) in chunk.iter_mut().enumerate() {
-                *out = tree.classify_with(&mut scratch, matrix.row(base + i), k);
-            }
-            scratch.leaf_visits
-        })
-        .sum();
-    (Volume::from_vec(d, matrix.spacing(), data), leaf_visits)
-}
-
-/// Serial reference classifier: identical output to [`classify_matrix`]
-/// by construction (per-voxel k-NN is a pure function, and slab order
-/// never enters the result). Kept as the oracle for the thread-count
-/// determinism tests.
-pub fn classify_matrix_serial(matrix: &FeatureMatrix, tree: &KdTree, k: usize) -> (Volume<u8>, u64) {
-    let d = matrix.dims();
-    let mut scratch = KnnScratch::new();
-    let mut data = vec![0u8; d.len()];
-    for (idx, out) in data.iter_mut().enumerate() {
-        *out = tree.classify_with(&mut scratch, matrix.row(idx), k);
+    fn check_grid(&self, got: Dims) -> Result<(), SegmentError> {
+        if got != self.dims {
+            return Err(SegmentError::GridMismatch { expected: self.dims, got });
+        }
+        Ok(())
     }
-    (Volume::from_vec(d, matrix.spacing(), data), scratch.leaf_visits)
 }
 
 /// End-to-end intraoperative segmentation of a single scan: a
-/// [`Classifier`] built, used once and dropped. Returns the label volume
-/// (on the intraop grid/spacing).
+/// [`Classifier`] built, used once over every voxel and dropped. Returns
+/// the label volume (on the intraop grid/spacing).
 pub fn segment_intraop(
     intraop_intensity: &Volume<f32>,
     preop_seg: &Volume<u8>,
     cfg: &SegmentConfig,
 ) -> Result<Volume<u8>, SegmentError> {
-    Ok(Classifier::new(preop_seg, cfg).classify(intraop_intensity)?.labels)
+    let every: Vec<usize> = (0..intraop_intensity.dims().len()).collect();
+    Ok(Classifier::new(preop_seg, cfg).classify(intraop_intensity, &every, preop_seg)?.labels)
 }
 
 /// Largest 6-connected component of `mask`, as a new mask. Used to clean
@@ -320,6 +421,20 @@ mod tests {
         let intensity = Volume::from_fn(scan_dims, sp, |x, _, _| if x < 16 { 10.0 } else { 90.0 });
         let err = segment_intraop(&intensity, &seg, &SegmentConfig::default()).unwrap_err();
         assert_eq!(err, SegmentError::GridMismatch { expected: seg_dims, got: scan_dims });
+    }
+
+    #[test]
+    fn a_voxel_outside_the_grid_is_a_typed_error() {
+        let d = Dims::new(4, 4, 4);
+        let sp = Spacing::iso(1.0);
+        let seg = Volume::from_fn(d, sp, |x, _, _| if x < 2 { 1u8 } else { 2 });
+        let intensity = Volume::from_fn(d, sp, |x, _, _| if x < 2 { 10.0 } else { 90.0 });
+        let classifier = Classifier::new(&seg, &SegmentConfig { per_class: 8, ..Default::default() });
+        let err = classifier.classify(&intensity, &[3, 64], &seg).unwrap_err();
+        assert_eq!(err, SegmentError::VoxelOutOfGrid { index: 64, len: 64 });
+        let foreign = Volume::filled(Dims::new(4, 4, 3), sp, 0u8);
+        let err = classifier.classify(&intensity, &[3], &foreign).unwrap_err();
+        assert_eq!(err, SegmentError::GridMismatch { expected: d, got: foreign.dims() });
     }
 
     #[test]

@@ -46,6 +46,13 @@ pub enum SegmentError {
         /// Grid of the scan.
         got: Dims,
     },
+    /// A voxel listed for classification lies outside the grid.
+    VoxelOutOfGrid {
+        /// The offending linear voxel index.
+        index: usize,
+        /// Voxels in the grid.
+        len: usize,
+    },
 }
 
 impl fmt::Display for SegmentError {
@@ -68,6 +75,9 @@ impl fmt::Display for SegmentError {
                 f,
                 "scan grid {got:?} does not match the preoperative segmentation's {expected:?}"
             ),
+            SegmentError::VoxelOutOfGrid { index, len } => {
+                write!(f, "voxel {index} listed for classification lies outside a {len}-voxel grid")
+            }
         }
     }
 }
@@ -88,5 +98,7 @@ mod tests {
         assert!(e.to_string().contains("non-finite"));
         let e = SegmentError::GridMismatch { expected: Dims::new(4, 4, 4), got: Dims::new(4, 4, 3) };
         assert!(e.to_string().contains("does not match"));
+        let e = SegmentError::VoxelOutOfGrid { index: 64, len: 64 };
+        assert!(e.to_string().contains("outside"));
     }
 }

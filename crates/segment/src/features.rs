@@ -10,16 +10,14 @@
 //! (the saturated distance maps of the *preoperative* segmentation) are
 //! computed once by [`Classifier::new`](crate::classify::Classifier::new)
 //! and shared into every scan's stack; only the intensity channel
-//! changes per scan. For the classification hot loop
-//! the stack is flattened into a [`FeatureMatrix`] — one contiguous
-//! weighted row per voxel — so queries borrow a slice instead of
-//! allocating a `Vec` per voxel.
+//! changes per scan. The classification hot loop does not build a
+//! stack: [`Classifier::classify`](crate::classify::Classifier::classify)
+//! reads each listed voxel's weighted row straight from the channels.
 
 use std::sync::Arc;
 
 use brainshift_imaging::volume::Spacing;
 use brainshift_imaging::{Dims, Volume};
-use rayon::prelude::*;
 
 /// A stack of aligned scalar channels: channel 0 is MR intensity, the rest
 /// are saturated distance maps of preoperative tissue classes.
@@ -88,63 +86,6 @@ impl FeatureStack {
             .map(|(c, &w)| c.data()[idx] * w)
             .collect()
     }
-
-    /// Flatten into a contiguous weighted feature matrix (one row per
-    /// voxel), filled in parallel over voxel slabs.
-    pub fn to_matrix(&self) -> FeatureMatrix {
-        let n = self.dims.len();
-        let c = self.channels.len();
-        let mut data = vec![0.0f32; n * c];
-        // Row-slab parallelism: each chunk owns `MATRIX_SLAB` complete
-        // rows, written channel-major for contiguous reads of the source.
-        data.par_chunks_mut(MATRIX_SLAB * c).enumerate().for_each(|(s, chunk)| {
-            let base = s * MATRIX_SLAB;
-            let rows = chunk.len() / c;
-            for (ci, (chan, &w)) in self.channels.iter().zip(&self.weights).enumerate() {
-                let src = &chan.data()[base..base + rows];
-                for (r, &v) in src.iter().enumerate() {
-                    chunk[r * c + ci] = v * w;
-                }
-            }
-        });
-        FeatureMatrix { dims: self.dims, spacing: self.spacing, channels: c, data }
-    }
-}
-
-/// Rows per parallel slab when flattening or classifying a volume.
-pub(crate) const MATRIX_SLAB: usize = 4096;
-
-/// A flattened feature stack: `dims.len() × channels` weighted feature
-/// values, row-major per voxel. This is the classification hot loop's
-/// working layout.
-#[derive(Debug, Clone)]
-pub struct FeatureMatrix {
-    dims: Dims,
-    spacing: Spacing,
-    channels: usize,
-    data: Vec<f32>,
-}
-
-impl FeatureMatrix {
-    /// Grid dimensions.
-    pub fn dims(&self) -> Dims {
-        self.dims
-    }
-
-    /// Grid spacing propagated from the source stack.
-    pub fn spacing(&self) -> Spacing {
-        self.spacing
-    }
-
-    /// Features per voxel.
-    pub fn num_channels(&self) -> usize {
-        self.channels
-    }
-
-    /// The weighted feature row of voxel `idx`.
-    pub fn row(&self, idx: usize) -> &[f32] {
-        &self.data[idx * self.channels..(idx + 1) * self.channels]
-    }
 }
 
 #[cfg(test)]
@@ -162,23 +103,6 @@ mod tests {
         assert_eq!(fs.num_channels(), 2);
         assert_eq!(fs.vector(2, 3, 0), vec![2.0, 1.5]);
         assert_eq!(fs.vector_at(d.index(2, 3, 0)), vec![2.0, 1.5]);
-    }
-
-    #[test]
-    fn matrix_rows_match_vector_at() {
-        let d = Dims::new(5, 4, 3);
-        let intensity = Volume::from_fn(d, Spacing::new(1.0, 2.0, 3.0), |x, y, z| {
-            (x + 10 * y + 100 * z) as f32
-        });
-        let mut fs = FeatureStack::from_intensity(intensity);
-        let extra = Volume::from_fn(d, Spacing::new(1.0, 2.0, 3.0), |_, y, _| y as f32);
-        fs.push_channel(extra, 0.25);
-        let m = fs.to_matrix();
-        assert_eq!(m.num_channels(), 2);
-        assert_eq!(m.spacing(), fs.spacing());
-        for idx in 0..d.len() {
-            assert_eq!(m.row(idx), fs.vector_at(idx).as_slice());
-        }
     }
 
     #[test]

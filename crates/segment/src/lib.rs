@@ -19,11 +19,10 @@ pub mod prototypes;
 
 pub use confusion::ConfusionMatrix;
 pub use classify::{
-    classify_matrix, classify_matrix_serial, dice, largest_component, segment_intraop,
-    Classification, Classifier, SegmentConfig,
+    dice, largest_component, segment_intraop, Classification, Classifier, SegmentConfig,
 };
 pub use error::SegmentError;
-pub use features::{FeatureMatrix, FeatureStack};
+pub use features::FeatureStack;
 pub use gaussian::GaussianClassifier;
 pub use knn::{k_nearest_brute, KdTree, KnnScratch, Prototype, LEAF_SIZE};
 pub use prototypes::PrototypeModel;

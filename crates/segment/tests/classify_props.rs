@@ -1,56 +1,72 @@
-//! Property test of the per-scan classification hot path: the parallel
-//! slab classifier is bit-identical to the serial oracle, so the result
-//! never depends on the worker thread count.
+//! Property tests of the per-scan classification hot path: a pass over
+//! any list of voxels gives each listed voxel its whole-volume label and
+//! every other voxel the fill label, its leaf visits add up voxel by
+//! voxel, and the parallel pass is bit-identical to the serial oracle,
+//! so the result never depends on the worker thread count.
 
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
-use brainshift_segment::{
-    classify_matrix, classify_matrix_serial, k_nearest_brute, FeatureStack, KdTree, KnnScratch,
-    Prototype,
-};
+use brainshift_segment::{k_nearest_brute, Classifier, KdTree, KnnScratch, Prototype, SegmentConfig};
 use proptest::prelude::*;
 
-/// Fixed test grid: 13 248 rows, i.e. three full 4096-row classifier
-/// slabs and a ragged 960-row tail, so the parallel pass really splits.
+/// Fixed test grid: 13 248 voxels, i.e. 25 full 512-voxel classifier
+/// slabs and a ragged 448-voxel tail, so the parallel pass over the
+/// whole volume (and over a third of it) really splits.
 const DIMS: (usize, usize, usize) = (24, 24, 23);
 const N_VOX: usize = DIMS.0 * DIMS.1 * DIMS.2;
 
-/// Two-channel feature stack: a generated intensity channel plus a fixed
-/// synthetic "distance" channel.
-fn stack(intensity: &[f32]) -> FeatureStack {
+/// A preoperative segmentation of up to five classes in slabs along x,
+/// so each class has a distance channel with real structure.
+fn segmentation(cuts: &[usize]) -> Volume<u8> {
     let dims = Dims::new(DIMS.0, DIMS.1, DIMS.2);
-    let sp = Spacing::iso(1.0);
-    let mut fs =
-        FeatureStack::from_intensity(Volume::from_vec(dims, sp, intensity[..N_VOX].to_vec()));
-    let aux = Volume::from_fn(dims, sp, |x, y, z| (x + 2 * y + 3 * z) as f32 * 0.25);
-    fs.push_channel(aux, 0.75);
-    fs
-}
-
-fn prototypes(raw: &[(f32, f32, u8)]) -> Vec<Prototype> {
-    raw.iter().map(|&(a, b, l)| Prototype { features: vec![a, b], label: l }).collect()
+    Volume::from_fn(dims, Spacing::iso(1.0), |x, y, _| {
+        1 + cuts.iter().filter(|&&c| x + y / 4 >= c).count() as u8
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The parallel slab classifier equals the serial oracle bit-for-bit,
-    /// labels and traversal count alike. Slab decomposition depends on
-    /// the worker count, so this equality — checked under different
-    /// `RAYON_NUM_THREADS` by the verify script — is the thread-count
-    /// determinism guarantee.
+    /// Over a random voxel subset: listed voxels get the whole-volume
+    /// label and the others the fill; the subset's leaf visits and its
+    /// complement's add up to the whole volume's; and the parallel pass
+    /// equals the serial oracle bit for bit, labels and visits alike.
+    /// Slab decomposition depends on the worker count, so this equality —
+    /// checked under different `RAYON_NUM_THREADS` by the verify script —
+    /// is the thread-count determinism guarantee.
     #[test]
-    fn parallel_classification_matches_serial_oracle(
-        base in prop::collection::vec(-5.0f32..5.0, N_VOX),
-        // Up to three 32-point leaves, so the visit count depends on pruning.
-        protos_raw in prop::collection::vec((-8.0f32..8.0, -8.0f32..8.0, 1u8..6), 3..96),
+    fn a_voxel_subset_gets_its_whole_volume_labels_and_the_fill_elsewhere(
+        intensity in prop::collection::vec(-5.0f32..5.0, N_VOX),
+        cuts in prop::collection::vec(2usize..28, 1..5),
+        // About a third of the voxels are listed.
+        picked in prop::collection::vec(0u8..3, N_VOX),
         k in 1usize..8,
     ) {
-        let tree = KdTree::build(prototypes(&protos_raw)).expect("generated prototypes are valid");
-        let matrix = stack(&base).to_matrix();
-        let (par, par_visits) = classify_matrix(&matrix, &tree, k);
-        let (ser, ser_visits) = classify_matrix_serial(&matrix, &tree, k);
-        prop_assert_eq!(par.data(), ser.data());
-        prop_assert_eq!(par_visits, ser_visits);
+        let seg = segmentation(&cuts);
+        let sp = seg.spacing();
+        // Up to 100 prototypes: several 32-point leaves, so the visit
+        // count depends on pruning.
+        let cfg = SegmentConfig { k, per_class: 20, ..Default::default() };
+        let classifier = Classifier::new(&seg, &cfg);
+        let scan = Volume::from_vec(seg.dims(), sp, intensity);
+        let fill = Volume::filled(seg.dims(), sp, 255u8);
+        let every: Vec<usize> = (0..N_VOX).collect();
+        let (subset, rest): (Vec<usize>, Vec<usize>) = every.iter().partition(|&&v| picked[v] == 0);
+
+        let whole = classifier.classify(&scan, &every, &fill).expect("valid prototypes");
+        let band = classifier.classify(&scan, &subset, &fill).expect("valid prototypes");
+        let other = classifier.classify(&scan, &rest, &fill).expect("valid prototypes");
+        for v in 0..N_VOX {
+            let want = if picked[v] == 0 { whole.labels.data()[v] } else { 255 };
+            prop_assert!(band.labels.data()[v] == want, "voxel {}: {} vs {}", v, band.labels.data()[v], want);
+        }
+        prop_assert_eq!(band.leaf_visits + other.leaf_visits, whole.leaf_visits);
+
+        let serial = classifier.classify_serial(&scan, &subset, &fill).expect("valid prototypes");
+        prop_assert_eq!(band.labels.data(), serial.labels.data());
+        prop_assert_eq!(band.leaf_visits, serial.leaf_visits);
+        let serial = classifier.classify_serial(&scan, &every, &fill).expect("valid prototypes");
+        prop_assert_eq!(whole.labels.data(), serial.labels.data());
+        prop_assert_eq!(whole.leaf_visits, serial.leaf_visits);
     }
 
     /// The tree's neighbour list and vote equal a brute-force scan of

@@ -50,6 +50,10 @@ pub mod metric {
     pub const JOBS_STOLEN: &str = "service.jobs.stolen";
     /// Counter — jobs that degraded to the carry-forward field.
     pub const JOBS_DEGRADED: &str = "service.jobs.degraded";
+    /// Counter — scans whose band classification failed its guard and
+    /// were classified again over the whole volume. Registered on the
+    /// first such scan.
+    pub const SCANS_BAND_FALLBACKS: &str = "service.scans.band_fallbacks";
     /// Counter — jobs that reached `Complete` (any result).
     pub const JOBS_COMPLETED: &str = "service.jobs.completed";
     /// Counter — completions past their deadline.
@@ -78,12 +82,13 @@ pub mod metric {
     pub const PERSIST_RESTORE_US: &str = "service.persist.restore_us";
 
     /// The whole catalogue.
-    pub const ALL: [&str; 18] = [
+    pub const ALL: [&str; 19] = [
         JOBS_SUBMITTED,
         JOBS_REJECTED,
         JOBS_PREFERRED,
         JOBS_STOLEN,
         JOBS_DEGRADED,
+        SCANS_BAND_FALLBACKS,
         JOBS_COMPLETED,
         JOBS_MISSED_DEADLINE,
         JOBS_CANCELLED,
@@ -399,6 +404,12 @@ impl<C> ShardCore<C> {
         let Some(r) = &self.running[worker] else { return };
         self.metrics.counter_add(metric::JOBS_DEGRADED, 1);
         self.record(now_us, EventKind::Degrade { session: r.session, job: r.job, reason });
+    }
+
+    /// Record that a scan fell back from its band
+    /// classification to the whole volume.
+    pub fn note_band_fallback(&mut self) {
+        self.metrics.counter_add(metric::SCANS_BAND_FALLBACKS, 1);
     }
 
     /// Finish `worker`'s running job: check `ctx` (with its byte size)

@@ -618,6 +618,9 @@ fn execute(shared: &Shared, worker: usize, claim: Claim) {
         // completion they describe, so a quiesce that finds the worker
         // idle also finds them up to date.
         let mut state = session.state.lock();
+        if reg.band_fallback {
+            shard.core.note_band_fallback();
+        }
         if reg.status == ScanStatus::Degraded {
             state.stats.degraded += 1;
             shard.core.note_degraded(worker, now, reg.fem.stats.reason);

@@ -10,7 +10,9 @@
 
 use brainshift_imaging::dtransform::signed_distance_transform;
 use brainshift_imaging::filter::{gaussian_smooth, gradient, gradient_planes};
-use brainshift_imaging::{DisplacementField, Vec3, Volume};
+use brainshift_imaging::{Dims, DisplacementField, Vec3, Volume};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Provides the external force pulling a surface vertex toward the target
 /// object boundary, evaluated at a world-coordinate point.
@@ -33,6 +35,12 @@ pub trait ExternalForce: Sync {
 /// three flat `f32` arrays; the interior fast path samples φ and ∇φ in
 /// one fused trilinear pass (the eight corner weights are shared), which
 /// is the dominant operation of the active-surface iteration.
+///
+/// A force built from a target that was classified only on a band around
+/// a reference boundary can be [guarded](DistanceForce::guard): every
+/// sample then checks that its trilinear cell lies where φ and ∇φ are
+/// provably those of the whole-volume target, and raises a flag
+/// ([`DistanceForce::left_exact_region`]) when it does not.
 pub struct DistanceForce {
     /// Signed distance (mm).
     phi: Volume<f32>,
@@ -42,6 +50,12 @@ pub struct DistanceForce {
     gz: Vec<f32>,
     /// Gain limiting the per-step pull (mm).
     pub max_step: f64,
+    /// Per trilinear cell, indexed by its clamped lower corner: 1 when
+    /// the guard proved φ and ∇φ exact at all eight corners. `None` when
+    /// unguarded (every cell is).
+    exact_cells: Option<Vec<u8>>,
+    /// Raised, never lowered, by a sample whose cell is not exact.
+    left_exact: AtomicBool,
 }
 
 impl DistanceForce {
@@ -51,7 +65,110 @@ impl DistanceForce {
         // spacing honored).
         let phi = signed_distance_transform(mask);
         let [gx, gy, gz] = gradient_planes(&phi);
-        DistanceForce { phi, gx, gy, gz, max_step }
+        DistanceForce {
+            phi,
+            gx,
+            gy,
+            gz,
+            max_step,
+            exact_cells: None,
+            left_exact: AtomicBool::new(false),
+        }
+    }
+
+    /// The signed distance φ (mm) of the target mask: negative inside,
+    /// positive outside.
+    pub fn phi(&self) -> &Volume<f32> {
+        &self.phi
+    }
+
+    /// Guard a force whose target mask was classified only on the band
+    /// of voxels with `reference_distance` ≤ `band` — the band around a
+    /// reference boundary, `reference_distance` being |φ_ref| per voxel
+    /// (mm) — and given reference labels elsewhere.
+    ///
+    /// A voxel is *exact* when |φ| + |φ_ref| < `band` holds at it and at
+    /// each of its in-grid 6-neighbours. At such a voxel v, φ and ∇φ are
+    /// the same bits as for the target a whole-volume classification
+    /// gives: the exact distance transform makes φ(v) a function of the
+    /// target voxels within |φ(v)| of v alone, and every such voxel u has
+    /// |φ_ref(u)| ≤ |φ_ref(v)| + |u − v| < `band`, so lies in the band,
+    /// where both classifications agree; the central difference at v
+    /// reads only v and its 6-neighbours. A sample whose trilinear cell
+    /// (clamped into the grid as the gradient sampler clamps it, which
+    /// covers the cell the φ sampler reads) holds a voxel that is not
+    /// exact raises [`Self::left_exact_region`].
+    pub fn guard(&mut self, reference_distance: &[f32], band: f32) {
+        let d = self.phi.dims();
+        assert_eq!(reference_distance.len(), d.len(), "reference distance off the force's grid");
+        // The stored distances are rounded to f32; a relative slack of
+        // 1e-6 (several ulps) keeps the inequality true of the exact ones.
+        let limit = f64::from(band) / (1.0 + 1e-6);
+        let (phi, nx) = (self.phi.data(), d.nx);
+        let ok = row_map(d, |y, z, out| {
+            let i = d.index(0, y, z);
+            let rows = phi[i..i + nx].iter().zip(&reference_distance[i..i + nx]);
+            for (o, (&p, &r)) in out.iter_mut().zip(rows) {
+                *o = u8::from(f64::from(p.abs()) + f64::from(r) < limit);
+            }
+        });
+        fn row(mask: &[u8], d: Dims, y: usize, z: usize) -> &[u8] {
+            &mask[d.index(0, y, z)..][..d.nx]
+        }
+        // Exact voxels: `ok` at the voxel and its in-grid 6-neighbours (a
+        // neighbour off the grid is replaced by the voxel itself).
+        let exact = row_map(d, |y, z, out| {
+            let c = row(&ok, d, y, z);
+            let across = [
+                row(&ok, d, y.saturating_sub(1), z),
+                row(&ok, d, (y + 1).min(d.ny - 1), z),
+                row(&ok, d, y, z.saturating_sub(1)),
+                row(&ok, d, y, (z + 1).min(d.nz - 1)),
+            ];
+            for (x, o) in out.iter_mut().enumerate() {
+                let along = c[x] & c[x.saturating_sub(1)] & c[(x + 1).min(nx - 1)];
+                *o = across.iter().fold(along, |a, r| a & r[x]);
+            }
+        });
+        drop(ok);
+        // Exact cells: all eight corners exact, the upper corner clamped
+        // into the grid as the samplers clamp it.
+        let cells = row_map(d, |y, z, out| {
+            let (y1, z1) = ((y + 1).min(d.ny - 1), (z + 1).min(d.nz - 1));
+            let corners =
+                [row(&exact, d, y, z), row(&exact, d, y1, z), row(&exact, d, y, z1), row(&exact, d, y1, z1)];
+            for (x, o) in out.iter_mut().enumerate() {
+                let x1 = (x + 1).min(nx - 1);
+                *o = corners.iter().fold(1, |a, r| a & r[x] & r[x1]);
+            }
+        });
+        self.exact_cells = Some(cells);
+    }
+
+    /// True when some sample since [`Self::guard`] read a cell outside
+    /// the exact region: the evolution it drove may differ from the
+    /// whole-volume one. Always false for an unguarded force.
+    pub fn left_exact_region(&self) -> bool {
+        self.left_exact.load(Ordering::Relaxed)
+    }
+
+    /// Flag a sample whose trilinear cell, given by its clamped lower
+    /// corner, is not exact. The flag is written only on a violation, so
+    /// a guarded sample on the exact region costs one byte load.
+    fn check_cell(&self, lower: usize) {
+        if let Some(cells) = &self.exact_cells {
+            if cells[lower] == 0 {
+                self.left_exact.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Index of the lower corner of the trilinear cell at continuous
+    /// voxel coordinates `p_vox`, the point clamped into the grid first.
+    fn clamped_lower(&self, p_vox: Vec3) -> usize {
+        let d = self.phi.dims();
+        let lo = |p: f64, n: usize| p.clamp(0.0, n as f64 - 1.0).floor() as usize;
+        d.index(lo(p_vox.x, d.nx), lo(p_vox.y, d.ny), lo(p_vox.z, d.nz))
     }
 
     /// φ and ∇φ at continuous voxel coordinates, trilinearly interpolated
@@ -75,6 +192,7 @@ impl DistanceForce {
             let fy = p_vox.y - y0;
             let fz = p_vox.z - z0;
             let base = d.index(xi, yi, zi);
+            self.check_cell(base);
             let sx = 1usize;
             let sy = d.nx;
             let sz = d.nx * d.ny;
@@ -99,6 +217,7 @@ impl DistanceForce {
             }
             return (acc_p, acc_g);
         }
+        self.check_cell(self.clamped_lower(p_vox));
         let phi = brainshift_imaging::interp::sample_trilinear(&self.phi, p_vox, 1e3) as f64;
         (phi, self.sample_grad_clamped(p_vox))
     }
@@ -159,8 +278,24 @@ impl ExternalForce for DistanceForce {
     fn boundary_distance(&self, p: Vec3) -> f64 {
         let sp = self.phi.spacing();
         let p_vox = Vec3::new(p.x / sp.dx, p.y / sp.dy, p.z / sp.dz);
+        self.check_cell(self.clamped_lower(p_vox));
         self.sample_phi(p_vox).abs()
     }
+}
+
+/// A voxel-aligned byte mask on grid `d`, filled one x-row at a time by
+/// `f(y, z, row)`, in parallel over z-slabs.
+fn row_map(d: Dims, f: impl Fn(usize, usize, &mut [u8]) + Sync) -> Vec<u8> {
+    let mut mask = vec![0u8; d.len()];
+    if d.nx * d.ny == 0 {
+        return mask;
+    }
+    mask.par_chunks_mut(d.nx * d.ny).enumerate().for_each(|(z, plane)| {
+        for (y, out) in plane.chunks_mut(d.nx).enumerate() {
+            f(y, z, out);
+        }
+    });
+    mask
 }
 
 /// Edge-seeking force from image gradients with a gray-level prior (the
@@ -277,6 +412,26 @@ mod tests {
             let gs = f.sample_grad_clamped(p);
             assert!((g - gs).norm() < 1e-9, "grad mismatch at {p:?}");
         }
+    }
+
+    #[test]
+    fn guard_flags_only_samples_that_leave_the_exact_region() {
+        let mut f = DistanceForce::from_mask(&sphere_mask(6.0), 2.0);
+        let reference = DistanceForce::from_mask(&sphere_mask(7.0), 2.0);
+        let reference_distance: Vec<f32> = reference.phi().data().iter().map(|p| p.abs()).collect();
+        let c = Vec3::new(12.0, 12.0, 12.0);
+        let near = c + Vec3::new(6.5, 0.5, 0.5);
+        let before = (f.force(near), f.boundary_distance(near));
+        f.force(c);
+        assert!(!f.left_exact_region(), "an unguarded force never raises the flag");
+        f.guard(&reference_distance, 8.0);
+        // Guarding changes no sample, and a cell between the two
+        // boundaries (|φ| + |φ_ref| ≈ 2–4 mm) stays exact.
+        assert_eq!((f.force(near), f.boundary_distance(near)), before);
+        assert!(!f.left_exact_region());
+        // At the centre |φ| + |φ_ref| ≈ 13 mm: the band could have moved it.
+        f.boundary_distance(c);
+        assert!(f.left_exact_region());
     }
 
     #[test]

@@ -36,8 +36,10 @@ cargo test -q -p brainshift-conformance
 cargo run -q --release -p brainshift-conformance --bin conformance_report
 
 # Per-scan stage: the hot path of one scan, layer by layer. Property
-# tests prove the parallel slab classifier equal to the serial oracle,
-# labels and leaf visits, on a grid of three slabs and a ragged tail, and
+# tests prove a pass over any voxel subset equal to the whole-volume pass
+# on the subset and to the fill elsewhere, its leaf visits additive, and
+# the parallel slab classifier equal to the serial oracle, labels and
+# leaf visits, on a grid of three slabs and a ragged tail, and
 # the k-NN vote equal to a brute-force scan under forced distance ties;
 # the sparse, imaging and FEM suites pin the fused Gram–Schmidt sweep,
 # the distance transform, the stencil gradient and the resample plan to
@@ -49,11 +51,15 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # same bits at any count), and the root-level goldens pin three whole
 # warm scans and six one-shot pipelines to the same bits at both. The
 # shared-stiffness suite pins a context rebuilt on the surgery's one K
-# (and one restored onto it) to the first context's bits.
+# (and one restored onto it) to the first context's bits. The band suite
+# holds a scan classified on the band around the reference brain
+# boundary to the whole volume's field bits, with and without the
+# fallback: the guard's flag must not depend on the thread count either.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
-  RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise --test shared_stiffness
+  RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise --test shared_stiffness \
+    --test band_classify
 done
 
 # Service stage: the serving layer, all of it — core/queue/cache unit
@@ -267,10 +273,12 @@ for f in crates/core/src/*.rs crates/service/src/*.rs; do
 done
 
 # One classification path: `segment::Classifier` is the only place that
-# composes stack → prototypes → kd-tree → k-NN. `register_scan` reaches it
-# through one call and knows none of its parts, the parallel slab loop
-# and its serial oracle are the only two callers of the per-voxel query,
-# and nothing carries classification state from one scan to the next.
+# composes feature rows → prototypes → kd-tree → k-NN. `register_scan`
+# reaches it through one call and knows none of its parts, the parallel
+# slab loop and its serial oracle are the only two callers of the
+# per-voxel query, no whole-volume feature matrix comes back beside the
+# listed-voxel pass, and nothing carries classification state from one
+# scan to the next.
 for part in 'KdTree::build(' 'FeatureStack::' 'PrototypeModel::' 'label_distance_map(' 'Mutex'; do
   if non_test crates/core/src/surgery.rs | grep -nF "$part"; then
     echo "surgery.rs knows the classifier's algorithm ('$part'): keep it behind segment::Classifier" >&2
@@ -290,6 +298,10 @@ fi
 n=$(non_test crates/segment/src/classify.rs | grep -cF 'classify_with(' || true)
 if [ "$n" -ne 2 ]; then
   echo "expected two non-test 'classify_with(' calls in segment/src/classify.rs (slab loop, serial oracle), found $n" >&2
+  exit 1
+fi
+if grep -rnE '\b(classify_matrix|classify_matrix_serial|FeatureMatrix|to_matrix)\b' crates tests examples; then
+  echo "the whole-volume feature matrix is back: Classifier::classify reads the listed voxels' rows in place (DESIGN §13)" >&2
   exit 1
 fi
 if grep -rn "incremental" crates/segment/src crates/core/src; then

@@ -346,7 +346,7 @@ fn design_doc_lists_every_metric_the_core_can_emit() {
     let design = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/DESIGN.md"))
         .expect("read DESIGN.md");
     let names = brainshift_service::core::metric::ALL;
-    assert_eq!(names.len(), 18);
+    assert_eq!(names.len(), 19);
     for name in names {
         assert!(name.starts_with("service."), "{name}");
         assert!(design.contains(&format!("`{name}`")), "DESIGN.md does not document `{name}`");
