@@ -43,7 +43,7 @@ fn bench_stages(c: &mut Criterion) {
 
     g.bench_function("active_surface", |b| {
         let mask = case.intraop.labels.map(|&l| labels::is_brain_tissue(l));
-        let force = DistanceForce::from_mask(&mask, 2.0);
+        let force = DistanceForce::from_mask(&mask, None, 2.0).unwrap();
         b.iter(|| std::hint::black_box(evolve_surface(&surface, &force, &ActiveSurfaceConfig::default())));
     });
 

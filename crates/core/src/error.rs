@@ -11,6 +11,7 @@ use brainshift_fem::FemError;
 use brainshift_mesh::MeshError;
 use brainshift_segment::SegmentError;
 use brainshift_sparse::SparseError;
+use brainshift_surface::SurfaceError;
 use std::fmt;
 
 /// A hard failure of the intraoperative pipeline.
@@ -24,6 +25,9 @@ pub enum Error {
     Sparse(SparseError),
     /// The classifier rejected its training data (malformed prototypes).
     Segment(SegmentError),
+    /// The surface stage rejected its inputs (a target off its band's
+    /// grid).
+    Surface(SurfaceError),
     /// A pipeline-level invariant was violated (with a description).
     Pipeline(String),
 }
@@ -35,6 +39,7 @@ impl fmt::Display for Error {
             Error::Fem(e) => write!(f, "FEM error: {e}"),
             Error::Sparse(e) => write!(f, "sparse error: {e}"),
             Error::Segment(e) => write!(f, "segmentation error: {e}"),
+            Error::Surface(e) => write!(f, "surface error: {e}"),
             Error::Pipeline(msg) => write!(f, "pipeline error: {msg}"),
         }
     }
@@ -47,6 +52,7 @@ impl std::error::Error for Error {
             Error::Fem(e) => Some(e),
             Error::Sparse(e) => Some(e),
             Error::Segment(e) => Some(e),
+            Error::Surface(e) => Some(e),
             Error::Pipeline(_) => None,
         }
     }
@@ -73,6 +79,12 @@ impl From<SparseError> for Error {
 impl From<SegmentError> for Error {
     fn from(e: SegmentError) -> Self {
         Error::Segment(e)
+    }
+}
+
+impl From<SurfaceError> for Error {
+    fn from(e: SurfaceError) -> Self {
+        Error::Surface(e)
     }
 }
 

@@ -10,8 +10,9 @@
 //!   `K` (a function of the mesh and the material table alone), the
 //!   mesh's boundary surface snapped onto the reference brain boundary,
 //!   the [`Classifier`] (prototype sites and distance channels of the
-//!   statistical model), the band of voxels around the reference brain
-//!   boundary that a scan classifies, the surface's neighbour table, and
+//!   statistical model), the [`Band`] of voxels around the reference
+//!   brain boundary that a scan classifies and computes its distance
+//!   force on, the surface's neighbour table, and
 //!   the mesh → grid resample plan. Immutable and shareable across scans
 //!   (and across worker threads).
 //! * [`PreparedSurgery::register_scan`] — the **per-scan job**: classify
@@ -48,7 +49,7 @@ use brainshift_mesh::{extract_boundary, mesh_labeled_volume, TetMesh, TriSurface
 use brainshift_segment::{largest_component, Classification, Classifier};
 use brainshift_sparse::{CsrMatrix, SolverOptions};
 use brainshift_surface::{
-    evolve_surface_with, ActiveSurfaceResult, DistanceForce, EdgeForce, ExternalForce, NeighborTable,
+    evolve_surface_with, ActiveSurfaceResult, Band, DistanceForce, EdgeForce, ExternalForce, NeighborTable,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,14 +77,11 @@ pub struct PreparedSurgery {
     /// The reference segmentation: the label of every voxel a scan does
     /// not classify.
     reference_labels: Volume<u8>,
-    /// |φ_ref| per voxel (mm): distance to the reference brain boundary.
-    reference_distance: Vec<f32>,
-    /// Band half-width (mm): `SegmentConfig::band_mm` plus the reach of
-    /// the surface's sampling (see [`band_reach_mm`]).
-    band_mm: f32,
-    /// The voxels with |φ_ref| ≤ `band_mm`, ascending: what a scan
-    /// classifies. Every voxel when `band_mm` is infinite.
-    band: Vec<usize>,
+    /// The voxels within `SegmentConfig::band_mm` plus the reach of the
+    /// surface's sampling (see [`band_reach_mm`]) of the reference brain
+    /// boundary: what a scan classifies and its distance force computes.
+    /// Every voxel when `band_mm` is infinite.
+    band: Band,
     /// Vertex adjacency of the boundary surface, built once; every scan's
     /// active-surface evolution reuses it.
     neighbor_table: NeighborTable,
@@ -141,8 +139,8 @@ pub struct ScanRegistration {
     pub timings: StageTimings,
 }
 
-/// One classification pass over a voxel list and the active-surface
-/// evolution it drives.
+/// One classification pass over the band (or every voxel) and the
+/// active-surface evolution it drives.
 struct Pass {
     segmentation: Volume<u8>,
     evolved: ActiveSurfaceResult,
@@ -187,14 +185,13 @@ impl PreparedSurgery {
         let surface = extract_boundary(&mesh);
         let classifier = Classifier::new(reference_labels, &cfg.segment);
         let ref_mask = largest_component(&reference_labels.map(|&l| labels::is_brain_tissue(l)));
-        let force_ref = DistanceForce::from_mask(&ref_mask, cfg.surface_force_step);
+        let force_ref = DistanceForce::from_mask(&ref_mask, None, cfg.surface_force_step)?;
         let neighbor_table = NeighborTable::build(&surface);
         let snap = evolve_surface_with(&surface, &neighbor_table, &force_ref, &cfg.active_surface);
         // The band reuses the snap's distance transform of the reference.
-        let reference_distance: Vec<f32> = force_ref.phi().data().iter().map(|p| p.abs()).collect();
-        drop(force_ref);
         let band_mm = cfg.segment.band_mm + band_reach_mm(reference_labels.spacing());
-        let band = (0..reference_distance.len()).filter(|&v| reference_distance[v] <= band_mm).collect();
+        let band = Band::new(force_ref.phi(), band_mm);
+        drop(force_ref);
         let resample_plan =
             ResamplePlan::new(&mesh, reference_labels.dims(), reference_labels.spacing());
         Ok(PreparedSurgery {
@@ -207,8 +204,6 @@ impl PreparedSurgery {
             snap_positions: snap.positions,
             classifier,
             reference_labels: reference_labels.clone(),
-            reference_distance,
-            band_mm,
             band,
             neighbor_table,
             resample_plan,
@@ -252,17 +247,27 @@ impl PreparedSurgery {
         &self.cfg
     }
 
-    /// Voxels a scan classifies unless it falls back: those within the
-    /// band around the reference brain boundary.
-    pub fn band_voxels(&self) -> usize {
-        self.band.len()
+    /// The band around the reference brain boundary: the voxels a scan
+    /// classifies unless it falls back, and its distance force is
+    /// computed on.
+    pub fn band(&self) -> &Band {
+        &self.band
     }
 
-    /// Classify the listed voxels of `intensity` (reference labels
-    /// elsewhere), take the brain target's largest component and evolve
-    /// the snapped surface onto it under the configured force. A pass
-    /// over fewer than every voxel guards its distance force.
-    fn classify_and_evolve(&self, intensity: &Volume<f32>, voxels: &[usize]) -> Result<Pass, Error> {
+    /// Classify the voxels of `band` of `intensity` (reference labels
+    /// elsewhere; every voxel when `None`), take the brain target's
+    /// largest component and evolve the snapped surface onto it under the
+    /// configured force. A pass over fewer than every voxel builds its
+    /// distance force on the band, which guards it.
+    fn classify_and_evolve(&self, intensity: &Volume<f32>, band: Option<&Band>) -> Result<Pass, Error> {
+        let every: Vec<usize>;
+        let voxels = match band {
+            Some(band) => band.voxels(),
+            None => {
+                every = (0..self.dims.len()).collect();
+                &every
+            }
+        };
         let Classification { labels: segmentation, leaf_visits, feature_s, knn_build_s, knn_query_s } =
             self.classifier.classify(intensity, voxels, &self.reference_labels)?;
         let mut sw = Stopwatch::wall();
@@ -273,11 +278,8 @@ impl PreparedSurgery {
         let edge;
         let force: &dyn ExternalForce = match self.cfg.surface_force {
             SurfaceForceKind::DistancePotential => {
-                let mut force = DistanceForce::from_mask(&target, step);
-                if voxels.len() < self.dims.len() {
-                    force.guard(&self.reference_distance, self.band_mm);
-                }
-                distance.insert(force)
+                let band = band.filter(|band| !band.is_whole());
+                distance.insert(DistanceForce::from_mask(&target, band, step)?)
             }
             SurfaceForceKind::ImageGradient => {
                 // Gray-level prior: the brain/CSF boundary sits between
@@ -347,12 +349,11 @@ impl PreparedSurgery {
                 self.dims
             )));
         }
-        let mut pass = self.classify_and_evolve(intensity, &self.band)?;
+        let mut pass = self.classify_and_evolve(intensity, Some(&self.band))?;
         let band_fallback = pass.left_band;
         if band_fallback {
-            let every: Vec<usize> = (0..self.dims.len()).collect();
             let discarded = pass;
-            pass = self.classify_and_evolve(intensity, &every)?;
+            pass = self.classify_and_evolve(intensity, None)?;
             pass.timings.accumulate(&discarded.timings);
             pass.reclassified_voxels += discarded.reclassified_voxels;
             pass.leaf_visits += discarded.leaf_visits;
@@ -444,7 +445,7 @@ mod tests {
             // Served scans classify the band around the reference brain
             // boundary only; an 8 mm shift stays inside it.
             assert!(!reg.band_fallback);
-            assert_eq!(reg.reclassified_voxels, prepared.band_voxels());
+            assert_eq!(reg.reclassified_voxels, prepared.band().voxels().len());
             assert!(reg.reclassified_voxels < reg.total_voxels);
             assert_eq!(reg.total_voxels, scan.intensity.dims().len());
             assert!(reg.knn_leaf_visits > 0);

@@ -6,9 +6,10 @@
 //! distance maps become extra channels of the intraoperative k-NN feature
 //! space. We implement the exact Euclidean distance transform with the
 //! separable lower-envelope (Felzenszwalb–Huttenlocher) algorithm, which is
-//! O(n) per axis, plus signed and saturated variants.
+//! O(n) per axis, plus signed and saturated variants, and a signed variant
+//! computed on a region only (the band the active surface reads).
 
-use crate::volume::Volume;
+use crate::volume::{Dims, Volume};
 use rayon::prelude::*;
 
 const INF: f64 = 1e20;
@@ -19,10 +20,22 @@ const INF: f64 = 1e20;
 /// distance-to-set transform. Anisotropic volumes run each axis pass with
 /// its own spacing, which keeps distances in millimetres — the paper's
 /// intraoperative scans are strongly anisotropic (≈0.9×0.9×2.5 mm).
-fn dt_1d(f: &[f64], h: f64, out: &mut [f64], v: &mut [usize], z: &mut [f64]) {
+///
+/// `f` is a run of a grid line that starts at line position `q0`, and
+/// every formula is evaluated at line positions (`q0 + i` for sample
+/// `i`), so a run's arithmetic is that of the same samples in a
+/// whole-line transform; a whole line has `q0 = 0`.
+///
+/// A sample at or above `INF` is unreachable, and so is every sum it
+/// enters: such a parabola never wins a position over a finite one (their
+/// crossing lies ≈ 10¹⁹ samples away), and the distance leaves clamped
+/// to `INF`. So a run without a finite sample is `INF` throughout, with
+/// no envelope to build.
+fn dt_1d(f: &[f64], h: f64, q0: usize, out: &mut [f64], v: &mut [usize], z: &mut [f64]) {
     let n = f.len();
     debug_assert!(out.len() == n && v.len() >= n && z.len() > n);
-    if n == 0 {
+    if f.iter().all(|&fq| fq >= INF) {
+        out.fill(INF);
         return;
     }
     let w2 = h * h;
@@ -31,10 +44,12 @@ fn dt_1d(f: &[f64], h: f64, out: &mut [f64], v: &mut [usize], z: &mut [f64]) {
     z[0] = -INF;
     z[1] = INF;
     for q in 1..n {
-        let fq = f[q] + w2 * (q * q) as f64;
+        let gq = q0 + q;
+        let fq = f[q] + w2 * (gq * gq) as f64;
         loop {
             let p = v[k];
-            let s = (fq - (f[p] + w2 * (p * p) as f64)) / (2.0 * w2 * (q - p) as f64);
+            let gp = q0 + p;
+            let s = (fq - (f[p] + w2 * (gp * gp) as f64)) / (2.0 * w2 * (gq - gp) as f64);
             if s <= z[k] {
                 if k == 0 {
                     // parabola q dominates everywhere so far
@@ -54,13 +69,44 @@ fn dt_1d(f: &[f64], h: f64, out: &mut [f64], v: &mut [usize], z: &mut [f64]) {
         }
     }
     let mut k = 0usize;
-    for (q, o) in out.iter_mut().enumerate() {
-        while z[k + 1] < q as f64 {
+    for (i, o) in out.iter_mut().enumerate() {
+        let q = (q0 + i) as f64;
+        while z[k + 1] < q {
             k += 1;
         }
         let p = v[k];
-        let d = q as f64 - p as f64;
+        let d = q - (q0 + p) as f64;
         *o = w2 * d * d + f[p];
+    }
+}
+
+/// [`dt_1d`] of a run whose samples are 0 at the features (`feature(i)`)
+/// and `INF` elsewhere, by one sweep each way for the nearest feature,
+/// without the envelope's divisions: the distance to a feature p is
+/// `h²·d·d` with `d = i − p`, the bits `dt_1d` gives when p wins (a tie
+/// between two features is a tie of bits), and a run without a feature
+/// is `INF` throughout.
+fn dt_1d_binary(feature: impl Fn(usize) -> bool, h: f64, out: &mut [f64]) {
+    let w2 = h * h;
+    let at = |i: usize, p: usize| {
+        let d = i as f64 - p as f64;
+        w2 * d * d
+    };
+    let mut last = None;
+    for (i, o) in out.iter_mut().enumerate() {
+        if feature(i) {
+            last = Some(i);
+        }
+        *o = last.map_or(INF, |p| at(i, p));
+    }
+    let mut next = None;
+    for (i, o) in out.iter_mut().enumerate().rev() {
+        if feature(i) {
+            next = Some(i);
+        }
+        if let Some(p) = next {
+            *o = o.min(at(i, p));
+        }
     }
 }
 
@@ -70,49 +116,79 @@ fn line_scratch(n: usize) -> (Vec<f64>, Vec<f64>, Vec<usize>, Vec<f64>) {
     (vec![0.0; n], vec![0.0; n], vec![0; n], vec![0.0; n + 1])
 }
 
-/// z-planes transposed per task by the last sweep of [`squared_edt_mm`]:
-/// one cache line of `f64` pillar samples.
-const Z_BLOCK: usize = 8;
+/// Call `run(a, b)` for each maximal run `a..b` of the `n`-sample line
+/// whose sample `i` is voxel `at(i)`, over the voxels of `region`: the
+/// whole line when there is no region.
+fn for_each_run(region: Option<&[bool]>, n: usize, at: impl Fn(usize) -> usize, mut run: impl FnMut(usize, usize)) {
+    let Some(member) = region else {
+        run(0, n);
+        return;
+    };
+    let mut a = 0;
+    while a < n {
+        if member[at(a)] {
+            let mut b = a + 1;
+            while b < n && member[at(b)] {
+                b += 1;
+            }
+            run(a, b);
+            a = b;
+        } else {
+            a += 1;
+        }
+    }
+}
 
 /// Exact squared Euclidean distance in *physical* units (mm², honoring
 /// anisotropic voxel spacing) from every voxel to the nearest voxel where
-/// `mask` is true, each passed through `finish` on its way out. Voxels
-/// inside the mask get 0. If the mask is empty, all distances are
-/// `INF`-like large values.
+/// `mask` equals `feature`, in pillar order: voxel (x, y, z) at
+/// `(y·nx + x)·nz + z` (see [`from_pillars`]). Feature voxels get 0. If
+/// there is no feature voxel, all distances are `INF`-like large values.
 ///
-/// Three separable passes, x then y then z. The x and y passes run in
-/// place inside each z-slab; the z pass reads pillars out of the slabs
-/// and writes them contiguously into a `[y][x][z]` buffer, which a last
-/// slab-parallel sweep transposes back through `finish`. Scratch is
-/// allocated once per parallel task, never per line.
-fn squared_edt_mm<T: Copy + Default + Send>(
-    mask: &Volume<bool>,
-    finish: impl Fn(f64) -> T + Sync,
-) -> Vec<T> {
+/// With a `region` (one flag per voxel), each pass transforms only the
+/// maximal runs of region voxels along each line, so a distance is the
+/// minimum over the features reachable through the region, and a voxel
+/// off the region is neither read nor written by any pass (its entry is
+/// meaningless).
+///
+/// Three separable passes, x then y then z. The x pass reads the mask
+/// and the y pass runs in place inside each z-slab; the z pass reads
+/// pillars out of the slabs and writes them contiguously into the
+/// `[y][x][z]` result. Scratch is allocated once per parallel task,
+/// never per line.
+fn squared_edt_mm(mask: &Volume<bool>, feature: bool, region: Option<&[bool]>) -> Vec<f64> {
     let d = mask.dims();
     let sp = mask.spacing();
-    if d.is_empty() {
-        return Vec::new();
-    }
-    let mut g: Vec<f64> = mask.data().iter().map(|&m| if m { 0.0 } else { INF }).collect();
+    debug_assert!(region.is_none_or(|r| r.len() == d.len()), "region off the mask's grid");
     let slab = d.nx * d.ny;
+    let mut g = vec![0.0; d.len()];
+    if d.is_empty() {
+        return g;
+    }
+    let mask = mask.data();
 
-    g.par_chunks_mut(slab).for_each(|plane| {
-        let (mut f, mut out, mut v, mut zz) = line_scratch(d.nx.max(d.ny));
-        // Pass along x: each row is contiguous.
-        for row in plane.chunks_mut(d.nx) {
-            f[..d.nx].copy_from_slice(row);
-            dt_1d(&f[..d.nx], sp.dx, row, &mut v, &mut zz);
+    g.par_chunks_mut(slab).enumerate().for_each(|(z, plane)| {
+        let (mut f, mut out, mut v, mut zz) = line_scratch(d.ny);
+        // Pass along x: each row is contiguous; its input is the mask's.
+        for (y, row) in plane.chunks_mut(d.nx).enumerate() {
+            let base = d.index(0, y, z);
+            for_each_run(region, d.nx, |x| base + x, |a, b| {
+                let run = &mask[base + a..base + b];
+                dt_1d_binary(|i| run[i] == feature, sp.dx, &mut row[a..b]);
+            });
         }
-        // Pass along y: gather a column, transform, scatter it back.
+        // Pass along y: gather a column run, transform, scatter it back.
         for x in 0..d.nx {
-            for (fy, row) in f.iter_mut().zip(plane.chunks(d.nx)) {
-                *fy = row[x];
-            }
-            dt_1d(&f[..d.ny], sp.dy, &mut out[..d.ny], &mut v, &mut zz);
-            for (row, &o) in plane.chunks_mut(d.nx).zip(&out) {
-                row[x] = o;
-            }
+            for_each_run(region, d.ny, |y| d.index(x, y, z), |a, b| {
+                let rows = a * d.nx..b * d.nx;
+                for (fy, row) in f.iter_mut().zip(plane[rows.clone()].chunks(d.nx)) {
+                    *fy = row[x];
+                }
+                dt_1d(&f[..b - a], sp.dy, a, &mut out[..b - a], &mut v, &mut zz);
+                for (row, &o) in plane[rows].chunks_mut(d.nx).zip(&out) {
+                    row[x] = o;
+                }
+            });
         }
     });
 
@@ -122,33 +198,60 @@ fn squared_edt_mm<T: Copy + Default + Send>(
     t.par_chunks_mut(d.nx * d.nz).enumerate().for_each(|(y, pillars)| {
         let (mut f, _, mut v, mut zz) = line_scratch(d.nz);
         for (x, out) in pillars.chunks_mut(d.nz).enumerate() {
-            for (fz, plane) in f.iter_mut().zip(g.chunks(slab)) {
-                *fz = plane[x + d.nx * y];
-            }
-            dt_1d(&f, sp.dz, out, &mut v, &mut zz);
+            let column = d.index(x, y, 0);
+            for_each_run(region, d.nz, |z| column + z * slab, |a, b| {
+                for (fz, plane) in f.iter_mut().zip(g[a * slab..b * slab].chunks(slab)) {
+                    *fz = plane[column];
+                }
+                dt_1d(&f[..b - a], sp.dz, a, &mut out[a..b], &mut v, &mut zz);
+            });
         }
     });
-    drop(g);
+    t
+}
 
-    // Back to `[z][y][x]`, a block of planes per task so that each pillar
-    // is read once.
-    let mut out = vec![T::default(); t.len()];
+/// z-planes transposed per task by [`from_pillars`]: one cache line of
+/// `f64` pillar samples.
+const Z_BLOCK: usize = 8;
+
+/// A volume in `[z][y][x]` order from pillar-ordered data: voxel `i` is
+/// `finish(i, Some(j))`, `j` being its pillar position `(y·nx + x)·nz + z`
+/// (see [`squared_edt_mm`]), or `finish(i, None)` off `region`. A block
+/// of planes per task, so that each pillar is read once.
+fn from_pillars<T: Copy + Default + Send>(
+    d: Dims,
+    region: Option<&[bool]>,
+    finish: impl Fn(usize, Option<usize>) -> T + Sync,
+) -> Vec<T> {
+    let slab = d.nx * d.ny;
+    let mut out = vec![T::default(); d.len()];
+    if d.is_empty() {
+        return out;
+    }
     out.par_chunks_mut(slab * Z_BLOCK).enumerate().for_each(|(b, planes)| {
         let z0 = b * Z_BLOCK;
         let z1 = z0 + planes.len() / slab;
-        for (i, pillar) in t.chunks(d.nz).enumerate() {
-            for (dz, &sq) in pillar[z0..z1].iter().enumerate() {
-                planes[dz * slab + i] = finish(sq);
+        for i in 0..slab {
+            for z in z0..z1 {
+                let voxel = z * slab + i;
+                let at = region.is_none_or(|r| r[voxel]).then_some(i * d.nz + z);
+                planes[(z - z0) * slab + i] = finish(voxel, at);
             }
         }
     });
     out
 }
 
+/// A squared distance (mm²) as a distance (mm).
+fn root(sq: f64) -> f32 {
+    sq.min(INF).sqrt() as f32
+}
+
 /// Euclidean distance (millimetres; anisotropic spacing honored) from
 /// every voxel to the nearest voxel of `mask`.
 pub fn distance_transform(mask: &Volume<bool>) -> Volume<f32> {
-    let data = squared_edt_mm(mask, |s| (s.min(INF)).sqrt() as f32);
+    let sq = squared_edt_mm(mask, true, None);
+    let data = from_pillars(mask.dims(), None, |_, j| j.map_or(0.0, |j| root(sq[j])));
     Volume::from_vec(mask.dims(), mask.spacing(), data)
 }
 
@@ -156,15 +259,46 @@ pub fn distance_transform(mask: &Volume<bool>) -> Volume<f32> {
 /// complement), positive outside (distance to the mask). Zero only when the
 /// mask or its complement is empty at that location's transform.
 pub fn signed_distance_transform(mask: &Volume<bool>) -> Volume<f32> {
-    let outside = distance_transform(mask);
-    let inv = mask.map(|&m| !m);
-    let inside = distance_transform(&inv);
-    let data: Vec<f32> = outside
-        .data()
-        .par_iter()
-        .zip(inside.data().par_iter())
-        .map(|(&o, &i)| if o > 0.0 { o } else { -i })
-        .collect();
+    signed_on(mask, None, 0.0)
+}
+
+/// [`signed_distance_transform`] computed on the voxels of `region` only:
+/// each axis pass runs on the maximal runs of `region` along each line,
+/// and every voxel off `region` gets `∓saturation` (negative inside the
+/// mask). `region` must be on `mask`'s grid.
+///
+/// A region voxel's distance is the minimum over the targets reachable
+/// through the region, so it is never smaller than the whole-volume one,
+/// and it is the whole-volume one wherever the ball of that radius around
+/// the voxel lies in `region`: the separable passes reach a voxel from
+/// its nearest target through points of that ball, and the ball meets
+/// each grid line in one segment, inside one run.
+pub fn banded_signed_distance_transform(mask: &Volume<bool>, region: &Volume<bool>, saturation: f32) -> Volume<f32> {
+    debug_assert_eq!(region.dims(), mask.dims(), "region off the mask's grid");
+    signed_on(mask, Some(region.data()), saturation)
+}
+
+/// The signed transform on `region` (every voxel when `None`), with
+/// `∓saturation` off it: the distance to the mask where it is positive,
+/// else minus the distance to the complement (taken with the complement
+/// as the feature value, so no inverted mask is built), both leaving
+/// through one transpose.
+fn signed_on(mask: &Volume<bool>, region: Option<&[bool]>, saturation: f32) -> Volume<f32> {
+    let outside = squared_edt_mm(mask, true, region);
+    let inside = squared_edt_mm(mask, false, region);
+    let m = mask.data();
+    let data = from_pillars(mask.dims(), region, |i, j| match j {
+        Some(j) => {
+            let o = root(outside[j]);
+            if o > 0.0 {
+                o
+            } else {
+                -root(inside[j])
+            }
+        }
+        None if m[i] => -saturation,
+        None => saturation,
+    });
     Volume::from_vec(mask.dims(), mask.spacing(), data)
 }
 
@@ -313,7 +447,8 @@ mod tests {
             let features: Vec<_> =
                 m.iter_voxels().filter(|&(_, _, _, &on)| on).map(|(x, y, z, _)| (x, y, z)).collect();
             assert!(!features.is_empty());
-            let fast = squared_edt_mm(&m, |s| s);
+            let sq = squared_edt_mm(&m, true, None);
+            let fast = from_pillars(dims, None, |_, j| j.map_or(f64::NAN, |j| sq[j]));
             assert_eq!(fast.len(), dims.len());
             for (x, y, z, _) in m.iter_voxels() {
                 let brute = features

@@ -97,8 +97,11 @@ pub fn gradient(vol: &Volume<f32>) -> Vec<Vec3> {
 
 /// [`gradient`] rounded to `f32` and split by component: the x, y and z
 /// derivatives as three voxel-aligned arrays, written in one pass over
-/// the z-slabs (no intermediate `Vec<Vec3>`).
-pub fn gradient_planes(vol: &Volume<f32>) -> [Vec<f32>; 3] {
+/// the z-slabs (no intermediate `Vec<Vec3>`). With a `region` (on `vol`'s
+/// grid), only its voxels are computed and every other voxel's gradient
+/// is 0; a region voxel's difference reads its neighbours wherever they
+/// are.
+pub fn gradient_planes(vol: &Volume<f32>, region: Option<&Volume<bool>>) -> [Vec<f32>; 3] {
     let d = vol.dims();
     let sp = vol.spacing();
     let src = vol.data();
@@ -107,6 +110,8 @@ pub fn gradient_planes(vol: &Volume<f32>) -> [Vec<f32>; 3] {
     if slab == 0 {
         return planes;
     }
+    debug_assert!(region.is_none_or(|r| r.dims() == d), "region off the volume's grid");
+    let member = region.map(Volume::data);
     let [gx, gy, gz] = &mut planes;
     gx.par_chunks_mut(slab)
         .zip(gy.par_chunks_mut(slab))
@@ -117,6 +122,9 @@ pub fn gradient_planes(vol: &Volume<f32>) -> [Vec<f32>; 3] {
                 for x in 0..d.nx {
                     let j = x + d.nx * y;
                     let i = j + slab * z;
+                    if member.is_some_and(|m| !m[i]) {
+                        continue;
+                    }
                     gx[j] = axis_difference(src, i, x, d.nx, 1, sp.dx) as f32;
                     gy[j] = axis_difference(src, i, y, d.ny, d.nx, sp.dy) as f32;
                     gz[j] = axis_difference(src, i, z, d.nz, slab, sp.dz) as f32;
@@ -191,7 +199,7 @@ mod tests {
         // axis of length 1, (7, 6, 5) has interior voxels too.
         for dims in [Dims::new(7, 6, 5), Dims::new(5, 1, 4), Dims::new(1, 3, 2), Dims::new(2, 2, 1)] {
             let v = Volume::from_fn(dims, Spacing::new(0.9, 1.1, 2.5), |_, _, _| rng.gen_range(-50.0f32..50.0));
-            let [gx, gy, gz] = gradient_planes(&v);
+            let [gx, gy, gz] = gradient_planes(&v, None);
             let g = gradient(&v);
             assert_eq!(g.len(), dims.len());
             for (i, v) in g.iter().enumerate() {

@@ -231,7 +231,7 @@ mod tests {
     #[test]
     fn sphere_shrinks_onto_smaller_target() {
         let c = Vec3::new(16.0, 16.0, 16.0);
-        let target = DistanceForce::from_mask(&sphere_mask(c, 6.0, 32), 1.0);
+        let target = DistanceForce::from_mask(&sphere_mask(c, 6.0, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, 11.0, 3);
         let res = evolve_surface(&start, &target, &ActiveSurfaceConfig::default());
         assert!(res.converged, "not converged: dist {}", res.final_distance);
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn sphere_grows_onto_larger_target() {
         let c = Vec3::new(16.0, 16.0, 16.0);
-        let target = DistanceForce::from_mask(&sphere_mask(c, 10.0, 32), 1.0);
+        let target = DistanceForce::from_mask(&sphere_mask(c, 10.0, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, 5.0, 3);
         let res = evolve_surface(&start, &target, &ActiveSurfaceConfig::default());
         assert!(res.converged);
@@ -266,7 +266,7 @@ mod tests {
         // small.
         let c = Vec3::new(16.0, 16.0, 16.0);
         let shift = Vec3::new(0.0, 0.0, -3.0);
-        let target = DistanceForce::from_mask(&sphere_mask(c + shift, 8.0, 32), 1.0);
+        let target = DistanceForce::from_mask(&sphere_mask(c + shift, 8.0, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, 8.0, 3);
         let res = evolve_surface(&start, &target, &ActiveSurfaceConfig::default());
         assert!(res.converged, "dist {}", res.final_distance);
@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn already_on_target_barely_moves() {
         let c = Vec3::new(16.0, 16.0, 16.0);
-        let target = DistanceForce::from_mask(&sphere_mask(c, 8.0, 32), 1.0);
+        let target = DistanceForce::from_mask(&sphere_mask(c, 8.0, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, 8.0, 3);
         let res = evolve_surface(&start, &target, &ActiveSurfaceConfig::default());
         assert!(res.converged);
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn iteration_budget_respected() {
         let c = Vec3::new(16.0, 16.0, 16.0);
-        let target = DistanceForce::from_mask(&sphere_mask(c, 6.0, 32), 1.0);
+        let target = DistanceForce::from_mask(&sphere_mask(c, 6.0, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, 12.0, 2);
         let cfg = ActiveSurfaceConfig { max_iterations: 3, ..Default::default() };
         let res = evolve_surface(&start, &target, &cfg);
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn reused_table_matches_internal_build() {
         let c = Vec3::new(16.0, 16.0, 16.0);
-        let target = DistanceForce::from_mask(&sphere_mask(c, 6.0, 32), 1.0);
+        let target = DistanceForce::from_mask(&sphere_mask(c, 6.0, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, 10.0, 3);
         let table = NeighborTable::build(&start);
         let a = evolve_surface(&start, &target, &ActiveSurfaceConfig::default());

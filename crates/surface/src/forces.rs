@@ -8,7 +8,8 @@
 //! prior knowledge about the expected gray level and gradients of the
 //! objects being matched." (paper §2.1.1, citing Ferrant et al.)
 
-use brainshift_imaging::dtransform::signed_distance_transform;
+use crate::band::{Band, SurfaceError};
+use brainshift_imaging::dtransform::{banded_signed_distance_transform, signed_distance_transform};
 use brainshift_imaging::filter::{gaussian_smooth, gradient, gradient_planes};
 use brainshift_imaging::{Dims, DisplacementField, Vec3, Volume};
 use rayon::prelude::*;
@@ -36,11 +37,12 @@ pub trait ExternalForce: Sync {
 /// one fused trilinear pass (the eight corner weights are shared), which
 /// is the dominant operation of the active-surface iteration.
 ///
-/// A force built from a target that was classified only on a band around
-/// a reference boundary can be [guarded](DistanceForce::guard): every
-/// sample then checks that its trilinear cell lies where φ and ∇φ are
-/// provably those of the whole-volume target, and raises a flag
-/// ([`DistanceForce::left_exact_region`]) when it does not.
+/// A force built on a [`Band`] — for a target that was classified only
+/// on that band around a reference boundary — computes φ and ∇φ on the
+/// band alone and is guarded: every sample checks that its trilinear
+/// cell lies where φ and ∇φ are provably those of the whole-volume
+/// target, and raises a flag ([`DistanceForce::left_exact_region`]) when
+/// it does not.
 pub struct DistanceForce {
     /// Signed distance (mm).
     phi: Volume<f32>,
@@ -59,21 +61,52 @@ pub struct DistanceForce {
 }
 
 impl DistanceForce {
-    /// Build from a binary target mask (true = inside target object).
-    pub fn from_mask(mask: &Volume<bool>, max_step: f64) -> DistanceForce {
+    /// Build from a binary target mask (true = inside target object),
+    /// over the whole volume when `band` is `None`.
+    ///
+    /// On a `band` of half-width *B* around a reference boundary (|φ_ref|
+    /// per voxel), φ and ∇φ are computed on the band's voxels only and
+    /// every other voxel gets φ = ±*B* (the mask's sign) and ∇φ = 0, and
+    /// the force is guarded. A voxel is *exact* when |φ| + |φ_ref| < *B*
+    /// holds at it and at each of its in-grid 6-neighbours. At such a
+    /// voxel v, φ and ∇φ are the same bits as those of the whole-volume
+    /// transform of a target a whole-volume classification gives: the
+    /// exact distance transform makes φ(v) a function of the target
+    /// voxels within |φ(v)| of v alone, and every such voxel u has
+    /// |φ_ref(u)| ≤ |φ_ref(v)| + |u − v| < *B*, so lies in the band,
+    /// where both classifications agree and the banded transform reaches
+    /// v from u through the band (see
+    /// [`banded_signed_distance_transform`]); the banded |φ| is never
+    /// below the whole-volume one, so the inequality holds on it exactly
+    /// where it holds on the whole-volume φ; the central difference at v
+    /// reads only v and its 6-neighbours. A sample whose trilinear cell
+    /// (clamped into the grid as the gradient sampler clamps it, which
+    /// covers the cell the φ sampler reads) holds a voxel that is not
+    /// exact raises [`Self::left_exact_region`]. A mask on a grid other
+    /// than the band's is an error.
+    pub fn from_mask(
+        mask: &Volume<bool>,
+        band: Option<&Band>,
+        max_step: f64,
+    ) -> Result<DistanceForce, SurfaceError> {
         // The distance transform is already in millimetres (anisotropic
         // spacing honored).
-        let phi = signed_distance_transform(mask);
-        let [gx, gy, gz] = gradient_planes(&phi);
-        DistanceForce {
-            phi,
-            gx,
-            gy,
-            gz,
-            max_step,
-            exact_cells: None,
-            left_exact: AtomicBool::new(false),
+        let Some(band) = band else {
+            let phi = signed_distance_transform(mask);
+            let grad = gradient_planes(&phi, None);
+            return Ok(DistanceForce::new(phi, grad, max_step, None));
+        };
+        if band.dims() != mask.dims() {
+            return Err(SurfaceError::GridMismatch { band: band.dims(), mask: mask.dims() });
         }
+        let phi = banded_signed_distance_transform(mask, band.member(), band.width());
+        let grad = gradient_planes(&phi, Some(band.member()));
+        let cells = exact_cells(&phi, band);
+        Ok(DistanceForce::new(phi, grad, max_step, Some(cells)))
+    }
+
+    fn new(phi: Volume<f32>, [gx, gy, gz]: [Vec<f32>; 3], max_step: f64, exact_cells: Option<Vec<u8>>) -> Self {
+        DistanceForce { phi, gx, gy, gz, max_step, exact_cells, left_exact: AtomicBool::new(false) }
     }
 
     /// The signed distance φ (mm) of the target mask: negative inside,
@@ -82,72 +115,21 @@ impl DistanceForce {
         &self.phi
     }
 
-    /// Guard a force whose target mask was classified only on the band
-    /// of voxels with `reference_distance` ≤ `band` — the band around a
-    /// reference boundary, `reference_distance` being |φ_ref| per voxel
-    /// (mm) — and given reference labels elsewhere.
-    ///
-    /// A voxel is *exact* when |φ| + |φ_ref| < `band` holds at it and at
-    /// each of its in-grid 6-neighbours. At such a voxel v, φ and ∇φ are
-    /// the same bits as for the target a whole-volume classification
-    /// gives: the exact distance transform makes φ(v) a function of the
-    /// target voxels within |φ(v)| of v alone, and every such voxel u has
-    /// |φ_ref(u)| ≤ |φ_ref(v)| + |u − v| < `band`, so lies in the band,
-    /// where both classifications agree; the central difference at v
-    /// reads only v and its 6-neighbours. A sample whose trilinear cell
-    /// (clamped into the grid as the gradient sampler clamps it, which
-    /// covers the cell the φ sampler reads) holds a voxel that is not
-    /// exact raises [`Self::left_exact_region`].
-    pub fn guard(&mut self, reference_distance: &[f32], band: f32) {
-        let d = self.phi.dims();
-        assert_eq!(reference_distance.len(), d.len(), "reference distance off the force's grid");
-        // The stored distances are rounded to f32; a relative slack of
-        // 1e-6 (several ulps) keeps the inequality true of the exact ones.
-        let limit = f64::from(band) / (1.0 + 1e-6);
-        let (phi, nx) = (self.phi.data(), d.nx);
-        let ok = row_map(d, |y, z, out| {
-            let i = d.index(0, y, z);
-            let rows = phi[i..i + nx].iter().zip(&reference_distance[i..i + nx]);
-            for (o, (&p, &r)) in out.iter_mut().zip(rows) {
-                *o = u8::from(f64::from(p.abs()) + f64::from(r) < limit);
-            }
-        });
-        fn row(mask: &[u8], d: Dims, y: usize, z: usize) -> &[u8] {
-            &mask[d.index(0, y, z)..][..d.nx]
-        }
-        // Exact voxels: `ok` at the voxel and its in-grid 6-neighbours (a
-        // neighbour off the grid is replaced by the voxel itself).
-        let exact = row_map(d, |y, z, out| {
-            let c = row(&ok, d, y, z);
-            let across = [
-                row(&ok, d, y.saturating_sub(1), z),
-                row(&ok, d, (y + 1).min(d.ny - 1), z),
-                row(&ok, d, y, z.saturating_sub(1)),
-                row(&ok, d, y, (z + 1).min(d.nz - 1)),
-            ];
-            for (x, o) in out.iter_mut().enumerate() {
-                let along = c[x] & c[x.saturating_sub(1)] & c[(x + 1).min(nx - 1)];
-                *o = across.iter().fold(along, |a, r| a & r[x]);
-            }
-        });
-        drop(ok);
-        // Exact cells: all eight corners exact, the upper corner clamped
-        // into the grid as the samplers clamp it.
-        let cells = row_map(d, |y, z, out| {
-            let (y1, z1) = ((y + 1).min(d.ny - 1), (z + 1).min(d.nz - 1));
-            let corners =
-                [row(&exact, d, y, z), row(&exact, d, y1, z), row(&exact, d, y, z1), row(&exact, d, y1, z1)];
-            for (x, o) in out.iter_mut().enumerate() {
-                let x1 = (x + 1).min(nx - 1);
-                *o = corners.iter().fold(1, |a, r| a & r[x] & r[x1]);
-            }
-        });
-        self.exact_cells = Some(cells);
+    /// ∇φ as the x, y and z components, voxel-aligned with [`Self::phi`].
+    pub fn grad(&self) -> [&[f32]; 3] {
+        [&self.gx, &self.gy, &self.gz]
     }
 
-    /// True when some sample since [`Self::guard`] read a cell outside
-    /// the exact region: the evolution it drove may differ from the
-    /// whole-volume one. Always false for an unguarded force.
+    /// Per trilinear cell, indexed by its lower corner: 1 when all eight
+    /// corners are exact (see [`Self::from_mask`]). `None` for a force
+    /// built without a band.
+    pub fn exact_cells(&self) -> Option<&[u8]> {
+        self.exact_cells.as_deref()
+    }
+
+    /// True when some sample read a cell outside the exact region: the
+    /// evolution it drove may differ from the whole-volume one. Always
+    /// false for an unguarded force.
     pub fn left_exact_region(&self) -> bool {
         self.left_exact.load(Ordering::Relaxed)
     }
@@ -283,6 +265,54 @@ impl ExternalForce for DistanceForce {
     }
 }
 
+/// The exact cells of a force built on `band` (see
+/// [`DistanceForce::from_mask`]): 1 for a trilinear cell whose eight
+/// corners are exact, indexed by its lower corner.
+fn exact_cells(phi: &Volume<f32>, band: &Band) -> Vec<u8> {
+    let d = phi.dims();
+    // The stored distances are rounded to f32; a relative slack of 1e-6
+    // (several ulps) keeps the inequality true of the exact ones. Off the
+    // band |φ| = B and |φ_ref| > B, so it fails there.
+    let limit = f64::from(band.width()) / (1.0 + 1e-6);
+    let (phi, reference, nx) = (phi.data(), band.distance(), d.nx);
+    let ok = row_map(d, |y, z, out| {
+        let i = d.index(0, y, z);
+        let rows = phi[i..i + nx].iter().zip(&reference[i..i + nx]);
+        for (o, (&p, &r)) in out.iter_mut().zip(rows) {
+            *o = u8::from(f64::from(p.abs()) + f64::from(r) < limit);
+        }
+    });
+    fn row(mask: &[u8], d: Dims, y: usize, z: usize) -> &[u8] {
+        &mask[d.index(0, y, z)..][..d.nx]
+    }
+    // Exact voxels: `ok` at the voxel and its in-grid 6-neighbours (a
+    // neighbour off the grid is replaced by the voxel itself).
+    let exact = row_map(d, |y, z, out| {
+        let c = row(&ok, d, y, z);
+        let across = [
+            row(&ok, d, y.saturating_sub(1), z),
+            row(&ok, d, (y + 1).min(d.ny - 1), z),
+            row(&ok, d, y, z.saturating_sub(1)),
+            row(&ok, d, y, (z + 1).min(d.nz - 1)),
+        ];
+        for (x, o) in out.iter_mut().enumerate() {
+            let along = c[x] & c[x.saturating_sub(1)] & c[(x + 1).min(nx - 1)];
+            *o = across.iter().fold(along, |a, r| a & r[x]);
+        }
+    });
+    drop(ok);
+    // Exact cells: all eight corners exact, the upper corner clamped into
+    // the grid as the samplers clamp it.
+    row_map(d, |y, z, out| {
+        let (y1, z1) = ((y + 1).min(d.ny - 1), (z + 1).min(d.nz - 1));
+        let corners = [row(&exact, d, y, z), row(&exact, d, y1, z), row(&exact, d, y, z1), row(&exact, d, y1, z1)];
+        for (x, o) in out.iter_mut().enumerate() {
+            let x1 = (x + 1).min(nx - 1);
+            *o = corners.iter().fold(1, |a, r| a & r[x] & r[x1]);
+        }
+    })
+}
+
 /// A voxel-aligned byte mask on grid `d`, filled one x-row at a time by
 /// `f(y, z, row)`, in parallel over z-slabs.
 fn row_map(d: Dims, f: impl Fn(usize, usize, &mut [u8]) + Sync) -> Vec<u8> {
@@ -375,7 +405,7 @@ mod tests {
 
     #[test]
     fn distance_force_points_toward_boundary() {
-        let f = DistanceForce::from_mask(&sphere_mask(6.0), 2.0);
+        let f = DistanceForce::from_mask(&sphere_mask(6.0), None, 2.0).unwrap();
         let c = Vec3::new(12.0, 12.0, 12.0);
         // Outside: force points inward (toward the sphere).
         let p_out = c + Vec3::new(10.0, 0.0, 0.0);
@@ -389,7 +419,7 @@ mod tests {
 
     #[test]
     fn distance_force_small_on_boundary() {
-        let f = DistanceForce::from_mask(&sphere_mask(6.0), 2.0);
+        let f = DistanceForce::from_mask(&sphere_mask(6.0), None, 2.0).unwrap();
         let on = Vec3::new(12.0 + 6.0, 12.0, 12.0);
         let far = Vec3::new(12.0 + 11.0, 12.0, 12.0);
         assert!(f.boundary_distance(on) < 1.3);
@@ -398,7 +428,7 @@ mod tests {
 
     #[test]
     fn fused_sample_matches_separate_paths_inside_grid() {
-        let f = DistanceForce::from_mask(&sphere_mask(6.0), 100.0);
+        let f = DistanceForce::from_mask(&sphere_mask(6.0), None, 100.0).unwrap();
         for p in [
             Vec3::new(12.3, 11.7, 12.9),
             Vec3::new(4.5, 18.2, 9.1),
@@ -415,28 +445,42 @@ mod tests {
     }
 
     #[test]
-    fn guard_flags_only_samples_that_leave_the_exact_region() {
-        let mut f = DistanceForce::from_mask(&sphere_mask(6.0), 2.0);
-        let reference = DistanceForce::from_mask(&sphere_mask(7.0), 2.0);
-        let reference_distance: Vec<f32> = reference.phi().data().iter().map(|p| p.abs()).collect();
+    fn a_banded_force_flags_only_samples_that_leave_the_exact_region() {
+        let whole = DistanceForce::from_mask(&sphere_mask(6.0), None, 2.0).unwrap();
+        let reference = DistanceForce::from_mask(&sphere_mask(7.0), None, 2.0).unwrap();
+        let band = Band::new(reference.phi(), 8.0);
+        let f = DistanceForce::from_mask(&sphere_mask(6.0), Some(&band), 2.0).unwrap();
         let c = Vec3::new(12.0, 12.0, 12.0);
         let near = c + Vec3::new(6.5, 0.5, 0.5);
-        let before = (f.force(near), f.boundary_distance(near));
-        f.force(c);
-        assert!(!f.left_exact_region(), "an unguarded force never raises the flag");
-        f.guard(&reference_distance, 8.0);
-        // Guarding changes no sample, and a cell between the two
-        // boundaries (|φ| + |φ_ref| ≈ 2–4 mm) stays exact.
-        assert_eq!((f.force(near), f.boundary_distance(near)), before);
+        // A cell between the two boundaries (|φ| + |φ_ref| ≈ 2–4 mm) is
+        // exact and samples as the whole-volume force does.
+        assert_eq!((f.force(near), f.boundary_distance(near)), (whole.force(near), whole.boundary_distance(near)));
+        whole.boundary_distance(c);
+        assert!(whole.exact_cells().is_none() && !whole.left_exact_region(), "an unguarded force never raises the flag");
         assert!(!f.left_exact_region());
         // At the centre |φ| + |φ_ref| ≈ 13 mm: the band could have moved it.
         f.boundary_distance(c);
         assert!(f.left_exact_region());
+        // The corner is off the band (|φ_ref| ≈ 13.8 mm): φ saturates at
+        // +B with a zero gradient.
+        let corner = f.phi().dims().index(0, 0, 0);
+        assert!(!band.member().data()[corner]);
+        assert_eq!(f.phi().data()[corner], 8.0);
+        assert_eq!(f.grad().map(|g| g[corner]), [0.0; 3]);
+    }
+
+    #[test]
+    fn a_mask_off_the_bands_grid_is_a_typed_error() {
+        let reference = DistanceForce::from_mask(&sphere_mask(7.0), None, 2.0).unwrap();
+        let band = Band::new(reference.phi(), 8.0);
+        let small = Volume::filled(Dims::new(8, 8, 8), Spacing::iso(1.0), false);
+        let err = DistanceForce::from_mask(&small, Some(&band), 2.0).err();
+        assert_eq!(err, Some(SurfaceError::GridMismatch { band: band.dims(), mask: small.dims() }));
     }
 
     #[test]
     fn force_finite_outside_grid() {
-        let f = DistanceForce::from_mask(&sphere_mask(6.0), 1.5);
+        let f = DistanceForce::from_mask(&sphere_mask(6.0), None, 1.5).unwrap();
         for p in [Vec3::new(-10.0, 12.0, 12.0), Vec3::new(12.0, 12.0, 200.0)] {
             let v = f.force(p);
             assert!(v.x.is_finite() && v.y.is_finite() && v.z.is_finite());
@@ -446,7 +490,7 @@ mod tests {
 
     #[test]
     fn force_saturates_at_max_step() {
-        let f = DistanceForce::from_mask(&sphere_mask(4.0), 1.5);
+        let f = DistanceForce::from_mask(&sphere_mask(4.0), None, 1.5).unwrap();
         for r in [9.0, 10.0, 11.0] {
             let p = Vec3::new(12.0 + r, 12.0, 12.0);
             assert!(f.force(p).norm() <= 1.5 + 1e-9);

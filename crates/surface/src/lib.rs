@@ -10,9 +10,11 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
+pub mod band;
 pub mod evolve;
 pub mod forces;
 
+pub use band::{Band, SurfaceError};
 pub use evolve::{
     evolve_surface, evolve_surface_with, ActiveSurfaceConfig, ActiveSurfaceResult, NeighborTable,
 };

@@ -34,7 +34,7 @@ proptest! {
     ) {
         let c = Vec3::new(16.0, 16.0, 16.0);
         let force =
-            DistanceForce::from_mask(&sphere_mask(c + Vec3::new(dx, 0.0, dz), target_r, 32), 1.0);
+            DistanceForce::from_mask(&sphere_mask(c + Vec3::new(dx, 0.0, dz), target_r, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, start_r, 3);
         let cfg = ActiveSurfaceConfig { step, max_iterations: 60, ..Default::default() };
         let a = evolve_surface(&start, &force, &cfg);
@@ -55,7 +55,7 @@ proptest! {
         subdivisions in 2usize..4,
     ) {
         let c = Vec3::new(16.0, 16.0, 16.0);
-        let force = DistanceForce::from_mask(&sphere_mask(c, target_r, 32), 1.0);
+        let force = DistanceForce::from_mask(&sphere_mask(c, target_r, 32), None, 1.0).unwrap();
         let start = TriSurface::sphere(c, start_r, subdivisions);
         let cfg = ActiveSurfaceConfig { max_iterations: 40, ..Default::default() };
         let table = NeighborTable::build(&start);

@@ -42,7 +42,8 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # leaf visits, on a grid of three slabs and a ragged tail, and
 # the k-NN vote equal to a brute-force scan under forced distance ties;
 # the sparse, imaging and FEM suites pin the fused Gram–Schmidt sweep,
-# the distance transform, the stencil gradient and the resample plan to
+# the distance transform (and its banded form to the whole one wherever
+# the surface guard trusts it), the stencil gradient and the resample plan to
 # the formulations they replaced, bit for bit, IC(0) to its defining
 # product and CG and GMRES to their deadlines (an expired budget stops
 # the solve, an unrepresentable one bounds nothing). Running
@@ -54,7 +55,9 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # (and one restored onto it) to the first context's bits. The band suite
 # holds a scan classified on the band around the reference brain
 # boundary to the whole volume's field bits, with and without the
-# fallback: the guard's flag must not depend on the thread count either.
+# fallback, and its band-only distance force to the whole-volume
+# transform's exact cells: the guard's flag must not depend on the
+# thread count either.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem

@@ -18,6 +18,9 @@
 //!    wrapping.
 //! 6. A memory budget below two contexts makes two sessions evict each
 //!    other: every scan runs cold, and every scan still completes.
+//! 7. The service's boundary: an unknown session or an infeasible
+//!    deadline is a typed rejection at admission, and a scan on a grid
+//!    other than its surgery's fails typed while the worker lives on.
 
 use brainshift_core::{
     generate_scan_sequence, run_pipeline, run_scan_sequence_with_faults, Error, FaultInjection,
@@ -33,7 +36,7 @@ use brainshift_imaging::{Mat3, Vec3};
 use brainshift_mesh::error::MeshError;
 use brainshift_mesh::TetMesh;
 use brainshift_register::{MiConfig, RigidRegConfig};
-use brainshift_service::{EventKind, JobOutcome, ScanJob, Service, ServiceConfig};
+use brainshift_service::{EventKind, JobOutcome, Rejected, ScanJob, Service, ServiceConfig, ServiceError};
 use brainshift_sparse::{
     BlockJacobiPrecond, BlockSolve, CsrMatrix, SparseError, StopReason, TripletBuilder,
 };
@@ -371,4 +374,85 @@ fn half_budget_runs_cold_but_completes_everything() {
     assert!(m.histogram("service.deadline.slack_at_start_us").map(|h| h.count) == Some(4));
     let events = service.shutdown();
     assert!(events.iter().any(|e| matches!(e.kind, EventKind::Evict { .. })));
+}
+
+// ───────────────────── the service's boundary ─────────────────────
+
+#[test]
+fn admission_rejections_are_typed() {
+    let seq = small_seq(1, 8.0);
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        min_service_us: 1_000_000,
+        ..Default::default()
+    });
+    let s = service.open_session(prepared(&seq));
+
+    // Unknown session.
+    let r = service.submit(ScanJob {
+        session: s + 999,
+        intensity: seq.scans[0].intensity.clone(),
+        priority: 0,
+        deadline: Duration::from_secs(300),
+    });
+    assert!(matches!(r.err(), Some(Rejected::UnknownSession { .. })));
+
+    // Deadline inside the admission floor.
+    let r = service.submit(ScanJob {
+        session: s,
+        intensity: seq.scans[0].intensity.clone(),
+        priority: 0,
+        deadline: Duration::from_micros(10),
+    });
+    assert!(matches!(r.err(), Some(Rejected::DeadlineInfeasible)));
+
+    service.shutdown();
+}
+
+#[test]
+fn scan_on_the_wrong_grid_fails_typed_and_the_worker_survives() {
+    // Regression: `register_scan` handed a volume of foreign `Dims` to
+    // the feature stack, whose grid assert panicked the worker thread —
+    // the ticket saw `JobLost`, the session stayed busy forever, and
+    // `snapshot_shard`'s quiesce never returned.
+    let seq = small_seq(1, 8.0);
+    let service = Service::start(ServiceConfig { workers: 1, ..Default::default() });
+    let s = service.open_session(prepared(&seq));
+    let wrong = brainshift_imaging::Volume::<f32>::zeros(Dims::new(16, 16, 12), Spacing::iso(9.0));
+    let bad = service
+        .submit(ScanJob {
+            session: s,
+            intensity: wrong,
+            priority: 0,
+            deadline: Duration::from_secs(300),
+        })
+        .expect("admission does not inspect the volume")
+        .wait();
+    match bad {
+        Err(ServiceError::Pipeline(e)) => {
+            let msg = e.to_string();
+            assert!(msg.contains("16") && msg.contains("32"), "error names both grids: {msg}");
+        }
+        other => panic!("mismatched grid must resolve Pipeline, got {other:?}"),
+    }
+
+    // Same session, same (only) worker: the next well-formed scan runs.
+    let good = service
+        .submit(ScanJob {
+            session: s,
+            intensity: seq.scans[0].intensity.clone(),
+            priority: 0,
+            deadline: Duration::from_secs(300),
+        })
+        .expect("admit")
+        .wait()
+        .expect("the worker survived the bad scan");
+    assert_ne!(good.status, ScanStatus::Degraded);
+    let st = service.session_stats(s).expect("session exists");
+    assert_eq!(st.completed, 2, "the failed scan counts as completed, like any pipeline error");
+
+    // And the shard still quiesces.
+    let bytes = service.snapshot_shard().expect("snapshot returns");
+    assert!(!bytes.is_empty());
+    service.shutdown();
 }
