@@ -7,10 +7,9 @@ use brainshift_imaging::dtransform::saturated_distance_transform;
 use brainshift_imaging::field::{warp_volume_backward, DisplacementField};
 use brainshift_imaging::filter::gaussian_smooth;
 use brainshift_imaging::phantom::{generate_preop, PhantomConfig};
-use brainshift_imaging::similarity::mutual_information;
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::{labels, Vec3};
-use brainshift_register::{mutual_information as mi_transform, MiConfig, RigidTransform};
+use brainshift_register::{mutual_information, RigidTransform};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 fn phantom() -> brainshift_imaging::phantom::PhantomScan {
@@ -46,19 +45,13 @@ fn bench_imaging(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(warp_volume_backward(&scan.intensity, &field, 0.0)));
     });
 
-    g.bench_function("mutual_information_same_grid", |b| {
-        b.iter(|| std::hint::black_box(mutual_information(&scan.intensity, &scan.intensity, 32)));
-    });
-
     g.bench_function("mi_metric_with_transform", |b| {
         let d = scan.intensity.dims();
         let t = RigidTransform::from_params(
             [0.02, 0.0, 0.01, 1.0, 0.5, 0.0],
             Vec3::new(d.nx as f64 / 2.0, d.ny as f64 / 2.0, d.nz as f64 / 2.0),
         );
-        b.iter(|| {
-            std::hint::black_box(mi_transform(&scan.intensity, &scan.intensity, |p| t.apply(p), &MiConfig::default()))
-        });
+        b.iter(|| std::hint::black_box(mutual_information(&scan.intensity, &scan.intensity, |p| t.apply(p))));
     });
     g.finish();
 }

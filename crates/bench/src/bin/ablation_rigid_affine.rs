@@ -14,9 +14,7 @@ use brainshift_imaging::phantom::{generate_preop, PhantomConfig};
 use brainshift_imaging::similarity::ncc;
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::Vec3;
-use brainshift_register::{
-    register_affine, register_rigid, AffineRegConfig, AffineTransform, RigidRegConfig,
-};
+use brainshift_register::{register_affine, register_rigid, AffineTransform};
 use brainshift_obs::Stopwatch;
 
 fn main() {
@@ -39,7 +37,7 @@ fn main() {
     println!("{:<8} {:>8} {:>12} {:>12}", "model", "ncc", "evaluations", "host time");
 
     let t0 = Stopwatch::wall();
-    let rigid = register_rigid(&scan.intensity, &moving, &RigidRegConfig::default());
+    let rigid = register_rigid(&scan.intensity, &moving);
     let aligned_r = resample_with(&moving, &scan.intensity, 0.0, |p| rigid.transform.apply(p));
     let ncc_rigid = ncc(&scan.intensity, &aligned_r);
     println!(
@@ -51,7 +49,7 @@ fn main() {
     );
 
     let t0 = Stopwatch::wall();
-    let affine = register_affine(&scan.intensity, &moving, &AffineRegConfig::default());
+    let affine = register_affine(&scan.intensity, &moving);
     let aligned_a = resample_with(&moving, &scan.intensity, 0.0, |p| affine.transform.apply(p));
     let ncc_affine = ncc(&scan.intensity, &aligned_a);
     println!(

@@ -31,6 +31,7 @@ pub use sequence::{
 };
 pub use pipeline::{
     composite_warped, run_pipeline, PipelineConfig, PipelineResult, SurfaceForceKind,
+    SURFACE_FORCE_STEP,
 };
 pub use surgery::{PreparedSurgery, ScanRegistration};
-pub use timeline::{StageTimings, Timeline};
+pub use timeline::StageTimings;

@@ -15,13 +15,13 @@
 
 use crate::error::Error;
 use crate::surgery::PreparedSurgery;
-use crate::timeline::{StageTimings, Timeline};
+use crate::timeline::StageTimings;
 use brainshift_fem::{FemSolveConfig, FemSolution, MaterialTable};
 use brainshift_imaging::field::{invert_field, warp_volume_backward};
 use brainshift_imaging::{labels, DisplacementField, Volume};
 use brainshift_mesh::{MesherConfig, TetMesh, TriSurface};
 use brainshift_obs::Stopwatch;
-use brainshift_register::{register_rigid, RigidRegConfig, RigidRegResult};
+use brainshift_register::{register_rigid, RigidRegResult};
 use brainshift_segment::SegmentConfig;
 use brainshift_surface::ActiveSurfaceConfig;
 
@@ -38,18 +38,19 @@ pub enum SurfaceForceKind {
     ImageGradient,
 }
 
+/// Saturation of the active-surface pull per iteration (mm).
+pub const SURFACE_FORCE_STEP: f64 = 2.0;
+
 /// Pipeline configuration: one knob per stage.
 ///
-/// `rigid`, `skip_rigid` and `normalize_intensity` are input alignment:
+/// `skip_rigid` and `normalize_intensity` are input alignment:
 /// [`run_pipeline`] consumes them *before* the per-surgery split, because
 /// a [`PreparedSurgery`] expects every scan already in the reference
 /// frame and intensity range (it never sees the reference intensity) and
-/// ignores all three. The other seven fields are what
-/// [`PreparedSurgery`] reads, once per surgery and per scan.
+/// ignores both. The other six fields are what [`PreparedSurgery`] reads,
+/// once per surgery and per scan.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// MI rigid-registration settings.
-    pub rigid: RigidRegConfig,
     /// Skip rigid registration when scans are known to share a frame
     /// (saves time in tests; the OR always runs it).
     pub skip_rigid: bool,
@@ -59,8 +60,6 @@ pub struct PipelineConfig {
     pub mesher: MesherConfig,
     /// Active-surface evolution settings.
     pub active_surface: ActiveSurfaceConfig,
-    /// Saturation of the active-surface pull per iteration (mm).
-    pub surface_force_step: f64,
     /// External force formulation for the active surface.
     pub surface_force: SurfaceForceKind,
     /// Histogram-match the intraoperative scan to the reference before
@@ -77,12 +76,10 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            rigid: RigidRegConfig::default(),
             skip_rigid: false,
             segment: SegmentConfig::default(),
             mesher: MesherConfig { step: 2, include: labels::is_brain_tissue },
             active_surface: ActiveSurfaceConfig::default(),
-            surface_force_step: 2.0,
             surface_force: SurfaceForceKind::DistancePotential,
             normalize_intensity: false,
             materials: MaterialTable::homogeneous(),
@@ -114,12 +111,10 @@ pub struct PipelineResult {
     /// The reference (preop / first-scan) intensity warped onto the
     /// intraoperative configuration — the paper's Figure 4(c).
     pub warped_reference: Volume<f32>,
-    /// Stage timings (Figure 6).
-    pub timeline: Timeline,
-    /// Paper-style per-stage breakdown: the scan's classifier, surface,
-    /// solve and resample (plus field inversion and the warp), and the
-    /// once-per-surgery preparation, assembly, reduction and
-    /// factorization this one-shot call also paid.
+    /// Paper-style per-stage breakdown (Figure 6): the input alignment,
+    /// the scan's classifier, surface, solve and resample (plus field
+    /// inversion and the warp), and the once-per-surgery preparation,
+    /// assembly, reduction and factorization this one-shot call also paid.
     pub stage_timings: StageTimings,
 }
 
@@ -137,9 +132,8 @@ pub struct PipelineResult {
 /// * `intraop_intensity` — the later scan exhibiting brain shift. With
 ///   `skip_rigid` it must be on the reference's grid.
 ///
-/// Hard failures — a rigid config the registration cannot run, an empty
-/// mesh, a scan on a foreign grid, a singular preconditioner block — are
-/// returned as [`Error`], the first before any stage runs. A solver that
+/// Hard failures — an empty mesh, a scan on a foreign grid, a singular
+/// preconditioner block — are returned as [`Error`]. A solver that
 /// merely fails to converge is *not* an error; the scan degrades as every
 /// scan does (see [`crate::sequence::ScanStatus::Degraded`]):
 /// `result.fem.stats.converged()` is false, `result.fem.displacements`
@@ -151,18 +145,13 @@ pub fn run_pipeline(
     intraop_intensity: &Volume<f32>,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, Error> {
-    if !cfg.skip_rigid {
-        check_rigid(&cfg.rigid)?;
-    }
-    let mut timeline = Timeline::new();
+    let mut sw = Stopwatch::wall();
 
     // ── Rigid registration: bring the reference into the intraop frame. ──
     let (rigid, ref_intensity_aligned, ref_seg_aligned) = if cfg.skip_rigid {
         (None, reference_intensity.clone(), reference_seg.clone())
     } else {
-        let res = timeline.stage("rigid registration", true, || {
-            register_rigid(intraop_intensity, reference_intensity, &cfg.rigid)
-        });
+        let res = register_rigid(intraop_intensity, reference_intensity);
         let t = res.transform;
         let aligned_int = brainshift_imaging::interp::resample_with(
             reference_intensity,
@@ -183,13 +172,13 @@ pub fn run_pipeline(
     // ── Optional intensity normalization against the reference. ──
     let normalized;
     let intraop_intensity = if cfg.normalize_intensity {
-        normalized = timeline.stage("intensity normalization", true, || {
-            brainshift_imaging::normalize::match_histogram(intraop_intensity, &ref_intensity_aligned)
-        });
+        normalized =
+            brainshift_imaging::normalize::match_histogram(intraop_intensity, &ref_intensity_aligned);
         &normalized
     } else {
         intraop_intensity
     };
+    let alignment_s = sw.lap_s();
 
     // ── Once per surgery, then the one scan (Fig 6's two halves). ──
     // The segmentation is a product here (composited display, Dice), not
@@ -198,11 +187,9 @@ pub fn run_pipeline(
         segment: SegmentConfig { band_mm: f32::INFINITY, ..cfg.segment.clone() },
         ..cfg.clone()
     };
-    let mut sw = Stopwatch::wall();
     let prepared = PreparedSurgery::new(&ref_seg_aligned, whole_volume)?;
     let prepare_s = sw.lap_s();
     let mut ctx = prepared.build_solver_context()?;
-    let context_s = sw.lap_s();
     let reg = prepared.register_scan(&mut ctx, intraop_intensity, None, None, None)?;
 
     // ── Resample the reference through the field (the visualization step). ──
@@ -217,11 +204,7 @@ pub fn run_pipeline(
     let mut stage_timings = reg.timings;
     stage_timings.add_per_surgery(prepare_s, assembly_s, &ctx.timings());
     stage_timings.resample_s += warp_s;
-    timeline.record("per-surgery preparation", prepare_s - assembly_s, true);
-    timeline.record("tissue classification", stage_timings.classification_s, true);
-    timeline.record("surface displacement", stage_timings.surface_s, true);
-    timeline.record("biomechanical simulation", assembly_s + context_s + stage_timings.solve_s, true);
-    timeline.record("visualization resample", stage_timings.resample_s, true);
+    stage_timings.alignment_s = alignment_s;
 
     let PreparedSurgery { mesh, surface: brain_surface, .. } = prepared;
     Ok(PipelineResult {
@@ -234,28 +217,8 @@ pub fn run_pipeline(
         forward_field: reg.field,
         backward_field,
         warped_reference,
-        timeline,
         stage_timings,
     })
-}
-
-/// Refuse a rigid-registration config before any stage runs: the joint
-/// histogram needs two bins per axis, and a pyramid factor of 0 has no
-/// level grid (it would divide the level scale by zero).
-fn check_rigid(rigid: &RigidRegConfig) -> Result<(), Error> {
-    if rigid.mi.bins < 2 {
-        return Err(Error::Pipeline(format!(
-            "rigid registration needs at least 2 histogram bins, got {}",
-            rigid.mi.bins
-        )));
-    }
-    if rigid.pyramid.contains(&0) {
-        return Err(Error::Pipeline(format!(
-            "rigid registration pyramid factors must be at least 1, got {:?}",
-            rigid.pyramid
-        )));
-    }
-    Ok(())
 }
 
 /// Composite the warped brain into the intraop scan background for
@@ -380,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_all_intraop_stages() {
+    fn stage_timings_record_all_intraop_stages() {
         let case = small_case();
         let res = run_pipeline(
             &case.preop.intensity,
@@ -388,14 +351,15 @@ mod tests {
             &case.intraop.intensity,
             &fast_cfg(),
         ).expect("pipeline failed");
-        for stage in [
-            "per-surgery preparation",
-            "tissue classification",
-            "surface displacement",
-            "biomechanical simulation",
-            "visualization resample",
+        let t = res.stage_timings;
+        for (stage, seconds) in [
+            ("per-surgery preparation", t.mesh_s),
+            ("tissue classification", t.classification_s),
+            ("surface displacement", t.surface_s),
+            ("biomechanical simulation", t.assembly_s + t.reduction_s + t.factorization_s + t.solve_s),
+            ("visualization resample", t.resample_s),
         ] {
-            assert!(res.timeline.seconds_of(stage) > 0.0, "missing stage {stage}");
+            assert!(seconds > 0.0, "missing stage {stage}");
         }
     }
 

@@ -36,7 +36,7 @@
 //! caller-provided carry-forward field — see [`ScanStatus::Degraded`].
 
 use crate::error::Error;
-use crate::pipeline::{PipelineConfig, SurfaceForceKind};
+use crate::pipeline::{PipelineConfig, SurfaceForceKind, SURFACE_FORCE_STEP};
 use crate::sequence::ScanStatus;
 use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
@@ -185,7 +185,7 @@ impl PreparedSurgery {
         let surface = extract_boundary(&mesh);
         let classifier = Classifier::new(reference_labels, &cfg.segment);
         let ref_mask = largest_component(&reference_labels.map(|&l| labels::is_brain_tissue(l)));
-        let force_ref = DistanceForce::from_mask(&ref_mask, None, cfg.surface_force_step)?;
+        let force_ref = DistanceForce::from_mask(&ref_mask, None, SURFACE_FORCE_STEP)?;
         let neighbor_table = NeighborTable::build(&surface);
         let snap = evolve_surface_with(&surface, &neighbor_table, &force_ref, &cfg.active_surface);
         // The band reuses the snap's distance transform of the reference.
@@ -273,20 +273,19 @@ impl PreparedSurgery {
         let mut sw = Stopwatch::wall();
         let target = largest_component(&segmentation.map(|&l| labels::is_brain_tissue(l)));
         let morphology_s = sw.lap_s();
-        let step = self.cfg.surface_force_step;
         let mut distance = None;
         let edge;
         let force: &dyn ExternalForce = match self.cfg.surface_force {
             SurfaceForceKind::DistancePotential => {
                 let band = band.filter(|band| !band.is_whole());
-                distance.insert(DistanceForce::from_mask(&target, band, step)?)
+                distance.insert(DistanceForce::from_mask(&target, band, SURFACE_FORCE_STEP)?)
             }
             SurfaceForceKind::ImageGradient => {
                 // Gray-level prior: the brain/CSF boundary sits between
                 // the brain and CSF nominal intensities. This force does
                 // not read the labels, so it needs no guard.
                 let expected = (tissue_intensity(labels::BRAIN) + tissue_intensity(labels::CSF)) / 2.0;
-                edge = EdgeForce::from_image(intensity, 1.0, expected, 60.0, step);
+                edge = EdgeForce::from_image(intensity, 1.0, expected, 60.0, SURFACE_FORCE_STEP);
                 &edge
             }
         };

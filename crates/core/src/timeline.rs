@@ -1,104 +1,17 @@
 //! Stage timing for the intraoperative timeline (the paper's Figure 6).
 //!
-//! Each pipeline stage — rigid registration, per-surgery preparation,
-//! tissue classification, surface displacement, biomechanical simulation,
-//! visualization resample — is timed so the Fig 6 reproduction can print
-//! when each action runs relative to "surgical progress".
+//! [`StageTimings`] is the one record of where a registration's time
+//! went: input alignment, per-surgery preparation, tissue classification,
+//! surface displacement, the biomechanical simulation's phases and the
+//! visualization resample.
 
 use brainshift_fem::ContextTimings;
-use brainshift_obs::{Clock, Stopwatch};
-
-/// One completed stage.
-#[derive(Debug, Clone)]
-pub struct StageRecord {
-    /// Stage name as shown in the rendered timeline.
-    pub name: &'static str,
-    /// Seconds measured against the timeline's clock (wall-clock on the
-    /// default clock).
-    pub seconds: f64,
-    /// Whether the stage happens before surgery (preoperative) or during.
-    pub intraoperative: bool,
-}
-
-/// Ordered record of pipeline stages.
-#[derive(Debug, Clone, Default)]
-pub struct Timeline {
-    stages: Vec<StageRecord>,
-    clock: Clock,
-}
-
-impl Timeline {
-    /// An empty timeline on the wall clock.
-    pub fn new() -> Self {
-        Timeline::default()
-    }
-
-    /// An empty timeline measuring against `clock` — inject a logical
-    /// clock to make stage durations deterministic under test.
-    pub fn with_clock(clock: Clock) -> Self {
-        Timeline { stages: Vec::new(), clock }
-    }
-
-    /// Time a closure as a named stage.
-    pub fn stage<T>(&mut self, name: &'static str, intraoperative: bool, f: impl FnOnce() -> T) -> T {
-        let sw = Stopwatch::start(&self.clock);
-        let out = f();
-        self.stages.push(StageRecord { name, seconds: sw.elapsed_s(), intraoperative });
-        out
-    }
-
-    /// Manually record a stage duration (e.g. modeled rather than
-    /// measured).
-    pub fn record(&mut self, name: &'static str, seconds: f64, intraoperative: bool) {
-        self.stages.push(StageRecord { name, seconds, intraoperative });
-    }
-
-    /// All recorded stages, in order.
-    pub fn stages(&self) -> &[StageRecord] {
-        &self.stages
-    }
-
-    /// Total seconds spent in intraoperative stages.
-    pub fn total_intraoperative(&self) -> f64 {
-        self.stages.iter().filter(|s| s.intraoperative).map(|s| s.seconds).sum()
-    }
-
-    /// Total seconds spent in preoperative stages.
-    pub fn total_preoperative(&self) -> f64 {
-        self.stages.iter().filter(|s| !s.intraoperative).map(|s| s.seconds).sum()
-    }
-
-    /// Seconds of a named stage (sum over repeats), or 0.
-    pub fn seconds_of(&self, name: &str) -> f64 {
-        self.stages.iter().filter(|s| s.name == name).map(|s| s.seconds).sum()
-    }
-
-    /// Render the Figure 6-style timeline table.
-    pub fn render(&self) -> String {
-        let mut out = String::from("Timeline of image processing for image guided neurosurgery\n");
-        out.push_str(&format!("{:<28} {:>10} {:>8}\n", "Action", "Time (s)", "Phase"));
-        for s in &self.stages {
-            out.push_str(&format!(
-                "{:<28} {:>10.3} {:>8}\n",
-                s.name,
-                s.seconds,
-                if s.intraoperative { "intraop" } else { "preop" }
-            ));
-        }
-        out.push_str(&format!(
-            "{:<28} {:>10.3}\n",
-            "TOTAL intraoperative",
-            self.total_intraoperative()
-        ));
-        out
-    }
-}
 
 /// Per-stage timing breakdown of one intraoperative registration, in the
 /// paper's vocabulary (its Table-style breakdown of the < 10 s budget):
-/// classifier → per-surgery preparation → FEM assembly → Dirichlet
-/// reduction → preconditioner build → Krylov solve → visualization
-/// resample.
+/// input alignment → classifier → per-surgery preparation → FEM assembly
+/// → Dirichlet reduction → preconditioner build → Krylov solve →
+/// visualization resample.
 ///
 /// Preparation/assembly/reduction/factorization are once-per-surgery
 /// costs; scans served from a
@@ -108,6 +21,12 @@ impl Timeline {
 /// and one-shot tables add them with [`StageTimings::add_per_surgery`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
+    /// Input alignment: MI rigid registration of the reference into the
+    /// scan's frame plus histogram matching of the scan. Only
+    /// [`run_pipeline`](crate::pipeline::run_pipeline) aligns; a
+    /// [`PreparedSurgery`](crate::surgery::PreparedSurgery) expects its
+    /// scans aligned and reports 0.
+    pub alignment_s: f64,
     /// Intraoperative tissue classification (k-NN relabel). This is the
     /// stage *total*; the four `*_s` fields below it are its informational
     /// sub-stages and are excluded from [`StageTimings::total_s`] so the
@@ -151,7 +70,8 @@ impl StageTimings {
     /// `knn_build_s`, `knn_query_s`, `morphology_s`) are already counted
     /// inside `classification_s` and do not enter the sum.
     pub fn total_s(&self) -> f64 {
-        self.classification_s
+        self.alignment_s
+            + self.classification_s
             + self.mesh_s
             + self.surface_s
             + self.assembly_s
@@ -164,6 +84,7 @@ impl StageTimings {
     /// Accumulate another scan's breakdown into this one (for
     /// whole-sequence totals).
     pub fn accumulate(&mut self, other: &StageTimings) {
+        self.alignment_s += other.alignment_s;
         self.classification_s += other.classification_s;
         self.feature_s += other.feature_s;
         self.knn_build_s += other.knn_build_s;
@@ -195,7 +116,8 @@ impl StageTimings {
     pub fn render(&self) -> String {
         let mut out = String::from("Per-stage breakdown of the intraoperative solve\n");
         out.push_str(&format!("{:<34} {:>10}\n", "Stage", "Time (s)"));
-        let rows: [(&str, f64); 12] = [
+        let rows: [(&str, f64); 13] = [
+            ("input alignment", self.alignment_s),
             ("tissue classification", self.classification_s),
             ("  feature stack", self.feature_s),
             ("  kd-tree build", self.knn_build_s),
@@ -228,63 +150,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stage_measures_and_returns() {
-        let mut t = Timeline::new();
-        let v = t.stage("work", true, || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            42
-        });
-        assert_eq!(v, 42);
-        assert_eq!(t.stages().len(), 1);
-        assert!(t.seconds_of("work") >= 0.009);
-    }
-
-    #[test]
-    fn totals_split_by_phase() {
-        let mut t = Timeline::new();
-        t.record("preop seg", 100.0, false);
-        t.record("rigid reg", 2.0, true);
-        t.record("biomech", 8.0, true);
-        assert_eq!(t.total_preoperative(), 100.0);
-        assert_eq!(t.total_intraoperative(), 10.0);
-    }
-
-    #[test]
-    fn render_contains_stages() {
-        let mut t = Timeline::new();
-        t.record("rigid reg", 1.5, true);
-        let s = t.render();
-        assert!(s.contains("rigid reg"));
-        assert!(s.contains("TOTAL intraoperative"));
-    }
-
-    #[test]
-    fn repeated_stage_sums() {
-        let mut t = Timeline::new();
-        t.record("solve", 1.0, true);
-        t.record("solve", 2.0, true);
-        assert_eq!(t.seconds_of("solve"), 3.0);
-    }
-
-    #[test]
-    fn logical_clock_makes_stage_durations_deterministic() {
-        let clock = Clock::logical();
-        let mut t = Timeline::with_clock(clock.clone());
-        t.stage("solve", true, || clock.advance_to_us(2_000_000));
-        t.stage("idle", true, || ());
-        assert_eq!(t.seconds_of("solve"), 2.0);
-        assert_eq!(t.seconds_of("idle"), 0.0);
-    }
-
-    #[test]
     fn stage_timings_total_accumulate_render() {
         let mut a = StageTimings { solve_s: 3.0, mesh_s: 1.0, ..Default::default() };
-        let b = StageTimings { solve_s: 0.5, resample_s: 0.25, ..Default::default() };
+        let b = StageTimings { solve_s: 0.5, resample_s: 0.25, alignment_s: 0.5, ..Default::default() };
         a.accumulate(&b);
         assert!((a.solve_s - 3.5).abs() < 1e-12);
-        assert!((a.total_s() - 4.75).abs() < 1e-12);
+        assert!((a.total_s() - 5.25).abs() < 1e-12);
         let table = a.render();
-        for row in ["tissue classification", "per-surgery preparation", "FEM assembly", "Dirichlet reduction", "Krylov solve", "visualization resample", "TOTAL"] {
+        for row in ["input alignment", "tissue classification", "per-surgery preparation", "FEM assembly", "Dirichlet reduction", "Krylov solve", "visualization resample", "TOTAL"] {
             assert!(table.contains(row), "missing row {row}:\n{table}");
         }
     }

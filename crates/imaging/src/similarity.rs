@@ -1,8 +1,10 @@
 //! Image similarity metrics.
 //!
 //! Mutual information (Wells/Viola, the paper's reference [20]) drives the
-//! rigid alignment of preoperative to intraoperative scans; SSD/NCC serve
-//! as sanity metrics and for the quantitative version of Figure 4(d).
+//! rigid alignment of preoperative to intraoperative scans: its joint
+//! histogram lives here, the transform-aware metric in
+//! `brainshift-register`. SSD/NCC serve as sanity metrics and for the
+//! quantitative version of Figure 4(d).
 
 use crate::volume::Volume;
 
@@ -159,15 +161,6 @@ impl JointHistogram {
         h
     }
 
-    /// Mutual information `H(A) + H(B) - H(A,B)` in nats (higher = better
-    /// aligned).
-    pub fn mutual_information(&self) -> f64 {
-        if self.total == 0.0 {
-            return 0.0;
-        }
-        self.entropy_a() + self.entropy_b() - self.joint_entropy()
-    }
-
     /// Studholme's normalized mutual information `(H(A)+H(B)) / H(A,B)`.
     pub fn normalized_mutual_information(&self) -> f64 {
         let j = self.joint_entropy();
@@ -193,17 +186,6 @@ pub fn checkerboard(a: &Volume<f32>, b: &Volume<f32>, block: usize) -> Volume<f3
             *b.get(x, y, z)
         }
     })
-}
-
-/// Mutual information between two same-grid volumes with `bins` bins
-/// (convenience wrapper; registration uses transform-aware sampling).
-pub fn mutual_information(a: &Volume<f32>, b: &Volume<f32>, bins: usize) -> f64 {
-    assert_eq!(a.dims(), b.dims());
-    let mut h = JointHistogram::new(bins, a.min_max(), b.min_max());
-    for (&x, &y) in a.data().iter().zip(b.data()) {
-        h.add(x, y);
-    }
-    h.mutual_information()
 }
 
 #[cfg(test)]
@@ -241,53 +223,51 @@ mod tests {
         assert_eq!(ncc(&v, &c), 0.0);
     }
 
-    #[test]
-    fn mi_self_equals_entropy() {
-        let v = noise_volume(6);
-        let mut h = JointHistogram::new(32, v.min_max(), v.min_max());
-        for &x in v.data() {
-            h.add(x, x);
+    /// NMI of two same-grid volumes over `bins` bins per axis.
+    fn nmi(a: &Volume<f32>, b: &Volume<f32>, bins: usize) -> f64 {
+        let mut h = JointHistogram::new(bins, a.min_max(), b.min_max());
+        for (&x, &y) in a.data().iter().zip(b.data()) {
+            h.add(x, y);
         }
-        // MI(A, A) = H(A)
-        assert!((h.mutual_information() - h.entropy_a()).abs() < 1e-9);
+        h.normalized_mutual_information()
     }
 
     #[test]
-    fn mi_higher_for_aligned_than_shuffled() {
+    fn nmi_of_an_image_with_itself_is_two() {
+        // H(A, A) = H(A), so (H(A) + H(A)) / H(A, A) = 2.
+        let v = noise_volume(6);
+        assert!((nmi(&v, &v, 32) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nmi_higher_for_aligned_than_independent() {
         let v = noise_volume(7);
-        let mi_aligned = mutual_information(&v, &v, 32);
         let w = noise_volume(8); // independent noise
-        let mi_indep = mutual_information(&v, &w, 32);
-        assert!(mi_aligned > mi_indep + 0.5, "{mi_aligned} vs {mi_indep}");
+        let (aligned, indep) = (nmi(&v, &v, 32), nmi(&v, &w, 32));
+        assert!(aligned > indep + 0.5, "{aligned} vs {indep}");
     }
 
     #[test]
-    fn mi_invariant_to_intensity_remapping() {
-        // MI should detect a functional (even non-linear monotonic)
+    fn nmi_detects_an_intensity_remapping() {
+        // NMI detects a functional (even non-linear monotonic)
         // relationship just as well as identity.
         let v = noise_volume(9);
         let w = v.map(|&x| (x * 0.7 + 3.0).sqrt());
-        let mi = mutual_information(&v, &w, 32);
         let noise = noise_volume(10);
-        let mi_noise = mutual_information(&v, &noise, 32);
-        assert!(mi > mi_noise);
+        assert!(nmi(&v, &w, 32) > nmi(&v, &noise, 32));
     }
 
     #[test]
     fn nmi_at_least_one() {
         let v = noise_volume(11);
         let w = noise_volume(12);
-        let mut h = JointHistogram::new(16, v.min_max(), w.min_max());
-        for (&a, &b) in v.data().iter().zip(w.data()) {
-            h.add(a, b);
-        }
-        assert!(h.normalized_mutual_information() >= 1.0 - 1e-9);
+        assert!(nmi(&v, &w, 16) >= 1.0 - 1e-9);
     }
 
     #[test]
-    fn empty_histogram_is_zero_mi() {
+    fn empty_histogram_is_zero_nmi() {
         let h = JointHistogram::new(8, (0.0, 1.0), (0.0, 1.0));
-        assert_eq!(h.mutual_information(), 0.0);
+        assert_eq!(h.normalized_mutual_information(), 0.0);
         assert_eq!(h.total(), 0.0);
     }
 
@@ -328,7 +308,6 @@ mod tests {
             merged.merge(p);
         }
         assert_eq!(merged.total(), whole.total());
-        assert_eq!(merged.mutual_information(), whole.mutual_information());
         assert_eq!(
             merged.normalized_mutual_information(),
             whole.normalized_mutual_information()

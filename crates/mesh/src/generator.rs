@@ -171,26 +171,6 @@ pub fn mesh_labeled_volume(seg: &Volume<u8>, cfg: &MesherConfig) -> TetMesh {
     mesh
 }
 
-/// Pick the largest `step` (coarsest mesh) whose node count still reaches
-/// `min_nodes`, searching downward from `max_step`; returns the mesh and
-/// the chosen step. Used by the figure benchmarks to hit the paper's
-/// system sizes (77 511 and 253 308 equations).
-pub fn mesh_with_target_nodes(
-    seg: &Volume<u8>,
-    min_nodes: usize,
-    max_step: usize,
-    include: fn(u8) -> bool,
-) -> (TetMesh, usize) {
-    for step in (1..=max_step).rev() {
-        let mesh = mesh_labeled_volume(seg, &MesherConfig { step, include });
-        if mesh.num_nodes() >= min_nodes {
-            return (mesh, step);
-        }
-    }
-    let mesh = mesh_labeled_volume(seg, &MesherConfig { step: 1, include });
-    (mesh, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,13 +271,6 @@ mod tests {
         let min = degs.iter().min().unwrap();
         let max = degs.iter().max().unwrap();
         assert!(max > min, "degrees uniform: {min}..{max}");
-    }
-
-    #[test]
-    fn target_node_search_reaches_minimum() {
-        let seg = block_volume();
-        let (mesh, step) = mesh_with_target_nodes(&seg, 50, 4, labels::is_deformable);
-        assert!(mesh.num_nodes() >= 50, "{} nodes at step {step}", mesh.num_nodes());
     }
 
     #[test]

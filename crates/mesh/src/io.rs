@@ -1,30 +1,15 @@
 //! Mesh export.
 //!
-//! Wavefront OBJ for triangulated surfaces and legacy VTK unstructured
-//! grids for tetrahedral meshes (with tissue labels and optional nodal
-//! displacement vectors) — both load directly into ParaView / 3D Slicer,
-//! the lineage of the paper's visualization system.
+//! Legacy VTK unstructured grids for tetrahedral meshes (with tissue
+//! labels and optional nodal displacement vectors), which load directly
+//! into ParaView / 3D Slicer, the lineage of the paper's visualization
+//! system.
 
 use crate::tetmesh::TetMesh;
-use crate::trisurface::TriSurface;
 use brainshift_imaging::Vec3;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-
-/// Write a triangulated surface as Wavefront OBJ.
-pub fn write_obj(surface: &TriSurface, path: &Path) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "# brainshift surface: {} vertices, {} triangles", surface.num_vertices(), surface.num_triangles())?;
-    for v in &surface.vertices {
-        writeln!(w, "v {} {} {}", v.x, v.y, v.z)?;
-    }
-    for t in &surface.triangles {
-        // OBJ indices are 1-based.
-        writeln!(w, "f {} {} {}", t[0] + 1, t[1] + 1, t[2] + 1)?;
-    }
-    w.flush()
-}
 
 /// Write a tetrahedral mesh as a legacy-format VTK unstructured grid,
 /// with tissue labels as cell data and (optionally) nodal displacements
@@ -76,26 +61,6 @@ mod tests {
     fn small_mesh() -> TetMesh {
         let seg = Volume::from_fn(Dims::new(3, 3, 3), Spacing::iso(1.0), |_, _, _| labels::BRAIN);
         mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable })
-    }
-
-    #[test]
-    fn obj_counts_match() {
-        let mesh = small_mesh();
-        let surf = crate::surface_extract::extract_boundary(&mesh);
-        let path = std::env::temp_dir().join("brainshift_test.obj");
-        write_obj(&surf, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let v_count = text.lines().filter(|l| l.starts_with("v ")).count();
-        let f_count = text.lines().filter(|l| l.starts_with("f ")).count();
-        assert_eq!(v_count, surf.num_vertices());
-        assert_eq!(f_count, surf.num_triangles());
-        // 1-based indices: no zero index may appear.
-        for line in text.lines().filter(|l| l.starts_with("f ")) {
-            for tok in line.split_whitespace().skip(1) {
-                assert!(tok.parse::<usize>().unwrap() >= 1);
-            }
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

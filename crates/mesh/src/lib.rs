@@ -12,15 +12,13 @@ pub mod error;
 pub mod generator;
 pub mod io;
 pub mod quality;
-pub mod smooth;
 pub mod surface_extract;
 pub mod tetmesh;
 pub mod trisurface;
 
 pub use error::MeshError;
-pub use generator::{mesh_labeled_volume, mesh_with_target_nodes, MesherConfig};
-pub use io::{write_obj, write_vtk};
-pub use smooth::{smooth_interior, SmoothConfig, SmoothStats};
+pub use generator::{mesh_labeled_volume, MesherConfig};
+pub use io::write_vtk;
 pub use surface_extract::{boundary_nodes, extract_boundary, extract_boundary_of};
 pub use tetmesh::TetMesh;
 pub use trisurface::TriSurface;

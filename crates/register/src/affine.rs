@@ -5,15 +5,25 @@
 //! scale/shear that only an affine model can absorb. This module extends
 //! the transform family to 12 DOF — rotation · shear · scale + translation
 //! — searched by the same multi-resolution coordinate descent over the
-//! same (N)MI metric as the rigid model (`search.rs`).
+//! same NMI metric as the rigid model (`search.rs`).
 
-use crate::mi_metric::MiConfig;
 use crate::search::{grid_center, search_levels};
 use brainshift_imaging::{Mat3, Vec3, Volume};
 
-/// The affine search stops once every step is below this factor of its
-/// initial value.
-const MIN_STEP_FACTOR: f64 = 0.05;
+/// Initial step for rotations (radians) at the coarsest level.
+const ROT_STEP: f64 = 0.04;
+
+/// Initial log-scale step.
+const SCALE_STEP: f64 = 0.03;
+
+/// Initial shear step.
+const SHEAR_STEP: f64 = 0.02;
+
+/// Initial translation step (voxels of the current level).
+const TRANS_STEP: f64 = 2.0;
+
+/// Coordinate-descent sweeps per pyramid level, at most.
+const MAX_SWEEPS: usize = 25;
 
 /// A 12-DOF affine transform `T(x) = A (x − c) + c + t`.
 #[derive(Debug, Clone, Copy)]
@@ -73,40 +83,6 @@ impl AffineTransform {
     }
 }
 
-/// Configuration of the affine registration.
-#[derive(Debug, Clone)]
-pub struct AffineRegConfig {
-    /// Pyramid factors, coarse → fine.
-    pub pyramid: Vec<usize>,
-    /// Initial steps: rotations (rad), log-scales, shears, translations
-    /// (voxels).
-    pub rot_step: f64,
-    /// Initial log-scale step.
-    pub scale_step: f64,
-    /// Initial shear step.
-    pub shear_step: f64,
-    /// Initial translation step (voxels).
-    pub trans_step: f64,
-    /// Max coordinate-descent sweeps per level.
-    pub max_sweeps: usize,
-    /// Metric settings.
-    pub mi: MiConfig,
-}
-
-impl Default for AffineRegConfig {
-    fn default() -> Self {
-        AffineRegConfig {
-            pyramid: vec![4, 2, 1],
-            rot_step: 0.04,
-            scale_step: 0.03,
-            shear_step: 0.02,
-            trans_step: 2.0,
-            max_sweeps: 25,
-            mi: MiConfig::default(),
-        }
-    }
-}
-
 /// Result of the affine registration.
 #[derive(Debug, Clone)]
 pub struct AffineRegResult {
@@ -119,16 +95,13 @@ pub struct AffineRegResult {
 }
 
 /// Register `moving` onto `fixed` with a 12-DOF affine transform
-/// maximizing (normalized) mutual information.
-pub fn register_affine(fixed: &Volume<f32>, moving: &Volume<f32>, cfg: &AffineRegConfig) -> AffineRegResult {
-    let (r, s, k, dt) = (cfg.rot_step, cfg.scale_step, cfg.shear_step, cfg.trans_step);
+/// maximizing normalized mutual information.
+pub fn register_affine(fixed: &Volume<f32>, moving: &Volume<f32>) -> AffineRegResult {
+    let (r, s, k, dt) = (ROT_STEP, SCALE_STEP, SHEAR_STEP, TRANS_STEP);
     let (params, mi, evaluations) = search_levels(
         fixed,
         moving,
-        &cfg.pyramid,
-        &cfg.mi,
-        cfg.max_sweeps,
-        MIN_STEP_FACTOR,
+        MAX_SWEEPS,
         [r, r, r, s, s, s, k, k, k, dt, dt, dt],
         |p, center| {
             let t = AffineTransform::from_params(p, center);
@@ -178,10 +151,10 @@ mod tests {
         assert!((t.volume_factor() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn recovers_anisotropic_scale() {
-        // The moving scan is the phantom with 6% scale error along z —
-        // invisible to a rigid model, recoverable by the affine one.
+    /// The phantom (fixed) and the phantom with a 6% scale error along z
+    /// (moving) — invisible to a rigid model, recoverable by the affine
+    /// one.
+    fn scaled_case() -> (Volume<f32>, Volume<f32>) {
         let scan = generate_preop(&PhantomConfig {
             dims: Dims::new(40, 40, 32),
             spacing: Spacing::iso(4.0),
@@ -195,7 +168,13 @@ mod tests {
             c,
         );
         let moving = resample_with(&scan.intensity, &scan.intensity, 0.0, |p| a_true.apply(p));
-        let res = register_affine(&scan.intensity, &moving, &AffineRegConfig::default());
+        (scan.intensity, moving)
+    }
+
+    #[test]
+    fn recovers_anisotropic_scale() {
+        let (fixed, moving) = scaled_case();
+        let res = register_affine(&fixed, &moving);
         // Recovered T maps fixed → moving with moving(T x) ≈ fixed(x):
         // so T ≈ A_true⁻¹. Its volume factor ≈ exp(−0.06).
         let vf = res.transform.volume_factor();
@@ -205,8 +184,31 @@ mod tests {
             vf.ln()
         );
         // And the realignment quality:
-        let aligned = resample_with(&moving, &scan.intensity, 0.0, |p| res.transform.apply(p));
-        let q = ncc(&scan.intensity, &aligned);
+        let aligned = resample_with(&moving, &fixed, 0.0, |p| res.transform.apply(p));
+        let q = ncc(&fixed, &aligned);
         assert!(q > 0.97, "ncc {q}");
+    }
+
+    /// Pins the search's constants (pyramid, steps, sweep budget, metric
+    /// bins and stride) bit for bit: changing one moves the metric
+    /// evaluations, the final NMI or the recovered linear part and
+    /// translation.
+    #[test]
+    fn affine_result_is_pinned_bit_for_bit() {
+        let (fixed, moving) = scaled_case();
+        let res = register_affine(&fixed, &moving);
+        let bits = |v: [f64; 3]| v.map(f64::to_bits);
+        let t = res.transform.translation;
+        assert_eq!(res.evaluations, 599);
+        assert_eq!(res.mi.to_bits(), 0x3ff8_21f5_7dc3_ff24);
+        assert_eq!(
+            res.transform.matrix.m.map(bits),
+            [
+                [0x3ff0_0000_0000_0000, 0, 0],
+                [0, 0x3ff0_0000_0000_0000, 0],
+                [0, 0, 0x3fee_147b_ad05_1624],
+            ]
+        );
+        assert_eq!(bits([t.x, t.y, t.z]), [0; 3]);
     }
 }

@@ -17,8 +17,8 @@ pub mod rigid;
 mod search;
 pub mod transform;
 
-pub use mi_metric::{mutual_information, MiConfig};
-pub use affine::{register_affine, AffineRegConfig, AffineRegResult, AffineTransform};
-pub use rigid::{apply_registration, register_rigid, RigidRegConfig, RigidRegResult};
+pub use mi_metric::mutual_information;
+pub use affine::{register_affine, AffineRegResult, AffineTransform};
+pub use rigid::{apply_registration, register_rigid, RigidRegResult};
 pub use search::coordinate_descent;
 pub use transform::RigidTransform;

@@ -9,41 +9,33 @@ use brainshift_imaging::similarity::JointHistogram;
 use brainshift_imaging::{Vec3, Volume};
 use rayon::prelude::*;
 
-/// Metric configuration.
-#[derive(Debug, Clone)]
-pub struct MiConfig {
-    /// Histogram bins per axis (≥ 2).
-    pub bins: usize,
-    /// Sample every `stride`-th voxel in each axis (≥1); MI is robust to
-    /// sparse sampling and this keeps each evaluation cheap.
-    pub stride: usize,
-    /// Use Studholme's normalized MI instead of plain MI. Plain MI can
-    /// *increase* as the overlap region shrinks (the optimizer drifts to
-    /// large spurious transforms); NMI is invariant to overlap size and
-    /// is the robust default.
-    pub normalized: bool,
-}
+/// Histogram bins per axis.
+const BINS: usize = 32;
 
-impl Default for MiConfig {
-    fn default() -> Self {
-        MiConfig { bins: 32, stride: 2, normalized: true }
-    }
-}
+/// Sample every `STRIDE`-th voxel in each axis: MI is robust to sparse
+/// sampling and this keeps each evaluation cheap.
+const STRIDE: usize = 2;
 
-/// Mutual information (nats) between `fixed(x)` and `moving(map(x))`,
-/// sampled on the fixed grid in voxel coordinates. Voxel pairs mapping
-/// outside the moving volume are skipped; returns 0 if fewer than a
-/// minimal count remain.
+/// A volume whose strided samples would number fewer than this is sampled
+/// at every voxel instead, so that a coarse pyramid level does not starve
+/// the joint histogram.
+const MIN_SAMPLES: usize = 30_000;
+
+/// Studholme's normalized mutual information between `fixed(x)` and
+/// `moving(map(x))`, sampled on the fixed grid in voxel coordinates.
+/// Normalized, because plain MI can *increase* as the overlap region
+/// shrinks (the optimizer drifts to large spurious transforms), while NMI
+/// is invariant to overlap size. Voxel pairs mapping outside the moving
+/// volume are skipped; returns 0 if fewer than a minimal count remain.
 pub fn mutual_information(
     fixed: &Volume<f32>,
     moving: &Volume<f32>,
     map: impl Fn(Vec3) -> Vec3 + Sync,
-    cfg: &MiConfig,
 ) -> f64 {
     let d = fixed.dims();
     let f_range = fixed.min_max();
     let m_range = moving.min_max();
-    let stride = cfg.stride.max(1);
+    let stride = if d.len() / STRIDE.pow(3) >= MIN_SAMPLES { STRIDE } else { 1 };
     // One private histogram per z-slab, merged afterwards — the metric
     // sits in the inner loop of the registration search, so the accumulation
     // runs slab-parallel with no shared bins to contend on.
@@ -51,7 +43,7 @@ pub fn mutual_information(
     let partials: Vec<JointHistogram> = zs
         .par_iter()
         .map(|&z| {
-            let mut h = JointHistogram::new(cfg.bins, f_range, m_range);
+            let mut h = JointHistogram::new(BINS, f_range, m_range);
             let dm = moving.dims();
             for y in (0..d.ny).step_by(stride) {
                 for x in (0..d.nx).step_by(stride) {
@@ -73,18 +65,14 @@ pub fn mutual_information(
             h
         })
         .collect();
-    let mut hist = JointHistogram::new(cfg.bins, f_range, m_range);
+    let mut hist = JointHistogram::new(BINS, f_range, m_range);
     for p in &partials {
         hist.merge(p);
     }
     if hist.total() < 100.0 {
         return 0.0;
     }
-    if cfg.normalized {
-        hist.normalized_mutual_information()
-    } else {
-        hist.mutual_information()
-    }
+    hist.normalized_mutual_information()
 }
 
 #[cfg(test)]
@@ -116,13 +104,11 @@ mod tests {
     fn identity_beats_shifted() {
         let v = phantom();
         let c = center(&v);
-        let cfg = MiConfig::default();
-        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)), &cfg);
+        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)));
         let shifted = mutual_information(
             &v,
             &v,
             through(RigidTransform::from_params([0.0, 0.0, 0.0, 4.0, 0.0, 0.0], c)),
-            &cfg,
         );
         assert!(id > shifted, "{id} vs {shifted}");
     }
@@ -131,13 +117,11 @@ mod tests {
     fn identity_beats_rotated() {
         let v = phantom();
         let c = center(&v);
-        let cfg = MiConfig::default();
-        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)), &cfg);
+        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)));
         let rot = mutual_information(
             &v,
             &v,
             through(RigidTransform::from_params([0.0, 0.0, 0.2, 0.0, 0.0, 0.0], c)),
-            &cfg,
         );
         assert!(id > rot, "{id} vs {rot}");
     }
@@ -147,13 +131,11 @@ mod tests {
         // MI must decrease monotonically-ish as misalignment grows.
         let v = phantom();
         let c = center(&v);
-        let cfg = MiConfig::default();
         let mi_at = |dx: f64| {
             mutual_information(
                 &v,
                 &v,
                 through(RigidTransform::from_params([0.0, 0.0, 0.0, dx, 0.0, 0.0], c)),
-                &cfg,
             )
         };
         let m0 = mi_at(0.0);
@@ -167,6 +149,6 @@ mod tests {
         let v = phantom();
         let c = center(&v);
         let t = RigidTransform::from_params([0.0, 0.0, 0.0, 1000.0, 0.0, 0.0], c);
-        assert_eq!(mutual_information(&v, &v, through(t), &MiConfig::default()), 0.0);
+        assert_eq!(mutual_information(&v, &v, through(t)), 0.0);
     }
 }

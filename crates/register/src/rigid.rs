@@ -5,41 +5,18 @@
 //! coordinate descent at each pyramid level — each parameter is perturbed
 //! ±step, improving moves are kept and steps shrink until convergence.
 
-use crate::mi_metric::MiConfig;
 use crate::search::{grid_center, search_levels};
 use crate::transform::RigidTransform;
 use brainshift_imaging::Volume;
 
-/// Registration configuration.
-#[derive(Debug, Clone)]
-pub struct RigidRegConfig {
-    /// Pyramid downsampling factors, each ≥ 1, coarse → fine (e.g.
-    /// `[4, 2, 1]`).
-    pub pyramid: Vec<usize>,
-    /// Initial step for rotations (radians) at the coarsest level.
-    pub rot_step: f64,
-    /// Initial step for translations (voxels of the current level).
-    pub trans_step: f64,
-    /// Stop when the step shrinks below this factor of its initial value.
-    pub min_step_factor: f64,
-    /// Max coordinate-descent sweeps per level.
-    pub max_sweeps: usize,
-    /// Mutual-information metric settings.
-    pub mi: MiConfig,
-}
+/// Initial step for rotations (radians) at the coarsest level.
+const ROT_STEP: f64 = 0.05;
 
-impl Default for RigidRegConfig {
-    fn default() -> Self {
-        RigidRegConfig {
-            pyramid: vec![4, 2, 1],
-            rot_step: 0.05,
-            trans_step: 2.0,
-            min_step_factor: 0.05,
-            max_sweeps: 30,
-            mi: MiConfig::default(),
-        }
-    }
-}
+/// Initial step for translations (voxels of the current level).
+const TRANS_STEP: f64 = 2.0;
+
+/// Coordinate-descent sweeps per pyramid level, at most.
+const MAX_SWEEPS: usize = 30;
 
 /// Result of a rigid registration.
 #[derive(Debug, Clone)]
@@ -55,16 +32,13 @@ pub struct RigidRegResult {
 
 /// Register `moving` onto `fixed`: find `T` maximizing
 /// `MI(fixed(x), moving(T x))`.
-pub fn register_rigid(fixed: &Volume<f32>, moving: &Volume<f32>, cfg: &RigidRegConfig) -> RigidRegResult {
+pub fn register_rigid(fixed: &Volume<f32>, moving: &Volume<f32>) -> RigidRegResult {
     // params: [rx, ry, rz, tx, ty, tz], translations at full resolution.
-    let (r, dt) = (cfg.rot_step, cfg.trans_step);
+    let (r, dt) = (ROT_STEP, TRANS_STEP);
     let (params, mi, evaluations) = search_levels(
         fixed,
         moving,
-        &cfg.pyramid,
-        &cfg.mi,
-        cfg.max_sweeps,
-        cfg.min_step_factor,
+        MAX_SWEEPS,
         [r, r, r, dt, dt, dt],
         |p, center| {
             let t = RigidTransform::from_params(*p, center);
@@ -104,7 +78,7 @@ mod tests {
         // moved(x) = scan(x + shift) → registering `scan` (fixed) onto
         // `moved` (moving) should find T(x) ≈ x − shift ... and
         // MI(fixed(x), moved(T x)) maximal when T x + shift = x.
-        let res = register_rigid(&scan.intensity, &moved.intensity, &RigidRegConfig::default());
+        let res = register_rigid(&scan.intensity, &moved.intensity);
         let rec = res.transform.apply(Vec3::new(20.0, 20.0, 16.0)) - Vec3::new(20.0, 20.0, 16.0);
         assert!(
             (rec + true_shift).norm() < 1.0,
@@ -118,7 +92,7 @@ mod tests {
         let scan = phantom_scan();
         let angle = 0.08f64; // ~4.6°
         let moved = apply_rigid_misalignment(&scan, Mat3::rot_z(angle), Vec3::ZERO);
-        let res = register_rigid(&scan.intensity, &moved.intensity, &RigidRegConfig::default());
+        let res = register_rigid(&scan.intensity, &moved.intensity);
         let (rec_angle, rec_trans) = res.transform.magnitude();
         assert!((rec_angle - angle).abs() < 0.03, "angle {rec_angle} vs {angle}");
         assert!(rec_trans < 2.0, "spurious translation {rec_trans}");
@@ -128,7 +102,7 @@ mod tests {
     fn registration_improves_alignment() {
         let scan = phantom_scan();
         let moved = apply_rigid_misalignment(&scan, Mat3::rot_z(0.06), Vec3::new(2.0, 1.0, 0.0));
-        let res = register_rigid(&scan.intensity, &moved.intensity, &RigidRegConfig::default());
+        let res = register_rigid(&scan.intensity, &moved.intensity);
         let before = ncc(&scan.intensity, &moved.intensity);
         let aligned = apply_registration(&scan.intensity, &moved.intensity, &res.transform);
         let after = ncc(&scan.intensity, &aligned);
@@ -139,7 +113,7 @@ mod tests {
     #[test]
     fn identity_input_yields_near_identity() {
         let scan = phantom_scan();
-        let res = register_rigid(&scan.intensity, &scan.intensity, &RigidRegConfig::default());
+        let res = register_rigid(&scan.intensity, &scan.intensity);
         let (ang, tr) = res.transform.magnitude();
         assert!(ang < 0.02, "angle {ang}");
         assert!(tr < 1.0, "translation {tr}");

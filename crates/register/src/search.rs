@@ -6,10 +6,10 @@
 //! every step is below `min_step_factor` of its initial value.
 //! `search_levels` runs it once per pyramid level, coarse → fine, on the
 //! mutual information of that level's volumes (Wells et al.). A model —
-//! rigid or affine — supplies only its initial steps and its
-//! parameter → transform map.
+//! rigid or affine — supplies only its initial steps, its sweep budget and
+//! its parameter → transform map.
 
-use crate::mi_metric::{mutual_information, MiConfig};
+use crate::mi_metric::mutual_information;
 use brainshift_imaging::interp::downsample;
 use brainshift_imaging::{Vec3, Volume};
 
@@ -60,6 +60,13 @@ pub fn coordinate_descent<const N: usize>(
     (x, best)
 }
 
+/// Pyramid downsampling factors, coarse → fine.
+const PYRAMID: [usize; 3] = [4, 2, 1];
+
+/// A level's search stops once every step is below this factor of its
+/// initial value.
+const MIN_STEP_FACTOR: f64 = 0.05;
+
 /// Voxel-coordinate centre of a volume's grid: the rotation centre of
 /// both models, which decorrelates rotation and translation parameters.
 pub(crate) fn grid_center(v: &Volume<f32>) -> Vec3 {
@@ -73,16 +80,13 @@ pub(crate) fn grid_center(v: &Volume<f32>) -> Vec3 {
 /// translations in voxels, so a level of factor `k` searches those with
 /// `k`× their initial step and hands `level_map` them divided by `k`,
 /// together with the level's grid centre. `level_map` returns the level's
-/// point map and a penalty subtracted from its MI. Returns the parameters,
-/// the finest level's objective and the metric evaluations spent.
-#[allow(clippy::too_many_arguments)]
+/// point map and a penalty subtracted from its MI. Each level runs at most
+/// `max_sweeps` sweeps. Returns the parameters, the finest level's
+/// objective and the metric evaluations spent.
 pub(crate) fn search_levels<const N: usize, M: Fn(Vec3) -> Vec3 + Sync>(
     fixed: &Volume<f32>,
     moving: &Volume<f32>,
-    pyramid: &[usize],
-    mi: &MiConfig,
     max_sweeps: usize,
-    min_step_factor: f64,
     init_steps: [f64; N],
     level_map: impl Fn(&[f64; N], Vec3) -> (M, f64),
 ) -> ([f64; N], f64, usize) {
@@ -90,8 +94,7 @@ pub(crate) fn search_levels<const N: usize, M: Fn(Vec3) -> Vec3 + Sync>(
     let mut params = [0.0f64; N];
     let mut evaluations = 0usize;
     let mut last = 0.0;
-    let levels: &[usize] = if pyramid.is_empty() { &[1] } else { pyramid };
-    for &factor in levels {
+    for factor in PYRAMID {
         let (f_lvl, m_lvl);
         let (f_ref, m_ref) = if factor > 1 {
             f_lvl = downsample(fixed, factor);
@@ -102,13 +105,6 @@ pub(crate) fn search_levels<const N: usize, M: Fn(Vec3) -> Vec3 + Sync>(
         };
         let scale = 1.0 / factor as f64;
         let center = full_center * scale;
-        // Adapt the sampling stride to the level size: coarse levels must
-        // not starve the joint histogram (aim for ≥ ~30k samples when the
-        // level has them).
-        let mut mi_cfg = mi.clone();
-        while mi_cfg.stride > 1 && f_ref.dims().len() / mi_cfg.stride.pow(3) < 30_000 {
-            mi_cfg.stride -= 1;
-        }
         let mut steps = init_steps;
         steps[N - 3..].iter_mut().for_each(|s| *s *= factor as f64);
         let objective = |p: &[f64; N]| {
@@ -116,9 +112,9 @@ pub(crate) fn search_levels<const N: usize, M: Fn(Vec3) -> Vec3 + Sync>(
             let mut lp = *p;
             lp[N - 3..].iter_mut().for_each(|v| *v *= scale);
             let (map, penalty) = level_map(&lp, center);
-            mutual_information(f_ref, m_ref, map, &mi_cfg) - penalty
+            mutual_information(f_ref, m_ref, map) - penalty
         };
-        (params, last) = coordinate_descent(params, steps, max_sweeps, min_step_factor, objective);
+        (params, last) = coordinate_descent(params, steps, max_sweeps, MIN_STEP_FACTOR, objective);
     }
     (params, last, evaluations)
 }

@@ -24,23 +24,26 @@ use brainshift_obs::Stopwatch;
 use rayon::prelude::*;
 use std::sync::Arc;
 
+/// Saturation cap for distance channels (mm).
+const DISTANCE_CAP: f32 = 30.0;
+
+/// Weight of distance channels relative to intensity. Distances are in
+/// millimetres (resolution-independent): with intensity classes ~30–90
+/// units apart, weight 0.75 lets a ~1 cm disagreement with the
+/// preoperative prior be overridden by clear intensity evidence while
+/// still regularizing ambiguous voxels.
+const DISTANCE_WEIGHT: f32 = 0.75;
+
+/// RNG seed for prototype sampling.
+const PROTOTYPE_SEED: u64 = 0x5E6;
+
 /// Segmentation configuration.
 #[derive(Debug, Clone)]
 pub struct SegmentConfig {
     /// Neighbours for the k-NN vote.
     pub k: usize,
-    /// Saturation cap for distance channels (mm).
-    pub distance_cap: f32,
-    /// Weight of distance channels relative to intensity. Distances are
-    /// in millimetres (resolution-independent): with intensity classes
-    /// ~30–90 units apart, weight 0.75 lets a ~1 cm disagreement with the
-    /// preoperative prior be overridden by clear intensity evidence while
-    /// still regularizing ambiguous voxels.
-    pub distance_weight: f32,
     /// Prototypes per class.
     pub per_class: usize,
-    /// RNG seed for prototype sampling.
-    pub seed: u64,
     /// Half-width (mm) of the band around the reference brain boundary
     /// that a served scan classifies; voxels outside it keep their
     /// reference label. The surgery widens it by the reach of the
@@ -56,10 +59,7 @@ impl Default for SegmentConfig {
     fn default() -> Self {
         SegmentConfig {
             k: 5,
-            distance_cap: 30.0,
-            distance_weight: 0.75,
             per_class: 150,
-            seed: 0x5E6,
             band_mm: 12.0,
         }
     }
@@ -71,7 +71,6 @@ impl Default for SegmentConfig {
 /// every scan of a surgery from any thread.
 pub struct Classifier {
     k: usize,
-    distance_weight: f32,
     /// Grid of the preoperative segmentation; every scan must arrive on it.
     dims: Dims,
     model: PrototypeModel,
@@ -98,13 +97,12 @@ pub struct Classification {
 
 /// One scan's weighted feature rows, read in place: the scan's
 /// intensity (weight 1) followed by the per-surgery distance channels
-/// (each weighted by `distance_weight`). A row holds the same bits as
+/// (each weighted by `DISTANCE_WEIGHT`). A row holds the same bits as
 /// [`FeatureStack::vector_at`] on the stack [`Classifier::feature_stack`]
 /// builds.
 struct FeatureRows<'a> {
     intensity: &'a [f32],
     channels: &'a [Arc<Volume<f32>>],
-    weight: f32,
 }
 
 impl FeatureRows<'_> {
@@ -116,7 +114,7 @@ impl FeatureRows<'_> {
     fn gather(&self, idx: usize, row: &mut [f32]) {
         row[0] = self.intensity[idx];
         for (r, chan) in row[1..].iter_mut().zip(self.channels) {
-            *r = chan.data()[idx] * self.weight;
+            *r = chan.data()[idx] * DISTANCE_WEIGHT;
         }
     }
 }
@@ -167,15 +165,14 @@ impl Classifier {
     pub fn new(preop_seg: &Volume<u8>, cfg: &SegmentConfig) -> Self {
         let mut classes = preop_seg.labels();
         classes.retain(|&c| c != labels::RESECTION);
-        let model = PrototypeModel::sample(preop_seg, &classes, cfg.per_class, cfg.seed);
+        let model = PrototypeModel::sample(preop_seg, &classes, cfg.per_class, PROTOTYPE_SEED);
         let distance_channels = model
             .classes()
             .iter()
-            .map(|&c| Arc::new(label_distance_map(preop_seg, c, cfg.distance_cap)))
+            .map(|&c| Arc::new(label_distance_map(preop_seg, c, DISTANCE_CAP)))
             .collect();
         Classifier {
             k: cfg.k,
-            distance_weight: cfg.distance_weight,
             dims: preop_seg.dims(),
             model,
             distance_channels,
@@ -193,7 +190,7 @@ impl Classifier {
         self.check_grid(intensity.dims())?;
         let mut fs = FeatureStack::from_intensity(intensity.clone());
         for chan in &self.distance_channels {
-            fs.push_shared_channel(chan.clone(), self.distance_weight);
+            fs.push_shared_channel(chan.clone(), DISTANCE_WEIGHT);
         }
         Ok(fs)
     }
@@ -241,7 +238,6 @@ impl Classifier {
         let rows = FeatureRows {
             intensity: intensity.data(),
             channels: &self.distance_channels,
-            weight: self.distance_weight,
         };
         let mut labels = Volume::from_vec(self.dims, intensity.spacing(), fill.data().to_vec());
         let feature_s = sw.lap_s();

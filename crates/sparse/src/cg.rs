@@ -50,22 +50,17 @@ pub fn conjugate_gradient(
     ws.ensure_vectors(n);
     let KrylovWorkspace { r, w: z, zb: p, work_ax: ap, .. } = ws;
     let deadline = Deadline::from_budget(opts.time_budget);
-    let mut history = Vec::new();
-    let stats = |reason, iterations, relative_residual, history| SolveStats {
+    let stats = |reason, iterations, relative_residual| SolveStats {
         reason,
         iterations,
         relative_residual,
-        history,
         restarts: 0,
     };
 
     let b_norm = a.sum(dot(b, b)).sqrt();
     if b_norm == 0.0 {
         x.iter_mut().for_each(|v| *v = 0.0);
-        if opts.record_history {
-            history.push(0.0);
-        }
-        return Ok(stats(StopReason::Converged, 0, 0.0, history));
+        return Ok(stats(StopReason::Converged, 0, 0.0));
     }
     // The true relative residual of `x`, left in `r`.
     let true_residual = |x: &[f64], r: &mut [f64], ap: &mut [f64]| {
@@ -77,9 +72,6 @@ pub fn conjugate_gradient(
     };
 
     let mut rel = true_residual(x, r, ap);
-    if opts.record_history {
-        history.push(rel);
-    }
     let mut iterations = 0usize;
     // Restarts the recurrence from the residual in `r`: z = M⁻¹r, p = z.
     let mut rz = 0.0;
@@ -113,14 +105,11 @@ pub fn conjugate_gradient(
         let alpha = rz / pap;
         axpy(alpha, p, x);
         rel = a.sum(axpy_then_dot(-alpha, ap, r, None)).sqrt() / b_norm;
-        if opts.record_history {
-            history.push(rel);
-        }
         if rel <= opts.tolerance {
             // Verify on the true residual; on drift, continue from it.
             rel = true_residual(x, r, ap);
             if rel <= opts.tolerance {
-                return Ok(stats(StopReason::Converged, iterations, rel, history));
+                return Ok(stats(StopReason::Converged, iterations, rel));
             }
             restart(r, z, p, &mut rz);
             continue;
@@ -132,11 +121,8 @@ pub fn conjugate_gradient(
     };
     if reason != StopReason::Converged {
         rel = true_residual(x, r, ap);
-        if opts.record_history {
-            history.push(rel);
-        }
     }
-    Ok(stats(reason, iterations, rel, history))
+    Ok(stats(reason, iterations, rel))
 }
 
 /// A CG scalar (`rᵀz`, `pᵀAp`) that cannot be divided by: zero, NaN, or
@@ -268,15 +254,11 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
         for (max_iterations, tolerance) in [(7, 1e-14), (5000, 1e-9)] {
             let mut x = vec![0.0; n];
-            let opts = SolverOptions { tolerance, max_iterations, record_history: true, ..Default::default() };
+            let opts = SolverOptions { tolerance, max_iterations, ..Default::default() };
             let s = conjugate_gradient(&a, &IdentityPrecond, &b, &mut x, &opts);
             let actual = true_rel(&a, &b, &x);
             assert!((actual - s.relative_residual).abs() <= 1e-12 * actual.max(1e-300));
-            if !s.converged() {
-                assert_eq!(s.history.last().copied(), Some(s.relative_residual));
-            } else {
-                assert!(s.relative_residual <= tolerance);
-            }
+            assert_eq!(s.converged(), s.relative_residual <= tolerance);
         }
     }
 

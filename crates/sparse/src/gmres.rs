@@ -169,7 +169,6 @@ pub fn gmres_with_workspace(
     ws.ensure_basis(n, m);
     let deadline = Deadline::from_budget(opts.time_budget);
 
-    let mut history = Vec::new();
     let mut total_iters = 0usize;
     // Krylov cycles started; `restarts` reported is cycles beyond the
     // first (a solve that never starts a cycle also reports 0).
@@ -181,17 +180,12 @@ pub fn gmres_with_workspace(
     let b_norm = a.sum(dot(&ws.zb, &ws.zb)).sqrt().max(1e-300);
     let b_norm_raw = a.sum(dot(b, b)).sqrt();
     if b_norm_raw == 0.0 {
-        // b = 0 → x = 0. Record the (zero) residual so the history
-        // contract holds on this exit too.
+        // b = 0 → x = 0, exactly.
         x.iter_mut().for_each(|v| *v = 0.0);
-        if opts.record_history {
-            history.push(0.0);
-        }
         return Ok(SolveStats {
             reason: StopReason::Converged,
             iterations: 0,
             relative_residual: 0.0,
-            history,
             restarts: 0,
         });
     }
@@ -211,15 +205,11 @@ pub fn gmres_with_workspace(
             ws.raw[i] = b[i] - ws.work_ax[i];
         }
         let raw_rel = a.sum(dot(&ws.raw, &ws.raw)).sqrt() / b_norm_raw;
-        if opts.record_history && history.is_empty() {
-            history.push(raw_rel);
-        }
         if raw_rel <= opts.tolerance {
             return Ok(SolveStats {
                 reason: StopReason::Converged,
                 iterations: total_iters,
                 relative_residual: raw_rel,
-                history,
                 restarts: cycles.saturating_sub(1),
             });
         }
@@ -228,26 +218,18 @@ pub fn gmres_with_workspace(
             inner_tol = inner_tol.min(needed).max(1e-30);
         }
         if total_iters >= opts.max_iterations {
-            if opts.record_history {
-                history.push(raw_rel);
-            }
             return Ok(SolveStats {
                 reason: StopReason::MaxIterations,
                 iterations: total_iters,
                 relative_residual: raw_rel,
-                history,
                 restarts: cycles.saturating_sub(1),
             });
         }
         if deadline.expired() {
-            if opts.record_history {
-                history.push(raw_rel);
-            }
             return Ok(SolveStats {
                 reason: StopReason::TimeBudget,
                 iterations: total_iters,
                 relative_residual: raw_rel,
-                history,
                 restarts: cycles.saturating_sub(1),
             });
         }
@@ -255,17 +237,12 @@ pub fn gmres_with_workspace(
         precond.apply(&ws.raw, &mut ws.r);
         let beta = a.sum(dot(&ws.r, &ws.r)).sqrt();
         if beta < 1e-300 {
-            // Preconditioner annihilated a nonzero residual: breakdown.
-            // Same SolveStats shape as the converged path — reason, true
-            // relative residual, and a history whose last entry matches.
-            if opts.record_history {
-                history.push(raw_rel);
-            }
+            // Preconditioner annihilated a nonzero residual: breakdown,
+            // reported with the true relative residual.
             return Ok(SolveStats {
                 reason: StopReason::Breakdown,
                 iterations: total_iters,
                 relative_residual: raw_rel,
-                history,
                 restarts: cycles.saturating_sub(1),
             });
         }
@@ -329,9 +306,6 @@ pub fn gmres_with_workspace(
 
             k_used = j + 1;
             last_rel = ws.g[j + 1].abs() / b_norm;
-            if opts.record_history {
-                history.push(last_rel);
-            }
 
             if last_rel <= inner_tol {
                 break;
@@ -360,23 +334,18 @@ pub fn gmres_with_workspace(
             }
         }
 
-        let _ = last_rel;
         if broke_down {
             // Best-effort iterate already applied; report honestly with
-            // the true residual (and close the history with it).
+            // the true residual.
             a.apply(x, &mut ws.work_ax);
             for i in 0..n {
                 ws.raw[i] = b[i] - ws.work_ax[i];
             }
             let final_rel = a.sum(dot(&ws.raw, &ws.raw)).sqrt() / b_norm_raw;
-            if opts.record_history {
-                history.push(final_rel);
-            }
             return Ok(SolveStats {
                 reason: StopReason::Breakdown,
                 iterations: total_iters,
                 relative_residual: final_rel,
-                history,
                 restarts: cycles.saturating_sub(1),
             });
         }
@@ -720,20 +689,27 @@ mod tests {
         assert!(ws.bytes() >= (opts.restart + 1) * 80 * 8);
     }
 
-    #[test]
-    fn zero_rhs_history_is_consistent_with_converged_path() {
-        let a = laplace_1d(10);
-        let b = vec![0.0; 10];
-        let mut x = vec![1.0; 10];
-        let opts = SolverOptions { record_history: true, ..Default::default() };
-        let stats = gmres(&a, &IdentityPrecond, &b, &mut x, &opts);
-        assert!(stats.converged());
-        assert_eq!(stats.history, vec![0.0]);
-        assert_eq!(stats.history.last().copied(), Some(stats.relative_residual));
+    /// `‖b − A x‖ / ‖b‖`, recomputed from the returned iterate.
+    fn true_rel(a: &CsrMatrix, b: &[f64], x: &[f64]) -> f64 {
+        let mut ax = vec![0.0; b.len()];
+        a.spmv(x, &mut ax);
+        let res: f64 = ax.iter().zip(b).map(|(p, q)| (p - q).powi(2)).sum::<f64>().sqrt();
+        res / b.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     #[test]
-    fn max_iterations_history_ends_with_final_residual() {
+    fn zero_rhs_converges_to_zero_with_a_zero_residual() {
+        let a = laplace_1d(10);
+        let b = vec![0.0; 10];
+        let mut x = vec![1.0; 10];
+        let stats = gmres(&a, &IdentityPrecond, &b, &mut x, &SolverOptions::default());
+        assert!(stats.converged());
+        assert_eq!(stats.relative_residual, 0.0);
+        assert!(x.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn max_iterations_exit_reports_the_true_residual() {
         let n = 400;
         let a = laplace_1d(n);
         let b = vec![1.0; n];
@@ -743,25 +719,19 @@ mod tests {
             &IdentityPrecond,
             &b,
             &mut x,
-            &SolverOptions {
-                tolerance: 1e-14,
-                max_iterations: 5,
-                record_history: true,
-                ..Default::default()
-            },
+            &SolverOptions { tolerance: 1e-14, max_iterations: 5, ..Default::default() },
         );
         assert_eq!(stats.reason, StopReason::MaxIterations);
-        assert!(!stats.history.is_empty());
-        let last = *stats.history.last().unwrap();
+        let actual = true_rel(&a, &b, &x);
         assert!(
-            (last - stats.relative_residual).abs() <= 1e-12 * stats.relative_residual.max(1.0),
-            "history tail {last} vs relative_residual {}",
+            (actual - stats.relative_residual).abs() <= 1e-12 * actual,
+            "recomputed {actual} vs relative_residual {}",
             stats.relative_residual
         );
     }
 
     #[test]
-    fn breakdown_history_ends_with_final_residual() {
+    fn breakdown_exit_reports_the_true_residual() {
         // A rank-deficient preconditioner forces the annihilation
         // breakdown path after the first corrective cycle.
         struct Annihilator;
@@ -778,11 +748,9 @@ mod tests {
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let mut x = vec![0.0; n];
-        let opts = SolverOptions { record_history: true, ..Default::default() };
-        let stats = gmres(&a, &Annihilator, &b, &mut x, &opts);
+        let stats = gmres(&a, &Annihilator, &b, &mut x, &SolverOptions::default());
         assert_eq!(stats.reason, StopReason::Breakdown);
-        assert!(!stats.history.is_empty());
-        assert_eq!(stats.history.last().copied(), Some(stats.relative_residual));
+        assert_eq!(stats.relative_residual, true_rel(&a, &b, &x));
     }
 
     #[test]
@@ -799,32 +767,39 @@ mod tests {
             &SolverOptions {
                 tolerance: 1e-14,
                 time_budget: Some(std::time::Duration::ZERO),
-                record_history: true,
                 ..Default::default()
             },
         );
         assert_eq!(stats.reason, StopReason::TimeBudget);
-        assert_eq!(stats.history.last().copied(), Some(stats.relative_residual));
+        assert_eq!(stats.iterations, 0);
+        assert_eq!(stats.relative_residual, true_rel(&a, &b, &x));
     }
 
     #[test]
-    fn history_is_monotone_within_cycle() {
+    fn residual_is_monotone_within_a_cycle() {
+        // GMRES minimizes the residual over nested Krylov spaces, so
+        // within one cycle (every budget below the restart length) the
+        // true residual a budget-limited solve returns is non-increasing
+        // in the budget.
         let n = 150;
         let a = laplace_1d(n);
         let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let stats = gmres(
-            &a,
-            &IdentityPrecond,
-            &b,
-            &mut x,
-            &SolverOptions { tolerance: 1e-10, restart: 200, record_history: true, ..Default::default() },
-        );
-        assert!(stats.converged());
-        // GMRES minimizes the residual, so within a single cycle the
-        // recorded history must be non-increasing.
-        for w in stats.history.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12);
+        let mut prev = f64::INFINITY;
+        for max_iterations in 1..60 {
+            let mut x = vec![0.0; n];
+            let stats = gmres(
+                &a,
+                &IdentityPrecond,
+                &b,
+                &mut x,
+                &SolverOptions { tolerance: 1e-10, restart: 200, max_iterations, ..Default::default() },
+            );
+            assert_eq!(stats.reason, StopReason::MaxIterations, "budget {max_iterations}");
+            assert_eq!(stats.restarts, 0, "budget {max_iterations}");
+            let rel = stats.relative_residual;
+            assert!((rel - true_rel(&a, &b, &x)).abs() <= 1e-12 * rel, "budget {max_iterations}");
+            assert!(rel <= prev + 1e-12, "budget {max_iterations}: {rel} after {prev}");
+            prev = rel;
         }
     }
 }

@@ -77,24 +77,16 @@ pub enum StopReason {
 }
 
 /// Convergence statistics of one linear solve.
-///
-/// History contract (when `record_history` is on): the first entry is the
-/// initial relative residual, subsequent entries are per-iteration
-/// recurrence estimates; on every **non-converged** exit (budget,
-/// breakdown, time-out) the final entry is the true relative residual, so
-/// `history.last()` agrees with `relative_residual`. The history is never
-/// empty when recording is on — a zero-RHS solve records a single `0.0`.
 #[derive(Debug, Clone)]
 pub struct SolveStats {
     /// Why the solver stopped.
     pub reason: StopReason,
     /// Total Krylov iterations (across restarts for GMRES).
     pub iterations: usize,
-    /// Final *relative* residual `‖b − A x‖ / ‖b‖` as estimated by the
-    /// solver recurrence.
+    /// Final *relative* residual `‖b − A x‖ / ‖b‖` of the returned
+    /// iterate: both solvers compute it from `x`, not from their
+    /// recurrence, on every exit.
     pub relative_residual: f64,
-    /// Residual history (per the contract above), for convergence plots.
-    pub history: Vec<f64>,
     /// Completed restart cycles beyond the first (GMRES): a solve that
     /// finished inside its first Krylov cycle reports `0`. Always `0`
     /// for CG, which does not restart.
@@ -117,8 +109,6 @@ pub struct SolverOptions {
     pub max_iterations: usize,
     /// GMRES restart length (ignored by CG).
     pub restart: usize,
-    /// Record per-iteration residuals in `SolveStats::history`.
-    pub record_history: bool,
     /// Wall-clock budget for one solve; `None` means unbounded, and so
     /// does a budget too large for the clock to represent. When the
     /// budget expires mid-solve, the solver returns its best iterate with
@@ -133,7 +123,6 @@ impl Default for SolverOptions {
             tolerance: 1e-5,
             max_iterations: 2000,
             restart: 30,
-            record_history: false,
             time_budget: None,
         }
     }

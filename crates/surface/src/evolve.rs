@@ -61,6 +61,9 @@ impl NeighborTable {
     }
 }
 
+/// The evolution checks convergence every `CHECK_EVERY` iterations.
+const CHECK_EVERY: usize = 10;
+
 /// Evolution parameters.
 #[derive(Debug, Clone)]
 pub struct ActiveSurfaceConfig {
@@ -74,8 +77,6 @@ pub struct ActiveSurfaceConfig {
     /// this (mm). Discrete distance maps put the zero level ~half a voxel
     /// off the true surface, so sub-voxel tolerances cannot be reached.
     pub tolerance: f64,
-    /// Check convergence every `check_every` iterations.
-    pub check_every: usize,
 }
 
 impl Default for ActiveSurfaceConfig {
@@ -85,7 +86,6 @@ impl Default for ActiveSurfaceConfig {
             tension: 0.1,
             max_iterations: 400,
             tolerance: 1.0,
-            check_every: 10,
         }
     }
 }
@@ -174,7 +174,7 @@ pub fn evolve_surface_with(
             }
         });
         std::mem::swap(&mut pos, &mut next);
-        if cfg.check_every > 0 && iterations % cfg.check_every == 0 {
+        if iterations % CHECK_EVERY == 0 {
             let mean_dist = mean_distance(&pos, &mut dist);
             final_distance = mean_dist;
             let improvement = prev_dist - mean_dist;
@@ -341,7 +341,7 @@ mod tests {
         let res = evolve_surface(&start, &StuckForce, &cfg);
         assert!(!res.converged);
         // First check just seeds prev_dist; the next two stall and break.
-        assert_eq!(res.iterations, 3 * cfg.check_every, "should stop after two stalled checks");
+        assert_eq!(res.iterations, 3 * CHECK_EVERY, "should stop after two stalled checks");
         assert!((res.final_distance - 10.0).abs() < 1e-12);
     }
 

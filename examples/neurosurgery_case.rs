@@ -91,5 +91,5 @@ fn main() {
     println!("\nslices written to bench_out/case_*.pgm");
     println!("volume: bench_out/case_warped.nhdr (3D Slicer); mesh: bench_out/case_mesh.vtk (ParaView)");
     println!("\nstage timings:");
-    print!("{}", result.timeline.render());
+    print!("{}", result.stage_timings.render());
 }

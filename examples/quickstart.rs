@@ -51,7 +51,7 @@ fn main() {
     );
     println!("  active surface residual: {:.2} mm", result.surface_residual);
     println!("\nstage timings (the paper's Figure 6):");
-    print!("{}", result.timeline.render());
+    print!("{}", result.stage_timings.render());
 
     let err = field_error(&result.forward_field, &case.gt_forward, 2.0);
     println!("\nrecovered deformation vs ground truth (where truth > 2 mm):");

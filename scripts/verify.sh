@@ -66,19 +66,19 @@ for threads in 1 4; do
 done
 
 # Service stage: the serving layer, all of it — core/queue/cache unit
-# tests, the scheduler and affinity property suites on the simulator
-# (EDF order, aging bound, threshold-gated stealing, byte-deterministic
-# scripts across worker and shard counts), the threaded fault-injection,
-# affinity and fleet end-to-end tests, and the root-level goldens that
-# pin simulator ≡ parent and threaded service ≡ simulator, and p95
-# latency on a logical clock non-increasing across 1→2→4 workers — at
-# two rayon thread counts so the determinism claims survive parallelism.
-# (The half-memory-budget run is in failure_injection above; the
-# open-loop load is the benchmark's small-fleet-open workload.)
+# tests, the threaded fault-injection, affinity and fleet end-to-end
+# tests, the root-level scheduler and affinity property suites on the
+# simulator (EDF order, aging bound, threshold-gated stealing,
+# byte-deterministic scripts across worker and shard counts), and the
+# root-level goldens that pin simulator ≡ parent and threaded service ≡
+# simulator, and p95 latency on a logical clock non-increasing across
+# 1→2→4 workers — at two rayon thread counts so the determinism claims
+# survive parallelism. (The half-memory-budget run is in failure_injection
+# above; the open-loop load is the benchmark's small-fleet-open workload.)
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-service
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-service
-RAYON_NUM_THREADS=1 cargo test -q --test scheduler_core
-RAYON_NUM_THREADS=4 cargo test -q --test scheduler_core
+RAYON_NUM_THREADS=1 cargo test -q --test scheduler_core --test scheduler_props --test affinity_props
+RAYON_NUM_THREADS=4 cargo test -q --test scheduler_core --test scheduler_props --test affinity_props
 
 # Scenario stage: the seeded scenario factory. Property tests prove
 # generation is a pure function of (kind, seed) — run at two thread
@@ -233,6 +233,17 @@ fi
 n=$(for f in crates/register/src/*.rs; do non_test "$f"; done | grep -cE '\bfn mutual_information\b' || true)
 if [ "$n" -ne 1 ]; then
   echo "expected exactly one non-test 'fn mutual_information' in crates/register/src, found $n" >&2
+  exit 1
+fi
+
+# Fixed parameters stay constants: the paper's chain runs MI rigid
+# registration, a k-NN over a fixed prototype model and one active-surface
+# evolution with fixed settings, and nothing set the configs, the
+# residual history, the convergence-check period, the second stage-timing
+# record or the mesh smoother these names held. Options that measurement
+# does not justify do not come back as config values.
+if grep -rnwE 'RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior' crates tests examples; then
+  echo "a removed config value, record or smoother is back: keep fixed parameters as constants" >&2
   exit 1
 fi
 

@@ -25,6 +25,7 @@
 
 use brainshift_core::{
     generate_scan_sequence, PipelineConfig, PreparedSurgery, ScanRegistration, ScanSequence,
+    SURFACE_FORCE_STEP,
 };
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
@@ -180,7 +181,7 @@ fn a_served_scans_force_is_computed_on_the_band_and_guards_the_whole_volume_cell
     assert!(!reg.band_fallback);
     // The served scan's target, classified on the band.
     let target = largest_component(&reg.segmentation.map(|&l| labels::is_brain_tissue(l)));
-    let (band, step) = (prepared.band(), prepared.config().surface_force_step);
+    let (band, step) = (prepared.band(), SURFACE_FORCE_STEP);
     let guarded = DistanceForce::from_mask(&target, Some(band), step).expect("target on the band's grid");
     let whole = DistanceForce::from_mask(&target, None, step).expect("unbanded force");
     let b = band.width();

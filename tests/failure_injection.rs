@@ -7,35 +7,30 @@
 //!    never a silently wrong answer (the historical identity fallback).
 //! 2. A malformed mesh (inverted element, sliver) is rejected when the
 //!    FEM solver context is built, before any cycles are spent on it.
-//! 3. A rigid-registration config the registration cannot run is an
-//!    [`Error::Pipeline`] from `run_pipeline` before any stage runs.
-//! 4. A solver non-convergence mid-sequence degrades exactly that scan —
+//! 3. A solver non-convergence mid-sequence degrades exactly that scan —
 //!    the previous scan's displacement field is carried forward and the
 //!    surgery's registration stream continues.
-//! 5. The service turns a job's remaining deadline into its solve's time
+//! 4. The service turns a job's remaining deadline into its solve's time
 //!    budget: a job whose deadline has passed degrades on that budget,
 //!    and a deadline past the service clock saturates instead of
 //!    wrapping.
-//! 6. A memory budget below two contexts makes two sessions evict each
+//! 5. A memory budget below two contexts makes two sessions evict each
 //!    other: every scan runs cold, and every scan still completes.
-//! 7. The service's boundary: an unknown session or an infeasible
+//! 6. The service's boundary: an unknown session or an infeasible
 //!    deadline is a typed rejection at admission, and a scan on a grid
 //!    other than its surgery's fails typed while the worker lives on.
 
 use brainshift_core::{
-    generate_scan_sequence, run_pipeline, run_scan_sequence_with_faults, Error, FaultInjection,
-    PipelineConfig, PreparedSurgery, ScanSequence, ScanStatus,
+    generate_scan_sequence, run_scan_sequence_with_faults, FaultInjection, PipelineConfig,
+    PreparedSurgery, ScanSequence, ScanStatus,
 };
 use brainshift_fem::{FemError, FemSolveConfig, MaterialTable, SolverContext};
 use brainshift_imaging::labels;
-use brainshift_imaging::phantom::{
-    apply_rigid_misalignment, generate_preop, BrainShiftConfig, PhantomConfig,
-};
+use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
-use brainshift_imaging::{Mat3, Vec3};
+use brainshift_imaging::Vec3;
 use brainshift_mesh::error::MeshError;
 use brainshift_mesh::TetMesh;
-use brainshift_register::{MiConfig, RigidRegConfig};
 use brainshift_service::{EventKind, JobOutcome, Rejected, ScanJob, Service, ServiceConfig, ServiceError};
 use brainshift_sparse::{
     BlockJacobiPrecond, BlockSolve, CsrMatrix, SparseError, StopReason, TripletBuilder,
@@ -173,34 +168,6 @@ fn repeated_node_rejected() {
         tet_labels: vec![labels::BRAIN],
     };
     assert!(matches!(mesh.validate(), Err(MeshError::RepeatedNode { tet: 0 })));
-}
-
-// ───────────────────── rigid-registration config ─────────────────────
-
-#[test]
-fn run_pipeline_rejects_a_rigid_config_it_cannot_run() {
-    // A misaligned scan: a config that silently skipped the search would
-    // hand back the identity transform instead of an error.
-    let reference = generate_preop(&PhantomConfig {
-        dims: Dims::new(24, 24, 18),
-        spacing: Spacing::iso(6.0),
-        ..Default::default()
-    });
-    let scan = apply_rigid_misalignment(&reference, Mat3::rot_z(0.05), Vec3::new(1.5, -1.0, 0.5));
-    let cases = [
-        // The joint histogram needs two bins per axis.
-        ("one histogram bin", RigidRegConfig { mi: MiConfig { bins: 1, ..Default::default() }, ..Default::default() }),
-        // A level of factor 0 has no grid.
-        ("pyramid factor 0", RigidRegConfig { pyramid: vec![2, 0], ..Default::default() }),
-    ];
-    for (what, rigid) in cases {
-        let cfg = PipelineConfig { rigid, ..Default::default() };
-        let r = run_pipeline(&reference.intensity, &reference.labels, &scan.intensity, &cfg);
-        assert!(
-            matches!(r, Err(Error::Pipeline(_))),
-            "{what}: run_pipeline must refuse the config before any stage runs"
-        );
-    }
 }
 
 // ───────────────────── mid-sequence degradation ─────────────────────
