@@ -4,8 +4,8 @@
 
 use brainshift_bench::problem_with_equations;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, IdentityPrecond, JacobiPrecond,
-    KrylovWorkspace, SolverOptions,
+    conjugate_gradient, gmres, BlockJacobiPrecond, IdentityPrecond, JacobiPrecond, KrylovWorkspace,
+    SolverOptions,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -34,7 +34,7 @@ fn bench_solvers(c: &mut Criterion) {
         });
     });
     g.bench_function("gmres_block_jacobi_ic0_x8", |b| {
-        let pc = BlockJacobiPrecond::new(a, 8, BlockSolve::Ic0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(a, 8).expect("singular diagonal block");
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
             let s = gmres(a, &pc, &rhs, &mut x, &opts).expect("dims agree");
@@ -51,7 +51,7 @@ fn bench_solvers(c: &mut Criterion) {
         });
     });
     g.bench_function("cg_block_jacobi_ic0_x8", |b| {
-        let pc = BlockJacobiPrecond::new(a, 8, BlockSolve::Ic0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(a, 8).expect("singular diagonal block");
         let mut ws = KrylovWorkspace::new(a.nrows());
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
@@ -60,7 +60,7 @@ fn bench_solvers(c: &mut Criterion) {
         });
     });
     g.bench_function("precond_setup_block_jacobi_ic0_x8", |b| {
-        b.iter(|| std::hint::black_box(BlockJacobiPrecond::new(a, 8, BlockSolve::Ic0)));
+        b.iter(|| std::hint::black_box(BlockJacobiPrecond::new(a, 8)));
     });
     g.finish();
 }

@@ -9,7 +9,7 @@
 use brainshift_bench::problem_with_equations;
 use brainshift_fem::{assemble_stiffness, DirichletStructure, MaterialTable};
 use brainshift_sparse::partition::even_offsets;
-use brainshift_sparse::{gmres, BlockJacobiPrecond, BlockSolve, CsrMatrix, SolverOptions, TripletBuilder};
+use brainshift_sparse::{gmres, BlockJacobiPrecond, CsrMatrix, SolverOptions, TripletBuilder};
 
 /// Build the penalty system: `K + β diag(constrained)` with rhs `β u_c`.
 fn penalty_system(k: &CsrMatrix, dof_values: &std::collections::HashMap<usize, f64>, beta: f64) -> (CsrMatrix, Vec<f64>) {
@@ -41,7 +41,7 @@ fn main() {
     // --- Substitution (the paper). ---
     let red = DirichletStructure::new(&k, &p.bcs.nodes_sorted()).expect("boundary nodes are mesh nodes");
     let (u_c, rhs) = p.zero_load_rhs(&red);
-    let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ic0).expect("singular diagonal block");
+    let pc = BlockJacobiPrecond::new(&red.matrix, blocks).expect("singular diagonal block");
     let mut x = vec![0.0; red.matrix.nrows()];
     let s_sub = gmres(&red.matrix, &pc, &rhs, &mut x, &opts).expect("dims agree");
     let mut sub_full = vec![0.0; ndof];
@@ -61,7 +61,7 @@ fn main() {
     for beta_factor in [1e4, 1e8] {
         let beta = kmax * beta_factor;
         let (kp, rhs) = penalty_system(&k, &p.bcs.dof_values(), beta);
-        let pc = BlockJacobiPrecond::new(&kp, blocks, BlockSolve::Ic0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(&kp, blocks).expect("singular diagonal block");
         let mut xp = vec![0.0; ndof];
         let sp = gmres(&kp, &pc, &rhs, &mut xp, &opts).expect("dims agree");
         // Accuracy vs the substitution solution on free DOFs.

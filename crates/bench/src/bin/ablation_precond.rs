@@ -9,8 +9,8 @@
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::MachineModel;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, IdentityPrecond, JacobiPrecond,
-    KrylovWorkspace, Preconditioner, SolveStats, SolverOptions,
+    conjugate_gradient, gmres, BlockJacobiPrecond, IdentityPrecond, JacobiPrecond, KrylovWorkspace,
+    Preconditioner, SolveStats, SolverOptions,
 };
 
 fn main() {
@@ -67,12 +67,12 @@ fn main() {
     let s = run_gmres(&JacobiPrecond::new(&red.matrix));
     report("gmres + jacobi", &s, red.matrix.nrows() as f64);
     for blocks in [4usize, 16] {
-        let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ic0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(&red.matrix, blocks).expect("singular diagonal block");
         let s = run_gmres(&pc);
         report(&format!("gmres + block-jacobi/ic0 x{blocks}"), &s, 4.0 * nnz);
     }
     for blocks in [4usize, 16] {
-        let pc = BlockJacobiPrecond::new(&red.matrix, blocks, BlockSolve::Ic0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(&red.matrix, blocks).expect("singular diagonal block");
         report(&format!("cg    + block-jacobi/ic0 x{blocks}"), &run_cg(&pc), 4.0 * nnz);
     }
     report("cg    + jacobi", &run_cg(&JacobiPrecond::new(&red.matrix)), red.matrix.nrows() as f64);

@@ -28,7 +28,6 @@ struct ClassStats {
     kind: ScenarioKind,
     cases: usize,
     degraded: usize,
-    mean_latency_ms: f64,
     mean_gt_peak_mm: f64,
     mean_recovered_peak_mm: f64,
     warm: usize,
@@ -44,7 +43,6 @@ fn class_stats(report: &SuiteReport) -> Vec<ClassStats> {
                 kind,
                 cases: rs.len(),
                 degraded: rs.iter().filter(|r| r.status == ScanStatus::Degraded).count(),
-                mean_latency_ms: rs.iter().map(|r| r.latency_s * 1e3).sum::<f64>() / n,
                 mean_gt_peak_mm: rs.iter().map(|r| r.gt_peak_mm).sum::<f64>() / n,
                 mean_recovered_peak_mm: rs.iter().map(|r| r.recovered_peak_mm).sum::<f64>() / n,
                 warm: rs.iter().filter(|r| r.warm).count(),
@@ -104,7 +102,6 @@ fn main() {
                 .with("cases", c.cases.into())
                 .with("degraded", c.degraded.into())
                 .with("warm_serves", c.warm.into())
-                .with("mean_latency_ms", c.mean_latency_ms.into())
                 .with("mean_gt_peak_mm", c.mean_gt_peak_mm.into())
                 .with("mean_recovered_peak_mm", c.mean_recovered_peak_mm.into())
         })

@@ -12,13 +12,15 @@
 //! is the quantity the registration pipeline actually consumes.
 
 use brainshift_cluster::{distributed_solve, run_ranks, RankSystem};
-use brainshift_fem::{DirichletBcs, DirichletStructure, FemSolveConfig, MaterialTable, SolverContext};
+use brainshift_fem::{
+    DirichletBcs, DirichletStructure, FemSolveConfig, MaterialTable, SolverContext, BLOCKS,
+};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKind};
 pub use brainshift_scenario::RecoveryPoint;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, partition::even_offsets, BlockJacobiPrecond, BlockSolve, KrylovKind,
+    conjugate_gradient, gmres, partition::even_offsets, BlockJacobiPrecond, KrylovKind,
     KrylovWorkspace, SolverOptions,
 };
 
@@ -34,9 +36,6 @@ pub struct DifferentialOptions {
     pub tolerance: f64,
     /// Iteration cap for every path.
     pub max_iterations: usize,
-    /// Block count of the block-Jacobi/IC(0) preconditioner for the
-    /// shared-memory paths.
-    pub blocks: usize,
     /// Rank counts for the distributed CG paths.
     pub ranks: Vec<usize>,
 }
@@ -46,7 +45,6 @@ impl Default for DifferentialOptions {
         DifferentialOptions {
             tolerance: 1e-10,
             max_iterations: 20_000,
-            blocks: 4,
             ranks: vec![1, 2, 4, 8],
         }
     }
@@ -145,8 +143,9 @@ pub fn run_differential(
         .expect("BCs were used to build the structure");
 
     let a = &structure.matrix;
-    let pc = BlockJacobiPrecond::new(a, opts.blocks.min(nfree).max(1), BlockSolve::Ic0)
-        .expect("reduced stiffness blocks are non-singular");
+    // The shared-memory paths factor the context's preconditioner again:
+    // block-Jacobi IC(0) on `BLOCKS` blocks.
+    let pc = BlockJacobiPrecond::new(a, BLOCKS).expect("reduced stiffness blocks are non-singular");
 
     let mut paths: Vec<PathField> = Vec::new();
 

@@ -18,8 +18,8 @@
 //! 2. the reduced free-free block `K_ff` and the boundary-coupling block
 //!    `K_fc` (so each scan's load vector is one sparse product,
 //!    `f = −K_fc·u_c`);
-//! 3. the factored preconditioner for `K_ff` (block-Jacobi IC(0) by
-//!    default);
+//! 3. the factored preconditioner for `K_ff` (block-Jacobi IC(0) on
+//!    [`BLOCKS`] blocks);
 //! 4. a [`KrylovWorkspace`] reused across solves (no per-scan vector
 //!    allocation; the GMRES basis only if the context solves with GMRES).
 //!
@@ -39,13 +39,13 @@ use crate::assembly::assemble_stiffness;
 use crate::bc::{DirichletBcs, DirichletStructure};
 use crate::error::FemError;
 use crate::material::MaterialTable;
-use crate::solver::{build_preconditioner, FemSolution, FemSolveConfig};
+use crate::solver::{FemSolution, FemSolveConfig, BLOCKS};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_obs::Stopwatch;
 use brainshift_sparse::{
-    conjugate_gradient, gmres_with_workspace, CsrMatrix, KrylovKind, KrylovWorkspace,
-    Preconditioner, SolverOptions,
+    conjugate_gradient, gmres_with_workspace, BlockJacobiPrecond, CsrMatrix, KrylovKind,
+    KrylovWorkspace, Preconditioner, SolverOptions,
 };
 use std::sync::Arc;
 
@@ -95,7 +95,7 @@ pub struct SolverContext {
     num_nodes: usize,
     k: Arc<CsrMatrix>,
     structure: DirichletStructure,
-    precond: Box<dyn Preconditioner>,
+    precond: BlockJacobiPrecond,
     workspace: KrylovWorkspace,
     /// Previous reduced solution; seeds the next solve.
     prev_x: Vec<f64>,
@@ -153,7 +153,7 @@ impl SolverContext {
         let mut sw = Stopwatch::wall();
         let structure = DirichletStructure::new(&k, constrained_nodes)?;
         let reduction_s = sw.lap_s();
-        let precond = build_preconditioner(cfg.precond, &structure.matrix)?;
+        let precond = BlockJacobiPrecond::new(&structure.matrix, BLOCKS)?;
         let factorization_s = sw.lap_s();
         let nfree = structure.num_free();
         let nc = structure.num_constrained();
@@ -217,7 +217,7 @@ impl SolverContext {
         }
         let seed_snapshot = self.prev_x.clone();
         let opts = opts_override.unwrap_or(&self.cfg.options);
-        let (a, pc, ws) = (&self.structure.matrix, self.precond.as_ref(), &mut self.workspace);
+        let (a, pc, ws) = (&self.structure.matrix, &self.precond, &mut self.workspace);
         let sw = Stopwatch::wall();
         let stats = match self.cfg.krylov {
             KrylovKind::ConjugateGradient => conjugate_gradient(a, pc, &self.rhs, &mut self.prev_x, opts, ws)?,

@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn wraps_lower_layers_with_source() {
-        let e = FemError::from(SparseError::SingularBlock { block: 1, rows: (0, 3), shifted: true });
+        let e = FemError::from(SparseError::SingularBlock { block: 1, rows: (0, 3) });
         assert!(e.to_string().contains("singular"));
         assert!(std::error::Error::source(&e).is_some());
         let e = FemError::from(MeshError::InvertedTet { tet: 0, volume: -1.0 });

@@ -40,5 +40,5 @@ pub use material::{Material, MaterialTable};
 pub use simulate::{simulate_assemble_solve, SimTimings};
 pub use stress::{evaluate_stress, summarize, ElementState, StressSummary};
 pub use solver::{
-    solve_deformation, solve_with_loads, FemSolveConfig, FemSolution, KrylovKind, PrecondKind,
+    solve_deformation, solve_with_loads, FemSolveConfig, FemSolution, KrylovKind, BLOCKS,
 };

@@ -18,7 +18,7 @@ use brainshift_cluster::{MachineModel, SimCluster};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_sparse::partition::{even_offsets, part_of};
-use brainshift_sparse::{gmres, BlockJacobiPrecond, BlockSolve, SolverOptions};
+use brainshift_sparse::{gmres, BlockJacobiPrecond, SolverOptions};
 
 /// Relative-residual tolerance of the real solve (PETSc's default rtol).
 const TOLERANCE: f64 = 1e-5;
@@ -174,7 +174,7 @@ pub fn simulate_assemble_solve(
     let eff_blocks = red_offsets.len() - 1;
 
     // One incomplete-factorization block per rank, as PETSc defaults.
-    let precond = BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets, BlockSolve::Ic0)?;
+    let precond = BlockJacobiPrecond::from_offsets(&structure.matrix, &red_offsets)?;
     let mut x = vec![0.0; nfree];
     let solver = SolverOptions {
         tolerance: TOLERANCE,

@@ -20,37 +20,20 @@ use crate::error::FemError;
 use crate::material::MaterialTable;
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
-use brainshift_sparse::{
-    BlockJacobiPrecond, BlockSolve, CsrMatrix, IdentityPrecond, JacobiPrecond, Preconditioner,
-    SolveStats, SolverOptions,
-};
+use brainshift_sparse::{SolveStats, SolverOptions};
 pub use brainshift_sparse::KrylovKind;
 
-/// Which preconditioner to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrecondKind {
-    /// No preconditioning.
-    None,
-    /// Point-Jacobi (diagonal) preconditioning.
-    Jacobi,
-    /// The paper's choice: one block per CPU; blocks solved with IC(0)
-    /// (on the symmetric `K_ff`, PETSc's default ILU(0) sub-solver) or
-    /// exact dense LU for small systems.
-    BlockJacobi {
-        /// Number of diagonal blocks (one per CPU in the paper).
-        blocks: usize,
-        /// How each block is solved (IC(0) or exact dense LU).
-        solve: BlockSolve,
-    },
-}
+/// Block-Jacobi block count of every FEM solve (the paper puts one block
+/// on each CPU). Each block is factored with IC(0) — on the symmetric
+/// `K_ff`, the operator of PETSc's default ILU(0) sub-preconditioner.
+pub const BLOCKS: usize = 4;
 
 /// Full solver configuration.
 #[derive(Debug, Clone)]
 pub struct FemSolveConfig {
-    /// Krylov method: CG for the SPD `K_ff`, or the paper's GMRES.
+    /// Krylov method: CG for the SPD `K_ff`, or the paper's GMRES; both
+    /// on block-Jacobi IC(0) with [`BLOCKS`] blocks.
     pub krylov: KrylovKind,
-    /// Preconditioner.
-    pub precond: PrecondKind,
     /// Tolerance / iteration budget / restart length / wall-clock
     /// budget. A solve that does not converge within them is final.
     pub options: SolverOptions,
@@ -60,7 +43,6 @@ impl Default for FemSolveConfig {
     fn default() -> Self {
         FemSolveConfig {
             krylov: KrylovKind::ConjugateGradient,
-            precond: PrecondKind::BlockJacobi { blocks: 4, solve: BlockSolve::Ic0 },
             options: SolverOptions::default(),
         }
     }
@@ -83,23 +65,6 @@ pub struct FemSolution {
     /// Size of the full system before substitution (the paper's quoted
     /// 77 511 / 253 308 "equations").
     pub total_equations: usize,
-}
-
-/// Build the requested preconditioner for a reduced matrix. Returns
-/// [`FemError::Sparse`] when a block-Jacobi block is singular (the
-/// matrix itself is defective — no Krylov method can recover).
-pub fn build_preconditioner(
-    kind: PrecondKind,
-    k: &CsrMatrix,
-) -> Result<Box<dyn Preconditioner>, FemError> {
-    Ok(match kind {
-        PrecondKind::None => Box::new(IdentityPrecond),
-        PrecondKind::Jacobi => Box::new(JacobiPrecond::new(k)),
-        PrecondKind::BlockJacobi { blocks, solve } => {
-            let blocks = blocks.min(k.nrows()).max(1);
-            Box::new(BlockJacobiPrecond::new(k, blocks, solve)?)
-        }
-    })
 }
 
 /// Solve the volumetric deformation problem: elastic body `mesh` with

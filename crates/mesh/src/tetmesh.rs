@@ -60,17 +60,6 @@ impl TetMesh {
         (self.nodes[a] + self.nodes[b] + self.nodes[c] + self.nodes[d]) * 0.25
     }
 
-    /// For every node, the list of tetrahedra touching it.
-    pub fn node_to_tets(&self) -> Vec<Vec<usize>> {
-        let mut map = vec![Vec::new(); self.num_nodes()];
-        for (t, tet) in self.tets.iter().enumerate() {
-            for &n in tet {
-                map[n].push(t);
-            }
-        }
-        map
-    }
-
     /// Node adjacency (nodes sharing a tet edge), sorted and deduplicated.
     pub fn node_adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.num_nodes()];

@@ -66,9 +66,6 @@ pub struct SuiteCaseRecord {
     pub gt_peak_mm: f64,
     /// Peak of the recovered field, mm.
     pub recovered_peak_mm: f64,
-    /// Submission-to-completion latency, seconds (wall clock — varies
-    /// between runs; excluded from the determinism oracle).
-    pub latency_s: f64,
 }
 
 /// Aggregate result of one suite run.
@@ -180,7 +177,6 @@ pub fn run_scenario_suite(cfg: &SuiteConfig) -> SuiteReport {
             fem_iterations: outcome.fem_iterations,
             gt_peak_mm: case.stats.peak_displacement_mm,
             recovered_peak_mm: outcome.field.max_magnitude(),
-            latency_s: outcome.latency.as_secs_f64(),
         });
     }
     report.script = service.script();

@@ -1,8 +1,7 @@
 //! Dense vector kernels and a small dense LU factorization.
 //!
 //! The Krylov solvers are built on these BLAS-1 style kernels; the dense LU
-//! supports exact block solves in the block-Jacobi preconditioner (used for
-//! small blocks and for tests; large blocks use IC(0)).
+//! is the reference direct solve the iterative solvers are checked against.
 
 use rayon::prelude::*;
 
@@ -151,11 +150,6 @@ impl DenseLu {
             }
         }
         Some(DenseLu { n, lu, piv })
-    }
-
-    /// Heap footprint of the stored factors, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.lu.as_slice()) + std::mem::size_of_val(self.piv.as_slice())
     }
 
     /// Solve `A x = b`, writing x into `out`.

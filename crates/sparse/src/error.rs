@@ -44,16 +44,14 @@ pub enum SparseError {
         /// Length actually supplied.
         got: usize,
     },
-    /// A diagonal block of a block-Jacobi preconditioner is singular and
-    /// could not be factorized — previously this was silently replaced
+    /// A diagonal block of a block-Jacobi preconditioner has a zero row
+    /// and cannot be factorized — previously this was silently replaced
     /// by an identity factor, masking the singular system.
     SingularBlock {
         /// Index of the offending block.
         block: usize,
         /// Row range `(lo, hi)` of the block in the global matrix.
         rows: (usize, usize),
-        /// Whether a diagonal-shift retry was attempted before giving up.
-        shifted: bool,
     },
     /// A symmetric factorization (IC(0)) was handed a matrix whose
     /// sparsity pattern is not symmetric: entry `(row, col)` is stored
@@ -85,16 +83,8 @@ impl fmt::Display for SparseError {
             SparseError::DimensionMismatch { what, expected, got } => {
                 write!(f, "{what} has length {got} but the operator requires {expected}")
             }
-            SparseError::SingularBlock { block, rows, shifted } => {
-                if *shifted {
-                    write!(
-                        f,
-                        "diagonal block {block} (rows {}..{}) is singular even after a diagonal-shift retry",
-                        rows.0, rows.1
-                    )
-                } else {
-                    write!(f, "diagonal block {block} (rows {}..{}) is singular", rows.0, rows.1)
-                }
+            SparseError::SingularBlock { block, rows } => {
+                write!(f, "diagonal block {block} (rows {}..{}) is singular", rows.0, rows.1)
             }
             SparseError::AsymmetricPattern { row, col } => write!(
                 f,
@@ -112,12 +102,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_mentions_block_and_shift() {
-        let e = SparseError::SingularBlock { block: 2, rows: (4, 8), shifted: true };
-        let s = e.to_string();
-        assert!(s.contains("block 2") && s.contains("shift"), "{s}");
-        let e = SparseError::SingularBlock { block: 0, rows: (0, 3), shifted: false };
-        assert!(!e.to_string().contains("retry"));
+    fn display_names_the_block_and_its_rows() {
+        let s = SparseError::SingularBlock { block: 2, rows: (4, 8) }.to_string();
+        assert!(s.contains("block 2") && s.contains("rows 4..8"), "{s}");
     }
 
     #[test]

@@ -358,7 +358,7 @@ pub fn gmres_with_workspace(
 mod tests {
     use super::*;
     use crate::csr::{CsrMatrix, TripletBuilder};
-    use crate::precond::{BlockJacobiPrecond, BlockSolve, Ic0, IdentityPrecond, JacobiPrecond};
+    use crate::precond::{BlockJacobiPrecond, Ic0, IdentityPrecond, JacobiPrecond};
     use rand::{Rng, SeedableRng};
 
     // The entry points return `Result` (dimension mismatches are typed
@@ -536,7 +536,7 @@ mod tests {
         let opts = SolverOptions { tolerance: 1e-8, max_iterations: 5000, ..Default::default() };
         let mut iters = Vec::new();
         for nb in [1usize, 4, 16] {
-            let p = BlockJacobiPrecond::new(&a, nb, BlockSolve::DenseLu).unwrap();
+            let p = BlockJacobiPrecond::new(&a, nb).unwrap();
             let mut x = vec![0.0; n];
             let s = gmres(&a, &p, &b, &mut x, &opts);
             assert!(s.converged(), "nb={nb}: {s:?}");
@@ -608,9 +608,6 @@ mod tests {
                 // preconditioned residual can vanish while r doesn't.
                 z.iter_mut().for_each(|v| *v = 0.0);
                 z[0] = r[0];
-            }
-            fn name(&self) -> &'static str {
-                "liar"
             }
         }
         use crate::precond::Preconditioner;
@@ -738,9 +735,6 @@ mod tests {
         impl Preconditioner for Annihilator {
             fn apply(&self, _r: &[f64], z: &mut [f64]) {
                 z.iter_mut().for_each(|v| *v = 0.0);
-            }
-            fn name(&self) -> &'static str {
-                "annihilator"
             }
         }
         use crate::precond::Preconditioner;

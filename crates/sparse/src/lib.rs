@@ -2,7 +2,7 @@
 //!
 //! From-scratch replacement for the slice of PETSc the paper uses: CSR
 //! storage with a concurrent-friendly triplet builder, BLAS-1 kernels, a
-//! dense LU for small blocks, preconditioned CG and restarted GMRES, and
+//! reference dense LU, preconditioned CG and restarted GMRES, and
 //! Jacobi / block-Jacobi / IC(0) preconditioners, plus the row-partitioning
 //! helpers that drive the parallel decomposition (and its load imbalance,
 //! the central subject of the paper's §3.2).
@@ -28,6 +28,6 @@ pub use csr::{CsrMatrix, TripletBuilder};
 pub use error::SparseError;
 pub use gmres::{gmres, gmres_with_workspace, KrylovWorkspace};
 pub use precond::{
-    BlockJacobiPrecond, BlockSolve, Ic0, IdentityPrecond, JacobiPrecond, Preconditioner,
+    BlockJacobiPrecond, Ic0, IdentityPrecond, JacobiPrecond, Preconditioner,
 };
 pub use solver::{KrylovKind, LinearOperator, SolveStats, SolverOptions, StopReason};

@@ -8,7 +8,6 @@
 //! triangle instead of two; point Jacobi and identity serve the ablations.
 
 use crate::csr::CsrMatrix;
-use crate::dense::DenseLu;
 use crate::error::SparseError;
 use rayon::prelude::*;
 
@@ -16,8 +15,6 @@ use rayon::prelude::*;
 pub trait Preconditioner: Send + Sync {
     /// Apply `z = M⁻¹ r`.
     fn apply(&self, r: &[f64], z: &mut [f64]);
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
     /// Approximate heap footprint of the factored operator, in bytes.
     /// Drives the serving layer's memory-budgeted context cache; the
     /// default (0) is correct for stateless operators.
@@ -33,9 +30,6 @@ pub struct IdentityPrecond;
 impl Preconditioner for IdentityPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
-    }
-    fn name(&self) -> &'static str {
-        "none"
     }
 }
 
@@ -64,9 +58,6 @@ impl Preconditioner for JacobiPrecond {
         for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
             *zi = ri * di;
         }
-    }
-    fn name(&self) -> &'static str {
-        "jacobi"
     }
     fn memory_bytes(&self) -> usize {
         std::mem::size_of_val(self.inv_diag.as_slice())
@@ -267,69 +258,36 @@ impl Preconditioner for Ic0 {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         self.solve(r, z);
     }
-    fn name(&self) -> &'static str {
-        "ic0"
-    }
     fn memory_bytes(&self) -> usize {
         self.u.memory_bytes() + std::mem::size_of_val(self.scale.as_slice())
     }
 }
 
-/// How each diagonal block of the block-Jacobi preconditioner is solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockSolve {
-    /// Exact dense LU (only sensible for small blocks).
-    DenseLu,
-    /// IC(0) on the block: on a symmetric block, the operator of PETSc's
-    /// default ILU(0) sub-preconditioner.
-    Ic0,
-}
-
-enum BlockFactor {
-    Dense(DenseLu),
-    Ic(Ic0),
-}
-
 /// Block-Jacobi: the matrix's diagonal blocks — one per partition / "CPU"
-/// in the paper — are factorized independently and applied in parallel.
-/// Off-block coupling is ignored, which is what makes it embarrassingly
-/// parallel and also why its iteration count grows with block count.
+/// in the paper — are each factored with IC(0) (on a symmetric block, the
+/// operator of PETSc's default ILU(0) sub-preconditioner) and applied in
+/// parallel. Off-block coupling is ignored, which is what makes it
+/// embarrassingly parallel and also why its iteration count grows with
+/// block count.
+#[derive(Debug)]
 pub struct BlockJacobiPrecond {
     /// Block row ranges `(lo, hi)`.
     ranges: Vec<(usize, usize)>,
-    factors: Vec<BlockFactor>,
-    /// How many blocks needed a diagonal-shift retry to factorize.
-    shifted_blocks: usize,
-}
-
-impl std::fmt::Debug for BlockJacobiPrecond {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockJacobiPrecond")
-            .field("ranges", &self.ranges)
-            .field("shifted_blocks", &self.shifted_blocks)
-            .finish_non_exhaustive()
-    }
+    factors: Vec<Ic0>,
 }
 
 impl BlockJacobiPrecond {
     /// Build from explicit block boundaries. `offsets` must start at 0,
     /// end at `a.nrows()`, and be strictly increasing.
     ///
-    /// A singular diagonal block surfaces as
-    /// [`SparseError::SingularBlock`]: a dense block that fails LU is
-    /// retried once with a small diagonal shift (reported via
-    /// [`num_shifted_blocks`](Self::num_shifted_blocks)); if the shifted
-    /// block still fails — or the block has a structurally zero row — the
-    /// error is returned instead of the historical silent identity
-    /// fallback, which masked singular systems behind a preconditioner
-    /// that quietly destroyed convergence. An IC(0) block whose pattern
-    /// is not symmetric is [`SparseError::AsymmetricPattern`], in the
-    /// matrix's own row and column numbers.
-    pub fn from_offsets(
-        a: &CsrMatrix,
-        offsets: &[usize],
-        solve: BlockSolve,
-    ) -> Result<Self, SparseError> {
+    /// A block with a structurally or numerically zero row is
+    /// [`SparseError::SingularBlock`] — not the historical silent
+    /// identity fallback, which masked singular systems behind a
+    /// preconditioner that quietly destroyed convergence. A block whose
+    /// pattern is not symmetric is [`SparseError::AsymmetricPattern`], in
+    /// the matrix's own row and column numbers. When several blocks
+    /// fail, the error is the first failing block's in row order.
+    pub fn from_offsets(a: &CsrMatrix, offsets: &[usize]) -> Result<Self, SparseError> {
         let invalid = |reason: String| SparseError::InvalidOffsets { reason };
         if offsets.len() < 2 {
             return Err(invalid(format!("need at least 2 offsets, got {}", offsets.len())));
@@ -350,87 +308,39 @@ impl BlockJacobiPrecond {
                 return Err(invalid(format!("empty block {r:?}")));
             }
         }
-        let factors: Vec<Result<(BlockFactor, bool), SparseError>> = ranges
+        let factors: Vec<Result<Ic0, SparseError>> = ranges
             .par_iter()
             .enumerate()
             .map(|(bi, &(lo, hi))| {
                 let block = a.principal_submatrix(lo, hi);
-                let singular = |shifted| SparseError::SingularBlock {
-                    block: bi,
-                    rows: (lo, hi),
-                    shifted,
-                };
-                // A structurally/numerically zero row makes the block
-                // singular regardless of the factorization used (IC(0)'s
-                // pivot floors would otherwise paper over it).
-                let n = hi - lo;
-                for i in 0..n {
-                    let (_, vals) = block.row(i);
-                    if vals.iter().all(|v| v.abs() < 1e-300) {
-                        return Err(singular(false));
+                // A zero row makes the block singular; IC(0)'s pivot
+                // floors would otherwise paper over it.
+                for i in 0..hi - lo {
+                    if block.row(i).1.iter().all(|v| v.abs() < 1e-300) {
+                        return Err(SparseError::SingularBlock {
+                            block: bi,
+                            rows: (lo, hi),
+                        });
                     }
                 }
-                match solve {
-                    BlockSolve::DenseLu => {
-                        let mut dense = vec![0.0; n * n];
-                        let mut max_abs = 0.0f64;
-                        for i in 0..n {
-                            let (cols, vals) = block.row(i);
-                            for (&c, &v) in cols.iter().zip(vals) {
-                                dense[i * n + c] = v;
-                                max_abs = max_abs.max(v.abs());
-                            }
-                        }
-                        if let Some(lu) = DenseLu::factorize(&dense, n) {
-                            return Ok((BlockFactor::Dense(lu), false));
-                        }
-                        // One retry with a relative diagonal shift, the
-                        // standard remedy for a numerically singular but
-                        // structurally sound block.
-                        let alpha = 1e-8 * max_abs;
-                        if alpha <= 0.0 {
-                            return Err(singular(false));
-                        }
-                        for i in 0..n {
-                            dense[i * n + i] += alpha;
-                        }
-                        match DenseLu::factorize(&dense, n) {
-                            Some(lu) => Ok((BlockFactor::Dense(lu), true)),
-                            None => Err(singular(true)),
-                        }
-                    }
-                    BlockSolve::Ic0 => match Ic0::new(&block) {
-                        Ok(ic) => Ok((BlockFactor::Ic(ic), false)),
-                        Err(SparseError::AsymmetricPattern { row, col }) => {
-                            Err(SparseError::AsymmetricPattern { row: row + lo, col: col + lo })
-                        }
-                        Err(e) => Err(e),
+                Ic0::new(&block).map_err(|e| match e {
+                    SparseError::AsymmetricPattern { row, col } => SparseError::AsymmetricPattern {
+                        row: row + lo,
+                        col: col + lo,
                     },
-                }
+                    e => e,
+                })
             })
             .collect();
-        let mut shifted_blocks = 0;
-        let mut out = Vec::with_capacity(factors.len());
-        for f in factors {
-            let (factor, shifted) = f?;
-            shifted_blocks += usize::from(shifted);
-            out.push(factor);
-        }
-        Ok(BlockJacobiPrecond { ranges, factors: out, shifted_blocks })
+        let factors = factors.into_iter().collect::<Result<_, _>>()?;
+        Ok(BlockJacobiPrecond { ranges, factors })
     }
 
     /// Evenly split the rows into `nblocks` contiguous blocks (the paper's
     /// "approximately equal numbers of mesh nodes to each CPU"). The block
-    /// count is clamped to the row count when it exceeds it.
-    pub fn new(a: &CsrMatrix, nblocks: usize, solve: BlockSolve) -> Result<Self, SparseError> {
-        let offsets = crate::partition::even_offsets(a.nrows(), nblocks);
-        Self::from_offsets(a, &offsets, solve)
-    }
-
-    /// How many blocks required a diagonal-shift retry during
-    /// factorization (0 for a cleanly factorizable matrix).
-    pub fn num_shifted_blocks(&self) -> usize {
-        self.shifted_blocks
+    /// count is clamped to `1..=a.nrows()`.
+    pub fn new(a: &CsrMatrix, nblocks: usize) -> Result<Self, SparseError> {
+        Self::from_offsets(a, &crate::partition::even_offsets(a.nrows(), nblocks))
     }
 }
 
@@ -447,23 +357,13 @@ impl Preconditioner for BlockJacobiPrecond {
             pieces.push((piece, &r[lo..hi]));
             rest = tail;
         }
-        pieces.par_iter_mut().zip(self.factors.par_iter()).for_each(|((z, r), factor)| match factor {
-            BlockFactor::Dense(lu) => lu.solve(r, z),
-            BlockFactor::Ic(ic) => ic.solve(r, z),
-        });
-    }
-    fn name(&self) -> &'static str {
-        "block-jacobi"
+        pieces
+            .par_iter_mut()
+            .zip(self.factors.par_iter())
+            .for_each(|((z, r), ic)| ic.solve(r, z));
     }
     fn memory_bytes(&self) -> usize {
-        let factors: usize = self
-            .factors
-            .iter()
-            .map(|f| match f {
-                BlockFactor::Dense(lu) => lu.memory_bytes(),
-                BlockFactor::Ic(ic) => ic.memory_bytes(),
-            })
-            .sum();
+        let factors: usize = self.factors.iter().map(Ic0::memory_bytes).sum();
         factors + std::mem::size_of_val(self.ranges.as_slice())
     }
 }
@@ -650,7 +550,7 @@ mod tests {
             big.add(i, i, 4.0);
         }
         big.add(5, 2, -1.0);
-        let e = BlockJacobiPrecond::from_offsets(&big.build(), &[0, 2, 6], BlockSolve::Ic0).unwrap_err();
+        let e = BlockJacobiPrecond::from_offsets(&big.build(), &[0, 2, 6]).unwrap_err();
         assert_eq!(e, SparseError::AsymmetricPattern { row: 5, col: 2 });
         let e = Ic0::new(&CsrMatrix::from_raw(1, 2, vec![0, 1], vec![0], vec![1.0]).unwrap());
         assert!(matches!(e, Err(SparseError::DimensionMismatch { .. })), "{e:?}");
@@ -660,28 +560,24 @@ mod tests {
     fn block_jacobi_solves_in_place_what_its_blocks_solve_alone() {
         let a = tridiag(23);
         let r: Vec<f64> = (0..23).map(|i| (i as f64 * 0.7).sin()).collect();
-        for solve in [BlockSolve::DenseLu, BlockSolve::Ic0] {
-            let p = BlockJacobiPrecond::from_offsets(&a, &[0, 5, 6, 16, 23], solve).unwrap();
-            // Stale output must be overwritten everywhere.
-            let mut z = vec![f64::NAN; 23];
-            p.apply(&r, &mut z);
-            for (&(lo, hi), factor) in p.ranges.iter().zip(&p.factors) {
-                let mut alone = vec![0.0; hi - lo];
-                match factor {
-                    BlockFactor::Dense(lu) => lu.solve(&r[lo..hi], &mut alone),
-                    BlockFactor::Ic(ic) => ic.solve(&r[lo..hi], &mut alone),
-                }
-                for (a, b) in z[lo..hi].iter().zip(&alone) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "block ({lo}, {hi})");
-                }
+        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 5, 6, 16, 23]).unwrap();
+        // Stale output must be overwritten everywhere.
+        let mut z = vec![f64::NAN; 23];
+        p.apply(&r, &mut z);
+        for (&(lo, hi), ic) in p.ranges.iter().zip(&p.factors) {
+            let mut alone = vec![0.0; hi - lo];
+            ic.solve(&r[lo..hi], &mut alone);
+            for (a, b) in z[lo..hi].iter().zip(&alone) {
+                assert_eq!(a.to_bits(), b.to_bits(), "block ({lo}, {hi})");
             }
         }
     }
 
     #[test]
-    fn block_jacobi_single_block_dense_is_exact() {
+    fn block_jacobi_single_block_is_exact_on_a_tridiagonal_matrix() {
+        // One IC(0) block of a fill-free matrix is its Cholesky factor.
         let a = tridiag(10);
-        let p = BlockJacobiPrecond::new(&a, 1, BlockSolve::DenseLu).unwrap();
+        let p = BlockJacobiPrecond::new(&a, 1).unwrap();
         let x_true: Vec<f64> = (0..10).map(|i| i as f64 * 0.1).collect();
         let mut b = vec![0.0; 10];
         a.spmv(&x_true, &mut b);
@@ -695,9 +591,8 @@ mod tests {
     #[test]
     fn block_jacobi_many_blocks_is_approximate_but_spd_like() {
         let a = tridiag(16);
-        let p = BlockJacobiPrecond::new(&a, 4, BlockSolve::DenseLu).unwrap();
+        let p = BlockJacobiPrecond::new(&a, 4).unwrap();
         assert_eq!(p.ranges.len(), 4);
-        assert_eq!(p.num_shifted_blocks(), 0);
         let r = vec![1.0; 16];
         let mut z = vec![0.0; 16];
         p.apply(&r, &mut z);
@@ -708,58 +603,38 @@ mod tests {
     #[test]
     fn block_offsets_respected() {
         let a = tridiag(10);
-        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 3, 10], BlockSolve::Ic0).unwrap();
+        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 3, 10]).unwrap();
         assert_eq!(p.ranges, vec![(0, 3), (3, 10)]);
     }
 
     #[test]
     fn bad_offsets_are_rejected() {
         let a = tridiag(4);
-        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 5], BlockSolve::Ic0);
+        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 5]);
         assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })), "{e:?}");
-        let e = BlockJacobiPrecond::from_offsets(&a, &[1, 4], BlockSolve::Ic0);
+        let e = BlockJacobiPrecond::from_offsets(&a, &[1, 4]);
         assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })));
-        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 2, 2, 4], BlockSolve::Ic0);
+        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 2, 2, 4]);
         assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })));
     }
 
     #[test]
     fn singular_block_surfaces_as_error_not_identity() {
-        // Row 2 is entirely zero: block (2..4) is singular. Before the
-        // fix this produced a silent identity factor.
-        let mut b = TripletBuilder::new(4, 4);
-        b.add(0, 0, 2.0);
-        b.add(1, 1, 2.0);
-        b.add(2, 2, 0.0);
-        b.add(3, 3, 2.0);
-        let a = b.build();
-        for solve in [BlockSolve::DenseLu, BlockSolve::Ic0] {
-            let e = BlockJacobiPrecond::from_offsets(&a, &[0, 2, 4], solve);
-            match e {
-                Err(SparseError::SingularBlock { block, rows, .. }) => {
-                    assert_eq!(block, 1);
-                    assert_eq!(rows, (2, 4));
-                }
-                other => panic!("expected SingularBlock, got {other:?}"),
+        // A diagonal matrix of 2s whose listed rows are entirely zero.
+        let zero_rows = |n: usize, zero: &[usize]| {
+            let mut b = TripletBuilder::new(n, n);
+            for i in 0..n {
+                b.add(i, i, if zero.contains(&i) { 0.0 } else { 2.0 });
             }
-        }
-    }
-
-    #[test]
-    fn near_singular_dense_block_recovers_via_shift() {
-        // A rank-deficient 2×2 block (duplicate rows) that is dense-LU
-        // singular but has non-zero entries: the one-shot diagonal shift
-        // must rescue it and be reported.
-        let mut b = TripletBuilder::new(2, 2);
-        b.add(0, 0, 1.0);
-        b.add(0, 1, 1.0);
-        b.add(1, 0, 1.0);
-        b.add(1, 1, 1.0);
-        let a = b.build();
-        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 2], BlockSolve::DenseLu).unwrap();
-        assert_eq!(p.num_shifted_blocks(), 1);
-        let mut z = vec![0.0; 2];
-        p.apply(&[1.0, 1.0], &mut z);
-        assert!(z.iter().all(|v| v.is_finite()));
+            b.build()
+        };
+        // Row 2 is zero: block (2..4) is singular. Before the fix this
+        // produced a silent identity factor.
+        let e = BlockJacobiPrecond::from_offsets(&zero_rows(4, &[2]), &[0, 2, 4]).unwrap_err();
+        assert_eq!(e, SparseError::SingularBlock { block: 1, rows: (2, 4) });
+        // Rows 1 and 4 are zero: blocks 0 and 2 both fail, and the error
+        // names the lower one whatever order the blocks factor in.
+        let e = BlockJacobiPrecond::from_offsets(&zero_rows(6, &[1, 4]), &[0, 2, 4, 6]).unwrap_err();
+        assert_eq!(e, SparseError::SingularBlock { block: 0, rows: (0, 2) });
     }
 }

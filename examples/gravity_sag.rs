@@ -15,14 +15,14 @@
 use brainshift_bench::phantom_labels;
 use brainshift_fem::{
     assemble_gravity, evaluate_stress, solve_with_loads, summarize, DirichletBcs, FemSolveConfig,
-    KrylovKind, MaterialTable, PrecondKind,
+    KrylovKind, MaterialTable,
 };
 use brainshift_imaging::labels;
 use brainshift_imaging::phantom::BrainShiftConfig;
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
-use brainshift_sparse::{BlockSolve, SolverOptions};
+use brainshift_sparse::SolverOptions;
 
 fn main() {
     println!("gravity-driven brain sag");
@@ -77,9 +77,9 @@ fn main() {
         f[3 * n + 2] = w.z * shares[n];
     }
 
+    // The paper's GMRES, on the solve's block-Jacobi IC(0) preconditioner.
     let cfg = FemSolveConfig {
         krylov: KrylovKind::Gmres,
-        precond: PrecondKind::BlockJacobi { blocks: 8, solve: BlockSolve::Ic0 },
         options: SolverOptions { tolerance: 1e-8, max_iterations: 5000, ..Default::default() },
     };
     let sol = solve_with_loads(&mesh, &mats, &bcs, &f, &cfg).expect("valid BC set");

@@ -186,6 +186,15 @@ if grep -rnE 'Ilu0|ilu0' crates tests examples; then
   exit 1
 fi
 
+# One preconditioner: every FEM solve factors block-Jacobi IC(0) on
+# `fem::BLOCKS` blocks (on the symmetric K_ff, the paper's block-Jacobi
+# ILU(0)), built in the context only. The preconditioner selector, the
+# dense-LU block solve and its diagonal-shift retry do not come back.
+if grep -rnwE 'PrecondKind|BlockSolve|BlockFactor|build_preconditioner|num_shifted_blocks' crates tests examples; then
+  echo "a removed preconditioner option is back: block-Jacobi IC(0) on fem::BLOCKS blocks is the one FEM preconditioner" >&2
+  exit 1
+fi
+
 # One Krylov loop, serial and distributed: the distributed solve runs
 # sparse's CG and GMRES on a rank operator whose reductions are
 # allreduces (DESIGN §2), so the workspace holds exactly one Arnoldi
@@ -202,7 +211,8 @@ if grep -rnE '\b(distributed_gmres|distributed_gmres_ghosted|distributed_gmres_i
 fi
 
 # One reduced system: `DirichletStructure` is the only Dirichlet
-# substitution. The context builds it, the simulated cluster borrows it
+# substitution. The context builds it and factors the one even-split
+# block-Jacobi preconditioner on it, the simulated cluster borrows it
 # and runs the crate's only direct GMRES (per-rank block-Jacobi, the
 # Fig 7–9 model), and neither the second and third forms of the reduction
 # nor the dead RCM and eigenvalue code come back (DESIGN §3, §16).
@@ -219,6 +229,7 @@ while read -r call home; do
   fi
 done <<'EOF'
 DirichletStructure::new( context.rs
+BlockJacobiPrecond::new( context.rs
 gmres( simulate.rs
 EOF
 

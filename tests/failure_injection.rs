@@ -3,8 +3,9 @@
 //!
 //! Six families, matching the failure policy in DESIGN.md:
 //!
-//! 1. A singular preconditioner block is a [`SparseError::SingularBlock`],
-//!    never a silently wrong answer (the historical identity fallback).
+//! 1. A block-Jacobi IC(0) block with a zero row is a
+//!    [`SparseError::SingularBlock`] naming that block, never a silently
+//!    wrong answer (the historical identity fallback).
 //! 2. A malformed mesh (inverted element, sliver) is rejected when the
 //!    FEM solver context is built, before any cycles are spent on it.
 //! 3. A solver non-convergence mid-sequence degrades exactly that scan —
@@ -32,9 +33,7 @@ use brainshift_imaging::Vec3;
 use brainshift_mesh::error::MeshError;
 use brainshift_mesh::TetMesh;
 use brainshift_service::{EventKind, JobOutcome, Rejected, ScanJob, Service, ServiceConfig, ServiceError};
-use brainshift_sparse::{
-    BlockJacobiPrecond, BlockSolve, CsrMatrix, SparseError, StopReason, TripletBuilder,
-};
+use brainshift_sparse::{BlockJacobiPrecond, CsrMatrix, SparseError, StopReason, TripletBuilder};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,8 +69,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Whatever the sparsity pattern and however the rows are split into
-    /// blocks, a structurally zero row must surface as
-    /// `SingularBlock { shifted: false }` — not as a factorization that
+    /// IC(0) blocks, a structurally zero row must surface as the
+    /// `SingularBlock` that holds it — not as a factorization that
     /// quietly acts like the identity on that block.
     #[test]
     fn singular_block_is_an_error_not_a_wrong_answer(
@@ -82,32 +81,15 @@ proptest! {
     ) {
         let dead = dead % n;
         let a = spd_with_dead_row(n, &edges, dead);
-        let r = BlockJacobiPrecond::new(&a, nblocks, BlockSolve::DenseLu);
+        let r = BlockJacobiPrecond::new(&a, nblocks);
         match r {
-            Err(SparseError::SingularBlock { rows: (lo, hi), shifted, .. }) => {
+            Err(SparseError::SingularBlock { rows: (lo, hi), .. }) => {
                 prop_assert!(lo <= dead && dead < hi,
                     "reported block rows {lo}..{hi} do not contain the dead row {dead}");
-                prop_assert!(!shifted, "a zero row is not recoverable by a diagonal shift");
             }
             other => prop_assert!(false, "expected SingularBlock, got {other:?}"),
         }
     }
-}
-
-#[test]
-fn numerically_singular_block_recovers_via_diagonal_shift() {
-    // Two identical rows: rank-deficient but structurally sound, so the
-    // one-shot relative diagonal shift must rescue the factorization and
-    // record that it did.
-    let mut b = TripletBuilder::new(2, 2);
-    b.add(0, 0, 1.0);
-    b.add(0, 1, 1.0);
-    b.add(1, 0, 1.0);
-    b.add(1, 1, 1.0);
-    let a = b.build();
-    let pc = BlockJacobiPrecond::new(&a, 1, BlockSolve::DenseLu)
-        .expect("shift retry should rescue a duplicated-row block");
-    assert_eq!(pc.num_shifted_blocks(), 1);
 }
 
 // ───────────────────────── malformed meshes ─────────────────────────

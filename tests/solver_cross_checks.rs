@@ -10,8 +10,8 @@ use brainshift_imaging::Vec3;
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
 use brainshift_sparse::dense::DenseLu;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, BlockJacobiPrecond, BlockSolve, Ic0, JacobiPrecond, KrylovKind,
-    KrylovWorkspace, SolverOptions,
+    conjugate_gradient, gmres, BlockJacobiPrecond, Ic0, JacobiPrecond, KrylovKind, KrylovWorkspace,
+    SolverOptions,
 };
 
 fn small_mesh() -> brainshift_mesh::TetMesh {
@@ -79,7 +79,7 @@ fn block_jacobi_block_count_does_not_change_solution() {
     let opts = SolverOptions { tolerance: 1e-11, max_iterations: 20_000, ..Default::default() };
     let mut reference: Option<Vec<f64>> = None;
     for blocks in [1usize, 2, 5] {
-        let pc = BlockJacobiPrecond::new(&a, blocks, BlockSolve::Ic0).expect("singular diagonal block");
+        let pc = BlockJacobiPrecond::new(&a, blocks).expect("singular diagonal block");
         let mut x = vec![0.0; a.nrows()];
         let s = gmres(&a, &pc, &rhs, &mut x, &opts).expect("dims agree");
         assert!(s.converged(), "blocks={blocks}");

@@ -6,10 +6,10 @@
 //! fold to the arithmetic of the hand-rolled path it replaced.
 
 use brainshift_core::{generate_scan_sequence, PipelineConfig};
-use brainshift_fem::solver::build_preconditioner;
 use brainshift_fem::{
     assemble_gravity, assemble_stiffness, solve_deformation, solve_with_loads, DirichletBcs,
     DirichletStructure, FemError, FemSolution, FemSolveConfig, MaterialTable, SolverContext,
+    BLOCKS,
 };
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
@@ -18,7 +18,7 @@ use brainshift_mesh::{
     boundary_nodes, extract_boundary, mesh_labeled_volume, MesherConfig, TetMesh,
 };
 use brainshift_scenario::{generate_scenario, ScenarioKind};
-use brainshift_sparse::{conjugate_gradient, KrylovWorkspace, SolverOptions};
+use brainshift_sparse::{conjugate_gradient, BlockJacobiPrecond, KrylovWorkspace, SolverOptions};
 use proptest::prelude::*;
 
 fn block_mesh(n: usize) -> TetMesh {
@@ -187,10 +187,10 @@ fn hand_rolled_cold_solve(
     let mut u_c = vec![0.0; reduced.num_constrained()];
     let mut rhs = vec![0.0; reduced.num_free()];
     reduced.rhs_into(bcs, Some(loads), &mut u_c, &mut rhs).expect("right-hand side");
-    let precond = build_preconditioner(cfg.precond, &reduced.matrix).expect("precondition");
+    let precond = BlockJacobiPrecond::new(&reduced.matrix, BLOCKS).expect("precondition");
     let mut x = vec![0.0; reduced.matrix.nrows()];
     let mut ws = KrylovWorkspace::new(x.len());
-    let stats = conjugate_gradient(&reduced.matrix, precond.as_ref(), &rhs, &mut x, &cfg.options, &mut ws)
+    let stats = conjugate_gradient(&reduced.matrix, &precond, &rhs, &mut x, &cfg.options, &mut ws)
         .expect("dims agree");
     let mut full = vec![0.0; k.nrows()];
     reduced.expand_solution_into(&x, &u_c, &mut full);
