@@ -1,8 +1,10 @@
 //! Criterion: the Krylov solve under each preconditioner — the host-side
 //! counterpart of the paper's solve curves and the preconditioner
-//! ablation.
+//! ablation. Block Jacobi factors `fem::BLOCKS` blocks, as every FEM
+//! solve does.
 
 use brainshift_bench::problem_with_equations;
+use brainshift_fem::BLOCKS;
 use brainshift_sparse::{
     conjugate_gradient, gmres, BlockJacobiPrecond, IdentityPrecond, JacobiPrecond, KrylovWorkspace,
     SolverOptions,
@@ -33,8 +35,8 @@ fn bench_solvers(c: &mut Criterion) {
             assert!(s.converged());
         });
     });
-    g.bench_function("gmres_block_jacobi_ic0_x8", |b| {
-        let pc = BlockJacobiPrecond::new(a, 8).expect("singular diagonal block");
+    g.bench_function(format!("gmres_block_jacobi_ic0_x{BLOCKS}"), |b| {
+        let pc = BlockJacobiPrecond::new(a, BLOCKS).expect("singular diagonal block");
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
             let s = gmres(a, &pc, &rhs, &mut x, &opts).expect("dims agree");
@@ -50,8 +52,8 @@ fn bench_solvers(c: &mut Criterion) {
             assert!(s.converged());
         });
     });
-    g.bench_function("cg_block_jacobi_ic0_x8", |b| {
-        let pc = BlockJacobiPrecond::new(a, 8).expect("singular diagonal block");
+    g.bench_function(format!("cg_block_jacobi_ic0_x{BLOCKS}"), |b| {
+        let pc = BlockJacobiPrecond::new(a, BLOCKS).expect("singular diagonal block");
         let mut ws = KrylovWorkspace::new(a.nrows());
         b.iter(|| {
             let mut x = vec![0.0; a.nrows()];
@@ -59,8 +61,8 @@ fn bench_solvers(c: &mut Criterion) {
             assert!(s.converged());
         });
     });
-    g.bench_function("precond_setup_block_jacobi_ic0_x8", |b| {
-        b.iter(|| std::hint::black_box(BlockJacobiPrecond::new(a, 8)));
+    g.bench_function(format!("precond_setup_block_jacobi_ic0_x{BLOCKS}"), |b| {
+        b.iter(|| std::hint::black_box(BlockJacobiPrecond::new(a, BLOCKS)));
     });
     g.finish();
 }

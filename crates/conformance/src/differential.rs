@@ -12,16 +12,13 @@
 //! is the quantity the registration pipeline actually consumes.
 
 use brainshift_cluster::{distributed_solve, run_ranks, RankSystem};
-use brainshift_fem::{
-    DirichletBcs, DirichletStructure, FemSolveConfig, MaterialTable, SolverContext, BLOCKS,
-};
+use brainshift_fem::{DirichletBcs, DirichletStructure, FemSolveConfig, MaterialTable, SolverContext};
 use brainshift_imaging::Vec3;
 use brainshift_mesh::TetMesh;
 use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKind};
 pub use brainshift_scenario::RecoveryPoint;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, partition::even_offsets, BlockJacobiPrecond, KrylovKind,
-    KrylovWorkspace, SolverOptions,
+    conjugate_gradient, gmres, partition::even_offsets, KrylovKind, KrylovWorkspace, SolverOptions,
 };
 
 /// Rank count of the one distributed GMRES path (`distributed-gmres-p4`).
@@ -143,16 +140,16 @@ pub fn run_differential(
         .expect("BCs were used to build the structure");
 
     let a = &structure.matrix;
-    // The shared-memory paths factor the context's preconditioner again:
-    // block-Jacobi IC(0) on `BLOCKS` blocks.
-    let pc = BlockJacobiPrecond::new(a, BLOCKS).expect("reduced stiffness blocks are non-singular");
+    // The shared-memory paths precondition with the context's factor:
+    // block-Jacobi IC(0) on `fem::BLOCKS` blocks.
+    let pc = ctx.preconditioner();
 
     let mut paths: Vec<PathField> = Vec::new();
 
     // 1. Cold restarted GMRES — the paper's configuration.
     {
         let mut x = vec![0.0; nfree];
-        let stats = gmres(a, &pc, &rhs, &mut x, &sopts).expect("reduced system dims agree");
+        let stats = gmres(a, pc, &rhs, &mut x, &sopts).expect("reduced system dims agree");
         paths.push(PathField {
             name: "gmres".into(),
             field: expand_to_nodes(structure, &x, &u_c, num_nodes),
@@ -168,7 +165,7 @@ pub fn run_differential(
         let mut x = vec![0.0; nfree];
         let mut ws = KrylovWorkspace::new(nfree);
         let stats =
-            conjugate_gradient(a, &pc, &rhs, &mut x, &sopts, &mut ws).expect("reduced system dims agree");
+            conjugate_gradient(a, pc, &rhs, &mut x, &sopts, &mut ws).expect("reduced system dims agree");
         paths.push(PathField {
             name: "cg".into(),
             field: expand_to_nodes(structure, &x, &u_c, num_nodes),

@@ -176,7 +176,7 @@ impl PreparedSurgery {
             return Err(Error::Pipeline("reference segmentation produced an empty mesh".into()));
         }
         // Assembled first, while the mesh is the only other large thing
-        // alive, so the assembly's triplet buffers never coexist with the
+        // alive, so the assembly's block scratch never coexists with the
         // classifier's distance channels or the snap temporaries.
         mesh.validate().map_err(FemError::from)?;
         let sw = Stopwatch::wall();

@@ -3,59 +3,171 @@
 //! The paper assembles `K` in parallel by "sending approximately equal
 //! numbers of mesh nodes to each CPU"; because "different mesh nodes can
 //! have different connectivity", per-CPU work differs — the assembly load
-//! imbalance of §3.2. We provide (a) a real parallel assembly over threads
-//! and (b) the per-rank work accounting the simulated cluster prices.
+//! imbalance of §3.2. We provide (a) a real parallel assembly over node
+//! ranges and (b) the per-rank work accounting the simulated cluster prices.
 
 use crate::element::{stiffness_isotropic, TetShape, FLOPS_PER_ELEMENT};
 use crate::material::MaterialTable;
 use brainshift_mesh::TetMesh;
-use brainshift_sparse::{CsrMatrix, TripletBuilder};
+use brainshift_sparse::partition::even_offsets;
+use brainshift_sparse::CsrMatrix;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Assemble the global stiffness matrix `K` (3N × 3N) for a mesh and
 /// material table. Degenerate elements are skipped.
+///
+/// The nodes are split into one contiguous range per thread, as in the
+/// paper, and each range owns the 3×3 node-pair blocks of its own rows.
+/// A range walks the tets in ascending order, computes `Kᵉ` for every tet
+/// with a node in it (a tet spanning two ranges is computed by both) and
+/// adds that tet's nonzero entries of its rows into their blocks. So each
+/// value is the sum of its nonzero contributions in ascending tet order —
+/// the same bits at any thread count — and an entry is stored if and only
+/// if some tet gave it a nonzero contribution, columns ascending.
 pub fn assemble_stiffness(mesh: &TetMesh, materials: &MaterialTable) -> CsrMatrix {
-    let ndof = mesh.num_equations();
-    // Parallel over chunks of elements, one TripletBuilder per chunk,
-    // merged at the end (rayon's data-parallel idiom from the guides).
-    let chunk = 2048.max(mesh.num_tets() / (rayon::current_num_threads() * 4).max(1));
-    let builders: Vec<TripletBuilder> = mesh
-        .tets
-        .par_chunks(chunk)
-        .zip(mesh.tet_labels.par_chunks(chunk))
-        .map(|(tets, tet_labels)| {
-            let mut b = TripletBuilder::with_capacity(ndof, ndof, tets.len() * 144);
-            for (tet, &label) in tets.iter().zip(tet_labels) {
-                let p = [
-                    mesh.nodes[tet[0]],
-                    mesh.nodes[tet[1]],
-                    mesh.nodes[tet[2]],
-                    mesh.nodes[tet[3]],
-                ];
-                let Ok(shape) = TetShape::new(p) else { continue };
-                let mat = materials.of(label);
-                let ke = stiffness_isotropic(&shape, &mat);
-                for (i, &ni) in tet.iter().enumerate() {
-                    for (j, &nj) in tet.iter().enumerate() {
-                        for a in 0..3 {
-                            for c in 0..3 {
-                                let v = ke[3 * i + a][3 * j + c];
-                                if v != 0.0 {
-                                    b.add(3 * ni + a, 3 * nj + c, v);
-                                }
-                            }
+    let pattern = NodePattern::new(mesh);
+    let slots = 9 * pattern.neighbours.len();
+    let mut blocks = vec![0.0; slots];
+    let mut touched = vec![false; slots];
+    let offsets = even_offsets(mesh.num_nodes(), rayon::current_num_threads());
+    let mut ranges = Vec::with_capacity(offsets.len() - 1);
+    let (mut blocks_rest, mut touched_rest) = (blocks.as_mut_slice(), touched.as_mut_slice());
+    for w in offsets.windows(2) {
+        let len = 9 * (pattern.start[w[1]] - pattern.start[w[0]]);
+        let (b, b_tail) = blocks_rest.split_at_mut(len);
+        let (t, t_tail) = touched_rest.split_at_mut(len);
+        ranges.push((w[0]..w[1], b, t));
+        (blocks_rest, touched_rest) = (b_tail, t_tail);
+    }
+    ranges
+        .par_iter_mut()
+        .for_each(|(nodes, b, t)| scatter_range(mesh, materials, &pattern, nodes.clone(), b, t));
+    pattern.compact(&blocks, &touched)
+}
+
+/// The 3×3-block pattern of `K`: for each node, the sorted nodes that
+/// share a tet with it, the node itself included.
+struct NodePattern {
+    /// `neighbours[start[n]..start[n + 1]]` are node `n`'s neighbours.
+    start: Vec<usize>,
+    neighbours: Vec<usize>,
+}
+
+impl NodePattern {
+    fn new(mesh: &TetMesh) -> Self {
+        let n = mesh.num_nodes();
+        // Node → tet incidence, by counting.
+        let mut tet_start = vec![0usize; n + 1];
+        for tet in &mesh.tets {
+            for &v in tet {
+                tet_start[v + 1] += 1;
+            }
+        }
+        for v in 0..n {
+            tet_start[v + 1] += tet_start[v];
+        }
+        let mut fill = tet_start.clone();
+        let mut incident = vec![0usize; tet_start[n]];
+        for (t, tet) in mesh.tets.iter().enumerate() {
+            for &v in tet {
+                incident[fill[v]] = t;
+                fill[v] += 1;
+            }
+        }
+        // Each node's neighbours, made unique by a stamp, then sorted.
+        let mut stamp = vec![usize::MAX; n];
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        let mut neighbours = Vec::new();
+        for v in 0..n {
+            let first = neighbours.len();
+            stamp[v] = v;
+            neighbours.push(v);
+            for &t in &incident[tet_start[v]..tet_start[v + 1]] {
+                for &m in &mesh.tets[t] {
+                    if stamp[m] != v {
+                        stamp[m] = v;
+                        neighbours.push(m);
+                    }
+                }
+            }
+            neighbours[first..].sort_unstable();
+            start.push(neighbours.len());
+        }
+        NodePattern { start, neighbours }
+    }
+
+    /// CSR of the touched block entries: row `3n + a` lists, for each
+    /// neighbour `m` of `n` in order, columns `3m + c` whose slot was
+    /// touched.
+    fn compact(&self, blocks: &[f64], touched: &[bool]) -> CsrMatrix {
+        let ndof = 3 * (self.start.len() - 1);
+        let nnz = touched.iter().filter(|&&t| t).count();
+        let mut indptr = Vec::with_capacity(ndof + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        for w in self.start.windows(2) {
+            for a in 0..3 {
+                for k in w[0]..w[1] {
+                    let col = 3 * self.neighbours[k];
+                    for c in 0..3 {
+                        let s = 9 * k + 3 * a + c;
+                        if touched[s] {
+                            indices.push(col + c);
+                            values.push(blocks[s]);
+                        }
+                    }
+                }
+                indptr.push(indices.len());
+            }
+        }
+        CsrMatrix::from_raw(ndof, ndof, indptr, indices, values)
+            .expect("compacted rows have sorted, unique, in-range columns")
+    }
+}
+
+/// Add the nonzero `Kᵉ` entries of the rows of `nodes` into their blocks,
+/// tet by tet in ascending order. `blocks` and `touched` are the slots of
+/// those rows, starting at node `nodes.start`'s first block.
+fn scatter_range(
+    mesh: &TetMesh,
+    materials: &MaterialTable,
+    pattern: &NodePattern,
+    nodes: Range<usize>,
+    blocks: &mut [f64],
+    touched: &mut [bool],
+) {
+    let base = pattern.start[nodes.start];
+    for (tet, &label) in mesh.tets.iter().zip(&mesh.tet_labels) {
+        if !tet.iter().any(|n| nodes.contains(n)) {
+            continue;
+        }
+        let Ok(shape) = TetShape::new(tet.map(|n| mesh.nodes[n])) else { continue };
+        let ke = stiffness_isotropic(&shape, &materials.of(label));
+        for (i, &ni) in tet.iter().enumerate() {
+            if !nodes.contains(&ni) {
+                continue;
+            }
+            let row = pattern.start[ni]..pattern.start[ni + 1];
+            let row_neighbours = &pattern.neighbours[row.clone()];
+            for (j, nj) in tet.iter().enumerate() {
+                // Every node of a tet is in each of its nodes' lists.
+                let Ok(k) = row_neighbours.binary_search(nj) else { continue };
+                let slot = 9 * (row.start + k - base);
+                for a in 0..3 {
+                    for c in 0..3 {
+                        let v = ke[3 * i + a][3 * j + c];
+                        if v != 0.0 {
+                            blocks[slot + 3 * a + c] += v;
+                            touched[slot + 3 * a + c] = true;
                         }
                     }
                 }
             }
-            b
-        })
-        .collect();
-    let mut all = TripletBuilder::new(ndof, ndof);
-    for b in builders {
-        all.merge(b);
+        }
     }
-    all.build()
 }
 
 /// Per-rank assembly work (flops) under a contiguous *node* partition
@@ -95,7 +207,6 @@ mod tests {
     use brainshift_imaging::labels;
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{mesh_labeled_volume, MesherConfig};
-    use brainshift_sparse::partition::even_offsets;
 
     pub(crate) fn block_mesh(n: usize) -> TetMesh {
         let seg = Volume::from_fn(Dims::new(n, n, n), Spacing::iso(1.0), |_, _, _| labels::BRAIN);

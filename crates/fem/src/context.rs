@@ -314,6 +314,12 @@ impl SolverContext {
         &self.structure
     }
 
+    /// The factored preconditioner of `K_ff`: block-Jacobi IC(0) on
+    /// [`BLOCKS`] blocks.
+    pub fn preconditioner(&self) -> &BlockJacobiPrecond {
+        &self.precond
+    }
+
     /// Unknowns in the reduced system.
     pub fn reduced_equations(&self) -> usize {
         self.structure.num_free()

@@ -2,8 +2,9 @@
 //!
 //! The paper solves `K u = f` (77 511 and 253 308 equations) with PETSc;
 //! this module is the storage layer of our from-scratch replacement. FEM
-//! assembly produces triplets concurrently, which [`TripletBuilder`]
-//! compresses into CSR with duplicate summation.
+//! assembly scatters into its node-pair pattern and compacts to CSR
+//! itself; [`TripletBuilder`] compresses ad-hoc `(row, col, value)` lists
+//! into CSR with duplicate summation, for tests and small tools.
 
 use crate::error::SparseError;
 use rayon::prelude::*;
@@ -290,14 +291,6 @@ impl TripletBuilder {
         self.entries.is_empty()
     }
 
-    /// Merge another builder's triplets (used to combine per-thread
-    /// builders after parallel assembly).
-    pub fn merge(&mut self, other: TripletBuilder) {
-        debug_assert_eq!(self.nrows, other.nrows);
-        debug_assert_eq!(self.ncols, other.ncols);
-        self.entries.extend(other.entries);
-    }
-
     /// Compress to CSR, summing duplicate coordinates.
     pub fn build(mut self) -> CsrMatrix {
         self.entries
@@ -434,19 +427,6 @@ mod tests {
         let mut y = vec![0.0; 5];
         i.spmv(&x, &mut y);
         assert_eq!(x, y);
-    }
-
-    #[test]
-    fn merge_combines_builders() {
-        let mut a = TripletBuilder::new(2, 2);
-        a.add(0, 0, 1.0);
-        let mut b = TripletBuilder::new(2, 2);
-        b.add(0, 0, 2.0);
-        b.add(1, 0, 3.0);
-        a.merge(b);
-        let m = a.build();
-        assert_eq!(m.get(0, 0), 3.0);
-        assert_eq!(m.get(1, 0), 3.0);
     }
 
     #[test]

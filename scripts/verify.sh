@@ -57,12 +57,14 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # boundary to the whole volume's field bits, with and without the
 # fallback, and its band-only distance force to the whole-volume
 # transform's exact cells: the guard's flag must not depend on the
-# thread count either.
+# thread count either. The assembly-order suite holds every entry of `K`
+# to the left-to-right sum of its contributions in ascending tet order,
+# bit for bit, so `K` is the same bits at either count.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
   RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise --test shared_stiffness \
-    --test band_classify
+    --test band_classify --test assembly_order
 done
 
 # Service stage: the serving layer, all of it — core/queue/cache unit
@@ -195,6 +197,15 @@ if grep -rnwE 'PrecondKind|BlockSolve|BlockFactor|build_preconditioner|num_shift
   exit 1
 fi
 
+# The conformance differential's shared-memory paths precondition with
+# the context's own factor (`SolverContext::preconditioner`); they do not
+# factor a second one.
+n=$(for f in $(find crates/conformance/src -name '*.rs'); do non_test "$f"; done | grep -cF 'BlockJacobiPrecond::new(' || true)
+if [ "$n" -ne 0 ]; then
+  echo "found $n non-test 'BlockJacobiPrecond::new(' in crates/conformance/src: use the context's preconditioner" >&2
+  exit 1
+fi
+
 # One Krylov loop, serial and distributed: the distributed solve runs
 # sparse's CG and GMRES on a rank operator whose reductions are
 # allreduces (DESIGN §2), so the workspace holds exactly one Arnoldi
@@ -284,6 +295,16 @@ if [ "$n" -ne 1 ] || [ "$m" -ne 1 ]; then
   echo "expected exactly one non-test 'assemble_stiffness(' call in crates/core/src, in surgery.rs; found $n ($m in surgery.rs)" >&2
   exit 1
 fi
+# The assembly scatters each tet's 3×3 node-pair blocks into the rows of
+# the node range that owns them and sums every entry in ascending tet
+# order (DESIGN §19), so `K`'s bits depend on no sort and no thread
+# count. No triplet list and no sort come back into the FEM or core crates.
+for f in crates/fem/src/*.rs crates/core/src/*.rs; do
+  if non_test "$f" | grep -nE '\b(TripletBuilder|par_sort_unstable_by)\b'; then
+    echo "a triplet list or a sort is back in $f: assemble by scattering into the node-pair pattern" >&2
+    exit 1
+  fi
+done
 for f in crates/service/src/*.rs; do
   if non_test "$f" | grep -nF 'assemble_stiffness('; then
     echo "the service assembles a stiffness matrix ($f): share the surgery's" >&2
