@@ -2,7 +2,10 @@
 //!
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §4 for the experiment index). The binaries in
-//! `src/bin/` print the same rows/series the paper reports; the criterion
+//! `src/bin/` print the same rows/series the paper reports: one per
+//! figure for Figs 4–6, one for the modelled machines and timings of
+//! Figs 3 and 7–9 (`scaling_figures`, the only reader of the timing-table
+//! printers below) and one per ablation or cross-check. The criterion
 //! benches in `benches/` cover kernel-level performance.
 
 #![warn(missing_docs)]

@@ -26,7 +26,7 @@ pub use case::{generate_elastic_case, ElasticCase, ElasticCaseOptions};
 pub use error::Error;
 pub use metrics::{field_error, intensity_residual, structure_overlaps, FieldErrorReport, ResidualReport};
 pub use sequence::{
-    generate_scan_sequence, run_scan_sequence, run_scan_sequence_with_faults, FaultInjection,
+    generate_scan_sequence, run_scan_sequence_with_faults, FaultInjection,
     ScanOutcome, ScanSequence, ScanStatus, SequenceResult,
 };
 pub use pipeline::{

@@ -146,14 +146,10 @@ pub struct FaultInjection {
 /// Hard failures (malformed mesh, singular preconditioner) are returned
 /// as [`Error`]; a scan whose solver merely fails to converge degrades
 /// gracefully — see [`ScanStatus::Degraded`].
-pub fn run_scan_sequence(seq: &ScanSequence, cfg: &PipelineConfig) -> Result<SequenceResult, Error> {
-    run_scan_sequence_with_faults(seq, cfg, &FaultInjection::default())
-}
-
-/// [`run_scan_sequence`] with deterministic fault injection: scans listed
-/// in `faults.fail_fem_scans` are solved with a starved iteration budget.
-/// Used to exercise the degradation path; production callers use
-/// [`run_scan_sequence`].
+///
+/// Scans listed in `faults.fail_fem_scans` are solved with a starved
+/// iteration budget, to exercise the degradation path; pass
+/// `&FaultInjection::default()` to inject none.
 pub fn run_scan_sequence_with_faults(
     seq: &ScanSequence,
     cfg: &PipelineConfig,
@@ -282,7 +278,7 @@ mod tests {
         // ONE preconditioner factorization, with every scan after the
         // first warm-started.
         let seq = small_seq(3, 3);
-        let res = run_scan_sequence(&seq, &PipelineConfig { skip_rigid: true, ..Default::default() }).expect("sequence failed");
+        let res = run_scan_sequence_with_faults(&seq, &PipelineConfig { skip_rigid: true, ..Default::default() }, &FaultInjection::default()).expect("sequence failed");
         let s = res.solver_stats;
         assert_eq!(s.assemblies, 1, "stiffness reassembled mid-surgery");
         assert_eq!(s.factorizations, 1, "preconditioner refactored mid-surgery");
@@ -301,7 +297,7 @@ mod tests {
     #[test]
     fn sequence_registration_tracks_growing_shift() {
         let seq = small_seq(3, 3);
-        let outcomes = run_scan_sequence(&seq, &PipelineConfig { skip_rigid: true, ..Default::default() }).expect("sequence failed").outcomes;
+        let outcomes = run_scan_sequence_with_faults(&seq, &PipelineConfig { skip_rigid: true, ..Default::default() }, &FaultInjection::default()).expect("sequence failed").outcomes;
         assert_eq!(outcomes.len(), 3);
         // Recovered peak deformation grows along the sequence.
         assert!(

@@ -25,7 +25,6 @@ pub mod loads;
 pub mod material;
 pub mod simulate;
 pub mod solver;
-pub mod stress;
 
 pub use assembly::assemble_stiffness;
 pub use bc::{DirichletBcs, DirichletStructure};
@@ -33,12 +32,9 @@ pub use context::{ContextStats, ContextTimings, SolverContext};
 pub use element::{stiffness_btdb, stiffness_isotropic, TetShape};
 pub use error::FemError;
 pub use interpolate::{displacement_field_from_mesh, ResamplePlan};
-pub use loads::{
-    assemble_body_force, assemble_directed_gravity, assemble_gravity, gravity_load_density,
-};
+pub use loads::{assemble_directed_gravity, assemble_gravity};
 pub use material::{Material, MaterialTable};
 pub use simulate::{simulate_assemble_solve, SimTimings};
-pub use stress::{evaluate_stress, summarize, ElementState, StressSummary};
 pub use solver::{
     solve_deformation, solve_with_loads, FemSolveConfig, FemSolution, KrylovKind, BLOCKS,
 };

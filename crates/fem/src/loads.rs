@@ -3,9 +3,10 @@
 //! The paper's energy (Eq. 1) includes externally applied forces; its
 //! pipeline drives the model purely by surface displacements, but the
 //! *physics* of brain shift is gravity acting on tissue once CSF drains.
-//! This module assembles the consistent nodal load vector for a constant
-//! body force per element, enabling gravity-driven simulations (used by
-//! the `gravity_sag` example and as a solver cross-check).
+//! This module assembles the consistent nodal load vector of gravity on
+//! brain tissue, enabling gravity-driven simulations (the gravity-driven
+//! ground truths of `core::case` and the scenario corpus, and a solver
+//! cross-check).
 //!
 //! Units: the stiffness matrix is assembled with E in Pa and lengths in
 //! mm, so forces are in Pa·mm² (µN) and body-force densities in Pa/mm;
@@ -16,26 +17,25 @@ use brainshift_mesh::TetMesh;
 
 /// Convert a mass density (kg/m³) under gravity `g` (m/s², vector) to the
 /// body-force density in the assembler's Pa/mm unit system.
-pub fn gravity_load_density(rho_kg_m3: f64, g_m_s2: Vec3) -> Vec3 {
+fn gravity_load_density(rho_kg_m3: f64, g_m_s2: Vec3) -> Vec3 {
     // ρg [N/m³] × 1e-3 → Pa/mm.
     g_m_s2 * (rho_kg_m3 * 1e-3)
 }
 
 /// Typical brain tissue density, kg/m³.
-pub const BRAIN_DENSITY: f64 = 1040.0;
+const BRAIN_DENSITY: f64 = 1040.0;
 /// Standard gravity pointing along −z, m/s².
-pub fn standard_gravity() -> Vec3 {
+fn standard_gravity() -> Vec3 {
     Vec3::new(0.0, 0.0, -9.81)
 }
 
-/// Assemble the consistent nodal load vector for per-label body-force
-/// densities (Pa/mm): each element spreads `w × V` equally over its four
-/// nodes (exact for linear shape functions and constant force).
-pub fn assemble_body_force(mesh: &TetMesh, density_of: impl Fn(u8) -> Vec3) -> Vec<f64> {
+/// Assemble the consistent nodal load vector for the body-force density
+/// `w` (Pa/mm): each element spreads `w × V` equally over its four nodes
+/// (exact for linear shape functions and constant force).
+fn assemble_body_force(mesh: &TetMesh, w: Vec3) -> Vec<f64> {
     let mut f = vec![0.0; mesh.num_equations()];
     for (t, tet) in mesh.tets.iter().enumerate() {
         let v = mesh.tet_volume(t);
-        let w = density_of(mesh.tet_labels[t]);
         let share = w * (v / 4.0);
         for &n in tet {
             f[3 * n] += share.x;
@@ -49,7 +49,7 @@ pub fn assemble_body_force(mesh: &TetMesh, density_of: impl Fn(u8) -> Vec3) -> V
 /// Uniform gravity load for the whole mesh (brain density everywhere).
 pub fn assemble_gravity(mesh: &TetMesh) -> Vec<f64> {
     let w = gravity_load_density(BRAIN_DENSITY, standard_gravity());
-    assemble_body_force(mesh, |_| w)
+    assemble_body_force(mesh, w)
 }
 
 /// Uniform gravity load along an arbitrary direction: standard gravity
@@ -60,7 +60,7 @@ pub fn assemble_gravity(mesh: &TetMesh) -> Vec<f64> {
 pub fn assemble_directed_gravity(mesh: &TetMesh, dir: Vec3) -> Vec<f64> {
     let g_mag = gravity_load_density(BRAIN_DENSITY, standard_gravity()).norm();
     let w = dir.normalized() * g_mag;
-    assemble_body_force(mesh, |_| w)
+    assemble_body_force(mesh, w)
 }
 
 #[cfg(test)]
@@ -166,7 +166,7 @@ mod tests {
         let mesh = column_mesh(3, 6);
         let solve_for = |rho: f64| -> f64 {
             let w = gravity_load_density(rho, standard_gravity());
-            sag(&mesh, &assemble_body_force(&mesh, |_| w)).iter().fold(0.0f64, |m, &v| m.max(-v))
+            sag(&mesh, &assemble_body_force(&mesh, w)).iter().fold(0.0f64, |m, &v| m.max(-v))
         };
         let sag1 = solve_for(1000.0);
         let sag2 = solve_for(2000.0);

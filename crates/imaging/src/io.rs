@@ -1,8 +1,8 @@
 //! Lightweight image output for figure regeneration.
 //!
-//! The paper's Figures 4 and 5 are visualizations; our quantitative
-//! reproduction writes 2-D slices as binary PGM (P5) files plus raw f32
-//! volumes that external tools can inspect.
+//! The paper's Figure 4 is a visualization; our quantitative reproduction
+//! writes its 2-D slices as binary PGM (P5) files that external tools can
+//! inspect.
 
 use crate::volume::Volume;
 use std::fs::File;
@@ -28,116 +28,6 @@ pub fn write_slice_pgm(vol: &Volume<f32>, z: usize, lo: f32, hi: f32, path: &Pat
     w.flush()
 }
 
-/// Write a label slice as PGM with labels scaled into the gray range.
-pub fn write_label_slice_pgm(vol: &Volume<u8>, z: usize, path: &Path) -> io::Result<()> {
-    let d = vol.dims();
-    assert!(z < d.nz);
-    let max_label = vol.data().iter().copied().max().unwrap_or(1).max(1);
-    let mut w = BufWriter::new(File::create(path)?);
-    writeln!(w, "P5")?;
-    writeln!(w, "{} {}", d.nx, d.ny)?;
-    writeln!(w, "255")?;
-    for y in 0..d.ny {
-        for x in 0..d.nx {
-            let v = *vol.get(x, y, z) as u32 * 255 / max_label as u32;
-            w.write_all(&[v as u8])?;
-        }
-    }
-    w.flush()
-}
-
-/// Write the whole volume as raw little-endian f32, x-fastest.
-pub fn write_raw_f32(vol: &Volume<f32>, path: &Path) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    for &v in vol.data() {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    w.flush()
-}
-
-/// Read back a raw f32 volume written by [`write_raw_f32`].
-pub fn read_raw_f32(dims: crate::volume::Dims, spacing: crate::volume::Spacing, path: &Path) -> io::Result<Volume<f32>> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() != dims.len() * 4 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected {} bytes, found {}", dims.len() * 4, bytes.len()),
-        ));
-    }
-    let data: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    Ok(Volume::from_vec(dims, spacing, data))
-}
-
-/// Write a volume as a detached-header NRRD pair (`.nhdr` + `.raw`) —
-/// the native format of 3D Slicer, the visualization system of the
-/// paper's surgical planning laboratory. The header records dimensions,
-/// spacing and the little-endian f32 encoding of the sibling raw file.
-pub fn write_nrrd_f32(vol: &Volume<f32>, header_path: &Path) -> io::Result<()> {
-    let raw_path = header_path.with_extension("raw");
-    write_raw_f32(vol, &raw_path)?;
-    let d = vol.dims();
-    let sp = vol.spacing();
-    let raw_name = raw_path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "bad raw path"))?;
-    let mut w = BufWriter::new(File::create(header_path)?);
-    writeln!(w, "NRRD0004")?;
-    writeln!(w, "# generated by brainshift")?;
-    writeln!(w, "type: float")?;
-    writeln!(w, "dimension: 3")?;
-    writeln!(w, "space: left-posterior-superior")?;
-    writeln!(w, "sizes: {} {} {}", d.nx, d.ny, d.nz)?;
-    writeln!(
-        w,
-        "space directions: ({},0,0) (0,{},0) (0,0,{})",
-        sp.dx, sp.dy, sp.dz
-    )?;
-    writeln!(w, "kinds: domain domain domain")?;
-    writeln!(w, "endian: little")?;
-    writeln!(w, "encoding: raw")?;
-    writeln!(w, "space origin: (0,0,0)")?;
-    writeln!(w, "data file: {raw_name}")?;
-    w.flush()
-}
-
-/// Write a label volume as an 8-bit detached-header NRRD pair.
-pub fn write_nrrd_labels(vol: &Volume<u8>, header_path: &Path) -> io::Result<()> {
-    let raw_path = header_path.with_extension("raw");
-    {
-        let mut w = BufWriter::new(File::create(&raw_path)?);
-        w.write_all(vol.data())?;
-        w.flush()?;
-    }
-    let d = vol.dims();
-    let sp = vol.spacing();
-    let raw_name = raw_path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "bad raw path"))?;
-    let mut w = BufWriter::new(File::create(header_path)?);
-    writeln!(w, "NRRD0004")?;
-    writeln!(w, "# generated by brainshift (label map)")?;
-    writeln!(w, "type: uint8")?;
-    writeln!(w, "dimension: 3")?;
-    writeln!(w, "space: left-posterior-superior")?;
-    writeln!(w, "sizes: {} {} {}", d.nx, d.ny, d.nz)?;
-    writeln!(
-        w,
-        "space directions: ({},0,0) (0,{},0) (0,0,{})",
-        sp.dx, sp.dy, sp.dz
-    )?;
-    writeln!(w, "kinds: domain domain domain")?;
-    writeln!(w, "endian: little")?;
-    writeln!(w, "encoding: raw")?;
-    writeln!(w, "space origin: (0,0,0)")?;
-    writeln!(w, "data file: {raw_name}")?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,67 +45,6 @@ mod tests {
         assert!(header.contains("8 6"));
         // 8*6 pixels after the header
         assert!(bytes.len() > 48);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn raw_f32_roundtrip() {
-        let v = Volume::from_fn(Dims::new(4, 4, 4), Spacing::iso(1.0), |x, y, z| (x + 2 * y + 3 * z) as f32 * 0.5);
-        let path = std::env::temp_dir().join("brainshift_test_vol.raw");
-        write_raw_f32(&v, &path).unwrap();
-        let back = read_raw_f32(v.dims(), v.spacing(), &path).unwrap();
-        assert_eq!(v.data(), back.data());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn raw_f32_rejects_wrong_size() {
-        let v = Volume::from_fn(Dims::new(2, 2, 2), Spacing::iso(1.0), |_, _, _| 0.0f32);
-        let path = std::env::temp_dir().join("brainshift_test_wrong.raw");
-        write_raw_f32(&v, &path).unwrap();
-        let err = read_raw_f32(Dims::new(3, 3, 3), Spacing::iso(1.0), &path);
-        assert!(err.is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn nrrd_header_fields() {
-        let v = Volume::from_fn(Dims::new(5, 4, 3), Spacing::new(0.9, 0.9, 2.5), |x, _, _| x as f32);
-        let path = std::env::temp_dir().join("brainshift_test_vol.nhdr");
-        write_nrrd_f32(&v, &path).unwrap();
-        let header = std::fs::read_to_string(&path).unwrap();
-        assert!(header.starts_with("NRRD0004"));
-        assert!(header.contains("sizes: 5 4 3"));
-        assert!(header.contains("type: float"));
-        assert!(header.contains("(0.9,0,0)"));
-        assert!(header.contains("data file: brainshift_test_vol.raw"));
-        let raw = std::env::temp_dir().join("brainshift_test_vol.raw");
-        assert_eq!(std::fs::metadata(&raw).unwrap().len(), 5 * 4 * 3 * 4);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&raw).ok();
-    }
-
-    #[test]
-    fn nrrd_labels_roundtrip_bytes() {
-        let mut v: Volume<u8> = Volume::zeros(Dims::new(3, 3, 3), Spacing::iso(1.0));
-        v.set(1, 1, 1, 7);
-        let path = std::env::temp_dir().join("brainshift_test_lab.nhdr");
-        write_nrrd_labels(&v, &path).unwrap();
-        let raw = std::env::temp_dir().join("brainshift_test_lab.raw");
-        let bytes = std::fs::read(&raw).unwrap();
-        assert_eq!(bytes.len(), 27);
-        assert_eq!(bytes[v.dims().index(1, 1, 1)], 7);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&raw).ok();
-    }
-
-    #[test]
-    fn label_slice_writes() {
-        let mut v: Volume<u8> = Volume::zeros(Dims::new(4, 4, 2), Spacing::iso(1.0));
-        v.set(1, 1, 0, 4);
-        let path = std::env::temp_dir().join("brainshift_test_labels.pgm");
-        write_label_slice_pgm(&v, 0, &path).unwrap();
-        assert!(path.exists());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -10,7 +10,6 @@
 
 pub mod error;
 pub mod generator;
-pub mod io;
 pub mod quality;
 pub mod surface_extract;
 pub mod tetmesh;
@@ -18,7 +17,6 @@ pub mod trisurface;
 
 pub use error::MeshError;
 pub use generator::{mesh_labeled_volume, MesherConfig};
-pub use io::write_vtk;
 pub use surface_extract::{boundary_nodes, extract_boundary, extract_boundary_of};
 pub use tetmesh::TetMesh;
 pub use trisurface::TriSurface;

@@ -15,7 +15,6 @@
 //! target must be a single solid region) is [`largest_component`].
 
 use crate::error::SegmentError;
-use crate::features::FeatureStack;
 use crate::knn::{KdTree, KnnScratch, Prototype};
 use crate::prototypes::PrototypeModel;
 use brainshift_imaging::dtransform::label_distance_map;
@@ -97,9 +96,8 @@ pub struct Classification {
 
 /// One scan's weighted feature rows, read in place: the scan's
 /// intensity (weight 1) followed by the per-surgery distance channels
-/// (each weighted by `DISTANCE_WEIGHT`). A row holds the same bits as
-/// [`FeatureStack::vector_at`] on the stack [`Classifier::feature_stack`]
-/// builds.
+/// (each weighted by `DISTANCE_WEIGHT`): the paper's multichannel data
+/// set, one voxel at a time.
 struct FeatureRows<'a> {
     intensity: &'a [f32],
     channels: &'a [Arc<Volume<f32>>],
@@ -182,17 +180,6 @@ impl Classifier {
     /// The recorded prototype sites.
     pub fn model(&self) -> &PrototypeModel {
         &self.model
-    }
-
-    /// The multichannel data set the paper describes for one scan: its
-    /// intensity plus the per-surgery distance channels.
-    pub fn feature_stack(&self, intensity: &Volume<f32>) -> Result<FeatureStack, SegmentError> {
-        self.check_grid(intensity.dims())?;
-        let mut fs = FeatureStack::from_intensity(intensity.clone());
-        for chan in &self.distance_channels {
-            fs.push_shared_channel(chan.clone(), DISTANCE_WEIGHT);
-        }
-        Ok(fs)
     }
 
     /// Classify the listed voxels of one registered intraoperative scan;

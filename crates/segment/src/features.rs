@@ -6,11 +6,9 @@
 //! from the intraoperative MR scan [and] the spatially varying tissue
 //! location model..."
 //!
-//! Channels are reference-counted so the per-surgery constant channels
-//! (the saturated distance maps of the *preoperative* segmentation) are
-//! computed once by [`Classifier::new`](crate::classify::Classifier::new)
-//! and shared into every scan's stack; only the intensity channel
-//! changes per scan. The classification hot loop does not build a
+//! Channels are reference-counted so a constant channel (a saturated
+//! distance map of the *preoperative* segmentation) can be shared between
+//! stacks without copying. The classification hot loop does not build a
 //! stack: [`Classifier::classify`](crate::classify::Classifier::classify)
 //! reads each listed voxel's weighted row straight from the channels.
 

@@ -13,7 +13,6 @@ pub mod classify;
 pub mod confusion;
 pub mod error;
 pub mod features;
-pub mod gaussian;
 pub mod knn;
 pub mod prototypes;
 
@@ -23,6 +22,5 @@ pub use classify::{
 };
 pub use error::SegmentError;
 pub use features::FeatureStack;
-pub use gaussian::GaussianClassifier;
 pub use knn::{k_nearest_brute, KdTree, KnnScratch, Prototype, LEAF_SIZE};
 pub use prototypes::PrototypeModel;

@@ -291,10 +291,10 @@ impl TripletBuilder {
         self.entries.is_empty()
     }
 
-    /// Compress to CSR, summing duplicate coordinates.
+    /// Compress to CSR, summing duplicate coordinates left to right in the
+    /// order they were added (the sort is stable).
     pub fn build(mut self) -> CsrMatrix {
-        self.entries
-            .par_sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        self.entries.sort_by_key(|&(r, c, _)| (r, c));
         let mut indptr = vec![0usize; self.nrows + 1];
         let mut indices: Vec<usize> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
@@ -315,9 +315,6 @@ impl TripletBuilder {
         }
         // Fill gaps for empty rows.
         for i in 1..=self.nrows {
-            if indptr[i] < indptr[i - 1] {
-                indptr[i] = indptr[i - 1];
-            }
             indptr[i] = indptr[i].max(indptr[i - 1]);
         }
         CsrMatrix { nrows: self.nrows, ncols: self.ncols, indptr, indices, values }
@@ -359,6 +356,38 @@ mod tests {
         let m = b.build();
         assert_eq!(m.get(0, 0), 3.5);
         assert_eq!(m.nnz(), 2);
+    }
+
+    #[test]
+    fn duplicates_sum_in_insertion_order() {
+        // 40 coordinates with 10 duplicates each, added in a shuffled
+        // order, with magnitudes from 1e-8 to 1e16 so that each sum's bits
+        // depend on the order of its terms. 400 entries take an unstable
+        // sort past its insertion-sort path, where it reorders equal keys.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            state >> 11
+        };
+        let coords: Vec<(usize, usize)> = (0..40).map(|k| (k % 10, k / 10)).collect();
+        let mut order: Vec<usize> = (0..400).map(|i| i % 40).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, next() as usize % (i + 1));
+        }
+        let mut b = TripletBuilder::new(10, 10);
+        let mut expect = std::collections::BTreeMap::new();
+        for &k in &order {
+            let (r, c) = coords[k];
+            let mag = 10f64.powi((next() % 25) as i32 - 8);
+            let v = mag * (1.0 + (next() % 1000) as f64 / 1000.0) * if next() % 2 == 0 { 1.0 } else { -1.0 };
+            b.add(r, c, v);
+            expect.entry((r, c)).and_modify(|s: &mut f64| *s += v).or_insert(v);
+        }
+        let m = b.build();
+        assert_eq!(m.nnz(), expect.len());
+        for (&(r, c), &s) in &expect {
+            assert_eq!(m.get(r, c).to_bits(), s.to_bits(), "({r}, {c}): {} vs {s}", m.get(r, c));
+        }
     }
 
     #[test]

@@ -34,8 +34,8 @@ fn main() {
     println!("  ground-truth FEM: {} equations, peak shift {:.1} mm\n", case.gt_equations, shift.peak_shift_mm);
 
     // 2. The pipeline, exactly as in the operating room (we skip the MI
-    //    rigid stage because the synthetic scans share a frame; see the
-    //    `neurosurgery_case` example for the full chain).
+    //    rigid stage because the synthetic scans share a frame; see
+    //    `tests/pipeline_end_to_end.rs` for the full chain).
     println!("running intraoperative pipeline...");
     let pipe_cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
     let result = run_pipeline(&case.preop.intensity, &case.preop.labels, &case.intraop.intensity, &pipe_cfg)

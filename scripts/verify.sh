@@ -17,6 +17,13 @@ cargo test -q -p brainshift-core -p brainshift-mesh -p brainshift-register -p br
 # factor to within 0.5 % (about 2 s).
 cargo run -q --release -p brainshift-bench --bin ablation_rigid_affine
 
+# The scaling figures (Figs 3 and 7–9) are one program; Fig 7 at a small
+# size (about 2 s) must still reach the "<10 s total" line. The shapes
+# and numerics of every figure are held by tests/simulated_scaling.rs.
+# Then the one example: the whole pipeline on a synthetic case.
+cargo run -q --release -p brainshift-bench --bin scaling_figures -- 7 20000 | grep -F '=> <10 s total from'
+cargo run -q --release --example quickstart
+
 # Failure paths are part of the contract: run the injection suite
 # explicitly so a filtered test run can't silently skip it.
 cargo test -q --test failure_injection
@@ -143,7 +150,7 @@ cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p bra
 # instead of panicking assert!s — a malformed vector must never take down
 # a worker thread. Doc-comment mentions are fine; anything before a file's
 # test module is not. (The communicator's and the cost model's asserts,
-# cluster/src/{comm,sim}.rs, are still to go: ROADMAP item 4(a).)
+# cluster/src/{comm,sim}.rs, are still to go: ROADMAP item 5(a).)
 non_test() {
   awk '/^(mod tests|#\[cfg\(test\)\])/{exit} !/^[[:space:]]*\/\//' "$1"
 }
@@ -263,9 +270,15 @@ fi
 # evolution with fixed settings, and nothing set the configs, the
 # residual history, the convergence-check period, the second stage-timing
 # record or the mesh smoother these names held. Options that measurement
-# does not justify do not come back as config values.
-if grep -rnwE 'RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior' crates tests examples; then
-  echo "a removed config value, record or smoother is back: keep fixed parameters as constants" >&2
+# does not justify do not come back as config values. Nor do the
+# programs that nothing ran (the four figure bins and the machine table
+# that `scaling_figures` replaced, the classifier ablation, five
+# examples) or the library code only they read: the Gaussian classifier,
+# stress recovery, the VTK, NRRD and raw writers and the zero-fault
+# sequence wrapper. A name may come back as a file name too.
+removed='RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior|fig7_deepflow|fig8a_smp|fig8b_ultra80|fig9_large|table_fig3|ablation_classifier|neurosurgery_case|multimodal_fusion|surgery_timeline|gravity_sag|scaling_study|GaussianClassifier|feature_stack|evaluate_stress|write_vtk|write_label_slice_pgm|write_raw_f32|read_raw_f32|write_nrrd_f32|write_nrrd_labels|run_scan_sequence'
+if grep -rnwE "$removed" crates tests examples || find crates tests examples -name '*.rs' | grep -wE "$removed"; then
+  echo "a removed config value, record, smoother or program (or library code only it read) is back: keep fixed parameters as constants, and a program only if verify.sh runs it" >&2
   exit 1
 fi
 
