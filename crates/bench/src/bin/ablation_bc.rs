@@ -4,7 +4,10 @@
 //! for equations in the original system, reducing the number of unknowns"
 //! and notes this *creates solver load imbalance*. The alternative —
 //! a penalty method that keeps every equation — preserves balance but
-//! worsens conditioning. This ablation measures both effects.
+//! worsens conditioning. This ablation measures both effects and asserts
+//! their shape: every solve converges, substitution leaves the ranks'
+//! free unknowns imbalanced, and the penalty solution lies within 1e-5 of
+//! the substituted one, closer as β grows.
 
 use brainshift_bench::problem_with_equations;
 use brainshift_fem::{assemble_stiffness, DirichletStructure, MaterialTable};
@@ -55,9 +58,12 @@ fn main() {
     println!("substitution: {} free of {} equations", red.matrix.nrows(), ndof);
     println!("  GMRES iterations: {} (converged: {})", s_sub.iterations, s_sub.converged());
     println!("  free-DOF imbalance across {blocks} ranks: {:.3} (max/mean)", max / mean);
+    assert!(s_sub.converged(), "the substituted system did not converge");
+    assert!(max / mean > 1.0, "substitution left the ranks balanced");
 
     // --- Penalty method. ---
     let kmax = k.values().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    let mut last_diff = f64::INFINITY;
     for beta_factor in [1e4, 1e8] {
         let beta = kmax * beta_factor;
         let (kp, rhs) = penalty_system(&k, &p.bcs.dof_values(), beta);
@@ -73,7 +79,11 @@ fn main() {
         }
         println!("\npenalty (beta = {beta_factor:.0e} * max|K|): full {} equations (balanced ranks)", ndof);
         println!("  GMRES iterations: {} (converged: {})", sp.iterations, sp.converged());
-        println!("  relative difference vs substitution solution: {:.2e}", (err / norm.max(1e-300)).sqrt());
+        let diff = (err / norm.max(1e-300)).sqrt();
+        println!("  relative difference vs substitution solution: {diff:.2e}");
+        assert!(sp.converged(), "the penalty system did not converge at beta = {beta_factor:.0e} * max|K|");
+        assert!(diff < 1e-5 && diff < last_diff, "penalty difference {diff} at beta = {beta_factor:.0e} * max|K|");
+        last_diff = diff;
     }
     println!("\n(substitution is exact but removes unequal numbers of unknowns from");
     println!(" each rank's range — the imbalance the paper reports; penalty keeps");

@@ -4,7 +4,9 @@
 //! approximately equal numbers of mesh nodes to each CPU. However, in our
 //! unstructured grid different mesh nodes can have different connectivity"
 //! — and the discussion proposes accounting for the work distribution. We
-//! compare the paper's even split against a connectivity-weighted split.
+//! compare the paper's even split against a connectivity-weighted split,
+//! and assert that at every CPU count the weighted split is no more
+//! imbalanced and no slower to assemble than the even one.
 
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::MachineModel;
@@ -35,14 +37,10 @@ fn main() {
                 .map(|&f| machine.cpu.seconds(f))
                 .fold(0.0, f64::max)
         };
-        println!(
-            "{:>5} {:>12.4} {:>12.4} {:>14.3} {:>14.3}",
-            cpus,
-            imb_e,
-            imb_w,
-            t(&even),
-            t(&wtd)
-        );
+        let (t_e, t_w) = (t(&even), t(&wtd));
+        println!("{:>5} {:>12.4} {:>12.4} {:>14.3} {:>14.3}", cpus, imb_e, imb_w, t_e, t_w);
+        assert!(imb_w <= imb_e, "weighted imbalance {imb_w} above even {imb_e} at {cpus} CPUs");
+        assert!(t_w <= t_e, "weighted assembly {t_w} s above even {t_e} s at {cpus} CPUs");
     }
     println!("\n(weighted partitioning removes the assembly imbalance the paper");
     println!(" identified; the residual gap is communication, not load.)");

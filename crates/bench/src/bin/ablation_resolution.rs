@@ -4,7 +4,8 @@
 //! tests run coarser for speed. This study quantifies how the pipeline's
 //! field-recovery error scales with voxel size — separating the method's
 //! intrinsic accuracy from discretization effects (k-NN boundary bleed is
-//! ~1 voxel, so the error floor should track the voxel size).
+//! ~1 voxel, so the error floor should track the voxel size). It asserts
+//! that the relative error at 2 mm is below the one at 5 mm.
 
 use brainshift_core::case::{generate_elastic_case, ElasticCaseOptions};
 use brainshift_core::metrics::field_error;
@@ -20,7 +21,7 @@ fn main() {
         "voxel(mm)", "grid", "mean err", "rel err", "peak rec", "surf res"
     );
     // Constant physical head (~160×160×120 mm) at increasing resolution.
-    for (nx, nz, mm) in [(32usize, 24usize, 5.0f64), (40, 30, 4.0), (54, 40, 3.0), (64, 48, 2.5), (80, 60, 2.0)] {
+    let errors = [(32usize, 24usize, 5.0f64), (40, 30, 4.0), (54, 40, 3.0), (64, 48, 2.5), (80, 60, 2.0)].map(|(nx, nz, mm)| {
         let cfg = PhantomConfig {
             dims: Dims::new(nx, nx, nz),
             spacing: Spacing::iso(mm),
@@ -43,8 +44,11 @@ fn main() {
             res.forward_field.max_magnitude(),
             res.surface_residual
         );
-    }
+        fe.relative_error
+    });
     println!("\n(error tracks voxel size: the pipeline's accuracy floor is set by");
     println!(" the discrete segmentation boundary, not by the mechanics — at the");
     println!(" paper's ~1 mm scans the same machinery lands proportionally closer.)");
+    let [coarse, .., fine] = errors;
+    assert!(fine < coarse, "relative error {fine} at 2 mm, {coarse} at 5 mm");
 }

@@ -5,7 +5,10 @@
 //! initial→final positions. Our textual reproduction prints the
 //! surface-displacement distribution (the color map's histogram), its
 //! spatial pattern by latitude band relative to the craniotomy, and the
-//! dominant direction — the data behind the picture.
+//! dominant direction — the data behind the picture. It asserts the
+//! picture's shape: the surface within 60° of the craniotomy axis moves
+//! more on average than the surface beyond 120°, and the strongest
+//! displacements point along the inward axis (alignment above 0.9).
 
 use brainshift_core::case::{generate_elastic_case, ElasticCaseOptions};
 use brainshift_core::pipeline::{run_pipeline, PipelineConfig};
@@ -85,10 +88,16 @@ fn main() {
             n_strong += 1;
         }
     }
-    if n_strong > 0 {
-        mean_dir = (mean_dir / n_strong as f64).normalized();
-        println!("\nmean direction of the strongest displacements (the blue arrows):");
-        println!("  ({:+.2}, {:+.2}, {:+.2}); craniotomy axis ({:+.2}, {:+.2}, {:+.2})", mean_dir.x, mean_dir.y, mean_dir.z, -axis.x, -axis.y, -axis.z);
-        println!("  alignment with inward axis: {:.2}", mean_dir.dot(-axis));
-    }
+    assert!(n_strong > 0, "no surface vertex moved");
+    mean_dir = (mean_dir / n_strong as f64).normalized();
+    let alignment = mean_dir.dot(-axis);
+    println!("\nmean direction of the strongest displacements (the blue arrows):");
+    println!("  ({:+.2}, {:+.2}, {:+.2}); craniotomy axis ({:+.2}, {:+.2}, {:+.2})", mean_dir.x, mean_dir.y, mean_dir.z, -axis.x, -axis.y, -axis.z);
+    println!("  alignment with inward axis: {alignment:.2}");
+
+    // Bands 0–1 are 0–60°, bands 4–5 are 120–180°.
+    let near = (sums[0] + sums[1]) / (ns[0] + ns[1]).max(1) as f64;
+    let far = (sums[4] + sums[5]) / (ns[4] + ns[5]).max(1) as f64;
+    assert!(near > far, "mean |u| {near} mm within 60° of the axis, {far} mm beyond 120°");
+    assert!(alignment > 0.9, "strongest displacements align {alignment} with the inward axis");
 }

@@ -1,12 +1,14 @@
 //! # brainshift-bench
 //!
-//! Benchmark harness regenerating every table and figure of the paper's
+//! The programs regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §4 for the experiment index). The binaries in
 //! `src/bin/` print the same rows/series the paper reports: one per
-//! figure for Figs 4–6, one for the modelled machines and timings of
+//! figure for Figs 4 and 5, one for the modelled machines and timings of
 //! Figs 3 and 7–9 (`scaling_figures`, the only reader of the timing-table
-//! printers below) and one per ablation or cross-check. The criterion
-//! benches in `benches/` cover kernel-level performance.
+//! printers below) and one per ablation or cross-check. Each asserts the
+//! shape of what it prints, and `scripts/verify.sh` runs every one. Fig 6
+//! is the stage table `examples/quickstart` prints; the one timing harness
+//! is `e2e_budget/`, whose `--trace` rows split a scan by layer.
 
 #![warn(missing_docs)]
 
@@ -105,7 +107,7 @@ pub fn problem_with_equations(target_equations: usize) -> BenchProblem {
 
 /// Surface displacements of the craniotomy-cap profile, applied to every
 /// boundary node (the same Dirichlet data the pipeline's active surface
-/// produces, here prescribed analytically so the timing benches don't
+/// produces, here prescribed analytically so the timing figures don't
 /// depend on image processing).
 fn cap_bcs(mesh: &TetMesh, model: &HeadModel, shift: &BrainShiftConfig) -> DirichletBcs {
     let mut bcs = DirichletBcs::new();

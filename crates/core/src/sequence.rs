@@ -20,7 +20,7 @@ use brainshift_fem::ContextStats;
 use brainshift_obs::Stopwatch;
 use brainshift_sparse::SolverOptions;
 use brainshift_imaging::phantom::{forward_warp_labels, render_intensity, BrainShiftConfig, PhantomConfig, PhantomScan};
-use brainshift_imaging::{labels, DisplacementField, Volume};
+use brainshift_imaging::{labels, DisplacementField};
 
 /// A series of intraoperative scans with ground-truth deformations.
 pub struct ScanSequence {
@@ -206,26 +206,27 @@ pub fn run_scan_sequence_with_faults(
     Ok(SequenceResult { outcomes, solver_stats: solver.stats(), degraded_scans, stage_timings })
 }
 
-/// Convenience: is the tumor present in a scan's labels?
-pub fn has_tumor(scan: &PhantomScan) -> bool {
-    scan.labels.count_label(labels::TUMOR) > 0
-}
-
-/// Total tissue volume (mm³) of a label in a scan — the paper's
-/// "quantitative monitoring of treatment progress".
-pub fn label_volume_mm3(seg: &Volume<u8>, label: u8) -> f64 {
-    seg.count_label(label) as f64 * seg.spacing().voxel_volume()
-}
-
-/// Mean ground-truth displacement at a stage (diagnostic).
-pub fn stage_mean_shift(seq: &ScanSequence, i: usize) -> f64 {
-    seq.gt_forward[i].mean_magnitude()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use brainshift_imaging::volume::{Dims, Spacing};
+    use brainshift_imaging::Volume;
+
+    /// Convenience: is the tumor present in a scan's labels?
+    fn has_tumor(scan: &PhantomScan) -> bool {
+        scan.labels.count_label(labels::TUMOR) > 0
+    }
+
+    /// Total tissue volume (mm³) of a label in a scan — the paper's
+    /// "quantitative monitoring of treatment progress".
+    fn label_volume_mm3(seg: &Volume<u8>, label: u8) -> f64 {
+        seg.count_label(label) as f64 * seg.spacing().voxel_volume()
+    }
+
+    /// Mean ground-truth displacement at a stage (diagnostic).
+    fn stage_mean_shift(seq: &ScanSequence, i: usize) -> f64 {
+        seq.gt_forward[i].mean_magnitude()
+    }
 
     fn small_seq(n: usize, resect_from: usize) -> ScanSequence {
         generate_scan_sequence(

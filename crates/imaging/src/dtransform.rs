@@ -305,7 +305,7 @@ fn signed_on(mask: &Volume<bool>, region: Option<&[bool]>, saturation: f32) -> V
 /// The paper's *saturated* distance transform: a signed distance (mm)
 /// clamped to `[-cap, cap]`, so that far-away voxels do not dominate the
 /// k-NN feature space.
-pub fn saturated_distance_transform(mask: &Volume<bool>, cap: f32) -> Volume<f32> {
+fn saturated_distance_transform(mask: &Volume<bool>, cap: f32) -> Volume<f32> {
     assert!(cap > 0.0);
     let sdt = signed_distance_transform(mask);
     sdt.map(|&v| v.clamp(-cap, cap))

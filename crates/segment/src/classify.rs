@@ -1,5 +1,13 @@
 //! Intraoperative segmentation, volume or band.
 //!
+//! "The intraoperative image data then together with the spatial
+//! localization model forms a multichannel 3D data set. Each voxel of the
+//! combined data sets is then represented by a vector having components
+//! from the intraoperative MR scan [and] the spatially varying tissue
+//! location model..." Here a voxel's feature row is its scan intensity
+//! followed by the weighted distance channels, read in place for each
+//! listed voxel; no multichannel volume is built.
+//!
 //! The paper's classifier has a fixed half and a per-scan half. Fixed for
 //! the surgery: the prototype *sites* and the "spatial localization
 //! model" — one saturated distance channel per tissue class of the

@@ -12,7 +12,6 @@
 pub mod classify;
 pub mod confusion;
 pub mod error;
-pub mod features;
 pub mod knn;
 pub mod prototypes;
 
@@ -21,6 +20,5 @@ pub use classify::{
     dice, largest_component, segment_intraop, Classification, Classifier, SegmentConfig,
 };
 pub use error::SegmentError;
-pub use features::FeatureStack;
 pub use knn::{k_nearest_brute, KdTree, KnnScratch, Prototype, LEAF_SIZE};
 pub use prototypes::PrototypeModel;

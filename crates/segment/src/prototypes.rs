@@ -10,8 +10,6 @@
 //! Our stand-in for the interactive step samples prototype locations from
 //! a reference segmentation (the patient-specific preoperative atlas).
 
-use crate::features::FeatureStack;
-use crate::knn::Prototype;
 use brainshift_imaging::Volume;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -60,16 +58,6 @@ impl PrototypeModel {
         c.dedup();
         c
     }
-
-    /// Extract labeled feature vectors at the recorded sites from a (new,
-    /// registered) feature stack — the paper's automatic model update for
-    /// each subsequent intraoperative acquisition.
-    pub fn extract(&self, features: &FeatureStack) -> Vec<Prototype> {
-        self.sites
-            .iter()
-            .map(|&(x, y, z, label)| Prototype { features: features.vector(x, y, z), label })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -113,18 +101,5 @@ mod tests {
         s.set(1, 0, 0, 3);
         let m = PrototypeModel::sample(&s, &[3], 10, 3);
         assert_eq!(m.len(), 2);
-    }
-
-    #[test]
-    fn extract_reads_current_feature_stack() {
-        let m = PrototypeModel::sample(&seg(), &[1, 2], 5, 3);
-        let intensity = Volume::from_fn(Dims::new(10, 10, 10), Spacing::iso(1.0), |x, _, _| x as f32 * 10.0);
-        let fs = FeatureStack::from_intensity(intensity);
-        let protos = m.extract(&fs);
-        assert_eq!(protos.len(), m.len());
-        for (p, &(x, _, _, l)) in protos.iter().zip(&m.sites) {
-            assert_eq!(p.label, l);
-            assert_eq!(p.features[0], x as f32 * 10.0);
-        }
     }
 }

@@ -3,6 +3,32 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# No program goes unrun: every bin under crates/*/src/bin and every
+# example is run by a line of this script (and asserts what it prints),
+# and no manifest declares a bench target nor any crate keeps a
+# `benches/` directory — e2e_budget is the one timing harness. Checked
+# first, so a new program fails at once rather than after the build.
+shopt -s nullglob
+for f in crates/*/src/bin/*.rs examples/*.rs; do
+  case $f in examples/*) kind=example ;; *) kind=bin ;; esac
+  name=$(basename "$f" .rs)
+  if ! grep -qE "^[^#]*--$kind $name( |\$)" scripts/verify.sh; then
+    echo "$f: no line of scripts/verify.sh runs it (--$kind $name); run it here or delete it" >&2
+    exit 1
+  fi
+done
+benches=(crates/*/benches vendor/*/benches)
+if [ -e benches ]; then benches+=(benches); fi
+if [ ${#benches[@]} -ne 0 ]; then
+  echo "${benches[*]}: a benches/ directory is back: e2e_budget is the one timing harness" >&2
+  exit 1
+fi
+if grep -nF '[[bench]]' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; then
+  echo "a manifest declares a bench target: e2e_budget is the one timing harness" >&2
+  exit 1
+fi
+shopt -u nullglob
+
 cargo build --release
 cargo test -q
 
@@ -17,10 +43,28 @@ cargo test -q -p brainshift-core -p brainshift-mesh -p brainshift-register -p br
 # factor to within 0.5 % (about 2 s).
 cargo run -q --release -p brainshift-bench --bin ablation_rigid_affine
 
+# The other figure and ablation bins assert the shape of what they print,
+# never its digits (EXPERIMENTS.md has the rows; about 30 s together on
+# two CPUs): Fig 4 (the simulation beats rigid-only), Fig 5 (the shift
+# concentrates under the craniotomy), the gravity cross-check, and the
+# solver, partition, material, boundary-condition, interior-model,
+# surface-force and resolution ablations.
+cargo run -q --release -p brainshift-bench --bin fig4_accuracy
+cargo run -q --release -p brainshift-bench --bin fig5_deformation
+cargo run -q --release -p brainshift-bench --bin gravity_crossval
+cargo run -q --release -p brainshift-bench --bin ablation_precond
+cargo run -q --release -p brainshift-bench --bin ablation_partition
+cargo run -q --release -p brainshift-bench --bin ablation_materials
+cargo run -q --release -p brainshift-bench --bin ablation_bc
+cargo run -q --release -p brainshift-bench --bin ablation_surface_only
+cargo run -q --release -p brainshift-bench --bin ablation_surface_force
+cargo run -q --release -p brainshift-bench --bin ablation_resolution
+
 # The scaling figures (Figs 3 and 7–9) are one program; Fig 7 at a small
 # size (about 2 s) must still reach the "<10 s total" line. The shapes
 # and numerics of every figure are held by tests/simulated_scaling.rs.
-# Then the one example: the whole pipeline on a synthetic case.
+# Then the one example: the whole pipeline on a synthetic case, ending
+# with the per-stage table (the paper's Fig 6).
 cargo run -q --release -p brainshift-bench --bin scaling_figures -- 7 20000 | grep -F '=> <10 s total from'
 cargo run -q --release --example quickstart
 
@@ -134,8 +178,8 @@ cargo run -q --release -p brainshift-bench --bin dist_solve_demo -- 5000
 # workload, so an API deletion cannot break it unseen.
 cargo run --release --quiet --manifest-path e2e_budget/Cargo.toml -- --workload small-fleet-open --smoke
 
-# Every crate, every target: the bench bins and each crate's test code
-# are compiled and linted here and nowhere else.
+# Every crate, every target: the bins and each crate's test code are
+# linted here, warnings denied.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # The numeric kernels must not panic on bad input — constructors return
@@ -273,10 +317,12 @@ fi
 # does not justify do not come back as config values. Nor do the
 # programs that nothing ran (the four figure bins and the machine table
 # that `scaling_figures` replaced, the classifier ablation, five
-# examples) or the library code only they read: the Gaussian classifier,
-# stress recovery, the VTK, NRRD and raw writers and the zero-fault
-# sequence wrapper. A name may come back as a file name too.
-removed='RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior|fig7_deepflow|fig8a_smp|fig8b_ultra80|fig9_large|table_fig3|ablation_classifier|neurosurgery_case|multimodal_fusion|surgery_timeline|gravity_sag|scaling_study|GaussianClassifier|feature_stack|evaluate_stress|write_vtk|write_label_slice_pgm|write_raw_f32|read_raw_f32|write_nrrd_f32|write_nrrd_labels|run_scan_sequence'
+# examples, the Fig 6 timeline, whose rows quickstart, `scaling_figures 7`
+# and tests/simulated_scaling.rs hold) or the library code only they
+# read: the Gaussian classifier, the feature-stack volume, stress
+# recovery, the VTK, NRRD and raw writers and the zero-fault sequence
+# wrapper. A name may come back as a file name too.
+removed='RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior|fig7_deepflow|fig8a_smp|fig8b_ultra80|fig9_large|table_fig3|ablation_classifier|neurosurgery_case|multimodal_fusion|surgery_timeline|gravity_sag|scaling_study|fig6_timeline|GaussianClassifier|feature_stack|FeatureStack|evaluate_stress|write_vtk|write_label_slice_pgm|write_raw_f32|read_raw_f32|write_nrrd_f32|write_nrrd_labels|run_scan_sequence'
 if grep -rnwE "$removed" crates tests examples || find crates tests examples -name '*.rs' | grep -wE "$removed"; then
   echo "a removed config value, record, smoother or program (or library code only it read) is back: keep fixed parameters as constants, and a program only if verify.sh runs it" >&2
   exit 1
@@ -338,7 +384,7 @@ done
 # per-voxel query, no whole-volume feature matrix comes back beside the
 # listed-voxel pass, and nothing carries classification state from one
 # scan to the next.
-for part in 'KdTree::build(' 'FeatureStack::' 'PrototypeModel::' 'label_distance_map(' 'Mutex'; do
+for part in 'KdTree::build(' 'PrototypeModel::' 'label_distance_map(' 'Mutex'; do
   if non_test crates/core/src/surgery.rs | grep -nF "$part"; then
     echo "surgery.rs knows the classifier's algorithm ('$part'): keep it behind segment::Classifier" >&2
     exit 1
@@ -458,9 +504,10 @@ fi
 
 # One timing harness: e2e_budget times the warm scan (paper77k-warm),
 # the cold rebuild (mid-cold-churn), the service and the snapshot/restore
-# (small-fleet-open). The report bins and the criterion bench that timed
-# those paths a second time do not come back, and neither do the
-# FleetSimReport fields only they read (the values stay in its metrics).
+# (small-fleet-open). The report bins and the criterion benches that timed
+# those paths a second time do not come back (the bench-target check at
+# the top refuses any bench), and neither do the FleetSimReport fields
+# only they read (the values stay in its metrics).
 for f in crates/bench/src/bin/warm_solve_json.rs crates/bench/src/bin/persist_report.rs \
   crates/bench/src/bin/service_throughput_json.rs crates/bench/benches/warm_solve.rs; do
   if [ -e "$f" ]; then
