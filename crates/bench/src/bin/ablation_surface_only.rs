@@ -7,6 +7,7 @@
 //! the surface displacements into the volume with inverse-distance
 //! weighting — using the elastic ground truth as the referee — and
 //! asserts that the volumetric interior's mean error is the lower one.
+//! It prints no host times, so its stdout is the same on any machine.
 
 use brainshift_core::case::{cap_surface_displacement, generate_elastic_case, ElasticCaseOptions};
 use brainshift_core::metrics::field_error;
@@ -15,7 +16,6 @@ use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_imaging::{labels, Vec3};
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
-use brainshift_obs::Stopwatch;
 
 fn main() {
     println!("## Ablation — volumetric FEM vs surface-only extrapolation\n");
@@ -40,15 +40,12 @@ fn main() {
     }
 
     // --- Volumetric FEM (the paper's method). ---
-    let t0 = Stopwatch::wall();
     let sol = solve_deformation(&mesh, &MaterialTable::homogeneous(), &bcs, &FemSolveConfig::default()).expect("FEM solve rejected its inputs");
-    let fem_time = t0.elapsed_s();
     let fem_field = displacement_field_from_mesh(&mesh, &sol.displacements, cfg.dims, cfg.spacing)
         .expect("one displacement per node");
 
     // --- Surface-only: inverse-distance extrapolation from the boundary
     //     (the accuracy level of graphics-oriented surface models). ---
-    let t0 = Stopwatch::wall();
     let surface_pts: Vec<(Vec3, Vec3)> = bnodes
         .iter()
         .map(|&n| (mesh.nodes[n], bcs.get(n).unwrap()))
@@ -74,15 +71,14 @@ fn main() {
         }
         interp_disp.push(acc / wsum);
     }
-    let surf_time = t0.elapsed_s();
     let surf_field = displacement_field_from_mesh(&mesh, &interp_disp, cfg.dims, cfg.spacing)
         .expect("one displacement per node");
 
-    let [fem_err, surf_err] = [("volumetric FEM", &fem_field, fem_time), ("surface-only", &surf_field, surf_time)].map(|(name, field, t)| {
+    let [fem_err, surf_err] = [("volumetric FEM", &fem_field), ("surface-only", &surf_field)].map(|(name, field)| {
         let fe = field_error(field, &case.gt_forward, 2.0);
         println!(
-            "{:<16} mean err {:>5.2} mm  rms {:>5.2} mm  max {:>5.2} mm  rel {:>5.2}   host time {:>6.2}s",
-            name, fe.mean_error_mm, fe.rms_error_mm, fe.max_error_mm, fe.relative_error, t
+            "{:<16} mean err {:>5.2} mm  rms {:>5.2} mm  max {:>5.2} mm  rel {:>5.2}",
+            name, fe.mean_error_mm, fe.rms_error_mm, fe.max_error_mm, fe.relative_error
         );
         fe.mean_error_mm
     });

@@ -43,7 +43,7 @@ pub fn assemble_stiffness(mesh: &TetMesh, materials: &MaterialTable) -> CsrMatri
     ranges
         .par_iter_mut()
         .for_each(|(nodes, b, t)| scatter_range(mesh, materials, &pattern, nodes.clone(), b, t));
-    pattern.compact(&blocks, &touched)
+    pattern.compact(&blocks, &touched, &offsets)
 }
 
 /// The 3×3-block pattern of `K`: for each node, the sorted nodes that
@@ -100,29 +100,58 @@ impl NodePattern {
 
     /// CSR of the touched block entries: row `3n + a` lists, for each
     /// neighbour `m` of `n` in order, columns `3m + c` whose slot was
-    /// touched.
-    fn compact(&self, blocks: &[f64], touched: &[bool]) -> CsrMatrix {
+    /// touched. Each node range of `offsets` counts its rows' entries,
+    /// takes its slices of `indices` and `values` from the prefix sum of
+    /// the counts and writes its own rows, in parallel.
+    fn compact(&self, blocks: &[f64], touched: &[bool], offsets: &[usize]) -> CsrMatrix {
         let ndof = 3 * (self.start.len() - 1);
-        let nnz = touched.iter().filter(|&&t| t).count();
-        let mut indptr = Vec::with_capacity(ndof + 1);
-        indptr.push(0);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for w in self.start.windows(2) {
-            for a in 0..3 {
-                for k in w[0]..w[1] {
-                    let col = 3 * self.neighbours[k];
-                    for c in 0..3 {
-                        let s = 9 * k + 3 * a + c;
-                        if touched[s] {
-                            indices.push(col + c);
-                            values.push(blocks[s]);
+        let mut indptr = vec![0usize; ndof + 1];
+        let mut counts = Vec::with_capacity(offsets.len() - 1);
+        let mut rest = &mut indptr[1..];
+        for w in offsets.windows(2) {
+            let (head, tail) = rest.split_at_mut(3 * (w[1] - w[0]));
+            counts.push((w[0], head));
+            rest = tail;
+        }
+        counts.par_iter_mut().for_each(|(first, rows)| {
+            for (i, count) in rows.iter_mut().enumerate() {
+                let (n, a) = (*first + i / 3, i % 3);
+                let slots = (self.start[n]..self.start[n + 1]).map(|k| 9 * k + 3 * a);
+                *count = slots.map(|s| touched[s..s + 3].iter().filter(|&&t| t).count()).sum();
+            }
+        });
+        for i in 0..ndof {
+            indptr[i + 1] += indptr[i];
+        }
+        let nnz = indptr[ndof];
+        let mut indices = vec![0usize; nnz];
+        let mut values = vec![0.0; nnz];
+        let mut ranges = Vec::with_capacity(offsets.len() - 1);
+        let (mut indices_rest, mut values_rest) = (indices.as_mut_slice(), values.as_mut_slice());
+        for w in offsets.windows(2) {
+            let len = indptr[3 * w[1]] - indptr[3 * w[0]];
+            let (i, i_tail) = indices_rest.split_at_mut(len);
+            let (v, v_tail) = values_rest.split_at_mut(len);
+            ranges.push((w[0]..w[1], i, v));
+            (indices_rest, values_rest) = (i_tail, v_tail);
+        }
+        ranges.par_iter_mut().for_each(|(nodes, indices, values)| {
+            let mut p = 0;
+            for n in nodes.clone() {
+                for a in 0..3 {
+                    for k in self.start[n]..self.start[n + 1] {
+                        let (s, col) = (9 * k + 3 * a, 3 * self.neighbours[k]);
+                        for c in 0..3 {
+                            if touched[s + c] {
+                                indices[p] = col + c;
+                                values[p] = blocks[s + c];
+                                p += 1;
+                            }
                         }
                     }
                 }
-                indptr.push(indices.len());
             }
-        }
+        });
         CsrMatrix::from_raw(ndof, ndof, indptr, indices, values)
             .expect("compacted rows have sorted, unique, in-range columns")
     }

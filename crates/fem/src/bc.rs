@@ -10,7 +10,9 @@
 
 use crate::error::FemError;
 use brainshift_imaging::Vec3;
-use brainshift_sparse::{CsrMatrix, SparseError};
+use brainshift_sparse::partition::even_offsets;
+use brainshift_sparse::{Block, BsrMatrix, CsrMatrix, SparseError};
+use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// A set of prescribed nodal displacements.
@@ -72,7 +74,8 @@ impl DirichletBcs {
 
 /// The *structure* of a Dirichlet substitution: which DOFs are free, the
 /// free-free block `K_ff`, and the free-constrained coupling block
-/// `K_fc`.
+/// `K_fc`, both in 3×3 node blocks: the substitution constrains whole
+/// nodes, so a free node's three rows of `K` are one block row of each.
 ///
 /// In the intraoperative sequence the constrained node set is fixed per
 /// surgery (the brain's surface nodes) while the prescribed *values*
@@ -81,10 +84,10 @@ impl DirichletBcs {
 /// scan only recomputes the load vector `f_f − K_fc·u_c`.
 pub struct DirichletStructure {
     /// `K_ff`, the free-free block (the system actually solved).
-    pub matrix: CsrMatrix,
+    pub matrix: BsrMatrix,
     /// `K_fc`, free rows × compact constrained columns: couples
     /// prescribed values into the reduced right-hand side.
-    pub coupling: CsrMatrix,
+    pub coupling: BsrMatrix,
     /// Free DOF indices in original numbering.
     pub free_dofs: Vec<usize>,
     /// Original DOF → reduced index (`usize::MAX` for constrained DOFs).
@@ -97,9 +100,15 @@ impl DirichletStructure {
     /// Split `k` along the DOFs of `constrained_nodes` (deduplicated;
     /// order irrelevant). Returns
     /// [`FemError::ConstrainedNodeOutOfRange`] when a node index exceeds
-    /// the matrix's DOF count.
+    /// the matrix's DOF count, and a
+    /// [`brainshift_sparse::SparseError::InvalidCsr`] when `k` is not a
+    /// square matrix of whole nodes.
     pub fn new(k: &CsrMatrix, constrained_nodes: &[usize]) -> Result<Self, FemError> {
         let ndof = k.nrows();
+        if !ndof.is_multiple_of(3) || k.ncols() != ndof {
+            let reason = format!("a {ndof} × {} stiffness matrix is not three DOFs per node", k.ncols());
+            return Err(SparseError::InvalidCsr { reason }.into());
+        }
         let mut constrained = vec![false; ndof];
         for &node in constrained_nodes {
             for c in 0..3 {
@@ -125,32 +134,62 @@ impl DirichletStructure {
         }
         let nfree = free_dofs.len();
         let nc = constrained_dofs.len();
-        // Written row by row, no sort: a free row of K is one row of each
-        // block, and both DOF maps are monotone, so every row's columns
-        // stay ascending and unique.
-        let nnz_ff = free_dofs
-            .iter()
-            .map(|&dof| k.row(dof).0.iter().filter(|&&c| reduced_of_dof[c] != usize::MAX).count())
-            .sum();
-        let nnz_fc = free_dofs.iter().map(|&dof| k.row(dof).0.len()).sum::<usize>() - nnz_ff;
-        let mut ff = CsrRows::with_capacity(nfree, nnz_ff);
-        let mut fc = CsrRows::with_capacity(nfree, nnz_fc);
-        for &dof in &free_dofs {
-            let (cols, vals) = k.row(dof);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let rc = reduced_of_dof[c];
-                if rc == usize::MAX {
-                    fc.push(constrained_of_dof[c], v);
-                } else {
-                    ff.push(rc, v);
+        // Written block row by block row straight from K's node rows: both
+        // DOF maps keep whole nodes in ascending order, so every block row's
+        // block columns stay ascending and unique, and each block keeps the
+        // values and the pattern of K's node-pair block. Each free node
+        // first counts its blocks of each matrix, so every array is
+        // allocated once at its size; then each range of free nodes writes
+        // its own block rows, in parallel.
+        let free_nodes: Vec<usize> = free_dofs.iter().step_by(3).map(|&dof| dof / 3).collect();
+        let counts: Vec<[usize; 2]> = free_nodes
+            .par_iter()
+            .map(|&n| {
+                let mut count = [0, 0];
+                for m in k.node_blocks(n).columns() {
+                    count[usize::from(reduced_of_dof[3 * m] == usize::MAX)] += 1;
+                }
+                count
+            })
+            .collect();
+        let mut ptr = [vec![0usize], vec![0usize]];
+        for c in &counts {
+            for (p, &c) in ptr.iter_mut().zip(c) {
+                p.push(p[p.len() - 1] + c);
+            }
+        }
+        let mut ff = BlockArrays::zeroed(ptr[0][free_nodes.len()]);
+        let mut fc = BlockArrays::zeroed(ptr[1][free_nodes.len()]);
+        let offsets = even_offsets(free_nodes.len(), rayon::current_num_threads());
+        let mut ranges = Vec::with_capacity(offsets.len() - 1);
+        let (mut ff_rest, mut fc_rest) = (ff.slices(), fc.slices());
+        for w in offsets.windows(2) {
+            let (ff_here, ff_tail) = ff_rest.split_at(ptr[0][w[1]] - ptr[0][w[0]]);
+            let (fc_here, fc_tail) = fc_rest.split_at(ptr[1][w[1]] - ptr[1][w[0]]);
+            ranges.push((&free_nodes[w[0]..w[1]], ff_here, fc_here));
+            (ff_rest, fc_rest) = (ff_tail, fc_tail);
+        }
+        ranges.par_iter_mut().for_each(|(nodes, ff, fc)| {
+            let (mut p, mut q) = (0, 0);
+            for &n in nodes.iter() {
+                for (m, block, mask) in k.node_blocks(n) {
+                    match reduced_of_dof[3 * m] {
+                        usize::MAX => {
+                            fc.set(q, constrained_of_dof[3 * m] / 3, block, mask);
+                            q += 1;
+                        }
+                        rc => {
+                            ff.set(p, rc / 3, block, mask);
+                            p += 1;
+                        }
+                    }
                 }
             }
-            ff.end_row();
-            fc.end_row();
-        }
+        });
+        let [ff_ptr, fc_ptr] = ptr;
         Ok(DirichletStructure {
-            matrix: ff.finish(nfree)?,
-            coupling: fc.finish(nc.max(1))?,
+            matrix: BsrMatrix::from_raw(nfree, nfree, ff_ptr, ff.indices, ff.blocks, ff.mask)?,
+            coupling: BsrMatrix::from_raw(nfree, nc, fc_ptr, fc.indices, fc.blocks, fc.mask)?,
             free_dofs,
             reduced_of_dof,
             constrained_dofs,
@@ -268,32 +307,42 @@ impl DirichletStructure {
     }
 }
 
-/// CSR arrays written one row at a time, columns already ascending.
-struct CsrRows {
-    indptr: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
+/// The block arrays of a node-blocked matrix being written.
+struct BlockArrays {
+    indices: Vec<u32>,
+    blocks: Vec<Block>,
+    mask: Vec<u16>,
 }
 
-impl CsrRows {
-    fn with_capacity(nrows: usize, nnz: usize) -> Self {
-        let mut indptr = Vec::with_capacity(nrows + 1);
-        indptr.push(0);
-        CsrRows { indptr, indices: Vec::with_capacity(nnz), values: Vec::with_capacity(nnz) }
+impl BlockArrays {
+    fn zeroed(n: usize) -> Self {
+        BlockArrays { indices: vec![0; n], blocks: vec![[0.0; 9]; n], mask: vec![0; n] }
     }
 
-    fn push(&mut self, col: usize, value: f64) {
-        self.indices.push(col);
-        self.values.push(value);
+    fn slices(&mut self) -> BlockSlices<'_> {
+        BlockSlices { indices: &mut self.indices, blocks: &mut self.blocks, mask: &mut self.mask }
+    }
+}
+
+/// One node range's share of [`BlockArrays`].
+struct BlockSlices<'a> {
+    indices: &'a mut [u32],
+    blocks: &'a mut [Block],
+    mask: &'a mut [u16],
+}
+
+impl<'a> BlockSlices<'a> {
+    fn split_at(self, n: usize) -> (Self, Self) {
+        let (i, i_tail) = self.indices.split_at_mut(n);
+        let (b, b_tail) = self.blocks.split_at_mut(n);
+        let (m, m_tail) = self.mask.split_at_mut(n);
+        (BlockSlices { indices: i, blocks: b, mask: m }, BlockSlices { indices: i_tail, blocks: b_tail, mask: m_tail })
     }
 
-    fn end_row(&mut self) {
-        self.indptr.push(self.indices.len());
-    }
-
-    fn finish(self, ncols: usize) -> Result<CsrMatrix, FemError> {
-        let nrows = self.indptr.len() - 1;
-        Ok(CsrMatrix::from_raw(nrows, ncols, self.indptr, self.indices, self.values)?)
+    fn set(&mut self, p: usize, col: usize, block: Block, mask: u16) {
+        self.indices[p] = u32::try_from(col).unwrap_or(u32::MAX);
+        self.blocks[p] = block;
+        self.mask[p] = mask;
     }
 }
 
@@ -377,7 +426,7 @@ mod tests {
             }
         }
         let (s, _, _) = reduce(&k, &bcs);
-        assert!(s.matrix.asymmetry() < 1e-12);
+        assert!(s.matrix.to_csr().asymmetry() < 1e-12);
     }
 
     #[test]
@@ -484,15 +533,15 @@ mod tests {
         assert!(matches!(r, Err(FemError::Sparse(SparseError::DimensionMismatch { .. }))), "{r:?}");
     }
 
-    /// The blocks as they were built before the row-by-row writer: both
-    /// through a `TripletBuilder` and its sort.
+    /// The blocks as scalar CSR through a `TripletBuilder` and its sort,
+    /// as they were built before the node-block writer.
     fn triplet_blocks(k: &CsrMatrix, s: &DirichletStructure) -> (CsrMatrix, CsrMatrix) {
         let mut constrained_of_dof = vec![usize::MAX; k.nrows()];
         for (ci, &dof) in s.constrained_dofs.iter().enumerate() {
             constrained_of_dof[dof] = ci;
         }
         let mut bff = TripletBuilder::with_capacity(s.num_free(), s.num_free(), k.nnz());
-        let mut bfc = TripletBuilder::new(s.num_free(), s.num_constrained().max(1));
+        let mut bfc = TripletBuilder::new(s.num_free(), s.num_constrained());
         for (ri, &dof) in s.free_dofs.iter().enumerate() {
             let (cols, vals) = k.row(dof);
             for (&c, &v) in cols.iter().zip(vals) {
@@ -514,7 +563,7 @@ mod tests {
     }
 
     #[test]
-    fn row_by_row_blocks_equal_the_triplet_construction_bit_for_bit() {
+    fn node_blocks_hold_the_triplet_construction_bit_for_bit() {
         let mesh = block_mesh(4);
         let k = assemble_stiffness(&mesh, &MaterialTable::heterogeneous());
         // Scattered constrained nodes, on the surface and inside, listed
@@ -523,19 +572,24 @@ mod tests {
         let s = DirichletStructure::new(&k, &constrained).expect("valid constrained set");
         assert_eq!(s.num_constrained(), 3 * 6);
         let (kff, kfc) = triplet_blocks(&k, &s);
-        assert_bitwise_eq(&s.matrix, &kff, "K_ff");
-        assert_bitwise_eq(&s.coupling, &kfc, "K_fc");
+        let coupling = s.coupling.to_csr();
+        assert_bitwise_eq(&s.matrix.to_csr(), &kff, "K_ff");
+        assert_bitwise_eq(&coupling, &kfc, "K_fc");
+        assert_eq!((s.matrix.nnz(), s.coupling.nnz()), (kff.nnz(), kfc.nnz()));
         // Both kinds of free row occur: with and without a constrained
         // neighbour (an empty K_fc row).
-        let empty = (0..s.num_free()).filter(|&r| s.coupling.row(r).0.is_empty()).count();
+        let empty = (0..s.num_free()).filter(|&r| coupling.row(r).0.is_empty()).count();
         assert!(0 < empty && empty < s.num_free(), "{empty} of {} K_fc rows empty", s.num_free());
 
-        // No constrained node at all: K_fc keeps its one (empty) column.
+        // No constrained node at all: K_fc has no column.
         let s = DirichletStructure::new(&k, &[]).expect("empty constrained set");
         let (kff, kfc) = triplet_blocks(&k, &s);
-        assert_bitwise_eq(&s.matrix, &kff, "K_ff, nothing constrained");
-        assert_bitwise_eq(&s.coupling, &kfc, "K_fc, nothing constrained");
-        assert_eq!(s.coupling.ncols(), 1);
+        assert_bitwise_eq(&s.matrix.to_csr(), &kff, "K_ff, nothing constrained");
+        assert_bitwise_eq(&s.coupling.to_csr(), &kfc, "K_fc, nothing constrained");
+        assert_eq!(s.coupling.ncols(), 0);
+        // A matrix that is not three DOFs per node is refused.
+        let r = DirichletStructure::new(&CsrMatrix::identity(4), &[0]).err();
+        assert!(matches!(r, Some(FemError::Sparse(SparseError::InvalidCsr { .. }))), "{r:?}");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!    only — see [`SolverContext::with_matrix`]);
 //! 2. the reduced free-free block `K_ff` and the boundary-coupling block
 //!    `K_fc` (so each scan's load vector is one sparse product,
-//!    `f = −K_fc·u_c`);
+//!    `f = −K_fc·u_c`), in 3×3 node blocks;
 //! 3. the factored preconditioner for `K_ff` (block-Jacobi IC(0) on
-//!    [`BLOCKS`] blocks);
+//!    [`BLOCKS`] blocks, its factors in node blocks too);
 //! 4. a [`KrylovWorkspace`] reused across solves (no per-scan vector
 //!    allocation; the GMRES basis only if the context solves with GMRES).
 //!

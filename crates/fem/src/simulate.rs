@@ -190,14 +190,15 @@ pub fn simulate_assemble_solve(
         .collect();
 
     // ---- Price the solve phase. ----
-    // Per-rank local sizes from the real reduced matrix.
+    // Per-rank local sizes from the real reduced matrix's scalar pattern.
+    let kff = structure.matrix.to_csr();
     let mut rank_rows = vec![0usize; eff_blocks];
     let mut rank_nnz = vec![0usize; eff_blocks];
     let mut rank_ghost = vec![std::collections::HashSet::new(); eff_blocks];
     for r in 0..eff_blocks {
         for row in red_offsets[r]..red_offsets[r + 1] {
             rank_rows[r] += 1;
-            let (cols, _) = structure.matrix.row(row);
+            let (cols, _) = kff.row(row);
             rank_nnz[r] += cols.len();
             for &c in cols {
                 let owner = part_of(&red_offsets, c);

@@ -6,7 +6,13 @@
 //! On the symmetric stiffness matrix, ILU(0) and IC(0) are the same
 //! operator, so the blocks here are factored with IC(0), which stores one
 //! triangle instead of two; point Jacobi and identity serve the ablations.
+//!
+//! The IC(0) values are computed on the scalar pattern of each block and
+//! then stored as 3×3 node blocks ([`BsrMatrix`]), which the triangular
+//! sweeps read: the same arithmetic in the same order as the scalar
+//! sweeps, on about 35 % fewer bytes (DESIGN §20).
 
+use crate::bsr::{Block, BsrMatrix, RowBlocks};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use rayon::prelude::*;
@@ -73,11 +79,21 @@ impl Preconditioner for JacobiPrecond {
 /// elasticity matrices and the resulting preconditioner stalls the Krylov
 /// solver. On a symmetric matrix this is the operator ILU(0) computes —
 /// its unit lower factor is `Uᵀ D⁻¹` — from one stored triangle.
+///
+/// The values are computed on the scalar pattern; `U` is then stored in
+/// 3×3 node blocks, with `lead` pad rows before row 0 so that the blocks
+/// line up with the nodes of the matrix the factored block was cut from.
+/// The sweeps skip the pad rows and columns: they are the identity rows
+/// a node-aligned factor would carry, and contribute nothing.
 #[derive(Debug, Clone)]
 pub struct Ic0 {
-    /// The factor `U`: row `i` holds the pivot `u_ii` first, then `u_ij`
-    /// for the columns `j > i` of row `i` of `A`.
-    u: CsrMatrix,
+    /// The factor `U`, row `i` at padded row `i + lead`: its pivot `u_ii`
+    /// on the diagonal of the first block of its block row, then `u_ij`
+    /// for the columns `j > i` of row `i` of `A`. Lower entries of the
+    /// diagonal blocks and pad entries are zero and never read.
+    u: BsrMatrix,
+    /// Pad rows before row 0 (0, 1 or 2).
+    lead: usize,
     /// Symmetric scaling `S` applied before factorization.
     scale: Vec<f64>,
 }
@@ -93,6 +109,13 @@ impl Ic0 {
     /// as every stiffness matrix and each of its principal blocks is; a
     /// stored entry without its mirror is [`SparseError::AsymmetricPattern`].
     pub fn new(a: &CsrMatrix) -> Result<Self, SparseError> {
+        Self::aligned(a, 0)
+    }
+
+    /// [`Ic0::new`] with the factor's node blocks starting `lead` rows
+    /// before row 0 of `a`: for a block cut at row `lo` of a node-blocked
+    /// matrix, `lead = lo % 3` lines the blocks up with its nodes.
+    fn aligned(a: &CsrMatrix, lead: usize) -> Result<Self, SparseError> {
         let n = a.nrows();
         if a.ncols() != n {
             return Err(SparseError::DimensionMismatch { what: "ic0 columns", expected: n, got: a.ncols() });
@@ -108,8 +131,8 @@ impl Ic0 {
             let (values, min_pivot) = upper.factor(a, alpha)?;
             // Scaled diagonal is ~1, so pivots ≥ 0.01 mean a stable factor.
             if min_pivot >= 1e-2 || alpha > 1.0 {
-                let u = CsrMatrix::from_raw(n, n, upper.indptr, upper.indices, values)?;
-                return Ok(Ic0 { u, scale });
+                let u = upper.blocked(&values, lead)?;
+                return Ok(Ic0 { u, lead, scale });
             }
             alpha = if alpha == 0.0 { 0.02 } else { alpha * 4.0 };
         }
@@ -120,37 +143,99 @@ impl Ic0 {
         self.scale.len()
     }
 
+    /// The factor `U` as scalar CSR (row `i`: its pivot, then `u_ij` for
+    /// `j > i` ascending) and the scaling `S`: the values the sweeps read,
+    /// without the node blocks' filled zeros and pad.
+    pub fn scalar_factor(&self) -> (CsrMatrix, &[f64]) {
+        (self.u.principal_submatrix(self.lead, self.lead + self.dim()), &self.scale)
+    }
+
     /// Solve `M z = r` with `M = S⁻¹ Uᵀ D⁻¹ U S⁻¹`:
     /// `z = S · (Uᵀ D⁻¹ U)⁻¹ · (S r)`. The forward sweep scatters row `i`
     /// of `U` (column `i` of `Uᵀ`) once its unknown is final; the backward
-    /// sweep gathers it. Each factor entry is read once per sweep.
+    /// sweep gathers it. Each factor block is read once per sweep.
+    ///
+    /// Both sweeps do the scalar sweeps' arithmetic in their order: each
+    /// `z[j]` takes its forward updates in ascending source row, and each
+    /// backward row subtracts its terms in ascending column. A filled zero
+    /// subtracts a `±0.0`, which changes no nonzero; only where `r` holds
+    /// a `−0.0` can it flip the sign of a zero in `z`.
     pub fn solve(&self, r: &[f64], z: &mut [f64]) {
         let n = self.dim();
         debug_assert!(r.len() == n && z.len() == n);
-        let (indptr, cols, vals) = (self.u.indptr(), self.u.indices(), self.u.values());
         for ((zi, ri), si) in z.iter_mut().zip(r).zip(&self.scale) {
             *zi = ri * si;
         }
+        let lead = self.lead;
+        // Row `k` of block row `bi`, unless it is a pad row.
+        let row = |bi: usize, k: usize| (3 * bi + k).checked_sub(lead).filter(|&i| i < n);
         // Forward: (Uᵀ D⁻¹) w = S r.
-        for i in 0..n {
-            let pivot = indptr[i];
-            let wi_over_d = z[i] / vals[pivot];
-            for p in pivot + 1..indptr[i + 1] {
-                z[cols[p]] -= vals[p] * wi_over_d;
+        for bi in 0..self.u.block_rows() {
+            let (cols, blocks) = self.u.block_row(bi);
+            let d = &blocks[0];
+            let mut w = [0.0; 3];
+            for k in 0..3 {
+                let Some(i) = row(bi, k) else { continue };
+                w[k] = z[i] / d[4 * k];
+                for l in k + 1..3 {
+                    if let Some(h) = row(bi, l) {
+                        z[h] -= d[3 * k + l] * w[k];
+                    }
+                }
+            }
+            for (&j, b) in cols[1..].iter().zip(&blocks[1..]) {
+                scatter(b, &w, 3 * j as usize - lead, z);
             }
         }
         // Backward: U v = w, then z = S v.
-        for i in (0..n).rev() {
-            let pivot = indptr[i];
-            let mut acc = z[i];
-            for p in pivot + 1..indptr[i + 1] {
-                acc -= vals[p] * z[cols[p]];
+        for bi in (0..self.u.block_rows()).rev() {
+            let (cols, blocks) = self.u.block_row(bi);
+            let d = &blocks[0];
+            for k in (0..3).rev() {
+                let Some(i) = row(bi, k) else { continue };
+                let mut acc = z[i];
+                for l in k + 1..3 {
+                    if let Some(h) = row(bi, l) {
+                        acc -= d[3 * k + l] * z[h];
+                    }
+                }
+                for (&j, b) in cols[1..].iter().zip(&blocks[1..]) {
+                    acc = gather(b, k, 3 * j as usize - lead, z, acc);
+                }
+                z[i] = acc / d[4 * k];
             }
-            z[i] = acc / vals[pivot];
         }
         for (zi, si) in z.iter_mut().zip(&self.scale) {
             *zi *= si;
         }
+    }
+}
+
+/// The forward sweep's updates from one off-diagonal block of `U`:
+/// `z[c + l] −= b[k][l] · w[k]` for `k = 0, 1, 2` in turn. `c` is the
+/// block's first column; only a block in the last block column can reach
+/// past the end of `z`, into pad columns, which are skipped.
+#[inline]
+fn scatter(b: &Block, w: &[f64; 3], c: usize, z: &mut [f64]) {
+    if let Some(z) = z.get_mut(c..c + 3) {
+        for l in 0..3 {
+            z[l] = z[l] - b[l] * w[0] - b[3 + l] * w[1] - b[6 + l] * w[2];
+        }
+    } else {
+        for (l, zl) in z[c..].iter_mut().enumerate() {
+            *zl = *zl - b[l] * w[0] - b[3 + l] * w[1] - b[6 + l] * w[2];
+        }
+    }
+}
+
+/// The backward sweep's terms of row `k` of one off-diagonal block of
+/// `U`, subtracted from `acc` in ascending column; pad columns skipped.
+#[inline]
+fn gather(b: &Block, k: usize, c: usize, z: &[f64], acc: f64) -> f64 {
+    let b = &b[3 * k..3 * k + 3];
+    match z.get(c..c + 3) {
+        Some(z) => acc - b[0] * z[0] - b[1] * z[1] - b[2] * z[2],
+        None => z[c..].iter().zip(b).fold(acc, |acc, (zl, bl)| acc - bl * zl),
     }
 }
 
@@ -252,6 +337,24 @@ impl ScaledUpper {
         }
         Ok((u, min_pivot))
     }
+
+    /// The factor with values `u` in 3×3 blocks, `lead` pad rows and
+    /// columns before row 0; block row `bi` merges rows `3·bi − lead` to
+    /// `3·bi + 2 − lead`, so its first block is the diagonal one.
+    fn blocked(&self, u: &[f64], lead: usize) -> Result<BsrMatrix, SparseError> {
+        let n = self.off_max.len();
+        let nb = (n + lead).div_ceil(3);
+        let row = |i: Option<usize>| match i.filter(|&i| i < n) {
+            Some(i) => {
+                let r = self.indptr[i]..self.indptr[i + 1];
+                (&self.indices[r.clone()], &u[r])
+            }
+            None => (&[][..], &[][..]),
+        };
+        BsrMatrix::from_block_rows(3 * nb, 3 * nb, |bi| {
+            RowBlocks::new([0, 1, 2].map(|k| row((3 * bi + k).checked_sub(lead))), lead)
+        })
+    }
 }
 
 impl Preconditioner for Ic0 {
@@ -269,6 +372,10 @@ impl Preconditioner for Ic0 {
 /// parallel. Off-block coupling is ignored, which is what makes it
 /// embarrassingly parallel and also why its iteration count grows with
 /// block count.
+///
+/// A block cut at row `lo` stores its factor in node blocks aligned with
+/// the matrix's nodes (`lo % 3` pad rows), so block boundaries need not
+/// fall between nodes.
 #[derive(Debug)]
 pub struct BlockJacobiPrecond {
     /// Block row ranges `(lo, hi)`.
@@ -287,7 +394,7 @@ impl BlockJacobiPrecond {
     /// pattern is not symmetric is [`SparseError::AsymmetricPattern`], in
     /// the matrix's own row and column numbers. When several blocks
     /// fail, the error is the first failing block's in row order.
-    pub fn from_offsets(a: &CsrMatrix, offsets: &[usize]) -> Result<Self, SparseError> {
+    pub fn from_offsets<A: DiagonalBlocks + ?Sized>(a: &A, offsets: &[usize]) -> Result<Self, SparseError> {
         let invalid = |reason: String| SparseError::InvalidOffsets { reason };
         if offsets.len() < 2 {
             return Err(invalid(format!("need at least 2 offsets, got {}", offsets.len())));
@@ -323,7 +430,7 @@ impl BlockJacobiPrecond {
                         });
                     }
                 }
-                Ic0::new(&block).map_err(|e| match e {
+                Ic0::aligned(&block, lo % 3).map_err(|e| match e {
                     SparseError::AsymmetricPattern { row, col } => SparseError::AsymmetricPattern {
                         row: row + lo,
                         col: col + lo,
@@ -339,8 +446,35 @@ impl BlockJacobiPrecond {
     /// Evenly split the rows into `nblocks` contiguous blocks (the paper's
     /// "approximately equal numbers of mesh nodes to each CPU"). The block
     /// count is clamped to `1..=a.nrows()`.
-    pub fn new(a: &CsrMatrix, nblocks: usize) -> Result<Self, SparseError> {
+    pub fn new<A: DiagonalBlocks + ?Sized>(a: &A, nblocks: usize) -> Result<Self, SparseError> {
         Self::from_offsets(a, &crate::partition::even_offsets(a.nrows(), nblocks))
+    }
+}
+
+/// A square matrix whose diagonal blocks [`BlockJacobiPrecond`] can
+/// cut out and factor: scalar CSR, or node blocks.
+pub trait DiagonalBlocks: Sync {
+    /// Number of rows.
+    fn nrows(&self) -> usize;
+    /// Rows and columns `lo..hi` as scalar CSR.
+    fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix;
+}
+
+impl DiagonalBlocks for CsrMatrix {
+    fn nrows(&self) -> usize {
+        self.nrows()
+    }
+    fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix {
+        self.principal_submatrix(lo, hi)
+    }
+}
+
+impl DiagonalBlocks for BsrMatrix {
+    fn nrows(&self) -> usize {
+        self.nrows()
+    }
+    fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix {
+        self.principal_submatrix(lo, hi)
     }
 }
 
@@ -449,9 +583,10 @@ mod tests {
         let a = random_spd(n, 27);
         let ic = Ic0::new(&a).unwrap();
         assert!(unshifted_pivots(&a).iter().all(|&d| d >= 1e-2), "the fixture must not shift");
+        let (u, _) = ic.scalar_factor();
         let mut product = vec![0.0; n * n];
         for k in 0..n {
-            let (cols, vals) = ic.u.row(k);
+            let (cols, vals) = u.row(k);
             assert_eq!(cols[0], k, "row {k} starts at its pivot");
             for (&i, &uki) in cols.iter().zip(vals) {
                 for (&j, &ukj) in cols.iter().zip(vals) {
@@ -519,7 +654,8 @@ mod tests {
         let a = b.build();
         assert!(unshifted_pivots(&a)[1] < 1e-2);
         let ic = Ic0::new(&a).unwrap();
-        let pivots: Vec<f64> = (0..2).map(|i| ic.u.row(i).1[0]).collect();
+        let (u, _) = ic.scalar_factor();
+        let pivots: Vec<f64> = (0..2).map(|i| u.row(i).1[0]).collect();
         assert!(pivots.iter().all(|&d| d >= 1e-2), "shifted pivots {pivots:?}");
         let mut z = vec![0.0; 2];
         ic.solve(&[1.0, -1.0], &mut z);

@@ -1,5 +1,6 @@
 //! Common solver interfaces and convergence reporting.
 
+use crate::bsr::BsrMatrix;
 use crate::csr::CsrMatrix;
 
 /// Anything that can apply `y = A x` and complete a reduction over the
@@ -29,6 +30,16 @@ pub trait LinearOperator {
 }
 
 impl LinearOperator for CsrMatrix {
+    fn dim(&self) -> usize {
+        debug_assert_eq!(self.nrows(), self.ncols());
+        self.nrows()
+    }
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.spmv_parallel(x, y);
+    }
+}
+
+impl LinearOperator for BsrMatrix {
     fn dim(&self) -> usize {
         debug_assert_eq!(self.nrows(), self.ncols());
         self.nrows()

@@ -110,12 +110,16 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # transform's exact cells: the guard's flag must not depend on the
 # thread count either. The assembly-order suite holds every entry of `K`
 # to the left-to-right sum of its contributions in ascending tet order,
-# bit for bit, so `K` is the same bits at either count.
+# bit for bit, so `K` is the same bits at either count. The node-block
+# suite holds the served solve's 3×3-block `K_ff`, `K_fc` and IC(0)
+# factor to the scalar CSR products and sweeps, bit for bit, at block
+# boundaries that cut nodes too, and a warm CG solve to allocating
+# nothing of the system's size.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
   RAYON_NUM_THREADS=$threads cargo test -q --test warm_scan_bitwise --test shared_stiffness \
-    --test band_classify --test assembly_order
+    --test band_classify --test assembly_order --test node_blocks
 done
 
 # Service stage: the serving layer, all of it — core/queue/cache unit
@@ -293,6 +297,25 @@ done <<'EOF'
 DirichletStructure::new( context.rs
 BlockJacobiPrecond::new( context.rs
 gmres( simulate.rs
+EOF
+
+# The served solve reads node blocks (DESIGN §3, §20): `K_ff` and `K_fc`
+# in `DirichletStructure` and the IC(0) factor in `Ic0` are `BsrMatrix`,
+# and no scalar CSR copy of any of them comes back beside the blocks.
+while read -r file name; do
+  body=$(awk -v s="pub struct $name {" 'index($0, s) == 1 {f = 1} f; f && /^}/ {exit}' "$file" |
+    sed '/^[[:space:]]*\/\//d')
+  if [ -z "$body" ]; then
+    echo "pub struct $name not found in $file: the node-block guard checks nothing" >&2
+    exit 1
+  fi
+  if grep -nw 'CsrMatrix' <<<"$body"; then
+    echo "$name ($file) holds a CsrMatrix: the served solve reads node blocks (BsrMatrix)" >&2
+    exit 1
+  fi
+done <<'EOF'
+crates/fem/src/bc.rs DirichletStructure
+crates/sparse/src/precond.rs Ic0
 EOF
 
 # One registration search: rigid and affine MI registration run the same

@@ -32,7 +32,7 @@ fn small_reduced() -> (brainshift_sparse::CsrMatrix, Vec<f64>) {
     let mut u_c = vec![0.0; s.num_constrained()];
     let mut rhs = vec![0.0; s.num_free()];
     s.rhs_into(&bcs, Some(&vec![0.0; k.nrows()]), &mut u_c, &mut rhs).expect("valid BC set");
-    (s.matrix, rhs)
+    (s.matrix.to_csr(), rhs)
 }
 
 #[test]
