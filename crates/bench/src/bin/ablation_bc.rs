@@ -11,8 +11,8 @@
 
 use brainshift_bench::problem_with_equations;
 use brainshift_fem::{assemble_stiffness, DirichletStructure, MaterialTable};
-use brainshift_sparse::partition::even_offsets;
-use brainshift_sparse::{gmres, BlockJacobiPrecond, CsrMatrix, SolverOptions, TripletBuilder};
+use brainshift_sparse::partition::even_node_offsets;
+use brainshift_sparse::{gmres, BlockJacobiPrecond, BsrMatrix, CsrMatrix, SolverOptions, TripletBuilder};
 
 /// Build the penalty system: `K + β diag(constrained)` with rhs `β u_c`.
 fn penalty_system(k: &CsrMatrix, dof_values: &std::collections::HashMap<usize, f64>, beta: f64) -> (CsrMatrix, Vec<f64>) {
@@ -50,7 +50,7 @@ fn main() {
     let mut sub_full = vec![0.0; ndof];
     red.expand_solution_into(&x, &u_c, &mut sub_full);
     // Free-DOF imbalance across contiguous ranks (the paper's complaint).
-    let offsets = even_offsets(ndof, blocks);
+    let offsets = even_node_offsets(ndof, blocks);
     let counts = red.rank_dof_counts(&offsets);
     let frees: Vec<f64> = counts.iter().map(|c| c.0 as f64).collect();
     let max = frees.iter().cloned().fold(0.0, f64::max);
@@ -67,7 +67,8 @@ fn main() {
     for beta_factor in [1e4, 1e8] {
         let beta = kmax * beta_factor;
         let (kp, rhs) = penalty_system(&k, &p.bcs.dof_values(), beta);
-        let pc = BlockJacobiPrecond::new(&kp, blocks).expect("singular diagonal block");
+        let kp_blocks = BsrMatrix::from_csr(&kp).expect("whole nodes");
+        let pc = BlockJacobiPrecond::new(&kp_blocks, blocks).expect("singular diagonal block");
         let mut xp = vec![0.0; ndof];
         let sp = gmres(&kp, &pc, &rhs, &mut xp, &opts).expect("dims agree");
         // Accuracy vs the substitution solution on free DOFs.

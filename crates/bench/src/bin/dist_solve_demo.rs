@@ -15,7 +15,7 @@
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::{distributed_solve, run_ranks, RankSystem};
 use brainshift_obs::Stopwatch;
-use brainshift_sparse::partition::even_offsets;
+use brainshift_sparse::partition::even_node_offsets;
 use brainshift_sparse::{KrylovKind, SolverOptions};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let n = red.matrix.nrows();
     println!("system: {} equations, {} free, {} nnz", p.mesh.num_equations(), n, red.matrix.nnz());
     let opts = SolverOptions { tolerance: 1e-6, max_iterations: 5000, ..Default::default() };
-    // The ranks slice scalar rows, at offsets that need not fall between nodes.
+    // The ranks own whole nodes of the scalar rows.
     let kff = red.matrix.to_csr();
 
     let mut reference: Option<Vec<f64>> = None;
@@ -37,7 +37,7 @@ fn main() {
     );
     for kind in [KrylovKind::ConjugateGradient, KrylovKind::Gmres] {
         for ranks in [1usize, 2, 4, 8] {
-            let offsets = even_offsets(n, ranks);
+            let offsets = even_node_offsets(n, ranks);
             let t0 = Stopwatch::wall();
             let results = run_ranks(ranks, |comm| {
                 let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);

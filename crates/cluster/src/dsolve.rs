@@ -16,8 +16,8 @@
 
 use crate::comm::Comm;
 use brainshift_sparse::{
-    conjugate_gradient, gmres_with_workspace, CsrMatrix, Ic0, KrylovKind, KrylovWorkspace,
-    LinearOperator, SolveStats, SolverOptions, SparseError,
+    conjugate_gradient, gmres_with_workspace, BsrMatrix, CsrMatrix, Ic0, KrylovKind,
+    KrylovWorkspace, LinearOperator, SolveStats, SolverOptions, SparseError,
 };
 use std::cell::RefCell;
 
@@ -51,12 +51,15 @@ impl RankSystem {
     /// their diagonal block and agree the ghost exchange with the other
     /// ranks. Every rank calls this with the same `a` and `offsets`.
     ///
-    /// Malformed offsets are [`SparseError::InvalidOffsets`], and a
-    /// diagonal block whose pattern is not symmetric is
-    /// [`SparseError::AsymmetricPattern`] in global numbering. The ranks
-    /// agree on the outcome with one allreduce before the handshake, so
-    /// a refusal on one rank is an `Err` on every rank, never a rank left
-    /// waiting: the ranks that could factor return `InvalidOffsets`.
+    /// `a` is node-blocked (three rows per node), and the ranks own whole
+    /// nodes: malformed offsets, or one that cuts a node, are
+    /// [`SparseError::InvalidOffsets`]. A diagonal block whose block
+    /// pattern is not symmetric is [`SparseError::AsymmetricPattern`], and
+    /// one with a zero row [`SparseError::SingularBlock`], both in global
+    /// numbering. The ranks agree on the outcome with one allreduce before
+    /// the handshake, so a refusal on one rank is an `Err` on every rank,
+    /// never a rank left waiting: the ranks that could factor return
+    /// `InvalidOffsets`.
     pub fn new(comm: &mut Comm, a: &CsrMatrix, offsets: &[usize]) -> Result<RankSystem, SparseError> {
         let (me, p) = (comm.rank(), comm.size());
         let local = slice_rows(a, offsets, me, p);
@@ -127,6 +130,9 @@ fn slice_rows(
             reason: format!("{p} ranks need {} non-decreasing offsets from 0 to {n}, got {offsets:?}", p + 1),
         });
     }
+    if let Some(o) = offsets.iter().find(|&&o| o % 3 != 0) {
+        return Err(SparseError::InvalidOffsets { reason: format!("offset {o} cuts a node") });
+    }
     let (lo, hi) = (offsets[me], offsets[me + 1]);
     let own = |c: usize| (lo..hi).contains(&c);
     let mut ghosts: Vec<usize> = (lo..hi).flat_map(|i| a.row(i).0.iter().copied()).filter(|&c| !own(c)).collect();
@@ -153,10 +159,16 @@ fn slice_rows(
         indptr.push(indices.len());
     }
     let rows = CsrMatrix::from_raw(hi - lo, hi - lo + ghosts.len(), indptr, indices, values)?;
-    let factor = Ic0::new(&a.principal_submatrix(lo, hi)).map_err(|e| match e {
-        SparseError::AsymmetricPattern { row, col } => SparseError::AsymmetricPattern { row: row + lo, col: col + lo },
-        e => e,
-    })?;
+    let factor =
+        Ic0::new(&BsrMatrix::from_csr(&a.principal_submatrix(lo, hi))?).map_err(|e| match e {
+            SparseError::AsymmetricPattern { row, col } => {
+                SparseError::AsymmetricPattern { row: row + lo, col: col + lo }
+            }
+            SparseError::SingularBlock { block, rows } => {
+                SparseError::SingularBlock { block, rows: (rows.0 + lo, rows.1 + lo) }
+            }
+            e => e,
+        })?;
     Ok((rows, factor, ghosts))
 }
 
@@ -185,7 +197,7 @@ impl LinearOperator for RankOperator<'_> {
 /// the same `opts`, and gets back its slice of `x` and the
 /// [`SolveStats`] all ranks share. The preconditioner is the rank's
 /// IC(0) block, so at one rank this is the serial solve with
-/// `Ic0::new(&a)`, bit for bit.
+/// `Ic0::new(&BsrMatrix::from_csr(&a)?)`, bit for bit.
 ///
 /// A wall-clock budget (`opts.time_budget: Some(_)`) is refused with
 /// [`SparseError::UnsupportedOption`]: each rank reads its own clock, so
@@ -214,7 +226,7 @@ pub fn distributed_solve(
 mod tests {
     use super::*;
     use crate::comm::run_ranks;
-    use brainshift_sparse::partition::even_offsets;
+    use brainshift_sparse::partition::even_node_offsets;
     use brainshift_sparse::TripletBuilder;
     use std::time::Duration;
 
@@ -266,7 +278,7 @@ mod tests {
         rhs: &[f64],
         opts: &SolverOptions,
     ) -> Vec<(Vec<f64>, SolveStats)> {
-        let offsets = even_offsets(a.nrows(), p);
+        let offsets = even_node_offsets(a.nrows(), p);
         run_ranks(offsets.len() - 1, |comm| {
             let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
             let sys = RankSystem::new(comm, a, &offsets).expect("SPD pattern");
@@ -276,27 +288,30 @@ mod tests {
 
     #[test]
     fn a_one_sided_factor_refusal_fails_every_rank() {
-        // Rank 1's block stores (4, 3) but not (3, 4); rank 0's is fine.
-        let mut b = TripletBuilder::new(6, 6);
-        for i in 0..6 {
+        // Rank 1's block stores (10, 4) but not (4, 10), so its node block
+        // (3, 1) has no mirror; rank 0's is fine.
+        let mut b = TripletBuilder::new(12, 12);
+        for i in 0..12 {
             b.add(i, i, 4.0);
         }
-        b.add(4, 3, -1.0);
+        b.add(10, 4, -1.0);
         let a = b.build();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let errs = run_ranks(2, |comm| RankSystem::new(comm, &a, &[0, 3, 6]).err());
+            let errs = run_ranks(2, |comm| RankSystem::new(comm, &a, &[0, 3, 12]).err());
             let _ = tx.send(errs);
         });
         let errs = rx.recv_timeout(Duration::from_secs(10)).expect("a rank is still waiting for the other");
         assert!(matches!(errs[0], Some(SparseError::InvalidOffsets { .. })), "{:?}", errs[0]);
-        assert_eq!(errs[1], Some(SparseError::AsymmetricPattern { row: 4, col: 3 }));
+        assert_eq!(errs[1], Some(SparseError::AsymmetricPattern { row: 10, col: 4 }));
     }
 
     #[test]
     fn malformed_offsets_are_a_typed_error() {
-        let a = laplace_3d_like(20);
-        for (p, offsets) in [(2, vec![0, 20]), (3, vec![0, 12, 8, 20]), (2, vec![0, 10, 19])] {
+        let a = laplace_3d_like(21);
+        let cases =
+            [(2, vec![0, 21]), (3, vec![0, 12, 9, 21]), (2, vec![0, 9, 18]), (2, vec![0, 10, 21])];
+        for (p, offsets) in cases {
             for e in run_ranks(p, |comm| RankSystem::new(comm, &a, &offsets).err()) {
                 assert!(matches!(e, Some(SparseError::InvalidOffsets { .. })), "{offsets:?}: {e:?}");
             }
@@ -318,11 +333,11 @@ mod tests {
 
     #[test]
     fn one_rank_is_the_serial_solve_bit_for_bit() {
-        for n in [200, 40_000] {
+        for n in [201, 39_999] {
             let a = laplace_3d_like(n);
             let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
             let opts = SolverOptions { tolerance: 1e-10, max_iterations: 2000, ..Default::default() };
-            let ic = Ic0::new(&a).expect("SPD pattern");
+            let ic = Ic0::new(&BsrMatrix::from_csr(&a).expect("whole nodes")).expect("SPD pattern");
             for kind in [KrylovKind::ConjugateGradient, KrylovKind::Gmres] {
                 let mut x = vec![0.0; n];
                 let mut ws = KrylovWorkspace::default();
@@ -342,7 +357,7 @@ mod tests {
 
     #[test]
     fn distributed_matches_serial_solution() {
-        let n = 200;
+        let n = 201;
         let a = laplace_3d_like(n);
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
         let mut rhs = vec![0.0; n];
@@ -388,9 +403,9 @@ mod tests {
 
     #[test]
     fn zero_rhs_converges_immediately() {
-        let a = laplace_3d_like(50);
+        let a = laplace_3d_like(51);
         for kind in [KrylovKind::ConjugateGradient, KrylovKind::Gmres] {
-            for (x, s) in solve_on(2, &a, kind, &[0.0; 50], &SolverOptions::default()) {
+            for (x, s) in solve_on(2, &a, kind, &[0.0; 51], &SolverOptions::default()) {
                 assert!(s.converged());
                 assert_eq!(s.iterations, 0);
                 assert!(x.iter().all(|&v| v == 0.0));
@@ -406,7 +421,7 @@ mod tests {
         let mut serial = vec![0.0; n];
         a.spmv(&x, &mut serial);
         for p in [1usize, 2, 3, 5] {
-            let offsets = even_offsets(n, p);
+            let offsets = even_node_offsets(n, p);
             let results = run_ranks(p, |comm| {
                 let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
                 let sys = RankSystem::new(comm, &a, &offsets).expect("banded pattern is symmetric");
@@ -428,10 +443,10 @@ mod tests {
     fn ghost_exchange_much_smaller_than_allgather() {
         // For a banded system the ghost count per rank is O(bandwidth),
         // not O(n) — the point of the exchange plan.
-        let n = 400;
+        let n = 402;
         let a = banded(n, 3);
         let p = 4;
-        let offsets = even_offsets(n, p);
+        let offsets = even_node_offsets(n, p);
         let counts = run_ranks(p, |comm| RankSystem::new(comm, &a, &offsets).expect("symmetric pattern").ghost_count());
         for (r, &c) in counts.iter().enumerate() {
             let interior = r > 0 && r + 1 < p;

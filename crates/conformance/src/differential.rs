@@ -18,7 +18,7 @@ use brainshift_mesh::TetMesh;
 use brainshift_scenario::{generate_scenario, keypoint_recovery_curve, ScenarioKind};
 pub use brainshift_scenario::RecoveryPoint;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, partition::even_offsets, KrylovKind, KrylovWorkspace, SolverOptions,
+    conjugate_gradient, gmres, partition::even_node_offsets, KrylovKind, KrylovWorkspace, SolverOptions,
 };
 
 /// Rank count of the one distributed GMRES path (`distributed-gmres-p4`).
@@ -180,12 +180,11 @@ pub fn run_differential(
     // 4. The distributed solve over the reduced system: CG at each rank
     //    count, GMRES at one (rank-0's stats are representative — all
     //    ranks return the same stats by construction).
-    //    The ranks slice scalar rows, at offsets that need not fall
-    //    between nodes.
+    //    The ranks own whole nodes of the scalar rows.
     let a = a.to_csr();
     let runs = opts.ranks.iter().map(|&p| (KrylovKind::ConjugateGradient, p));
     for (kind, p) in runs.chain([(KrylovKind::Gmres, GMRES_RANKS)]) {
-        let offsets = even_offsets(nfree, p);
+        let offsets = even_node_offsets(nfree, p);
         let per_rank = run_ranks(offsets.len() - 1, |comm| {
             let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
             let sys = RankSystem::new(comm, &a, &offsets).expect("reduced stiffness blocks factor");

@@ -99,10 +99,11 @@ pub struct SolverContext {
     workspace: KrylovWorkspace,
     /// Previous reduced solution; seeds the next solve.
     prev_x: Vec<f64>,
+    /// The seed of the solve in flight, put back if the solve fails.
+    seed: Vec<f64>,
     has_prev: bool,
     u_c: Vec<f64>,
     rhs: Vec<f64>,
-    full: Vec<f64>,
     stats: ContextStats,
     timings: ContextTimings,
 }
@@ -160,12 +161,12 @@ impl SolverContext {
         Ok(SolverContext {
             cfg,
             num_nodes: mesh.num_nodes(),
-            full: vec![0.0; k.nrows()],
             k,
             structure,
             precond,
             workspace: KrylovWorkspace::new(nfree),
             prev_x: vec![0.0; nfree],
+            seed: vec![0.0; nfree],
             has_prev: false,
             u_c: vec![0.0; nc],
             rhs: vec![0.0; nfree],
@@ -215,7 +216,7 @@ impl SolverContext {
         if !warm {
             self.prev_x.iter_mut().for_each(|v| *v = 0.0);
         }
-        let seed_snapshot = self.prev_x.clone();
+        self.seed.copy_from_slice(&self.prev_x);
         let opts = opts_override.unwrap_or(&self.cfg.options);
         let (a, pc, ws) = (&self.structure.matrix, &self.precond, &mut self.workspace);
         let sw = Stopwatch::wall();
@@ -230,16 +231,26 @@ impl SolverContext {
             self.stats.warm_started_solves += 1;
         }
 
-        self.structure.expand_solution_into(&self.prev_x, &self.u_c, &mut self.full);
-        let displacements = (0..self.num_nodes)
-            .map(|n| Vec3::new(self.full[3 * n], self.full[3 * n + 1], self.full[3 * n + 2]))
-            .collect();
+        // The reduced solution and the prescribed values, straight into
+        // the returned field: DOF `d` is component `d % 3` of node `d / 3`.
+        let mut displacements = vec![Vec3::ZERO; self.num_nodes];
+        let s = &self.structure;
+        for (&dof, &v) in
+            s.free_dofs.iter().zip(&self.prev_x).chain(s.constrained_dofs.iter().zip(&self.u_c))
+        {
+            let u = &mut displacements[dof / 3];
+            match dof % 3 {
+                0 => u.x = v,
+                1 => u.y = v,
+                _ => u.z = v,
+            }
+        }
         if stats.converged() {
             self.has_prev = true;
         } else {
             // Roll back: the next solve seeds from the last *good* field.
             self.stats.failed_solves += 1;
-            self.prev_x = seed_snapshot;
+            self.prev_x.copy_from_slice(&self.seed);
         }
         Ok(FemSolution {
             displacements,
@@ -279,8 +290,8 @@ impl SolverContext {
             + self.workspace.bytes()
             + std::mem::size_of_val(self.u_c.as_slice())
             + std::mem::size_of_val(self.rhs.as_slice())
-            + std::mem::size_of_val(self.full.as_slice())
             + std::mem::size_of_val(self.prev_x.as_slice())
+            + std::mem::size_of_val(self.seed.as_slice())
     }
 
     /// The warm-start seed the next solve starts from: the last converged

@@ -11,9 +11,11 @@
 //!
 //! Entries that the scalar pattern lacks are stored as zeros, and a
 //! 9-bit mask per block records which entries the scalar pattern holds.
-//! The kernels never read the mask; [`BsrMatrix::nnz`],
-//! [`BsrMatrix::to_csr`] and [`BsrMatrix::principal_submatrix`] report
-//! the scalar pattern exactly from it.
+//! The kernels never read the mask; [`BsrMatrix::nnz`] and
+//! [`BsrMatrix::to_csr`] report the scalar pattern exactly from it. The
+//! IC(0) factor (`crate::precond::Ic0`) is computed on the filled
+//! pattern, every entry of every stored block, straight from these
+//! blocks.
 //!
 //! The products are the scalar CSR products bit for bit: each scalar row
 //! still sums its terms left to right in ascending column order, from a
@@ -30,7 +32,7 @@ use rayon::prelude::*;
 pub type Block = [f64; 9];
 
 /// The mask of a block whose nine entries are all in the pattern.
-const FULL: u16 = 0x1ff;
+pub(crate) const FULL: u16 = 0x1ff;
 
 /// A sparse matrix of 3×3 blocks (see the module docs).
 ///
@@ -114,40 +116,32 @@ impl BsrMatrix {
         Ok(BsrMatrix { nrows, ncols, indptr, indices, blocks, mask, nnz })
     }
 
-    /// The matrix whose block row `i` is `row(i)`, for `i < nrows / 3`:
-    /// one pass counts the blocks, so every array is allocated once, at
-    /// its size, and a second writes them.
-    pub(crate) fn from_block_rows<'a>(
-        nrows: usize,
-        ncols: usize,
-        row: impl Fn(usize) -> RowBlocks<'a>,
-    ) -> Result<Self, SparseError> {
-        let mut indptr = Vec::with_capacity(nrows / 3 + 1);
-        indptr.push(0);
-        for i in 0..nrows / 3 {
-            indptr.push(indptr[i] + row(i).count());
+    /// The node blocks of a scalar matrix whose dimensions are multiples
+    /// of 3; anything else is [`SparseError::InvalidCsr`]. One pass counts
+    /// the blocks, so every array is allocated once, at its size, and a
+    /// second writes them.
+    pub fn from_csr(a: &CsrMatrix) -> Result<Self, SparseError> {
+        if !a.nrows().is_multiple_of(3) {
+            return Err(SparseError::InvalidCsr { reason: format!("{} rows do not make whole node blocks", a.nrows()) });
         }
-        let nblocks = indptr[nrows / 3];
+        let nodes = a.nrows() / 3;
+        let mut indptr = Vec::with_capacity(nodes + 1);
+        indptr.push(0);
+        for i in 0..nodes {
+            indptr.push(indptr[i] + a.node_blocks(i).count());
+        }
+        let nblocks = indptr[nodes];
         let mut indices = Vec::with_capacity(nblocks);
         let mut blocks = Vec::with_capacity(nblocks);
         let mut mask = Vec::with_capacity(nblocks);
-        for i in 0..nrows / 3 {
-            for (j, b, m) in row(i) {
+        for i in 0..nodes {
+            for (j, b, m) in a.node_blocks(i) {
                 indices.push(u32::try_from(j).unwrap_or(u32::MAX));
                 blocks.push(b);
                 mask.push(m);
             }
         }
-        Self::from_raw(nrows, ncols, indptr, indices, blocks, mask)
-    }
-
-    /// The node blocks of a scalar matrix whose dimensions are multiples
-    /// of 3; anything else is [`SparseError::InvalidCsr`].
-    pub fn from_csr(a: &CsrMatrix) -> Result<Self, SparseError> {
-        if !a.nrows().is_multiple_of(3) {
-            return Err(SparseError::InvalidCsr { reason: format!("{} rows do not make whole node blocks", a.nrows()) });
-        }
-        Self::from_block_rows(a.nrows(), a.ncols(), |node| a.node_blocks(node))
+        Self::from_raw(a.nrows(), a.ncols(), indptr, indices, blocks, mask)
     }
 
     /// Number of scalar rows.
@@ -195,55 +189,40 @@ impl BsrMatrix {
         (&self.indices[r.clone()], &self.blocks[r])
     }
 
-    /// Scalar row `i`'s entries whose columns lie in `lo..hi`, as
-    /// `(column − lo, value)` in ascending column order.
-    fn scalar_row(&self, i: usize, lo: usize, hi: usize, mut visit: impl FnMut(usize, f64)) {
-        let (bi, k) = (i / 3, i % 3);
-        let r = self.indptr[bi]..self.indptr[bi + 1];
-        let cols = &self.indices[r.clone()];
-        // The blocks that reach into lo..hi.
-        let first = r.start + cols.partition_point(|&j| 3 * j as usize + 3 <= lo);
-        let last = r.start + cols.partition_point(|&j| (3 * j as usize) < hi);
-        for p in first..last {
-            let (c0, b, row_bits) = (3 * self.indices[p] as usize, &self.blocks[p], self.mask[p] >> (3 * k));
-            for l in 0..3 {
-                let c = c0 + l;
-                if row_bits >> l & 1 == 1 && lo <= c && c < hi {
-                    visit(c - lo, b[3 * k + l]);
-                }
-            }
-        }
-    }
-
-    /// The scalar rows and columns `lo..hi` (any `lo ≤ hi ≤ nrows`, node
-    /// boundaries or not) as CSR, entries exactly those of the pattern.
-    pub fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix {
-        debug_assert!(lo <= hi && hi <= self.nrows && hi <= self.ncols);
-        self.rows_to_csr(lo, hi, lo, hi)
-    }
-
     /// The scalar matrix: entries, columns and value bits exactly those
     /// the blocks were built from.
     pub fn to_csr(&self) -> CsrMatrix {
-        self.rows_to_csr(0, self.nrows, 0, self.ncols)
-    }
-
-    fn rows_to_csr(&self, row_lo: usize, row_hi: usize, lo: usize, hi: usize) -> CsrMatrix {
-        let mut indptr = Vec::with_capacity(row_hi - row_lo + 1);
-        // The pattern's mean row length, for a first guess at the size.
-        let guess = (self.nnz * (row_hi - row_lo)).div_ceil(self.nrows.max(1));
-        let mut indices = Vec::with_capacity(guess);
-        let mut values = Vec::with_capacity(guess);
+        let mut indptr = Vec::with_capacity(self.nrows + 1);
+        let mut indices = Vec::with_capacity(self.nnz);
+        let mut values = Vec::with_capacity(self.nnz);
         indptr.push(0);
-        for i in row_lo..row_hi {
-            self.scalar_row(i, lo, hi, |c, v| {
-                indices.push(c);
-                values.push(v);
-            });
+        for i in 0..self.nrows {
+            let (bi, k) = (i / 3, i % 3);
+            for p in self.indptr[bi]..self.indptr[bi + 1] {
+                let (c0, b, row_bits) =
+                    (3 * self.indices[p] as usize, &self.blocks[p], self.mask[p] >> (3 * k));
+                for l in (0..3).filter(|l| row_bits >> l & 1 == 1) {
+                    indices.push(c0 + l);
+                    values.push(b[3 * k + l]);
+                }
+            }
             indptr.push(indices.len());
         }
-        CsrMatrix::from_raw(row_hi - row_lo, hi - lo, indptr, indices, values)
+        CsrMatrix::from_raw(self.nrows, self.ncols, indptr, indices, values)
             .expect("block rows list their columns ascending and in range")
+    }
+
+    /// The first entry of block `(bi, bj)` that the scalar pattern holds,
+    /// as scalar `(row, column)`; the block's corner if it holds none or
+    /// is not stored. Locates a factorization's refusal in the matrix's
+    /// own numbering.
+    pub(crate) fn first_entry(&self, bi: usize, bj: usize) -> (usize, usize) {
+        let (cols, _) = self.block_row(bi);
+        let mask = cols
+            .binary_search_by_key(&bj, |&j| j as usize)
+            .map_or(0, |q| self.mask[self.indptr[bi] + q]);
+        let e = if mask == 0 { 0 } else { mask.trailing_zeros() as usize };
+        (3 * bi + e / 3, 3 * bj + e % 3)
     }
 
     /// Block row `i` of `A x`: each scalar row sums its terms in
@@ -284,26 +263,18 @@ impl BsrMatrix {
 }
 
 /// The blocks of one block row, merged from its three scalar rows: a
-/// scalar column `c` lands in block column `(c + shift) / 3`, position
-/// `(c + shift) % 3`. Yields `(block column, block, mask)` in ascending
-/// block column.
+/// scalar column `c` lands in block column `c / 3`, position `c % 3`.
+/// Yields `(block column, block, mask)` in ascending block column.
 #[derive(Debug)]
 pub struct RowBlocks<'a> {
     rows: [(&'a [usize], &'a [f64]); 3],
     at: [usize; 3],
-    shift: usize,
 }
 
 impl<'a> RowBlocks<'a> {
-    /// `rows[k]` is scalar row `k` of the block row (empty for a row that
-    /// does not exist), columns ascending.
-    pub(crate) fn new(rows: [(&'a [usize], &'a [f64]); 3], shift: usize) -> Self {
-        RowBlocks { rows, at: [0; 3], shift }
-    }
-
     /// The next block's column.
     fn head(&self) -> Option<usize> {
-        (0..3).filter_map(|k| self.rows[k].0.get(self.at[k])).map(|&c| (c + self.shift) / 3).min()
+        (0..3).filter_map(|k| self.rows[k].0.get(self.at[k])).map(|&c| c / 3).min()
     }
 
     /// The block columns alone, without gathering the blocks.
@@ -312,7 +283,7 @@ impl<'a> RowBlocks<'a> {
             let j = self.head()?;
             for k in 0..3 {
                 let cols = self.rows[k].0;
-                while cols.get(self.at[k]).is_some_and(|&c| (c + self.shift) / 3 == j) {
+                while cols.get(self.at[k]).is_some_and(|&c| c / 3 == j) {
                     self.at[k] += 1;
                 }
             }
@@ -335,12 +306,11 @@ impl Iterator for RowBlocks<'_> {
         for k in 0..3 {
             let (cols, vals) = self.rows[k];
             while let Some(&c) = cols.get(self.at[k]) {
-                let p = c + self.shift;
-                if p / 3 != j {
+                if c / 3 != j {
                     break;
                 }
-                block[3 * k + p % 3] = vals[self.at[k]];
-                mask |= 1 << (3 * k + p % 3);
+                block[3 * k + c % 3] = vals[self.at[k]];
+                mask |= 1 << (3 * k + c % 3);
                 self.at[k] += 1;
             }
         }
@@ -353,7 +323,10 @@ impl CsrMatrix {
     /// node that the rows reach, in ascending node order, each with the
     /// mask of its stored entries.
     pub fn node_blocks(&self, node: usize) -> RowBlocks<'_> {
-        RowBlocks::new([self.row(3 * node), self.row(3 * node + 1), self.row(3 * node + 2)], 0)
+        RowBlocks {
+            rows: [self.row(3 * node), self.row(3 * node + 1), self.row(3 * node + 2)],
+            at: [0; 3],
+        }
     }
 }
 
@@ -383,7 +356,6 @@ mod tests {
         assert_eq!(m.nnz(), a.nnz());
         assert_eq!(m.num_blocks(), 5);
         assert_eq!(m.to_csr(), a);
-        assert_eq!(m.principal_submatrix(1, 5), a.principal_submatrix(1, 5));
     }
 
     #[test]

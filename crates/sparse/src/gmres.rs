@@ -357,6 +357,7 @@ pub fn gmres_with_workspace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bsr::BsrMatrix;
     use crate::csr::{CsrMatrix, TripletBuilder};
     use crate::precond::{BlockJacobiPrecond, Ic0, IdentityPrecond, JacobiPrecond};
     use rand::{Rng, SeedableRng};
@@ -510,7 +511,7 @@ mod tests {
 
     #[test]
     fn preconditioning_reduces_iterations() {
-        let n = 200;
+        let n = 201;
         let a = laplace_1d(n);
         let b = vec![1.0; n];
         let opts = SolverOptions { tolerance: 1e-8, restart: 20, ..Default::default() };
@@ -518,7 +519,7 @@ mod tests {
         let mut x1 = vec![0.0; n];
         let s_none = gmres(&a, &IdentityPrecond, &b, &mut x1, &opts);
         let mut x2 = vec![0.0; n];
-        let ic = Ic0::new(&a).unwrap();
+        let ic = Ic0::new(&BsrMatrix::from_csr(&a).unwrap()).unwrap();
         let s_ic = gmres(&a, &ic, &b, &mut x2, &opts);
         assert!(s_ic.converged());
         // IC(0) on a tridiagonal matrix is an exact factorization: one or
@@ -536,7 +537,7 @@ mod tests {
         let opts = SolverOptions { tolerance: 1e-8, max_iterations: 5000, ..Default::default() };
         let mut iters = Vec::new();
         for nb in [1usize, 4, 16] {
-            let p = BlockJacobiPrecond::new(&a, nb).unwrap();
+            let p = BlockJacobiPrecond::new(&BsrMatrix::from_csr(&a).unwrap(), nb).unwrap();
             let mut x = vec![0.0; n];
             let s = gmres(&a, &p, &b, &mut x, &opts);
             assert!(s.converged(), "nb={nb}: {s:?}");

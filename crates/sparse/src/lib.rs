@@ -25,12 +25,12 @@ pub mod partition;
 pub mod precond;
 pub mod solver;
 
-pub use bsr::{Block, BsrMatrix, RowBlocks};
+pub use bsr::{Block, BsrMatrix};
 pub use cg::conjugate_gradient;
 pub use csr::{CsrMatrix, TripletBuilder};
 pub use error::SparseError;
 pub use gmres::{gmres, gmres_with_workspace, KrylovWorkspace};
 pub use precond::{
-    BlockJacobiPrecond, DiagonalBlocks, Ic0, IdentityPrecond, JacobiPrecond, Preconditioner,
+    BlockJacobiPrecond, Ic0, IdentityPrecond, JacobiPrecond, Preconditioner,
 };
 pub use solver::{KrylovKind, LinearOperator, SolveStats, SolverOptions, StopReason};

@@ -30,6 +30,15 @@ pub fn even_offsets(n: usize, p: usize) -> Vec<usize> {
     offsets
 }
 
+/// [`even_offsets`] over the nodes of a node-blocked system with `nrows`
+/// scalar rows, three per node, returned in scalar rows: every boundary
+/// falls between nodes, as the paper's "approximately equal numbers of
+/// mesh nodes to each CPU" does. This is the split of every block-Jacobi
+/// preconditioner and every rank partition of such a system.
+pub fn even_node_offsets(nrows: usize, p: usize) -> Vec<usize> {
+    even_offsets(nrows / 3, p).into_iter().map(|o| 3 * o).collect()
+}
+
 /// Offsets of a contiguous split balanced by per-row weights (e.g. row
 /// non-zeros, or per-node connectivity work): greedily close each part
 /// once it reaches the ideal share, while guaranteeing every part is
@@ -131,6 +140,13 @@ mod tests {
                 assert_eq!(sizes.iter().sum::<usize>(), n);
             }
         }
+    }
+
+    #[test]
+    fn node_offsets_split_whole_nodes() {
+        assert_eq!(even_node_offsets(30, 3), vec![0, 12, 21, 30]);
+        assert_eq!(even_node_offsets(9, 5), vec![0, 3, 6, 9]);
+        assert_eq!(even_node_offsets(0, 4), vec![0, 0]);
     }
 
     #[test]

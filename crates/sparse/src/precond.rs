@@ -7,12 +7,15 @@
 //! operator, so the blocks here are factored with IC(0), which stores one
 //! triangle instead of two; point Jacobi and identity serve the ablations.
 //!
-//! The IC(0) values are computed on the scalar pattern of each block and
-//! then stored as 3×3 node blocks ([`BsrMatrix`]), which the triangular
-//! sweeps read: the same arithmetic in the same order as the scalar
-//! sweeps, on about 35 % fewer bytes (DESIGN §20).
+//! The system is made of 3×3 node blocks ([`BsrMatrix`], PETSc's BAIJ
+//! with block size 3), and so is everything here: block-Jacobi cuts its
+//! blocks between nodes, as the paper sends "approximately equal numbers
+//! of mesh nodes to each CPU", and IC(0) runs the scalar recurrence over
+//! every entry of every stored block (the filled node-block pattern),
+//! in place on a copy of the upper blocks read straight from the matrix
+//! (DESIGN §20).
 
-use crate::bsr::{Block, BsrMatrix, RowBlocks};
+use crate::bsr::{Block, BsrMatrix, FULL};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use rayon::prelude::*;
@@ -70,8 +73,13 @@ impl Preconditioner for JacobiPrecond {
     }
 }
 
+/// The mask of a diagonal factor block: its upper triangle.
+const UPPER: u16 = 0b1_0011_0111;
+
 /// IC(0): incomplete Cholesky with zero fill-in, in the root-free form
-/// `M = Uᵀ D⁻¹ U` (`D = diag(U)`) on the upper-triangle pattern of `A`.
+/// `M = Uᵀ D⁻¹ U` (`D = diag(U)`) on the upper triangle of the filled
+/// node-block pattern of `A`: every entry of every stored 3×3 block,
+/// zeros included.
 ///
 /// It factors the symmetrically scaled `S A S + αI`
 /// (`S = diag(1/√|a_ii|)`): without the scaling an incomplete
@@ -79,21 +87,13 @@ impl Preconditioner for JacobiPrecond {
 /// elasticity matrices and the resulting preconditioner stalls the Krylov
 /// solver. On a symmetric matrix this is the operator ILU(0) computes —
 /// its unit lower factor is `Uᵀ D⁻¹` — from one stored triangle.
-///
-/// The values are computed on the scalar pattern; `U` is then stored in
-/// 3×3 node blocks, with `lead` pad rows before row 0 so that the blocks
-/// line up with the nodes of the matrix the factored block was cut from.
-/// The sweeps skip the pad rows and columns: they are the identity rows
-/// a node-aligned factor would carry, and contribute nothing.
 #[derive(Debug, Clone)]
 pub struct Ic0 {
-    /// The factor `U`, row `i` at padded row `i + lead`: its pivot `u_ii`
-    /// on the diagonal of the first block of its block row, then `u_ij`
-    /// for the columns `j > i` of row `i` of `A`. Lower entries of the
-    /// diagonal blocks and pad entries are zero and never read.
+    /// The factor `U`: block row `bi` holds its diagonal block first —
+    /// row `k`'s pivot at `(k, k)`, then `u_ij` for the columns right of
+    /// it, zeros below the diagonal that are never read — then one full
+    /// block per stored block `(bi, bj)`, `bj > bi`, of `A`.
     u: BsrMatrix,
-    /// Pad rows before row 0 (0, 1 or 2).
-    lead: usize,
     /// Symmetric scaling `S` applied before factorization.
     scale: Vec<f64>,
 }
@@ -105,49 +105,40 @@ impl Ic0 {
     /// scaled matrix is refactored with a growing `αI` until all pivots
     /// are healthy.
     ///
-    /// `a` must be square with a structurally symmetric sparsity pattern,
-    /// as every stiffness matrix and each of its principal blocks is; a
-    /// stored entry without its mirror is [`SparseError::AsymmetricPattern`].
-    pub fn new(a: &CsrMatrix) -> Result<Self, SparseError> {
-        Self::aligned(a, 0)
+    /// `a` must be square with a symmetric block pattern, as every
+    /// stiffness matrix and each of its principal node blocks is; a stored
+    /// block without its mirror is [`SparseError::AsymmetricPattern`] at
+    /// the block's first stored entry. A row with no entry of magnitude
+    /// 1e-300 or more is [`SparseError::SingularBlock`] (block 0): IC(0)'s
+    /// pivot floors would otherwise paper over it.
+    pub fn new(a: &BsrMatrix) -> Result<Self, SparseError> {
+        if a.ncols() != a.nrows() {
+            return Err(SparseError::DimensionMismatch {
+                what: "ic0 columns",
+                expected: a.nrows(),
+                got: a.ncols(),
+            });
+        }
+        Self::of_block(a, 0, a.block_rows())
     }
 
-    /// [`Ic0::new`] with the factor's node blocks starting `lead` rows
-    /// before row 0 of `a`: for a block cut at row `lo` of a node-blocked
-    /// matrix, `lead = lo % 3` lines the blocks up with its nodes.
-    fn aligned(a: &CsrMatrix, lead: usize) -> Result<Self, SparseError> {
-        let n = a.nrows();
-        if a.ncols() != n {
-            return Err(SparseError::DimensionMismatch { what: "ic0 columns", expected: n, got: a.ncols() });
-        }
-        let scale: Vec<f64> = a
-            .diagonal()
-            .into_iter()
-            .map(|d| if d.abs() > 1e-300 { 1.0 / d.abs().sqrt() } else { 1.0 })
-            .collect();
-        let upper = ScaledUpper::new(a, &scale);
+    /// IC(0) of the diagonal block of `a` on block rows and columns
+    /// `lo..hi`, with errors in `a`'s own numbering.
+    fn of_block(a: &BsrMatrix, lo: usize, hi: usize) -> Result<Self, SparseError> {
+        let scale = scaling(a, lo, hi);
         let mut alpha = 0.0;
         loop {
-            let (values, min_pivot) = upper.factor(a, alpha)?;
+            let mut upper = ScaledUpper::new(a, lo, hi, &scale)?;
+            let min_pivot = upper.factor(a, lo, alpha)?;
             // Scaled diagonal is ~1, so pivots ≥ 0.01 mean a stable factor.
             if min_pivot >= 1e-2 || alpha > 1.0 {
-                let u = upper.blocked(&values, lead)?;
-                return Ok(Ic0 { u, lead, scale });
+                let ScaledUpper { indptr, indices, blocks, mask, .. } = upper;
+                let u =
+                    BsrMatrix::from_raw(scale.len(), scale.len(), indptr, indices, blocks, mask)?;
+                return Ok(Ic0 { u, scale });
             }
             alpha = if alpha == 0.0 { 0.02 } else { alpha * 4.0 };
         }
-    }
-
-    /// Dimension of the factored matrix.
-    fn dim(&self) -> usize {
-        self.scale.len()
-    }
-
-    /// The factor `U` as scalar CSR (row `i`: its pivot, then `u_ij` for
-    /// `j > i` ascending) and the scaling `S`: the values the sweeps read,
-    /// without the node blocks' filled zeros and pad.
-    pub fn scalar_factor(&self) -> (CsrMatrix, &[f64]) {
-        (self.u.principal_submatrix(self.lead, self.lead + self.dim()), &self.scale)
     }
 
     /// Solve `M z = r` with `M = S⁻¹ Uᵀ D⁻¹ U S⁻¹`:
@@ -157,34 +148,25 @@ impl Ic0 {
     ///
     /// Both sweeps do the scalar sweeps' arithmetic in their order: each
     /// `z[j]` takes its forward updates in ascending source row, and each
-    /// backward row subtracts its terms in ascending column. A filled zero
-    /// subtracts a `±0.0`, which changes no nonzero; only where `r` holds
-    /// a `−0.0` can it flip the sign of a zero in `z`.
+    /// backward row subtracts its terms in ascending column.
     pub fn solve(&self, r: &[f64], z: &mut [f64]) {
-        let n = self.dim();
-        debug_assert!(r.len() == n && z.len() == n);
+        debug_assert!(r.len() == self.scale.len() && z.len() == self.scale.len());
         for ((zi, ri), si) in z.iter_mut().zip(r).zip(&self.scale) {
             *zi = ri * si;
         }
-        let lead = self.lead;
-        // Row `k` of block row `bi`, unless it is a pad row.
-        let row = |bi: usize, k: usize| (3 * bi + k).checked_sub(lead).filter(|&i| i < n);
         // Forward: (Uᵀ D⁻¹) w = S r.
         for bi in 0..self.u.block_rows() {
             let (cols, blocks) = self.u.block_row(bi);
             let d = &blocks[0];
             let mut w = [0.0; 3];
             for k in 0..3 {
-                let Some(i) = row(bi, k) else { continue };
-                w[k] = z[i] / d[4 * k];
+                w[k] = z[3 * bi + k] / d[4 * k];
                 for l in k + 1..3 {
-                    if let Some(h) = row(bi, l) {
-                        z[h] -= d[3 * k + l] * w[k];
-                    }
+                    z[3 * bi + l] -= d[3 * k + l] * w[k];
                 }
             }
             for (&j, b) in cols[1..].iter().zip(&blocks[1..]) {
-                scatter(b, &w, 3 * j as usize - lead, z);
+                scatter(b, &w, &mut z[3 * j as usize..3 * j as usize + 3]);
             }
         }
         // Backward: U v = w, then z = S v.
@@ -192,17 +174,14 @@ impl Ic0 {
             let (cols, blocks) = self.u.block_row(bi);
             let d = &blocks[0];
             for k in (0..3).rev() {
-                let Some(i) = row(bi, k) else { continue };
-                let mut acc = z[i];
+                let mut acc = z[3 * bi + k];
                 for l in k + 1..3 {
-                    if let Some(h) = row(bi, l) {
-                        acc -= d[3 * k + l] * z[h];
-                    }
+                    acc -= d[3 * k + l] * z[3 * bi + l];
                 }
                 for (&j, b) in cols[1..].iter().zip(&blocks[1..]) {
-                    acc = gather(b, k, 3 * j as usize - lead, z, acc);
+                    acc = gather(b, k, &z[3 * j as usize..3 * j as usize + 3], acc);
                 }
-                z[i] = acc / d[4 * k];
+                z[3 * bi + k] = acc / d[4 * k];
             }
         }
         for (zi, si) in z.iter_mut().zip(&self.scale) {
@@ -211,149 +190,208 @@ impl Ic0 {
     }
 }
 
-/// The forward sweep's updates from one off-diagonal block of `U`:
-/// `z[c + l] −= b[k][l] · w[k]` for `k = 0, 1, 2` in turn. `c` is the
-/// block's first column; only a block in the last block column can reach
-/// past the end of `z`, into pad columns, which are skipped.
+/// `S = diag(1/√|a_ii|)` on block rows `lo..hi` of `a` (1 where the
+/// diagonal is zero).
+fn scaling(a: &BsrMatrix, lo: usize, hi: usize) -> Vec<f64> {
+    let mut scale = Vec::with_capacity(3 * (hi - lo));
+    for bi in lo..hi {
+        let (cols, blocks) = a.block_row(bi);
+        let d = cols.binary_search_by_key(&bi, |&j| j as usize).map_or([0.0; 9], |q| blocks[q]);
+        scale.extend((0..3).map(|k| {
+            if d[4 * k].abs() > 1e-300 {
+                1.0 / d[4 * k].abs().sqrt()
+            } else {
+                1.0
+            }
+        }));
+    }
+    scale
+}
+
+/// The forward sweep's updates from one off-diagonal block of `U` to the
+/// three unknowns `z` of its block column: `z[l] −= b[k][l] · w[k]` for
+/// `k = 0, 1, 2` in turn.
 #[inline]
-fn scatter(b: &Block, w: &[f64; 3], c: usize, z: &mut [f64]) {
-    if let Some(z) = z.get_mut(c..c + 3) {
-        for l in 0..3 {
-            z[l] = z[l] - b[l] * w[0] - b[3 + l] * w[1] - b[6 + l] * w[2];
-        }
-    } else {
-        for (l, zl) in z[c..].iter_mut().enumerate() {
-            *zl = *zl - b[l] * w[0] - b[3 + l] * w[1] - b[6 + l] * w[2];
-        }
+fn scatter(b: &Block, w: &[f64; 3], z: &mut [f64]) {
+    for l in 0..3 {
+        z[l] = z[l] - b[l] * w[0] - b[3 + l] * w[1] - b[6 + l] * w[2];
     }
 }
 
 /// The backward sweep's terms of row `k` of one off-diagonal block of
-/// `U`, subtracted from `acc` in ascending column; pad columns skipped.
+/// `U`, against the three unknowns `z` of its block column, subtracted
+/// from `acc` in ascending column.
 #[inline]
-fn gather(b: &Block, k: usize, c: usize, z: &[f64], acc: f64) -> f64 {
-    let b = &b[3 * k..3 * k + 3];
-    match z.get(c..c + 3) {
-        Some(z) => acc - b[0] * z[0] - b[1] * z[1] - b[2] * z[2],
-        None => z[c..].iter().zip(b).fold(acc, |acc, (zl, bl)| acc - bl * zl),
-    }
+fn gather(b: &Block, k: usize, z: &[f64], acc: f64) -> f64 {
+    acc - b[3 * k] * z[0] - b[3 * k + 1] * z[1] - b[3 * k + 2] * z[2]
 }
 
-/// The upper triangle of `S A S` with the diagonal first in every row
-/// (stored even where `A` has none), plus each row's largest
-/// off-diagonal magnitude over the *whole* row: the pivot floors are
-/// relative to the problem's scale, or a badly scaled system produces
-/// near-singular factors whose inverse destroys the preconditioned
-/// residual norm.
+/// The upper blocks of `S A S` on one diagonal block of `A`, the
+/// diagonal block first in every block row (stored even where `A` has
+/// none) with its lower entries zeroed, plus, per scalar row, the scaled
+/// diagonal and the largest off-diagonal magnitude over the *whole* row
+/// of the block: the pivot floors are relative to the problem's scale,
+/// or a badly scaled system produces near-singular factors whose inverse
+/// destroys the preconditioned residual norm. The factorization then
+/// runs in place on these blocks.
 struct ScaledUpper {
     indptr: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
+    /// Block columns, numbered from the diagonal block's first.
+    indices: Vec<u32>,
+    blocks: Vec<Block>,
+    mask: Vec<u16>,
+    diag: Vec<f64>,
     off_max: Vec<f64>,
 }
 
 impl ScaledUpper {
-    fn new(a: &CsrMatrix, scale: &[f64]) -> Self {
-        let n = a.nrows();
-        let cap = (a.nnz() + n) / 2 + n;
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::with_capacity(cap);
-        let mut values = Vec::with_capacity(cap);
-        let mut off_max = Vec::with_capacity(n);
+    /// One pass over block rows `lo..hi` of `a`, reading the blocks in
+    /// columns `lo..hi`. A row with no entry of magnitude 1e-300 or more
+    /// there is [`SparseError::SingularBlock`].
+    fn new(a: &BsrMatrix, lo: usize, hi: usize, scale: &[f64]) -> Result<Self, SparseError> {
+        let nb = hi - lo;
+        let mut indptr = Vec::with_capacity(nb + 1);
         indptr.push(0);
-        for i in 0..n {
-            let (cols, vals) = a.row(i);
-            let upper = cols.partition_point(|&j| j <= i);
-            let mut diag = 0.0;
-            let mut largest = 0.0f64;
-            for (&j, &v) in cols.iter().zip(vals) {
-                let s = v * (scale[i] * scale[j]);
-                if j == i {
-                    diag = s;
-                } else {
-                    largest = largest.max(s.abs());
+        let (mut indices, mut blocks, mut mask) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut diag, mut off_max) = (Vec::with_capacity(3 * nb), Vec::with_capacity(3 * nb));
+        for bi in 0..nb {
+            let (cols, row) = a.block_row(lo + bi);
+            let first = cols.partition_point(|&j| (j as usize) < lo);
+            let last = cols.partition_point(|&j| (j as usize) < hi);
+            let s = &scale[3 * bi..3 * bi + 3];
+            let mut largest = [0.0f64; 3];
+            let mut nonzero = [false; 3];
+            let mut d = [0.0; 9];
+            indices.push(bi as u32);
+            blocks.push(d);
+            mask.push(UPPER);
+            for (&j, b) in cols[first..last].iter().zip(&row[first..last]) {
+                let bj = j as usize - lo;
+                let sj = &scale[3 * bj..3 * bj + 3];
+                let mut sb = [0.0; 9];
+                for k in 0..3 {
+                    for l in 0..3 {
+                        let v = b[3 * k + l];
+                        sb[3 * k + l] = v * (s[k] * sj[l]);
+                        nonzero[k] |= v.abs() >= 1e-300;
+                        if bj != bi || k != l {
+                            largest[k] = largest[k].max(sb[3 * k + l].abs());
+                        }
+                    }
+                }
+                if bj == bi {
+                    for k in 0..3 {
+                        d[3 * k + k..3 * k + 3].copy_from_slice(&sb[3 * k + k..3 * k + 3]);
+                    }
+                    blocks[indptr[bi]] = d;
+                } else if bj > bi {
+                    indices.push(bj as u32);
+                    blocks.push(sb);
+                    mask.push(FULL);
                 }
             }
-            indices.push(i);
-            values.push(diag);
-            for (&j, &v) in cols[upper..].iter().zip(&vals[upper..]) {
-                indices.push(j);
-                values.push(v * (scale[i] * scale[j]));
+            if nonzero.contains(&false) {
+                return Err(SparseError::SingularBlock { block: 0, rows: (3 * lo, 3 * hi) });
             }
-            off_max.push(largest);
+            diag.extend((0..3).map(|k| d[4 * k]));
+            off_max.extend(largest);
             indptr.push(indices.len());
         }
-        ScaledUpper { indptr, indices, values, off_max }
+        Ok(ScaledUpper { indptr, indices, blocks, mask, diag, off_max })
     }
 
-    /// One factorization attempt of `S A S + αI`, row by row: row `i`
-    /// subtracts `(u_ki / u_kk) ·` (row `k` from column `i` on) for every
-    /// `k < i` in row `i` of `A`, on row `i`'s own pattern (found through
-    /// a dense position array). Row `k`'s entry in column `i` sits at
-    /// `cursor[k]`: the columns of a finished row are consumed in
-    /// ascending order as later rows reach them. Returns the factor's
-    /// values and the smallest pivot.
-    fn factor(&self, a: &CsrMatrix, alpha: f64) -> Result<(Vec<f64>, f64), SparseError> {
+    /// One factorization attempt of `S A S + αI`, in place. Scalar row
+    /// `i` subtracts `(u_ki / u_kk) ·` (row `k` from column `i` on) for
+    /// every `k < i` in the pattern, in ascending `k`, on row `i`'s own
+    /// pattern, then floors its pivot. The rows of a block row take the
+    /// updates of earlier block rows together, one 3×3 block at a time,
+    /// and then those of each other in turn.
+    ///
+    /// The earlier block rows `bk` that update block row `bi` are the
+    /// lower blocks of `a`'s block row `bi`; block `(bk, bi)` of `U` sits
+    /// at `cursor[bk]`, as the blocks of a finished row are consumed in
+    /// ascending column order. Returns the smallest pivot.
+    fn factor(&mut self, a: &BsrMatrix, lo: usize, alpha: f64) -> Result<f64, SparseError> {
         const ABSENT: usize = usize::MAX;
-        let n = self.off_max.len();
-        let (indptr, cols) = (&self.indptr, &self.indices);
-        let mut u = self.values.clone();
-        let mut cursor: Vec<usize> = indptr[..n].iter().map(|&p| p + 1).collect();
-        let mut pos = vec![ABSENT; n];
+        let nb = self.indptr.len() - 1;
+        let mut cursor: Vec<usize> = self.indptr[..nb].iter().map(|&p| p + 1).collect();
+        let mut pos = vec![ABSENT; nb];
         let mut min_pivot = f64::INFINITY;
-        for i in 0..n {
-            let (pivot, end) = (indptr[i], indptr[i + 1]);
-            u[pivot] += alpha;
-            for p in pivot..end {
-                pos[cols[p]] = p;
+        for bi in 0..nb {
+            let (start, end) = (self.indptr[bi], self.indptr[bi + 1]);
+            for p in start..end {
+                pos[self.indices[p] as usize] = p;
             }
-            for &k in a.row(i).0.iter().take_while(|&&k| k < i) {
-                let c = cursor[k];
-                if c == indptr[k + 1] || cols[c] != i {
-                    return Err(SparseError::AsymmetricPattern { row: i, col: k });
+            for k in 0..3 {
+                self.blocks[start][4 * k] += alpha;
+            }
+            let (cols, _) = a.block_row(lo + bi);
+            let first = cols.partition_point(|&j| (j as usize) < lo);
+            for &j in cols[first..].iter().take_while(|&&j| (j as usize) < lo + bi) {
+                let bk = j as usize - lo;
+                let c = cursor[bk];
+                let next = (c < self.indptr[bk + 1]).then(|| self.indices[c] as usize);
+                if next != Some(bi) {
+                    // Block (bk, next) has no mirror if it lies left of bi;
+                    // otherwise block (bi, bk) has none.
+                    let (row, col) = match next {
+                        Some(j) if j < bi => a.first_entry(lo + bk, lo + j),
+                        _ => a.first_entry(lo + bi, lo + bk),
+                    };
+                    return Err(SparseError::AsymmetricPattern { row, col });
                 }
-                cursor[k] = c + 1;
-                let l = u[c] / u[indptr[k]];
-                for q in c..indptr[k + 1] {
-                    let p = pos[cols[q]];
+                cursor[bk] = c + 1;
+                let (dk, b) = (self.blocks[self.indptr[bk]], self.blocks[c]);
+                // l[kk][ii] = u(3bk + kk, 3bi + ii) / u(3bk + kk, 3bk + kk).
+                let l: Block = std::array::from_fn(|e| b[e] / dk[4 * (e / 3)]);
+                // Row ii of bi −= l[kk][ii] · row kk of bk, block by block
+                // from (bk, bi) on, wherever bi holds the block; (bk, bi)
+                // itself lands on bi's diagonal block, right of each pivot.
+                for q in c..self.indptr[bk + 1] {
+                    let p = pos[self.indices[q] as usize];
                     if p != ABSENT {
-                        u[p] -= l * u[q];
+                        let uq = self.blocks[q];
+                        let up = &mut self.blocks[p];
+                        for ii in 0..3 {
+                            for jj in (if p == start { ii } else { 0 })..3 {
+                                for kk in 0..3 {
+                                    up[3 * ii + jj] -= l[3 * kk + ii] * uq[3 * kk + jj];
+                                }
+                            }
+                        }
                     }
                 }
             }
-            for p in pivot..end {
-                pos[cols[p]] = ABSENT;
+            for k in 0..3 {
+                let i = 3 * bi + k;
+                let d = &mut self.blocks[start];
+                let row_scale = self.off_max[i].max((self.diag[i] + alpha).abs()).max(1e-300);
+                let floor = 1e-8 * row_scale;
+                if d[4 * k].abs() < floor {
+                    d[4 * k] = if d[4 * k] >= 0.0 { floor } else { -floor };
+                }
+                min_pivot = min_pivot.min(d[4 * k]);
+                let d = self.blocks[start];
+                for ii in k + 1..3 {
+                    let l = d[3 * k + ii] / d[4 * k];
+                    for p in start..end {
+                        let up = &mut self.blocks[p];
+                        for jj in (if p == start { ii } else { 0 })..3 {
+                            up[3 * ii + jj] -= l * up[3 * k + jj];
+                        }
+                    }
+                }
             }
-            let row_scale = self.off_max[i].max((self.values[pivot] + alpha).abs()).max(1e-300);
-            let floor = 1e-8 * row_scale;
-            if u[pivot].abs() < floor {
-                u[pivot] = if u[pivot] >= 0.0 { floor } else { -floor };
+            for p in start..end {
+                pos[self.indices[p] as usize] = ABSENT;
             }
-            min_pivot = min_pivot.min(u[pivot]);
         }
-        // Every strictly-upper entry must have met its mirror in a later row.
-        if let Some(k) = (0..n).find(|&k| cursor[k] != indptr[k + 1]) {
-            return Err(SparseError::AsymmetricPattern { row: k, col: cols[cursor[k]] });
+        // Every upper block must have met its mirror in a later block row.
+        if let Some(bk) = (0..nb).find(|&bk| cursor[bk] != self.indptr[bk + 1]) {
+            let (row, col) = a.first_entry(lo + bk, lo + self.indices[cursor[bk]] as usize);
+            return Err(SparseError::AsymmetricPattern { row, col });
         }
-        Ok((u, min_pivot))
-    }
-
-    /// The factor with values `u` in 3×3 blocks, `lead` pad rows and
-    /// columns before row 0; block row `bi` merges rows `3·bi − lead` to
-    /// `3·bi + 2 − lead`, so its first block is the diagonal one.
-    fn blocked(&self, u: &[f64], lead: usize) -> Result<BsrMatrix, SparseError> {
-        let n = self.off_max.len();
-        let nb = (n + lead).div_ceil(3);
-        let row = |i: Option<usize>| match i.filter(|&i| i < n) {
-            Some(i) => {
-                let r = self.indptr[i]..self.indptr[i + 1];
-                (&self.indices[r.clone()], &u[r])
-            }
-            None => (&[][..], &[][..]),
-        };
-        BsrMatrix::from_block_rows(3 * nb, 3 * nb, |bi| {
-            RowBlocks::new([0, 1, 2].map(|k| row((3 * bi + k).checked_sub(lead))), lead)
-        })
+        Ok(min_pivot)
     }
 }
 
@@ -367,34 +405,31 @@ impl Preconditioner for Ic0 {
 }
 
 /// Block-Jacobi: the matrix's diagonal blocks — one per partition / "CPU"
-/// in the paper — are each factored with IC(0) (on a symmetric block, the
-/// operator of PETSc's default ILU(0) sub-preconditioner) and applied in
-/// parallel. Off-block coupling is ignored, which is what makes it
-/// embarrassingly parallel and also why its iteration count grows with
-/// block count.
-///
-/// A block cut at row `lo` stores its factor in node blocks aligned with
-/// the matrix's nodes (`lo % 3` pad rows), so block boundaries need not
-/// fall between nodes.
+/// in the paper, cut between nodes — are each factored with IC(0) (on a
+/// symmetric block, the operator of PETSc's default ILU(0)
+/// sub-preconditioner) and applied in parallel. Off-block coupling is
+/// ignored, which is what makes it embarrassingly parallel and also why
+/// its iteration count grows with block count.
 #[derive(Debug)]
 pub struct BlockJacobiPrecond {
-    /// Block row ranges `(lo, hi)`.
+    /// Block row ranges `(lo, hi)`, in scalar rows.
     ranges: Vec<(usize, usize)>,
     factors: Vec<Ic0>,
 }
 
 impl BlockJacobiPrecond {
-    /// Build from explicit block boundaries. `offsets` must start at 0,
-    /// end at `a.nrows()`, and be strictly increasing.
+    /// Build from explicit block boundaries in scalar rows. `offsets`
+    /// must start at 0, end at `a.nrows()`, be strictly increasing and
+    /// fall between nodes (multiples of 3).
     ///
     /// A block with a structurally or numerically zero row is
     /// [`SparseError::SingularBlock`] — not the historical silent
     /// identity fallback, which masked singular systems behind a
     /// preconditioner that quietly destroyed convergence. A block whose
-    /// pattern is not symmetric is [`SparseError::AsymmetricPattern`], in
-    /// the matrix's own row and column numbers. When several blocks
+    /// block pattern is not symmetric is [`SparseError::AsymmetricPattern`],
+    /// in the matrix's own row and column numbers. When several blocks
     /// fail, the error is the first failing block's in row order.
-    pub fn from_offsets<A: DiagonalBlocks + ?Sized>(a: &A, offsets: &[usize]) -> Result<Self, SparseError> {
+    pub fn from_offsets(a: &BsrMatrix, offsets: &[usize]) -> Result<Self, SparseError> {
         let invalid = |reason: String| SparseError::InvalidOffsets { reason };
         if offsets.len() < 2 {
             return Err(invalid(format!("need at least 2 offsets, got {}", offsets.len())));
@@ -409,6 +444,9 @@ impl BlockJacobiPrecond {
                 offsets[offsets.len() - 1]
             )));
         }
+        if let Some(o) = offsets.iter().find(|&&o| o % 3 != 0) {
+            return Err(invalid(format!("offset {o} cuts a node")));
+        }
         let ranges: Vec<(usize, usize)> = offsets.windows(2).map(|w| (w[0], w[1])).collect();
         for r in &ranges {
             if r.0 >= r.1 {
@@ -419,22 +457,10 @@ impl BlockJacobiPrecond {
             .par_iter()
             .enumerate()
             .map(|(bi, &(lo, hi))| {
-                let block = a.principal_submatrix(lo, hi);
-                // A zero row makes the block singular; IC(0)'s pivot
-                // floors would otherwise paper over it.
-                for i in 0..hi - lo {
-                    if block.row(i).1.iter().all(|v| v.abs() < 1e-300) {
-                        return Err(SparseError::SingularBlock {
-                            block: bi,
-                            rows: (lo, hi),
-                        });
+                Ic0::of_block(a, lo / 3, hi / 3).map_err(|e| match e {
+                    SparseError::SingularBlock { rows, .. } => {
+                        SparseError::SingularBlock { block: bi, rows }
                     }
-                }
-                Ic0::aligned(&block, lo % 3).map_err(|e| match e {
-                    SparseError::AsymmetricPattern { row, col } => SparseError::AsymmetricPattern {
-                        row: row + lo,
-                        col: col + lo,
-                    },
                     e => e,
                 })
             })
@@ -443,38 +469,11 @@ impl BlockJacobiPrecond {
         Ok(BlockJacobiPrecond { ranges, factors })
     }
 
-    /// Evenly split the rows into `nblocks` contiguous blocks (the paper's
-    /// "approximately equal numbers of mesh nodes to each CPU"). The block
-    /// count is clamped to `1..=a.nrows()`.
-    pub fn new<A: DiagonalBlocks + ?Sized>(a: &A, nblocks: usize) -> Result<Self, SparseError> {
-        Self::from_offsets(a, &crate::partition::even_offsets(a.nrows(), nblocks))
-    }
-}
-
-/// A square matrix whose diagonal blocks [`BlockJacobiPrecond`] can
-/// cut out and factor: scalar CSR, or node blocks.
-pub trait DiagonalBlocks: Sync {
-    /// Number of rows.
-    fn nrows(&self) -> usize;
-    /// Rows and columns `lo..hi` as scalar CSR.
-    fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix;
-}
-
-impl DiagonalBlocks for CsrMatrix {
-    fn nrows(&self) -> usize {
-        self.nrows()
-    }
-    fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix {
-        self.principal_submatrix(lo, hi)
-    }
-}
-
-impl DiagonalBlocks for BsrMatrix {
-    fn nrows(&self) -> usize {
-        self.nrows()
-    }
-    fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix {
-        self.principal_submatrix(lo, hi)
+    /// Evenly split the nodes into `nblocks` contiguous blocks (the
+    /// paper's "approximately equal numbers of mesh nodes to each CPU").
+    /// The block count is clamped to one block per node at most.
+    pub fn new(a: &BsrMatrix, nblocks: usize) -> Result<Self, SparseError> {
+        Self::from_offsets(a, &crate::partition::even_node_offsets(a.nrows(), nblocks))
     }
 }
 
@@ -508,6 +507,10 @@ mod tests {
     use crate::csr::TripletBuilder;
     use rand::{Rng, SeedableRng};
 
+    fn blocks(a: &CsrMatrix) -> BsrMatrix {
+        BsrMatrix::from_csr(a).expect("whole nodes")
+    }
+
     /// A small SPD tridiagonal system.
     fn tridiag(n: usize) -> CsrMatrix {
         let mut b = TripletBuilder::new(n, n);
@@ -523,22 +526,33 @@ mod tests {
         b.build()
     }
 
-    /// A random sparse SPD matrix with a symmetric pattern, strongly
-    /// diagonally dominant (so IC(0) needs no shift), with diagonal
-    /// magnitudes spread over three decades (so the scaling matters).
-    fn random_spd(n: usize, seed: u64) -> CsrMatrix {
+    /// A random SPD matrix of `nodes` node blocks: a symmetric block
+    /// pattern over a fifth of the node pairs, each block holding a
+    /// random two thirds of its entries (so the filled pattern holds
+    /// zeros the scalar one lacks), strongly diagonally dominant (so
+    /// IC(0) needs no shift), with diagonal magnitudes spread over three
+    /// decades (so the scaling matters).
+    fn random_spd(nodes: usize, seed: u64) -> CsrMatrix {
+        let n = 3 * nodes;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut b = TripletBuilder::new(n, n);
         let weight: Vec<f64> = (0..n).map(|_| 10f64.powf(rng.gen_range(0.0..3.0))).collect();
         let mut diag = vec![0.0f64; n];
-        for i in 0..n {
-            for j in i + 1..n {
-                if rng.gen_bool(0.1) {
-                    let v = rng.gen_range(-1.0..1.0) * (weight[i] * weight[j]).sqrt();
-                    b.add(i, j, v);
-                    b.add(j, i, v);
-                    diag[i] += 2.0 * v.abs();
-                    diag[j] += 2.0 * v.abs();
+        for bi in 0..nodes {
+            for bj in bi..nodes {
+                if bj > bi && !rng.gen_bool(0.2) {
+                    continue;
+                }
+                for i in 3 * bi..3 * bi + 3 {
+                    for j in (3 * bj..3 * bj + 3).filter(|&j| j > i) {
+                        if rng.gen_bool(2.0 / 3.0) {
+                            let v = rng.gen_range(-1.0..1.0) * (weight[i] * weight[j]).sqrt();
+                            b.add(i, j, v);
+                            b.add(j, i, v);
+                            diag[i] += 2.0 * v.abs();
+                            diag[j] += 2.0 * v.abs();
+                        }
+                    }
                 }
             }
         }
@@ -549,11 +563,50 @@ mod tests {
     }
 
     /// The unshifted factor's pivots, from the factorization itself.
-    fn unshifted_pivots(a: &CsrMatrix) -> Vec<f64> {
-        let scale: Vec<f64> = a.diagonal().iter().map(|d| 1.0 / d.abs().sqrt()).collect();
-        let upper = ScaledUpper::new(a, &scale);
-        let (u, _) = upper.factor(a, 0.0).expect("symmetric pattern");
-        (0..a.nrows()).map(|i| u[upper.indptr[i]]).collect()
+    fn unshifted_pivots(a: &BsrMatrix) -> Vec<f64> {
+        let nb = a.block_rows();
+        let mut upper = ScaledUpper::new(a, 0, nb, &scaling(a, 0, nb)).expect("no zero row");
+        upper.factor(a, 0, 0.0).expect("symmetric pattern");
+        (0..3 * nb).map(|i| upper.blocks[upper.indptr[i / 3]][4 * (i % 3)]).collect()
+    }
+
+    /// The factor's scalar rows as `(column, value)`: row `i` its pivot,
+    /// then every entry right of it in its diagonal block, then the three
+    /// columns of each off-diagonal block, ascending.
+    fn scalar_rows(u: &BsrMatrix) -> Vec<Vec<(usize, f64)>> {
+        (0..u.nrows())
+            .map(|i| {
+                let (bi, k) = (i / 3, i % 3);
+                let (cols, blocks) = u.block_row(bi);
+                let diag = (k..3).map(|l| (3 * bi + l, blocks[0][3 * k + l]));
+                let off = cols[1..]
+                    .iter()
+                    .zip(&blocks[1..])
+                    .flat_map(|(&j, b)| (0..3).map(move |l| (3 * j as usize + l, b[3 * k + l])));
+                diag.chain(off).collect()
+            })
+            .collect()
+    }
+
+    /// The scalar IC(0) sweeps on those rows: `z = S (Uᵀ D⁻¹ U)⁻¹ S r`,
+    /// the forward sweep scattering row `i` once `z[i]` is final, the
+    /// backward sweep gathering it.
+    fn scalar_sweeps(rows: &[Vec<(usize, f64)>], scale: &[f64], r: &[f64]) -> Vec<f64> {
+        let mut z: Vec<f64> = r.iter().zip(scale).map(|(ri, si)| ri * si).collect();
+        for (i, row) in rows.iter().enumerate() {
+            let w = z[i] / row[0].1;
+            for &(j, v) in &row[1..] {
+                z[j] -= v * w;
+            }
+        }
+        for (i, row) in rows.iter().enumerate().rev() {
+            let mut acc = z[i];
+            for &(j, v) in &row[1..] {
+                acc -= v * z[j];
+            }
+            z[i] = acc / row[0].1;
+        }
+        z.iter().zip(scale).map(|(zi, si)| zi * si).collect()
     }
 
     #[test]
@@ -576,47 +629,104 @@ mod tests {
     }
 
     #[test]
-    fn ic0_reproduces_the_scaled_matrix_on_its_pattern() {
+    fn ic0_reproduces_the_scaled_matrix_on_its_filled_block_pattern() {
         // IC(0)'s defining property: (Uᵀ D⁻¹ U)_ij = (S A S)_ij for every
-        // (i, j) in the pattern of A (fill outside it is dropped).
-        let n = 60;
-        let a = random_spd(n, 27);
-        let ic = Ic0::new(&a).unwrap();
+        // (i, j) of every stored block of A, the filled zeros included
+        // (fill outside the blocks is dropped).
+        let a = blocks(&random_spd(20, 27));
+        let n = a.nrows();
+        assert!(a.nnz() < 9 * a.num_blocks(), "the fixture must fill some zeros");
         assert!(unshifted_pivots(&a).iter().all(|&d| d >= 1e-2), "the fixture must not shift");
-        let (u, _) = ic.scalar_factor();
+        let ic = Ic0::new(&a).unwrap();
         let mut product = vec![0.0; n * n];
-        for k in 0..n {
-            let (cols, vals) = u.row(k);
-            assert_eq!(cols[0], k, "row {k} starts at its pivot");
-            for (&i, &uki) in cols.iter().zip(vals) {
-                for (&j, &ukj) in cols.iter().zip(vals) {
-                    product[i * n + j] += uki * ukj / vals[0];
+        for (k, row) in scalar_rows(&ic.u).iter().enumerate() {
+            assert_eq!(row[0].0, k, "row {k} starts at its pivot");
+            for &(i, uki) in row {
+                for &(j, ukj) in row {
+                    product[i * n + j] += uki * ukj / row[0].1;
                 }
             }
         }
+        let dense = {
+            let mut d = vec![0.0; n * n];
+            let csr = a.to_csr();
+            for i in 0..n {
+                let (cols, vals) = csr.row(i);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    d[i * n + j] = v;
+                }
+            }
+            d
+        };
         let mut checked = 0;
-        for i in 0..n {
-            let (cols, vals) = a.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                let scaled = v * ic.scale[i] * ic.scale[j];
-                let got = product[i * n + j];
-                assert!((got - scaled).abs() <= 1e-12 * scaled.abs().max(1.0), "({i}, {j}): {got} vs {scaled}");
-                checked += 1;
+        for bi in 0..a.block_rows() {
+            for &bj in a.block_row(bi).0 {
+                for i in 3 * bi..3 * bi + 3 {
+                    for j in 3 * bj as usize..3 * bj as usize + 3 {
+                        let scaled = dense[i * n + j] * ic.scale[i] * ic.scale[j];
+                        let got = product[i * n + j];
+                        assert!(
+                            (got - scaled).abs() <= 1e-12 * scaled.abs().max(1.0),
+                            "({i}, {j}): {got} vs {scaled}"
+                        );
+                        checked += 1;
+                    }
+                }
             }
         }
-        assert_eq!(checked, a.nnz());
+        assert_eq!(checked, 9 * a.num_blocks());
+    }
+
+    #[test]
+    fn block_sweeps_are_the_scalar_sweeps_of_the_factor() {
+        // Bit for bit, on vectors holding zeros of both signs.
+        let a = blocks(&random_spd(30, 5));
+        let n = a.nrows();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let vectors: Vec<Vec<f64>> = (0..4)
+            .map(|v| {
+                (0..n)
+                    .map(|i| match (v, i % 7) {
+                        (0, _) => rng.gen_range(-1.0..1.0),
+                        (_, 3) => -0.0,
+                        (_, 5) => 0.0,
+                        _ => rng.gen_range(-1.0..1.0) * 10f64.powi((i % 5) as i32 - 2),
+                    })
+                    .collect()
+            })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ic = Ic0::new(&a).unwrap();
+        let rows = scalar_rows(&ic.u);
+        for r in &vectors {
+            let mut z = vec![f64::NAN; n];
+            ic.solve(r, &mut z);
+            assert_eq!(bits(&z), bits(&scalar_sweeps(&rows, &ic.scale, r)));
+        }
+        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 27, 30, 63, n]).unwrap();
+        for r in &vectors {
+            let mut z = vec![f64::NAN; n];
+            p.apply(r, &mut z);
+            for (&(lo, hi), ic) in p.ranges.iter().zip(&p.factors) {
+                assert_eq!(
+                    bits(&z[lo..hi]),
+                    bits(&scalar_sweeps(&scalar_rows(&ic.u), &ic.scale, &r[lo..hi]))
+                );
+            }
+        }
     }
 
     #[test]
     fn ic0_exact_for_tridiagonal() {
-        // A tridiagonal matrix has no fill, so IC(0) is its Cholesky
-        // factorization and the solve is exact.
-        let a = tridiag(8);
-        let ic = Ic0::new(&a).unwrap();
-        let x_true: Vec<f64> = (0..8).map(|i| (i as f64) - 3.5).collect();
-        let mut b = vec![0.0; 8];
+        // A tridiagonal matrix is block tridiagonal, which fills nothing
+        // outside its blocks: IC(0) is its Cholesky factorization and the
+        // solve is exact.
+        let a = tridiag(9);
+        let ic = Ic0::new(&blocks(&a)).unwrap();
+        let x_true: Vec<f64> = (0..9).map(|i| (i as f64) - 3.5).collect();
+        let mut b = vec![0.0; 9];
         a.spmv(&x_true, &mut b);
-        let mut x = vec![0.0; 8];
+        let mut x = vec![0.0; 9];
         ic.solve(&b, &mut x);
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
@@ -626,8 +736,8 @@ mod tests {
     #[test]
     fn ic0_apply_is_symmetric() {
         // yᵀ M⁻¹ x = xᵀ M⁻¹ y: what makes it a valid CG preconditioner.
-        let n = 80;
-        let ic = Ic0::new(&random_spd(n, 3)).unwrap();
+        let n = 81;
+        let ic = Ic0::new(&blocks(&random_spd(n / 3, 3))).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         for _ in 0..5 {
             let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -646,59 +756,64 @@ mod tests {
         // A soft spring (1e-6) to ground in series with a stiff one (1):
         // SPD, but the scaled second pivot is ≈ 1e-6, far below the 0.01
         // floor, so the factorization is retried with a diagonal shift.
-        let mut b = TripletBuilder::new(2, 2);
+        let mut b = TripletBuilder::new(3, 3);
         b.add(0, 0, 1.0 + 1e-6);
         b.add(0, 1, -1.0);
         b.add(1, 0, -1.0);
         b.add(1, 1, 1.0);
-        let a = b.build();
+        b.add(2, 2, 1.0);
+        let a = blocks(&b.build());
         assert!(unshifted_pivots(&a)[1] < 1e-2);
         let ic = Ic0::new(&a).unwrap();
-        let (u, _) = ic.scalar_factor();
-        let pivots: Vec<f64> = (0..2).map(|i| u.row(i).1[0]).collect();
+        let pivots: Vec<f64> = (0..3).map(|k| ic.u.block_row(0).1[0][4 * k]).collect();
         assert!(pivots.iter().all(|&d| d >= 1e-2), "shifted pivots {pivots:?}");
-        let mut z = vec![0.0; 2];
-        ic.solve(&[1.0, -1.0], &mut z);
+        let mut z = vec![0.0; 3];
+        ic.solve(&[1.0, -1.0, 0.5], &mut z);
         assert!(z.iter().all(|v| v.is_finite()));
     }
 
     #[test]
     fn asymmetric_pattern_is_a_typed_error() {
-        // (1, 2) stored without (2, 1): caught when row 1 is left with an
-        // unconsumed entry; (3, 0) without (0, 3): caught at row 3.
-        let mut upper_only = TripletBuilder::new(3, 3);
-        let mut lower_only = TripletBuilder::new(4, 4);
-        for i in 0..3 {
-            upper_only.add(i, i, 4.0);
-        }
-        for i in 0..4 {
-            lower_only.add(i, i, 4.0);
-        }
-        upper_only.add(1, 2, -1.0);
-        lower_only.add(3, 0, -1.0);
-        let e = Ic0::new(&upper_only.build()).unwrap_err();
-        assert_eq!(e, SparseError::AsymmetricPattern { row: 1, col: 2 });
-        let lower_only = lower_only.build();
-        assert_eq!(Ic0::new(&lower_only).unwrap_err(), SparseError::AsymmetricPattern { row: 3, col: 0 });
+        // The pattern is checked block by block, at the block's first
+        // stored entry: (1, 4) without (4, 1) leaves block (0, 1) without
+        // its mirror, caught when block row 0 is left with an unconsumed
+        // block; (5, 2) without (2, 5) is caught at block row 1.
+        let diagonal = |n: usize, extra: &[(usize, usize)]| {
+            let mut b = TripletBuilder::new(n, n);
+            for i in 0..n {
+                b.add(i, i, 4.0);
+            }
+            for &(i, j) in extra {
+                b.add(i, j, -1.0);
+            }
+            blocks(&b.build())
+        };
+        let asymmetric = |row, col| Err(SparseError::AsymmetricPattern { row, col });
+        assert_eq!(Ic0::new(&diagonal(6, &[(1, 4)])).map(|_| ()), asymmetric(1, 4));
+        assert_eq!(Ic0::new(&diagonal(6, &[(5, 2)])).map(|_| ()), asymmetric(5, 2));
+        // Block row 2 finds block (0, 1) where it looks for its mirror
+        // (0, 2): the unmatched block is (0, 1).
+        assert_eq!(Ic0::new(&diagonal(9, &[(1, 4), (1, 7), (7, 1)])).map(|_| ()), asymmetric(1, 4));
+        // Inside one node block the filled pattern is symmetric.
+        assert!(Ic0::new(&diagonal(6, &[(1, 2)])).is_ok());
         // Inside a block-Jacobi block the position is the matrix's own.
-        let mut big = TripletBuilder::new(6, 6);
-        for i in 0..6 {
-            big.add(i, i, 4.0);
-        }
-        big.add(5, 2, -1.0);
-        let e = BlockJacobiPrecond::from_offsets(&big.build(), &[0, 2, 6]).unwrap_err();
-        assert_eq!(e, SparseError::AsymmetricPattern { row: 5, col: 2 });
-        let e = Ic0::new(&CsrMatrix::from_raw(1, 2, vec![0, 1], vec![0], vec![1.0]).unwrap());
+        let e =
+            BlockJacobiPrecond::from_offsets(&diagonal(12, &[(10, 4)]), &[0, 3, 12]).map(|_| ());
+        assert_eq!(e, asymmetric(10, 4));
+        let wide = BsrMatrix::from_csr(
+            &CsrMatrix::from_raw(3, 6, vec![0, 1, 2, 3], vec![0, 1, 2], vec![1.0; 3]).unwrap(),
+        );
+        let e = Ic0::new(&wide.unwrap());
         assert!(matches!(e, Err(SparseError::DimensionMismatch { .. })), "{e:?}");
     }
 
     #[test]
     fn block_jacobi_solves_in_place_what_its_blocks_solve_alone() {
-        let a = tridiag(23);
-        let r: Vec<f64> = (0..23).map(|i| (i as f64 * 0.7).sin()).collect();
-        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 5, 6, 16, 23]).unwrap();
+        let a = tridiag(24);
+        let r: Vec<f64> = (0..24).map(|i| (i as f64 * 0.7).sin()).collect();
+        let p = BlockJacobiPrecond::from_offsets(&blocks(&a), &[0, 6, 9, 18, 24]).unwrap();
         // Stale output must be overwritten everywhere.
-        let mut z = vec![f64::NAN; 23];
+        let mut z = vec![f64::NAN; 24];
         p.apply(&r, &mut z);
         for (&(lo, hi), ic) in p.ranges.iter().zip(&p.factors) {
             let mut alone = vec![0.0; hi - lo];
@@ -712,12 +827,12 @@ mod tests {
     #[test]
     fn block_jacobi_single_block_is_exact_on_a_tridiagonal_matrix() {
         // One IC(0) block of a fill-free matrix is its Cholesky factor.
-        let a = tridiag(10);
-        let p = BlockJacobiPrecond::new(&a, 1).unwrap();
-        let x_true: Vec<f64> = (0..10).map(|i| i as f64 * 0.1).collect();
-        let mut b = vec![0.0; 10];
+        let a = tridiag(12);
+        let p = BlockJacobiPrecond::new(&blocks(&a), 1).unwrap();
+        let x_true: Vec<f64> = (0..12).map(|i| i as f64 * 0.1).collect();
+        let mut b = vec![0.0; 12];
         a.spmv(&x_true, &mut b);
-        let mut x = vec![0.0; 10];
+        let mut x = vec![0.0; 12];
         p.apply(&b, &mut x);
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-10);
@@ -726,11 +841,10 @@ mod tests {
 
     #[test]
     fn block_jacobi_many_blocks_is_approximate_but_spd_like() {
-        let a = tridiag(16);
-        let p = BlockJacobiPrecond::new(&a, 4).unwrap();
-        assert_eq!(p.ranges.len(), 4);
-        let r = vec![1.0; 16];
-        let mut z = vec![0.0; 16];
+        let p = BlockJacobiPrecond::new(&blocks(&tridiag(18)), 4).unwrap();
+        assert_eq!(p.ranges, vec![(0, 6), (6, 12), (12, 15), (15, 18)]);
+        let r = vec![1.0; 18];
+        let mut z = vec![0.0; 18];
         p.apply(&r, &mut z);
         // Not exact (coupling ignored) but positive and bounded.
         assert!(z.iter().all(|&v| v > 0.0 && v < 100.0));
@@ -738,20 +852,17 @@ mod tests {
 
     #[test]
     fn block_offsets_respected() {
-        let a = tridiag(10);
-        let p = BlockJacobiPrecond::from_offsets(&a, &[0, 3, 10]).unwrap();
-        assert_eq!(p.ranges, vec![(0, 3), (3, 10)]);
+        let p = BlockJacobiPrecond::from_offsets(&blocks(&tridiag(12)), &[0, 3, 12]).unwrap();
+        assert_eq!(p.ranges, vec![(0, 3), (3, 12)]);
     }
 
     #[test]
     fn bad_offsets_are_rejected() {
-        let a = tridiag(4);
-        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 5]);
-        assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })), "{e:?}");
-        let e = BlockJacobiPrecond::from_offsets(&a, &[1, 4]);
-        assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })));
-        let e = BlockJacobiPrecond::from_offsets(&a, &[0, 2, 2, 4]);
-        assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })));
+        let a = blocks(&tridiag(6));
+        for offsets in [&[0, 9][..], &[3, 6], &[0, 3, 3, 6], &[0], &[0, 4, 6], &[0, 2, 6]] {
+            let e = BlockJacobiPrecond::from_offsets(&a, offsets);
+            assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })), "{offsets:?}: {e:?}");
+        }
     }
 
     #[test]
@@ -762,15 +873,20 @@ mod tests {
             for i in 0..n {
                 b.add(i, i, if zero.contains(&i) { 0.0 } else { 2.0 });
             }
-            b.build()
+            blocks(&b.build())
         };
-        // Row 2 is zero: block (2..4) is singular. Before the fix this
+        // Row 4 is zero: block (3..6) is singular. Before the fix this
         // produced a silent identity factor.
-        let e = BlockJacobiPrecond::from_offsets(&zero_rows(4, &[2]), &[0, 2, 4]).unwrap_err();
-        assert_eq!(e, SparseError::SingularBlock { block: 1, rows: (2, 4) });
-        // Rows 1 and 4 are zero: blocks 0 and 2 both fail, and the error
+        let e = BlockJacobiPrecond::from_offsets(&zero_rows(6, &[4]), &[0, 3, 6]).unwrap_err();
+        assert_eq!(e, SparseError::SingularBlock { block: 1, rows: (3, 6) });
+        // Rows 1 and 7 are zero: blocks 0 and 2 both fail, and the error
         // names the lower one whatever order the blocks factor in.
-        let e = BlockJacobiPrecond::from_offsets(&zero_rows(6, &[1, 4]), &[0, 2, 4, 6]).unwrap_err();
-        assert_eq!(e, SparseError::SingularBlock { block: 0, rows: (0, 2) });
+        let e =
+            BlockJacobiPrecond::from_offsets(&zero_rows(9, &[1, 7]), &[0, 3, 6, 9]).unwrap_err();
+        assert_eq!(e, SparseError::SingularBlock { block: 0, rows: (0, 3) });
+        assert_eq!(
+            Ic0::new(&zero_rows(6, &[5])).unwrap_err(),
+            SparseError::SingularBlock { block: 0, rows: (0, 6) }
+        );
     }
 }

@@ -111,10 +111,13 @@ cargo run -q --release -p brainshift-conformance --bin conformance_report
 # thread count either. The assembly-order suite holds every entry of `K`
 # to the left-to-right sum of its contributions in ascending tet order,
 # bit for bit, so `K` is the same bits at either count. The node-block
-# suite holds the served solve's 3×3-block `K_ff`, `K_fc` and IC(0)
-# factor to the scalar CSR products and sweeps, bit for bit, at block
-# boundaries that cut nodes too, and a warm CG solve to allocating
-# nothing of the system's size.
+# suite holds the served solve's 3×3-block `K_ff` and `K_fc` to the
+# scalar CSR products, and a CG solve under block-Jacobi IC(0) on 1, 2
+# and 4 node-cut blocks to the same solve on scalar CSR, bit for bit; a
+# warm CG solve to allocating nothing of the system's size, and a warm
+# context solve to copying no reduced vector. The sparse suite holds the
+# IC(0) factor to its defining product on the filled node-block pattern
+# and its block sweeps to scalar sweeps of its own values, bit for bit.
 for threads in 1 4; do
   RAYON_NUM_THREADS=$threads cargo test -q -p brainshift-segment -p brainshift-surface \
     -p brainshift-sparse -p brainshift-imaging -p brainshift-fem
@@ -302,6 +305,11 @@ EOF
 # The served solve reads node blocks (DESIGN §3, §20): `K_ff` and `K_fc`
 # in `DirichletStructure` and the IC(0) factor in `Ic0` are `BsrMatrix`,
 # and no scalar CSR copy of any of them comes back beside the blocks.
+# There is one IC(0): it factors straight from a `BsrMatrix`'s diagonal
+# blocks on the filled node-block pattern, between nodes, so `Ic0` keeps
+# no pad-row `lead`, and neither it nor block-Jacobi takes a `CsrMatrix`.
+# The scalar factor copy (`scalar_factor`, `ScaledUpper::blocked`) and the
+# `DiagonalBlocks` trait that cut scalar blocks do not come back.
 while read -r file name; do
   body=$(awk -v s="pub struct $name {" 'index($0, s) == 1 {f = 1} f; f && /^}/ {exit}' "$file" |
     sed '/^[[:space:]]*\/\//d')
@@ -317,6 +325,22 @@ done <<'EOF'
 crates/fem/src/bc.rs DirichletStructure
 crates/sparse/src/precond.rs Ic0
 EOF
+if awk '/^pub struct Ic0 \{/ {f = 1} f; f && /^}/ {exit}' crates/sparse/src/precond.rs | grep -nw 'lead'; then
+  echo "Ic0 holds a pad-row 'lead': its blocks start at a node" >&2
+  exit 1
+fi
+if grep -rnwE 'DiagonalBlocks|scalar_factor' crates tests examples src ||
+  grep -rnE 'fn blocked\b|\.blocked\(' crates/sparse/src; then
+  echo "a scalar IC(0) path is back: IC(0) factors the BsrMatrix blocks themselves" >&2
+  exit 1
+fi
+if non_test crates/sparse/src/precond.rs |
+  awk '/^impl / {c = $2} /^}/ {c = ""}
+       (c == "Ic0" || c == "BlockJacobiPrecond") && /fn (new|from_offsets)\(/ {g = 1; sig = ""}
+       g {sig = sig $0; if (index($0, "{")) {g = 0; if (sig ~ /CsrMatrix/) print c ": " sig}}' | grep .; then
+  echo "Ic0::new or BlockJacobiPrecond::{new, from_offsets} takes a CsrMatrix: they factor BsrMatrix blocks" >&2
+  exit 1
+fi
 
 # One registration search: rigid and affine MI registration run the same
 # coordinate descent through the same level loop on the same metric

@@ -33,17 +33,18 @@ use brainshift_imaging::Vec3;
 use brainshift_mesh::error::MeshError;
 use brainshift_mesh::TetMesh;
 use brainshift_service::{EventKind, JobOutcome, Rejected, ScanJob, Service, ServiceConfig, ServiceError};
-use brainshift_sparse::{BlockJacobiPrecond, CsrMatrix, SparseError, StopReason, TripletBuilder};
+use brainshift_sparse::{BlockJacobiPrecond, BsrMatrix, SparseError, StopReason, TripletBuilder};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
 // ───────────────────────── singular blocks ─────────────────────────
 
-/// Random sparse diagonally-dominant SPD matrix from an arbitrary edge
-/// list (symmetrized), with one row/column pair structurally zeroed so
-/// that the diagonal block owning it is singular beyond repair.
-fn spd_with_dead_row(n: usize, edges: &[(usize, usize, f64)], dead: usize) -> CsrMatrix {
+/// Random sparse diagonally-dominant SPD matrix of `n` rows, three per
+/// node, from an arbitrary edge list (symmetrized), with one row/column
+/// pair structurally zeroed so that the diagonal block owning it is
+/// singular beyond repair.
+fn spd_with_dead_row(n: usize, edges: &[(usize, usize, f64)], dead: usize) -> BsrMatrix {
     let mut b = TripletBuilder::new(n, n);
     let mut diag = vec![1.0f64; n];
     for &(i, j, w) in edges {
@@ -62,7 +63,7 @@ fn spd_with_dead_row(n: usize, edges: &[(usize, usize, f64)], dead: usize) -> Cs
             b.add(i, i, d);
         }
     }
-    b.build()
+    BsrMatrix::from_csr(&b.build()).expect("whole nodes")
 }
 
 proptest! {
@@ -74,11 +75,12 @@ proptest! {
     /// quietly acts like the identity on that block.
     #[test]
     fn singular_block_is_an_error_not_a_wrong_answer(
-        n in 6usize..40,
+        nodes in 2usize..14,
         edges in prop::collection::vec((0usize..64, 0usize..64, -2.0f64..2.0), 0..120),
         dead in 0usize..64,
         nblocks in 1usize..8,
     ) {
+        let n = 3 * nodes;
         let dead = dead % n;
         let a = spd_with_dead_row(n, &edges, dead);
         let r = BlockJacobiPrecond::new(&a, nblocks);

@@ -1,70 +1,88 @@
 //! Integration: the served solve's node-blocked matrices compute what
-//! scalar CSR computes, bit for bit.
+//! scalar CSR computes, bit for bit, and a warm solve copies no vector.
 //!
-//! `DirichletStructure` stores `K_ff` and `K_fc` in 3×3 node blocks, and
-//! `BlockJacobiPrecond` stores each IC(0) factor in node blocks too. The
+//! `DirichletStructure` stores `K_ff` and `K_fc` in 3×3 node blocks. The
 //! references here are scalar: `K_ff` and `K_fc` cut from `K` through a
-//! `TripletBuilder`, the CSR products, and the scalar IC(0) sweeps on the
-//! factor's scalar values (`Ic0::scalar_factor`). On a lattice, on a
-//! 32×32×24 phantom, on a pattern that stores an exact `0.0`, and at
-//! block-Jacobi offsets that cut nodes, every product, every
-//! preconditioner application and a whole CG solve must be the same
-//! bits. Run at two `RAYON_NUM_THREADS` counts.
-//!
-//! The test vectors hold no `−0.0`: there a filled zero of a sweep may
-//! flip the sign of a zero in the output (`−0 − (−0) = +0`), which no
-//! nonzero, and no CG iterate, ever reads.
+//! `TripletBuilder`, and the CSR products. On a lattice, on a 32×32×24
+//! phantom and on a pattern that stores an exact `0.0`, every product and
+//! a whole CG solve under the served block-Jacobi IC(0) preconditioner
+//! (its blocks cut between nodes) must be the same bits. The IC(0)
+//! factor itself is held to its defining product and to scalar sweeps of
+//! its own values by `brainshift-sparse`'s unit tests. Run at two
+//! `RAYON_NUM_THREADS` counts.
 
 use brainshift_bench::phantom_labels;
-use brainshift_fem::{assemble_stiffness, DirichletStructure, MaterialTable};
-use brainshift_imaging::labels;
+use brainshift_fem::{
+    assemble_stiffness, DirichletBcs, DirichletStructure, FemSolveConfig, MaterialTable,
+    SolverContext,
+};
 use brainshift_imaging::volume::{Dims, Spacing, Volume};
+use brainshift_imaging::{labels, Vec3};
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig, TetMesh};
-use brainshift_sparse::partition::even_offsets;
 use brainshift_sparse::{
-    conjugate_gradient, BlockJacobiPrecond, BsrMatrix, CsrMatrix, Ic0, KrylovWorkspace,
-    Preconditioner, SolverOptions, TripletBuilder,
+    conjugate_gradient, BlockJacobiPrecond, BsrMatrix, CsrMatrix, KrylovWorkspace, SolverOptions,
+    TripletBuilder,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
-/// Records the largest allocation made on a thread while its tracking is
-/// on.
-struct LargestAllocation;
+/// Records, on a thread while its tracking is on, the largest allocation
+/// and how many allocations had exactly the watched size.
+struct WatchingAllocator;
 
 thread_local! {
     static TRACKING: Cell<bool> = const { Cell::new(false) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static WATCHED: Cell<usize> = const { Cell::new(0) };
+    static SEEN: Cell<usize> = const { Cell::new(0) };
 }
 
-unsafe impl GlobalAlloc for LargestAllocation {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.with(Cell::get) {
-            LARGEST.with(|l| l.set(l.get().max(layout.size())));
+fn record(size: usize) {
+    if TRACKING.with(Cell::get) {
+        LARGEST.with(|l| l.set(l.get().max(size)));
+        if WATCHED.with(Cell::get) == size {
+            SEEN.with(|s| s.set(s.get() + 1));
         }
+    }
+}
+
+unsafe impl GlobalAlloc for WatchingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if TRACKING.with(Cell::get) {
-            LARGEST.with(|l| l.set(l.get().max(new_size)));
-        }
+        record(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
-static ALLOCATOR: LargestAllocation = LargestAllocation;
+static ALLOCATOR: WatchingAllocator = WatchingAllocator;
 
-/// The largest allocation `f` makes on this thread.
-fn largest_allocation(f: impl FnOnce()) -> usize {
+/// The largest allocation `f` makes on this thread, and how many of its
+/// allocations are exactly `watched` bytes.
+fn allocations(watched: usize, f: impl FnOnce()) -> (usize, usize) {
     LARGEST.with(|l| l.set(0));
+    SEEN.with(|s| s.set(0));
+    WATCHED.with(|w| w.set(watched));
     TRACKING.with(|t| t.set(true));
     f();
     TRACKING.with(|t| t.set(false));
-    LARGEST.with(Cell::get)
+    (LARGEST.with(Cell::get), SEEN.with(Cell::get))
+}
+
+/// A thread waiting on its parallel tasks runs queued tasks of other
+/// threads too, so an allocation counted on one test's thread could be
+/// another test's. The tests here run one at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -103,76 +121,9 @@ fn scalar_blocks(k: &CsrMatrix, s: &DirichletStructure) -> (CsrMatrix, CsrMatrix
     (ff.build(), fc.build())
 }
 
-/// The scalar IC(0) sweeps: `z = S (Uᵀ D⁻¹ U)⁻¹ S r`, the forward sweep
-/// scattering row `i` of `U` once `z[i]` is final, the backward sweep
-/// gathering it.
-fn scalar_ic0_solve(u: &CsrMatrix, scale: &[f64], r: &[f64], z: &mut [f64]) {
-    let n = scale.len();
-    let (indptr, cols, vals) = (u.indptr(), u.indices(), u.values());
-    for ((zi, ri), si) in z.iter_mut().zip(r).zip(scale) {
-        *zi = ri * si;
-    }
-    for i in 0..n {
-        let pivot = indptr[i];
-        let wi_over_d = z[i] / vals[pivot];
-        for p in pivot + 1..indptr[i + 1] {
-            z[cols[p]] -= vals[p] * wi_over_d;
-        }
-    }
-    for i in (0..n).rev() {
-        let pivot = indptr[i];
-        let mut acc = z[i];
-        for p in pivot + 1..indptr[i + 1] {
-            acc -= vals[p] * z[cols[p]];
-        }
-        z[i] = acc / vals[pivot];
-    }
-    for (zi, si) in z.iter_mut().zip(scale) {
-        *zi *= si;
-    }
-}
-
-/// Block-Jacobi on scalar CSR: one scalar IC(0) factor per block of
-/// `offsets`, applied with the scalar sweeps.
-struct ScalarBlockJacobi {
-    blocks: Vec<(usize, usize, CsrMatrix, Vec<f64>)>,
-}
-
-impl ScalarBlockJacobi {
-    fn new(a: &CsrMatrix, offsets: &[usize]) -> Self {
-        let blocks = offsets
-            .windows(2)
-            .map(|w| {
-                let ic = Ic0::new(&a.principal_submatrix(w[0], w[1])).expect("K_ff blocks factor");
-                let (u, scale) = ic.scalar_factor();
-                (w[0], w[1], u, scale.to_vec())
-            })
-            .collect();
-        ScalarBlockJacobi { blocks }
-    }
-}
-
-impl Preconditioner for ScalarBlockJacobi {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        for (lo, hi, u, scale) in &self.blocks {
-            scalar_ic0_solve(u, scale, &r[*lo..*hi], &mut z[*lo..*hi]);
-        }
-    }
-}
-
-/// Block-Jacobi offsets over `n` rows: the served four-block split and
-/// two more whose boundaries fall inside nodes; at least one boundary
-/// must cut a node.
-fn offset_sets(n: usize) -> Vec<Vec<usize>> {
-    let sets = vec![even_offsets(n, 4), vec![0, n / 3 + 1, n], vec![0, 3 * (n / 9) + 2, 2 * n / 3 - 1, n]];
-    let cuts = sets.iter().flatten().filter(|&&o| o % 3 != 0).count();
-    assert!(cuts > 0, "no offset cuts a node at n = {n}");
-    sets
-}
-
 /// Everything the served solve computes from `blocks`, against the
-/// scalar `csr`: round trip, products, preconditioner applications at
-/// each offset set and a cold CG solve.
+/// scalar `csr`: round trip, products, and a cold CG solve under
+/// block-Jacobi IC(0) on 1, 2 and 4 node-cut blocks.
 fn check_products(name: &str, blocks: &BsrMatrix, csr: &CsrMatrix) {
     let n = csr.nrows();
     assert_eq!(blocks.nnz(), csr.nnz(), "{name}: nnz");
@@ -186,24 +137,22 @@ fn check_products(name: &str, blocks: &BsrMatrix, csr: &CsrMatrix) {
         bitwise("spmv", &want, &got);
         bitwise("parallel spmv", &want, &par);
     }
-    for offsets in offset_sets(n) {
-        let served = BlockJacobiPrecond::from_offsets(blocks, &offsets).expect("K_ff blocks factor");
-        let scalar = ScalarBlockJacobi::new(csr, &offsets);
-        for r in vectors(n) {
-            let (mut want, mut got) = (vec![0.0; n], vec![f64::NAN; n]);
-            scalar.apply(&r, &mut want);
-            served.apply(&r, &mut got);
-            bitwise(&format!("block-Jacobi at {offsets:?}"), &want, &got);
-        }
+    for nblocks in [1, 2, 4] {
+        let served = BlockJacobiPrecond::new(blocks, nblocks).expect("K_ff blocks factor");
         let opts = SolverOptions { tolerance: 1e-10, max_iterations: 5000, ..Default::default() };
         let b = &vectors(n)[0];
         let (mut want, mut got) = (vec![0.0; n], vec![0.0; n]);
         let mut ws = KrylovWorkspace::new(n);
-        let s_want = conjugate_gradient(csr, &scalar, b, &mut want, &opts, &mut ws).expect("dims agree");
-        let s_got = conjugate_gradient(blocks, &served, b, &mut got, &opts, &mut ws).expect("dims agree");
-        assert!(s_got.converged(), "{name}: CG at {offsets:?} did not converge");
-        assert_eq!(s_want.iterations, s_got.iterations, "{name}: CG iterations at {offsets:?}");
-        bitwise(&format!("CG solution at {offsets:?}"), &want, &got);
+        let s_want =
+            conjugate_gradient(csr, &served, b, &mut want, &opts, &mut ws).expect("dims agree");
+        let s_got =
+            conjugate_gradient(blocks, &served, b, &mut got, &opts, &mut ws).expect("dims agree");
+        assert!(s_got.converged(), "{name}: CG on {nblocks} blocks did not converge");
+        assert_eq!(
+            s_want.iterations, s_got.iterations,
+            "{name}: CG iterations on {nblocks} blocks"
+        );
+        bitwise(&format!("CG solution on {nblocks} blocks"), &want, &got);
     }
 }
 
@@ -238,11 +187,13 @@ fn lattice() -> TetMesh {
 
 #[test]
 fn a_lattice_k_ff_and_k_fc_compute_the_scalar_bits() {
+    let _one = one_at_a_time();
     check_mesh("lattice", &lattice(), &MaterialTable::heterogeneous());
 }
 
 #[test]
 fn a_phantom_k_ff_and_k_fc_compute_the_scalar_bits() {
+    let _one = one_at_a_time();
     let (seg, _) = phantom_labels(Dims::new(32, 32, 24), Spacing::new(7.5, 7.5, 6.25));
     let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
     check_mesh("phantom", &mesh, &MaterialTable::heterogeneous());
@@ -250,6 +201,7 @@ fn a_phantom_k_ff_and_k_fc_compute_the_scalar_bits() {
 
 #[test]
 fn a_stored_exact_zero_stays_in_the_pattern_and_the_bits() {
+    let _one = one_at_a_time();
     let mesh = lattice();
     let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
     let s = DirichletStructure::new(&k, &boundary_nodes(&mesh)).expect("boundary nodes are mesh nodes");
@@ -279,6 +231,7 @@ fn a_stored_exact_zero_stays_in_the_pattern_and_the_bits() {
 
 #[test]
 fn a_warm_cg_solve_allocates_nothing_that_grows_with_n() {
+    let _one = one_at_a_time();
     let mesh = lattice();
     let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
     let s = DirichletStructure::new(&k, &boundary_nodes(&mesh)).expect("boundary nodes are mesh nodes");
@@ -291,7 +244,7 @@ fn a_warm_cg_solve_allocates_nothing_that_grows_with_n() {
     conjugate_gradient(&s.matrix, &pc, b, &mut first, &opts, &mut ws).expect("dims agree");
     let mut again = vec![0.0; n];
     let mut iterations = 0;
-    let largest = largest_allocation(|| {
+    let (largest, _) = allocations(0, || {
         let stats = conjugate_gradient(&s.matrix, &pc, b, &mut again, &opts, &mut ws).expect("dims agree");
         iterations = stats.iterations;
     });
@@ -300,4 +253,40 @@ fn a_warm_cg_solve_allocates_nothing_that_grows_with_n() {
     // chunk. An n-vector, or any slice of one, would be far larger.
     assert!(largest < n, "the warm solve allocated {largest} bytes at n = {n}");
     assert!(bits(&first) == bits(&again), "a warm workspace solved differently");
+}
+
+#[test]
+fn a_warm_context_solve_copies_no_reduced_vector() {
+    let _one = one_at_a_time();
+    // The seed a failed solve puts back is kept on the context, not
+    // cloned per solve: no allocation is one reduced vector long. The
+    // returned field is one `Vec3` per node, 8 bytes per equation, so it
+    // cannot be mistaken for one.
+    let mesh = lattice();
+    let surface = boundary_nodes(&mesh);
+    let mut ctx = SolverContext::new(
+        &mesh,
+        &MaterialTable::homogeneous(),
+        &surface,
+        FemSolveConfig::default(),
+    )
+    .expect("context builds");
+    let nfree = ctx.reduced_equations();
+    assert_ne!(nfree, mesh.num_equations());
+    let scan = |scale: f64| {
+        let mut bcs = DirichletBcs::new();
+        for &n in &surface {
+            let p = mesh.nodes[n];
+            bcs.set(n, Vec3::new(0.01 * scale * p.y, 0.0, -0.02 * scale * p.x));
+        }
+        bcs
+    };
+    ctx.solve(&scan(1.0)).expect("cold solve");
+    let mut warm = None;
+    let (_, copies) =
+        allocations(8 * nfree, || warm = Some(ctx.solve(&scan(1.2)).expect("warm solve")));
+    let warm = warm.expect("solved");
+    assert!(warm.stats.converged() && warm.stats.iterations > 0, "{:?}", warm.stats);
+    assert_eq!(ctx.stats().warm_started_solves, 1);
+    assert_eq!(copies, 0, "the warm solve allocated {copies} vector(s) of {nfree} f64");
 }

@@ -10,8 +10,8 @@ use brainshift_imaging::Vec3;
 use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
 use brainshift_sparse::dense::DenseLu;
 use brainshift_sparse::{
-    conjugate_gradient, gmres, BlockJacobiPrecond, Ic0, JacobiPrecond, KrylovKind, KrylovWorkspace,
-    SolverOptions,
+    conjugate_gradient, gmres, BlockJacobiPrecond, BsrMatrix, CsrMatrix, Ic0, JacobiPrecond,
+    KrylovKind, KrylovWorkspace, SolverOptions,
 };
 
 fn small_mesh() -> brainshift_mesh::TetMesh {
@@ -19,7 +19,12 @@ fn small_mesh() -> brainshift_mesh::TetMesh {
     mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable })
 }
 
-fn small_reduced() -> (brainshift_sparse::CsrMatrix, Vec<f64>) {
+/// The node blocks of a reduced stiffness matrix.
+fn blocks(a: &CsrMatrix) -> BsrMatrix {
+    BsrMatrix::from_csr(a).expect("whole nodes")
+}
+
+fn small_reduced() -> (CsrMatrix, Vec<f64>) {
     let seg = Volume::from_fn(Dims::new(5, 5, 5), Spacing::iso(2.0), |_, _, _| labels::BRAIN);
     let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
     let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());
@@ -53,7 +58,7 @@ fn gmres_cg_and_dense_lu_agree_on_fem_system() {
 
     let opts = SolverOptions { tolerance: 1e-12, max_iterations: 20_000, ..Default::default() };
     let mut x_g = vec![0.0; n];
-    let ic = Ic0::new(&a).expect("K_ff has a symmetric pattern");
+    let ic = Ic0::new(&blocks(&a)).expect("K_ff has a symmetric pattern");
     let sg = gmres(&a, &ic, &rhs, &mut x_g, &opts).expect("dims agree");
     assert!(sg.converged());
     let mut ws = KrylovWorkspace::new(n);
@@ -79,7 +84,8 @@ fn block_jacobi_block_count_does_not_change_solution() {
     let opts = SolverOptions { tolerance: 1e-11, max_iterations: 20_000, ..Default::default() };
     let mut reference: Option<Vec<f64>> = None;
     for blocks in [1usize, 2, 5] {
-        let pc = BlockJacobiPrecond::new(&a, blocks).expect("singular diagonal block");
+        let pc =
+            BlockJacobiPrecond::new(&self::blocks(&a), blocks).expect("singular diagonal block");
         let mut x = vec![0.0; a.nrows()];
         let s = gmres(&a, &pc, &rhs, &mut x, &opts).expect("dims agree");
         assert!(s.converged(), "blocks={blocks}");
@@ -155,7 +161,7 @@ fn distributed_spmv_matches_serial() {
     let mut serial = vec![0.0; n];
     a.spmv(&x, &mut serial);
 
-    let offsets = brainshift_sparse::partition::even_offsets(n, 4);
+    let offsets = brainshift_sparse::partition::even_node_offsets(n, 4);
     let results = run_ranks(offsets.len() - 1, |comm| {
         let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
         let sys = RankSystem::new(comm, &a, &offsets).expect("K_ff has a symmetric pattern");
@@ -198,9 +204,9 @@ fn distributed_gmres_solves_fem_system() {
     let (a, rhs) = small_reduced();
     let n = a.nrows();
     let opts = SolverOptions { tolerance: 1e-9, max_iterations: 5000, ..Default::default() };
-    let ic = Ic0::new(&a).expect("K_ff has a symmetric pattern");
+    let ic = Ic0::new(&blocks(&a)).expect("K_ff has a symmetric pattern");
     let solve_on = |p: usize, kind: KrylovKind| {
-        let offsets = brainshift_sparse::partition::even_offsets(n, p);
+        let offsets = brainshift_sparse::partition::even_node_offsets(n, p);
         run_ranks(offsets.len() - 1, |comm| {
             let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
             let sys = RankSystem::new(comm, &a, &offsets).expect("K_ff has a symmetric pattern");

@@ -32,6 +32,16 @@
 //! the same kind of `K`). Every Krylov iteration count, every
 //! segmentation hash and every other surface residual kept its bits.
 //!
+//! They were regenerated a third time when IC(0) moved onto the filled
+//! node-block pattern and the block-Jacobi blocks onto node boundaries:
+//! every field, backward-field, warped-reference and nodal-displacement
+//! hash moved. Iterations went 27, 28, 27 → 26, 28, 26 on the warm
+//! anisotropic scans, 33 → 32 on the 48×48×36 image-gradient case and
+//! 29 → 28 on the drifted one; every other count kept its value. Every
+//! segmentation hash and every distance-potential residual kept its
+//! bits; the two image-gradient residuals moved in the ninth digit, as
+//! their scans come from a ground-truth solve with the default solver.
+//!
 //! Every Krylov kernel — the dense reductions in fixed blocks, the
 //! row-parallel SpMV, the per-block preconditioner — gives the same bits
 //! at any thread count, so the constants hold at any `RAYON_NUM_THREADS`.
@@ -48,15 +58,15 @@ use brainshift_imaging::{DisplacementField, Mat3, Vec3, Volume};
 type Golden = [(u64, usize, u64); 3];
 
 const GOLDEN_ISO_32X32X24: Golden = [
-    (0xebd7_2714_67fe_57a0, 23, 0x3ff9_ea82_b660_f4f2),
-    (0x7959_7a73_094f_5b10, 25, 0x3ff9_8b6b_6213_66e9),
-    (0x7e94_c937_70c2_6c04, 23, 0x3ff9_d242_77d3_22df),
+    (0x7875_854f_f4a5_6f90, 23, 0x3ff9_ea82_b660_f4f2),
+    (0x75bb_26fc_82a7_2f81, 25, 0x3ff9_8b6b_6213_66e9),
+    (0x7aba_37ac_31c1_6790, 23, 0x3ff9_d242_77d3_22df),
 ];
 
 const GOLDEN_ANISO_48X40X30: Golden = [
-    (0xf2af_55bb_fafe_08c0, 27, 0x3ff9_28b9_5441_2ec9),
-    (0x7a59_0da9_5a66_7b69, 28, 0x3ff8_a37b_88b9_7eb0),
-    (0x75ac_f87f_937b_0aa8, 27, 0x3ff7_94be_6dc2_23bf),
+    (0x6593_b08c_3054_9e8e, 26, 0x3ff9_28b9_5441_2ec9),
+    (0x6cd9_7403_cf0d_a473, 28, 0x3ff8_a37b_88b9_7eb0),
+    (0x57a5_0dcd_6d0a_0f08, 26, 0x3ff7_94be_6dc2_23bf),
 ];
 
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -116,66 +126,66 @@ type OneShotGolden = ([u64; 5], usize, u64);
 
 const GOLDEN_ONE_SHOT_ISO_48X48X36: OneShotGolden = (
     [
-        0x705f_cc4a_db24_f839,
-        0x876b_5758_5740_7eae,
-        0x45fc_4ae1_1dcd_ced9,
+        0xeb9d_c00f_8a3e_3bac,
+        0x37bb_fed0_f674_d874,
+        0x3e0f_e6e6_7c0a_0b66,
         0x9dd2_5117_6ea9_563a,
-        0x92f9_1ab4_e222_dcd0,
+        0xcf49_d95d_52d0_884e,
     ],
     33,
     0x3ff9_9012_0526_f162,
 );
 const GOLDEN_ONE_SHOT_GRADIENT_48X48X36: OneShotGolden = (
     [
-        0x6b5f_8522_fed9_3c96,
-        0x4d67_fa35_f4a0_9aee,
-        0x1851_84e7_d67f_8f5d,
+        0xe2b2_e88d_2af3_aeae,
+        0x4a3e_3880_1f2d_3245,
+        0xb4fb_1690_812d_8ad1,
         0x9dd2_5117_6ea9_563a,
-        0x61aa_993b_2060_c170,
+        0x8a48_965b_1b3a_1e83,
     ],
-    33,
-    0x3fe4_fade_6b89_657b,
+    32,
+    0x3fe4_fade_6af6_6510,
 );
 const GOLDEN_ONE_SHOT_ANISO_48X40X30: OneShotGolden = (
     [
-        0x2700_ff3b_ad2a_5713,
-        0x721d_5b94_b6e3_db7b,
-        0xc9ea_09f8_52ee_1aa4,
+        0x631e_afbe_945d_3f78,
+        0x885b_4d7c_144f_cc81,
+        0x4cb1_401a_d35f_f7cc,
         0x2e2e_599c_5525_de01,
-        0xaca5_5d9f_a52b_e2ef,
+        0x419d_d46e_a139_e42c,
     ],
     27,
     0x3ff7_5b71_1f80_ac6b,
 );
 const GOLDEN_ONE_SHOT_DRIFT_40X40X30: OneShotGolden = (
     [
-        0x2d69_c080_a9b2_7a09,
-        0xaccb_1463_f28a_ca14,
-        0xbe25_0368_45dd_5634,
+        0xaab1_8586_9111_82e7,
+        0x2344_b276_e139_7b87,
+        0x4443_164c_7169_fe5a,
         0x9552_e710_7b56_2e4f,
-        0x3eda_1182_12c4_e9ed,
+        0x8a8a_2a15_9a16_a4c5,
     ],
-    29,
+    28,
     0x3ffa_e432_05e3_2614,
 );
 const GOLDEN_ONE_SHOT_DRIFT_GRADIENT_40X40X30: OneShotGolden = (
     [
-        0xdec0_a302_6051_7c30,
-        0xd181_b40f_54e3_2169,
-        0xd29b_f88a_3c5f_2caa,
+        0x7acb_7509_1705_cc78,
+        0x0575_c813_74bd_a36a,
+        0xaa12_2210_2f4b_75f7,
         0x9552_e710_7b56_2e4f,
-        0x5c95_0b04_caeb_4bce,
+        0xf65c_8099_12f6_b5a0,
     ],
     28,
-    0x3fe5_9eec_a723_bc0c,
+    0x3fe5_9eec_a6b3_4232,
 );
 const GOLDEN_ONE_SHOT_RIGID_40X40X30: OneShotGolden = (
     [
-        0xcc09_2e4d_5e56_b9a9,
-        0xa77a_f1b4_d3a3_d5af,
-        0x0f49_bf64_f4c5_9f39,
+        0x8eca_579d_d75e_b1b7,
+        0xcc7f_b416_093b_7d0b,
+        0x7199_7d8b_1627_446d,
         0xdf10_d9fe_2c4f_1e1f,
-        0xcc6c_aecd_1e63_040c,
+        0x0eae_5e4d_9419_521f,
     ],
     29,
     0x3ffb_7b14_4417_bc2f,
