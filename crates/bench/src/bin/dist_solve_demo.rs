@@ -14,7 +14,6 @@
 
 use brainshift_bench::problem_with_equations;
 use brainshift_cluster::{distributed_solve, run_ranks, RankSystem};
-use brainshift_obs::Stopwatch;
 use brainshift_sparse::partition::even_node_offsets;
 use brainshift_sparse::{KrylovKind, SolverOptions};
 
@@ -33,20 +32,23 @@ fn main() {
     let mut reference: Option<Vec<f64>> = None;
     println!(
         "\n{:>6} {:>6} {:>12} {:>8} {:>12} {:>16}",
-        "method", "ranks", "rows/rank", "iters", "host time", "vs 1-rank CG"
+        "method", "ranks", "rows/rank", "iters", "max ghosts", "vs 1-rank CG"
     );
     for kind in [KrylovKind::ConjugateGradient, KrylovKind::Gmres] {
         for ranks in [1usize, 2, 4, 8] {
             let offsets = even_node_offsets(n, ranks);
-            let t0 = Stopwatch::wall();
             let results = run_ranks(ranks, |comm| {
                 let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
                 let sys = RankSystem::new(comm, &kff, &offsets).expect("K_ff blocks factor");
-                distributed_solve(comm, &sys, kind, &rhs[lo..hi], &opts).expect("slices match the rows")
+                let (x, stats) =
+                    distributed_solve(comm, &sys, kind, &rhs[lo..hi], &opts).expect("slices match the rows");
+                (x, stats, sys.ghost_count())
             });
-            let elapsed = t0.elapsed_s();
             let stats = results[0].1.clone();
-            let x: Vec<f64> = results.into_iter().flat_map(|(xl, _)| xl).collect();
+            // The ghost values a rank receives per matvec: the exchange's
+            // volume, which grows with the number of rank boundaries.
+            let max_ghosts = results.iter().map(|r| r.2).max().unwrap_or(0);
+            let x: Vec<f64> = results.into_iter().flat_map(|(xl, _, _)| xl).collect();
             let agreement = match &reference {
                 None => {
                     reference = Some(x);
@@ -59,12 +61,12 @@ fn main() {
                 }
             };
             println!(
-                "{:>6} {:>6} {:>12} {:>8} {:>10.2} s {:>16}",
+                "{:>6} {:>6} {:>12} {:>8} {:>12} {:>16}",
                 kind.to_string(),
                 ranks,
                 n / ranks,
                 stats.iterations,
-                elapsed,
+                max_ghosts,
                 agreement
             );
             assert!(stats.converged(), "{kind} at {ranks} ranks failed to converge");

@@ -177,7 +177,7 @@ mod tests {
         let vy = (c.y / 4.0) as usize;
         let vz = (c.z / 4.0) as usize;
         assert_eq!(*vol.get(vx, vy, vz), model.label_at(c));
-        assert!(vol.count_label(labels::BRAIN) > 0);
+        assert!(vol.data().contains(&labels::BRAIN));
     }
 
     #[test]

@@ -92,21 +92,6 @@ pub enum Interconnect {
 }
 
 impl Interconnect {
-    /// Link between two ranks under a contiguous rank→node placement.
-    pub fn link_between(&self, rank_a: usize, rank_b: usize) -> LinkSpec {
-        match self {
-            Interconnect::SharedMemory(l) => *l,
-            Interconnect::Network(l) => *l,
-            Interconnect::Hierarchical { intra, inter, cpus_per_node } => {
-                if rank_a / cpus_per_node == rank_b / cpus_per_node {
-                    *intra
-                } else {
-                    *inter
-                }
-            }
-        }
-    }
-
     /// The slowest link that participates in a collective across `p` ranks.
     pub fn worst_link(&self, p: usize) -> LinkSpec {
         match self {
@@ -256,9 +241,6 @@ mod tests {
     #[test]
     fn hierarchical_link_selection() {
         let m = MachineModel::ultra_80_pair();
-        let intra = m.interconnect.link_between(0, 3);
-        let inter = m.interconnect.link_between(0, 4);
-        assert!(intra.bandwidth_bps > inter.bandwidth_bps);
         // Worst link across 4 ranks is intra-node; across 8 it's Ethernet.
         assert_eq!(m.interconnect.worst_link(4), LinkSpec::smp_bus());
         assert_eq!(m.interconnect.worst_link(8), LinkSpec::fast_ethernet());

@@ -11,13 +11,10 @@
 //! rather than being faked.
 
 use crate::machine::MachineModel;
-use parking_lot::Mutex;
 
 /// Accumulated cost of one bulk-synchronous phase.
 #[derive(Debug, Clone)]
 pub struct PhaseCost {
-    /// Phase name (used by [`SimCluster::wall_of`]).
-    pub name: String,
     /// Per-rank compute seconds.
     pub compute: Vec<f64>,
     /// Serialized communication seconds (collectives + exchanges).
@@ -43,11 +40,9 @@ impl PhaseCost {
 }
 
 /// Simulated execution of a program on `nranks` CPUs of a machine model.
-/// Thread-safe: phases may be recorded from parallel sections.
 pub struct SimCluster {
     machine: MachineModel,
     nranks: usize,
-    phases: Mutex<Vec<PhaseCost>>,
 }
 
 impl SimCluster {
@@ -61,7 +56,7 @@ impl SimCluster {
             machine.name,
             machine.max_cpus
         );
-        SimCluster { machine, nranks, phases: Mutex::new(Vec::new()) }
+        SimCluster { machine, nranks }
     }
 
     /// Number of simulated ranks.
@@ -74,18 +69,14 @@ impl SimCluster {
         &self.machine
     }
 
-    /// Record a bulk-synchronous phase given per-rank flop counts and a
-    /// pre-priced communication cost. Returns the phase wall-clock.
-    pub fn record_phase(&self, name: &str, per_rank_flops: &[f64], comm_seconds: f64) -> f64 {
+    /// Price a bulk-synchronous phase given per-rank flop counts and a
+    /// pre-priced communication cost.
+    pub fn phase_cost(&self, per_rank_flops: &[f64], comm_seconds: f64) -> PhaseCost {
         assert_eq!(per_rank_flops.len(), self.nranks, "one flop count per rank");
-        let cost = PhaseCost {
-            name: name.to_string(),
+        PhaseCost {
             compute: per_rank_flops.iter().map(|&f| self.machine.cpu.seconds(f)).collect(),
             comm: comm_seconds,
-        };
-        let wall = cost.wall();
-        self.phases.lock().push(cost);
-        wall
+        }
     }
 
     /// Price an allreduce of `bytes` over this cluster's ranks.
@@ -98,31 +89,6 @@ impl SimCluster {
     pub fn neighbor_exchange_cost(&self, neighbors: usize, bytes: f64) -> f64 {
         self.machine.neighbor_exchange(self.nranks, neighbors, bytes)
     }
-
-    /// All recorded phases, in order.
-    pub fn phases(&self) -> Vec<PhaseCost> {
-        self.phases.lock().clone()
-    }
-
-    /// Total modeled wall-clock across all recorded phases.
-    pub fn total_wall(&self) -> f64 {
-        self.phases.lock().iter().map(|p| p.wall()).sum()
-    }
-
-    /// Sum of the wall-clock of phases whose name starts with `prefix`.
-    pub fn wall_of(&self, prefix: &str) -> f64 {
-        self.phases
-            .lock()
-            .iter()
-            .filter(|p| p.name.starts_with(prefix))
-            .map(|p| p.wall())
-            .sum()
-    }
-
-    /// Discard recorded phases (reuse the cluster for another run).
-    pub fn reset(&self) {
-        self.phases.lock().clear();
-    }
 }
 
 #[cfg(test)]
@@ -133,27 +99,14 @@ mod tests {
     fn phase_wall_is_max_plus_comm() {
         let c = SimCluster::new(MachineModel::deep_flow(), 4);
         let rate = c.machine().cpu.sustained_flops;
-        let w = c.record_phase("assemble", &[rate, 2.0 * rate, rate, rate], 0.5);
+        let w = c.phase_cost(&[rate, 2.0 * rate, rate, rate], 0.5).wall();
         assert!((w - 2.5).abs() < 1e-9, "{w}");
     }
 
     #[test]
     fn imbalance_factor() {
-        let cost = PhaseCost { name: "x".into(), compute: vec![1.0, 1.0, 2.0, 0.0], comm: 0.0 };
+        let cost = PhaseCost { compute: vec![1.0, 1.0, 2.0, 0.0], comm: 0.0 };
         assert!((cost.imbalance() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let c = SimCluster::new(MachineModel::ultra_hpc_6000(), 2);
-        let rate = c.machine().cpu.sustained_flops;
-        c.record_phase("assemble", &[rate, rate], 0.0);
-        c.record_phase("solve:iter", &[rate, rate], 0.0);
-        c.record_phase("solve:iter", &[rate, rate], 0.0);
-        assert!((c.total_wall() - 3.0).abs() < 1e-9);
-        assert!((c.wall_of("solve") - 2.0).abs() < 1e-9);
-        c.reset();
-        assert_eq!(c.phases().len(), 0);
     }
 
     #[test]
@@ -170,7 +123,7 @@ mod tests {
         for p in [1usize, 2, 4, 8] {
             let c = SimCluster::new(MachineModel::deep_flow(), p);
             let per = vec![total_flops / p as f64; p];
-            walls.push(c.record_phase("work", &per, 0.0));
+            walls.push(c.phase_cost(&per, 0.0).wall());
         }
         assert!((walls[0] / walls[3] - 8.0).abs() < 1e-6);
     }
@@ -180,11 +133,11 @@ mod tests {
         // With per-phase allreduce, speedup saturates below ideal.
         let total_flops = 1e8;
         let c1 = SimCluster::new(MachineModel::deep_flow(), 1);
-        let w1 = c1.record_phase("work", &[total_flops], 0.0);
+        let w1 = c1.phase_cost(&[total_flops], 0.0).wall();
         let c16 = SimCluster::new(MachineModel::deep_flow(), 16);
         let per = vec![total_flops / 16.0; 16];
         let comm = c16.allreduce_cost(8.0) * 100.0; // 100 allreduces
-        let w16 = c16.record_phase("work", &per, comm);
+        let w16 = c16.phase_cost(&per, comm).wall();
         let speedup = w1 / w16;
         assert!(speedup < 16.0);
         assert!(speedup > 1.0);

@@ -265,7 +265,7 @@ mod tests {
         let (cfg, mut shift) = small();
         shift.resect_tumor = true;
         let case = generate_elastic_case(&cfg, &shift, &ElasticCaseOptions::default());
-        assert_eq!(case.intraop.labels.count_label(labels::TUMOR), 0);
+        assert!(!case.intraop.labels.data().contains(&labels::TUMOR));
         assert!(case.gt_equations > 1000);
     }
 }

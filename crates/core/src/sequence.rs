@@ -37,7 +37,8 @@ pub struct ScanSequence {
 /// Generate a sequence of `n_scans` later scans with linearly progressing
 /// shift (linear elasticity: scaling the surface BCs scales the interior
 /// solution exactly, so one ground-truth solve serves every stage). The
-/// tumor is resected from scan `resect_from` onward.
+/// tumor is resected from scan `resect_from` onward. A test fixture:
+/// `tests/failure_injection.rs` and the service suites read it.
 pub fn generate_scan_sequence(
     cfg: &PhantomConfig,
     shift: &BrainShiftConfig,
@@ -149,7 +150,8 @@ pub struct FaultInjection {
 ///
 /// Scans listed in `faults.fail_fem_scans` are solved with a starved
 /// iteration budget, to exercise the degradation path; pass
-/// `&FaultInjection::default()` to inject none.
+/// `&FaultInjection::default()` to inject none. A test fixture:
+/// `tests/failure_injection.rs` reads it.
 pub fn run_scan_sequence_with_faults(
     seq: &ScanSequence,
     cfg: &PipelineConfig,
@@ -214,13 +216,14 @@ mod tests {
 
     /// Convenience: is the tumor present in a scan's labels?
     fn has_tumor(scan: &PhantomScan) -> bool {
-        scan.labels.count_label(labels::TUMOR) > 0
+        scan.labels.data().contains(&labels::TUMOR)
     }
 
     /// Total tissue volume (mm³) of a label in a scan — the paper's
     /// "quantitative monitoring of treatment progress".
     fn label_volume_mm3(seg: &Volume<u8>, label: u8) -> f64 {
-        seg.count_label(label) as f64 * seg.spacing().voxel_volume()
+        let sp = seg.spacing();
+        seg.data().iter().filter(|&&l| l == label).count() as f64 * sp.dx * sp.dy * sp.dz
     }
 
     /// Mean ground-truth displacement at a stage (diagnostic).
@@ -259,7 +262,7 @@ mod tests {
         assert!(has_tumor(&seq.scans[0]));
         assert!(has_tumor(&seq.scans[1]));
         assert!(!has_tumor(&seq.scans[2]));
-        assert!(seq.scans[2].labels.count_label(labels::RESECTION) > 0);
+        assert!(seq.scans[2].labels.data().contains(&labels::RESECTION));
     }
 
     #[test]

@@ -180,7 +180,7 @@ impl SolverContext {
     /// values may differ); returns [`FemError::BcSetMismatch`] otherwise.
     ///
     /// The solve is warm-started from the previous scan's solution when
-    /// one exists (see [`Self::reset_warm_start`]). When the solver fails
+    /// one exists (see [`Self::warm_seed`]). When the solver fails
     /// to converge within its budget, the pre-solve warm-start seed
     /// is restored so one bad scan cannot poison the next scan's seed —
     /// the unconverged iterate is still returned for the caller to judge.
@@ -260,11 +260,6 @@ impl SolverContext {
         })
     }
 
-    /// Forget the previous solution; the next solve starts from zero.
-    pub fn reset_warm_start(&mut self) {
-        self.has_prev = false;
-    }
-
     /// Assembly / factorization / solve counters.
     pub fn stats(&self) -> ContextStats {
         self.stats
@@ -295,8 +290,7 @@ impl SolverContext {
     }
 
     /// The warm-start seed the next solve starts from: the last converged
-    /// reduced solution, or `None` before the first converged solve (and
-    /// after [`Self::reset_warm_start`]). It is all of a context's state
+    /// reduced solution, or `None` before the first converged solve. It is all of a context's state
     /// that a rebuild does not reproduce, so it is what a snapshot keeps.
     pub fn warm_seed(&self) -> Option<&[f64]> {
         self.has_prev.then_some(self.prev_x.as_slice())
@@ -419,20 +413,6 @@ mod tests {
             warm.stats.iterations,
             zero.stats.iterations
         );
-    }
-
-    #[test]
-    fn reset_warm_start_reverts_to_zero_seed() {
-        let mesh = block_mesh(3);
-        let materials = MaterialTable::homogeneous();
-        let surface = boundary_nodes(&mesh);
-        let mut ctx = SolverContext::new(&mesh, &materials, &surface, tight()).expect("context build failed");
-        let bcs = scan_bcs(&mesh, &surface, 1.0);
-        let first = ctx.solve(&bcs).expect("solve failed");
-        ctx.reset_warm_start();
-        let second = ctx.solve(&bcs).expect("solve failed");
-        assert_eq!(first.stats.iterations, second.stats.iterations);
-        assert_eq!(ctx.stats().warm_started_solves, 0);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub type ElementStiffness = [[f64; 12]; 12];
 
 /// Element stiffness via the closed-form isotropic expression
 /// `(K_ij)_ab = V (λ gᵢ_a gⱼ_b + μ gᵢ_b gⱼ_a + μ δ_ab gᵢ·gⱼ)` — equivalent
-/// to `V Bᵀ D B` (validated against [`stiffness_btdb`] in tests) and what
+/// to `V Bᵀ D B` (validated against that product in tests) and what
 /// the assembly hot loop uses.
 pub fn stiffness_isotropic(shape: &TetShape, mat: &Material) -> ElementStiffness {
     let lambda = mat.lame_lambda();
@@ -82,49 +82,6 @@ pub fn stiffness_isotropic(shape: &TetShape, mat: &Material) -> ElementStiffness
     k
 }
 
-/// Element stiffness via the generic `V Bᵀ D B` product with an arbitrary
-/// 6×6 elasticity matrix (reference implementation; also used for
-/// anisotropic experiments).
-pub fn stiffness_btdb(shape: &TetShape, d: &[[f64; 6]; 6]) -> ElementStiffness {
-    // B is 6×12: strain = B u, engineering shear convention.
-    let mut b = [[0.0f64; 12]; 6];
-    for i in 0..4 {
-        let g = shape.grads[i];
-        let c = 3 * i;
-        b[0][c] = g.x;
-        b[1][c + 1] = g.y;
-        b[2][c + 2] = g.z;
-        b[3][c] = g.y;
-        b[3][c + 1] = g.x;
-        b[4][c + 1] = g.z;
-        b[4][c + 2] = g.y;
-        b[5][c] = g.z;
-        b[5][c + 2] = g.x;
-    }
-    // K = V Bᵀ D B
-    let mut db = [[0.0f64; 12]; 6];
-    for r in 0..6 {
-        for c in 0..12 {
-            let mut acc = 0.0;
-            for k2 in 0..6 {
-                acc += d[r][k2] * b[k2][c];
-            }
-            db[r][c] = acc;
-        }
-    }
-    let mut k = [[0.0f64; 12]; 12];
-    for r in 0..12 {
-        for c in 0..12 {
-            let mut acc = 0.0;
-            for k2 in 0..6 {
-                acc += b[k2][r] * db[k2][c];
-            }
-            k[r][c] = shape.volume * acc;
-        }
-    }
-    k
-}
-
 /// Work units (effective flops) to build and scatter one element
 /// stiffness in the modeled 1999 implementation — includes the generic
 /// Bᵀ D B product, interpolation bookkeeping and the PETSc
@@ -137,6 +94,65 @@ pub const FLOPS_PER_ELEMENT: f64 = 24_000.0;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The 6×6 isotropic elasticity matrix `D` linking engineering strain
+    /// `[εxx εyy εzz γxy γyz γzx]` to stress (the paper's `σ = D ε`,
+    /// Zienkiewicz & Taylor).
+    fn elasticity_matrix(mat: &Material) -> [[f64; 6]; 6] {
+        let l = mat.lame_lambda();
+        let m = mat.lame_mu();
+        let d = l + 2.0 * m;
+        [
+            [d, l, l, 0.0, 0.0, 0.0],
+            [l, d, l, 0.0, 0.0, 0.0],
+            [l, l, d, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, m, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, m, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, m],
+        ]
+    }
+
+    /// Element stiffness via the generic `V Bᵀ D B` product with a 6×6
+    /// elasticity matrix: the reference the closed form is checked against.
+    fn stiffness_btdb(shape: &TetShape, d: &[[f64; 6]; 6]) -> ElementStiffness {
+        // B is 6×12: strain = B u, engineering shear convention.
+        let mut b = [[0.0f64; 12]; 6];
+        for i in 0..4 {
+            let g = shape.grads[i];
+            let c = 3 * i;
+            b[0][c] = g.x;
+            b[1][c + 1] = g.y;
+            b[2][c + 2] = g.z;
+            b[3][c] = g.y;
+            b[3][c + 1] = g.x;
+            b[4][c + 1] = g.z;
+            b[4][c + 2] = g.y;
+            b[5][c] = g.z;
+            b[5][c + 2] = g.x;
+        }
+        // K = V Bᵀ D B
+        let mut db = [[0.0f64; 12]; 6];
+        for r in 0..6 {
+            for c in 0..12 {
+                let mut acc = 0.0;
+                for k2 in 0..6 {
+                    acc += d[r][k2] * b[k2][c];
+                }
+                db[r][c] = acc;
+            }
+        }
+        let mut k = [[0.0f64; 12]; 12];
+        for r in 0..12 {
+            for c in 0..12 {
+                let mut acc = 0.0;
+                for k2 in 0..6 {
+                    acc += b[k2][r] * db[k2][c];
+                }
+                k[r][c] = shape.volume * acc;
+            }
+        }
+        k
+    }
 
     fn unit_tet() -> [Vec3; 4] {
         [
@@ -207,7 +223,7 @@ mod tests {
         let s = TetShape::new(p).unwrap();
         let mat = Material::new(2500.0, 0.4);
         let k1 = stiffness_isotropic(&s, &mat);
-        let k2 = stiffness_btdb(&s, &mat.elasticity_matrix());
+        let k2 = stiffness_btdb(&s, &elasticity_matrix(&mat));
         let scale = k1.iter().flatten().fold(0.0f64, |m, &v| m.max(v.abs()));
         for i in 0..12 {
             for j in 0..12 {

@@ -139,11 +139,6 @@ impl ResamplePlan {
         }
         Ok(field)
     }
-
-    /// Voxels of the grid that lie inside the mesh.
-    pub fn covered(&self) -> usize {
-        self.taps.len()
-    }
 }
 
 /// Voxel and node indices are stored as `u32` (a grid or mesh past 2³²
@@ -226,7 +221,7 @@ mod tests {
     fn coverage_of_full_cube() {
         let mesh = full_mesh(4);
         // Voxels 0..=4 in each axis are inside the mesh: 5³ of 8³.
-        let frac = ResamplePlan::new(&mesh, Dims::new(8, 8, 8), Spacing::iso(1.0)).covered() as f64 / 512.0;
+        let frac = ResamplePlan::new(&mesh, Dims::new(8, 8, 8), Spacing::iso(1.0)).taps.len() as f64 / 512.0;
         let expect = 125.0 / 512.0;
         assert!((frac - expect).abs() < 0.02, "{frac} vs {expect}");
     }
@@ -315,7 +310,7 @@ mod tests {
                 let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
                 assert_eq!(bits(a), bits(b), "voxel {i}, admitted by {} tets", admitted[i]);
             }
-            assert_eq!(plan.covered(), admitted.iter().filter(|&&n| n > 0).count());
+            assert_eq!(plan.taps.len(), admitted.iter().filter(|&&n| n > 0).count());
             shared_voxels = admitted.iter().filter(|&&n| n > 1).count();
         }
         assert!(shared_voxels > 0, "no voxel on a shared face: last-writer-wins is not exercised");

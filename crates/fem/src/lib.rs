@@ -29,10 +29,10 @@ pub mod solver;
 pub use assembly::assemble_stiffness;
 pub use bc::{DirichletBcs, DirichletStructure};
 pub use context::{ContextStats, ContextTimings, SolverContext};
-pub use element::{stiffness_btdb, stiffness_isotropic, TetShape};
+pub use element::{stiffness_isotropic, TetShape};
 pub use error::FemError;
 pub use interpolate::{displacement_field_from_mesh, ResamplePlan};
-pub use loads::{assemble_directed_gravity, assemble_gravity};
+pub use loads::assemble_directed_gravity;
 pub use material::{Material, MaterialTable};
 pub use simulate::{simulate_assemble_solve, SimTimings};
 pub use solver::{

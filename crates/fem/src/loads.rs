@@ -46,12 +46,6 @@ fn assemble_body_force(mesh: &TetMesh, w: Vec3) -> Vec<f64> {
     f
 }
 
-/// Uniform gravity load for the whole mesh (brain density everywhere).
-pub fn assemble_gravity(mesh: &TetMesh) -> Vec<f64> {
-    let w = gravity_load_density(BRAIN_DENSITY, standard_gravity());
-    assemble_body_force(mesh, w)
-}
-
 /// Uniform gravity load along an arbitrary direction: standard gravity
 /// magnitude, brain density, direction normalized from `dir`. This is the
 /// intraoperative situation — the patient's head is oriented so the
@@ -70,6 +64,11 @@ mod tests {
     use crate::material::MaterialTable;
     use crate::solver::{solve_with_loads, FemSolveConfig};
     use brainshift_imaging::labels;
+
+    /// Uniform gravity along −z for the whole mesh (brain density everywhere).
+    fn assemble_gravity(mesh: &TetMesh) -> Vec<f64> {
+        assemble_body_force(mesh, gravity_load_density(BRAIN_DENSITY, standard_gravity()))
+    }
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
     use brainshift_mesh::{mesh_labeled_volume, MesherConfig};
     use brainshift_sparse::SolverOptions;
@@ -108,7 +107,7 @@ mod tests {
         let f = assemble_gravity(&mesh);
         let total_z: f64 = (0..mesh.num_nodes()).map(|n| f[3 * n + 2]).sum();
         let w = gravity_load_density(BRAIN_DENSITY, standard_gravity());
-        let expect = w.z * mesh.total_volume();
+        let expect = w.z * (0..mesh.num_tets()).map(|t| mesh.tet_volume(t)).sum::<f64>();
         assert!((total_z - expect).abs() < 1e-9 * expect.abs());
         // x/y components vanish.
         let total_x: f64 = (0..mesh.num_nodes()).map(|n| f[3 * n]).sum();

@@ -46,23 +46,6 @@ impl Material {
         e / (2.0 * (1.0 + nu))
     }
 
-    /// The 6×6 isotropic elasticity matrix `D` linking engineering strain
-    /// `[εxx εyy εzz γxy γyz γzx]` to stress (the paper's `σ = D ε`,
-    /// Zienkiewicz & Taylor).
-    pub fn elasticity_matrix(&self) -> [[f64; 6]; 6] {
-        let l = self.lame_lambda();
-        let m = self.lame_mu();
-        let d = l + 2.0 * m;
-        [
-            [d, l, l, 0.0, 0.0, 0.0],
-            [l, d, l, 0.0, 0.0, 0.0],
-            [l, l, d, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, m, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, m, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, m],
-        ]
-    }
-
     /// Brain parenchyma (the paper's homogeneous model): soft tissue,
     /// nearly incompressible. E = 3 kPa, ν = 0.45 (in the range used by
     /// the contemporaneous literature the paper cites, e.g. Miga/Paulsen).
@@ -135,24 +118,6 @@ mod tests {
         // λ = Eν/((1+ν)(1−2ν)), μ = E/(2(1+ν))
         assert!((m.lame_lambda() - 3000.0 * 0.45 / (1.45 * 0.1)).abs() < 1e-9);
         assert!((m.lame_mu() - 3000.0 / 2.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn elasticity_matrix_symmetric_positive_diagonal() {
-        let d = Material::brain().elasticity_matrix();
-        for i in 0..6 {
-            assert!(d[i][i] > 0.0);
-            for j in 0..6 {
-                assert_eq!(d[i][j], d[j][i]);
-            }
-        }
-    }
-
-    #[test]
-    fn stiffer_material_has_larger_entries() {
-        let brain = Material::brain().elasticity_matrix();
-        let falx = Material::falx().elasticity_matrix();
-        assert!(falx[0][0] > brain[0][0] * 10.0);
     }
 
     #[test]

@@ -122,7 +122,7 @@ pub fn simulate_assemble_solve(
         .windows(2)
         .map(|w| (w[1] - w[0]) as f64 * 50.0)
         .collect();
-    let init_s = sim.record_phase("init", &init_flops, init_comm);
+    let init_s = sim.phase_cost(&init_flops, init_comm).wall();
 
     // ---- Assembly phase. ----
     let asm_flops = assembly_flops_per_rank(mesh, &node_offsets);
@@ -150,8 +150,8 @@ pub fn simulate_assemble_solve(
     } else {
         0.0
     };
-    let assemble_s = sim.record_phase("assemble", &asm_flops, asm_comm);
-    let assembly_imbalance = sim.phases().last().expect("phase just recorded").imbalance();
+    let assemble = sim.phase_cost(&asm_flops, asm_comm);
+    let (assemble_s, assembly_imbalance) = (assemble.wall(), assemble.imbalance());
 
     // ---- Real numerics: the reduced solve on the host. ----
     // Reduced-system block offsets = cumulative free-DOF counts per rank
@@ -231,13 +231,13 @@ pub fn simulate_assemble_solve(
     // Pad flops to the full rank count if blocks were merged.
     let mut flops_padded = per_rank_flops.clone();
     flops_padded.resize(cpus, 0.0);
-    let solve_s = sim.record_phase("solve", &flops_padded, solve_comm);
-    let solve_imbalance = sim.phases().last().expect("phase just recorded").imbalance();
+    let solve = sim.phase_cost(&flops_padded, solve_comm);
+    let (solve_s, solve_imbalance) = (solve.wall(), solve.imbalance());
 
     // ---- Resample cost (the ~0.5 s display step). ----
     // ~40 ops per voxel (trilinear + field lookup).
     let resample_flops = RESAMPLE_VOXELS as f64 * 40.0 / cpus as f64;
-    let resample_s = sim.record_phase("resample", &vec![resample_flops; cpus], 0.0);
+    let resample_s = sim.phase_cost(&vec![resample_flops; cpus], 0.0).wall();
 
     Ok((
         SimTimings {
@@ -286,10 +286,10 @@ mod tests {
         let seg = Volume::from_fn(Dims::new(n, n, n), Spacing::iso(2.0), |_, _, _| labels::BRAIN);
         let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
         let mut bcs = DirichletBcs::new();
-        let (_, hi) = mesh.bounding_box();
+        let top = mesh.nodes.iter().map(|p| p.z).fold(f64::NEG_INFINITY, f64::max);
         for &n in boundary_nodes(&mesh).iter() {
             let p = mesh.nodes[n];
-            let u = if (p.z - hi.z).abs() < 1e-9 { Vec3::new(0.0, 0.0, -1.0) } else { Vec3::ZERO };
+            let u = if (p.z - top).abs() < 1e-9 { Vec3::new(0.0, 0.0, -1.0) } else { Vec3::ZERO };
             bcs.set(n, u);
         }
         let k = assemble_stiffness(&mesh, &MaterialTable::homogeneous());

@@ -247,14 +247,6 @@ fn root(sq: f64) -> f32 {
     sq.min(INF).sqrt() as f32
 }
 
-/// Euclidean distance (millimetres; anisotropic spacing honored) from
-/// every voxel to the nearest voxel of `mask`.
-pub fn distance_transform(mask: &Volume<bool>) -> Volume<f32> {
-    let sq = squared_edt_mm(mask, true, None);
-    let data = from_pillars(mask.dims(), None, |_, j| j.map_or(0.0, |j| root(sq[j])));
-    Volume::from_vec(mask.dims(), mask.spacing(), data)
-}
-
 /// Signed Euclidean distance: negative inside the mask (distance to the
 /// complement), positive outside (distance to the mask). Zero only when the
 /// mask or its complement is empty at that location's transform.
@@ -317,7 +309,9 @@ pub fn label_distance_map(seg: &Volume<u8>, label: u8, cap: f32) -> Volume<f32> 
     saturated_distance_transform(&mask, cap)
 }
 
-/// Brute-force O(n²) reference distance transform (mm), for testing only.
+/// Brute-force O(n²) reference distance transform (mm), for testing only:
+/// `tests/proptest_invariants.rs` and `crates/imaging/tests/banded_edt.rs`
+/// read it.
 pub fn distance_transform_brute(mask: &Volume<bool>) -> Volume<f32> {
     let d = mask.dims();
     let sp = mask.spacing();
@@ -345,6 +339,15 @@ pub fn distance_transform_brute(mask: &Volume<bool>) -> Volume<f32> {
 mod tests {
     use super::*;
     use crate::volume::{Dims, Spacing};
+
+    /// Euclidean distance (millimetres; anisotropic spacing honored) from
+    /// every voxel to the nearest voxel of `mask`: the outside half of the
+    /// signed transform.
+    fn distance_transform(mask: &Volume<bool>) -> Volume<f32> {
+        let sq = squared_edt_mm(mask, true, None);
+        let data = from_pillars(mask.dims(), None, |_, j| j.map_or(0.0, |j| root(sq[j])));
+        Volume::from_vec(mask.dims(), mask.spacing(), data)
+    }
 
     #[test]
     fn single_point_distances() {

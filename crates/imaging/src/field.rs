@@ -118,42 +118,6 @@ impl DisplacementField {
         }
         self.data.iter().map(|v| v.norm()).sum::<f64>() / self.data.len() as f64
     }
-
-    /// Root-mean-square difference between two fields (mm). Panics on
-    /// mismatched grids.
-    pub fn rms_difference(&self, other: &DisplacementField) -> f64 {
-        assert_eq!(self.dims, other.dims);
-        let ss: f64 = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (*a - *b).norm_sq())
-            .sum();
-        (ss / self.data.len() as f64).sqrt()
-    }
-
-    /// Compose: the field that applies `self` then `other`
-    /// (`u(x) = u1(x) + u2(x + u1(x))`).
-    pub fn compose(&self, other: &DisplacementField) -> DisplacementField {
-        assert_eq!(self.dims, other.dims);
-        let sp = self.spacing;
-        let d = self.dims;
-        let data: Vec<Vec3> = (0..d.len())
-            .into_par_iter()
-            .map(|i| {
-                let (x, y, z) = d.coords(i);
-                let u1 = self.data[i];
-                // displaced point in voxel coords of `other`'s grid
-                let p = Vec3::new(
-                    x as f64 + u1.x / sp.dx,
-                    y as f64 + u1.y / sp.dy,
-                    z as f64 + u1.z / sp.dz,
-                );
-                u1 + other.sample(p)
-            })
-            .collect();
-        DisplacementField { dims: d, spacing: sp, data }
-    }
 }
 
 /// Warp a scalar volume *backward* through a displacement field defined on
@@ -241,6 +205,30 @@ mod tests {
     use super::*;
     use crate::volume::{Dims, Spacing};
 
+    impl DisplacementField {
+        /// Compose: the field that applies `self` then `other`
+        /// (`u(x) = u1(x) + u2(x + u1(x))`), the check that two fields
+        /// invert each other.
+        pub(crate) fn compose(&self, other: &DisplacementField) -> DisplacementField {
+            let sp = self.spacing;
+            let d = self.dims;
+            let data = (0..d.len())
+                .map(|i| {
+                    let (x, y, z) = d.coords(i);
+                    let u1 = self.data[i];
+                    // displaced point in voxel coords of `other`'s grid
+                    let p = Vec3::new(
+                        x as f64 + u1.x / sp.dx,
+                        y as f64 + u1.y / sp.dy,
+                        z as f64 + u1.z / sp.dz,
+                    );
+                    u1 + other.sample(p)
+                })
+                .collect();
+            DisplacementField { dims: d, spacing: sp, data }
+        }
+    }
+
     fn constant_field(u: Vec3) -> DisplacementField {
         DisplacementField::from_fn(Dims::new(8, 8, 8), Spacing::iso(1.0), |_, _, _| u)
     }
@@ -279,25 +267,11 @@ mod tests {
     }
 
     #[test]
-    fn compose_constant_fields_adds() {
-        let a = constant_field(Vec3::new(1.0, 0.0, 0.0));
-        let b = constant_field(Vec3::new(0.0, 2.0, 0.0));
-        let c = a.compose(&b);
-        assert!((c.get(4, 4, 4) - Vec3::new(1.0, 2.0, 0.0)).norm() < 1e-12);
-    }
-
-    #[test]
     fn invert_constant_field() {
         let f = constant_field(Vec3::new(1.5, -0.5, 0.25));
         let inv = invert_field(&f, 10);
         let comp = f.compose(&inv);
         assert!(comp.max_magnitude() < 1e-9, "{}", comp.max_magnitude());
-    }
-
-    #[test]
-    fn rms_difference_of_identical_fields_is_zero() {
-        let f = constant_field(Vec3::new(1.0, 1.0, 1.0));
-        assert_eq!(f.rms_difference(&f), 0.0);
     }
 
     #[test]

@@ -99,12 +99,6 @@ impl Vec3 {
         (self - o).norm()
     }
 
-    /// Linear interpolation: `self + t * (o - self)`.
-    #[inline]
-    pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
-        self + (o - self) * t
-    }
-
     /// Component access by axis index (0 = x, 1 = y, 2 = z).
     #[inline]
     pub fn axis(self, i: usize) -> f64 {
@@ -322,15 +316,6 @@ mod tests {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert_close(v.normalized().norm(), 1.0, 1e-12);
         assert_eq!(Vec3::ZERO.normalized(), Vec3::ZERO);
-    }
-
-    #[test]
-    fn vec3_lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

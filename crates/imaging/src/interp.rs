@@ -144,40 +144,6 @@ pub fn downsample(src: &Volume<f32>, factor: usize) -> Volume<f32> {
     })
 }
 
-/// Downsample a label volume by majority vote within each block.
-pub fn downsample_labels(src: &Volume<u8>, factor: usize) -> Volume<u8> {
-    assert!(factor >= 1);
-    let d = src.dims();
-    let nd = crate::volume::Dims::new(
-        (d.nx / factor).max(1),
-        (d.ny / factor).max(1),
-        (d.nz / factor).max(1),
-    );
-    let sp = src.spacing();
-    let nsp = crate::volume::Spacing::new(sp.dx * factor as f64, sp.dy * factor as f64, sp.dz * factor as f64);
-    Volume::from_fn(nd, nsp, |x, y, z| {
-        let mut counts = [0u32; 256];
-        for dz in 0..factor {
-            for dy in 0..factor {
-                for dx in 0..factor {
-                    let sx = x * factor + dx;
-                    let sy = y * factor + dy;
-                    let sz = z * factor + dz;
-                    if sx < d.nx && sy < d.ny && sz < d.nz {
-                        counts[*src.get(sx, sy, sz) as usize] += 1;
-                    }
-                }
-            }
-        }
-        counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &c)| c)
-            .map(|(l, _)| l as u8)
-            .unwrap_or(0)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,17 +214,5 @@ mod tests {
         assert!((half.get(0, 0, 0) - 0.5).abs() < 1e-6);
         assert!((half.get(1, 0, 0) - 2.5).abs() < 1e-6);
         assert!((half.spacing().dx - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn downsample_labels_majority() {
-        let mut v: Volume<u8> = Volume::zeros(Dims::new(2, 2, 2), Spacing::iso(1.0));
-        // 5 voxels of label 3, 3 voxels of label 0 -> majority 3
-        for (x, y, z) in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)] {
-            v.set(x, y, z, 3);
-        }
-        let d = downsample_labels(&v, 2);
-        assert_eq!(d.dims(), Dims::new(1, 1, 1));
-        assert_eq!(*d.get(0, 0, 0), 3);
     }
 }

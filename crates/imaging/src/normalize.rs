@@ -148,7 +148,11 @@ mod tests {
 
     #[test]
     fn improves_ssd_between_drifted_scans() {
-        use crate::similarity::ssd;
+        // Mean squared difference per voxel.
+        let ssd = |a: &Volume<f32>, b: &Volume<f32>| {
+            a.data().iter().zip(b.data()).map(|(&x, &y)| (x as f64 - y as f64).powi(2)).sum::<f64>()
+                / a.data().len() as f64
+        };
         let reference = noise(8, 20.0, 200.0);
         let drifted = reference.map(|&v| 1.3 * v - 15.0);
         let before = ssd(&drifted, &reference);

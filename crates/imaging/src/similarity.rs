@@ -8,33 +8,6 @@
 
 use crate::volume::Volume;
 
-/// Sum of squared differences per voxel (lower is better).
-pub fn ssd(a: &Volume<f32>, b: &Volume<f32>) -> f64 {
-    assert_eq!(a.dims(), b.dims());
-    let n = a.data().len().max(1);
-    a.data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| {
-            let d = x as f64 - y as f64;
-            d * d
-        })
-        .sum::<f64>()
-        / n as f64
-}
-
-/// Mean absolute difference per voxel.
-pub fn mean_abs_difference(a: &Volume<f32>, b: &Volume<f32>) -> f64 {
-    assert_eq!(a.dims(), b.dims());
-    let n = a.data().len().max(1);
-    a.data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| (x as f64 - y as f64).abs())
-        .sum::<f64>()
-        / n as f64
-}
-
 /// Normalized cross-correlation in `[-1, 1]` (higher is better). Returns 0
 /// when either image is constant.
 pub fn ncc(a: &Volume<f32>, b: &Volume<f32>) -> f64 {
@@ -197,13 +170,6 @@ mod tests {
     fn noise_volume(seed: u64) -> Volume<f32> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         Volume::from_fn(Dims::new(16, 16, 16), Spacing::iso(1.0), |_, _, _| rng.gen_range(0.0f32..100.0))
-    }
-
-    #[test]
-    fn ssd_zero_for_identical() {
-        let v = noise_volume(3);
-        assert_eq!(ssd(&v, &v), 0.0);
-        assert_eq!(mean_abs_difference(&v, &v), 0.0);
     }
 
     #[test]

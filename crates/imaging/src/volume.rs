@@ -92,12 +92,6 @@ impl Spacing {
     pub const fn iso(d: f64) -> Self {
         Spacing::new(d, d, d)
     }
-
-    /// Voxel volume in mm³.
-    #[inline]
-    pub fn voxel_volume(&self) -> f64 {
-        self.dx * self.dy * self.dz
-    }
 }
 
 impl Default for Spacing {
@@ -219,20 +213,6 @@ impl<T> Volume<T> {
         )
     }
 
-    /// Continuous voxel coordinates of a world point (may be out of range).
-    #[inline]
-    pub fn voxel_of_world(&self, p: Vec3) -> Vec3 {
-        Vec3::new(p.x / self.spacing.dx, p.y / self.spacing.dy, p.z / self.spacing.dz)
-    }
-
-    /// Physical extent of the volume in mm.
-    pub fn extent(&self) -> Vec3 {
-        Vec3::new(
-            self.dims.nx as f64 * self.spacing.dx,
-            self.dims.ny as f64 * self.spacing.dy,
-            self.dims.nz as f64 * self.spacing.dz,
-        )
-    }
 
     /// Iterate `(x, y, z, &value)` in storage order.
     pub fn iter_voxels(&self) -> impl Iterator<Item = (usize, usize, usize, &T)> {
@@ -250,16 +230,6 @@ impl<T> Volume<T> {
             spacing: self.spacing,
             data: self.data.iter().map(f).collect(),
         }
-    }
-
-    /// Extract the axial slice `z` as a row-major (y, x) buffer.
-    pub fn slice_z(&self, z: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
-        assert!(z < self.dims.nz);
-        let n = self.dims.nx * self.dims.ny;
-        self.data[z * n..(z + 1) * n].to_vec()
     }
 }
 
@@ -289,10 +259,6 @@ impl Volume<f32> {
 }
 
 impl Volume<u8> {
-    /// Count voxels equal to `label`.
-    pub fn count_label(&self, label: u8) -> usize {
-        self.data.iter().filter(|&&v| v == label).count()
-    }
 
     /// The set of distinct labels present, sorted.
     pub fn labels(&self) -> Vec<u8> {
@@ -345,14 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn world_voxel_roundtrip() {
+    fn world_scales_by_spacing() {
         let v: Volume<f32> = Volume::zeros(Dims::new(10, 10, 10), Spacing::new(0.5, 1.0, 2.0));
-        let w = v.world(4, 5, 6);
-        assert_eq!(w, Vec3::new(2.0, 5.0, 12.0));
-        let back = v.voxel_of_world(w);
-        assert!((back.x - 4.0).abs() < 1e-12);
-        assert!((back.y - 5.0).abs() < 1e-12);
-        assert!((back.z - 6.0).abs() < 1e-12);
+        assert_eq!(v.world(4, 5, 6), Vec3::new(2.0, 5.0, 12.0));
     }
 
     #[test]
@@ -364,21 +325,12 @@ mod tests {
     }
 
     #[test]
-    fn labels_and_counts() {
+    fn labels_are_sorted_and_distinct() {
         let mut v: Volume<u8> = Volume::zeros(Dims::new(3, 3, 3), Spacing::iso(1.0));
         v.set(0, 0, 0, 5);
         v.set(1, 1, 1, 5);
         v.set(2, 2, 2, 9);
         assert_eq!(v.labels(), vec![0, 5, 9]);
-        assert_eq!(v.count_label(5), 2);
-        assert_eq!(v.count_label(9), 1);
-        assert_eq!(v.count_label(0), 24);
-    }
-
-    #[test]
-    fn slice_extraction() {
-        let v = Volume::from_fn(Dims::new(2, 2, 3), Spacing::iso(1.0), |x, y, z| (x + 2 * y + 4 * z) as u8);
-        assert_eq!(v.slice_z(1), vec![4, 5, 6, 7]);
     }
 
     #[test]

@@ -209,7 +209,7 @@ mod tests {
         // block; with step 1, centroid of cell (i..i+1) is at i + 0.5 → use
         // the label at rounded coordinates. Rather than counting exactly,
         // check the volume is a positive multiple of the cell volume.
-        let v = mesh.total_volume();
+        let v: f64 = (0..mesh.num_tets()).map(|t| mesh.tet_volume(t)).sum();
         assert!(v > 0.0);
         let cells = v / 1.0;
         assert!((cells - cells.round()).abs() < 1e-9, "volume {v} not integral");
@@ -267,7 +267,7 @@ mod tests {
         // our mesher's boundary vs interior nodes indeed differ in degree.
         let seg = block_volume();
         let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
-        let degs = mesh.node_degrees();
+        let degs: Vec<usize> = mesh.node_adjacency().iter().map(Vec::len).collect();
         let min = degs.iter().min().unwrap();
         let max = degs.iter().max().unwrap();
         assert!(max > min, "degrees uniform: {min}..{max}");

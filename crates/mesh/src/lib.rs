@@ -4,7 +4,7 @@
 //! generator ("the volumetric counterpart of a marching tetrahedra surface
 //! generation algorithm", Ferrant et al.), the unstructured tet mesh the
 //! FEM runs on, boundary-surface extraction for the active-surface stage,
-//! and element-quality / connectivity statistics.
+//! and per-element quality measures.
 
 #![warn(missing_docs)]
 

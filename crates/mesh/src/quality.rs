@@ -1,11 +1,8 @@
 //! Tetrahedron quality metrics.
 //!
-//! The paper's discussion notes that "a tetrahedral mesh with a more
-//! regular connectivity pattern would allow better scaling"; quality and
-//! connectivity statistics let the benchmarks quantify what the mesher
-//! produces.
+//! Per-element measures: [`TetMesh::validate`](crate::TetMesh::validate)
+//! refuses an element whose radius ratio marks it a sliver.
 
-use crate::tetmesh::TetMesh;
 use brainshift_imaging::Vec3;
 
 /// Quality measures of one tetrahedron.
@@ -114,66 +111,6 @@ pub fn min_dihedral_angle(a: Vec3, b: Vec3, c: Vec3, d: Vec3) -> f64 {
     min_angle
 }
 
-/// Aggregate quality statistics over a whole mesh.
-#[derive(Debug, Clone)]
-pub struct MeshQualityReport {
-    /// Elements surveyed.
-    pub num_tets: usize,
-    /// Smallest signed element volume (mm³).
-    pub min_volume: f64,
-    /// Worst longest/shortest edge ratio.
-    pub max_edge_ratio: f64,
-    /// Worst radius ratio (1 = regular tet).
-    pub min_radius_ratio: f64,
-    /// Smallest dihedral angle, degrees.
-    pub min_dihedral_deg: f64,
-    /// Mean radius ratio over all elements.
-    pub mean_radius_ratio: f64,
-    /// Mean and max node connectivity degree (the paper's imbalance
-    /// driver).
-    pub mean_degree: f64,
-    /// Largest node connectivity degree.
-    pub max_degree: usize,
-}
-
-/// Survey quality over all tets of a mesh.
-pub fn mesh_quality(mesh: &TetMesh) -> MeshQualityReport {
-    let mut min_volume = f64::INFINITY;
-    let mut max_edge_ratio: f64 = 0.0;
-    let mut min_radius_ratio = f64::INFINITY;
-    let mut min_dihedral = f64::INFINITY;
-    let mut sum_radius_ratio = 0.0;
-    for tet in &mesh.tets {
-        let q = tet_quality(
-            mesh.nodes[tet[0]],
-            mesh.nodes[tet[1]],
-            mesh.nodes[tet[2]],
-            mesh.nodes[tet[3]],
-        );
-        min_volume = min_volume.min(q.volume);
-        max_edge_ratio = max_edge_ratio.max(q.edge_ratio);
-        min_radius_ratio = min_radius_ratio.min(q.radius_ratio);
-        min_dihedral = min_dihedral.min(q.min_dihedral);
-        sum_radius_ratio += q.radius_ratio;
-    }
-    let degrees = mesh.node_degrees();
-    let mean_degree = if degrees.is_empty() {
-        0.0
-    } else {
-        degrees.iter().sum::<usize>() as f64 / degrees.len() as f64
-    };
-    MeshQualityReport {
-        num_tets: mesh.num_tets(),
-        min_volume,
-        max_edge_ratio,
-        min_radius_ratio,
-        min_dihedral_deg: min_dihedral.to_degrees(),
-        mean_radius_ratio: if mesh.num_tets() > 0 { sum_radius_ratio / mesh.num_tets() as f64 } else { 0.0 },
-        mean_degree,
-        max_degree: degrees.into_iter().max().unwrap_or(0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,16 +164,17 @@ mod tests {
     }
 
     #[test]
-    fn report_over_generated_mesh() {
+    fn generated_mesh_elements_are_well_shaped() {
         use crate::generator::{mesh_labeled_volume, MesherConfig};
         use brainshift_imaging::labels;
         use brainshift_imaging::volume::{Dims, Spacing, Volume};
         let seg = Volume::from_fn(Dims::new(5, 5, 5), Spacing::iso(1.0), |_, _, _| labels::BRAIN);
         let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
-        let r = mesh_quality(&mesh);
-        assert_eq!(r.num_tets, mesh.num_tets());
-        assert!(r.min_volume > 0.0);
-        assert!(r.min_dihedral_deg > 20.0, "5-tet split should have decent dihedrals: {}", r.min_dihedral_deg);
-        assert!(r.max_degree >= r.mean_degree as usize);
+        for t in &mesh.tets {
+            let q = tet_quality(mesh.nodes[t[0]], mesh.nodes[t[1]], mesh.nodes[t[2]], mesh.nodes[t[3]]);
+            assert!(q.volume > 0.0);
+            let deg = q.min_dihedral.to_degrees();
+            assert!(deg > 20.0, "5-tet split should have decent dihedrals: {deg}");
+        }
     }
 }

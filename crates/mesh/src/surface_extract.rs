@@ -125,7 +125,7 @@ mod tests {
         let surf = extract_boundary(&mesh);
         let center = Vec3::splat(1.5);
         let mut outward = 0usize;
-        for t in 0..surf.num_triangles() {
+        for t in 0..surf.triangles.len() {
             let n = surf.triangle_normal(t);
             let tri = surf.triangles[t];
             let c = (surf.vertices[tri[0]] + surf.vertices[tri[1]] + surf.vertices[tri[2]]) / 3.0;
@@ -133,7 +133,7 @@ mod tests {
                 outward += 1;
             }
         }
-        assert_eq!(outward, surf.num_triangles(), "some normals point inward");
+        assert_eq!(outward, surf.triangles.len(), "some normals point inward");
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
         });
         let mesh = mesh_labeled_volume(&seg, &MesherConfig { step: 1, include: labels::is_deformable });
         let tumor_surf = extract_boundary_of(&mesh, |l| l == labels::TUMOR);
-        assert!(tumor_surf.num_triangles() > 0);
+        assert!(!tumor_surf.triangles.is_empty());
         assert!(tumor_surf.validate().is_ok());
         // Tumor sub-surface must be much smaller than the whole boundary.
         let whole = extract_boundary(&mesh);

@@ -49,42 +49,6 @@ impl TetMesh {
         signed_volume(self.nodes[a], self.nodes[b], self.nodes[c], self.nodes[d])
     }
 
-    /// Total mesh volume (mm³).
-    pub fn total_volume(&self) -> f64 {
-        (0..self.num_tets()).map(|t| self.tet_volume(t)).sum()
-    }
-
-    /// Centroid of tetrahedron `t`.
-    pub fn tet_centroid(&self, t: usize) -> Vec3 {
-        let [a, b, c, d] = self.tets[t];
-        (self.nodes[a] + self.nodes[b] + self.nodes[c] + self.nodes[d]) * 0.25
-    }
-
-    /// Node adjacency (nodes sharing a tet edge), sorted and deduplicated.
-    pub fn node_adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = vec![Vec::new(); self.num_nodes()];
-        for tet in &self.tets {
-            for i in 0..4 {
-                for j in 0..4 {
-                    if i != j {
-                        adj[tet[i]].push(tet[j]);
-                    }
-                }
-            }
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-            a.dedup();
-        }
-        adj
-    }
-
-    /// Per-node connectivity degree — the quantity whose variance causes
-    /// the paper's assembly load imbalance.
-    pub fn node_degrees(&self) -> Vec<usize> {
-        self.node_adjacency().into_iter().map(|a| a.len()).collect()
-    }
-
     /// Validate structural invariants; returns the first violation, if
     /// any (label/tet count, node indices, repeated nodes, inverted
     /// elements).
@@ -154,17 +118,6 @@ impl TetMesh {
         Ok(())
     }
 
-    /// Axis-aligned bounding box `(min, max)` of all nodes.
-    pub fn bounding_box(&self) -> (Vec3, Vec3) {
-        let mut lo = Vec3::splat(f64::INFINITY);
-        let mut hi = Vec3::splat(f64::NEG_INFINITY);
-        for &n in &self.nodes {
-            lo = lo.min(n);
-            hi = hi.max(n);
-        }
-        (lo, hi)
-    }
-
     /// Drop nodes not referenced by any tet, remapping indices. Returns
     /// the old→new index map (`usize::MAX` for dropped nodes).
     pub fn compact(&mut self) -> Vec<usize> {
@@ -189,13 +142,6 @@ impl TetMesh {
         }
         self.nodes = new_nodes;
         remap
-    }
-
-    /// Barycentric coordinates of point `p` in tetrahedron `t`, or `None`
-    /// if the tet is degenerate.
-    pub fn barycentric(&self, t: usize, p: Vec3) -> Option<[f64; 4]> {
-        let [a, b, c, d] = self.tets[t];
-        barycentric_in(self.nodes[a], self.nodes[b], self.nodes[c], self.nodes[d], p)
     }
 
     /// FNV-1a content fingerprint over node coordinates (IEEE-754 bit
@@ -254,6 +200,28 @@ pub fn barycentric_in(a: Vec3, b: Vec3, c: Vec3, d: Vec3, p: Vec3) -> Option<[f6
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TetMesh {
+        /// Node adjacency (nodes sharing a tet edge), sorted and
+        /// deduplicated: a node's degree is its entry's length.
+        pub(crate) fn node_adjacency(&self) -> Vec<Vec<usize>> {
+            let mut adj = vec![Vec::new(); self.num_nodes()];
+            for tet in &self.tets {
+                for i in 0..4 {
+                    for j in 0..4 {
+                        if i != j {
+                            adj[tet[i]].push(tet[j]);
+                        }
+                    }
+                }
+            }
+            for a in &mut adj {
+                a.sort_unstable();
+                a.dedup();
+            }
+            adj
+        }
+    }
 
     /// A unit tetrahedron with positive orientation.
     pub(crate) fn unit_tet() -> TetMesh {
@@ -350,21 +318,20 @@ mod tests {
         for (i, a) in adj.iter().enumerate() {
             assert_eq!(a.len(), 3, "node {i}");
         }
-        assert_eq!(m.node_degrees(), vec![3, 3, 3, 3]);
     }
 
     #[test]
     fn barycentric_at_vertices_and_centroid() {
         let m = unit_tet();
-        let w = m.barycentric(0, Vec3::new(0.0, 0.0, 0.0)).unwrap();
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| m.nodes[m.tets[0][i]]);
+        let w = barycentric_in(a, b, c, d, Vec3::new(0.0, 0.0, 0.0)).unwrap();
         assert!((w[0] - 1.0).abs() < 1e-12);
-        let c = m.tet_centroid(0);
-        let wc = m.barycentric(0, c).unwrap();
+        let wc = barycentric_in(a, b, c, d, (a + b + c + d) * 0.25).unwrap();
         for &wi in &wc {
             assert!((wi - 0.25).abs() < 1e-12);
         }
         // Sum to 1 anywhere.
-        let wp = m.barycentric(0, Vec3::new(0.3, 0.3, 0.2)).unwrap();
+        let wp = barycentric_in(a, b, c, d, Vec3::new(0.3, 0.3, 0.2)).unwrap();
         assert!((wp.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
@@ -381,14 +348,6 @@ mod tests {
     #[test]
     fn equations_are_three_per_node() {
         assert_eq!(unit_tet().num_equations(), 12);
-    }
-
-    #[test]
-    fn bounding_box() {
-        let m = unit_tet();
-        let (lo, hi) = m.bounding_box();
-        assert_eq!(lo, Vec3::ZERO);
-        assert_eq!(hi, Vec3::new(1.0, 1.0, 1.0));
     }
 
     #[test]

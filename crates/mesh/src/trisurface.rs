@@ -28,35 +28,6 @@ impl TriSurface {
         self.vertices.len()
     }
 
-    /// Number of triangles.
-    pub fn num_triangles(&self) -> usize {
-        self.triangles.len()
-    }
-
-    /// Area-weighted (unnormalized) triangle normal.
-    pub fn triangle_normal(&self, t: usize) -> Vec3 {
-        let [a, b, c] = self.triangles[t];
-        (self.vertices[b] - self.vertices[a]).cross(self.vertices[c] - self.vertices[a]) * 0.5
-    }
-
-    /// Total surface area (mm²).
-    pub fn area(&self) -> f64 {
-        (0..self.num_triangles()).map(|t| self.triangle_normal(t).norm()).sum()
-    }
-
-    /// Per-vertex unit normals (area-weighted average of incident
-    /// triangle normals).
-    pub fn vertex_normals(&self) -> Vec<Vec3> {
-        let mut normals = vec![Vec3::ZERO; self.num_vertices()];
-        for t in 0..self.num_triangles() {
-            let n = self.triangle_normal(t);
-            for &v in &self.triangles[t] {
-                normals[v] += n;
-            }
-        }
-        normals.into_iter().map(|n| n.normalized()).collect()
-    }
-
     /// Vertex→vertex adjacency along triangle edges, sorted, deduplicated.
     pub fn vertex_neighbors(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.num_vertices()];
@@ -71,18 +42,6 @@ impl TriSurface {
             a.dedup();
         }
         adj
-    }
-
-    /// Surface centroid (unweighted vertex mean).
-    pub fn centroid(&self) -> Vec3 {
-        if self.vertices.is_empty() {
-            return Vec3::ZERO;
-        }
-        let mut c = Vec3::ZERO;
-        for &v in &self.vertices {
-            c += v;
-        }
-        c / self.vertices.len() as f64
     }
 
     /// Structural validation: triangle indices in range, no degenerate
@@ -104,8 +63,9 @@ impl TriSurface {
         Ok(())
     }
 
-    /// A closed icosphere-like approximation of a sphere (for tests and
-    /// the surface-only ablation): recursively subdivided octahedron.
+    /// A closed icosphere-like approximation of a sphere: recursively
+    /// subdivided octahedron. A test fixture:
+    /// `crates/surface/tests/evolve_props.rs` reads it.
     pub fn sphere(center: Vec3, radius: f64, subdivisions: usize) -> TriSurface {
         // Octahedron.
         let mut vertices = vec![
@@ -162,6 +122,19 @@ impl TriSurface {
 mod tests {
     use super::*;
 
+    impl TriSurface {
+        /// Area-weighted (unnormalized) normal of triangle `t`.
+        pub(crate) fn triangle_normal(&self, t: usize) -> Vec3 {
+            let [a, b, c] = self.triangles[t];
+            (self.vertices[b] - self.vertices[a]).cross(self.vertices[c] - self.vertices[a]) * 0.5
+        }
+
+        /// Total surface area (mm²).
+        pub(crate) fn area(&self) -> f64 {
+            (0..self.triangles.len()).map(|t| self.triangle_normal(t).norm()).sum()
+        }
+    }
+
     #[test]
     fn sphere_area_approaches_analytic() {
         let s = TriSurface::sphere(Vec3::ZERO, 2.0, 3);
@@ -169,16 +142,6 @@ mod tests {
         let analytic = 4.0 * std::f64::consts::PI * 4.0;
         let rel = (s.area() - analytic).abs() / analytic;
         assert!(rel < 0.05, "area {} vs {analytic}", s.area());
-    }
-
-    #[test]
-    fn sphere_normals_point_outward() {
-        let s = TriSurface::sphere(Vec3::new(1.0, 2.0, 3.0), 1.5, 2);
-        let normals = s.vertex_normals();
-        for (v, n) in s.vertices.iter().zip(&normals) {
-            let radial = (*v - Vec3::new(1.0, 2.0, 3.0)).normalized();
-            assert!(n.dot(radial) > 0.9, "normal not outward");
-        }
     }
 
     #[test]
@@ -205,12 +168,6 @@ mod tests {
                 assert!(adj[j].contains(&i));
             }
         }
-    }
-
-    #[test]
-    fn centroid_of_centered_sphere_is_center() {
-        let s = TriSurface::sphere(Vec3::new(5.0, 5.0, 5.0), 1.0, 2);
-        assert!((s.centroid() - Vec3::new(5.0, 5.0, 5.0)).norm() < 1e-9);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl Clock {
         Clock(Inner::Logical(Arc::new(AtomicU64::new(0))))
     }
 
-    /// True for clocks created by [`Clock::logical`].
-    pub fn is_logical(&self) -> bool {
-        matches!(self.0, Inner::Logical(_))
-    }
-
     /// Microseconds since the epoch (wall) or the counter value
     /// (logical).
     pub fn now_us(&self) -> u64 {
@@ -141,7 +136,7 @@ mod tests {
     #[test]
     fn logical_clock_only_moves_when_advanced() {
         let c = Clock::logical();
-        assert!(c.is_logical());
+        assert!(matches!(c.0, Inner::Logical(_)));
         assert_eq!(c.now_us(), 0);
         c.advance_to_us(1500);
         assert_eq!(c.now_us(), 1500);

@@ -87,14 +87,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The array elements, if this is one.
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
@@ -489,7 +481,7 @@ mod tests {
         let v = parse_json("{\"a\": 3, \"b\": [true, null]}").expect("parse");
         assert_eq!(v.get("a").and_then(JsonValue::as_u64), Some(3));
         let arr = v.get("b").and_then(JsonValue::as_array).expect("arr");
-        assert_eq!(arr[0].as_bool(), Some(true));
+        assert_eq!(arr[0], JsonValue::Bool(true));
         assert_eq!(arr[1], JsonValue::Null);
         assert!(v.get("c").is_none());
     }

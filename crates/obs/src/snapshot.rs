@@ -1,7 +1,7 @@
 //! Point-in-time copies of a [`Registry`](crate::Registry) with a JSON
 //! round-trip.
 
-use crate::json::{parse_json, JsonError, JsonValue};
+use crate::json::{JsonError, JsonValue};
 
 /// Number of log₂ buckets a histogram keeps (values 0‥1 land in bucket
 /// 0, value `v ≥ 1` in bucket `⌊log₂ v⌋` clamped to the last).
@@ -209,11 +209,6 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Parse a rendered snapshot document.
-    pub fn from_json_str(text: &str) -> Result<Snapshot, JsonError> {
-        Snapshot::from_json(&parse_json(text)?)
-    }
-
     /// A copy with every metric name (and span path) prefixed with
     /// `"{prefix}."` — how a fleet namespaces its shards' registries
     /// (`shard0.service.jobs.completed`, …) before merging them into one
@@ -293,6 +288,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_json;
 
     #[test]
     fn json_round_trip_preserves_everything() {
@@ -314,7 +310,7 @@ mod tests {
             )],
         };
         let text = snap.to_json().render();
-        let back = Snapshot::from_json_str(&text).expect("round trip");
+        let back = Snapshot::from_json(&parse_json(&text).expect("parses")).expect("round trip");
         assert_eq!(back, snap);
         // And the re-rendering is byte-identical (schema stability).
         assert_eq!(back.to_json().render(), text);

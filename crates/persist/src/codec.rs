@@ -240,9 +240,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Decode one value from a standalone buffer, which it must consume
+    /// fully: the inverse of `to_bytes`.
+    fn from_bytes<T: Persist>(bytes: &[u8]) -> Result<T, PersistError> {
+        let mut dec = Decoder::new(bytes);
+        let v = T::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(v)
+    }
+
     fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = crate::to_bytes(v).expect("encode");
-        let back: T = crate::from_bytes(&bytes).expect("decode");
+        let back: T = from_bytes(&bytes).expect("decode");
         assert_eq!(&back, v);
         // Re-encoding the decoded value is byte-identical (canonical
         // encoding — the property the corruption checks rely on).
@@ -282,18 +291,18 @@ mod tests {
     fn nan_bits_survive() {
         let weird = f64::from_bits(0x7ff8_dead_beef_0001);
         let bytes = crate::to_bytes(&weird).expect("encode");
-        let back: f64 = crate::from_bytes(&bytes).expect("decode");
+        let back: f64 = from_bytes(&bytes).expect("decode");
         assert_eq!(back.to_bits(), weird.to_bits());
     }
 
     #[test]
     fn truncation_and_trailing_are_typed() {
         let bytes = crate::to_bytes(&vec![1.0f64, 2.0]).expect("encode");
-        let r: Result<Vec<f64>, _> = crate::from_bytes(&bytes[..bytes.len() - 3]);
+        let r: Result<Vec<f64>, _> = from_bytes(&bytes[..bytes.len() - 3]);
         assert!(matches!(r, Err(PersistError::Truncated { .. })), "{r:?}");
         let mut longer = bytes.clone();
         longer.push(0);
-        let r: Result<Vec<f64>, _> = crate::from_bytes(&longer);
+        let r: Result<Vec<f64>, _> = from_bytes(&longer);
         assert!(matches!(r, Err(PersistError::TrailingBytes { remaining: 1 })), "{r:?}");
     }
 
@@ -301,7 +310,7 @@ mod tests {
     fn lying_vec_length_rejected_without_allocation() {
         let mut enc = Encoder::new();
         enc.put_usize(usize::MAX / 2);
-        let r: Result<Vec<f64>, _> = crate::from_bytes(&enc.into_bytes());
+        let r: Result<Vec<f64>, _> = from_bytes(&enc.into_bytes());
         assert!(matches!(r, Err(PersistError::Truncated { .. })), "{r:?}");
     }
 
@@ -309,7 +318,7 @@ mod tests {
     fn invalid_tags_rejected() {
         let r = Decoder::new(&[7]).get_bool();
         assert!(matches!(r, Err(PersistError::InvalidData { .. })));
-        let r: Result<Option<f64>, _> = crate::from_bytes(&[9, 0]);
+        let r: Result<Option<f64>, _> = from_bytes(&[9, 0]);
         assert!(matches!(r, Err(PersistError::InvalidData { .. })));
     }
 
@@ -326,7 +335,7 @@ mod tests {
         fn prop_f64_bits_round_trip(bits in 0..u64::MAX) {
             let v = f64::from_bits(bits);
             let bytes = crate::to_bytes(&v).expect("encode");
-            let back: f64 = crate::from_bytes(&bytes).expect("decode");
+            let back: f64 = from_bytes(&bytes).expect("decode");
             prop_assert_eq!(back.to_bits(), bits);
         }
 

@@ -54,12 +54,3 @@ pub fn to_bytes<T: Persist>(value: &T) -> Result<Vec<u8>, PersistError> {
     value.encode(&mut enc)?;
     Ok(enc.into_bytes())
 }
-
-/// Decode one `Persist` value from a standalone byte buffer, requiring
-/// the buffer to be fully consumed.
-pub fn from_bytes<T: Persist>(bytes: &[u8]) -> Result<T, PersistError> {
-    let mut dec = Decoder::new(bytes);
-    let v = T::decode(&mut dec)?;
-    dec.finish()?;
-    Ok(v)
-}

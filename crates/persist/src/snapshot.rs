@@ -163,16 +163,6 @@ impl<'a> SnapshotReader<'a> {
         self.version
     }
 
-    /// Section names, in table order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.table.iter().map(|e| e.name.as_str())
-    }
-
-    /// True when the snapshot holds a section with this name.
-    pub fn has_section(&self, name: &str) -> bool {
-        self.table.iter().any(|e| e.name == name)
-    }
-
     /// A decoder over one section's (already checksum-verified) payload.
     pub fn section(&self, name: &str) -> Result<Decoder<'a>, PersistError> {
         let entry = self
@@ -208,8 +198,8 @@ mod tests {
     fn round_trips_sections_by_name() {
         let bytes = sample();
         let r = SnapshotReader::parse(&bytes).expect("parse");
-        assert_eq!(r.section_names().collect::<Vec<_>>(), vec!["meta", "payload"]);
-        assert!(r.has_section("meta") && !r.has_section("absent"));
+        assert_eq!(r.table.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(), vec!["meta", "payload"]);
+        assert!(r.section("meta").is_ok() && r.section("absent").is_err());
         assert_eq!(r.section_value::<f64>("meta").expect("meta"), 42.0);
         assert_eq!(
             r.section_value::<Vec<f64>>("payload").expect("payload"),
@@ -327,6 +317,6 @@ mod tests {
     fn empty_snapshot_parses() {
         let bytes = SnapshotWriter::new().finish();
         let r = SnapshotReader::parse(&bytes).expect("parse");
-        assert_eq!(r.section_names().count(), 0);
+        assert!(r.table.is_empty());
     }
 }

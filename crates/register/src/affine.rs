@@ -37,11 +37,6 @@ pub struct AffineTransform {
 }
 
 impl AffineTransform {
-    /// Identity about a centre.
-    pub fn identity(center: Vec3) -> Self {
-        AffineTransform { matrix: Mat3::IDENTITY, translation: Vec3::ZERO, center }
-    }
-
     /// From the 12 parameters
     /// `[rx, ry, rz, sx, sy, sz, kxy, kxz, kyz, tx, ty, tz]`:
     /// Euler rotation, per-axis log-scales (so 0 = unit scale), three

@@ -19,6 +19,6 @@ pub mod transform;
 
 pub use mi_metric::mutual_information;
 pub use affine::{register_affine, AffineRegResult, AffineTransform};
-pub use rigid::{apply_registration, register_rigid, RigidRegResult};
+pub use rigid::{register_rigid, RigidRegResult};
 pub use search::coordinate_descent;
 pub use transform::RigidTransform;

@@ -104,7 +104,7 @@ mod tests {
     fn identity_beats_shifted() {
         let v = phantom();
         let c = center(&v);
-        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)));
+        let id = mutual_information(&v, &v, through(RigidTransform::from_params([0.0; 6], c)));
         let shifted = mutual_information(
             &v,
             &v,
@@ -117,7 +117,7 @@ mod tests {
     fn identity_beats_rotated() {
         let v = phantom();
         let c = center(&v);
-        let id = mutual_information(&v, &v, through(RigidTransform::identity(c)));
+        let id = mutual_information(&v, &v, through(RigidTransform::from_params([0.0; 6], c)));
         let rot = mutual_information(
             &v,
             &v,

@@ -48,12 +48,6 @@ pub fn register_rigid(fixed: &Volume<f32>, moving: &Volume<f32>) -> RigidRegResu
     RigidRegResult { transform: RigidTransform::from_params(params, grid_center(fixed)), mi, evaluations }
 }
 
-/// Resample `moving` into the fixed grid through the recovered transform:
-/// `out(x) = moving(T x)`.
-pub fn apply_registration(fixed: &Volume<f32>, moving: &Volume<f32>, t: &RigidTransform) -> Volume<f32> {
-    brainshift_imaging::interp::resample_with(moving, fixed, 0.0, |p| t.apply(p))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +98,9 @@ mod tests {
         let moved = apply_rigid_misalignment(&scan, Mat3::rot_z(0.06), Vec3::new(2.0, 1.0, 0.0));
         let res = register_rigid(&scan.intensity, &moved.intensity);
         let before = ncc(&scan.intensity, &moved.intensity);
-        let aligned = apply_registration(&scan.intensity, &moved.intensity, &res.transform);
+        // Resample the moving scan onto the fixed grid: out(x) = moving(T x).
+        let t = res.transform;
+        let aligned = brainshift_imaging::interp::resample_with(&moved.intensity, &scan.intensity, 0.0, |p| t.apply(p));
         let after = ncc(&scan.intensity, &aligned);
         assert!(after > before, "ncc {before} → {after}");
         assert!(after > 0.9, "alignment too poor: {after}");

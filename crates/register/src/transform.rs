@@ -30,11 +30,6 @@ pub struct RigidTransform {
 }
 
 impl RigidTransform {
-    /// The identity transform about a centre.
-    pub fn identity(center: Vec3) -> Self {
-        RigidTransform { rotation: Mat3::IDENTITY, translation: Vec3::ZERO, center }
-    }
-
     /// From the 6-parameter vector `[rx, ry, rz, tx, ty, tz]` (radians,
     /// then the same length unit as the images).
     pub fn from_params(params: [f64; 6], center: Vec3) -> Self {
@@ -61,17 +56,6 @@ impl RigidTransform {
         }
     }
 
-    /// Composition: `(a ∘ b)(x) = a(b(x))`, expressed about `a.center`.
-    pub fn compose(&self, b: &RigidTransform) -> RigidTransform {
-        // a(b(x)) = Ra (Rb (x − cb) + cb + tb − ca) + ca + ta
-        //         = Ra Rb (x − ca) + [Ra Rb (ca − cb) + Ra (cb + tb − ca)] + ca + ta
-        let r = self.rotation * b.rotation;
-        let t = self.rotation * (b.rotation * (self.center - b.center))
-            + self.rotation * (b.center + b.translation - self.center)
-            + self.translation;
-        RigidTransform { rotation: r, translation: t, center: self.center }
-    }
-
     /// Magnitude of the transform: (rotation angle in radians, translation
     /// norm). Useful for convergence reporting and accuracy metrics.
     pub fn magnitude(&self) -> (f64, f64) {
@@ -90,8 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_fixes_points() {
-        let t = RigidTransform::identity(Vec3::new(5.0, 5.0, 5.0));
+    fn zero_parameters_fix_points() {
+        let t = RigidTransform::from_params([0.0; 6], Vec3::new(5.0, 5.0, 5.0));
         close(t.apply(Vec3::new(1.0, 2.0, 3.0)), Vec3::new(1.0, 2.0, 3.0), 1e-15);
         let (ang, tr) = t.magnitude();
         assert!(ang.abs() < 1e-12 && tr == 0.0);
@@ -117,16 +101,6 @@ mod tests {
         for p in [Vec3::ZERO, Vec3::new(1.0, -2.0, 5.0), Vec3::new(10.0, 0.0, 3.0)] {
             close(inv.apply(t.apply(p)), p, 1e-12);
             close(t.apply(inv.apply(p)), p, 1e-12);
-        }
-    }
-
-    #[test]
-    fn compose_matches_sequential_application() {
-        let a = RigidTransform::from_params([0.1, 0.0, 0.2, 1.0, 0.0, -1.0], Vec3::new(1.0, 1.0, 1.0));
-        let b = RigidTransform::from_params([0.0, -0.3, 0.1, 0.5, 2.0, 0.0], Vec3::new(3.0, 0.0, 2.0));
-        let ab = a.compose(&b);
-        for p in [Vec3::ZERO, Vec3::new(2.0, 3.0, -1.0)] {
-            close(ab.apply(p), a.apply(b.apply(p)), 1e-12);
         }
     }
 

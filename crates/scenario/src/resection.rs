@@ -201,7 +201,7 @@ mod tests {
         for seed in 0..6u64 {
             let case = generate(seed).expect("generation failed");
             assert!(case.mesh.validate_quality(SCENARIO_MIN_RADIUS_RATIO).is_ok());
-            assert!(case.preop.labels.count_label(labels::RESECTION) > 0);
+            assert!(case.preop.labels.data().contains(&labels::RESECTION));
             assert!(case.stats.peak_displacement_mm > 0.1, "no collapse happened");
         }
     }

@@ -15,9 +15,8 @@
 //! *intensities*, "updated automatically when further intraoperative
 //! images are acquired", the kd-tree over them, and one k-NN query per
 //! listed voxel. [`Classifier`] is that split: [`Classifier::new`]
-//! computes the fixed half once, [`Classifier::classify`] is the per-scan
-//! call, and [`segment_intraop`] is the same object built, used once over
-//! every voxel and dropped. A caller that needs labels only near a
+//! computes the fixed half once and [`Classifier::classify`] is the
+//! per-scan call. A caller that needs labels only near a
 //! boundary lists those voxels; every other voxel keeps a fill label.
 //! The morphological cleanup of the brain mask (the active-surface
 //! target must be a single solid region) is [`largest_component`].
@@ -206,7 +205,8 @@ impl Classifier {
     }
 
     /// [`Self::classify`] with a serial k-NN pass: the oracle the
-    /// thread-count determinism tests compare the parallel pass with.
+    /// thread-count determinism tests compare the parallel pass with
+    /// (`crates/segment/tests/classify_props.rs`).
     pub fn classify_serial(
         &self,
         intensity: &Volume<f32>,
@@ -264,18 +264,6 @@ impl Classifier {
         }
         Ok(())
     }
-}
-
-/// End-to-end intraoperative segmentation of a single scan: a
-/// [`Classifier`] built, used once over every voxel and dropped. Returns
-/// the label volume (on the intraop grid/spacing).
-pub fn segment_intraop(
-    intraop_intensity: &Volume<f32>,
-    preop_seg: &Volume<u8>,
-    cfg: &SegmentConfig,
-) -> Result<Volume<u8>, SegmentError> {
-    let every: Vec<usize> = (0..intraop_intensity.dims().len()).collect();
-    Ok(Classifier::new(preop_seg, cfg).classify(intraop_intensity, &every, preop_seg)?.labels)
 }
 
 /// Largest 6-connected component of `mask`, as a new mask. Used to clean
@@ -359,6 +347,17 @@ mod tests {
     use super::*;
     use brainshift_imaging::phantom::{generate_case, BrainShiftConfig, PhantomConfig};
     use brainshift_imaging::volume::Spacing;
+
+    /// Segment one scan: a [`Classifier`] built, used once over every
+    /// voxel and dropped. Returns the label volume (on the intraop grid).
+    fn segment_intraop(
+        intraop_intensity: &Volume<f32>,
+        preop_seg: &Volume<u8>,
+        cfg: &SegmentConfig,
+    ) -> Result<Volume<u8>, SegmentError> {
+        let every: Vec<usize> = (0..intraop_intensity.dims().len()).collect();
+        Ok(Classifier::new(preop_seg, cfg).classify(intraop_intensity, &every, preop_seg)?.labels)
+    }
 
     #[test]
     fn segments_phantom_intraop_scan_well() {

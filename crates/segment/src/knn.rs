@@ -239,15 +239,6 @@ impl KdTree {
         &self.feats[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// The `k` nearest prototypes to `query` (squared Euclidean), as
-    /// `(distance², prototype index)` sorted nearest-first, breaking
-    /// distance ties by lowest prototype index.
-    pub fn k_nearest(&self, query: &[f32], k: usize) -> Vec<(f32, usize)> {
-        let mut scratch = KnnScratch::new();
-        self.k_nearest_into(&mut scratch, query, k);
-        scratch.best.iter().map(|&(d, i)| (d, i as usize)).collect()
-    }
-
     /// Allocation-free k-NN: fills `scratch.neighbors()` with the `k`
     /// nearest prototypes, reusing the scratch's buffers.
     pub fn k_nearest_into(&self, scratch: &mut KnnScratch, query: &[f32], k: usize) {
@@ -415,7 +406,7 @@ fn insert_candidate(best: &mut Vec<(f32, u32)>, k: usize, d2: f32, idx: u32) {
 }
 
 /// Brute-force k-NN for testing, using the same `(distance², index)`
-/// candidate order as the tree.
+/// candidate order as the tree (`crates/segment/tests/classify_props.rs`).
 pub fn k_nearest_brute(protos: &[Prototype], query: &[f32], k: usize) -> Vec<(f32, usize)> {
     let mut d: Vec<(f32, usize)> = protos
         .iter()
@@ -436,6 +427,18 @@ pub fn k_nearest_brute(protos: &[Prototype], query: &[f32], k: usize) -> Vec<(f3
 mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
+
+    impl KdTree {
+        /// The `k` nearest prototypes to `query` (squared Euclidean), as
+        /// `(distance², prototype index)` sorted nearest-first, breaking
+        /// distance ties by lowest prototype index: `k_nearest_into` with
+        /// a fresh scratch.
+        fn k_nearest(&self, query: &[f32], k: usize) -> Vec<(f32, usize)> {
+            let mut scratch = KnnScratch::new();
+            self.k_nearest_into(&mut scratch, query, k);
+            scratch.best.iter().map(|&(d, i)| (d, i as usize)).collect()
+        }
+    }
 
     fn random_protos(n: usize, dim: usize, seed: u64) -> Vec<Prototype> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

@@ -10,14 +10,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::panic))]
 
 pub mod classify;
-pub mod confusion;
 pub mod error;
 pub mod knn;
 pub mod prototypes;
 
-pub use confusion::ConfusionMatrix;
 pub use classify::{
-    dice, largest_component, segment_intraop, Classification, Classifier, SegmentConfig,
+    dice, largest_component, Classification, Classifier, SegmentConfig,
 };
 pub use error::SegmentError;
 pub use knn::{k_nearest_brute, KdTree, KnnScratch, Prototype, LEAF_SIZE};

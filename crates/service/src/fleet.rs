@@ -11,9 +11,6 @@
 //!   live sessions, ties to the lowest index) — closing a session
 //!   releases its slot, so the fleet rebalances on close without ever
 //!   migrating a live session (its warm context must stay put).
-//! * [`Fleet::open_session_keyed`] instead routes by a caller-provided
-//!   stable key (OR number, scanner id) through [`route_shard`], so the
-//!   same key always lands on the same shard across fleet restarts.
 //!
 //! Fleet-wide ids encode the shard so every handle is self-routing:
 //! `fleet_id = local_id * shards + shard`. Metrics merge each shard's
@@ -26,7 +23,6 @@
 //! metrics, so its script, its metrics and the logs [`Fleet::shutdown`]
 //! returns cover both sides of the restore.
 
-use crate::dispatch::route_shard;
 use crate::error::{Rejected, ServiceError};
 use crate::events::{Event, EventKind};
 use crate::service::{JobOutcome, JobTicket, ScanJob, Service, ServiceConfig};
@@ -174,14 +170,6 @@ impl Fleet {
             live[s] += 1;
             s
         };
-        encode(self.shards[shard].open_session(prepared), shard, self.shards.len())
-    }
-
-    /// Open a session on the shard a stable caller key hashes to
-    /// ([`route_shard`]) — same key, same shard, across fleet restarts.
-    pub fn open_session_keyed(&self, prepared: Arc<PreparedSurgery>, key: u64) -> u64 {
-        let shard = route_shard(key, self.shards.len());
-        self.live.lock()[shard] += 1;
         encode(self.shards[shard].open_session(prepared), shard, self.shards.len())
     }
 

@@ -276,6 +276,15 @@ fn get_field(dec: &mut Decoder<'_>) -> Result<DisplacementField, PersistError> {
 mod tests {
     use super::*;
 
+    /// Decode one value from a standalone buffer, which it must consume
+    /// fully: the inverse of `to_bytes`.
+    fn from_bytes<T: Persist>(bytes: &[u8]) -> Result<T, PersistError> {
+        let mut dec = Decoder::new(bytes);
+        let v = T::decode(&mut dec)?;
+        dec.finish()?;
+        Ok(v)
+    }
+
     /// A session with a 2×2×2 carry-forward field and a 3-entry seed.
     fn hand_built() -> SessionSnapshot {
         SessionSnapshot {
@@ -302,7 +311,7 @@ mod tests {
         let bytes = brainshift_persist::to_bytes(&hand_built()).expect("encode");
         assert_eq!(bytes.len(), 355);
         assert_eq!(brainshift_persist::fnv1a(&bytes), 0x734f_feaa_29e0_42b5);
-        let back: SessionSnapshot = brainshift_persist::from_bytes(&bytes).expect("decode");
+        let back: SessionSnapshot = from_bytes(&bytes).expect("decode");
         assert_eq!(brainshift_persist::to_bytes(&back).expect("re-encode"), bytes);
     }
 
@@ -316,11 +325,11 @@ mod tests {
         let (dims_at, len_at) = (41, 41 + 48);
         let mut wrong_dims = bytes.clone();
         wrong_dims[dims_at] = 3;
-        let r = brainshift_persist::from_bytes::<SessionSnapshot>(&wrong_dims);
+        let r = from_bytes::<SessionSnapshot>(&wrong_dims);
         assert!(matches!(r, Err(PersistError::InvalidData { .. })), "{:?}", r.err());
         let mut lying = bytes;
         lying[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let r = brainshift_persist::from_bytes::<SessionSnapshot>(&lying);
+        let r = from_bytes::<SessionSnapshot>(&lying);
         assert!(matches!(r, Err(PersistError::Truncated { .. })), "{:?}", r.err());
     }
 }

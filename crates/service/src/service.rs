@@ -29,7 +29,7 @@
 
 use crate::cache::CacheStats;
 use crate::core::{Claimed, ShardCore};
-use crate::dispatch::{preferred_worker, StealPolicy};
+use crate::dispatch::StealPolicy;
 use crate::error::{Rejected, ServiceError};
 use crate::events::{Event, EventLog};
 use crate::session::{SessionStats, SurgerySession};
@@ -249,8 +249,7 @@ impl Service {
     pub fn open_session(&self, prepared: Arc<PreparedSurgery>) -> u64 {
         self.shared.decide(|shard, _| {
             let id = shard.core.open_session();
-            let pref = preferred_worker(id, shard.core.workers());
-            shard.sessions.insert(id, Arc::new(SurgerySession::new(id, prepared, pref)));
+            shard.sessions.insert(id, Arc::new(SurgerySession::new(id, prepared)));
             id
         })
     }
@@ -319,11 +318,6 @@ impl Service {
     /// state lock, and neither is ever held across a solve.
     pub fn session_stats(&self, session: u64) -> Option<SessionStats> {
         self.session(session).map(|s| s.stats())
-    }
-
-    /// The preferred worker a session's jobs are dispatched to.
-    pub fn session_preferred_worker(&self, session: u64) -> Option<usize> {
-        self.session(session).map(|s| s.preferred_worker())
     }
 
     /// Snapshot of the event log so far.
@@ -454,7 +448,6 @@ impl Service {
                 ),
             });
         }
-        let n_workers = cfg.workers.max(1);
         let mut restored = Vec::with_capacity(snaps.len());
         for snap in snaps {
             if snap.id >= next_session {
@@ -474,7 +467,6 @@ impl Service {
             let sess = Arc::new(SurgerySession::restore(
                 snap.id,
                 Arc::clone(prep),
-                preferred_worker(snap.id, n_workers),
                 snap.carry_forward,
                 snap.stats,
             ));

@@ -51,10 +51,6 @@ pub struct SurgerySession {
     /// context is only trusted for a session with a matching fingerprint.
     fingerprint: MeshFingerprint,
     prepared: Arc<PreparedSurgery>,
-    /// The sticky worker this session's jobs are enqueued on (see
-    /// [`crate::dispatch::preferred_worker`]). Immutable for the life of
-    /// the session — affinity is an open-time decision.
-    preferred_worker: usize,
     pub(crate) state: Mutex<SessionState>,
 }
 
@@ -68,8 +64,8 @@ pub struct MeshFingerprint {
 }
 
 impl SurgerySession {
-    pub(crate) fn new(id: u64, prepared: Arc<PreparedSurgery>, preferred_worker: usize) -> Self {
-        Self::restore(id, prepared, preferred_worker, None, SessionStats::default())
+    pub(crate) fn new(id: u64, prepared: Arc<PreparedSurgery>) -> Self {
+        Self::restore(id, prepared, None, SessionStats::default())
     }
 
     /// Rebuild a session from persisted state: same id as at snapshot
@@ -79,7 +75,6 @@ impl SurgerySession {
     pub(crate) fn restore(
         id: u64,
         prepared: Arc<PreparedSurgery>,
-        preferred_worker: usize,
         carry_forward: Option<DisplacementField>,
         stats: SessionStats,
     ) -> Self {
@@ -91,7 +86,6 @@ impl SurgerySession {
             id,
             fingerprint,
             prepared,
-            preferred_worker,
             state: Mutex::new(SessionState { carry_forward: carry_forward.map(Arc::new), stats }),
         }
     }
@@ -99,11 +93,6 @@ impl SurgerySession {
     /// The service-assigned session id.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The sticky worker this session's jobs are enqueued on.
-    pub fn preferred_worker(&self) -> usize {
-        self.preferred_worker
     }
 
     /// Structural identity of this session's mesh.

@@ -260,7 +260,9 @@ fn percentile_us(sorted: &[u64], p: f64) -> u64 {
 ///
 /// Deterministic end to end: the router is a pure hash, each shard's
 /// simulation is bit-deterministic, and the merged metrics snapshot is
-/// assembled in shard order.
+/// assembled in shard order. Only tests call it: `tests/scheduler_core.rs`
+/// pins its shard scripts to the parent's, and `tests/affinity_props.rs`
+/// checks its determinism and routing.
 pub fn simulate_fleet(cfg: &FleetConfig, jobs: &[SimJob]) -> FleetSimReport {
     let s = cfg.shards.max(1);
     let mut per_shard: Vec<Vec<SimJob>> = vec![Vec::new(); s];

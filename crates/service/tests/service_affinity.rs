@@ -7,7 +7,7 @@ use brainshift_core::{PipelineConfig, PreparedSurgery, ScanStatus};
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_service::{
-    EventKind, Fleet, FleetConfig, ScanJob, Service, ServiceConfig, ServiceError,
+    preferred_worker, EventKind, Fleet, FleetConfig, ScanJob, Service, ServiceConfig, ServiceError,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -48,8 +48,7 @@ fn sequential_scans_stick_to_the_preferred_worker() {
     let service = Service::start(ServiceConfig { workers: 2, ..Default::default() });
     let a = service.open_session(prepared(&seq_a)); // id 1 → worker 1
     let b = service.open_session(prepared(&seq_b)); // id 2 → worker 0
-    let pref_a = service.session_preferred_worker(a).expect("session a");
-    let pref_b = service.session_preferred_worker(b).expect("session b");
+    let (pref_a, pref_b) = (preferred_worker(a, 2), preferred_worker(b, 2));
     assert_ne!(pref_a, pref_b, "round-robin placement spreads two sessions over two workers");
 
     for i in 0..3 {
@@ -243,11 +242,6 @@ fn fleet_routes_sessions_and_merges_shard_metrics() {
         assert_eq!(m.counter(&format!("shard{shard}.service.jobs.completed")), Some(2));
         assert_eq!(m.counter(&format!("shard{shard}.service.cache.hit")), Some(1));
     }
-
-    // Keyed routing is stable: the same key always names the same shard.
-    let k1 = fleet.open_session_keyed(Arc::clone(&prep), 777);
-    let k2 = fleet.open_session_keyed(Arc::clone(&prep), 777);
-    assert_eq!(k1 % 2, k2 % 2, "same key, same shard");
 
     // Shard scripts are isolated: shard i's script only names shard-local
     // session ids of sessions this fleet opened on it (ids 1..).

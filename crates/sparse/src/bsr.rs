@@ -45,7 +45,7 @@ pub(crate) const FULL: u16 = 0x1ff;
 /// b.add(2, 2, 2.0);
 /// let a = b.build();
 /// let blocks = BsrMatrix::from_csr(&a).expect("3 × 3");
-/// assert_eq!((blocks.nnz(), blocks.num_blocks()), (4, 1));
+/// assert_eq!(blocks.nnz(), 4);
 /// assert_eq!(blocks.to_csr(), a);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -166,11 +166,6 @@ impl BsrMatrix {
     #[inline]
     pub fn nnz(&self) -> usize {
         self.nnz
-    }
-
-    /// Number of stored blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
     }
 
     /// Heap footprint of the stored arrays (row pointers, block columns,
@@ -354,7 +349,7 @@ mod tests {
         let a = sample();
         let m = BsrMatrix::from_csr(&a).unwrap();
         assert_eq!(m.nnz(), a.nnz());
-        assert_eq!(m.num_blocks(), 5);
+        assert_eq!(m.blocks.len(), 5);
         assert_eq!(m.to_csr(), a);
     }
 
@@ -387,7 +382,8 @@ mod tests {
         assert!(raw(3, 3, &[0, 1], &[1], FULL, 1.0).is_err(), "out of range");
         assert!(raw(3, 3, &[0, 1], &[0], 0x0ff, 1.0).is_err(), "a nonzero outside the mask");
         assert!(raw(3, 3, &[0, 1], &[0], 0x3ff, 0.0).is_err(), "a bit outside the block");
-        assert!(BsrMatrix::from_csr(&CsrMatrix::identity(4)).is_err());
+        let identity4 = CsrMatrix::from_raw(4, 4, (0..=4).collect(), (0..4).collect(), vec![1.0; 4]).unwrap();
+        assert!(BsrMatrix::from_csr(&identity4).is_err(), "four rows are not whole nodes");
     }
 
     #[test]

@@ -78,17 +78,6 @@ impl CsrMatrix {
         Ok(CsrMatrix { nrows, ncols, indptr, indices, values })
     }
 
-    /// The `n × n` identity.
-    pub fn identity(n: usize) -> Self {
-        CsrMatrix {
-            nrows: n,
-            ncols: n,
-            indptr: (0..=n).collect(),
-            indices: (0..n).collect(),
-            values: vec![1.0; n],
-        }
-    }
-
     #[inline]
     /// Number of rows.
     pub fn nrows(&self) -> usize {
@@ -204,26 +193,6 @@ impl CsrMatrix {
         CsrMatrix { nrows: self.ncols, ncols: self.nrows, indptr, indices, values }
     }
 
-    /// Maximum relative asymmetry `|a_ij - a_ji| / max|a|`; 0 for a
-    /// symmetric matrix. Useful for validating FEM assembly.
-    pub fn asymmetry(&self) -> f64 {
-        let t = self.transpose();
-        let scale = self
-            .values
-            .iter()
-            .map(|v| v.abs())
-            .fold(0.0f64, f64::max)
-            .max(1e-300);
-        let mut worst = 0.0f64;
-        for i in 0..self.nrows {
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                worst = worst.max((v - t.get(i, c)).abs());
-            }
-        }
-        worst / scale
-    }
-
     /// Extract the square sub-matrix of rows & columns `lo..hi`.
     pub fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix {
         debug_assert!(lo <= hi && hi <= self.nrows && hi <= self.ncols);
@@ -243,11 +212,6 @@ impl CsrMatrix {
             indptr.push(indices.len());
         }
         CsrMatrix { nrows: n, ncols: n, indptr, indices, values }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -428,18 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn asymmetry_zero_for_symmetric() {
-        let mut b = TripletBuilder::new(2, 2);
-        b.add(0, 0, 2.0);
-        b.add(0, 1, 1.0);
-        b.add(1, 0, 1.0);
-        b.add(1, 1, 2.0);
-        let m = b.build();
-        assert_eq!(m.asymmetry(), 0.0);
-        assert!(small().asymmetry() > 0.0);
-    }
-
-    #[test]
     fn submatrix() {
         let m = small();
         let s = m.principal_submatrix(0, 2);
@@ -451,7 +403,7 @@ mod tests {
 
     #[test]
     fn identity_spmv_is_noop() {
-        let i = CsrMatrix::identity(5);
+        let i = CsrMatrix::from_raw(5, 5, (0..=5).collect(), (0..5).collect(), vec![1.0; 5]).unwrap();
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let mut y = vec![0.0; 5];
         i.spmv(&x, &mut y);
@@ -482,11 +434,5 @@ mod tests {
         let m = CsrMatrix::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![3.0, 4.0]).unwrap();
         assert_eq!(m.get(0, 0), 3.0);
         assert_eq!(m.get(1, 1), 4.0);
-    }
-
-    #[test]
-    fn frobenius() {
-        let m = CsrMatrix::identity(4);
-        assert!((m.frobenius_norm() - 2.0).abs() < 1e-15);
     }
 }

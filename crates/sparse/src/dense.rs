@@ -115,7 +115,8 @@ pub struct DenseLu {
 
 impl DenseLu {
     /// Factorize a row-major `n × n` matrix. Returns `None` if singular to
-    /// working precision.
+    /// working precision. The direct reference of
+    /// `tests/solver_cross_checks.rs`.
     pub fn factorize(a: &[f64], n: usize) -> Option<DenseLu> {
         debug_assert_eq!(a.len(), n * n);
         let mut lu = a.to_vec();

@@ -107,18 +107,8 @@ pub struct ActiveSurfaceResult {
 }
 
 /// Evolve `surface` under `force` until its vertices sit on the target
-/// boundary. Builds the adjacency table internally; per-scan callers
-/// should build a [`NeighborTable`] once and use [`evolve_surface_with`].
-pub fn evolve_surface(
-    surface: &TriSurface,
-    force: &dyn ExternalForce,
-    cfg: &ActiveSurfaceConfig,
-) -> ActiveSurfaceResult {
-    evolve_surface_with(surface, &NeighborTable::build(surface), force, cfg)
-}
-
-/// [`evolve_surface`] with a caller-provided adjacency table (must belong
-/// to `surface`'s triangulation).
+/// boundary. `neighbors` is the surface's adjacency table (it must belong
+/// to `surface`'s triangulation), built once per surgery.
 pub fn evolve_surface_with(
     surface: &TriSurface,
     neighbors: &NeighborTable,
@@ -221,6 +211,15 @@ mod tests {
     use super::*;
     use crate::forces::DistanceForce;
     use brainshift_imaging::volume::{Dims, Spacing, Volume};
+
+    /// [`evolve_surface_with`] on a freshly built adjacency table.
+    fn evolve_surface(
+        surface: &TriSurface,
+        force: &dyn ExternalForce,
+        cfg: &ActiveSurfaceConfig,
+    ) -> ActiveSurfaceResult {
+        evolve_surface_with(surface, &NeighborTable::build(surface), force, cfg)
+    }
 
     fn sphere_mask(center: Vec3, r: f64, n: usize) -> Volume<bool> {
         Volume::from_fn(Dims::new(n, n, n), Spacing::iso(1.0), move |x, y, z| {

@@ -16,6 +16,6 @@ pub mod forces;
 
 pub use band::{Band, SurfaceError};
 pub use evolve::{
-    evolve_surface, evolve_surface_with, ActiveSurfaceConfig, ActiveSurfaceResult, NeighborTable,
+    evolve_surface_with, ActiveSurfaceConfig, ActiveSurfaceResult, NeighborTable,
 };
 pub use forces::{DistanceForce, EdgeForce, ExternalForce};

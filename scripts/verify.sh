@@ -3,6 +3,22 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A file's non-test code: every line before its first test module, less
+# comment lines (doc comments included).
+non_test() {
+  awk '/^(mod tests|#\[cfg\(test\)\])/{exit} !/^[[:space:]]*\/\//' "$1"
+}
+# `non_test` stops at a file's first test module, so everything after it
+# must be test code: no item at the top level may follow a test module
+# unless `#[cfg(test)]` heads it.
+if awk 'FNR == 1 { t = 0; prev = "" }
+        /^(mod tests|#\[cfg\(test\)\])/ { t = 1 }
+        t && /^[^[:space:]})\]\/#]/ && prev !~ /^#\[cfg\(test\)\]/ && !/^mod tests/ { print FILENAME ":" FNR ": " $0 }
+        /^[^[:space:]]/ { prev = $0 }' $(find crates/*/src -name '*.rs') | grep .; then
+  echo "non-test code after a test module: the line counts and audits below would not see it" >&2
+  exit 1
+fi
+
 # No program goes unrun: every bin under crates/*/src/bin and every
 # example is run by a line of this script (and asserts what it prints),
 # and no manifest declares a bench target nor any crate keeps a
@@ -28,6 +44,59 @@ if grep -nF '[[bench]]' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; then
   exit 1
 fi
 shopt -u nullglob
+
+# Every public function has a reader outside the tests. A `pub fn` that
+# only tests call goes, or moves into the test module that needs it. The
+# exceptions are the references that tests read: oracles a test compares
+# the served code with, and fixtures that build inputs of known ground
+# truth for more than one test crate. Each row names one test that reads
+# it (checked). A row also fails once its name gains a reader or stops
+# being a `pub fn`, so the list cannot rot. A reader is any mention of
+# the name, outside `use` lines and its own `fn`, in the non-test code of
+# crates/, src/, examples/ and e2e_budget/src. A grep cannot see every
+# reader, so the build, clippy and the tests below decide; this step only
+# asks. Checked before the build, like the unrun-program check above.
+allowlist=$(cat <<'EOF'
+apply_rigid_misalignment tests/pipeline_end_to_end.rs fixture: a scan under a known rigid misalignment
+classify_serial crates/segment/tests/classify_props.rs oracle: the serial k-NN pass of the slab-parallel classifier
+distance_transform_brute tests/proptest_invariants.rs oracle: the brute-force distance transform
+factorize tests/solver_cross_checks.rs oracle: DenseLu, the direct solve of the Krylov cross-check
+generate_scan_sequence tests/failure_injection.rs fixture: a scan series with known deformation per stage
+k_nearest_brute crates/segment/tests/classify_props.rs oracle: the brute-force k-NN vote
+run_scan_sequence_with_faults tests/failure_injection.rs fixture: a scan series with injected solver failures
+simulate_fleet tests/scheduler_core.rs oracle: `simulate`, the service's logical-clock reference, per hash-routed shard
+sphere crates/surface/tests/evolve_props.rs fixture: a closed surface of known radius
+EOF
+)
+defined=$(for f in $(find crates/*/src -name '*.rs'); do non_test "$f"; done |
+  grep -oE '\bpub fn [A-Za-z_][A-Za-z0-9_]*' | awk '{print $3}' | sort -u)
+read_names=$(for f in $(find crates src examples e2e_budget/src -name '*.rs' -not -path '*/tests/*'); do non_test "$f"; done |
+  awk '/^[[:space:]]*(pub(\([a-z]+\))? )?use / {u = 1} !u {print} u && /;/ {u = 0}' |
+  grep -oE '(fn )?[A-Za-z_][A-Za-z0-9_]*' | grep -v '^fn ' | sort -u)
+unread=$(comm -23 <(echo "$defined") <(echo "$read_names"))
+allowed=$(awk '{print $1}' <<<"$allowlist" | sort)
+fail=0
+for n in $(comm -23 <(echo "$unread") <(echo "$allowed")); do
+  echo "pub fn $n: nothing outside the tests reads it; delete it, make it private, or move it into the test module that needs it" >&2
+  fail=1
+done
+for n in $(comm -13 <(echo "$unread") <(echo "$allowed")); do
+  if grep -qx "$n" <<<"$defined"; then
+    echo "allowlisted pub fn $n has a reader outside the tests now: drop its row" >&2
+  else
+    echo "allowlisted $n is no longer a pub fn in crates/*/src: drop its row" >&2
+  fi
+  fail=1
+done
+while read -r n test _; do
+  if ! grep -qw "$n" "$test" 2>/dev/null; then
+    echo "allowlist row $n names $test, which does not read it" >&2
+    fail=1
+  fi
+done <<<"$allowlist"
+if [ "$fail" -ne 0 ]; then
+  exit 1
+fi
 
 cargo build --release
 cargo test -q
@@ -202,19 +271,6 @@ cargo clippy -p brainshift-persist -p brainshift-obs -p brainshift-sparse -p bra
 # a worker thread. Doc-comment mentions are fine; anything before a file's
 # test module is not. (The communicator's and the cost model's asserts,
 # cluster/src/{comm,sim}.rs, are still to go: ROADMAP item 5(a).)
-non_test() {
-  awk '/^(mod tests|#\[cfg\(test\)\])/{exit} !/^[[:space:]]*\/\//' "$1"
-}
-# `non_test` stops at a file's first test module, so everything after it
-# must be test code: no item at the top level may follow a test module
-# unless `#[cfg(test)]` heads it.
-if awk 'FNR == 1 { t = 0; prev = "" }
-        /^(mod tests|#\[cfg\(test\)\])/ { t = 1 }
-        t && /^[^[:space:]})\]\/#]/ && prev !~ /^#\[cfg\(test\)\]/ && !/^mod tests/ { print FILENAME ":" FNR ": " $0 }
-        /^[^[:space:]]/ { prev = $0 }' $(find crates/*/src -name '*.rs') | grep .; then
-  echo "non-test code after a test module: the line counts and audits below would not see it" >&2
-  exit 1
-fi
 for f in crates/sparse/src/*.rs crates/fem/src/*.rs crates/register/src/*.rs crates/cluster/src/dsolve.rs; do
   if non_test "$f" | grep -nE '(^|[^_a-zA-Z0-9])assert(_eq|_ne)?!'; then
     echo "panicking assert in non-test code: $f" >&2

@@ -193,9 +193,8 @@ fn fleet_drains_and_rehomes_a_shard_with_sessions_warm() {
         shards: 2,
         shard: ServiceConfig { workers: 1, ..Default::default() },
     });
-    // Keyed placement: both sessions pinned to shard 0 (key 0 routes
-    // deterministically; derive the shard from the returned fleet id).
-    let fid = fleet.open_session_keyed(Arc::clone(&prepared), 42);
+    // Derive the session's shard from the returned fleet id.
+    let fid = fleet.open_session(Arc::clone(&prepared));
     let shard = (fid % 2) as usize;
 
     let out = fleet

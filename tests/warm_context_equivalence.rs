@@ -7,7 +7,7 @@
 
 use brainshift_core::{generate_scan_sequence, PipelineConfig};
 use brainshift_fem::{
-    assemble_gravity, assemble_stiffness, solve_deformation, solve_with_loads, DirichletBcs,
+    assemble_directed_gravity, assemble_stiffness, solve_deformation, solve_with_loads, DirichletBcs,
     DirichletStructure, FemError, FemSolution, FemSolveConfig, MaterialTable, SolverContext,
     BLOCKS,
 };
@@ -126,13 +126,13 @@ fn warm_started_sequence_scans_converge_no_slower_than_zero_start() {
         })
         .collect();
 
-    // Zero-start baseline: a fresh warm-start state per scan (same
-    // cached assembly, so only the seeding differs).
-    let mut zero_ctx = SolverContext::new(&mesh, &cfg.materials, &surface.mesh_node, cfg.fem.clone()).expect("solver context build failed");
+    // Zero-start baseline: a fresh context per scan (the same assembly
+    // bits, so only the seeding differs).
     let zero_iters: Vec<usize> = scan_bcs
         .iter()
         .map(|bcs| {
-            zero_ctx.reset_warm_start();
+            let mut zero_ctx = SolverContext::new(&mesh, &cfg.materials, &surface.mesh_node, cfg.fem.clone())
+                .expect("solver context build failed");
             let sol = zero_ctx.solve(bcs).expect("solve failed");
             assert!(sol.stats.converged());
             sol.stats.iterations
@@ -223,7 +223,7 @@ fn cold_entry_points_are_bitwise_a_one_shot_context() {
         assert_eq!(cold.stats.iterations, iterations);
         assert_eq!(bits(&cold), reference, "solve_deformation drifted from the pre-fold path");
 
-        let gravity = assemble_gravity(&mesh);
+        let gravity = assemble_directed_gravity(&mesh, Vec3::new(0.0, 0.0, -1.0));
         let loaded = solve_with_loads(&mesh, &materials, &bcs, &gravity, &cfg).expect("loaded");
         assert!(loaded.stats.converged(), "{:?}", loaded.stats);
         let (reference, iterations) =
