@@ -26,8 +26,6 @@ fn main() {
     let n = red.matrix.nrows();
     println!("system: {} equations, {} free, {} nnz", p.mesh.num_equations(), n, red.matrix.nnz());
     let opts = SolverOptions { tolerance: 1e-6, max_iterations: 5000, ..Default::default() };
-    // The ranks own whole nodes of the scalar rows.
-    let kff = red.matrix.to_csr();
 
     let mut reference: Option<Vec<f64>> = None;
     println!(
@@ -39,7 +37,7 @@ fn main() {
             let offsets = even_node_offsets(n, ranks);
             let results = run_ranks(ranks, |comm| {
                 let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
-                let sys = RankSystem::new(comm, &kff, &offsets).expect("K_ff blocks factor");
+                let sys = RankSystem::new(comm, &red.matrix, &offsets).expect("K_ff blocks factor");
                 let (x, stats) =
                     distributed_solve(comm, &sys, kind, &rhs[lo..hi], &opts).expect("slices match the rows");
                 (x, stats, sys.ghost_count())

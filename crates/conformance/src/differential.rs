@@ -179,15 +179,14 @@ pub fn run_differential(
 
     // 4. The distributed solve over the reduced system: CG at each rank
     //    count, GMRES at one (rank-0's stats are representative — all
-    //    ranks return the same stats by construction).
-    //    The ranks own whole nodes of the scalar rows.
-    let a = a.to_csr();
+    //    ranks return the same stats by construction). The ranks own
+    //    whole nodes of the reduced system's node blocks.
     let runs = opts.ranks.iter().map(|&p| (KrylovKind::ConjugateGradient, p));
     for (kind, p) in runs.chain([(KrylovKind::Gmres, GMRES_RANKS)]) {
         let offsets = even_node_offsets(nfree, p);
         let per_rank = run_ranks(offsets.len() - 1, |comm| {
             let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
-            let sys = RankSystem::new(comm, &a, &offsets).expect("reduced stiffness blocks factor");
+            let sys = RankSystem::new(comm, a, &offsets).expect("reduced stiffness blocks factor");
             distributed_solve(comm, &sys, kind, &rhs[lo..hi], &sopts).expect("reduced system dims agree")
         });
         let stats = per_rank[0].1.clone();

@@ -177,11 +177,11 @@ impl BsrMatrix {
             + std::mem::size_of_val(self.mask.as_slice())
     }
 
-    /// Block row `i` as `(block columns, blocks)` slices.
+    /// Block row `i` as `(block columns, blocks, masks)` slices.
     #[inline]
-    pub(crate) fn block_row(&self, i: usize) -> (&[u32], &[Block]) {
+    pub fn block_row(&self, i: usize) -> (&[u32], &[Block], &[u16]) {
         let r = self.indptr[i]..self.indptr[i + 1];
-        (&self.indices[r.clone()], &self.blocks[r])
+        (&self.indices[r.clone()], &self.blocks[r.clone()], &self.mask[r])
     }
 
     /// The scalar matrix: entries, columns and value bits exactly those
@@ -212,10 +212,8 @@ impl BsrMatrix {
     /// is not stored. Locates a factorization's refusal in the matrix's
     /// own numbering.
     pub(crate) fn first_entry(&self, bi: usize, bj: usize) -> (usize, usize) {
-        let (cols, _) = self.block_row(bi);
-        let mask = cols
-            .binary_search_by_key(&bj, |&j| j as usize)
-            .map_or(0, |q| self.mask[self.indptr[bi] + q]);
+        let (cols, _, masks) = self.block_row(bi);
+        let mask = cols.binary_search_by_key(&bj, |&j| j as usize).map_or(0, |q| masks[q]);
         let e = if mask == 0 { 0 } else { mask.trailing_zeros() as usize };
         (3 * bi + e / 3, 3 * bj + e % 3)
     }
@@ -224,7 +222,7 @@ impl BsrMatrix {
     /// ascending column order from `+0.0`, as [`CsrMatrix::spmv`] does.
     #[inline]
     fn row_product(&self, i: usize, x: &[f64]) -> [f64; 3] {
-        let (cols, blocks) = self.block_row(i);
+        let (cols, blocks, _) = self.block_row(i);
         let mut acc = [0.0; 3];
         for (&j, b) in cols.iter().zip(blocks) {
             let c = 3 * j as usize;

@@ -192,27 +192,6 @@ impl CsrMatrix {
         }
         CsrMatrix { nrows: self.ncols, ncols: self.nrows, indptr, indices, values }
     }
-
-    /// Extract the square sub-matrix of rows & columns `lo..hi`.
-    pub fn principal_submatrix(&self, lo: usize, hi: usize) -> CsrMatrix {
-        debug_assert!(lo <= hi && hi <= self.nrows && hi <= self.ncols);
-        let n = hi - lo;
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        indptr.push(0);
-        for i in lo..hi {
-            let (cols, vals) = self.row(i);
-            for (&c, &v) in cols.iter().zip(vals) {
-                if c >= lo && c < hi {
-                    indices.push(c - lo);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix { nrows: n, ncols: n, indptr, indices, values }
-    }
 }
 
 /// Accumulates `(row, col, value)` triplets and compresses them to CSR,
@@ -389,16 +368,6 @@ mod tests {
     fn diagonal_extraction() {
         let m = small();
         assert_eq!(m.diagonal(), vec![2.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn submatrix() {
-        let m = small();
-        let s = m.principal_submatrix(0, 2);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.get(0, 0), 2.0);
-        assert_eq!(s.get(0, 1), 0.0); // the (0,2) entry fell outside
-        assert_eq!(s.nnz(), 2);
     }
 
     #[test]

@@ -519,7 +519,7 @@ mod tests {
         let mut x1 = vec![0.0; n];
         let s_none = gmres(&a, &IdentityPrecond, &b, &mut x1, &opts);
         let mut x2 = vec![0.0; n];
-        let ic = Ic0::new(&BsrMatrix::from_csr(&a).unwrap()).unwrap();
+        let ic = Ic0::new(&BsrMatrix::from_csr(&a).unwrap(), 0..n).unwrap();
         let s_ic = gmres(&a, &ic, &b, &mut x2, &opts);
         assert!(s_ic.converged());
         // IC(0) on a tridiagonal matrix is an exact factorization: one or

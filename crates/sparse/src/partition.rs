@@ -6,6 +6,9 @@
 //! split plus a work-balanced split (the paper's proposed future
 //! improvement) so the ablation benchmark can compare them.
 
+use crate::error::SparseError;
+use std::ops::Range;
+
 /// Offsets of an even contiguous split of `n` rows into `p` parts:
 /// first boundary 0, last `n`. Earlier parts get the remainder.
 ///
@@ -37,6 +40,33 @@ pub fn even_offsets(n: usize, p: usize) -> Vec<usize> {
 /// preconditioner and every rank partition of such a system.
 pub fn even_node_offsets(nrows: usize, p: usize) -> Vec<usize> {
     even_offsets(nrows / 3, p).into_iter().map(|o| 3 * o).collect()
+}
+
+/// Check that `offsets` cut a node-blocked system of `nrows` scalar rows
+/// into parts of whole nodes: from 0 to `nrows`, strictly increasing (no
+/// part is empty), every offset a multiple of 3. Anything else is
+/// [`SparseError::InvalidOffsets`]. Every block-Jacobi split and every
+/// rank partition of such a system is checked here.
+pub fn check_node_offsets(nrows: usize, offsets: &[usize]) -> Result<(), SparseError> {
+    if offsets.len() < 2 || offsets[0] != 0 || offsets[offsets.len() - 1] != nrows {
+        return Err(SparseError::InvalidOffsets {
+            reason: format!("offsets must run from 0 to {nrows}, got {offsets:?}"),
+        });
+    }
+    offsets.windows(2).try_for_each(|w| check_node_range(nrows, &(w[0]..w[1])))
+}
+
+/// Check that `rows` is a non-empty range of whole nodes within `nrows`
+/// scalar rows; anything else is [`SparseError::InvalidOffsets`].
+pub(crate) fn check_node_range(nrows: usize, rows: &Range<usize>) -> Result<(), SparseError> {
+    let reason = if rows.is_empty() || rows.end > nrows {
+        format!("rows {rows:?} are empty or outside 0..{nrows}")
+    } else if !rows.start.is_multiple_of(3) || !rows.end.is_multiple_of(3) {
+        format!("rows {rows:?} cut a node")
+    } else {
+        return Ok(());
+    };
+    Err(SparseError::InvalidOffsets { reason })
 }
 
 /// Offsets of a contiguous split balanced by per-row weights (e.g. row

@@ -18,7 +18,9 @@
 use crate::bsr::{Block, BsrMatrix, FULL};
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
+use crate::partition::{check_node_offsets, check_node_range};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Application of `z = M⁻¹ r` for some preconditioning operator `M`.
 pub trait Preconditioner: Send + Sync {
@@ -99,19 +101,23 @@ pub struct Ic0 {
 }
 
 impl Ic0 {
-    /// Factorize with an adaptive diagonal shift: IC(0) of an SPD matrix
-    /// can still produce tiny or negative pivots when material contrast is
+    /// Factorize the diagonal block of `a` on scalar rows and columns
+    /// `rows`, with an adaptive diagonal shift: IC(0) of an SPD matrix can
+    /// still produce tiny or negative pivots when material contrast is
     /// high; following PETSc's positive-definite shift strategy, the
-    /// scaled matrix is refactored with a growing `αI` until all pivots
-    /// are healthy.
+    /// scaled block is refactored with a growing `αI` until all pivots
+    /// are healthy. The factor reads the block's 3×3 node blocks in place
+    /// in `a`; `0..a.nrows()` factors the whole matrix.
     ///
-    /// `a` must be square with a symmetric block pattern, as every
-    /// stiffness matrix and each of its principal node blocks is; a stored
-    /// block without its mirror is [`SparseError::AsymmetricPattern`] at
-    /// the block's first stored entry. A row with no entry of magnitude
-    /// 1e-300 or more is [`SparseError::SingularBlock`] (block 0): IC(0)'s
-    /// pivot floors would otherwise paper over it.
-    pub fn new(a: &BsrMatrix) -> Result<Self, SparseError> {
+    /// `a` must be square, and `rows` a non-empty range of whole nodes
+    /// ([`SparseError::InvalidOffsets`] otherwise). The block must have a
+    /// symmetric block pattern, as every principal node block of a
+    /// stiffness matrix does; a stored block without its mirror is
+    /// [`SparseError::AsymmetricPattern`] at the block's first stored
+    /// entry, in `a`'s numbering. A row with no entry of magnitude 1e-300
+    /// or more in the block is [`SparseError::SingularBlock`] (block 0,
+    /// `rows`): IC(0)'s pivot floors would otherwise paper over it.
+    pub fn new(a: &BsrMatrix, rows: Range<usize>) -> Result<Self, SparseError> {
         if a.ncols() != a.nrows() {
             return Err(SparseError::DimensionMismatch {
                 what: "ic0 columns",
@@ -119,12 +125,8 @@ impl Ic0 {
                 got: a.ncols(),
             });
         }
-        Self::of_block(a, 0, a.block_rows())
-    }
-
-    /// IC(0) of the diagonal block of `a` on block rows and columns
-    /// `lo..hi`, with errors in `a`'s own numbering.
-    fn of_block(a: &BsrMatrix, lo: usize, hi: usize) -> Result<Self, SparseError> {
+        check_node_range(a.nrows(), &rows)?;
+        let (lo, hi) = (rows.start / 3, rows.end / 3);
         let scale = scaling(a, lo, hi);
         let mut alpha = 0.0;
         loop {
@@ -156,7 +158,7 @@ impl Ic0 {
         }
         // Forward: (Uᵀ D⁻¹) w = S r.
         for bi in 0..self.u.block_rows() {
-            let (cols, blocks) = self.u.block_row(bi);
+            let (cols, blocks, _) = self.u.block_row(bi);
             let d = &blocks[0];
             let mut w = [0.0; 3];
             for k in 0..3 {
@@ -171,7 +173,7 @@ impl Ic0 {
         }
         // Backward: U v = w, then z = S v.
         for bi in (0..self.u.block_rows()).rev() {
-            let (cols, blocks) = self.u.block_row(bi);
+            let (cols, blocks, _) = self.u.block_row(bi);
             let d = &blocks[0];
             for k in (0..3).rev() {
                 let mut acc = z[3 * bi + k];
@@ -195,7 +197,7 @@ impl Ic0 {
 fn scaling(a: &BsrMatrix, lo: usize, hi: usize) -> Vec<f64> {
     let mut scale = Vec::with_capacity(3 * (hi - lo));
     for bi in lo..hi {
-        let (cols, blocks) = a.block_row(bi);
+        let (cols, blocks, _) = a.block_row(bi);
         let d = cols.binary_search_by_key(&bi, |&j| j as usize).map_or([0.0; 9], |q| blocks[q]);
         scale.extend((0..3).map(|k| {
             if d[4 * k].abs() > 1e-300 {
@@ -255,7 +257,7 @@ impl ScaledUpper {
         let (mut indices, mut blocks, mut mask) = (Vec::new(), Vec::new(), Vec::new());
         let (mut diag, mut off_max) = (Vec::with_capacity(3 * nb), Vec::with_capacity(3 * nb));
         for bi in 0..nb {
-            let (cols, row) = a.block_row(lo + bi);
+            let (cols, row, _) = a.block_row(lo + bi);
             let first = cols.partition_point(|&j| (j as usize) < lo);
             let last = cols.partition_point(|&j| (j as usize) < hi);
             let s = &scale[3 * bi..3 * bi + 3];
@@ -325,7 +327,7 @@ impl ScaledUpper {
             for k in 0..3 {
                 self.blocks[start][4 * k] += alpha;
             }
-            let (cols, _) = a.block_row(lo + bi);
+            let (cols, ..) = a.block_row(lo + bi);
             let first = cols.partition_point(|&j| (j as usize) < lo);
             for &j in cols[first..].iter().take_while(|&&j| (j as usize) < lo + bi) {
                 let bk = j as usize - lo;
@@ -418,9 +420,9 @@ pub struct BlockJacobiPrecond {
 }
 
 impl BlockJacobiPrecond {
-    /// Build from explicit block boundaries in scalar rows. `offsets`
-    /// must start at 0, end at `a.nrows()`, be strictly increasing and
-    /// fall between nodes (multiples of 3).
+    /// Build from explicit block boundaries in scalar rows, which must cut
+    /// `a` into non-empty blocks of whole nodes
+    /// ([`partition::check_node_offsets`](crate::partition::check_node_offsets)).
     ///
     /// A block with a structurally or numerically zero row is
     /// [`SparseError::SingularBlock`] — not the historical silent
@@ -430,34 +432,13 @@ impl BlockJacobiPrecond {
     /// in the matrix's own row and column numbers. When several blocks
     /// fail, the error is the first failing block's in row order.
     pub fn from_offsets(a: &BsrMatrix, offsets: &[usize]) -> Result<Self, SparseError> {
-        let invalid = |reason: String| SparseError::InvalidOffsets { reason };
-        if offsets.len() < 2 {
-            return Err(invalid(format!("need at least 2 offsets, got {}", offsets.len())));
-        }
-        if offsets[0] != 0 {
-            return Err(invalid(format!("offsets must start at 0, got {}", offsets[0])));
-        }
-        if offsets[offsets.len() - 1] != a.nrows() {
-            return Err(invalid(format!(
-                "offsets must end at nrows = {}, got {}",
-                a.nrows(),
-                offsets[offsets.len() - 1]
-            )));
-        }
-        if let Some(o) = offsets.iter().find(|&&o| o % 3 != 0) {
-            return Err(invalid(format!("offset {o} cuts a node")));
-        }
+        check_node_offsets(a.nrows(), offsets)?;
         let ranges: Vec<(usize, usize)> = offsets.windows(2).map(|w| (w[0], w[1])).collect();
-        for r in &ranges {
-            if r.0 >= r.1 {
-                return Err(invalid(format!("empty block {r:?}")));
-            }
-        }
         let factors: Vec<Result<Ic0, SparseError>> = ranges
             .par_iter()
             .enumerate()
             .map(|(bi, &(lo, hi))| {
-                Ic0::of_block(a, lo / 3, hi / 3).map_err(|e| match e {
+                Ic0::new(a, lo..hi).map_err(|e| match e {
                     SparseError::SingularBlock { rows, .. } => {
                         SparseError::SingularBlock { block: bi, rows }
                     }
@@ -577,7 +558,7 @@ mod tests {
         (0..u.nrows())
             .map(|i| {
                 let (bi, k) = (i / 3, i % 3);
-                let (cols, blocks) = u.block_row(bi);
+                let (cols, blocks, _) = u.block_row(bi);
                 let diag = (k..3).map(|l| (3 * bi + l, blocks[0][3 * k + l]));
                 let off = cols[1..]
                     .iter()
@@ -638,7 +619,7 @@ mod tests {
         let num_blocks: usize = (0..a.block_rows()).map(|bi| a.block_row(bi).0.len()).sum();
         assert!(a.nnz() < 9 * num_blocks, "the fixture must fill some zeros");
         assert!(unshifted_pivots(&a).iter().all(|&d| d >= 1e-2), "the fixture must not shift");
-        let ic = Ic0::new(&a).unwrap();
+        let ic = Ic0::new(&a, 0..n).unwrap();
         let mut product = vec![0.0; n * n];
         for (k, row) in scalar_rows(&ic.u).iter().enumerate() {
             assert_eq!(row[0].0, k, "row {k} starts at its pivot");
@@ -697,7 +678,7 @@ mod tests {
             })
             .collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let ic = Ic0::new(&a).unwrap();
+        let ic = Ic0::new(&a, 0..n).unwrap();
         let rows = scalar_rows(&ic.u);
         for r in &vectors {
             let mut z = vec![f64::NAN; n];
@@ -723,7 +704,7 @@ mod tests {
         // outside its blocks: IC(0) is its Cholesky factorization and the
         // solve is exact.
         let a = tridiag(9);
-        let ic = Ic0::new(&blocks(&a)).unwrap();
+        let ic = Ic0::new(&blocks(&a), 0..9).unwrap();
         let x_true: Vec<f64> = (0..9).map(|i| (i as f64) - 3.5).collect();
         let mut b = vec![0.0; 9];
         a.spmv(&x_true, &mut b);
@@ -738,7 +719,7 @@ mod tests {
     fn ic0_apply_is_symmetric() {
         // yᵀ M⁻¹ x = xᵀ M⁻¹ y: what makes it a valid CG preconditioner.
         let n = 81;
-        let ic = Ic0::new(&blocks(&random_spd(n / 3, 3))).unwrap();
+        let ic = Ic0::new(&blocks(&random_spd(n / 3, 3)), 0..n).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         for _ in 0..5 {
             let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
@@ -765,7 +746,7 @@ mod tests {
         b.add(2, 2, 1.0);
         let a = blocks(&b.build());
         assert!(unshifted_pivots(&a)[1] < 1e-2);
-        let ic = Ic0::new(&a).unwrap();
+        let ic = Ic0::new(&a, 0..3).unwrap();
         let pivots: Vec<f64> = (0..3).map(|k| ic.u.block_row(0).1[0][4 * k]).collect();
         assert!(pivots.iter().all(|&d| d >= 1e-2), "shifted pivots {pivots:?}");
         let mut z = vec![0.0; 3];
@@ -790,13 +771,13 @@ mod tests {
             blocks(&b.build())
         };
         let asymmetric = |row, col| Err(SparseError::AsymmetricPattern { row, col });
-        assert_eq!(Ic0::new(&diagonal(6, &[(1, 4)])).map(|_| ()), asymmetric(1, 4));
-        assert_eq!(Ic0::new(&diagonal(6, &[(5, 2)])).map(|_| ()), asymmetric(5, 2));
+        assert_eq!(Ic0::new(&diagonal(6, &[(1, 4)]), 0..6).map(|_| ()), asymmetric(1, 4));
+        assert_eq!(Ic0::new(&diagonal(6, &[(5, 2)]), 0..6).map(|_| ()), asymmetric(5, 2));
         // Block row 2 finds block (0, 1) where it looks for its mirror
         // (0, 2): the unmatched block is (0, 1).
-        assert_eq!(Ic0::new(&diagonal(9, &[(1, 4), (1, 7), (7, 1)])).map(|_| ()), asymmetric(1, 4));
+        assert_eq!(Ic0::new(&diagonal(9, &[(1, 4), (1, 7), (7, 1)]), 0..9).map(|_| ()), asymmetric(1, 4));
         // Inside one node block the filled pattern is symmetric.
-        assert!(Ic0::new(&diagonal(6, &[(1, 2)])).is_ok());
+        assert!(Ic0::new(&diagonal(6, &[(1, 2)]), 0..6).is_ok());
         // Inside a block-Jacobi block the position is the matrix's own.
         let e =
             BlockJacobiPrecond::from_offsets(&diagonal(12, &[(10, 4)]), &[0, 3, 12]).map(|_| ());
@@ -804,7 +785,7 @@ mod tests {
         let wide = BsrMatrix::from_csr(
             &CsrMatrix::from_raw(3, 6, vec![0, 1, 2, 3], vec![0, 1, 2], vec![1.0; 3]).unwrap(),
         );
-        let e = Ic0::new(&wide.unwrap());
+        let e = Ic0::new(&wide.unwrap(), 0..3);
         assert!(matches!(e, Err(SparseError::DimensionMismatch { .. })), "{e:?}");
     }
 
@@ -860,9 +841,13 @@ mod tests {
     #[test]
     fn bad_offsets_are_rejected() {
         let a = blocks(&tridiag(6));
-        for offsets in [&[0, 9][..], &[3, 6], &[0, 3, 3, 6], &[0], &[0, 4, 6], &[0, 2, 6]] {
+        for offsets in [&[0, 9][..], &[3, 6], &[0, 3, 3, 6], &[0], &[], &[0, 4, 6], &[0, 2, 6], &[0, 6, 3, 6]] {
             let e = BlockJacobiPrecond::from_offsets(&a, offsets);
             assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })), "{offsets:?}: {e:?}");
+        }
+        for rows in [3..3, 0..9, 1..6, 0..4] {
+            let e = Ic0::new(&a, rows.clone()).map(|_| ());
+            assert!(matches!(e, Err(SparseError::InvalidOffsets { .. })), "{rows:?}: {e:?}");
         }
     }
 
@@ -886,7 +871,7 @@ mod tests {
             BlockJacobiPrecond::from_offsets(&zero_rows(9, &[1, 7]), &[0, 3, 6, 9]).unwrap_err();
         assert_eq!(e, SparseError::SingularBlock { block: 0, rows: (0, 3) });
         assert_eq!(
-            Ic0::new(&zero_rows(6, &[5])).unwrap_err(),
+            Ic0::new(&zero_rows(6, &[5]), 0..6).unwrap_err(),
             SparseError::SingularBlock { block: 0, rows: (0, 6) }
         );
     }

@@ -113,11 +113,12 @@ cargo test -q -p brainshift-core -p brainshift-mesh -p brainshift-register -p br
 cargo run -q --release -p brainshift-bench --bin ablation_rigid_affine
 
 # The other figure and ablation bins assert the shape of what they print,
-# never its digits (EXPERIMENTS.md has the rows; about 30 s together on
-# two CPUs): Fig 4 (the simulation beats rigid-only), Fig 5 (the shift
-# concentrates under the craniotomy), the gravity cross-check, and the
-# solver, partition, material, boundary-condition, interior-model,
-# surface-force and resolution ablations.
+# never its digits (EXPERIMENTS.md has the rows): Fig 4 (the simulation
+# beats rigid-only), Fig 5 (the shift concentrates under the craniotomy),
+# the gravity cross-check, the solver, partition, material and
+# boundary-condition ablations, and the recovery ablation, which runs
+# the interior-model, surface-force and resolution studies on one
+# generated case.
 cargo run -q --release -p brainshift-bench --bin fig4_accuracy
 cargo run -q --release -p brainshift-bench --bin fig5_deformation
 cargo run -q --release -p brainshift-bench --bin gravity_crossval
@@ -125,9 +126,7 @@ cargo run -q --release -p brainshift-bench --bin ablation_precond
 cargo run -q --release -p brainshift-bench --bin ablation_partition
 cargo run -q --release -p brainshift-bench --bin ablation_materials
 cargo run -q --release -p brainshift-bench --bin ablation_bc
-cargo run -q --release -p brainshift-bench --bin ablation_surface_only
-cargo run -q --release -p brainshift-bench --bin ablation_surface_force
-cargo run -q --release -p brainshift-bench --bin ablation_resolution
+cargo run -q --release -p brainshift-bench --bin ablation_recovery
 
 # The scaling figures (Figs 3 and 7–9) are one program; Fig 7 at a small
 # size (about 2 s) must still reach the "<10 s total" line. The shapes
@@ -243,8 +242,9 @@ RAYON_NUM_THREADS=4 cargo test -q --test persist_props --test persist_recovery
 # paths, pairwise ≤1e-6, each distributed path within 1e-12 of its serial
 # twin) at two thread counts, so the agreement claims survive
 # parallelism. Then the executable distributed solve on a small FEM
-# system: CG and GMRES at 1, 2, 4 and 8 rank threads; the demo asserts
-# that every rank count converges.
+# system: CG and GMRES at 1, 2, 4 and 8 rank threads, each rank holding
+# its whole nodes' rows of the served `K_ff` as node blocks; the demo
+# asserts that every rank count converges.
 RAYON_NUM_THREADS=1 cargo test -q -p brainshift-conformance differential
 RAYON_NUM_THREADS=4 cargo test -q -p brainshift-conformance differential
 cargo run -q --release -p brainshift-bench --bin dist_solve_demo -- 5000
@@ -359,8 +359,12 @@ gmres( simulate.rs
 EOF
 
 # The served solve reads node blocks (DESIGN §3, §20): `K_ff` and `K_fc`
-# in `DirichletStructure` and the IC(0) factor in `Ic0` are `BsrMatrix`,
-# and no scalar CSR copy of any of them comes back beside the blocks.
+# in `DirichletStructure`, the IC(0) factor in `Ic0` and each rank's rows
+# in `RankSystem` are `BsrMatrix`, and no scalar CSR copy of any of them
+# comes back beside the blocks: the cluster crate names no `CsrMatrix`
+# outside its tests, the distributed solve and the conformance
+# differential take `K_ff`'s blocks as they are (no `to_csr()` outside
+# their tests), and the scalar principal-block copy does not come back.
 # There is one IC(0): it factors straight from a `BsrMatrix`'s diagonal
 # blocks on the filled node-block pattern, between nodes, so `Ic0` keeps
 # no pad-row `lead`, and neither it nor block-Jacobi takes a `CsrMatrix`.
@@ -380,7 +384,22 @@ while read -r file name; do
 done <<'EOF'
 crates/fem/src/bc.rs DirichletStructure
 crates/sparse/src/precond.rs Ic0
+crates/cluster/src/dsolve.rs RankSystem
 EOF
+if grep -rn 'principal_submatrix' crates; then
+  echo "the scalar principal-block copy is back: a diagonal block is factored in place (Ic0::new(a, rows))" >&2
+  exit 1
+fi
+if for f in $(find crates/cluster/src -name '*.rs'); do non_test "$f"; done | grep -nw 'CsrMatrix'; then
+  echo "crates/cluster/src names CsrMatrix outside its tests: the ranks read node blocks" >&2
+  exit 1
+fi
+for f in $(find crates/cluster/src crates/conformance/src -name '*.rs') crates/bench/src/bin/dist_solve_demo.rs; do
+  if non_test "$f" | grep -nF 'to_csr('; then
+    echo "a scalar copy of a node-block matrix in $f: the distributed solve reads node blocks" >&2
+    exit 1
+  fi
+done
 if awk '/^pub struct Ic0 \{/ {f = 1} f; f && /^}/ {exit}' crates/sparse/src/precond.rs | grep -nw 'lead'; then
   echo "Ic0 holds a pad-row 'lead': its blocks start at a node" >&2
   exit 1
@@ -421,11 +440,13 @@ fi
 # programs that nothing ran (the four figure bins and the machine table
 # that `scaling_figures` replaced, the classifier ablation, five
 # examples, the Fig 6 timeline, whose rows quickstart, `scaling_figures 7`
-# and tests/simulated_scaling.rs hold) or the library code only they
-# read: the Gaussian classifier, the feature-stack volume, stress
-# recovery, the VTK, NRRD and raw writers and the zero-fault sequence
-# wrapper. A name may come back as a file name too.
-removed='RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior|fig7_deepflow|fig8a_smp|fig8b_ultra80|fig9_large|table_fig3|ablation_classifier|neurosurgery_case|multimodal_fusion|surgery_timeline|gravity_sag|scaling_study|fig6_timeline|GaussianClassifier|feature_stack|FeatureStack|evaluate_stress|write_vtk|write_label_slice_pgm|write_raw_f32|read_raw_f32|write_nrrd_f32|write_nrrd_labels|run_scan_sequence'
+# and tests/simulated_scaling.rs hold, and the three ablations that each
+# generated the case `ablation_recovery` now generates once) or the
+# library code only they read: the Gaussian classifier, the
+# feature-stack volume, stress recovery, the VTK, NRRD and raw writers
+# and the zero-fault sequence wrapper. A name may come back as a file
+# name too.
+removed='RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior|fig7_deepflow|fig8a_smp|fig8b_ultra80|fig9_large|table_fig3|ablation_classifier|neurosurgery_case|multimodal_fusion|surgery_timeline|gravity_sag|scaling_study|fig6_timeline|ablation_surface_only|ablation_surface_force|ablation_resolution|GaussianClassifier|feature_stack|FeatureStack|evaluate_stress|write_vtk|write_label_slice_pgm|write_raw_f32|read_raw_f32|write_nrrd_f32|write_nrrd_labels|run_scan_sequence'
 if grep -rnwE "$removed" crates tests examples || find crates tests examples -name '*.rs' | grep -wE "$removed"; then
   echo "a removed config value, record, smoother or program (or library code only it read) is back: keep fixed parameters as constants, and a program only if verify.sh runs it" >&2
   exit 1

@@ -11,7 +11,7 @@ use brainshift_mesh::{boundary_nodes, mesh_labeled_volume, MesherConfig};
 use brainshift_sparse::dense::DenseLu;
 use brainshift_sparse::{
     conjugate_gradient, gmres, BlockJacobiPrecond, BsrMatrix, CsrMatrix, Ic0, JacobiPrecond,
-    KrylovKind, KrylovWorkspace, SolverOptions,
+    KrylovKind, KrylovWorkspace, SolverOptions, SparseError,
 };
 
 fn small_mesh() -> brainshift_mesh::TetMesh {
@@ -58,7 +58,7 @@ fn gmres_cg_and_dense_lu_agree_on_fem_system() {
 
     let opts = SolverOptions { tolerance: 1e-12, max_iterations: 20_000, ..Default::default() };
     let mut x_g = vec![0.0; n];
-    let ic = Ic0::new(&blocks(&a)).expect("K_ff has a symmetric pattern");
+    let ic = Ic0::new(&blocks(&a), 0..n).expect("K_ff has a symmetric pattern");
     let sg = gmres(&a, &ic, &rhs, &mut x_g, &opts).expect("dims agree");
     assert!(sg.converged());
     let mut ws = KrylovWorkspace::new(n);
@@ -151,10 +151,11 @@ fn reduced_system_is_positive_definite_on_random_vectors() {
 
 #[test]
 fn distributed_spmv_matches_serial() {
-    // Row-partitioned SpMV executed on real threads with message passing:
-    // each rank owns a contiguous row block and receives only the ghost
-    // entries its rows reference. Every row sums in the global row's
-    // order, so the result is the serial one bit for bit.
+    // Node-partitioned SpMV executed on real threads with message passing:
+    // each rank owns a contiguous range of nodes, keeps their rows as node
+    // blocks and receives only the ghost nodes its rows reference. Every
+    // row sums in the global row's order, so the result is the serial
+    // scalar one bit for bit.
     let (a, _) = small_reduced();
     let n = a.nrows();
     let x: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) * 0.25 - 1.0).collect();
@@ -164,7 +165,7 @@ fn distributed_spmv_matches_serial() {
     let offsets = brainshift_sparse::partition::even_node_offsets(n, 4);
     let results = run_ranks(offsets.len() - 1, |comm| {
         let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
-        let sys = RankSystem::new(comm, &a, &offsets).expect("K_ff has a symmetric pattern");
+        let sys = RankSystem::new(comm, &blocks(&a), &offsets).expect("K_ff has a symmetric pattern");
         let mut local = vec![0.0; hi - lo];
         sys.matvec(comm, &x[lo..hi], &mut local);
         local
@@ -204,12 +205,12 @@ fn distributed_gmres_solves_fem_system() {
     let (a, rhs) = small_reduced();
     let n = a.nrows();
     let opts = SolverOptions { tolerance: 1e-9, max_iterations: 5000, ..Default::default() };
-    let ic = Ic0::new(&blocks(&a)).expect("K_ff has a symmetric pattern");
+    let ic = Ic0::new(&blocks(&a), 0..n).expect("K_ff has a symmetric pattern");
     let solve_on = |p: usize, kind: KrylovKind| {
         let offsets = brainshift_sparse::partition::even_node_offsets(n, p);
         run_ranks(offsets.len() - 1, |comm| {
             let (lo, hi) = (offsets[comm.rank()], offsets[comm.rank() + 1]);
-            let sys = RankSystem::new(comm, &a, &offsets).expect("K_ff has a symmetric pattern");
+            let sys = RankSystem::new(comm, &blocks(&a), &offsets).expect("K_ff has a symmetric pattern");
             distributed_solve(comm, &sys, kind, &rhs[lo..hi], &opts).expect("slices match the rows")
         })
     };
@@ -237,6 +238,63 @@ fn distributed_gmres_solves_fem_system() {
         for (_, stats) in &results {
             assert!(stats.converged(), "{kind}");
             assert_eq!(stats.iterations, results[0].1.iterations);
+        }
+    }
+}
+
+#[test]
+fn whole_node_exchange_sends_what_a_scalar_plan_would() {
+    // A rank receives three values per ghost node. On the served K_ff
+    // every coupled node pair stores its whole 3×3 block, so that is
+    // exactly the distinct off-rank scalar columns of the rank's rows:
+    // exchanging whole nodes sends no extra value.
+    let (a, _) = small_reduced();
+    let n = a.nrows();
+    for p in [2usize, 4, 8] {
+        let offsets = brainshift_sparse::partition::even_node_offsets(n, p);
+        assert_eq!(offsets.len(), p + 1, "{p} ranks of whole nodes");
+        let counts = run_ranks(p, |comm| {
+            RankSystem::new(comm, &blocks(&a), &offsets).expect("K_ff has a symmetric pattern").ghost_count()
+        });
+        for (r, &count) in counts.iter().enumerate() {
+            let (lo, hi) = (offsets[r], offsets[r + 1]);
+            let mut scalar: Vec<usize> =
+                (lo..hi).flat_map(|i| a.row(i).0.iter().copied()).filter(|c| !(lo..hi).contains(c)).collect();
+            scalar.sort_unstable();
+            scalar.dedup();
+            assert_eq!(count, scalar.len(), "rank {r} of {p}");
+        }
+        assert!(counts.iter().all(|&c| c > 0), "every rank of {p} has a neighbour: {counts:?}");
+    }
+}
+
+#[test]
+fn block_jacobi_and_the_ranks_refuse_the_same_offsets() {
+    // One node-offset rule: both partitions of K_ff take and refuse the
+    // same lists, an empty part included.
+    let (a, _) = small_reduced();
+    let (a, n) = (blocks(&a), a.nrows());
+    let lists = [
+        vec![0, n],
+        vec![0, 30, n],
+        vec![0, 30, 30, n],
+        vec![0, 31, n],
+        vec![0, 60, 30, n],
+        vec![3, n],
+        vec![0, n - 3],
+        vec![0, n + 3],
+    ];
+    for offsets in lists {
+        let jacobi = BlockJacobiPrecond::from_offsets(&a, &offsets).map(|_| ());
+        let ranks = run_ranks(offsets.len() - 1, |comm| RankSystem::new(comm, &a, &offsets).map(|_| ()));
+        for r in ranks {
+            assert_eq!(r.is_ok(), jacobi.is_ok(), "{offsets:?}: {r:?} vs {jacobi:?}");
+            if let Err(e) = r {
+                assert!(matches!(e, SparseError::InvalidOffsets { .. }), "{offsets:?}: {e:?}");
+            }
+        }
+        if let Err(e) = jacobi {
+            assert!(matches!(e, SparseError::InvalidOffsets { .. }), "{offsets:?}: {e:?}");
         }
     }
 }
