@@ -8,7 +8,6 @@
 //! concurrency, not just priced.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::{Arc, Barrier};
 
 /// A tagged point-to-point message of `f64` payload.
 struct Message {
@@ -23,7 +22,6 @@ pub struct Comm {
     size: usize,
     senders: Vec<Sender<Message>>,
     receiver: Receiver<Message>,
-    barrier: Arc<Barrier>,
     /// Out-of-order messages parked until a matching recv.
     parked: Vec<Message>,
 }
@@ -61,11 +59,6 @@ impl Comm {
             }
             self.parked.push(msg);
         }
-    }
-
-    /// Synchronize all ranks.
-    pub fn barrier(&self) {
-        self.barrier.wait();
     }
 
     /// Sum-allreduce: every rank contributes `local` and receives the
@@ -134,7 +127,6 @@ where
         senders.push(tx);
         receivers.push(rx);
     }
-    let barrier = Arc::new(Barrier::new(nranks));
     let mut comms: Vec<Comm> = receivers
         .into_iter()
         .enumerate()
@@ -143,7 +135,6 @@ where
             size: nranks,
             senders: senders.clone(),
             receiver,
-            barrier: barrier.clone(),
             parked: Vec::new(),
         })
         .collect();
@@ -210,15 +201,6 @@ mod tests {
                 assert_eq!(r[1], p as f64);
             }
         }
-    }
-
-    #[test]
-    fn barrier_does_not_deadlock() {
-        let results = run_ranks(4, |comm| {
-            comm.barrier();
-            comm.rank()
-        });
-        assert_eq!(results, vec![0, 1, 2, 3]);
     }
 
     #[test]

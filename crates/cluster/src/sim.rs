@@ -59,11 +59,6 @@ impl SimCluster {
         SimCluster { machine, nranks }
     }
 
-    /// Number of simulated ranks.
-    pub fn nranks(&self) -> usize {
-        self.nranks
-    }
-
     /// The machine model being simulated.
     pub fn machine(&self) -> &MachineModel {
         &self.machine

@@ -4,7 +4,7 @@
 //! preconditioner, mismatched boundary conditions — surfaced here as
 //! [`Error`]) from *soft* failures (a scan whose solver did not converge
 //! within its budget), which degrade gracefully: the scan is marked
-//! [`Degraded`](crate::sequence::ScanStatus::Degraded) and the previous
+//! [`Degraded`](crate::ScanStatus::Degraded) and the previous
 //! scan's displacement field is carried forward.
 
 use brainshift_fem::FemError;

@@ -25,13 +25,10 @@ pub mod timeline;
 pub use case::{generate_elastic_case, ElasticCase, ElasticCaseOptions};
 pub use error::Error;
 pub use metrics::{field_error, intensity_residual, structure_overlaps, FieldErrorReport, ResidualReport};
-pub use sequence::{
-    generate_scan_sequence, run_scan_sequence_with_faults, FaultInjection,
-    ScanOutcome, ScanSequence, ScanStatus, SequenceResult,
-};
+pub use sequence::{generate_scan_sequence, ScanSequence};
 pub use pipeline::{
     composite_warped, run_pipeline, PipelineConfig, PipelineResult, SurfaceForceKind,
     SURFACE_FORCE_STEP,
 };
-pub use surgery::{PreparedSurgery, ScanRegistration};
+pub use surgery::{PreparedSurgery, ScanRegistration, ScanStatus};
 pub use timeline::StageTimings;

@@ -135,7 +135,7 @@ pub struct PipelineResult {
 /// Hard failures — an empty mesh, a scan on a foreign grid, a singular
 /// preconditioner block — are returned as [`Error`]. A solver that
 /// merely fails to converge is *not* an error; the scan degrades as every
-/// scan does (see [`crate::sequence::ScanStatus::Degraded`]):
+/// scan does (see [`crate::ScanStatus::Degraded`]):
 /// `result.fem.stats.converged()` is false, `result.fem.displacements`
 /// is the unconverged iterate, and `forward_field` — there being no
 /// earlier scan to carry forward — is zero.

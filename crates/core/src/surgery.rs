@@ -1,8 +1,8 @@
 //! The intraoperative chain, split the way the paper's Figure 6 splits
 //! it: what is done once per surgery and what is done per scan. This is
 //! the only place in the workspace that composes the stages (classify →
-//! active surface → FEM solve → resample); the service, the sequence
-//! runner, the scenario suite, the benchmark and the one-shot
+//! active surface → FEM solve → resample); the service, the scenario
+//! suite, the benchmark and the one-shot
 //! [`run_pipeline`](crate::pipeline::run_pipeline) all call it.
 //!
 //! * [`PreparedSurgery`] — everything built **once per surgery** from the
@@ -37,7 +37,6 @@
 
 use crate::error::Error;
 use crate::pipeline::{PipelineConfig, SurfaceForceKind, SURFACE_FORCE_STEP};
-use crate::sequence::ScanStatus;
 use crate::timeline::StageTimings;
 use brainshift_obs::Stopwatch;
 use brainshift_fem::{
@@ -89,6 +88,18 @@ pub struct PreparedSurgery {
     /// reference grid; every scan's resampling is one weighted sum per
     /// covered voxel.
     resample_plan: ResamplePlan,
+}
+
+/// How the biomechanical solve of one scan concluded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanStatus {
+    /// The Krylov solve converged.
+    Converged,
+    /// The solver did not converge within its iteration or time budget:
+    /// the scan's displacement field is the caller's carry-forward field
+    /// (zero when none was given), not a solution for this scan's
+    /// boundary conditions.
+    Degraded,
 }
 
 /// Outcome of registering one intraoperative scan via
@@ -422,16 +433,22 @@ mod tests {
 
     #[test]
     fn scans_are_served_warm_on_one_assembly() {
-        let seq = small_seq(2);
+        // The acceptance contract of the persistent context: a whole
+        // multi-scan surgery performs exactly one stiffness assembly and
+        // one preconditioner factorization, every scan after the first
+        // warm-started, and the recovered field tracks the growing shift.
+        let seq = small_seq(3);
         let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
         let prepared = PreparedSurgery::new(&seq.reference.labels, cfg).expect("prepare failed");
         let mut ctx = prepared.build_solver_context().expect("context build failed");
         let mut last: Option<DisplacementField> = None;
-        for scan in &seq.scans {
+        let mut peaks = Vec::new();
+        for (i, scan) in seq.scans.iter().enumerate() {
             let reg = prepared
                 .register_scan(&mut ctx, &scan.intensity, last.as_ref(), None, None)
                 .expect("register failed");
             assert_ne!(reg.status, ScanStatus::Degraded);
+            assert!(reg.fem_iterations > 0);
             // Warm path: per-scan work is timed, once-per-surgery work is 0.
             assert!(reg.timings.classification_s > 0.0);
             assert!(reg.timings.solve_s > 0.0);
@@ -448,12 +465,27 @@ mod tests {
             assert!(reg.reclassified_voxels < reg.total_voxels);
             assert_eq!(reg.total_voxels, scan.intensity.dims().len());
             assert!(reg.knn_leaf_visits > 0);
+            // Later scans (shift ≫ voxel size at this coarse 4.5 mm grid)
+            // must recover more signal than they miss; the earliest scan's
+            // shift is at the discretization floor, so only a loose bound
+            // applies there.
+            let fe = crate::metrics::field_error(&reg.field, &seq.gt_forward[i], 1.5);
+            let bound = if seq.stages[i] >= 0.5 { 1.0 } else { 2.0 };
+            assert!(
+                fe.mean_error_mm < bound * fe.mean_truth_mm,
+                "scan {i}: {} vs {}",
+                fe.mean_error_mm,
+                fe.mean_truth_mm
+            );
+            peaks.push(reg.field.max_magnitude());
             last = Some(reg.field);
         }
+        assert!(peaks[2] > peaks[0], "recovered peak does not grow: {peaks:?}");
         let s = ctx.stats();
         assert_eq!(s.assemblies, 1);
         assert_eq!(s.factorizations, 1);
-        assert_eq!(s.solves, 2);
+        assert_eq!(s.solves, 3);
+        assert_eq!(s.warm_started_solves, 2);
         // The one assembly is the surgery's, timed in `new`; the context
         // shares its matrix and spent nothing assembling.
         assert!(std::ptr::eq(ctx.matrix(), &**prepared.stiffness()));

@@ -325,11 +325,6 @@ impl SolverContext {
         &self.precond
     }
 
-    /// Unknowns in the reduced system.
-    pub fn reduced_equations(&self) -> usize {
-        self.structure.num_free()
-    }
-
     /// The solver configuration this context was built with.
     pub fn config(&self) -> &FemSolveConfig {
         &self.cfg

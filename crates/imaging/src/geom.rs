@@ -99,17 +99,6 @@ impl Vec3 {
         (self - o).norm()
     }
 
-    /// Component access by axis index (0 = x, 1 = y, 2 = z).
-    #[inline]
-    pub fn axis(self, i: usize) -> f64 {
-        match i {
-            0 => self.x,
-            1 => self.y,
-            2 => self.z,
-            _ => panic!("Vec3 axis index {i} out of range"),
-        }
-    }
-
     /// True when every component is finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -355,13 +344,5 @@ mod tests {
     fn mat3_singular_has_no_inverse() {
         let m = Mat3::from_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]);
         assert!(m.inverse().is_none());
-    }
-
-    #[test]
-    fn vec3_axis_access() {
-        let v = Vec3::new(7.0, 8.0, 9.0);
-        assert_eq!(v.axis(0), 7.0);
-        assert_eq!(v.axis(1), 8.0);
-        assert_eq!(v.axis(2), 9.0);
     }
 }

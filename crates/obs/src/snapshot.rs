@@ -87,11 +87,6 @@ impl Snapshot {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Histogram summary by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
-        self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
-    }
-
     /// Span summary by path.
     pub fn span(&self, path: &str) -> Option<&SpanSummary> {
         self.spans.iter().find(|(n, _)| n == path).map(|(_, s)| s)
@@ -289,6 +284,13 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::json::parse_json;
+
+    impl Snapshot {
+        /// Histogram summary by name.
+        pub(crate) fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
+            self.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h)
+        }
+    }
 
     #[test]
     fn json_round_trip_preserves_everything() {

@@ -109,7 +109,6 @@ struct SectionEntry {
 pub struct SnapshotReader<'a> {
     buf: &'a [u8],
     table: Vec<SectionEntry>,
-    version: u32,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -154,13 +153,7 @@ impl<'a> SnapshotReader<'a> {
             }
             table.push(SectionEntry { name, offset, len });
         }
-        Ok(SnapshotReader { buf, table, version })
-    }
-
-    /// The container's stamped format version (within
-    /// [`MIN_SUPPORTED_VERSION`]`..=`[`FORMAT_VERSION`]).
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SnapshotReader { buf, table })
     }
 
     /// A decoder over one section's (already checksum-verified) payload.
@@ -236,8 +229,8 @@ mod tests {
     #[test]
     fn older_versions_are_refused() {
         let bytes = sample();
-        let r = SnapshotReader::parse(&bytes).expect("v6 parses");
-        assert_eq!(r.version(), FORMAT_VERSION);
+        SnapshotReader::parse(&bytes).expect("v6 parses");
+        assert_eq!(bytes[8..12], FORMAT_VERSION.to_le_bytes());
         // Every older stamp is refused as a whole, not mis-parsed.
         for refused in [0u32, 1, 2, 3, 4, 5] {
             let mut old = sample();

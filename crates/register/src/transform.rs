@@ -55,19 +55,21 @@ impl RigidTransform {
             center: self.center,
         }
     }
-
-    /// Magnitude of the transform: (rotation angle in radians, translation
-    /// norm). Useful for convergence reporting and accuracy metrics.
-    pub fn magnitude(&self) -> (f64, f64) {
-        let trace = self.rotation.m[0][0] + self.rotation.m[1][1] + self.rotation.m[2][2];
-        let angle = ((trace - 1.0) / 2.0).clamp(-1.0, 1.0).acos();
-        (angle, self.translation.norm())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RigidTransform {
+        /// Magnitude of the transform: (rotation angle in radians,
+        /// translation norm).
+        pub(crate) fn magnitude(&self) -> (f64, f64) {
+            let trace = self.rotation.m[0][0] + self.rotation.m[1][1] + self.rotation.m[2][2];
+            let angle = ((trace - 1.0) / 2.0).clamp(-1.0, 1.0).acos();
+            (angle, self.translation.norm())
+        }
+    }
 
     fn close(a: Vec3, b: Vec3, tol: f64) {
         assert!((a - b).norm() < tol, "{a:?} vs {b:?}");

@@ -184,11 +184,6 @@ impl Classifier {
         }
     }
 
-    /// The recorded prototype sites.
-    pub fn model(&self) -> &PrototypeModel {
-        &self.model
-    }
-
     /// Classify the listed voxels of one registered intraoperative scan;
     /// every other voxel takes its label from `fill`. Each listed voxel
     /// gets the label a pass over the whole volume would give it. The

@@ -229,11 +229,6 @@ impl KdTree {
         self.dim
     }
 
-    /// Label of the `i`-th prototype (original insertion order).
-    pub fn label(&self, i: usize) -> u8 {
-        self.labels[i]
-    }
-
     /// Features of the `i`-th prototype (original insertion order).
     pub fn feature(&self, i: usize) -> &[f32] {
         &self.feats[i * self.dim..(i + 1) * self.dim]
@@ -487,7 +482,7 @@ mod tests {
         for i in [0usize, 17, 99] {
             let nn = tree.k_nearest(&protos[i].features, 1);
             assert_eq!(nn[0].0, 0.0);
-            assert_eq!(tree.label(nn[0].1), protos[i].label);
+            assert_eq!(tree.labels[nn[0].1], protos[i].label);
         }
     }
 

@@ -64,11 +64,6 @@ impl<T> ContextCache<T> {
         }
     }
 
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
-    }
-
     /// Bytes currently charged by resident (checked-in) entries.
     pub fn resident_bytes(&self) -> usize {
         self.resident_bytes
@@ -181,7 +176,7 @@ mod tests {
         let v = c.take(1).expect("warm");
         c.insert(1, v, 40);
         c.insert(3, 30, 40); // forces one eviction: entry 2
-        assert!(c.resident_bytes() <= c.budget_bytes());
+        assert!(c.resident_bytes() <= c.budget_bytes);
         assert_eq!(c.drain_evicted(), vec![(2, 40)]);
         assert!(c.take(2).is_none(), "evicted entry is a miss");
         assert_eq!(c.take(1), Some(10), "recently used entry survived");

@@ -1,5 +1,5 @@
-//! Placement and stealing policy shared by the threaded service, the
-//! deterministic simulator, and the fleet router.
+//! Placement and stealing policy shared by the threaded service and the
+//! deterministic simulator.
 //!
 //! The negative-scaling bug this module exists to fix: with one shared
 //! run queue, a session's consecutive scans land on whichever worker
@@ -13,7 +13,7 @@
 //! from another worker's queue only when that queue's backlog exceeds a
 //! threshold — below it, stickiness wins over instantaneous latency.
 //!
-//! All three decisions here are pure functions of their inputs, which is
+//! Both decisions here are pure functions of their inputs, which is
 //! what lets the logical-clock simulator drive the *same* policy the
 //! threaded service runs and makes its event scripts bit-deterministic.
 
@@ -52,18 +52,6 @@ pub fn preferred_worker(session: u64, workers: usize) -> usize {
     (session % workers.max(1) as u64) as usize
 }
 
-/// The shard a session key routes to. SplitMix64-style avalanche so
-/// adjacent keys (sequential session ids, OR numbers) spread instead of
-/// striping, then a modulo onto the shard count. Shared by the threaded
-/// [`Fleet`](crate::fleet::Fleet) and the fleet simulator.
-pub fn route_shard(key: u64, shards: usize) -> usize {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % shards.max(1) as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,23 +74,5 @@ mod tests {
         assert_eq!(preferred_worker(4, 4), 0);
         assert_eq!(preferred_worker(7, 1), 0);
         assert_eq!(preferred_worker(7, 0), 0, "clamped, not a division by zero");
-    }
-
-    #[test]
-    fn route_shard_spreads_sequential_keys() {
-        let shards = 4;
-        let mut counts = vec![0usize; shards];
-        for key in 0u64..1000 {
-            counts[route_shard(key, shards)] += 1;
-        }
-        for (s, &c) in counts.iter().enumerate() {
-            assert!(
-                (150..=350).contains(&c),
-                "shard {s} got {c}/1000 sequential keys — router striping or hotspot"
-            );
-        }
-        // Deterministic: same key, same shard, every time.
-        assert_eq!(route_shard(42, shards), route_shard(42, shards));
-        assert_eq!(route_shard(42, 0), 0, "clamped shard count");
     }
 }

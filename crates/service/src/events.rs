@@ -208,16 +208,6 @@ impl EventLog {
         self.events.lock().clone()
     }
 
-    /// Entries recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The timestamp-free rendering used as the determinism oracle: two
     /// runs of the same submission script must produce identical scripts.
     pub fn script(&self) -> String {

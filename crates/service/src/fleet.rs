@@ -1,4 +1,4 @@
-//! A sharded fleet of [`Service`]s behind a session-affinity router.
+//! A sharded fleet of [`Service`]s, each session placed on one shard.
 //!
 //! One [`Service`] scales to the cores of one worker pool, but its
 //! scheduler lock, event log, and context cache are still single
@@ -20,8 +20,8 @@
 //!
 //! A slot outlives the shards in it: when [`Fleet::restore_shard`]
 //! replaces one, the slot keeps the displaced shard's events and final
-//! metrics, so its script, its metrics and the logs [`Fleet::shutdown`]
-//! returns cover both sides of the restore.
+//! metrics, so its metrics and the logs [`Fleet::shutdown`] returns
+//! cover both sides of the restore.
 
 use crate::error::{Rejected, ServiceError};
 use crate::events::{Event, EventKind};
@@ -96,11 +96,6 @@ impl FleetTicket {
         let FleetTicket { inner, shard, shards } = self;
         remap(inner.wait(), shard, shards)
     }
-
-    /// Non-blocking poll (see [`JobTicket::try_wait`]).
-    pub fn try_wait(&self) -> Option<Result<JobOutcome, ServiceError>> {
-        self.inner.try_wait().map(|r| remap(r, self.shard, self.shards))
-    }
 }
 
 /// Rewrite a shard-local result's ids as fleet-wide ids.
@@ -130,7 +125,8 @@ struct History {
     metrics: Snapshot,
 }
 
-/// N independent [`Service`] shards behind a session-affinity router.
+/// N independent [`Service`] shards, each session placed on the
+/// least-loaded one at open.
 pub struct Fleet {
     shards: Vec<Service>,
     /// Per slot, what came before its current shard.
@@ -202,11 +198,6 @@ impl Fleet {
         }
     }
 
-    /// Jobs queued across the whole fleet.
-    pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(Service::queue_depth).sum()
-    }
-
     /// Counters of one fleet session, if it exists.
     pub fn session_stats(&self, fleet_session: u64) -> Option<SessionStats> {
         let (local, shard) = decode(fleet_session, self.shards.len());
@@ -235,27 +226,12 @@ impl Fleet {
         Snapshot::merged(parts.iter())
     }
 
-    /// Each shard's deterministic event script, indexed by shard id,
-    /// the replaced shards' events first. Sessions of one shard never
-    /// appear in another's script — the isolation the router promises.
-    pub fn scripts(&self) -> Vec<String> {
-        self.shards
-            .iter()
-            .zip(&self.history)
-            .map(|(s, h)| {
-                let mut script: String = h.events.iter().map(|e| e.script_line() + "\n").collect();
-                script.push_str(&s.script());
-                script
-            })
-            .collect()
-    }
-
     /// Quiesce one shard (stop its admission, finish its in-flight jobs)
     /// and serialize its sessions, warm-start seeds and id counters (see
     /// [`Service::snapshot_shard`]). Terminal for the shard:
     /// follow with [`Fleet::restore_shard`] to bring a replacement up in
     /// its slot. Sessions of other shards are untouched — the blast
-    /// radius the router promises.
+    /// radius of one shard.
     pub fn snapshot_shard(&self, shard: usize) -> Result<Vec<u8>, PersistError> {
         let Some(s) = self.shards.get(shard) else {
             return Err(PersistError::InvalidData {

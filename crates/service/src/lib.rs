@@ -25,7 +25,7 @@
 //!   budget: a late job returns
 //!   [`ScanStatus::Degraded`](brainshift_core::ScanStatus) with the
 //!   carry-forward field instead of blocking the queue. [`Fleet`] runs N
-//!   of them behind a session-affinity router.
+//!   of them and places each session on the least-loaded shard.
 //! * [`EventLog`] — every enqueue/start/degrade/evict/complete
 //!   with monotonic timestamps and queue depths; its timestamp-free
 //!   [`script`](EventLog::script) is the determinism oracle.
@@ -55,7 +55,7 @@ pub mod sim;
 
 pub use cache::{CacheStats, ContextCache};
 pub use core::ShardCore;
-pub use dispatch::{preferred_worker, route_shard, StealPolicy};
+pub use dispatch::{preferred_worker, StealPolicy};
 pub use error::{Rejected, ServiceError};
 pub use events::{Event, EventKind, EventLog};
 pub use fleet::{Fleet, FleetConfig};
@@ -63,6 +63,4 @@ pub use persist::SessionSnapshot;
 pub use scheduler::{DeadlineQueue, QueuedJob, SchedulerPolicy};
 pub use service::{JobOutcome, JobTicket, ScanJob, Service, ServiceConfig};
 pub use session::{MeshFingerprint, SessionStats, SurgerySession};
-pub use sim::{
-    simulate, simulate_fleet, FleetSimReport, SimJob, SimOutcome, SimReport, StealRecord,
-};
+pub use sim::{simulate, SimJob, SimOutcome, SimReport, StealRecord};

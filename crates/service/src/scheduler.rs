@@ -96,11 +96,6 @@ impl DeadlineQueue {
         DeadlineQueue { policy, jobs: Vec::new() }
     }
 
-    /// The policy this queue runs.
-    pub fn policy(&self) -> &SchedulerPolicy {
-        &self.policy
-    }
-
     /// Jobs currently queued.
     pub fn len(&self) -> usize {
         self.jobs.len()

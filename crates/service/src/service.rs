@@ -38,7 +38,7 @@ use brainshift_fem::SolverContext;
 use brainshift_imaging::{DisplacementField, Volume};
 use brainshift_obs::{Registry, Snapshot};
 use brainshift_persist::PersistError;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -149,17 +149,6 @@ impl JobTicket {
         match self.rx.recv() {
             Ok(result) => result,
             Err(_) => Err(ServiceError::JobLost),
-        }
-    }
-
-    /// Non-blocking poll; `None` while the job is still in flight. A
-    /// disconnected reply channel (worker died, service torn down)
-    /// surfaces as [`ServiceError::JobLost`], same as [`JobTicket::wait`].
-    pub fn try_wait(&self) -> Option<Result<JobOutcome, ServiceError>> {
-        match self.rx.try_recv() {
-            Ok(result) => Some(result),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServiceError::JobLost)),
         }
     }
 }
@@ -292,12 +281,6 @@ impl Service {
         Ok(JobTicket { job: admitted.job, rx })
     }
 
-    /// Jobs currently queued (not yet claimed by a worker), across all
-    /// worker queues.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.decide(|shard, _| shard.core.depth())
-    }
-
     /// Cache counters (hits / misses / evictions).
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.decide(|shard, _| shard.core.cache_stats())
@@ -318,11 +301,6 @@ impl Service {
     /// state lock, and neither is ever held across a solve.
     pub fn session_stats(&self, session: u64) -> Option<SessionStats> {
         self.session(session).map(|s| s.stats())
-    }
-
-    /// Snapshot of the event log so far.
-    pub fn events(&self) -> Vec<Event> {
-        self.shared.decide(|shard, _| shard.core.log().snapshot())
     }
 
     /// Point-in-time copy of the service metrics: the `service.*`

@@ -21,9 +21,8 @@
 
 use crate::cache::CacheStats;
 use crate::core::ShardCore;
-use crate::dispatch::{preferred_worker, route_shard};
+use crate::dispatch::preferred_worker;
 use crate::events::EventLog;
-use crate::fleet::FleetConfig;
 use crate::service::ServiceConfig;
 use brainshift_obs::{Clock, Registry, Snapshot};
 
@@ -226,102 +225,6 @@ pub fn simulate(cfg: &ServiceConfig, jobs: &[SimJob]) -> SimReport {
     }
 }
 
-/// Aggregate view of a fleet simulation.
-pub struct FleetSimReport {
-    /// One full report per shard, indexed by shard id.
-    pub shards: Vec<SimReport>,
-    /// Jobs that completed, fleet-wide.
-    pub completed: u64,
-    /// Jobs refused at admission (shed), fleet-wide.
-    pub shed: u64,
-    /// Median completion latency (submit → complete), logical µs.
-    pub p50_latency_us: u64,
-    /// 99th-percentile completion latency, logical µs (nearest-rank).
-    pub p99_latency_us: u64,
-    /// All shard registries merged into one snapshot, each shard's
-    /// metrics under a `shard{i}.` prefix plus unprefixed fleet totals
-    /// (`fleet.jobs.completed`, …).
-    pub metrics: Snapshot,
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Route the script across `cfg.shards` shards by session key and
-/// [`simulate`] each shard independently (shards share nothing — separate
-/// queues, caches, and worker pools — exactly like the threaded
-/// [`Fleet`](crate::fleet::Fleet)).
-///
-/// Deterministic end to end: the router is a pure hash, each shard's
-/// simulation is bit-deterministic, and the merged metrics snapshot is
-/// assembled in shard order. Only tests call it: `tests/scheduler_core.rs`
-/// pins its shard scripts to the parent's, and `tests/affinity_props.rs`
-/// checks its determinism and routing.
-pub fn simulate_fleet(cfg: &FleetConfig, jobs: &[SimJob]) -> FleetSimReport {
-    let s = cfg.shards.max(1);
-    let mut per_shard: Vec<Vec<SimJob>> = vec![Vec::new(); s];
-    for j in jobs {
-        per_shard[route_shard(j.session, s)].push(j.clone());
-    }
-    let shards: Vec<SimReport> =
-        per_shard.iter().map(|script| simulate(&cfg.shard, script)).collect();
-
-    let mut completed = 0u64;
-    let mut shed = 0u64;
-    let mut missed = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for (i, r) in shards.iter().enumerate() {
-        for o in &r.outcomes {
-            // The simulator drains every admitted job: one without a
-            // completion was shed at admission, and submitted = completed.
-            let Some(done) = o.completed_us else {
-                shed += 1;
-                continue;
-            };
-            completed += 1;
-            if o.missed_deadline {
-                missed += 1;
-            }
-            latencies.push(done.saturating_sub(per_shard[i][o.script_index].submit_us));
-        }
-    }
-    latencies.sort_unstable();
-    let (p50, p99) = (percentile_us(&latencies, 50.0), percentile_us(&latencies, 99.0));
-
-    let mut parts: Vec<Snapshot> =
-        shards.iter().enumerate().map(|(i, r)| r.metrics.prefixed(&format!("shard{i}"))).collect();
-    parts.push(Snapshot {
-        counters: vec![
-            ("fleet.jobs.completed".to_string(), completed),
-            ("fleet.jobs.missed_deadline".to_string(), missed),
-            ("fleet.jobs.shed".to_string(), shed),
-            ("fleet.jobs.submitted".to_string(), completed),
-        ],
-        gauges: vec![
-            ("fleet.latency.p50_us".to_string(), p50 as f64),
-            ("fleet.latency.p99_us".to_string(), p99 as f64),
-            ("fleet.shed_rate".to_string(), shed as f64 / (completed + shed).max(1) as f64),
-        ],
-        ..Snapshot::default()
-    });
-    let metrics = Snapshot::merged(parts.iter());
-
-    FleetSimReport {
-        completed,
-        shed,
-        p50_latency_us: p50,
-        p99_latency_us: p99,
-        metrics,
-        shards,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,10 +299,10 @@ mod tests {
         assert_eq!(m.counter("service.cache.hit").unwrap_or(0), r.cache.hits);
         assert_eq!(m.counter("service.cache.miss").unwrap_or(0), r.cache.misses);
         assert_eq!(m.gauge("service.queue.peak_depth"), Some(r.peak_queue_depth as f64));
-        let slack = m.histogram("service.deadline.slack_at_start_us").expect("slack histogram");
-        assert_eq!(slack.count, completed);
-        let lat = m.histogram("service.job.latency_us").expect("latency histogram");
-        assert_eq!(lat.count, completed);
+        for name in ["service.deadline.slack_at_start_us", "service.job.latency_us"] {
+            let count = m.histograms.iter().find(|(n, _)| n == name).map(|(_, h)| h.count);
+            assert_eq!(count, Some(completed), "{name}");
+        }
     }
 
     #[test]

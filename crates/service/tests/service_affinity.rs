@@ -7,7 +7,8 @@ use brainshift_core::{PipelineConfig, PreparedSurgery, ScanStatus};
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_service::{
-    preferred_worker, EventKind, Fleet, FleetConfig, ScanJob, Service, ServiceConfig, ServiceError,
+    preferred_worker, Event, EventKind, Fleet, FleetConfig, ScanJob, Service, ServiceConfig,
+    ServiceError,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,7 +98,7 @@ fn backlogged_worker_never_blocks_admission_probes_or_the_other_worker() {
     // steal threshold, so they stay put).
     let a1 = service.submit(job(a, &seq_a.scans[1].intensity)).expect("admit a1");
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    while service.queue_depth() > 0 {
+    while service.metrics_snapshot().gauge("service.queue.depth") != Some(0.0) {
         assert!(std::time::Instant::now() < deadline, "worker never claimed the first job");
         std::thread::yield_now();
     }
@@ -110,7 +111,7 @@ fn backlogged_worker_never_blocks_admission_probes_or_the_other_worker() {
     let st = service.session_stats(a).expect("stats probe under load");
     assert!(st.completed >= 1);
     let _ = service.cache_stats();
-    let _ = service.queue_depth();
+    let _ = service.metrics_snapshot();
 
     // Admission on the idle worker proceeds and completes while worker 1
     // still owns queued work.
@@ -245,10 +246,10 @@ fn fleet_routes_sessions_and_merges_shard_metrics() {
 
     // Shard scripts are isolated: shard i's script only names shard-local
     // session ids of sessions this fleet opened on it (ids 1..).
-    let scripts = fleet.scripts();
-    assert_eq!(scripts.len(), 2);
-    for script in &scripts {
-        assert!(script.contains("complete s1"), "each shard ran its own session 1");
+    let logs = fleet.shutdown();
+    assert_eq!(logs.len(), 2);
+    for log in &logs {
+        let script: Vec<String> = log.iter().map(Event::script_line).collect();
+        assert!(script.iter().any(|l| l.starts_with("complete s1 ")), "each shard ran its own session 1");
     }
-    fleet.shutdown();
 }

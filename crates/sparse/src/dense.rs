@@ -75,17 +75,6 @@ pub fn axpy_then_dot(alpha: f64, x: &[f64], y: &mut [f64], z: Option<&[f64]>) ->
     partials.into_iter().sum()
 }
 
-/// `x *= alpha`.
-pub fn scale(alpha: f64, x: &mut [f64]) {
-    if x.len() >= PAR_THRESHOLD {
-        x.par_iter_mut().for_each(|v| *v *= alpha);
-    } else {
-        for v in x {
-            *v *= alpha;
-        }
-    }
-}
-
 /// `y = x + alpha * y` (PETSc's `VecAYPX`: the CG direction update).
 pub fn aypx(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
@@ -96,11 +85,6 @@ pub fn aypx(alpha: f64, x: &[f64], y: &mut [f64]) {
             *yi = xi + alpha * *yi;
         }
     }
-}
-
-/// Copy `src` into `dst`.
-pub fn copy(src: &[f64], dst: &mut [f64]) {
-    dst.copy_from_slice(src);
 }
 
 /// A dense LU factorization with partial pivoting (row-major storage).
@@ -192,15 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
+    fn axpy_and_aypx() {
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![10.0, 20.0, 30.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, vec![12.0, 24.0, 36.0]);
-        scale(0.5, &mut y);
-        assert_eq!(y, vec![6.0, 12.0, 18.0]);
         aypx(0.5, &x, &mut y);
-        assert_eq!(y, vec![4.0, 8.0, 12.0]);
+        assert_eq!(y, vec![7.0, 14.0, 21.0]);
     }
 
     #[test]

@@ -24,15 +24,6 @@ pub enum SparseError {
         /// What invariant was violated.
         reason: String,
     },
-    /// A row range `lo..hi` does not fit the matrix it addresses.
-    InvalidRange {
-        /// Start of the range.
-        lo: usize,
-        /// End of the range (exclusive).
-        hi: usize,
-        /// Number of rows available.
-        nrows: usize,
-    },
     /// A vector handed to a solver entry point does not match the
     /// operator dimension — previously this was an `assert_eq!` that
     /// panicked the worker thread on a malformed RHS.
@@ -76,9 +67,6 @@ impl fmt::Display for SparseError {
             SparseError::InvalidCsr { reason } => write!(f, "invalid CSR structure: {reason}"),
             SparseError::InvalidOffsets { reason } => {
                 write!(f, "invalid partition offsets: {reason}")
-            }
-            SparseError::InvalidRange { lo, hi, nrows } => {
-                write!(f, "row range {lo}..{hi} out of bounds for {nrows} rows")
             }
             SparseError::DimensionMismatch { what, expected, got } => {
                 write!(f, "{what} has length {got} but the operator requires {expected}")

@@ -85,7 +85,6 @@ pub fn weighted_offsets(weights: &[f64], p: usize) -> Vec<usize> {
     let ideal = total / p as f64;
     let mut offsets = Vec::with_capacity(p + 1);
     offsets.push(0);
-    let mut acc = 0.0;
     let mut row = 0usize;
     for part in 0..p - 1 {
         let remaining_parts = p - part;
@@ -107,11 +106,9 @@ pub fn weighted_offsets(weights: &[f64], p: usize) -> Vec<usize> {
         }
         end = end.max(row + 1).min(max_end);
         offsets.push(end);
-        acc += part_sum;
         row = end;
     }
     offsets.push(n);
-    let _ = acc;
     offsets
 }
 

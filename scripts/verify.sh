@@ -51,20 +51,24 @@ shopt -u nullglob
 # the served code with, and fixtures that build inputs of known ground
 # truth for more than one test crate. Each row names one test that reads
 # it (checked). A row also fails once its name gains a reader or stops
-# being a `pub fn`, so the list cannot rot. A reader is any mention of
-# the name, outside `use` lines and its own `fn`, in the non-test code of
-# crates/, src/, examples/ and e2e_budget/src. A grep cannot see every
-# reader, so the build, clippy and the tests below decide; this step only
-# asks. Checked before the build, like the unrun-program check above.
+# being a `pub fn`, so the list cannot rot. A reader is a call of the
+# name (`name(`, `.name(`) or a path to it (`::name`), outside `use`
+# lines and its own `fn`, in the non-test code of crates/, src/,
+# examples/ and e2e_budget/src. A bare mention does not count: a field or
+# a local variable of the same name would hide an unread method. A grep
+# cannot see every reader, so the build, clippy and the tests below
+# decide; this step only asks. Checked before the build, like the
+# unrun-program check above.
 allowlist=$(cat <<'EOF'
 apply_rigid_misalignment tests/pipeline_end_to_end.rs fixture: a scan under a known rigid misalignment
+band tests/band_classify.rs fixture: the surgery's band, on which the test rebuilds a served scan's distance force
 classify_serial crates/segment/tests/classify_props.rs oracle: the serial k-NN pass of the slab-parallel classifier
 distance_transform_brute tests/proptest_invariants.rs oracle: the brute-force distance transform
 factorize tests/solver_cross_checks.rs oracle: DenseLu, the direct solve of the Krylov cross-check
 generate_scan_sequence tests/failure_injection.rs fixture: a scan series with known deformation per stage
+grad tests/band_classify.rs oracle: the whole-volume force's ∇φ, which the banded force must equal where it is exact
 k_nearest_brute crates/segment/tests/classify_props.rs oracle: the brute-force k-NN vote
-run_scan_sequence_with_faults tests/failure_injection.rs fixture: a scan series with injected solver failures
-simulate_fleet tests/scheduler_core.rs oracle: `simulate`, the service's logical-clock reference, per hash-routed shard
+simulate tests/scheduler_core.rs oracle: the service's logical-clock reference, the threaded Service's script line for line
 sphere crates/surface/tests/evolve_props.rs fixture: a closed surface of known radius
 EOF
 )
@@ -72,7 +76,8 @@ defined=$(for f in $(find crates/*/src -name '*.rs'); do non_test "$f"; done |
   grep -oE '\bpub fn [A-Za-z_][A-Za-z0-9_]*' | awk '{print $3}' | sort -u)
 read_names=$(for f in $(find crates src examples e2e_budget/src -name '*.rs' -not -path '*/tests/*'); do non_test "$f"; done |
   awk '/^[[:space:]]*(pub(\([a-z]+\))? )?use / {u = 1} !u {print} u && /;/ {u = 0}' |
-  grep -oE '(fn )?[A-Za-z_][A-Za-z0-9_]*' | grep -v '^fn ' | sort -u)
+  grep -oE '(fn |::)?[A-Za-z_][A-Za-z0-9_]*\(?' |
+  sed -nE 's/^::([A-Za-z_][A-Za-z0-9_]*)\(?$/\1/p; s/^([A-Za-z_][A-Za-z0-9_]*)\($/\1/p' | sort -u)
 unread=$(comm -23 <(echo "$defined") <(echo "$read_names"))
 allowed=$(awk '{print $1}' <<<"$allowlist" | sort)
 fail=0
@@ -444,9 +449,12 @@ fi
 # generated the case `ablation_recovery` now generates once) or the
 # library code only they read: the Gaussian classifier, the
 # feature-stack volume, stress recovery, the VTK, NRRD and raw writers
-# and the zero-fault sequence wrapper. A name may come back as a file
-# name too.
-removed='RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior|fig7_deepflow|fig8a_smp|fig8b_ultra80|fig9_large|table_fig3|ablation_classifier|neurosurgery_case|multimodal_fusion|surgery_timeline|gravity_sag|scaling_study|fig6_timeline|ablation_surface_only|ablation_surface_force|ablation_resolution|GaussianClassifier|feature_stack|FeatureStack|evaluate_stress|write_vtk|write_label_slice_pgm|write_raw_f32|read_raw_f32|write_nrrd_f32|write_nrrd_labels|run_scan_sequence'
+# and the zero-fault sequence wrapper. Nor does the test harness that
+# lived in the served crates: the second per-scan runner (the service
+# and `register_scan` serve every scan) and the hash-routed fleet
+# simulator (the `Fleet` places sessions least-loaded). A name may come
+# back as a file name too.
+removed='RigidRegConfig|AffineRegConfig|MiConfig|record_history|check_every|Timeline|smooth_interior|fig7_deepflow|fig8a_smp|fig8b_ultra80|fig9_large|table_fig3|ablation_classifier|neurosurgery_case|multimodal_fusion|surgery_timeline|gravity_sag|scaling_study|fig6_timeline|ablation_surface_only|ablation_surface_force|ablation_resolution|GaussianClassifier|feature_stack|FeatureStack|evaluate_stress|write_vtk|write_label_slice_pgm|write_raw_f32|read_raw_f32|write_nrrd_f32|write_nrrd_labels|run_scan_sequence|run_scan_sequence_with_faults|FaultInjection|SequenceResult|ScanOutcome|simulate_fleet|FleetSimReport|percentile_us|route_shard'
 if grep -rnwE "$removed" crates tests examples || find crates tests examples -name '*.rs' | grep -wE "$removed"; then
   echo "a removed config value, record, smoother or program (or library code only it read) is back: keep fixed parameters as constants, and a program only if verify.sh runs it" >&2
   exit 1
@@ -630,8 +638,7 @@ fi
 # the cold rebuild (mid-cold-churn), the service and the snapshot/restore
 # (small-fleet-open). The report bins and the criterion benches that timed
 # those paths a second time do not come back (the bench-target check at
-# the top refuses any bench), and neither do the FleetSimReport fields
-# only they read (the values stay in its metrics).
+# the top refuses any bench).
 for f in crates/bench/src/bin/warm_solve_json.rs crates/bench/src/bin/persist_report.rs \
   crates/bench/src/bin/service_throughput_json.rs crates/bench/benches/warm_solve.rs; do
   if [ -e "$f" ]; then
@@ -641,14 +648,5 @@ for f in crates/bench/src/bin/warm_solve_json.rs crates/bench/src/bin/persist_re
 done
 if grep -nF 'name = "warm_solve"' crates/bench/Cargo.toml; then
   echo "crates/bench declares the warm-solve criterion bench again: e2e_budget is the one timing harness" >&2
-  exit 1
-fi
-if awk '/^pub struct FleetSimReport/ {f = 1} f && /^}/ {exit} f' crates/service/src/sim.rs |
-  grep -nE '\b(submitted|shed_rate|missed_deadlines|per_shard_hit_rate):'; then
-  echo "a removed FleetSimReport field is back: read it from the report's metrics" >&2
-  exit 1
-fi
-if ! grep -q '^pub struct FleetSimReport' crates/service/src/sim.rs; then
-  echo "FleetSimReport not found in sim.rs: the field guard above checks nothing" >&2
   exit 1
 fi

@@ -1,11 +1,9 @@
-//! Property tests of the affinity-dispatch and fleet contracts, driven
-//! through the deterministic simulator (which drives the production
-//! `ShardCore` — queues, cache, steal policy, placement — and the
-//! `route_shard` router on a logical clock; see `sim.rs`).
+//! Property tests of the affinity-dispatch contracts, driven through the
+//! deterministic simulator (which drives the production `ShardCore` —
+//! queues, cache, steal policy, placement — on a logical clock; see
+//! `sim.rs`).
 
-use brainshift_service::{
-    preferred_worker, simulate, simulate_fleet, FleetConfig, ServiceConfig, SimJob,
-};
+use brainshift_service::{preferred_worker, simulate, ServiceConfig, SimJob};
 use proptest::prelude::*;
 
 fn cfg(workers: usize, capacity: usize, threshold: usize) -> ServiceConfig {
@@ -163,58 +161,5 @@ proptest! {
         prop_assert_eq!(a.steals, b.steals);
         prop_assert_eq!(a.completion_order, b.completion_order);
         prop_assert_eq!(a.metrics, b.metrics);
-    }
-
-    /// Fleet scripts are byte-deterministic for any shard count, and the
-    /// router is a true partition: every session's jobs land on exactly
-    /// the shard `route_shard` names, and fleet totals add up across
-    /// shards.
-    #[test]
-    fn fleet_scripts_are_deterministic_and_the_router_partitions(
-        raw in prop::collection::vec(
-            (1u64..12, 0u64..200, 30u64..300),
-            1..40,
-        ),
-        shards in 1usize..5,
-    ) {
-        let mut t = 0;
-        let jobs: Vec<SimJob> = raw
-            .iter()
-            .map(|&(session, gap, cost)| {
-                t += gap;
-                SimJob {
-                    session,
-                    submit_us: t,
-                    deadline_us: t + 30_000,
-                    priority: 0,
-                    cost_us: cost,
-                    ctx_bytes: 1 << 10,
-                }
-            })
-            .collect();
-        let c = FleetConfig { shards, shard: cfg(2, jobs.len().max(4), 2) };
-        let a = simulate_fleet(&c, &jobs);
-        let b = simulate_fleet(&c, &jobs);
-        prop_assert_eq!(a.shards.len(), shards);
-        for (ra, rb) in a.shards.iter().zip(&b.shards) {
-            prop_assert_eq!(ra.log.script(), rb.log.script());
-        }
-        prop_assert_eq!(a.metrics, b.metrics);
-        // Partition: each shard saw only sessions that route to it.
-        for (i, r) in a.shards.iter().enumerate() {
-            for o in &r.outcomes {
-                prop_assert_eq!(brainshift_service::route_shard(o.session, shards), i);
-            }
-        }
-        // Conservation: every scripted job is exactly one of
-        // completed-or-shed, and the totals agree with the merged
-        // snapshot.
-        prop_assert_eq!(a.completed + a.shed, jobs.len() as u64);
-        prop_assert_eq!(a.metrics.counter("fleet.jobs.completed"), Some(a.completed));
-        prop_assert_eq!(a.metrics.counter("fleet.jobs.shed"), Some(a.shed));
-        let per_shard_completed: u64 = (0..shards)
-            .map(|i| a.metrics.counter(&format!("shard{i}.service.jobs.completed")).unwrap_or(0))
-            .sum();
-        prop_assert_eq!(per_shard_completed, a.completed);
     }
 }

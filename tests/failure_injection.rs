@@ -8,23 +8,22 @@
 //!    wrong answer (the historical identity fallback).
 //! 2. A malformed mesh (inverted element, sliver) is rejected when the
 //!    FEM solver context is built, before any cycles are spent on it.
-//! 3. A solver non-convergence mid-sequence degrades exactly that scan —
-//!    the previous scan's displacement field is carried forward and the
-//!    surgery's registration stream continues.
+//! 3. A served job whose solve does not converge degrades exactly that
+//!    scan: the session's previous field is carried forward (zero for
+//!    its first scan) and its next job converges.
 //! 4. The service turns a job's remaining deadline into its solve's time
-//!    budget: a job whose deadline has passed degrades on that budget,
-//!    and a deadline past the service clock saturates instead of
-//!    wrapping.
+//!    budget: a job whose deadline has passed degrades on that budget
+//!    without poisoning other sessions, and a deadline past the service
+//!    clock saturates instead of wrapping.
 //! 5. A memory budget below two contexts makes two sessions evict each
 //!    other: every scan runs cold, and every scan still completes.
-//! 6. The service's boundary: an unknown session or an infeasible
-//!    deadline is a typed rejection at admission, and a scan on a grid
-//!    other than its surgery's fails typed while the worker lives on.
+//! 6. The service's boundary and sessions: an unknown session or an
+//!    infeasible deadline is a typed rejection at admission, a scan on a
+//!    grid other than its surgery's fails typed while the worker lives
+//!    on, a session closed mid-flight leaves no cache entry behind, and
+//!    stats probes never deadlock against a degrading job.
 
-use brainshift_core::{
-    generate_scan_sequence, run_scan_sequence_with_faults, FaultInjection, PipelineConfig,
-    PreparedSurgery, ScanSequence, ScanStatus,
-};
+use brainshift_core::{generate_scan_sequence, PipelineConfig, PreparedSurgery, ScanSequence, ScanStatus};
 use brainshift_fem::{FemError, FemSolveConfig, MaterialTable, SolverContext};
 use brainshift_imaging::labels;
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
@@ -154,7 +153,7 @@ fn repeated_node_rejected() {
     assert!(matches!(mesh.validate(), Err(MeshError::RepeatedNode { tet: 0 })));
 }
 
-// ───────────────────── mid-sequence degradation ─────────────────────
+// ───────────────────── degradation in the service ─────────────────────
 
 fn small_seq(n: usize, peak_shift_mm: f64) -> ScanSequence {
     generate_scan_sequence(
@@ -168,59 +167,6 @@ fn small_seq(n: usize, peak_shift_mm: f64) -> ScanSequence {
         n,
     )
 }
-
-#[test]
-fn forced_nonconvergence_degrades_scan_and_reuses_previous_field() {
-    let seq = small_seq(3, 8.0);
-    let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
-    let res = run_scan_sequence_with_faults(&seq, &cfg, &FaultInjection { fail_fem_scans: vec![1] })
-        .expect("a non-converged scan must degrade, not abort the sequence");
-
-    assert_eq!(res.outcomes.len(), 3);
-    assert_eq!(res.degraded_scans, 1);
-    assert_eq!(res.outcomes[1].status, ScanStatus::Degraded);
-    assert!(
-        !matches!(res.outcomes[0].status, ScanStatus::Degraded),
-        "scan 0 was not injected"
-    );
-    assert!(
-        !matches!(res.outcomes[2].status, ScanStatus::Degraded),
-        "scan 2 was not injected"
-    );
-    // The degraded scan's field is scan 0's field carried forward: its
-    // peak magnitude (computed from the field) must match exactly.
-    assert_eq!(
-        res.outcomes[1].peak_recovered_mm, res.outcomes[0].peak_recovered_mm,
-        "degraded scan did not reuse the previous scan's field"
-    );
-    // Scan 2 solves its own BCs again and recovers a larger shift.
-    assert!(res.outcomes[2].peak_recovered_mm > res.outcomes[1].peak_recovered_mm);
-    // Counters: every scan attempted a solve; exactly one failed; the
-    // surgery still paid one assembly and one factorization.
-    assert_eq!(res.solver_stats.solves, 3);
-    assert_eq!(res.solver_stats.failed_solves, 1);
-    assert_eq!(res.solver_stats.assemblies, 1);
-    assert_eq!(res.solver_stats.factorizations, 1);
-}
-
-#[test]
-fn degraded_first_scan_falls_back_to_zero_field() {
-    let seq = small_seq(2, 8.0);
-    let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
-    let res = run_scan_sequence_with_faults(&seq, &cfg, &FaultInjection { fail_fem_scans: vec![0] })
-        .expect("sequence failed");
-    assert_eq!(res.outcomes[0].status, ScanStatus::Degraded);
-    assert_eq!(
-        res.outcomes[0].peak_recovered_mm, 0.0,
-        "no previous scan exists: the fallback is the zero field"
-    );
-    // The next scan recovers normally — the failed solve must not have
-    // poisoned the warm-start state.
-    assert!(!matches!(res.outcomes[1].status, ScanStatus::Degraded));
-    assert!(res.outcomes[1].peak_recovered_mm > 0.0);
-}
-
-// ───────────────────── the service's deadline budget ─────────────────────
 
 fn prepared(seq: &ScanSequence) -> Arc<PreparedSurgery> {
     let cfg = PipelineConfig { skip_rigid: true, ..Default::default() };
@@ -239,35 +185,98 @@ fn run_job(service: &Service, session: u64, seq: &ScanSequence, scan: usize, dea
     service.submit(job).expect("admit").wait().expect("execute")
 }
 
+/// A 1 µs deadline has passed by the time the solve starts: the solve's
+/// budget is the token 1 µs, it stops on it, and the job degrades.
+const STARVED: Duration = Duration::from_micros(1);
+const AMPLE: Duration = Duration::from_secs(300);
+
+fn field_bits(o: &JobOutcome) -> Vec<u64> {
+    o.field.data().iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
+}
+
 #[test]
-fn a_job_past_its_deadline_degrades_on_the_time_budget() {
+fn forced_nonconvergence_degrades_scan_and_reuses_previous_field() {
     let seq = small_seq(3, 8.0);
     let (service, session) = serve(&seq);
-    let first = run_job(&service, session, &seq, 0, Duration::from_secs(300));
+    let first = run_job(&service, session, &seq, 0, AMPLE);
+    let starved = run_job(&service, session, &seq, 1, STARVED);
+    let last = run_job(&service, session, &seq, 2, AMPLE);
+
     assert_eq!(first.status, ScanStatus::Converged);
+    assert_eq!(starved.status, ScanStatus::Degraded, "a non-converged scan must degrade, not error");
+    assert_eq!(last.status, ScanStatus::Converged, "the session recovers after a degraded job");
+    // The degraded scan's field is scan 0's field carried forward.
+    assert_eq!(field_bits(&starved), field_bits(&first), "degraded scan did not reuse the previous field");
+    // Scan 2 solves its own BCs again and recovers a larger shift.
+    assert!(last.field.max_magnitude() > starved.field.max_magnitude());
+    // Every job completed, exactly one degraded, and the session's one
+    // context (one factorization on the surgery's one assembly) served
+    // all three: one cold build, then warm.
+    let st = service.session_stats(session).expect("session is open");
+    assert_eq!((st.completed, st.degraded, st.warm_starts), (3, 1, 2));
+    let cache = service.cache_stats();
+    assert_eq!((cache.misses, cache.hits), (1, 2));
+    service.shutdown();
+}
 
-    // A 1 µs deadline has passed by the time the solve starts: the
-    // solve's budget is the token 1 µs and it stops on it.
-    let starved = run_job(&service, session, &seq, 1, Duration::from_micros(1));
-    assert_eq!(starved.status, ScanStatus::Degraded, "a starved job must degrade, not error");
-    let bits = |o: &JobOutcome| -> Vec<u64> {
-        o.field.data().iter().flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]).collect()
-    };
-    assert_eq!(bits(&starved), bits(&first), "the degraded field is not scan 0's, bit for bit");
+#[test]
+fn degraded_first_scan_falls_back_to_zero_field() {
+    let seq = small_seq(2, 8.0);
+    let (service, session) = serve(&seq);
+    let starved = run_job(&service, session, &seq, 0, STARVED);
+    assert_eq!(starved.status, ScanStatus::Degraded);
+    assert_eq!(starved.field.max_magnitude(), 0.0, "no previous scan exists: the fallback is the zero field");
+    // The next job recovers normally: the failed solve must not have
+    // poisoned the warm-start state.
+    let next = run_job(&service, session, &seq, 1, AMPLE);
+    assert_eq!(next.status, ScanStatus::Converged);
+    assert!(next.field.max_magnitude() > 0.0);
+    service.shutdown();
+}
 
-    let next = run_job(&service, session, &seq, 2, Duration::from_secs(300));
-    assert_eq!(next.status, ScanStatus::Converged, "the session recovers after a degraded job");
-    assert_eq!(service.session_stats(session).expect("session is open").degraded, 1);
+// ───────────────────── the service's deadline budget ─────────────────────
 
-    let degrades: Vec<(u64, StopReason)> = service
+/// A degrading session keeps its slot and does not poison the others:
+/// session A's starved job degrades on the time budget (one `Degrade`
+/// event naming it), A's next job converges, and session B's jobs stay
+/// converged and warm throughout.
+#[test]
+fn a_job_past_its_deadline_degrades_on_the_time_budget() {
+    let seq_a = small_seq(3, 8.0);
+    let seq_b = small_seq(3, 5.0);
+    let service = Service::start(ServiceConfig { workers: 2, ..Default::default() });
+    let a = service.open_session(prepared(&seq_a));
+    let b = service.open_session(prepared(&seq_b));
+
+    let a0 = run_job(&service, a, &seq_a, 0, AMPLE);
+    let b0 = run_job(&service, b, &seq_b, 0, AMPLE);
+    assert_eq!((a0.status, b0.status), (ScanStatus::Converged, ScanStatus::Converged));
+
+    let a1 = run_job(&service, a, &seq_a, 1, STARVED);
+    assert_eq!(a1.status, ScanStatus::Degraded, "a starved job must degrade, not error");
+    assert!(a1.missed_deadline);
+    assert_eq!(field_bits(&a1), field_bits(&a0), "the degraded field is not scan 0's, bit for bit");
+
+    let a2 = run_job(&service, a, &seq_a, 2, AMPLE);
+    assert_eq!(a2.status, ScanStatus::Converged, "the session recovers after a degraded job");
+    for scan in 1..3 {
+        let out = run_job(&service, b, &seq_b, scan, AMPLE);
+        assert_eq!(out.status, ScanStatus::Converged);
+        assert!(out.warm, "B's context stayed cached throughout");
+    }
+    let st_a = service.session_stats(a).expect("session a");
+    assert_eq!((st_a.completed, st_a.degraded), (3, 1));
+    assert_eq!(service.session_stats(b).expect("session b").degraded, 0);
+
+    let degrades: Vec<(u64, u64, StopReason)> = service
         .shutdown()
         .into_iter()
         .filter_map(|e| match e.kind {
-            EventKind::Degrade { session: s, job, reason } if s == session => Some((job, reason)),
+            EventKind::Degrade { session, job, reason } => Some((session, job, reason)),
             _ => None,
         })
         .collect();
-    assert_eq!(degrades, [(starved.job, StopReason::TimeBudget)]);
+    assert_eq!(degrades, [(a, a1.job, StopReason::TimeBudget)]);
 }
 
 #[test]
@@ -322,7 +331,8 @@ fn half_budget_runs_cold_but_completes_everything() {
     assert_eq!(m.counter("service.cache.miss"), Some(4));
     assert_eq!(m.counter("service.cache.evictions").unwrap_or(0), stats.evictions);
     assert_eq!(m.span("scan/solve").map(|s| s.count), Some(4));
-    assert!(m.histogram("service.deadline.slack_at_start_us").map(|h| h.count) == Some(4));
+    let slack = m.histograms.iter().find(|(n, _)| n == "service.deadline.slack_at_start_us");
+    assert_eq!(slack.map(|(_, h)| h.count), Some(4));
     let events = service.shutdown();
     assert!(events.iter().any(|e| matches!(e.kind, EventKind::Evict { .. })));
 }
@@ -406,4 +416,121 @@ fn scan_on_the_wrong_grid_fails_typed_and_the_worker_survives() {
     let bytes = service.snapshot_shard().expect("snapshot returns");
     assert!(!bytes.is_empty());
     service.shutdown();
+}
+
+// ───────────────────── the service's sessions ─────────────────────
+
+#[test]
+fn two_sessions_complete_their_scan_sequences() {
+    let seq_a = small_seq(2, 8.0);
+    let seq_b = small_seq(2, 5.0);
+    let service = Service::start(ServiceConfig { workers: 2, ..Default::default() });
+    let a = service.open_session(prepared(&seq_a));
+    let b = service.open_session(prepared(&seq_b));
+
+    let mut tickets = Vec::new();
+    for (session, seq) in [(a, &seq_a), (b, &seq_b)] {
+        for scan in &seq.scans {
+            tickets.push(
+                service
+                    .submit(ScanJob { session, intensity: scan.intensity.clone(), priority: 0, deadline: AMPLE })
+                    .expect("admit"),
+            );
+        }
+    }
+    for t in tickets {
+        let out = t.wait().expect("job executes");
+        assert_ne!(out.status, ScanStatus::Degraded);
+        assert!(!out.missed_deadline, "5-minute deadline missed on a 32³ phantom");
+        assert!(out.field.max_magnitude() > 0.0, "recovered a non-trivial field");
+    }
+    // Each session: first scan cold, second warm (budget fits both).
+    let stats = service.cache_stats();
+    assert_eq!(stats.hits, 2);
+    assert_eq!(stats.misses, 2);
+    assert_eq!(stats.evictions, 0);
+    for s in [a, b] {
+        let st = service.session_stats(s).expect("session exists");
+        assert_eq!(st.completed, 2);
+        assert_eq!(st.warm_starts, 1);
+        assert_eq!(st.degraded, 0);
+    }
+    let events = service.shutdown();
+    assert!(matches!(events.last().map(|e| &e.kind), Some(EventKind::Shutdown)));
+    let starts = events.iter().filter(|e| matches!(e.kind, EventKind::Start { .. })).count();
+    let completes = events.iter().filter(|e| matches!(e.kind, EventKind::Complete { .. })).count();
+    assert_eq!((starts, completes), (4, 4), "every admitted job started and completed");
+}
+
+#[test]
+fn closing_session_mid_flight_does_not_orphan_cache_entry() {
+    // Regression: finish() used to re-insert the solver context into the
+    // cache even when close_session() had removed the session while its
+    // job was executing. Session ids are never reused, so the entry could
+    // never be taken again — it silently pinned the memory budget.
+    let seq = small_seq(1, 8.0);
+    let (service, s) = serve(&seq);
+    let ticket = service
+        .submit(ScanJob { session: s, intensity: seq.scans[0].intensity.clone(), priority: 0, deadline: AMPLE })
+        .expect("admit");
+
+    // Wait until the one worker has claimed the job on its preferred
+    // queue (its context is checked out), then close the session
+    // underneath it.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while service.metrics_snapshot().counter("service.jobs.preferred").unwrap_or(0) == 0 {
+        assert!(std::time::Instant::now() < deadline, "job never started");
+        std::thread::yield_now();
+    }
+    service.close_session(s);
+
+    // The in-flight job still completes (it holds the session Arc) ...
+    let out = ticket.wait().expect("in-flight job completes");
+    assert_ne!(out.status, ScanStatus::Degraded);
+    // ... but its context must be dropped, not cached for a dead id.
+    assert_eq!(service.cache_resident_bytes(), 0, "closed session's context must not be re-cached");
+    service.shutdown();
+}
+
+#[test]
+fn stats_probes_never_deadlock_against_degrade_logging() {
+    // Regression: execute() held the session state lock while acquiring
+    // the service mutex to log Degrade, while session_stats()
+    // took the same locks in the opposite order — an AB-BA deadlock
+    // whenever a probe raced a degrading job. Hammer the probes while
+    // jobs degrade; the test passing at all is the assertion.
+    let seq = small_seq(5, 8.0);
+    let service = Arc::new(Service::start(ServiceConfig { workers: 2, ..Default::default() }));
+    let s = service.open_session(prepared(&seq));
+
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let prober = {
+        let service = Arc::clone(&service);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let _ = service.session_stats(s);
+                let _ = service.metrics_snapshot();
+                let _ = service.cache_stats();
+            }
+        })
+    };
+
+    // One healthy scan to seed a carry-forward field, then starved scans
+    // that exercise the Degrade logging path concurrently with probes.
+    let healthy = run_job(&service, s, &seq, 0, AMPLE);
+    assert_ne!(healthy.status, ScanStatus::Degraded);
+    let mut degraded = 0;
+    for scan in 1..seq.scans.len() {
+        if run_job(&service, s, &seq, scan, STARVED).status == ScanStatus::Degraded {
+            degraded += 1;
+        }
+    }
+
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    prober.join().expect("prober thread");
+    let st = service.session_stats(s).expect("session exists");
+    assert_eq!(st.completed, 5);
+    assert_eq!(st.degraded, degraded);
+    assert!(degraded >= 1, "at least one starved job exercised the Degrade logging path");
 }

@@ -271,7 +271,7 @@ fn a_warm_context_solve_copies_no_reduced_vector() {
         FemSolveConfig::default(),
     )
     .expect("context builds");
-    let nfree = ctx.reduced_equations();
+    let nfree = ctx.structure().num_free();
     assert_ne!(nfree, mesh.num_equations());
     let scan = |scale: f64| {
         let mut bcs = DirichletBcs::new();

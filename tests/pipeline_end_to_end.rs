@@ -43,7 +43,8 @@ fn full_chain_with_rigid_misalignment() {
     ).expect("pipeline failed");
     // Rigid stage ran and found a nontrivial transform.
     let rigid = res.rigid.as_ref().expect("rigid stage must run");
-    let (angle, _) = rigid.transform.magnitude();
+    let r = rigid.transform.rotation.m;
+    let angle = ((r[0][0] + r[1][1] + r[2][2] - 1.0) / 2.0).clamp(-1.0, 1.0).acos();
     assert!(angle > 0.01, "rotation not detected: {angle}");
     assert!(res.fem.stats.converged());
     // The warped reference must match the moved scan better than the raw

@@ -3,7 +3,8 @@
 //!
 //! * goldens generated by the parent commit's affinity and fleet
 //!   simulators — the one `simulate` must reproduce their scripts
-//!   and metric snapshots byte for byte;
+//!   and metric snapshots byte for byte (the fleet's four shards each
+//!   simulated on the jobs a SplitMix64 hash of the session sends it);
 //! * production ≡ simulation: a threaded `Service` and `simulate` emit
 //!   the same event script for the same closed-loop submissions;
 //! * `simulate` re-runs a configuration that steals to the same bytes;
@@ -16,9 +17,7 @@ use brainshift_core::{
 use brainshift_imaging::phantom::{BrainShiftConfig, PhantomConfig};
 use brainshift_imaging::volume::{Dims, Spacing};
 use brainshift_persist::fnv1a;
-use brainshift_service::{
-    simulate, simulate_fleet, FleetConfig, ScanJob, Service, ServiceConfig, SimJob,
-};
+use brainshift_service::{simulate, ScanJob, Service, ServiceConfig, SimJob};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -200,10 +199,20 @@ fn des_scaling_p95_is_monotone_non_increasing_1_2_4_workers() {
     assert!(p95.windows(2).all(|w| w[1] <= w[0]), "p95 rose with workers 1, 2, 4: {p95:?} µs");
 }
 
+/// The shard the parent's fleet simulator sent a session to: a
+/// SplitMix64 avalanche of the session id, modulo the shard count.
+fn splitmix_shard(session: u64, shards: usize) -> usize {
+    let mut z = session.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z % shards as u64) as usize
+}
+
 #[test]
 fn fleet_shard_scripts_and_metrics_match_the_parent_simulator() {
     // Per shard: fnv1a(script), jobs routed, steals — from the parent's
-    // `simulate_fleet`. Between them the four scripts hold 74 queue-full
+    // fleet simulator. Between them the four scripts hold 74 queue-full
     // and 50 deadline-infeasible rejections, 1 041 evictions and 64 late
     // completions.
     let golden = [
@@ -212,17 +221,16 @@ fn fleet_shard_scripts_and_metrics_match_the_parent_simulator() {
         (0xb937_f75c_5ebc_f1f8, 747, 164),
         (0xf02e_0bbe_c926_14b9, 510, 66),
     ];
-    let cfg = FleetConfig { shards: 4, shard: sim_cfg(2, 5, 200, 1_000, 6 << 10, 1) };
-    let r = simulate_fleet(&cfg, &fleet_jobs());
-    assert_eq!(r.shards.len(), golden.len());
-    for (i, (shard, (script, jobs, steals))) in r.shards.iter().zip(golden).enumerate() {
-        assert_eq!(fnv1a(shard.log.script().as_bytes()), script, "shard {i} script");
-        assert_eq!(shard.outcomes.len(), jobs, "shard {i} routing");
-        assert_eq!(shard.steals.len(), steals, "shard {i} steals");
+    let jobs = fleet_jobs();
+    let cfg = sim_cfg(2, 5, 200, 1_000, 6 << 10, 1);
+    for (i, (script, routed, steals)) in golden.into_iter().enumerate() {
+        let shard: Vec<SimJob> =
+            jobs.iter().filter(|j| splitmix_shard(j.session, golden.len()) == i).cloned().collect();
+        let r = simulate(&cfg, &shard);
+        assert_eq!(fnv1a(r.log.script().as_bytes()), script, "shard {i} script");
+        assert_eq!(r.outcomes.len(), routed, "shard {i} routing");
+        assert_eq!(r.steals.len(), steals, "shard {i} steals");
     }
-    assert_eq!(fnv1a(r.metrics.to_json().render().as_bytes()), 0xfdba_1643_8c4a_318d);
-    assert_eq!((r.completed, r.shed), (1_876, 124));
-    assert_eq!((r.p50_latency_us, r.p99_latency_us), (373, 1_701));
 }
 
 fn phantom(peak_shift_mm: f64, scans: usize) -> (Arc<PreparedSurgery>, ScanSequence) {
