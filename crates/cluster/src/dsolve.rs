@@ -34,7 +34,7 @@ const TAG_GHOST_DATA: u64 = 6 << 32;
 /// `[ghost nodes owned by lower ranks | this rank's nodes | ghost nodes
 /// owned by higher ranks]`, each part ascending in global numbering. That
 /// layout keeps every row's columns in their global order, so a row sums
-/// its products exactly as the global matrix's row does (DESIGN §20).
+/// its products exactly as the global matrix's row does (DESIGN §3).
 pub struct RankSystem {
     /// This rank's block rows, block columns numbered into the extended
     /// vector.

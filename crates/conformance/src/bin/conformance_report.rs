@@ -90,7 +90,7 @@ fn main() {
     for &n in boundary_nodes(&dmesh).iter() {
         bcs.set(n, manufactured_field(dmesh.nodes[n]));
     }
-    let differential = run_differential(&dmesh, &materials, &bcs, &Default::default());
+    let differential = run_differential(&dmesh, &materials, &bcs);
     for p in &differential.paths {
         eprintln!(
             "  {:<16} converged={} iters={:<5} rel_res {:.3e}",

@@ -24,28 +24,14 @@ use brainshift_sparse::{
 /// Rank count of the one distributed GMRES path (`distributed-gmres-p4`).
 const GMRES_RANKS: usize = 4;
 
-/// Knobs for the harness.
-#[derive(Debug, Clone)]
-pub struct DifferentialOptions {
-    /// Krylov relative-residual tolerance used by every path. Pairwise
-    /// field agreement is bounded by roughly `tolerance × κ`, so this
-    /// sits well below the 1e-6 acceptance threshold.
-    pub tolerance: f64,
-    /// Iteration cap for every path.
-    pub max_iterations: usize,
-    /// Rank counts for the distributed CG paths.
-    pub ranks: Vec<usize>,
-}
-
-impl Default for DifferentialOptions {
-    fn default() -> Self {
-        DifferentialOptions {
-            tolerance: 1e-10,
-            max_iterations: 20_000,
-            ranks: vec![1, 2, 4, 8],
-        }
-    }
-}
+/// Krylov relative-residual tolerance used by every path. Pairwise field
+/// agreement is bounded by roughly `TOLERANCE × κ`, so this sits well
+/// below the 1e-6 acceptance threshold.
+const TOLERANCE: f64 = 1e-10;
+/// Iteration cap for every path.
+const MAX_ITERATIONS: usize = 20_000;
+/// Rank counts of the distributed CG paths (`distributed-cg-p{1,2,4,8}`).
+const CG_RANKS: [usize; 4] = [1, 2, 4, 8];
 
 /// One solve path's expanded nodal field plus its solve diagnostics.
 #[derive(Debug, Clone)]
@@ -105,11 +91,10 @@ pub fn run_differential(
     mesh: &TetMesh,
     materials: &MaterialTable,
     bcs: &DirichletBcs,
-    opts: &DifferentialOptions,
 ) -> DifferentialResult {
     let sopts = SolverOptions {
-        tolerance: opts.tolerance,
-        max_iterations: opts.max_iterations,
+        tolerance: TOLERANCE,
+        max_iterations: MAX_ITERATIONS,
         ..Default::default()
     };
     // The one reduction: path 3's context builds it and every other path
@@ -181,7 +166,7 @@ pub fn run_differential(
     //    count, GMRES at one (rank-0's stats are representative — all
     //    ranks return the same stats by construction). The ranks own
     //    whole nodes of the reduced system's node blocks.
-    let runs = opts.ranks.iter().map(|&p| (KrylovKind::ConjugateGradient, p));
+    let runs = CG_RANKS.iter().map(|&p| (KrylovKind::ConjugateGradient, p));
     for (kind, p) in runs.chain([(KrylovKind::Gmres, GMRES_RANKS)]) {
         let offsets = even_node_offsets(nfree, p);
         let per_rank = run_ranks(offsets.len() - 1, |comm| {
@@ -280,7 +265,7 @@ mod tests {
         for &n in boundary_nodes(&mesh).iter() {
             bcs.set(n, manufactured_field(mesh.nodes[n]));
         }
-        let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs, &Default::default());
+        let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs);
         let names: Vec<&str> = r.paths.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(
             names,
@@ -322,8 +307,7 @@ mod tests {
         for &n in surface.iter() {
             bcs.set(n, manufactured_field(mesh.nodes[n]));
         }
-        let opts = DifferentialOptions { ranks: vec![2], ..Default::default() };
-        let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs, &opts);
+        let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs);
         for p in &r.paths {
             for &n in surface.iter() {
                 let imposed = manufactured_field(mesh.nodes[n]);

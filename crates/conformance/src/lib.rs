@@ -37,8 +37,7 @@ pub use analytic::{
     linear_field, pure_shear_gradient, run_patch_test, uniaxial_stretch_gradient, PatchResult,
 };
 pub use differential::{
-    run_differential, run_keypoint_recovery, DifferentialOptions, DifferentialResult,
-    KeypointRecoveryResult, PathField,
+    run_differential, run_keypoint_recovery, DifferentialResult, KeypointRecoveryResult, PathField,
 };
 pub use golden::{
     default_golden_cases, evaluate_goldens, evaluate_scenario_goldens, golden_field,

@@ -314,7 +314,7 @@ mod tests {
             shared_voxels = admitted.iter().filter(|&&n| n > 1).count();
         }
         assert!(shared_voxels > 0, "no voxel on a shared face: last-writer-wins is not exercised");
-        // The per-voxel cost README and DESIGN §17 quote.
+        // The per-voxel cost README quotes.
         assert_eq!(std::mem::size_of::<Tap>(), 56);
     }
 

@@ -5,7 +5,9 @@
 //! prototype model), the session is opened, and the case's intraoperative
 //! scan is submitted as a [`ScanJob`] — exercising admission, the
 //! deadline queue, the warm-context cache, and sticky worker placement
-//! under four workload shapes the phantom sequence never produced.
+//! under four workload shapes the phantom sequence never produced. Once
+//! the job resolves the session is closed, so the service holds one
+//! case's surgery and context at a time.
 //!
 //! Submission is **serialized** (each ticket is awaited before the next
 //! submit) so the service's timestamp-free [`event
@@ -142,26 +144,23 @@ pub fn run_scenario_suite(cfg: &SuiteConfig) -> SuiteReport {
             }
         };
         let session = service.open_session(Arc::new(prepared));
-        let ticket = match service.submit(ScanJob {
-            session,
-            intensity: case.intraop_intensity.clone(),
-            priority: 0,
-            deadline: cfg.deadline,
-        }) {
-            Ok(t) => t,
-            Err(_) => {
-                report.shed_jobs += 1;
-                continue;
-            }
-        };
         // Serialized: wait before the next submit, keeping the event
         // script a pure function of the seed set.
-        let outcome = match ticket.wait() {
-            Ok(o) => o,
-            Err(_) => {
-                report.shed_jobs += 1;
-                continue;
-            }
+        let served = service
+            .submit(ScanJob {
+                session,
+                intensity: case.intraop_intensity.clone(),
+                priority: 0,
+                deadline: cfg.deadline,
+            })
+            .ok()
+            .and_then(|ticket| ticket.wait().ok());
+        // A case serves one scan: once it resolves, its session and the
+        // session's cached context go.
+        service.close_session(session);
+        let Some(outcome) = served else {
+            report.shed_jobs += 1;
+            continue;
         };
         if outcome.status == ScanStatus::Degraded {
             report.degraded += 1;

@@ -8,9 +8,9 @@
 //! routes every session to exactly one shard for its whole life:
 //!
 //! * [`Fleet::open_session`] picks the **least-loaded** shard (fewest
-//!   live sessions, ties to the lowest index) — closing a session
-//!   releases its slot, so the fleet rebalances on close without ever
-//!   migrating a live session (its warm context must stay put).
+//!   sessions opened on it, ties to the lowest index), never migrating a
+//!   live session (its warm context must stay put). The fleet closes no
+//!   session: its sessions end at [`Fleet::shutdown`].
 //!
 //! Fleet-wide ids encode the shard so every handle is self-routing:
 //! `fleet_id = local_id * shards + shard`. Metrics merge each shard's
@@ -131,9 +131,8 @@ pub struct Fleet {
     shards: Vec<Service>,
     /// Per slot, what came before its current shard.
     history: Vec<History>,
-    /// Live (open) sessions per shard — the least-loaded placement
-    /// signal, released on close so the fleet rebalances without moving
-    /// live sessions.
+    /// Sessions per shard — the least-loaded placement signal (a
+    /// restored shard starts at the sessions its snapshot holds).
     live: Mutex<Vec<usize>>,
     /// Per-shard configuration, kept so a drained shard can be rebuilt
     /// identically by [`Fleet::restore_shard`].
@@ -167,17 +166,6 @@ impl Fleet {
             s
         };
         encode(self.shards[shard].open_session(prepared), shard, self.shards.len())
-    }
-
-    /// Close a fleet session, releasing its shard slot for future opens.
-    pub fn close_session(&self, fleet_session: u64) -> bool {
-        let (local, shard) = decode(fleet_session, self.shards.len());
-        let closed = self.shards[shard].close_session(local);
-        if closed {
-            let mut live = self.live.lock();
-            live[shard] = live[shard].saturating_sub(1);
-        }
-        closed
     }
 
     /// Submit a scan job; `job.session` must be a fleet-wide session id.

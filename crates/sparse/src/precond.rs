@@ -13,7 +13,7 @@
 //! of mesh nodes to each CPU", and IC(0) runs the scalar recurrence over
 //! every entry of every stored block (the filled node-block pattern),
 //! in place on a copy of the upper blocks read straight from the matrix
-//! (DESIGN §20).
+//! (DESIGN §3, "Node blocks").
 
 use crate::bsr::{Block, BsrMatrix, FULL};
 use crate::csr::CsrMatrix;

@@ -47,7 +47,7 @@ fn every_solve_path_agrees_pairwise_within_1e6() {
     for &n in boundary_nodes(&mesh).iter() {
         bcs.set(n, manufactured_field(mesh.nodes[n]));
     }
-    let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs, &Default::default());
+    let r = run_differential(&mesh, &MaterialTable::homogeneous(), &bcs);
     let names: Vec<&str> = r.paths.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(
         names,

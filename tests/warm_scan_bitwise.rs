@@ -14,7 +14,7 @@
 //!
 //! The constants were regenerated once, deliberately, when preconditioned
 //! CG on block-Jacobi IC(0) replaced GMRES on block-Jacobi ILU(0) as the
-//! default solve (DESIGN §16): the field, displacement, iteration and
+//! default solve (DESIGN §3): the field, displacement, iteration and
 //! warped-reference entries moved. Every segmentation hash and every
 //! distance-potential surface residual kept its bits — the k-NN leaf-scan
 //! rewrite that landed with it reproduces the previous constants on its
